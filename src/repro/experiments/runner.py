@@ -42,6 +42,13 @@ class SeriesComparison:
     unit: str = ""
     note: str = ""
 
+    def __post_init__(self) -> None:
+        # Plain floats, so an in-process result serializes exactly like
+        # one that crossed a worker's JSON channel (256.0, never 256).
+        if self.paper_value is not None:
+            self.paper_value = float(self.paper_value)
+        self.measured_value = float(self.measured_value)
+
     @property
     def ratio(self) -> Optional[float]:
         if self.paper_value in (None, 0):
@@ -72,11 +79,10 @@ class SeriesComparison:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "SeriesComparison":
-        paper = payload.get("paper_value")
         return cls(
             quantity=str(payload["quantity"]),
-            paper_value=None if paper is None else float(paper),
-            measured_value=float(payload["measured_value"]),
+            paper_value=payload.get("paper_value"),
+            measured_value=payload["measured_value"],
             unit=str(payload.get("unit", "")),
             note=str(payload.get("note", "")),
         )

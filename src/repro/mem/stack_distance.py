@@ -14,75 +14,48 @@ The paper sweeps cache sizes and looks for knees in the resulting curve
 Python.
 
 Implementation: a Fenwick (binary-indexed) tree over reference
-timestamps counts, for each access, how many *distinct* blocks were
-touched since the previous access to the same block.
+timestamps holds a one at every block's most recent access time.  Every
+live timestamp precedes the current time ``t``, so the blocks touched
+strictly after ``prev`` are ``live - prefix(prev)``, and the depth is
+that plus one: a single prefix walk per reference.  The tree is built
+lazily, only when the pure-Python loop actually runs, so chunks that
+the vectorized kernel tier handles (``repro.mem.kernels``) never pay
+for it.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.mem.trace import READ, Trace
 from repro.obs.metrics import hot_loop_sampler
-from repro.runtime.budget import CHECK_MASK, Budget, active_budget
+from repro.runtime.budget import CHECK_INTERVAL, Budget, active_budget
 
 
-class _FenwickTree:
-    """Prefix-sum tree over ``n`` slots, 0-indexed externally."""
+def _fenwick_of_ones(count: int, capacity: int) -> List[int]:
+    """Fenwick tree over ``capacity`` slots with ones in ``[0, count)``.
 
-    def __init__(self, n: int) -> None:
-        self._n = n
-        self._tree = np.zeros(n + 1, dtype=np.int64)
-
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        tree = self._tree
-        n = self._n
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of slots [0, index]."""
-        i = index + 1
-        tree = self._tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return int(total)
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        """Sum of slots [lo, hi]; zero when the range is empty."""
-        if hi < lo:
-            return 0
-        total = self.prefix_sum(hi)
-        if lo > 0:
-            total -= self.prefix_sum(lo - 1)
-        return total
-
-    @classmethod
-    def from_ones(cls, count: int, capacity: int) -> "_FenwickTree":
-        """Tree of ``capacity`` slots with ones in slots ``[0, count)``.
-
-        Linear-time construction (set the leaves, propagate each node
-        into its parent once) — used when rebuilding from a compacted
-        timestamp space, where the live slots are exactly a prefix.
-        """
-        if count > capacity:
-            raise ValueError("count cannot exceed capacity")
-        tree = cls(capacity)
-        arr = tree._tree
-        arr[1 : count + 1] = 1
-        for i in range(1, capacity + 1):
-            j = i + (i & -i)
-            if j <= capacity:
-                arr[j] += arr[i]
-        return tree
+    Returned as a plain list, 1-based (element 0 unused), because scalar
+    indexing of a list is several times cheaper than of a numpy array.
+    Node ``i`` sums slots ``(i - lowbit(i), i]``: every node up to
+    ``count`` covers only ones, and the nodes above it that still
+    overlap the prefix are exactly the update path of slot ``count``.
+    """
+    if count > capacity:
+        raise ValueError("count cannot exceed capacity")
+    nodes = np.arange(count + 1, dtype=np.int64)
+    tree = (nodes & -nodes).tolist()
+    tree += [0] * (capacity - count)
+    i = count + (count & -count)
+    while 0 < i <= capacity:
+        tree[i] = count - (i - (i & -i))
+        i += i & -i
+    return tree
 
 
 @dataclass
@@ -248,8 +221,12 @@ class StackDistanceRun:
     ``O(footprint + chunk)`` instead of ``O(trace)``.
 
     The same property makes checkpoints small: :meth:`state_dict`
-    compacts first, so a snapshot is just the blocks in last-access
-    order plus the histogram — no tree, no raw timestamps.
+    renumbers first, so a snapshot is just the blocks in last-access
+    order plus the histogram — no tree, no raw timestamps.  It also
+    makes the tree disposable: renumbering drops it, and :meth:`feed`
+    rebuilds it (in linear time) only when the pure-Python loop runs.
+    A vectorized-tier chunk goes snapshot → kernel → restore without
+    ever touching a tree.
 
     Feed chunks with :meth:`feed`; finish with :meth:`result`.
     """
@@ -268,8 +245,9 @@ class StackDistanceRun:
         self.block_size = block_size
         self.count_reads_only = count_reads_only
         self.warmup = warmup
-        capacity = max(int(capacity_hint), 1024)
-        self._tree = _FenwickTree(capacity)
+        # Fenwick tree over timestamps, built on demand by _compact();
+        # None whenever _last_time has been renumbered without one.
+        self._tree: Optional[List[int]] = None
         self._last_time: Dict[int, int] = {}
         self._clock = 0  # next free tree timestamp (resets on compaction)
         self._pos = 0  # total references fed (never resets; drives warmup)
@@ -287,19 +265,39 @@ class StackDistanceRun:
             grown[: len(self._hist)] = self._hist
             self._hist = grown
 
-    def _compact(self, incoming: int) -> None:
-        """Renumber live timestamps to ``0..F-1`` and rebuild the tree.
+    def _renumber(self) -> List[int]:
+        """Renumber live timestamps to ``0..F-1``; returns the blocks in
+        last-access order.
 
-        Order-preserving, so every subsequent depth is unchanged; the
-        new capacity leaves room for ``incoming`` more references plus
-        slack so compactions stay rare.
+        Order-preserving, so every subsequent depth is unchanged.  A
+        tree indexed by the old timestamps is dropped.
         """
-        live = sorted(self._last_time.items(), key=lambda item: item[1])
-        footprint = len(live)
-        capacity = max(2 * (footprint + incoming), 4096)
-        self._last_time = {block: rank for rank, (block, _) in enumerate(live)}
-        self._tree = _FenwickTree.from_ones(footprint, capacity)
+        last_time = self._last_time
+        footprint = len(last_time)
+        if self._clock == footprint:
+            # Already dense: no block was re-accessed since the last
+            # renumbering, so insertion order is last-access order.
+            return list(last_time)
+        blocks = np.fromiter(last_time, dtype=np.int64, count=footprint)
+        stamps = np.fromiter(last_time.values(), dtype=np.int64, count=footprint)
+        ordered = blocks[np.argsort(stamps)].tolist()
+        self._last_time = dict(zip(ordered, range(footprint)))
         self._clock = footprint
+        self._tree = None
+        return ordered
+
+    def _compact(self, incoming: int) -> None:
+        """Renumber live timestamps and build a tree with room for
+        ``incoming`` more references plus at least ``footprint`` slack,
+        so compactions stay rare.
+
+        The size is a power of two, so any two update paths merge at or
+        below the root, which the loop's paired update walk relies on.
+        """
+        self._renumber()
+        footprint = len(self._last_time)
+        need = max(2 * footprint + incoming, 4096)
+        self._tree = _fenwick_of_ones(footprint, 1 << (need - 1).bit_length())
 
     def feed(self, trace: Trace, budget: Optional[Budget] = None) -> None:
         """Consume one chunk of references, updating the running state.
@@ -398,56 +396,81 @@ class StackDistanceRun:
             return
         if budget is None:
             budget = active_budget()
-        blocks = trace.block_ids(self.block_size).tolist()
-        kinds = trace.kinds.tolist()
-        n = len(blocks)
+        n = len(trace)
         if n == 0:
             return
-        if self._clock + n > self._tree._n:
+        blocks = trace.block_ids(self.block_size).tolist()
+        if self._tree is None or self._clock + n > len(self._tree) - 1:
             self._compact(n)
-        self._grow_hist(len(self._last_time) + n + 2)
         tree = self._tree
+        size = len(tree) - 1
         last_time = self._last_time
-        hist = self._hist
-        cold = 0
-        total = 0
+        get = last_time.get
+        live = len(last_time)
         t0 = self._clock
-        p0 = self._pos
-        count_reads_only = self.count_reads_only
-        warmup = self.warmup
+        # One depth per reference (0 marks a cold miss); the counted
+        # subset is histogrammed with a single bincount afterwards.
+        depths = array("q")
+        push = depths.append
         sampler = hot_loop_sampler("mem.stackdist")
-        for i in range(n):
-            if not (i & CHECK_MASK):
-                if budget is not None:
-                    budget.check("stack-distance profiling")
-                if sampler is not None:
-                    sampler.tick(i)
-            t = t0 + i
-            block = blocks[i]
-            counted = p0 + i >= warmup and (
-                not count_reads_only or kinds[i] == READ
-            )
-            prev = last_time.get(block)
-            if prev is None:
-                if counted:
-                    cold += 1
-                    total += 1
-            else:
-                # Distinct blocks touched strictly between prev and t,
-                # plus the block itself -> 1-based stack depth.
-                depth = tree.range_sum(prev + 1, t - 1) + 1
-                if counted:
-                    hist[depth] += 1
-                    total += 1
-                tree.add(prev, -1)
-            tree.add(t, +1)
-            last_time[block] = t
+        for start in range(0, n, CHECK_INTERVAL):
+            if budget is not None:
+                budget.check("stack-distance profiling")
+            if sampler is not None:
+                sampler.tick(start)
+            window = blocks[start : start + CHECK_INTERVAL]
+            for t, block in enumerate(window, t0 + start):
+                j = t + 1  # tree node of slot t
+                prev = get(block)
+                if prev is None:
+                    live += 1
+                    push(0)
+                    while j <= size:
+                        tree[j] += 1
+                        j += j & -j
+                else:
+                    # Live slots are all < t, so the blocks touched
+                    # strictly after prev number live - prefix(prev).
+                    i = prev + 1
+                    below = 0
+                    while i:
+                        below += tree[i]
+                        i &= i - 1
+                    push(live - below + 1)
+                    # Move prev's one to t.  With a power-of-two size
+                    # both update paths merge below the root, and above
+                    # the merge the -1 and +1 cancel.
+                    i = prev + 1
+                    while i != j:
+                        if i < j:
+                            tree[i] -= 1
+                            i += i & -i
+                        else:
+                            tree[j] += 1
+                            j += j & -j
+                last_time[block] = t
         self._clock = t0 + n
-        self._pos = p0 + n
-        self._cold += cold
-        self._total += total
+        cold = self._tally(trace, np.frombuffer(depths, dtype=np.int64))
+        self._pos += n
         if sampler is not None:
             sampler.finish(refs=n, misses=cold)
+
+    def _tally(self, trace: Trace, depths: np.ndarray) -> int:
+        """Fold one chunk's per-reference depths into the histogram;
+        returns the chunk's counted cold misses."""
+        n = len(trace)
+        counted = np.ones(n, dtype=bool)
+        counted[: max(0, min(n, self.warmup - self._pos))] = False
+        if self.count_reads_only:
+            counted &= trace.kinds == READ
+        kept = depths[counted]
+        counts = np.bincount(kept)
+        cold = int(counts[0]) if counts.size else 0
+        self._grow_hist(counts.size)
+        self._hist[1 : counts.size] += counts[1:]
+        self._cold += cold
+        self._total += int(kept.size)
+        return cold
 
     def result(self) -> StackDistanceProfile:
         """The profile over everything fed so far (histogram trimmed)."""
@@ -461,15 +484,14 @@ class StackDistanceRun:
         )
 
     def state_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot; compacts first so it is small.
+        """JSON-serializable snapshot; renumbers first so it is small.
 
         The ``last_time`` map serializes as just the blocks in
-        last-access order — after compaction their timestamps are
+        last-access order — after renumbering their timestamps are
         exactly ``0..F-1``, so order alone reconstructs the map *and*
         the tree.
         """
-        self._compact(0)
-        ordered = sorted(self._last_time.items(), key=lambda item: item[1])
+        ordered = self._renumber()
         nonzero = np.nonzero(self._hist)[0]
         top = int(nonzero[-1]) if nonzero.size else 0
         return {
@@ -479,7 +501,7 @@ class StackDistanceRun:
             "pos": self._pos,
             "cold": self._cold,
             "total": self._total,
-            "blocks_by_last_access": [block for block, _ in ordered],
+            "blocks_by_last_access": ordered,
             "hist": self._hist[: top + 1].tolist(),
         }
 
@@ -492,12 +514,9 @@ class StackDistanceRun:
                     f"this run's {field}={getattr(self, field)!r}"
                 )
         blocks = [int(b) for b in state["blocks_by_last_access"]]
-        footprint = len(blocks)
-        self._last_time = {block: rank for rank, block in enumerate(blocks)}
-        self._tree = _FenwickTree.from_ones(
-            footprint, max(2 * footprint, 4096)
-        )
-        self._clock = footprint
+        self._last_time = dict(zip(blocks, range(len(blocks))))
+        self._tree = None
+        self._clock = len(blocks)
         self._pos = int(state["pos"])
         self._cold = int(state["cold"])
         self._total = int(state["total"])

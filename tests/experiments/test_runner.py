@@ -1,6 +1,8 @@
 """Tests for the experiment result structures and the run-everything
 entry point."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,39 @@ class TestExperimentResult:
         assert result.comparison("q").measured_value == 1.1
         with pytest.raises(KeyError):
             result.comparison("missing")
+
+    def test_comparison_values_are_floats(self):
+        comp = SeriesComparison("x", paper_value=256, measured_value=np.int64(3))
+        assert type(comp.paper_value) is float
+        assert type(comp.measured_value) is float
+        assert json.dumps(comp.to_dict()) == json.dumps(
+            SeriesComparison.from_dict(comp.to_dict()).to_dict()
+        )
+
+
+def _quick_ids():
+    from repro.experiments.__main__ import EXPERIMENTS
+
+    return list(EXPERIMENTS)
+
+
+class TestQuickRoundTrip:
+    """An in-process result serializes byte-for-byte like one that went
+    through a worker's JSON channel, so the two campaign backends write
+    identical checkpoints and summaries."""
+
+    @pytest.mark.parametrize("experiment_id", _quick_ids())
+    def test_to_dict_is_a_fixed_point(self, experiment_id):
+        from repro.experiments.__main__ import EXPERIMENTS, QUICK_OVERRIDES
+
+        module, kwargs = EXPERIMENTS[experiment_id]
+        payload = module.run(
+            **{**kwargs, **QUICK_OVERRIDES.get(experiment_id, {})}
+        ).to_dict()
+        again = ExperimentResult.from_dict(json.loads(json.dumps(payload)))
+        assert json.dumps(payload, sort_keys=True) == json.dumps(
+            again.to_dict(), sort_keys=True
+        )
 
 
 class TestMainEntry:

@@ -2,14 +2,18 @@
 equivalence property against the explicit LRU cache simulator that
 justifies using the single-pass instrument everywhere."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mem import kernels
 from repro.mem.cache import FullyAssociativeCache, sweep_cache_sizes
 from repro.mem.stack_distance import (
     StackDistanceProfiler,
+    StackDistanceRun,
     default_capacity_grid,
     profile_trace,
 )
@@ -147,6 +151,155 @@ class TestEquivalenceWithExplicitCache:
         misses = [profile.misses_at(c) for c in range(0, 70)]
         assert all(a >= b for a, b in zip(misses, misses[1:]))
         assert misses[-1] == profile.cold_misses
+
+
+@pytest.fixture
+def clean_kernels(monkeypatch):
+    """Unconfigured, unquarantined kernel harness, restored afterwards."""
+    for name in (
+        kernels.TIER_ENV,
+        kernels.VERIFY_ENV,
+        kernels.MIN_REFS_ENV,
+        kernels.BUNDLE_DIR_ENV,
+        kernels.FAULT_ENV,
+    ):
+        monkeypatch.delenv(name, raising=False)
+    kernels.clear_kernels(clear_env=False)
+    kernels.reset_kernel_state()
+    yield
+    kernels.clear_kernels(clear_env=False)
+    kernels.reset_kernel_state()
+
+
+def _local_trace(num_refs, num_blocks, seed):
+    """Random walk over blocks with occasional far jumps: a mix of
+    short and long stack depths, with reads and writes."""
+    rng = np.random.default_rng(seed)
+    steps = rng.integers(-3, 4, size=num_refs)
+    jumps = rng.random(num_refs) < 0.05
+    steps[jumps] = rng.integers(0, num_blocks, size=int(jumps.sum()))
+    blocks = np.cumsum(steps) % num_blocks
+    kinds = rng.integers(0, 2, size=num_refs).astype(np.uint8)
+    return Trace(blocks.astype(np.int64) * 8, kinds)
+
+
+def _window(trace, start, stop):
+    return Trace(trace.addrs[start:stop], trace.kinds[start:stop])
+
+
+def _canonical(run):
+    return json.dumps(run.state_dict(), sort_keys=True)
+
+
+def _brute_force(trace, warmup, count_reads_only):
+    """Explicit LRU stack (MRU first): histogram, cold, total."""
+    stack = []
+    hist = {}
+    cold = total = 0
+    for pos, (block, kind) in enumerate(
+        zip(trace.block_ids(8).tolist(), trace.kinds.tolist())
+    ):
+        counted = pos >= warmup and (not count_reads_only or kind == READ)
+        if block in stack:
+            depth = stack.index(block) + 1
+            stack.remove(block)
+            if counted:
+                hist[depth] = hist.get(depth, 0) + 1
+        elif counted:
+            cold += 1
+        total += counted
+        stack.insert(0, block)
+    return hist, cold, total
+
+
+class TestOracleAgainstBruteForce:
+    """The Fenwick oracle against an independent list-based Mattson
+    stack, fed in chunks that force tree rebuilds and growth."""
+
+    @pytest.mark.parametrize(
+        "seed, warmup, count_reads_only",
+        [(0, 0, False), (1, 1000, True), (2, 5000, False), (3, 4321, True)],
+    )
+    def test_matches_explicit_stack(
+        self, clean_kernels, seed, warmup, count_reads_only
+    ):
+        trace = _local_trace(6000, 400, seed)
+        run = StackDistanceRun(count_reads_only=count_reads_only, warmup=warmup)
+        with kernels.tier_override("oracle"):
+            for start, stop in ((0, 1), (1, 2500), (2500, 4600), (4600, 6000)):
+                run.feed(_window(trace, start, stop))
+        profile = run.result()
+        hist, cold, total = _brute_force(trace, warmup, count_reads_only)
+        assert profile.cold_misses == cold
+        assert profile.total == total
+        assert {
+            int(d): int(c) for d, c in enumerate(profile.depth_histogram) if c
+        } == hist
+
+
+class TestLazyTreeTransitions:
+    """Chunks alternating between the vector kernel and the oracle loop,
+    with snapshots in between: the tree is dropped, rebuilt and grown,
+    and the run stays byte-identical to an all-oracle run."""
+
+    CHUNKS = [3000, 2000, 50, 4200, 1, 9000, 7, 6000, 6000, 300]
+    TIERS = ["oracle", "oracle", "vector", "oracle", "vector",
+             "oracle", "oracle", "vector", "oracle", "oracle"]
+    SNAPSHOT_AFTER = {1, 4, 6}
+
+    def _feed_all(self, run, trace, tiers, snapshots=()):
+        start = 0
+        for index, (size, tier) in enumerate(zip(self.CHUNKS, tiers)):
+            with kernels.tier_override(tier):
+                run.feed(_window(trace, start, start + size))
+            if index in snapshots:
+                run.state_dict()
+            start += size
+
+    def test_mixed_tiers_match_all_oracle(self, clean_kernels):
+        trace = _local_trace(sum(self.CHUNKS), 3000, seed=7)
+        kernels.configure_kernels(
+            verify_every=1 << 30, min_refs=0, export_env=False
+        )
+        oracle = StackDistanceRun(count_reads_only=True, warmup=2600)
+        self._feed_all(oracle, trace, ["oracle"] * len(self.CHUNKS))
+
+        mixed = StackDistanceRun(count_reads_only=True, warmup=2600)
+        rebuilds = []
+        compact = mixed._compact
+
+        def spy(incoming):
+            before = None if mixed._tree is None else len(mixed._tree)
+            compact(incoming)
+            rebuilds.append((before, len(mixed._tree)))
+
+        mixed._compact = spy
+        self._feed_all(mixed, trace, self.TIERS, self.SNAPSHOT_AFTER)
+
+        state = kernels.kernel_state("stackdist")
+        assert state["chunks"] == self.TIERS.count("vector")
+        assert state["divergences"] == 0
+        # Some rebuilds start from scratch, others grow a live tree.
+        assert any(before is None for before, _ in rebuilds)
+        assert any(
+            before is not None and after > before for before, after in rebuilds
+        )
+        assert _canonical(mixed) == _canonical(oracle)
+        np.testing.assert_array_equal(
+            mixed.result().depth_histogram, oracle.result().depth_histogram
+        )
+
+    def test_snapshot_leaves_a_valid_tree_alone(self, clean_kernels):
+        """Snapshots of a dense state (no re-access since the last
+        renumbering) keep the tree; sparse ones drop it."""
+        run = StackDistanceRun()
+        with kernels.tier_override("oracle"):
+            run.feed(Trace.from_addresses([0, 8, 16]))
+            assert run.state_dict()["blocks_by_last_access"] == [0, 1, 2]
+            assert run._tree is not None
+            run.feed(Trace.from_addresses([0]))
+        assert run.state_dict()["blocks_by_last_access"] == [1, 2, 0]
+        assert run._tree is None
 
 
 class TestCapacityGrid:
