@@ -22,6 +22,7 @@ import pytest
 
 from repro.mem import kernels
 from repro.mem.cache import FullyAssociativeCache
+from repro.mem.multiproc import MultiprocessorMemory
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import profile_trace
 from repro.mem.trace import Trace
@@ -87,6 +88,12 @@ def _stackdist():
     return lambda: profile_trace(trace), len(trace)
 
 
+def _multiproc():
+    """Four processors, infinite caches, one 50K-ref interleaving."""
+    traces = [_random_trace(12_500, seed=pid) for pid in range(4)]
+    return lambda: MultiprocessorMemory(4).run_traces(traces), 50_000
+
+
 def bench_kernel_fullassoc_oracle(benchmark):
     fn, refs = _fullassoc()
     _bench_tier(benchmark, fn, refs, "oracle")
@@ -150,6 +157,23 @@ def bench_kernel_stackdist_vector(benchmark):
 
 def bench_kernel_stackdist_vector_verified(benchmark):
     fn, refs = _stackdist()
+    _bench_tier(
+        benchmark, fn, refs, "vector", verify_every=kernels.DEFAULT_VERIFY_EVERY
+    )
+
+
+def bench_kernel_multiproc_oracle(benchmark):
+    fn, refs = _multiproc()
+    _bench_tier(benchmark, fn, refs, "oracle")
+
+
+def bench_kernel_multiproc_vector(benchmark):
+    fn, refs = _multiproc()
+    _bench_tier(benchmark, fn, refs, "vector")
+
+
+def bench_kernel_multiproc_vector_verified(benchmark):
+    fn, refs = _multiproc()
     _bench_tier(
         benchmark, fn, refs, "vector", verify_every=kernels.DEFAULT_VERIFY_EVERY
     )

@@ -18,7 +18,7 @@ structures:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from repro.apps.barnes_hut.force import WalkStats, accelerate_body
 from repro.apps.barnes_hut.octree import Cell, Octree
 from repro.apps.barnes_hut.partition import morton_partition
 from repro.mem.address import AddressSpace
-from repro.mem.trace import Trace, TraceBuilder
 from repro.mem.shards import trace_builder
+from repro.mem.trace import READ, WRITE, Trace
 from repro.obs.tracing import traced
 from repro.units import DOUBLE_WORD
 
@@ -41,6 +41,25 @@ BODY_DOUBLEWORDS = 10
 CELL_DOUBLEWORDS = 16
 #: Double words of interaction scratch (the lev1WS; ~0.6 KB).
 SCRATCH_DOUBLEWORDS = 48
+
+#: Force-phase event codes (indices into the phase's templates).
+_START, _OPEN, _ACCEPT, _BODY, _END = range(5)
+
+#: Recorded events expanded at a time (up to ~84K references): bounds
+#: the expansion temporaries and the columns a streamed trace holds in
+#: memory.  Larger slices measured a higher peak RSS.
+_EMIT_EVENTS = 1024
+
+
+class _Templates(NamedTuple):
+    """Per-event reference templates, flattened: event code ``c`` owns
+    references ``first[c] : first[c] + lengths[c]`` of the other columns."""
+
+    base: np.ndarray
+    stride: np.ndarray
+    kind: np.ndarray
+    first: np.ndarray
+    lengths: np.ndarray
 
 
 class BarnesHutTraceGenerator:
@@ -87,7 +106,6 @@ class BarnesHutTraceGenerator:
             )
             for pid in range(num_processors)
         ]
-        self.scratch = self.scratch_regions[0]
         self.stats = WalkStats()
 
     @classmethod
@@ -127,68 +145,114 @@ class BarnesHutTraceGenerator:
             "barnes-hut", seed=self.seed, n=min(len(self.bodies), 64)
         )
 
-    # -- addressing ---------------------------------------------------------
+    # -- columnar emission ------------------------------------------------
+    #
+    # Every phase is a sequence of events -- a body's start or end, one
+    # walk step, one tree update -- and each event emits a fixed run of
+    # references: a template of (base, stride, kind) per reference, whose
+    # address is ``base + id * stride`` for the event's body or cell id.
+    # The walks record (event, id) codes; numpy expands them.
 
-    def _body_addr(self, body: int, field_offset: int) -> int:
-        return self.body_region.element(body * BODY_DOUBLEWORDS + field_offset)
+    def _templates(
+        self, events: Sequence[Sequence[Tuple[str, int, int]]], pid: int = 0
+    ) -> _Templates:
+        """Address templates from ``(region, field offset, kind)`` runs,
+        one run per event code; region is "body", "cell" or "scratch"
+        (``pid``'s scratch buffer, indexed by the offset)."""
+        strides = {
+            "body": BODY_DOUBLEWORDS * DOUBLE_WORD,
+            "cell": CELL_DOUBLEWORDS * DOUBLE_WORD,
+            "scratch": 0,
+        }
+        bases = {
+            "body": self.body_region.base,
+            "cell": self.cell_region.base,
+            "scratch": self.scratch_regions[pid].base,
+        }
+        refs = [ref for run in events for ref in run]
+        base = np.array(
+            [bases[region] + offset * DOUBLE_WORD for region, offset, _ in refs],
+            dtype=np.int64,
+        )
+        stride = np.array([strides[region] for region, _, _ in refs], dtype=np.int64)
+        kind = np.array([access for _, _, access in refs], dtype=np.uint8)
+        lengths = np.array([len(run) for run in events], dtype=np.int64)
+        return _Templates(base, stride, kind, np.cumsum(lengths) - lengths, lengths)
 
-    def _cell_addr(self, cell: Cell, field_offset: int) -> int:
-        return self.cell_region.element(cell.index * CELL_DOUBLEWORDS + field_offset)
+    @staticmethod
+    def _emit(tb, templates: _Templates, codes: List[int], ids: List[int]) -> Trace:
+        """Expand a phase's recorded ``(code, id)`` events into ``tb`` and
+        build it.
 
-    # -- emission helpers -----------------------------------------------------
-
-    def _read_body_position(self, tb: TraceBuilder, body: int) -> None:
-        for offset in range(3):
-            tb.read(self._body_addr(body, offset))
-
-    def _read_cell_com_mass(self, tb: TraceBuilder, cell: Cell) -> None:
-        for offset in range(4):
-            tb.read(self._cell_addr(cell, offset))
-
-    def _read_cell_quad(self, tb: TraceBuilder, cell: Cell) -> None:
-        for offset in range(4, 10):
-            tb.read(self._cell_addr(cell, offset))
-
-    def _read_cell_children(self, tb: TraceBuilder, cell: Cell) -> None:
-        for offset in range(10, 14):
-            tb.read(self._cell_addr(cell, offset))
-
-    def _interaction_scratch(self, tb: TraceBuilder) -> None:
-        """Every interaction churns the scratch buffer: read the whole
-        region, write half of it back."""
-        for i in range(SCRATCH_DOUBLEWORDS):
-            tb.read(self.scratch.element(i))
-        for i in range(0, SCRATCH_DOUBLEWORDS, 2):
-            tb.write(self.scratch.element(i))
+        Events are recorded for the whole phase first, so the expanded
+        columns are allocated after the walk rather than interleaved
+        with its allocations, which keeps the peak RSS down.
+        """
+        all_codes = np.asarray(codes, dtype=np.int64)
+        all_ids = np.asarray(ids, dtype=np.int64)
+        for start in range(0, all_codes.shape[0], _EMIT_EVENTS):
+            event_codes = all_codes[start : start + _EMIT_EVENTS]
+            lengths = templates.lengths[event_codes]
+            # Each reference's index into the flat templates: its event's
+            # first template slot plus its rank within the event.
+            slot = np.arange(int(lengths.sum()))
+            slot += np.repeat(
+                templates.first[event_codes] - (np.cumsum(lengths) - lengths),
+                lengths,
+            )
+            addrs = np.repeat(all_ids[start : start + _EMIT_EVENTS], lengths)
+            addrs *= templates.stride[slot]
+            addrs += templates.base[slot]
+            tb.extend_arrays(addrs, templates.kind[slot])
+        return tb.build()
 
     # -- trace ---------------------------------------------------------------
 
     @traced("apps.barneshut.force_phase")
     def trace_for_processor(self, pid: int) -> Trace:
-        """Trace processor ``pid`` computing forces on its partition."""
+        """Trace processor ``pid`` computing forces on its partition.
+
+        Per body: read its position, walk the tree (an opened cell reads
+        its center of mass, mass and child pointers; an accepted cell
+        its center of mass, mass and quadrupole; a body-body interaction
+        the other body's position and mass; every interaction churns the
+        scratch buffer: read all of it, write half back), then write the
+        acceleration back.
+        """
         if not 0 <= pid < self.num_processors:
             raise IndexError("processor id out of range")
         tb = trace_builder()
         self.stats = WalkStats()
-        self.scratch = self.scratch_regions[pid]
+        scratch = [("scratch", i, READ) for i in range(SCRATCH_DOUBLEWORDS)] + [
+            ("scratch", i, WRITE) for i in range(0, SCRATCH_DOUBLEWORDS, 2)
+        ]
+        com_mass = [("cell", offset, READ) for offset in range(4)]
+        quad = [("cell", offset, READ) for offset in range(4, 10)]
+        templates = self._templates(
+            [
+                [("body", offset, READ) for offset in range(3)],  # _START
+                com_mass + [("cell", offset, READ) for offset in range(10, 14)],
+                com_mass + (quad if self.quadrupole else []) + scratch,
+                [("body", offset, READ) for offset in (0, 1, 2, 6)] + scratch,
+                [("body", offset, WRITE) for offset in range(7, 10)],  # _END
+            ],
+            pid,
+        )
+        codes: List[int] = []
+        ids: List[int] = []
 
         def visit(cell: Cell, event: str) -> None:
-            if event == "open":
-                self._read_cell_com_mass(tb, cell)
-                self._read_cell_children(tb, cell)
-            elif event == "accept":
-                self._read_cell_com_mass(tb, cell)
-                if self.quadrupole:
-                    self._read_cell_quad(tb, cell)
-                self._interaction_scratch(tb)
-            else:  # body-body
-                self._read_body_position(tb, cell.body_index)
-                tb.read(self._body_addr(cell.body_index, 6))  # mass
-                self._interaction_scratch(tb)
+            if event == "body":
+                codes.append(_BODY)
+                ids.append(cell.body_index)
+            else:
+                codes.append(_OPEN if event == "open" else _ACCEPT)
+                ids.append(cell.index)
 
         for body in self.partitions[pid]:
             body = int(body)
-            self._read_body_position(tb, body)
+            codes.append(_START)
+            ids.append(body)
             accelerate_body(
                 self.tree,
                 body,
@@ -197,9 +261,9 @@ class BarnesHutTraceGenerator:
                 stats=self.stats,
                 visit=visit,
             )
-            for offset in range(7, 10):  # acceleration write-back
-                tb.write(self._body_addr(body, offset))
-        return tb.build()
+            codes.append(_END)
+            ids.append(body)
+        return self._emit(tb, templates, codes, ids)
 
     # -- other phases (Section 6.4) ---------------------------------------
 
@@ -228,54 +292,71 @@ class BarnesHutTraceGenerator:
         """Trace of the tree-build phase: processor ``pid`` inserts its
         bodies, walking root-to-leaf and updating child pointers.
 
+        Each body's position is read; every traversed cell's child
+        pointers are read and its body count is read-modify-written (as
+        in the sequential algorithm); the last cell on the path also
+        rewrites its child pointers (install the body / split the leaf).
         The upper tree cells are traversed (and, near the root, written)
         by every processor — the contention the paper cites when noting
         that "building the octree ... do[es] not yield quite as good
         speedups" (Section 6.4).
         """
         tb = trace_builder()
-        cells = self.tree.cells
+        step = [("cell", offset, READ) for offset in range(10, 14)] + [
+            ("cell", 14, READ),
+            ("cell", 14, WRITE),
+        ]
+        templates = self._templates(
+            [
+                [("body", offset, READ) for offset in range(3)],
+                step,
+                step + [("cell", offset, WRITE) for offset in range(10, 14)],
+            ]
+        )
+        codes: List[int] = []
+        ids: List[int] = []
         for body in self.partitions[pid]:
             body = int(body)
-            self._read_body_position(tb, body)
             path = self.tree.insertion_paths[body]
-            for step, cell_index in enumerate(path):
-                cell = cells[cell_index]
-                self._read_cell_children(tb, cell)
-                # Every traversed cell's body count is read-modify-
-                # written (as in the sequential algorithm) — the shared
-                # upper-tree updates behind the phase's poor scaling.
-                tb.read(self._cell_addr(cell, 14))
-                tb.write(self._cell_addr(cell, 14))
-                if step == len(path) - 1:
-                    # Install the body / split the leaf: update pointers.
-                    for offset in range(10, 14):
-                        tb.write(self._cell_addr(cell, offset))
-        return tb.build()
+            codes.append(0)
+            ids.append(body)
+            codes.extend([1] * (len(path) - 1) + [2])
+            ids.extend(path)
+        return self._emit(tb, templates, codes, ids)
 
     @traced("apps.barneshut.moments_phase")
     def moments_trace_for_processor(self, pid: int) -> Trace:
         """Trace of the moment-computation phase: processor ``pid``
         computes mass/center-of-mass/quadrupole for the cells it owns,
-        reading its children's records (which other processors wrote)."""
+        reading its children's records (which other processors wrote):
+        a leaf reads its body's position and mass, an internal cell each
+        child's center of mass, mass and quadrupole; then the cell writes
+        its own moment fields."""
         tb = trace_builder()
+        templates = self._templates(
+            [
+                [("body", offset, READ) for offset in (0, 1, 2, 6)],
+                [("cell", offset, READ) for offset in range(10)],
+                [("cell", offset, WRITE) for offset in range(10)],
+            ]
+        )
+        codes: List[int] = []
+        ids: List[int] = []
         for cell in self.tree.cells:
             if self.cell_owner(cell) != pid:
                 continue
             if cell.is_leaf:
                 if cell.body_index >= 0:
-                    self._read_body_position(tb, cell.body_index)
-                    tb.read(self._body_addr(cell.body_index, 6))  # mass
+                    codes.append(0)
+                    ids.append(cell.body_index)
             else:
                 for child in cell.children:
-                    if child is None:
-                        continue
-                    self._read_cell_com_mass(tb, child)
-                    self._read_cell_quad(tb, child)
-            # Write own moment fields.
-            for offset in range(10):
-                tb.write(self._cell_addr(cell, offset))
-        return tb.build()
+                    if child is not None:
+                        codes.append(1)
+                        ids.append(child.index)
+            codes.append(2)
+            ids.append(cell.index)
+        return self._emit(tb, templates, codes, ids)
 
     # -- summary quantities ---------------------------------------------------
 

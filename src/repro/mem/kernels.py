@@ -1,11 +1,11 @@
 """Columnar batch-vectorized simulation kernels with a trust harness.
 
 ROADMAP item 1: the per-reference pure-Python hot loops in
-:mod:`repro.mem.cache`, :mod:`repro.mem.setassoc` and
-:mod:`repro.mem.stack_distance` are the campaign bottleneck.  This
-module provides numpy batch implementations of all three ("the vector
-tier") together with a :class:`KernelGuard` harness that keeps them
-honest:
+:mod:`repro.mem.cache`, :mod:`repro.mem.setassoc`,
+:mod:`repro.mem.stack_distance` and :mod:`repro.mem.multiproc` are the
+campaign bottleneck.  This module provides numpy batch implementations
+of all four ("the vector tier") together with a :class:`KernelGuard`
+harness that keeps them honest:
 
 * every kernel chunk passes cheap structural sanity checks;
 * every Nth chunk (``REPRO_KERNEL_VERIFY``) is replayed through the
@@ -23,8 +23,8 @@ honest:
 Algorithm
 ---------
 
-All three kernels reduce to exact Mattson stack depths.  For a chunk of
-block ids the depth of reference ``i`` (1-based count of distinct
+The three uniprocessor kernels reduce to exact Mattson stack depths.
+For a chunk of block ids the depth of reference ``i`` (1-based count of distinct
 blocks since the previous reference to the same block, inclusive) is
 
     depth[i] = #{ j in (prev[i], i] : next[j] > i }
@@ -44,6 +44,17 @@ depths equal the global ones.
 Everything is value-sorts of packed int64 keys, ``bincount`` and
 ``cumsum`` — ``np.argsort``/``np.searchsorted`` are avoided entirely
 (they are an order of magnitude slower on small/medium arrays).
+
+The write-invalidate coherence kernel (infinite caches) needs no
+depths: reference ``t`` of processor ``p`` hits iff ``p``'s previous
+access to the block comes at or after the block's last write before
+``t``, and a write invalidates every processor that touched the block
+since the previous write.  Both fall out of two packed-key sorts per
+window of the round-robin interleaving, with per-block processor
+bitmasks carried between windows (see :class:`_CoherenceState`); only
+the final LRU order uses ``argsort``.  Blocks index through a dense
+table over their span, so :func:`guard_run` leaves sparse block ids to
+the per-reference loop.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ import numpy as np
 
 from repro.mem.trace import READ, Trace
 
-KERNEL_KINDS = ("fullassoc", "setassoc", "stackdist")
+KERNEL_KINDS = ("fullassoc", "setassoc", "stackdist", "multiproc")
 
 #: Environment knobs (exported by :func:`configure_kernels` so worker
 #: processes and dispatch nodes inherit the campaign's kernel policy).
@@ -469,16 +480,288 @@ def kernel_setassoc(
     }
 
 
+#: Processors the coherence kernel handles: one bit each in an int64.
+MULTIPROC_MAX_PROCESSORS = 62
+
+#: References per interleaving window of the coherence kernel.  State
+#: is carried between windows as columns, so memory stays bounded by
+#: the window, never by the interleaved stream.
+MULTIPROC_WINDOW_REFS = 1 << 14
+
+_MP_STAT_KEYS = (
+    "reads",
+    "writes",
+    "read_misses",
+    "write_misses",
+    "cold_misses",
+    "coherence_misses",
+    "capacity_misses",
+    "invalidations_received",
+    "remote_reads",
+)
+
+
+class _CoherenceState:
+    """Columnar write-invalidate machine state over a block universe.
+
+    ``universe`` is the sorted array of every block the call can touch;
+    per block, ``resident``/``invalidated``/``seen`` hold one bit per
+    processor, ``writer`` the last writer (-1 none), and ``last_t[p]``
+    the time of processor ``p``'s last access (the LRU order of its
+    residents; snapshot residents get negative times, MRU highest).
+    """
+
+    def __init__(self, state: dict, universe: np.ndarray) -> None:
+        nprocs = int(state["num_processors"])
+        size = int(universe.shape[0])
+        self.universe = universe
+        self.nprocs = nprocs
+        # Blocks index through a dense table over the universe's span.
+        self.lo = int(universe[0]) if size else 0
+        span = int(universe[-1]) - self.lo + 1 if size else 0
+        self.table = np.zeros(span, dtype=np.int64)
+        self.table[universe - self.lo] = np.arange(size)
+        self.resident = np.zeros(size, dtype=np.int64)
+        self.invalidated = np.zeros(size, dtype=np.int64)
+        self.seen = np.zeros(size, dtype=np.int64)
+        self.writer = np.full(size, -1, dtype=np.int64)
+        self.last_t = np.full((nprocs, size), -1, dtype=np.int64)
+        for pid in range(nprocs):
+            bit = np.int64(1) << pid
+            order = self.index(state["caches_mru_to_lru"][pid])
+            self.resident[order] |= bit
+            self.last_t[pid, order] = -1 - np.arange(order.shape[0])
+            self.seen[self.index(state["ever_seen"][pid])] |= bit
+            self.invalidated[self.index(state["invalidated"][pid])] |= bit
+        if state["last_writer"]:
+            pairs = np.asarray(state["last_writer"], dtype=np.int64)
+            self.writer[self.index(pairs[:, 0])] = pairs[:, 1]
+        self.counts = {key: np.zeros(nprocs, dtype=np.int64) for key in _MP_STAT_KEYS}
+
+    def index(self, blocks) -> np.ndarray:
+        return self.table[np.asarray(blocks, dtype=np.int64) - self.lo]
+
+    def step(self, pid: np.ndarray, blocks: np.ndarray, write: np.ndarray, t0: int) -> None:
+        """Advance over one interleaved window (``t0`` = its start time)."""
+        m = int(pid.shape[0])
+        nprocs = self.nprocs
+        bidx = self.index(blocks)
+        k = _pow2ceil(m)
+        local = np.arange(m, dtype=np.int64)
+        # Order A: by block, then time.  Order B: by block, processor, time.
+        key_a = np.sort(bidx * k + local)
+        pos = key_a & (k - 1)
+        b = key_a // k
+        p = pid[pos]
+        w = write[pos]
+        key_b = np.sort((bidx * nprocs + pid) * k + local)
+        pos_b = key_b & (k - 1)
+        same_b = (key_b[1:] // k) == (key_b[:-1] // k)
+        prev_own = np.full(m, -1, dtype=np.int64)  # by local position
+        prev_own[pos_b[1:][same_b]] = pos_b[:-1][same_b]
+        prev_own = prev_own[pos]
+
+        group_start = np.empty(m, dtype=bool)
+        group_start[0] = True
+        np.not_equal(b[1:], b[:-1], out=group_start[1:])
+        first_of_group = np.maximum.accumulate(np.where(group_start, local, 0))
+        write_upto = np.maximum.accumulate(np.where(w, local, -1))
+        last_write = np.empty(m, dtype=np.int64)  # strictly before, sorted idx
+        last_write[0] = -1
+        last_write[1:] = write_upto[:-1]
+        has_write = last_write >= first_of_group
+        last_write = np.maximum(last_write, 0)  # valid where has_write
+        last_write_pos = np.where(has_write, pos[last_write], -1)
+
+        bit = np.int64(1) << p
+        res0 = (self.resident[b] & bit) != 0
+        # Hit iff p's previous access comes at or after the block's last
+        # write before this reference.
+        hit = np.where(prev_own >= 0, prev_own >= last_write_pos, res0 & ~has_write)
+        miss = ~hit
+        inv0 = (self.invalidated[b] & bit) != 0
+        seen0 = (self.seen[b] & bit) != 0
+        coherence = miss & ((prev_own >= 0) | inv0 | res0)
+        cold = miss & ~coherence & ~seen0
+        capacity = miss & ~coherence & seen0
+        writer = np.where(has_write, p[last_write], self.writer[b])
+        read = ~w
+        remote = miss & read & (writer >= 0) & (writer != p)
+
+        # Each write invalidates the sharers accumulated since the
+        # previous write to its block (the previous writer included).
+        seg_start = group_start | w
+        seg_idx = np.flatnonzero(seg_start)
+        seg_or = np.bitwise_or.reduceat(bit, seg_idx)
+        # Sharers carried in from before the window join the group's
+        # first segment, unless that segment opens with a write.
+        carried = group_start[seg_idx] & ~w[seg_idx]
+        seg_or[carried] |= self.resident[b[seg_idx[carried]]]
+        seg_id = np.cumsum(seg_start) - 1
+        writes = np.flatnonzero(w)
+        before = np.where(
+            group_start[writes],
+            self.resident[b[writes]],
+            seg_or[np.maximum(seg_id[writes] - 1, 0)],
+        )
+        lost = before & ~bit[writes]
+        self.counts["invalidations_received"] += [
+            np.count_nonzero(lost & (np.int64(1) << q)) for q in range(nprocs)
+        ]
+        per_ref = {
+            "reads": read,
+            "writes": w,
+            "read_misses": miss & read,
+            "write_misses": miss & w,
+            "cold_misses": cold,
+            "coherence_misses": coherence,
+            "capacity_misses": capacity,
+            "remote_reads": remote,
+        }
+        for key, mask in per_ref.items():
+            self.counts[key] += np.bincount(p[mask], minlength=nprocs)
+
+        # Carry the window's end state for every block it touched.
+        starts = np.flatnonzero(group_start)
+        ends = np.append(starts[1:], m) - 1
+        gb = b[starts]
+        accessed = np.bitwise_or.reduceat(bit, starts)
+        res_end = seg_or[seg_id[ends]]
+        touched_or_held = accessed | self.resident[gb]
+        self.invalidated[gb] = (self.invalidated[gb] & ~accessed) | (
+            touched_or_held & ~res_end
+        )
+        self.seen[gb] |= accessed
+        self.resident[gb] = res_end
+        wrote = write_upto[ends] >= starts
+        self.writer[gb[wrote]] = p[write_upto[ends][wrote]]
+        last_b = np.empty(m, dtype=bool)
+        last_b[-1] = True
+        last_b[:-1] = ~same_b
+        ends_b = pos_b[last_b]
+        self.last_t[pid[ends_b], bidx[ends_b]] = t0 + ends_b
+
+    def state_dict(self, pre: dict) -> dict:
+        universe = self.universe
+        caches, ever, invalid = [], [], []
+        for pid in range(self.nprocs):
+            bit = np.int64(1) << pid
+            held = np.flatnonzero(self.resident & bit)
+            order = held[np.argsort(-self.last_t[pid, held], kind="stable")]
+            caches.append(universe[order].tolist())
+            ever.append(universe[(self.seen & bit) != 0].tolist())
+            invalid.append(universe[(self.invalidated & bit) != 0].tolist())
+        shared = np.flatnonzero(self.resident)
+        bits = (
+            (self.resident[shared, None] >> np.arange(self.nprocs)) & 1
+        ).astype(bool)
+        pids = np.arange(self.nprocs)
+        sharers = [
+            [block, pids[row].tolist()]
+            for block, row in zip(universe[shared].tolist(), bits)
+        ]
+        written = np.flatnonzero(self.writer >= 0)
+        last_writer = np.stack(
+            [universe[written], self.writer[written]], axis=1
+        ).tolist()
+        stats = [
+            {key: int(old[key]) + int(self.counts[key][pid]) for key in _MP_STAT_KEYS}
+            for pid, old in enumerate(pre["stats"])
+        ]
+        return {
+            "num_processors": pre["num_processors"],
+            "capacity_bytes": pre["capacity_bytes"],
+            "block_size": pre["block_size"],
+            "caches_mru_to_lru": caches,
+            "ever_seen": ever,
+            "invalidated": invalid,
+            "sharers": sharers,
+            "last_writer": last_writer,
+            "stats": stats,
+        }
+
+
+def _block_universe(
+    addrs: List[np.ndarray], block_size: int, known: np.ndarray
+) -> np.ndarray:
+    """Sorted distinct blocks of every trace plus ``known``, scattered
+    one window at a time into a table over their span (no whole-trace
+    temporaries; :func:`guard_run` declines spans too sparse for it)."""
+    window = MULTIPROC_WINDOW_REFS
+    bounds = [known] + [
+        np.array([col.min(), col.max()]) // block_size for col in addrs if col.size
+    ]
+    flat = np.concatenate(bounds)
+    if flat.size == 0:
+        return flat
+    lo = int(flat.min())
+    seen = np.zeros(int(flat.max()) - lo + 1, dtype=bool)
+    seen[known - lo] = True
+    for col in addrs:
+        for s in range(0, col.size, window):
+            seen[col[s : s + window] // block_size - lo] = True
+    return np.flatnonzero(seen) + lo
+
+
+def kernel_multiproc(
+    state: dict, addrs: List[np.ndarray], kinds: List[np.ndarray], budget=None
+) -> dict:
+    """Columnar write-invalidate coherence step over infinite caches.
+
+    Pure function from a :meth:`MultiprocessorMemory.state_dict`
+    snapshot plus one address/kind column pair per processor to the
+    snapshot after their round-robin interleaving.  The interleaved
+    stream is built and simulated in windows of at most
+    :data:`MULTIPROC_WINDOW_REFS` references, with the budget polled
+    once per window.
+    """
+    nprocs = int(state["num_processors"])
+    block_size = int(state["block_size"])
+    known = [
+        block
+        for key in ("caches_mru_to_lru", "ever_seen", "invalidated")
+        for block_list in state[key]
+        for block in block_list
+    ]
+    known.extend(block for block, _ in state["last_writer"])
+    universe = _block_universe(addrs, block_size, np.asarray(known, dtype=np.int64))
+    sim = _CoherenceState(state, universe)
+    lengths = np.array([col.shape[0] for col in addrs], dtype=np.int64)
+    rounds = int(lengths.max())
+    step = max(MULTIPROC_WINDOW_REFS // nprocs, 1)
+    t0 = 0
+    for r0 in range(0, rounds, step):
+        if budget is not None:
+            budget.check("multiproc kernel window")
+        r1 = min(r0 + step, rounds)
+        live = np.clip(lengths - r0, 0, r1 - r0)
+        grid_blocks = np.zeros((r1 - r0, nprocs), dtype=np.int64)
+        grid_writes = np.zeros((r1 - r0, nprocs), dtype=bool)
+        for pid in range(nprocs):
+            count = int(live[pid])
+            grid_blocks[:count, pid] = addrs[pid][r0 : r0 + count] // block_size
+            grid_writes[:count, pid] = kinds[pid][r0 : r0 + count] != READ
+        valid = np.arange(r1 - r0)[:, None] < live[None, :]
+        pid_col = np.broadcast_to(
+            np.arange(nprocs, dtype=np.int64), valid.shape
+        )[valid]
+        sim.step(pid_col, grid_blocks[valid], grid_writes[valid], t0)
+        t0 += int(pid_col.shape[0])
+    return sim.state_dict(state)
+
+
 KERNELS = {
     "fullassoc": kernel_fullassoc,
     "setassoc": kernel_setassoc,
     "stackdist": kernel_stackdist,
+    "multiproc": kernel_multiproc,
 }
 
 _SAMPLER_NAMES = {
     "fullassoc": "mem.fullassoc",
     "setassoc": "mem.setassoc",
     "stackdist": "mem.stackdist",
+    "multiproc": "mem.multiproc",
 }
 
 
@@ -712,6 +995,8 @@ def _apply_fault(kernel: str, fault_kind: str, post: dict, pre: dict) -> bool:
             post["blocks_by_last_access"] = order
             return True
         return False
+    if kernel == "multiproc":
+        return _apply_multiproc_fault(fault_kind, post, pre)
     stats = post["stats"]
     if fault_kind == "nan":
         stats["read_misses"] = float("nan")
@@ -738,6 +1023,31 @@ def _apply_fault(kernel: str, fault_kind: str, post: dict, pre: dict) -> bool:
     if d_wm < d_writes:
         stats["write_misses"] += 1
         return True
+    return False
+
+
+def _apply_multiproc_fault(fault_kind: str, post: dict, pre: dict) -> bool:
+    """Per-processor variant of :func:`_apply_fault`: ``wrong-count``
+    reclassifies one miss of the first processor that missed, which
+    keeps every sanity invariant (cold + coherence + capacity = misses)."""
+    stats = post["stats"]
+    if fault_kind == "nan":
+        stats[0]["read_misses"] = float("nan")
+        return True
+    if fault_kind == "overflow":
+        stats[0]["reads"] = int(stats[0]["reads"]) + (1 << 62)
+        return True
+    moves = (
+        ("coherence_misses", "capacity_misses"),
+        ("cold_misses", "capacity_misses"),
+        ("capacity_misses", "coherence_misses"),
+    )
+    for new, old in zip(stats, pre["stats"]):
+        for source, target in moves:
+            if int(new[source]) > int(old[source]):
+                new[source] -= 1
+                new[target] += 1
+                return True
     return False
 
 
@@ -813,6 +1123,8 @@ def _sanity(
     deltas) without paying for an oracle replay.
     """
     try:
+        if kernel == "multiproc":
+            return _multiproc_sanity(pre, post, kinds)
         if kernel == "stackdist":
             for key in ("pos", "cold", "total"):
                 value = post[key]
@@ -875,6 +1187,36 @@ def _sanity(
         return "malformed kernel state"
 
 
+def _multiproc_sanity(
+    pre: dict, post: dict, kinds: List[np.ndarray]
+) -> Optional[str]:
+    """Per-processor invariants of one coherence-kernel call."""
+    if len(post["stats"]) != len(kinds) or len(pre["stats"]) != len(kinds):
+        return "stats do not cover every processor"
+    for pid, (old, new, col) in enumerate(zip(pre["stats"], post["stats"], kinds)):
+        delta = {}
+        for key in _MP_STAT_KEYS:
+            value = new[key]
+            if not _is_count(value) or value < 0:
+                return f"p{pid} stats.{key} is not a non-negative int"
+            delta[key] = value - int(old[key])
+            if delta[key] < 0:
+                return f"p{pid} stats.{key} decreased"
+        n = int(col.shape[0])
+        n_reads = int(np.count_nonzero(col == READ))
+        if delta["reads"] != n_reads or delta["writes"] != n - n_reads:
+            return f"p{pid} read/write counts do not match its trace"
+        misses = delta["read_misses"] + delta["write_misses"]
+        if misses > n:
+            return f"p{pid} misses exceed accesses"
+        classes = (
+            delta["cold_misses"] + delta["coherence_misses"] + delta["capacity_misses"]
+        )
+        if classes != misses:
+            return f"p{pid} cold + coherence + capacity != misses"
+    return None
+
+
 def _fresh_sim(kernel: str, state: dict):
     if kernel == "fullassoc":
         from repro.mem.cache import FullyAssociativeCache
@@ -890,6 +1232,14 @@ def _fresh_sim(kernel: str, state: dict):
             capacity_bytes=int(state["capacity_bytes"]),
             block_size=int(state["block_size"]),
             associativity=int(state["associativity"]),
+        )
+    if kernel == "multiproc":
+        from repro.mem.multiproc import MultiprocessorMemory
+
+        return MultiprocessorMemory(
+            int(state["num_processors"]),
+            capacity_bytes=state["capacity_bytes"],
+            block_size=int(state["block_size"]),
         )
     from repro.mem.stack_distance import StackDistanceRun
 
@@ -912,6 +1262,8 @@ def _oracle_replay(kernel: str, pre: dict, trace: Trace, budget) -> dict:
         with suppress_hot_loop_sampling():
             if kernel == "stackdist":
                 sim.feed(trace, budget)
+            elif kernel == "multiproc":
+                sim.run_traces(trace)
             else:
                 sim.run(trace, budget)
     finally:
@@ -941,6 +1293,8 @@ def _write_bundle(
     try:
         config.bundle_dir.mkdir(parents=True, exist_ok=True)
         path = config.bundle_dir / f"{kernel}-chunk{ordinal:06d}.json"
+        if kernel == "multiproc":  # the kernel is handed addresses
+            blocks = [col // int(pre["block_size"]) for col in blocks]
         payload = {
             "format": BUNDLE_FORMAT,
             "kernel": kernel,
@@ -950,8 +1304,8 @@ def _write_bundle(
             "pre_state": pre,
             "kernel_state": kernel_state_dict,
             "oracle_state": oracle_state_dict,
-            "blocks": [int(b) for b in blocks.tolist()],
-            "kinds": [int(k) for k in kinds.tolist()],
+            "blocks": _json_columns(blocks),
+            "kinds": _json_columns(kinds),
         }
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
@@ -962,6 +1316,14 @@ def _write_bundle(
 
 
 BUNDLE_FORMAT = "kernel-divergence-bundle-v1"
+
+
+def _json_columns(columns) -> list:
+    """One column as a list of ints; per-processor columns as a list of
+    such lists."""
+    if isinstance(columns, list):
+        return [_json_columns(col) for col in columns]
+    return [int(v) for v in columns.tolist()]
 
 
 def _record_divergence(
@@ -1021,12 +1383,34 @@ def _record_divergence(
 def _miss_delta(kernel: str, pre: dict, post: dict) -> int:
     if kernel == "stackdist":
         return int(post["cold"]) - int(pre["cold"])
+    if kernel == "multiproc":
+        return sum(
+            int(new[key]) - int(old[key])
+            for old, new in zip(pre["stats"], post["stats"])
+            for key in ("read_misses", "write_misses")
+        )
     return (
         int(post["stats"]["read_misses"])
         - int(pre["stats"]["read_misses"])
         + int(post["stats"]["write_misses"])
         - int(pre["stats"]["write_misses"])
     )
+
+
+def _multiproc_block_span(sim, traces) -> int:
+    """Blocks from the lowest to the highest id the coherence kernel
+    would map: the traces' and every block held in ``sim``'s state."""
+    size = sim.block_size
+    ends = []
+    for t in traces:
+        if len(t):
+            ends += [int(t.addrs.min()) // size, int(t.addrs.max()) // size]
+    held = [*sim._ever_seen, *sim._invalidated, sim._last_writer.keys()]
+    held += [list(cache.keys_mru_to_lru()) for cache in sim._caches]
+    for blocks in held:
+        if blocks:
+            ends += [min(blocks), max(blocks)]
+    return max(ends) - min(ends) + 1 if ends else 0
 
 
 def guard_run(kernel: str, sim, trace, budget=None) -> bool:
@@ -1046,25 +1430,45 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
     state = _STATE[kernel]
     if config.tier != "vector" or state["quarantined"]:
         return False
-    n = len(trace)
+    if kernel == "multiproc":
+        # Infinite caches and in-memory traces only.
+        if (
+            sim.capacity_blocks is not None
+            or sim.num_processors > MULTIPROC_MAX_PROCESSORS
+            or any(hasattr(t, "iter_chunks") for t in trace)
+        ):
+            return False
+        n = sum(len(t) for t in trace)
+    else:
+        n = len(trace)
     if n == 0 or n < max(config.min_refs, 1) or n >= (1 << 28):
         return False
     from repro.obs import metrics as obs_metrics
     from repro.obs.metrics import hot_loop_sampler
     from repro.runtime.budget import active_budget
+    from repro.runtime.errors import BudgetExceeded
 
-    blocks = trace.block_ids(sim.block_size)
-    bmin = int(blocks.min())
-    bmax = int(blocks.max())
-    # The depth engine packs (id, position) into int64 keys; the block
-    # ids must leave room for the position bits of the prefixed chunk.
-    if kernel == "stackdist":
-        prefix_bound = len(sim._last_time)
+    if kernel == "multiproc":
+        # The kernel maps blocks through a dense table over their span;
+        # sparser block ids stay with the per-reference loop.
+        if _multiproc_block_span(sim, trace) > max(1 << 16, 8 * n):
+            return False
+        blocks = [t.addrs for t in trace]  # divided per window
+        kinds = [t.kinds for t in trace]
     else:
-        prefix_bound = sim.capacity_bytes // sim.block_size
-    k = _pow2ceil(n + prefix_bound + 1)
-    if bmin < 0 or bmax >= min(_MAX_BLOCK_ID, (1 << 62) // k):
-        return False
+        blocks = trace.block_ids(sim.block_size)
+        kinds = trace.kinds
+        bmin = int(blocks.min())
+        bmax = int(blocks.max())
+        # The depth engine packs (id, position) into int64 keys; the block
+        # ids must leave room for the position bits of the prefixed chunk.
+        if kernel == "stackdist":
+            prefix_bound = len(sim._last_time)
+        else:
+            prefix_bound = sim.capacity_bytes // sim.block_size
+        k = _pow2ceil(n + prefix_bound + 1)
+        if bmin < 0 or bmax >= min(_MAX_BLOCK_ID, (1 << 62) // k):
+            return False
     if budget is None:
         budget = active_budget()
     if budget is not None:
@@ -1079,7 +1483,6 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         ),
         None,
     )
-    kinds = trace.kinds
     pre = sim.state_dict()
     sampler = hot_loop_sampler(_SAMPLER_NAMES[kernel])
     fault_applied = False
@@ -1089,9 +1492,12 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
             raise RuntimeError(
                 f"injected kernel crash ({kernel} chunk {ordinal})"
             )
-        post = KERNELS[kernel](pre, blocks, kinds)
+        extra = {"budget": budget} if kernel == "multiproc" else {}
+        post = KERNELS[kernel](pre, blocks, kinds, **extra)
         if fault is not None and not fault_applied:
             fault_applied = _apply_fault(kernel, fault.kind, post, pre)
+    except BudgetExceeded:
+        raise  # a deadline inside the kernel is the caller's, not a divergence
     except Exception as exc:  # noqa: BLE001 — fallback is the contract
         _record_divergence(
             kernel,

@@ -17,7 +17,7 @@ sharing protocol, and miss classification into
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.mem.lru import LRUList
@@ -89,6 +89,7 @@ class MultiprocessorMemory:
             raise ValueError("capacity must hold at least one block")
         self.num_processors = num_processors
         self.block_size = block_size
+        self.capacity_bytes = capacity_bytes
         self.capacity_blocks = (
             None if capacity_bytes is None else capacity_bytes // block_size
         )
@@ -169,13 +170,20 @@ class MultiprocessorMemory:
     def run_traces(self, traces: Sequence[Trace]) -> List[ProcessorStats]:
         """Round-robin interleave per-processor traces and run them.
 
-        The interleaving is lazy, so out-of-core per-processor traces
-        are merged without ever materializing the combined stream.
+        In-memory traces on infinite caches go through the columnar
+        coherence kernel (:func:`repro.mem.kernels.kernel_multiproc`),
+        one guarded call per invocation.  Otherwise the interleaving is
+        lazy, so out-of-core per-processor traces are merged without
+        ever materializing the combined stream.
         """
         if len(traces) != self.num_processors:
             raise ValueError(
                 f"expected {self.num_processors} traces, got {len(traces)}"
             )
+        from repro.mem import kernels
+
+        if kernels.guard_run("multiproc", self, traces):
+            return self.stats
         return self.run(iter_interleave_round_robin(traces))
 
     def reset_stats(self) -> None:
@@ -185,6 +193,71 @@ class MultiprocessorMemory:
         then measure steady-state miss rates (Section 2.2).
         """
         self.stats = [ProcessorStats() for _ in range(self.num_processors)]
+
+    def state_dict(self) -> dict:
+        """JSON-serializable snapshot of every cache, the directory and
+        the counters.
+
+        Per processor: resident blocks MRU -> LRU, blocks ever seen and
+        blocks invalidated since their last fetch (both sorted).  The
+        directory is the sorted ``[block, sharer pids]`` pairs with at
+        least one sharer, and the sorted ``[block, last writer]`` pairs.
+        """
+        return {
+            "num_processors": self.num_processors,
+            "capacity_bytes": self.capacity_bytes,
+            "block_size": self.block_size,
+            "caches_mru_to_lru": [
+                list(cache.keys_mru_to_lru()) for cache in self._caches
+            ],
+            "ever_seen": [sorted(seen) for seen in self._ever_seen],
+            "invalidated": [sorted(inv) for inv in self._invalidated],
+            "sharers": [
+                [block, sorted(pids)]
+                for block, pids in sorted(self._sharers.items())
+                if pids
+            ],
+            "last_writer": [
+                [block, pid] for block, pid in sorted(self._last_writer.items())
+            ],
+            "stats": [asdict(stats) for stats in self.stats],
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot (geometry must match)."""
+        for field_name in ("num_processors", "capacity_bytes", "block_size"):
+            if state.get(field_name) != getattr(self, field_name):
+                raise ValueError(
+                    f"checkpoint {field_name}={state.get(field_name)!r} does "
+                    f"not match this simulator's "
+                    f"{field_name}={getattr(self, field_name)!r}"
+                )
+        per_processor = ("caches_mru_to_lru", "ever_seen", "invalidated", "stats")
+        for key in per_processor:
+            if len(state[key]) != self.num_processors:
+                raise ValueError(
+                    f"checkpoint {key} has {len(state[key])} entries for "
+                    f"{self.num_processors} processors"
+                )
+        caches = []
+        for order in state["caches_mru_to_lru"]:
+            cache = LRUList()
+            for block in reversed(order):
+                cache.touch(int(block))
+            caches.append(cache)
+        self._caches = caches
+        self._ever_seen = [{int(b) for b in seen} for seen in state["ever_seen"]]
+        self._invalidated = [{int(b) for b in inv} for inv in state["invalidated"]]
+        self._sharers = {
+            int(block): {int(p) for p in pids} for block, pids in state["sharers"]
+        }
+        self._last_writer = {
+            int(block): int(pid) for block, pid in state["last_writer"]
+        }
+        self.stats = [
+            ProcessorStats(**{k: int(v) for k, v in stats.items()})
+            for stats in state["stats"]
+        ]
 
     def aggregate(self) -> ProcessorStats:
         """Sum of all per-processor counters."""

@@ -10,13 +10,12 @@ the limited-associativity instrument used to reproduce that study
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.mem.cache import CacheStats
-from repro.mem.lru import LRUList
 from repro.mem.trace import READ, Trace
 from repro.obs.metrics import hot_loop_sampler
-from repro.runtime.budget import CHECK_MASK, Budget, active_budget
+from repro.runtime.budget import CHECK_INTERVAL, Budget, active_budget
 
 
 class SetAssociativeCache:
@@ -24,6 +23,8 @@ class SetAssociativeCache:
 
     ``associativity=1`` gives a direct-mapped cache.  Indexing is the
     conventional modulo scheme: block address modulo number of sets.
+    Each set is a plain list of at most ``associativity`` blocks, most
+    recently used first.
 
     Args:
         capacity_bytes: Total capacity in bytes.
@@ -62,7 +63,7 @@ class SetAssociativeCache:
         self.block_size = block_size
         self.associativity = associativity
         self.num_sets = num_blocks // associativity
-        self._sets = [LRUList() for _ in range(self.num_sets)]
+        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self._ever_seen: set = set()
         self.stats = CacheStats()
 
@@ -73,14 +74,17 @@ class SetAssociativeCache:
     def access(self, addr: int, kind: int = READ) -> bool:
         """Issue one reference.  Returns True on hit, False on miss."""
         block = addr // self.block_size
-        index = block % self.num_sets
-        cache_set = self._sets[index]
+        cache_set = self._sets[block % self.num_sets]
         if kind == READ:
             self.stats.reads += 1
         else:
             self.stats.writes += 1
-        hit = cache_set.touch(block)
-        if not hit:
+        if cache_set and cache_set[0] == block:
+            return True
+        hit = block in cache_set
+        if hit:
+            cache_set.remove(block)
+        else:
             if kind == READ:
                 self.stats.read_misses += 1
             else:
@@ -88,8 +92,9 @@ class SetAssociativeCache:
             if block not in self._ever_seen:
                 self.stats.cold_misses += 1
                 self._ever_seen.add(block)
-            if len(cache_set) > self.associativity:
-                cache_set.evict_lru()
+            if len(cache_set) == self.associativity:
+                cache_set.pop()
+        cache_set.insert(0, block)
         return hit
 
     def run(self, trace: Trace, budget: Optional[Budget] = None) -> CacheStats:
@@ -147,15 +152,17 @@ class SetAssociativeCache:
         sampler = hot_loop_sampler("mem.setassoc")
         misses_before = self.stats.misses
         accesses_before = self.stats.accesses
-        for i, (block, kind) in enumerate(
-            zip(trace.block_ids(self.block_size).tolist(), trace.kinds.tolist())
-        ):
-            if not (i & CHECK_MASK):
-                if budget is not None:
-                    budget.check("set-associative cache simulation")
-                if sampler is not None:
-                    sampler.tick(i)
-            self.access(block * self.block_size, kind)
+        access = self.access
+        addrs = trace.addrs.tolist()
+        kinds = trace.kinds.tolist()
+        for start in range(0, len(addrs), CHECK_INTERVAL):
+            if budget is not None:
+                budget.check("set-associative cache simulation")
+            if sampler is not None:
+                sampler.tick(start)
+            end = start + CHECK_INTERVAL
+            for addr, kind in zip(addrs[start:end], kinds[start:end]):
+                access(addr, kind)
         if sampler is not None:
             sampler.finish(
                 refs=self.stats.accesses - accesses_before,
@@ -167,7 +174,7 @@ class SetAssociativeCache:
         self.stats = CacheStats()
 
     def flush(self) -> None:
-        self._sets = [LRUList() for _ in range(self.num_sets)]
+        self._sets = [[] for _ in range(self.num_sets)]
         self._ever_seen = set()
 
     def state_dict(self) -> dict:
@@ -177,17 +184,14 @@ class SetAssociativeCache:
         per-set length vector to keep the JSON shallow.
         """
         orders = []
-        counts = []
         for cache_set in self._sets:
-            keys = list(cache_set.keys_mru_to_lru())
-            orders.extend(keys)
-            counts.append(len(keys))
+            orders.extend(cache_set)
         return {
             "capacity_bytes": self.capacity_bytes,
             "block_size": self.block_size,
             "associativity": self.associativity,
             "set_orders_mru_to_lru": orders,
-            "set_counts": counts,
+            "set_counts": [len(cache_set) for cache_set in self._sets],
             "ever_seen": sorted(self._ever_seen),
             "stats": {
                 "reads": self.stats.reads,
@@ -199,7 +203,12 @@ class SetAssociativeCache:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (geometry must match)."""
+        """Restore a :meth:`state_dict` snapshot (geometry must match).
+
+        Rejects a snapshot whose sets could not arise from this cache: a
+        set holding more than ``associativity`` blocks, a block stored
+        in a set its address does not map to, or a block stored twice.
+        """
         for field_name in ("capacity_bytes", "block_size", "associativity"):
             if state.get(field_name) != getattr(self, field_name):
                 raise ValueError(
@@ -217,12 +226,22 @@ class SetAssociativeCache:
             raise ValueError("checkpoint set orders disagree with set counts")
         sets = []
         offset = 0
-        for count in counts:
-            cache_set = LRUList()
-            for key in reversed(orders[offset : offset + count]):
-                cache_set.touch(key)
-            sets.append(cache_set)
+        for index, count in enumerate(counts):
+            cache_set = orders[offset : offset + count]
             offset += count
+            if count > self.associativity:
+                raise ValueError(
+                    f"checkpoint set {index} holds {count} blocks, more than "
+                    f"the associativity {self.associativity}"
+                )
+            if any(block % self.num_sets != index for block in cache_set):
+                raise ValueError(
+                    f"checkpoint set {index} holds a block that maps to "
+                    "another set"
+                )
+            if len(set(cache_set)) != count:
+                raise ValueError(f"checkpoint set {index} holds a block twice")
+            sets.append(cache_set)
         self._sets = sets
         self._ever_seen = {int(b) for b in state["ever_seen"]}
         self.stats = CacheStats(**{k: int(v) for k, v in state["stats"].items()})

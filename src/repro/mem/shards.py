@@ -554,7 +554,7 @@ class StreamingTraceBuilder:
                 self._spill()
 
     def extend_arrays(self, addrs: np.ndarray, kinds: np.ndarray) -> None:
-        """Bulk-append parallel columns (differential/bench harness)."""
+        """Bulk-append parallel address and kind columns."""
         self._addrs.extend(np.asarray(addrs, dtype=np.int64).tolist())
         self._kinds.extend(np.asarray(kinds, dtype=np.uint8).tolist())
         while len(self._addrs) >= self.shard_refs:

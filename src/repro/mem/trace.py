@@ -48,13 +48,16 @@ class Access:
 class TraceBuilder:
     """Incrementally build a :class:`Trace`.
 
-    Application trace generators append references one at a time (or in
-    bulk) and then call :meth:`build`.
+    Application trace generators append references one at a time, in
+    ranges, or as whole address/kind columns (:meth:`extend_arrays`),
+    and then call :meth:`build`.
     """
 
     def __init__(self) -> None:
         self._addrs: List[int] = []
         self._kinds: List[int] = []
+        # Sealed columns, in order, ahead of the pending lists above.
+        self._columns: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def read(self, addr: int) -> None:
         """Append a read of the double word at byte address ``addr``."""
@@ -81,19 +84,47 @@ class TraceBuilder:
             self._addrs.append(access.addr)
             self._kinds.append(access.kind)
 
+    def extend_arrays(self, addrs: np.ndarray, kinds: np.ndarray) -> None:
+        """Bulk-append parallel address and kind columns (kept by
+        reference: do not modify them afterwards)."""
+        addrs = np.asarray(addrs, dtype=np.int64)
+        kinds = np.asarray(kinds, dtype=np.uint8)
+        if addrs.shape != kinds.shape:
+            raise ValueError("addrs and kinds must have the same length")
+        self._seal()
+        self._columns.append((addrs, kinds))
+
+    def _seal(self) -> None:
+        if self._addrs:
+            self._columns.append(
+                (
+                    np.asarray(self._addrs, dtype=np.int64),
+                    np.asarray(self._kinds, dtype=np.uint8),
+                )
+            )
+            self._addrs = []
+            self._kinds = []
+
     def __len__(self) -> int:
-        return len(self._addrs)
+        return sum(int(a.shape[0]) for a, _ in self._columns) + len(self._addrs)
 
     def build(self) -> "Trace":
         from repro.obs import metrics as obs_metrics
         from repro.obs.console import debug
 
-        debug(f"[trace] built {len(self._addrs):,} reference(s)")
-        obs_metrics.inc("mem.trace.refs_built", len(self._addrs))
-        return Trace(
-            np.asarray(self._addrs, dtype=np.int64),
-            np.asarray(self._kinds, dtype=np.uint8),
-        )
+        self._seal()
+        if len(self._columns) == 1:
+            addrs, kinds = self._columns[0]
+        else:
+            addrs = np.concatenate(
+                [a for a, _ in self._columns] or [np.zeros(0, dtype=np.int64)]
+            )
+            kinds = np.concatenate(
+                [k for _, k in self._columns] or [np.zeros(0, dtype=np.uint8)]
+            )
+        debug(f"[trace] built {len(addrs):,} reference(s)")
+        obs_metrics.inc("mem.trace.refs_built", len(addrs))
+        return Trace(addrs, kinds)
 
 
 class Trace:

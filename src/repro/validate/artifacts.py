@@ -1274,11 +1274,9 @@ def validate_kernel_bundles(run_dir: Union[str, Path]) -> ValidationReport:
             report.tick()
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
-                if not isinstance(payload, dict):
-                    raise ValueError("bundle is not a JSON object")
-                for key in ("kernel", "chunk", "reason", "pre_state", "blocks"):
-                    if key not in payload:
-                        raise ValueError(f"bundle is missing {key!r}")
+                errors = check_schema(payload, schema_for("kernel-bundle"))
+                if errors:
+                    raise ValueError("; ".join(errors))
             except (OSError, ValueError) as exc:
                 report.add(
                     "kernel-bundle-undecodable",

@@ -453,6 +453,28 @@ TIMELINE_ROW_SCHEMA: Dict[str, object] = {
     },
 }
 
+#: One kernel-divergence repro bundle under ``kernel-bundles/``
+#: (:mod:`repro.mem.kernels`).  ``kernel`` lists ``KERNEL_KINDS``;
+#: ``blocks``/``kinds`` hold one column, or one per processor for the
+#: ``multiproc`` coherence kernel.
+KERNEL_BUNDLE_SCHEMA: Dict[str, object] = {
+    "type": "object",
+    "required": ["kernel", "chunk", "reason", "pre_state", "blocks"],
+    "properties": {
+        "format": {"type": "string"},
+        "kernel": {
+            "type": "string",
+            "enum": ["fullassoc", "setassoc", "stackdist", "multiproc"],
+        },
+        "chunk": {"type": "integer", "minimum": 1},
+        "reason": {"type": "string"},
+        "detail": {"type": "string"},
+        "pre_state": {"type": "object"},
+        "blocks": {"type": "array"},
+        "kinds": {"type": "array"},
+    },
+}
+
 #: One CRC-framed line of ``perf-archive.jsonl`` (:mod:`repro.obs.archive`).
 #: ``git_sha`` is optional (omitted when unresolvable, never faked);
 #: detail fields vary with ``kind`` so extras stay open.
@@ -497,6 +519,7 @@ PAYLOAD_SCHEMAS: Dict[str, Dict[str, object]] = {
     "cache-entry": CACHE_ENTRY_SCHEMA,
     "cache-manifest": CACHE_MANIFEST_SCHEMA,
     "timeline-row": TIMELINE_ROW_SCHEMA,
+    "kernel-bundle": KERNEL_BUNDLE_SCHEMA,
     "archive-row": ARCHIVE_ROW_SCHEMA,
 }
 

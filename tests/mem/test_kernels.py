@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.mem import kernels
 from repro.mem.cache import FullyAssociativeCache
+from repro.mem.multiproc import MultiprocessorMemory
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import StackDistanceRun, profile_trace
 from repro.mem.trace import Trace
@@ -168,9 +169,17 @@ _EXPECTED_REASON = {
 }
 
 
+def _split(trace, parts=3):
+    """Deal a trace out to ``parts`` processors round-robin."""
+    return [Trace(trace.addrs[p::parts], trace.kinds[p::parts]) for p in range(parts)]
+
+
 def _run_sim(kind, trace):
     """Run one guarded simulator end to end; return its final state."""
-    if kind == "fullassoc":
+    if kind == "multiproc":
+        sim = MultiprocessorMemory(3)
+        sim.run_traces(_split(trace))
+    elif kind == "fullassoc":
         sim = FullyAssociativeCache(32 * 8)
         sim.run(trace)
     elif kind == "setassoc":
@@ -214,7 +223,12 @@ class TestFaultMatrix:
         payload = json.loads(bundles[0].read_text())
         assert payload["format"] == kernels.BUNDLE_FORMAT
         assert payload["kernel"] == kernel
-        assert payload["blocks"] == trace.block_ids(8).tolist()
+        if kernel == "multiproc":
+            assert payload["blocks"] == [
+                t.block_ids(8).tolist() for t in _split(trace)
+            ]
+        else:
+            assert payload["blocks"] == trace.block_ids(8).tolist()
 
     def test_quarantine_is_sticky_for_the_process(self, monkeypatch):
         monkeypatch.setenv(kernels.FAULT_ENV, "fullassoc:crash:1")

@@ -108,3 +108,44 @@ class TestLifecycle:
         builder.read_range(0, 16)
         stats = SetAssociativeCache(256, block_size=8).run(builder.build())
         assert stats.reads == 16
+
+
+class TestSnapshots:
+    """``load_state_dict`` accepts only states this cache could reach."""
+
+    @staticmethod
+    def _state(orders, counts):
+        cache = SetAssociativeCache(64, block_size=8, associativity=2)
+        state = cache.state_dict()
+        state["set_orders_mru_to_lru"] = orders
+        state["set_counts"] = counts
+        return state
+
+    def test_round_trip_through_the_loop(self):
+        cache = SetAssociativeCache(64, block_size=8, associativity=2)
+        cache.run(random_trace(500, 40, seed=4))
+        twin = SetAssociativeCache(64, block_size=8, associativity=2)
+        twin.load_state_dict(cache.state_dict())
+        assert twin.state_dict() == cache.state_dict()
+        trace = random_trace(300, 40, seed=5)
+        assert twin.run(trace).__dict__ == cache.run(trace).__dict__
+        assert twin.state_dict() == cache.state_dict()
+
+    def test_valid_state_loads(self):
+        cache = SetAssociativeCache(64, block_size=8, associativity=2)
+        cache.load_state_dict(self._state([4, 0, 5], [2, 1, 0, 0]))
+        assert cache.state_dict()["set_orders_mru_to_lru"] == [4, 0, 5]
+
+    @pytest.mark.parametrize(
+        "orders, counts",
+        [
+            ([1, 2, 3], [3, 0, 0, 0]),  # over-full set
+            ([1], [1, 0, 0, 0]),  # block 1 maps to set 1, not set 0
+            ([4, 4], [2, 0, 0, 0]),  # the same block twice
+        ],
+        ids=["over-associativity", "wrong-set", "duplicate"],
+    )
+    def test_impossible_states_rejected(self, orders, counts):
+        cache = SetAssociativeCache(64, block_size=8, associativity=2)
+        with pytest.raises(ValueError):
+            cache.load_state_dict(self._state(orders, counts))

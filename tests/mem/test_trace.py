@@ -60,6 +60,28 @@ class TestBuilder:
         builder.read(0)
         assert len(builder) == 1
 
+    def test_extend_arrays_keeps_order_with_single_references(self):
+        builder = TraceBuilder()
+        builder.read(0)
+        builder.extend_arrays(np.array([8, 16]), np.array([WRITE, READ]))
+        builder.write(24)
+        builder.extend_arrays(np.array([32]), np.array([READ]))
+        assert len(builder) == 5
+        trace = builder.build()
+        assert trace.addrs.dtype == np.int64
+        assert trace.kinds.dtype == np.uint8
+        assert trace.addrs.tolist() == [0, 8, 16, 24, 32]
+        assert trace.kinds.tolist() == [READ, WRITE, READ, WRITE, READ]
+
+    def test_extend_arrays_rejects_ragged_columns(self):
+        with pytest.raises(ValueError):
+            TraceBuilder().extend_arrays(np.array([0, 8]), np.array([READ]))
+
+    def test_empty_build(self):
+        trace = TraceBuilder().build()
+        assert len(trace) == 0
+        assert trace.addrs.dtype == np.int64
+
 
 class TestTrace:
     def test_from_accesses_roundtrip(self):

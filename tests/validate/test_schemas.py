@@ -102,6 +102,21 @@ class TestArtifactSchemas:
         assert check_schema(good, ENVELOPE_SCHEMA) == []
         assert check_schema({"format": 1}, ENVELOPE_SCHEMA)
 
+    def test_kernel_bundle_schema_names_every_kernel(self):
+        from repro.mem.kernels import KERNEL_KINDS
+
+        schema = schema_for("kernel-bundle")
+        assert schema["properties"]["kernel"]["enum"] == list(KERNEL_KINDS)
+        good = {
+            "kernel": "multiproc",
+            "chunk": 1,
+            "reason": "shadow-verify",
+            "pre_state": {},
+            "blocks": [[0, 1], [2]],
+        }
+        assert check_schema(good, schema) == []
+        assert check_schema(dict(good, kernel="gpu"), schema)
+
     def test_event_schema(self):
         good = {"seq": 1, "t_mono": 0.0, "t_wall": 1.0, "event": "start"}
         assert check_schema(good, schema_for("event")) == []
