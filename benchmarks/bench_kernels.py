@@ -12,6 +12,11 @@ Three rows per kernel (``repro.mem.kernels``):
   configuration campaigns actually run — the difference against
   ``*_vector`` is the verification overhead.
 
+The random traces have almost no per-set runs, so
+``bench_kernel_setassoc4_bh_vector`` adds a Barnes-Hut trace (the
+reference stream of the Section 6.4 associativity study), where the
+depth engine's run compression does most of its work.
+
 ``compare_baseline.py`` gates these rows harder than the rest of the
 suite: a kernel row regressing more than 10% against
 ``BENCH_baseline.json`` fails the comparison.
@@ -75,6 +80,21 @@ def _setassoc4():
     )
 
 
+def _setassoc4_barnes_hut():
+    """A Barnes-Hut n=256 processor trace into a 4-way 4 KB cache."""
+    from repro.apps.barnes_hut.bodies import plummer_model
+    from repro.apps.barnes_hut.trace import BarnesHutTraceGenerator
+
+    gen = BarnesHutTraceGenerator(
+        plummer_model(256, seed=3), theta=1.0, num_processors=4
+    )
+    trace = gen.trace_for_processor(0)
+    return (
+        lambda: SetAssociativeCache(4096, associativity=4).run(trace),
+        len(trace),
+    )
+
+
 def _directmapped():
     trace = _random_trace()
     return (
@@ -126,6 +146,11 @@ def bench_kernel_setassoc4_vector_verified(benchmark):
     _bench_tier(
         benchmark, fn, refs, "vector", verify_every=kernels.DEFAULT_VERIFY_EVERY
     )
+
+
+def bench_kernel_setassoc4_bh_vector(benchmark):
+    fn, refs = _setassoc4_barnes_hut()
+    _bench_tier(benchmark, fn, refs, "vector")
 
 
 def bench_kernel_directmapped_oracle(benchmark):

@@ -84,9 +84,6 @@ class CacheHierarchy:
             self.stats[index].misses += 1
         else:
             self.memory_accesses += 1
-        # Fill the block into every level above the hit (inclusion).
-        for index in range(min(hit_level, len(self.levels))):
-            pass  # already filled by the miss path of FullyAssociativeCache
         return hit_level
 
     def run(self, trace: Trace) -> List[LevelStats]:

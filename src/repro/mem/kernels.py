@@ -39,7 +39,9 @@ level.  Cross-chunk exactness uses a synthetic prefix: the simulator
 state is fully characterised by its blocks in last-access order
 (the same invariant ``StackDistanceRun._compact`` relies on), so
 prepending those blocks as synthetic references makes chunk-local
-depths equal the global ones.
+depths equal the global ones.  The engine runs on run heads only: a
+reference repeating the block just before it has depth 1 and changes
+no other depth, so it is dropped and added back afterwards.
 
 Everything is value-sorts of packed int64 keys, ``bincount`` and
 ``cumsum`` — ``np.argsort``/``np.searchsorted`` are avoided entirely
@@ -203,7 +205,38 @@ def _stack_depths(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     of the previous occurrence of ``ids[i]`` (-1 if none), ``depth[i]``
     is the 1-based Mattson stack depth (valid where ``prev[i] >= 0``)
     and ``last_mask[i]`` marks each block's final occurrence.
+
+    Run compression: a reference repeating the block just before it
+    has depth 1, and dropping it changes no other depth (any window
+    ``(prev, i]`` containing it also contains its predecessor, the same
+    block).  So the engine runs on the run heads only and the result is
+    expanded: a repeat gets ``prev = i - 1``, a head's ``prev`` is the
+    end of its block's previous run, and run ends carry ``last_mask``.
     """
+    m = int(ids.shape[0])
+    head = np.ones(m, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=head[1:])
+    if head.all():
+        del head  # hold nothing extra through the full-size pass
+        return _run_head_depths(ids)
+    heads = np.flatnonzero(head)
+    del head
+    depth_h, prev_h, last_h = _run_head_depths(ids[heads])
+    run_end = np.append(heads[1:], m) - 1
+    depth = np.ones(m, dtype=np.int64)
+    depth[heads] = depth_h
+    prev = np.arange(-1, m - 1, dtype=np.int64)
+    prev[heads] = np.where(prev_h >= 0, run_end[prev_h], -1)
+    last_mask = np.zeros(m, dtype=bool)
+    last_mask[run_end[last_h]] = True
+    return depth, prev, last_mask
+
+
+def _run_head_depths(
+    ids: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_stack_depths` for a sequence with no immediate repeats
+    (any sequence is correct; repeats just cost full price)."""
     m = int(ids.shape[0])
     if m == 0:
         zero = np.zeros(0, dtype=np.int64)

@@ -274,6 +274,8 @@ def _twin_check(make_vector_sim, make_oracle_sim, chunks):
         assert json.dumps(vec.state_dict(), sort_keys=True) == json.dumps(
             ora.state_dict(), sort_keys=True
         )
+    for kind in kernels.KERNEL_KINDS:
+        assert kernels.kernel_state(kind)["divergences"] == 0
 
 
 def _chunked(blocks, kinds, cuts):
@@ -361,6 +363,140 @@ class TestPropertyEquivalence:
         assert json.dumps(vec.state_dict(), sort_keys=True) == json.dumps(
             ora.state_dict(), sort_keys=True
         )
+
+
+# -- the run-compressed depth engine ---------------------------------------
+
+
+def _naive_depths(ids):
+    """``(depth, prev, last_mask)`` straight from the definitions."""
+    m = len(ids)
+    depth = [0] * m
+    prev = [-1] * m
+    last_mask = [True] * m
+    for i in range(m):
+        for j in range(i - 1, -1, -1):
+            if ids[j] == ids[i]:
+                prev[i] = j
+                last_mask[j] = False
+                depth[i] = len(set(ids[j + 1 : i + 1]))
+                break
+    return depth, prev, last_mask
+
+
+def _check_engine(ids):
+    depth, prev, last_mask = kernels._stack_depths(np.asarray(ids, dtype=np.int64))
+    want_depth, want_prev, want_last = _naive_depths(list(ids))
+    assert prev.tolist() == want_prev
+    assert last_mask.tolist() == want_last
+    # Depth is defined where a previous occurrence exists.
+    assert depth[prev >= 0].tolist() == [
+        d for d, p in zip(want_depth, want_prev) if p >= 0
+    ]
+
+
+@st.composite
+def run_heavy(draw):
+    """1-6 distinct blocks, each run 1-5 references long."""
+    distinct = draw(st.integers(1, 6))
+    runs = draw(
+        st.lists(
+            st.tuples(st.integers(0, distinct - 1), st.integers(1, 5)),
+            max_size=40,
+        )
+    )
+    return [block for block, length in runs for _ in range(length)]
+
+
+def _run_heavy_trace(num_runs, num_blocks, seed):
+    rng = np.random.default_rng(seed)
+    run_blocks = rng.integers(0, num_blocks, size=num_runs)
+    blocks = np.repeat(run_blocks, rng.integers(1, 6, size=num_runs))
+    kinds = rng.integers(0, 2, size=blocks.shape[0])
+    return blocks, kinds
+
+
+def _cut_inside_run(blocks):
+    """First index past the middle where a run continues, so a chunk
+    starting there opens on the MRU resident of the state before it."""
+    middle = blocks.shape[0] // 2
+    inside = np.flatnonzero(blocks[middle:] == blocks[middle - 1 : -1])
+    return middle + int(inside[0])
+
+
+class TestStackDepthEngine:
+    @given(ids=run_heavy())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_definition_on_run_heavy_input(self, ids):
+        _check_engine(ids)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [],
+            [4],
+            [4, 4],
+            [4, 9],
+            [3] * 50,  # all equal
+            [0, 1] * 25,  # alternating: no repeats
+            list(range(40)),  # no repeats, all cold
+        ],
+    )
+    def test_edge_inputs(self, ids):
+        _check_engine(ids)
+
+    def test_compression_matches_the_uncompressed_pass_at_scale(self):
+        blocks, _ = _run_heavy_trace(20_000, 300, seed=1)
+        depth, prev, last_mask = kernels._stack_depths(blocks)
+        full_depth, full_prev, full_last = kernels._run_head_depths(blocks)
+        assert np.array_equal(prev, full_prev)
+        assert np.array_equal(last_mask, full_last)
+        assert np.array_equal(depth[prev >= 0], full_depth[prev >= 0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestChunkBoundaryInsideRun:
+    """Run-heavy traces cut inside a run: the second chunk's first block
+    is the MRU resident of the synthetic prefix."""
+
+    def _check(self, make_sim, kind, seed):
+        blocks, kinds = _run_heavy_trace(1500, 96, seed)
+        cut = _cut_inside_run(blocks)
+        chunks = _chunked(blocks, kinds, [cut])
+        _twin_check(make_sim, make_sim, chunks)
+        assert kernels.kernel_state(kind)["chunks"] == 2
+
+    @pytest.mark.parametrize("ways", [1, 2, 4])
+    def test_setassoc(self, seed, ways):
+        self._check(
+            lambda: SetAssociativeCache(32 * 8, associativity=ways), "setassoc", seed
+        )
+
+    def test_fullassoc(self, seed):
+        self._check(lambda: FullyAssociativeCache(32 * 8), "fullassoc", seed)
+
+    @pytest.mark.parametrize("reads_only", [False, True])
+    def test_stackdist_with_warmup_ending_inside_a_run(self, seed, reads_only):
+        blocks, _ = _run_heavy_trace(1500, 96, seed)
+        warmup = _cut_inside_run(blocks[: blocks.shape[0] // 3])
+        self._check(
+            lambda: StackDistanceRun(warmup=warmup, count_reads_only=reads_only),
+            "stackdist",
+            seed,
+        )
+
+
+def test_assoc_study_vector_tier_equals_oracle():
+    from repro.experiments import assoc_study
+
+    vector = assoc_study.run(n=128)
+    assert kernels.kernel_state("setassoc")["chunks"] > 0
+    assert kernels.kernel_state("setassoc")["divergences"] == 0
+    with kernels.tier_override("oracle"):
+        oracle = assoc_study.run(n=128)
+    assert json.dumps(vector.to_dict(), sort_keys=True) == json.dumps(
+        oracle.to_dict(), sort_keys=True
+    )
 
 
 # -- campaign integration: the engine drains fallback events ---------------
