@@ -1,16 +1,11 @@
 """Vectorized simulation kernels vs their pure-Python oracles.
 
-Three rows per kernel (``repro.mem.kernels``):
+Two rows per kernel (``repro.mem.kernels``):
 
 - ``*_oracle``: the pure-Python reference hot loop, tier pinned to
   ``oracle``;
-- ``*_vector``: the columnar numpy kernel with shadow verification
-  effectively off (one warmup verify, then a huge sampling period) —
-  the raw kernel speed;
-- ``*_vector_verified``: the numpy kernel at the *default* shadow
-  sampling rate (every 32nd chunk replays through the oracle), the
-  configuration campaigns actually run — the difference against
-  ``*_vector`` is the verification overhead.
+- ``*_vector``: the columnar numpy kernel, the configuration campaigns
+  actually run.
 
 The random traces have almost no per-set runs, so
 ``bench_kernel_setassoc4_bh_vector`` adds a Barnes-Hut trace (the
@@ -32,10 +27,6 @@ from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import profile_trace
 from repro.mem.trace import Trace
 
-#: Sampling period that never fires after the warmup call below.
-_NEVER = 1 << 30
-
-
 def _random_trace(num_refs=50_000, num_blocks=4096, seed=0):
     rng = np.random.default_rng(seed)
     addrs = rng.integers(0, num_blocks, size=num_refs).astype(np.int64) * 8
@@ -45,22 +36,16 @@ def _random_trace(num_refs=50_000, num_blocks=4096, seed=0):
 
 @pytest.fixture(autouse=True)
 def _fresh_kernels():
-    """Isolate each row from quarantines and guard ordinals."""
-    kernels.reset_kernel_state()
     yield
-    kernels.reset_kernel_state()
     kernels.clear_kernels(clear_env=False)
 
 
-def _bench_tier(benchmark, fn, refs, tier, verify_every=_NEVER):
-    kernels.configure_kernels(
-        tier=tier, verify_every=verify_every, min_refs=0, export_env=False
-    )
-    fn()  # warmup: the first guarded chunk always shadow-verifies
+def _bench_tier(benchmark, fn, refs, tier):
+    kernels.configure_kernels(tier=tier, export_env=False)
+    fn()  # warmup
     benchmark(fn)
     benchmark.extra_info["refs"] = refs
     benchmark.extra_info["kernel_tier"] = tier
-    benchmark.extra_info["verify_every"] = verify_every
     if benchmark.stats and benchmark.stats.stats.mean:
         benchmark.extra_info["refs_per_second"] = (
             refs / benchmark.stats.stats.mean
@@ -124,12 +109,6 @@ def bench_kernel_fullassoc_vector(benchmark):
     _bench_tier(benchmark, fn, refs, "vector")
 
 
-def bench_kernel_fullassoc_vector_verified(benchmark):
-    fn, refs = _fullassoc()
-    _bench_tier(
-        benchmark, fn, refs, "vector", verify_every=kernels.DEFAULT_VERIFY_EVERY
-    )
-
 
 def bench_kernel_setassoc4_oracle(benchmark):
     fn, refs = _setassoc4()
@@ -140,12 +119,6 @@ def bench_kernel_setassoc4_vector(benchmark):
     fn, refs = _setassoc4()
     _bench_tier(benchmark, fn, refs, "vector")
 
-
-def bench_kernel_setassoc4_vector_verified(benchmark):
-    fn, refs = _setassoc4()
-    _bench_tier(
-        benchmark, fn, refs, "vector", verify_every=kernels.DEFAULT_VERIFY_EVERY
-    )
 
 
 def bench_kernel_setassoc4_bh_vector(benchmark):
@@ -163,12 +136,6 @@ def bench_kernel_directmapped_vector(benchmark):
     _bench_tier(benchmark, fn, refs, "vector")
 
 
-def bench_kernel_directmapped_vector_verified(benchmark):
-    fn, refs = _directmapped()
-    _bench_tier(
-        benchmark, fn, refs, "vector", verify_every=kernels.DEFAULT_VERIFY_EVERY
-    )
-
 
 def bench_kernel_stackdist_oracle(benchmark):
     fn, refs = _stackdist()
@@ -180,12 +147,6 @@ def bench_kernel_stackdist_vector(benchmark):
     _bench_tier(benchmark, fn, refs, "vector")
 
 
-def bench_kernel_stackdist_vector_verified(benchmark):
-    fn, refs = _stackdist()
-    _bench_tier(
-        benchmark, fn, refs, "vector", verify_every=kernels.DEFAULT_VERIFY_EVERY
-    )
-
 
 def bench_kernel_multiproc_oracle(benchmark):
     fn, refs = _multiproc()
@@ -196,9 +157,3 @@ def bench_kernel_multiproc_vector(benchmark):
     fn, refs = _multiproc()
     _bench_tier(benchmark, fn, refs, "vector")
 
-
-def bench_kernel_multiproc_vector_verified(benchmark):
-    fn, refs = _multiproc()
-    _bench_tier(
-        benchmark, fn, refs, "vector", verify_every=kernels.DEFAULT_VERIFY_EVERY
-    )

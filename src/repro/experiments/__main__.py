@@ -313,21 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("vector", "oracle"),
         default=None,
         dest="kernel_tier",
-        help="simulation kernel tier: 'vector' (default) runs the "
-        "self-verifying numpy batch kernels with sampled shadow "
-        "verification against the pure-Python oracle; 'oracle' forces "
-        "the pure loops everywhere (REPRO_KERNEL_TIER overrides; see "
-        "docs/KERNELS.md)",
-    )
-    parser.add_argument(
-        "--kernel-verify",
-        type=int,
-        default=None,
-        metavar="N",
-        dest="kernel_verify",
-        help="shadow-verify every Nth kernel chunk against the oracle "
-        "(1 = every chunk, 0 = never; default 32, first chunk always; "
-        "REPRO_KERNEL_VERIFY overrides)",
+        help="simulation kernel tier: 'vector' (default) runs the numpy "
+        "batch kernels on every chunk they cover; 'oracle' forces the "
+        "per-reference loops everywhere (default: REPRO_KERNEL_TIER, "
+        "else 'vector'; see docs/KERNELS.md)",
     )
     parser.add_argument(
         "--quiet",
@@ -1136,15 +1125,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.shard_refs is not None and args.shard_refs < 1:
         print("--shard-refs must be >= 1")
         return 2
-    if args.kernel_verify is not None and args.kernel_verify < 0:
-        print("--kernel-verify must be >= 0")
-        return 2
     if args.archive is not None and not (args.run_dir or args.resume):
         print("--archive requires --run-dir or --resume (the archive row "
               "is built from the run directory's artifacts)")
         return 2
     try:
         fault_plan = parse_fault_plan(args.inject_faults)
+    except ValueError as exc:
+        print(exc)
+        return 2
+    # Simulation kernel tier: install it (module global + environment,
+    # inherited by workers and dispatch nodes).  A mistyped
+    # REPRO_KERNEL_TIER is a usage error, caught before any attempt.
+    from repro.mem.kernels import configure_kernels
+
+    try:
+        configure_kernels(tier=args.kernel_tier)
     except ValueError as exc:
         print(exc)
         return 2
@@ -1185,18 +1181,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 tempfile.mkdtemp(prefix="repro-stream-")
             )
         configure_streaming(stream_dir, shard_refs=args.shard_refs)
-
-    # Self-verifying simulation kernels: install the ambient policy
-    # (module global + environment, inherited by workers and dispatch
-    # nodes).  Divergence repro bundles land inside the run directory
-    # so `validate` can audit them.
-    from repro.mem.kernels import configure_kernels
-
-    configure_kernels(
-        tier=args.kernel_tier,
-        verify_every=args.kernel_verify,
-        bundle_dir=(store.run_dir / "kernel-bundles") if store else None,
-    )
 
     # Campaign telemetry: on by default, off with --no-obs; the
     # REPRO_OBS environment variable overrides in either direction.

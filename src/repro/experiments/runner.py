@@ -310,12 +310,6 @@ def worker_main(stdin_text: Optional[str] = None) -> int:
     # snapshot, its buffered spans, and the process RSS peak.  Failures
     # carry telemetry too — a failing attempt is exactly the one an
     # operator wants numbers from.
-    try:
-        from repro.mem.kernels import drain_kernel_events
-
-        kernel_events = drain_kernel_events()
-    except ImportError:  # pragma: no cover - numpy-less install
-        kernel_events = []
     if spec is not None and spec.obs:
         rss_peak_kb: Optional[int] = None
         try:
@@ -335,12 +329,7 @@ def worker_main(stdin_text: Optional[str] = None) -> int:
                 )
             ],
             "rss_peak_kb": rss_peak_kb,
-            "kernel_events": kernel_events,
         }
-    elif kernel_events:
-        # Kernel divergences must reach the supervisor's event log even
-        # when full telemetry shipping is off.
-        payload["obs"] = {"kernel_events": kernel_events}
     with os.fdopen(payload_fd, "w", encoding="utf-8") as out:
         json.dump(payload, out)
         out.flush()

@@ -1,24 +1,23 @@
-"""Columnar batch-vectorized simulation kernels with a trust harness.
+"""Columnar batch-vectorized simulation kernels.
 
-ROADMAP item 1: the per-reference pure-Python hot loops in
-:mod:`repro.mem.cache`, :mod:`repro.mem.setassoc`,
-:mod:`repro.mem.stack_distance` and :mod:`repro.mem.multiproc` are the
-campaign bottleneck.  This module provides numpy batch implementations
-of all four ("the vector tier") together with a :class:`KernelGuard`
-harness that keeps them honest:
+The per-reference pure-Python hot loops in :mod:`repro.mem.cache`,
+:mod:`repro.mem.setassoc`, :mod:`repro.mem.stack_distance` and
+:mod:`repro.mem.multiproc` are the reference semantics.  This module
+provides numpy batch implementations of all four ("the vector tier"):
+pure functions from a simulator's ``state_dict()`` plus one columnar
+chunk to the successor snapshot.  :func:`guard_run` dispatches a chunk
+to them when the tier and the chunk's domain allow, and otherwise
+leaves the chunk to the loop ("the oracle tier",
+``REPRO_KERNEL_TIER=oracle``).
 
-* every kernel chunk passes cheap structural sanity checks;
-* every Nth chunk (``REPRO_KERNEL_VERIFY``) is replayed through the
-  pure-Python oracle and compared exactly — counters, eviction order,
-  histogram and full ``state_dict``;
-* on any mismatch the guard records a typed
-  :class:`~repro.runtime.errors.KernelDivergenceError`, writes a
-  minimal repro bundle into the run directory, quarantines the kernel
-  for the remainder of the process, and falls back to the oracle so
-  the campaign completes *correctly* rather than fast;
-* a deterministic fault injector (``REPRO_KERNELFAULT=KERNEL:KIND:NTH``)
-  lets chaos tests and CI prove the detect → quarantine → fallback →
-  complete path end to end.
+Trust lives in the tests and in CI, not in the runtime.  The test
+suite compares every kernel against its loop at every chunk boundary
+(hypothesis differentials, adversarial and run-heavy traces, the
+default configuration), and CI runs the whole ``--quick`` campaign on
+both tiers and requires identical results.  At runtime each chunk pays
+only O(1) checks on its scalar deltas; a kernel result that breaks one
+raises :class:`~repro.runtime.errors.KernelDivergenceError` and leaves
+the simulator untouched.
 
 Algorithm
 ---------
@@ -61,35 +60,16 @@ the per-reference loop.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.mem.trace import READ, Trace
+from repro.mem.trace import READ
 
 KERNEL_KINDS = ("fullassoc", "setassoc", "stackdist", "multiproc")
-
-#: Environment knobs (exported by :func:`configure_kernels` so worker
-#: processes and dispatch nodes inherit the campaign's kernel policy).
-TIER_ENV = "REPRO_KERNEL_TIER"
-VERIFY_ENV = "REPRO_KERNEL_VERIFY"
-FAULT_ENV = "REPRO_KERNELFAULT"
-BUNDLE_DIR_ENV = "REPRO_KERNEL_BUNDLE_DIR"
-MIN_REFS_ENV = "REPRO_KERNEL_MIN_REFS"
-
-#: Below this many references per chunk the vector tier is not worth
-#: the numpy fixed costs; the pure loops run instead.
-DEFAULT_MIN_REFS = 2048
-
-#: Default shadow-verification sampling period (chunk 0 always verifies).
-DEFAULT_VERIFY_EVERY = 32
-
-_FAULT_KINDS = ("wrong-count", "nan", "overflow", "crash")
 
 # Refuse to pack block ids that could overflow int64 key space.
 _MAX_BLOCK_ID = 1 << 44
@@ -802,8 +782,16 @@ _SAMPLER_NAMES = {
 # Configuration
 # ---------------------------------------------------------------------------
 
+#: The one kernel switch, exported by :func:`configure_kernels` so
+#: worker processes inherit the campaign's tier.
+TIER_ENV = "REPRO_KERNEL_TIER"
+
 DEFAULT_TIER = "vector"
 TIERS = ("vector", "oracle")
+
+#: Below this many references per chunk the vector tier is not worth
+#: the numpy fixed costs; the pure loops run instead.
+MIN_REFS = 2048
 
 
 @dataclass(frozen=True)
@@ -811,84 +799,46 @@ class KernelConfig:
     """Ambient kernel policy for this process (and its workers)."""
 
     tier: str = DEFAULT_TIER
-    verify_every: int = DEFAULT_VERIFY_EVERY
-    min_refs: int = DEFAULT_MIN_REFS
-    bundle_dir: Optional[Path] = None
 
 
 _ACTIVE_CONFIG: Optional[KernelConfig] = None
 
 
+def _checked_tier(tier: str) -> str:
+    if tier not in TIERS:
+        raise ValueError(f"unknown kernel tier {tier!r} (expected one of {TIERS})")
+    return tier
+
+
 def active_kernel_config() -> KernelConfig:
-    """The installed configuration, else one assembled from environment."""
+    """The installed configuration, else one read from the environment.
+
+    An unknown ``REPRO_KERNEL_TIER`` raises :class:`ValueError`: a typo
+    must not quietly run the default tier.
+    """
     if _ACTIVE_CONFIG is not None:
         return _ACTIVE_CONFIG
     tier = os.environ.get(TIER_ENV, "") or DEFAULT_TIER
-    if tier not in TIERS:
-        tier = DEFAULT_TIER
-    bundle_raw = os.environ.get(BUNDLE_DIR_ENV, "")
-    return KernelConfig(
-        tier=tier,
-        verify_every=_env_int(VERIFY_ENV, DEFAULT_VERIFY_EVERY),
-        min_refs=_env_int(MIN_REFS_ENV, DEFAULT_MIN_REFS),
-        bundle_dir=Path(bundle_raw) if bundle_raw else None,
-    )
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return default
-        if value >= 0:
-            return value
-    return default
+    return KernelConfig(tier=_checked_tier(tier))
 
 
 def configure_kernels(
-    tier: Optional[str] = None,
-    verify_every: Optional[int] = None,
-    min_refs: Optional[int] = None,
-    bundle_dir: Optional[Path] = None,
-    export_env: bool = True,
+    tier: Optional[str] = None, export_env: bool = True
 ) -> KernelConfig:
     """Install the ambient kernel configuration for this process.
 
-    With ``export_env`` (the default) the configuration is also placed
-    in ``os.environ`` so worker subprocesses and dispatched nodes —
-    which inherit the supervisor's environment — apply the same kernel
-    policy.  Unspecified fields keep their current (or environment)
-    values.
+    ``tier=None`` keeps the current (or environment) tier.  With
+    ``export_env`` (the default) the tier is also placed in
+    ``os.environ`` so worker subprocesses, which inherit the
+    supervisor's environment, run the same tier.
     """
     global _ACTIVE_CONFIG
-    base = active_kernel_config()
     config = KernelConfig(
-        tier=tier if tier is not None else base.tier,
-        verify_every=(
-            int(verify_every) if verify_every is not None else base.verify_every
-        ),
-        min_refs=int(min_refs) if min_refs is not None else base.min_refs,
-        bundle_dir=Path(bundle_dir) if bundle_dir is not None else base.bundle_dir,
+        tier=_checked_tier(tier) if tier is not None else active_kernel_config().tier
     )
-    if config.tier not in TIERS:
-        raise ValueError(
-            f"unknown kernel tier {config.tier!r} (expected one of {TIERS})"
-        )
-    if config.verify_every < 0:
-        raise ValueError(f"verify_every must be >= 0 (got {config.verify_every})")
-    if config.min_refs < 0:
-        raise ValueError(f"min_refs must be >= 0 (got {config.min_refs})")
     _ACTIVE_CONFIG = config
     if export_env:
         os.environ[TIER_ENV] = config.tier
-        os.environ[VERIFY_ENV] = str(config.verify_every)
-        os.environ[MIN_REFS_ENV] = str(config.min_refs)
-        if config.bundle_dir is not None:
-            os.environ[BUNDLE_DIR_ENV] = str(config.bundle_dir)
-        else:
-            os.environ.pop(BUNDLE_DIR_ENV, None)
     return config
 
 
@@ -897,18 +847,15 @@ def clear_kernels(clear_env: bool = True) -> None:
     global _ACTIVE_CONFIG
     _ACTIVE_CONFIG = None
     if clear_env:
-        for name in (TIER_ENV, VERIFY_ENV, MIN_REFS_ENV, BUNDLE_DIR_ENV):
-            os.environ.pop(name, None)
+        os.environ.pop(TIER_ENV, None)
 
 
 @contextmanager
 def tier_override(tier: str):
     """Temporarily force a kernel tier in this process (no env export)."""
-    if tier not in TIERS:
-        raise ValueError(f"unknown kernel tier {tier!r} (expected one of {TIERS})")
     global _ACTIVE_CONFIG
     prev = _ACTIVE_CONFIG
-    _ACTIVE_CONFIG = replace(active_kernel_config(), tier=tier)
+    _ACTIVE_CONFIG = KernelConfig(tier=_checked_tier(tier))
     try:
         yield
     finally:
@@ -916,501 +863,62 @@ def tier_override(tier: str):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic fault injection
+# Dispatch
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelFault:
-    """One injected kernel misbehavior: fire on the NTH guarded chunk
-    (1-based, per kernel) of ``kernel``."""
-
-    kernel: str
-    kind: str
-    nth: int
-
-
-def parse_fault_spec(raw: str) -> List[KernelFault]:
-    """Parse ``KERNEL:KIND:NTH[,KERNEL:KIND:NTH...]`` fault grammar."""
-    faults: List[KernelFault] = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise ValueError(
-                f"bad kernel fault {part!r}: expected KERNEL:KIND:NTH"
-            )
-        kernel, kind, nth_raw = pieces
-        if kernel not in KERNEL_KINDS:
-            raise ValueError(
-                f"bad kernel fault {part!r}: kernel must be one of "
-                f"{KERNEL_KINDS}"
-            )
-        if kind not in _FAULT_KINDS:
-            raise ValueError(
-                f"bad kernel fault {part!r}: kind must be one of {_FAULT_KINDS}"
-            )
-        try:
-            nth = int(nth_raw)
-        except ValueError:
-            raise ValueError(f"bad kernel fault {part!r}: NTH must be an integer")
-        if nth < 1:
-            raise ValueError(f"bad kernel fault {part!r}: NTH must be >= 1")
-        faults.append(KernelFault(kernel=kernel, kind=kind, nth=nth))
-    return faults
-
-
-_BAD_FAULT_SPEC_SEEN: Optional[str] = None
-
-
-def _active_faults() -> List[KernelFault]:
-    global _BAD_FAULT_SPEC_SEEN
-    raw = os.environ.get(FAULT_ENV, "")
-    if not raw:
-        return []
-    try:
-        return parse_fault_spec(raw)
-    except ValueError as exc:
-        # A typo in the fault grammar must not corrupt or abort a real
-        # campaign: surface it once through the event stream and ignore.
-        if _BAD_FAULT_SPEC_SEEN != raw:
-            _BAD_FAULT_SPEC_SEEN = raw
-            _EVENTS.append(
-                {
-                    "kernel": None,
-                    "chunk": None,
-                    "reason": "bad-fault-spec",
-                    "detail": str(exc),
-                    "category": "kernel-divergence",
-                    "error": f"ignored invalid {FAULT_ENV}: {exc}",
-                    "bundle": None,
-                }
-            )
-        return []
-
-
-def _apply_fault(kernel: str, fault_kind: str, post: dict, pre: dict) -> bool:
-    """Mutate a kernel result in place to simulate misbehavior.
-
-    ``wrong-count`` is crafted to slip past the structural sanity
-    checks so only shadow verification can catch it; ``nan`` and
-    ``overflow`` are exactly what sanity is for.  Returns whether a
-    mutation was actually applied.
-    """
-    if kernel == "stackdist":
-        if fault_kind == "nan":
-            post["total"] = float("nan")
-            return True
-        if fault_kind == "overflow":
-            post["total"] = int(post["total"]) + (1 << 62)
-            return True
-        hist = [int(v) for v in post["hist"]]
-        idx = next((i for i in range(len(hist)) if i > 0 and hist[i] > 0), None)
-        if idx is not None:
-            hist[idx] -= 1
-            if idx + 1 >= len(hist):
-                hist.append(0)
-            hist[idx + 1] += 1
-            post["hist"] = hist
-            return True
-        if int(post["cold"]) > int(pre["cold"]):
-            while len(hist) < 2:
-                hist.append(0)
-            hist[1] += 1
-            post["cold"] = int(post["cold"]) - 1
-            post["hist"] = hist
-            return True
-        order = list(post["blocks_by_last_access"])
-        if len(order) >= 2:
-            order[0], order[1] = order[1], order[0]
-            post["blocks_by_last_access"] = order
-            return True
-        return False
-    if kernel == "multiproc":
-        return _apply_multiproc_fault(fault_kind, post, pre)
-    stats = post["stats"]
-    if fault_kind == "nan":
-        stats["read_misses"] = float("nan")
-        return True
-    if fault_kind == "overflow":
-        stats["reads"] = int(stats["reads"]) + (1 << 62)
-        return True
-    old = pre["stats"]
-    d_reads = int(stats["reads"]) - int(old["reads"])
-    d_writes = int(stats["writes"]) - int(old["writes"])
-    d_rm = int(stats["read_misses"]) - int(old["read_misses"])
-    d_wm = int(stats["write_misses"]) - int(old["write_misses"])
-    if d_rm > 0 and d_wm < d_writes:
-        stats["read_misses"] -= 1
-        stats["write_misses"] += 1
-        return True
-    if d_wm > 0 and d_rm < d_reads:
-        stats["write_misses"] -= 1
-        stats["read_misses"] += 1
-        return True
-    if d_rm < d_reads:
-        stats["read_misses"] += 1
-        return True
-    if d_wm < d_writes:
-        stats["write_misses"] += 1
-        return True
-    return False
-
-
-def _apply_multiproc_fault(fault_kind: str, post: dict, pre: dict) -> bool:
-    """Per-processor variant of :func:`_apply_fault`: ``wrong-count``
-    reclassifies one miss of the first processor that missed, which
-    keeps every sanity invariant (cold + coherence + capacity = misses)."""
-    stats = post["stats"]
-    if fault_kind == "nan":
-        stats[0]["read_misses"] = float("nan")
-        return True
-    if fault_kind == "overflow":
-        stats[0]["reads"] = int(stats[0]["reads"]) + (1 << 62)
-        return True
-    moves = (
-        ("coherence_misses", "capacity_misses"),
-        ("cold_misses", "capacity_misses"),
-        ("capacity_misses", "coherence_misses"),
-    )
-    for new, old in zip(stats, pre["stats"]):
-        for source, target in moves:
-            if int(new[source]) > int(old[source]):
-                new[source] -= 1
-                new[target] += 1
-                return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Trust harness state
-# ---------------------------------------------------------------------------
-
-
-def _new_kernel_state() -> dict:
-    return {
-        "attempts": 0,
-        "chunks": 0,
-        "verified": 0,
-        "divergences": 0,
-        "fallback_chunks": 0,
-        "quarantined": False,
-    }
-
-
-_STATE: Dict[str, dict] = {kind: _new_kernel_state() for kind in KERNEL_KINDS}
-_EVENTS: List[dict] = []
-_REPLAYING = False
-
-
-def kernel_state(kind: str) -> dict:
-    """A copy of one kernel's harness counters (tests, introspection)."""
-    return dict(_STATE[kind])
-
-
-def quarantined(kind: str) -> bool:
-    return bool(_STATE[kind]["quarantined"])
-
-
-def drain_kernel_events() -> List[dict]:
-    """Return and clear the pending divergence/fallback event records.
-
-    The campaign engine drains this after every in-process attempt;
-    worker processes ship it back inside the payload ``obs`` block.
-    """
-    events = _EVENTS[:]
-    del _EVENTS[:]
-    return events
-
-
-def reset_kernel_state() -> None:
-    """Forget quarantines, counters and pending events (tests)."""
-    global _BAD_FAULT_SPEC_SEEN
-    for state in _STATE.values():
-        state.update(_new_kernel_state())
-    del _EVENTS[:]
-    _BAD_FAULT_SPEC_SEEN = None
-
-
-# ---------------------------------------------------------------------------
-# Sanity checks, oracle replay, divergence handling
-# ---------------------------------------------------------------------------
-
-
-def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _STAT_KEYS = ("reads", "writes", "read_misses", "write_misses", "cold_misses")
 
 
-def _sanity(
-    kernel: str, pre: dict, post: dict, n: int, kinds: np.ndarray
-) -> Optional[str]:
-    """Cheap structural invariants checked on *every* kernel chunk.
-
-    Returns a reason string on violation, ``None`` when clean.  These
-    catch corrupt-value failure modes (NaN, overflow, impossible
-    deltas) without paying for an oracle replay.
-    """
-    try:
-        if kernel == "multiproc":
-            return _multiproc_sanity(pre, post, kinds)
-        if kernel == "stackdist":
-            for key in ("pos", "cold", "total"):
-                value = post[key]
-                if not _is_count(value) or value < 0:
-                    return f"{key} is not a non-negative int"
-            if int(post["pos"]) - int(pre["pos"]) != n:
-                return "pos did not advance by the chunk size"
-            d_total = int(post["total"]) - int(pre["total"])
-            d_cold = int(post["cold"]) - int(pre["cold"])
-            if not 0 <= d_total <= n:
-                return "total delta outside [0, chunk size]"
-            if not 0 <= d_cold <= d_total:
-                return "cold delta outside [0, total delta]"
-            hist = post["hist"]
-            if not all(_is_count(v) and v >= 0 for v in hist):
-                return "hist contains a non-int or negative entry"
-            if sum(hist) + int(post["cold"]) != int(post["total"]):
-                return "hist mass plus cold misses != total"
-            return None
-        old_stats = pre["stats"]
-        stats = post["stats"]
-        for key in _STAT_KEYS:
-            value = stats[key]
-            if not _is_count(value) or value < 0:
-                return f"stats.{key} is not a non-negative int"
-            delta = value - int(old_stats[key])
-            if delta < 0:
-                return f"stats.{key} decreased"
-            if delta > n:
-                return f"stats.{key} delta exceeds chunk size"
-        n_reads = int(np.count_nonzero(kinds == READ))
-        if int(stats["reads"]) - int(old_stats["reads"]) != n_reads:
-            return "read count does not match chunk"
-        if int(stats["writes"]) - int(old_stats["writes"]) != n - n_reads:
-            return "write count does not match chunk"
-        d_misses = (
-            int(stats["read_misses"])
-            - int(old_stats["read_misses"])
-            + int(stats["write_misses"])
-            - int(old_stats["write_misses"])
-        )
-        d_cold = int(stats["cold_misses"]) - int(old_stats["cold_misses"])
-        if d_cold > d_misses:
-            return "cold-miss delta exceeds miss delta"
-        if len(post["ever_seen"]) < len(pre["ever_seen"]):
-            return "ever_seen shrank"
-        capacity = int(post["capacity_bytes"]) // int(post["block_size"])
-        if kernel == "fullassoc":
-            if len(post["lru_mru_to_lru"]) > capacity:
-                return "LRU holds more blocks than capacity"
-        else:
-            assoc = int(post["associativity"])
-            counts = post["set_counts"]
-            if any(c > assoc for c in counts):
-                return "a set holds more blocks than its associativity"
-            if sum(counts) != len(post["set_orders_mru_to_lru"]):
-                return "set_counts disagree with flattened orders"
-        return None
-    except (KeyError, TypeError, ValueError):
-        return "malformed kernel state"
-
-
-def _multiproc_sanity(
-    pre: dict, post: dict, kinds: List[np.ndarray]
-) -> Optional[str]:
-    """Per-processor invariants of one coherence-kernel call."""
-    if len(post["stats"]) != len(kinds) or len(pre["stats"]) != len(kinds):
-        return "stats do not cover every processor"
-    for pid, (old, new, col) in enumerate(zip(pre["stats"], post["stats"], kinds)):
-        delta = {}
-        for key in _MP_STAT_KEYS:
-            value = new[key]
-            if not _is_count(value) or value < 0:
-                return f"p{pid} stats.{key} is not a non-negative int"
-            delta[key] = value - int(old[key])
-            if delta[key] < 0:
-                return f"p{pid} stats.{key} decreased"
-        n = int(col.shape[0])
-        n_reads = int(np.count_nonzero(col == READ))
-        if delta["reads"] != n_reads or delta["writes"] != n - n_reads:
-            return f"p{pid} read/write counts do not match its trace"
-        misses = delta["read_misses"] + delta["write_misses"]
-        if misses > n:
-            return f"p{pid} misses exceed accesses"
-        classes = (
-            delta["cold_misses"] + delta["coherence_misses"] + delta["capacity_misses"]
-        )
-        if classes != misses:
-            return f"p{pid} cold + coherence + capacity != misses"
+def _counter_violation(old: dict, new: dict, keys, kinds: np.ndarray) -> Optional[str]:
+    """Scalar checks on one counter block: reads and writes match the
+    chunk, every counter is monotone, misses <= refs, cold <= misses.
+    Written so that a NaN fails every comparison."""
+    delta = {key: new[key] - old[key] for key in keys}
+    for key, value in delta.items():
+        if not value >= 0:
+            return f"{key} decreased or is not a number"
+    n = int(kinds.shape[0])
+    reads = int(np.count_nonzero(kinds == READ))
+    if not (delta["reads"] == reads and delta["writes"] == n - reads):
+        return "reads/writes do not match the chunk"
+    misses = delta["read_misses"] + delta["write_misses"]
+    if not misses <= n:
+        return "misses exceed references"
+    if not delta["cold_misses"] <= misses:
+        return "cold misses exceed misses"
+    if "coherence_misses" in delta and not (
+        delta["cold_misses"] + delta["coherence_misses"] + delta["capacity_misses"]
+        == misses
+    ):
+        return "cold + coherence + capacity != misses"
     return None
 
 
-def _fresh_sim(kernel: str, state: dict):
-    if kernel == "fullassoc":
-        from repro.mem.cache import FullyAssociativeCache
-
-        return FullyAssociativeCache(
-            capacity_bytes=int(state["capacity_bytes"]),
-            block_size=int(state["block_size"]),
-        )
-    if kernel == "setassoc":
-        from repro.mem.setassoc import SetAssociativeCache
-
-        return SetAssociativeCache(
-            capacity_bytes=int(state["capacity_bytes"]),
-            block_size=int(state["block_size"]),
-            associativity=int(state["associativity"]),
-        )
+def _invariant_violation(kernel: str, pre: dict, post: dict, kinds) -> Optional[str]:
+    """O(1) checks on one chunk's scalar deltas (O(P) for multiproc);
+    ``None`` when every invariant holds."""
+    if kernel == "stackdist":
+        n = int(kinds.shape[0])
+        d_pos = post["pos"] - pre["pos"]
+        d_total = post["total"] - pre["total"]
+        d_cold = post["cold"] - pre["cold"]
+        if not d_pos == n:
+            return "pos did not advance by the chunk size"
+        if not 0 <= d_total <= n:
+            return "counted references outside [0, chunk size]"
+        if not 0 <= d_cold <= d_total:
+            return "cold misses outside [0, counted references]"
+        return None
     if kernel == "multiproc":
-        from repro.mem.multiproc import MultiprocessorMemory
-
-        return MultiprocessorMemory(
-            int(state["num_processors"]),
-            capacity_bytes=state["capacity_bytes"],
-            block_size=int(state["block_size"]),
-        )
-    from repro.mem.stack_distance import StackDistanceRun
-
-    return StackDistanceRun(
-        block_size=int(state["block_size"]),
-        count_reads_only=bool(state["count_reads_only"]),
-        warmup=int(state["warmup"]),
-    )
-
-
-def _oracle_replay(kernel: str, pre: dict, trace: Trace, budget) -> dict:
-    """Replay one chunk through the pure-Python oracle from ``pre``."""
-    global _REPLAYING
-    from repro.obs.metrics import suppress_hot_loop_sampling
-
-    sim = _fresh_sim(kernel, pre)
-    sim.load_state_dict(pre)
-    _REPLAYING = True
-    try:
-        with suppress_hot_loop_sampling():
-            if kernel == "stackdist":
-                sim.feed(trace, budget)
-            elif kernel == "multiproc":
-                sim.run_traces(trace)
-            else:
-                sim.run(trace, budget)
-    finally:
-        _REPLAYING = False
-    return sim.state_dict()
-
-
-def _canonical(state: dict) -> str:
-    return json.dumps(state, sort_keys=True, allow_nan=True)
-
-
-def _write_bundle(
-    kernel: str,
-    config: KernelConfig,
-    ordinal: int,
-    pre: dict,
-    blocks: np.ndarray,
-    kinds: np.ndarray,
-    reason: str,
-    detail: str,
-    kernel_state_dict: Optional[dict],
-    oracle_state_dict: Optional[dict],
-) -> Optional[Path]:
-    """Persist a minimal repro bundle; best-effort (never raises)."""
-    if config.bundle_dir is None:
+        if len(post["stats"]) != len(kinds):
+            return "stats do not cover every processor"
+        for pid, (old, new, col) in enumerate(zip(pre["stats"], post["stats"], kinds)):
+            reason = _counter_violation(old, new, _MP_STAT_KEYS, col)
+            if reason is not None:
+                return f"p{pid} {reason}"
         return None
-    try:
-        config.bundle_dir.mkdir(parents=True, exist_ok=True)
-        path = config.bundle_dir / f"{kernel}-chunk{ordinal:06d}.json"
-        if kernel == "multiproc":  # the kernel is handed addresses
-            blocks = [col // int(pre["block_size"]) for col in blocks]
-        payload = {
-            "format": BUNDLE_FORMAT,
-            "kernel": kernel,
-            "chunk": ordinal,
-            "reason": reason,
-            "detail": detail,
-            "pre_state": pre,
-            "kernel_state": kernel_state_dict,
-            "oracle_state": oracle_state_dict,
-            "blocks": _json_columns(blocks),
-            "kinds": _json_columns(kinds),
-        }
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
-        return path
-    except (OSError, TypeError, ValueError):
-        return None
-
-
-BUNDLE_FORMAT = "kernel-divergence-bundle-v1"
-
-
-def _json_columns(columns) -> list:
-    """One column as a list of ints; per-processor columns as a list of
-    such lists."""
-    if isinstance(columns, list):
-        return [_json_columns(col) for col in columns]
-    return [int(v) for v in columns.tolist()]
-
-
-def _record_divergence(
-    kernel: str,
-    config: KernelConfig,
-    state: dict,
-    ordinal: int,
-    pre: dict,
-    blocks: np.ndarray,
-    kinds: np.ndarray,
-    reason: str,
-    detail: str = "",
-    kernel_state_dict: Optional[dict] = None,
-    oracle_state_dict: Optional[dict] = None,
-) -> None:
-    """Quarantine a diverged kernel and leave a full audit trail."""
-    from repro.obs import metrics as obs_metrics
-    from repro.runtime.errors import KernelDivergenceError
-
-    state["divergences"] += 1
-    state["fallback_chunks"] += 1
-    state["quarantined"] = True
-    suffix = f": {detail}" if detail else ""
-    error = KernelDivergenceError(
-        f"{kernel} kernel diverged on guarded chunk {ordinal} "
-        f"({reason}{suffix}); kernel quarantined for this process, "
-        f"oracle fallback engaged"
-    )
-    bundle = _write_bundle(
-        kernel,
-        config,
-        ordinal,
-        pre,
-        blocks,
-        kinds,
-        reason,
-        detail,
-        kernel_state_dict,
-        oracle_state_dict,
-    )
-    obs_metrics.inc(f"mem.kernel.{kernel}.divergences")
-    obs_metrics.inc(f"mem.kernel.{kernel}.fallback_chunks")
-    obs_metrics.set_gauge(f"mem.kernel.{kernel}.tier", 0.0)
-    _EVENTS.append(
-        {
-            "kernel": kernel,
-            "chunk": ordinal,
-            "reason": reason,
-            "detail": detail,
-            "category": error.category,
-            "error": str(error),
-            "bundle": str(bundle) if bundle is not None else None,
-        }
-    )
+    return _counter_violation(pre["stats"], post["stats"], _STAT_KEYS, kinds)
 
 
 def _miss_delta(kernel: str, pre: dict, post: dict) -> int:
@@ -1449,19 +957,15 @@ def _multiproc_block_span(sim, traces) -> int:
 def guard_run(kernel: str, sim, trace, budget=None) -> bool:
     """Try to advance ``sim`` over ``trace`` with a vectorized kernel.
 
-    The trust-harness entry point the simulators call at the top of
-    their hot loops.  Returns ``True`` when the kernel ran and the
-    simulator state was updated (the caller is done); ``False`` when
-    the caller must run its pure-Python loop — oracle tier, small or
-    out-of-domain chunk, quarantined kernel, or a divergence detected
-    on this very chunk.  In every ``False`` case the simulator is
-    untouched.
+    The dispatch point the simulators call at the top of their hot
+    loops.  Returns ``True`` when the kernel ran and the simulator state
+    was updated (the caller is done); ``False`` when the caller must run
+    its pure-Python loop: oracle tier, or a chunk that is small or
+    outside the kernel's domain.  A kernel result that breaks a scalar
+    invariant raises :class:`~repro.runtime.errors.KernelDivergenceError`.
+    In every case but ``True`` the simulator is untouched.
     """
-    if _REPLAYING:
-        return False
-    config = active_kernel_config()
-    state = _STATE[kernel]
-    if config.tier != "vector" or state["quarantined"]:
+    if active_kernel_config().tier != "vector":
         return False
     if kernel == "multiproc":
         # Infinite caches and in-memory traces only.
@@ -1474,12 +978,12 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         n = sum(len(t) for t in trace)
     else:
         n = len(trace)
-    if n == 0 or n < max(config.min_refs, 1) or n >= (1 << 28):
+    if n == 0 or n < MIN_REFS or n >= (1 << 28):
         return False
     from repro.obs import metrics as obs_metrics
     from repro.obs.metrics import hot_loop_sampler
     from repro.runtime.budget import active_budget
-    from repro.runtime.errors import BudgetExceeded
+    from repro.runtime.errors import KernelDivergenceError
 
     if kernel == "multiproc":
         # The kernel maps blocks through a dense table over their span;
@@ -1506,88 +1010,17 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         budget = active_budget()
     if budget is not None:
         budget.check(f"{kernel} kernel chunk")
-    state["attempts"] += 1
-    ordinal = state["attempts"]
-    fault = next(
-        (
-            f
-            for f in _active_faults()
-            if f.kernel == kernel and f.nth == ordinal
-        ),
-        None,
-    )
     pre = sim.state_dict()
     sampler = hot_loop_sampler(_SAMPLER_NAMES[kernel])
-    fault_applied = False
-    try:
-        if fault is not None and fault.kind == "crash":
-            fault_applied = True
-            raise RuntimeError(
-                f"injected kernel crash ({kernel} chunk {ordinal})"
-            )
-        extra = {"budget": budget} if kernel == "multiproc" else {}
-        post = KERNELS[kernel](pre, blocks, kinds, **extra)
-        if fault is not None and not fault_applied:
-            fault_applied = _apply_fault(kernel, fault.kind, post, pre)
-    except BudgetExceeded:
-        raise  # a deadline inside the kernel is the caller's, not a divergence
-    except Exception as exc:  # noqa: BLE001 — fallback is the contract
-        _record_divergence(
-            kernel,
-            config,
-            state,
-            ordinal,
-            pre,
-            blocks,
-            kinds,
-            reason="kernel-crash",
-            detail=f"{type(exc).__name__}: {exc}",
-        )
-        return False
-    reason = _sanity(kernel, pre, post, n, kinds)
+    extra = {"budget": budget} if kernel == "multiproc" else {}
+    post = KERNELS[kernel](pre, blocks, kinds, **extra)
+    reason = _invariant_violation(kernel, pre, post, kinds)
     if reason is not None:
-        _record_divergence(
-            kernel,
-            config,
-            state,
-            ordinal,
-            pre,
-            blocks,
-            kinds,
-            reason="sanity",
-            detail=reason,
-            kernel_state_dict=post,
+        raise KernelDivergenceError(
+            f"{kernel} kernel broke an invariant on a {n}-reference chunk: {reason}"
         )
-        return False
-    verify = config.verify_every > 0 and (
-        (ordinal - 1) % config.verify_every == 0
-    )
-    if fault_applied:
-        # An injected fault must always reach the detector it targets.
-        verify = True
-    if verify:
-        state["verified"] += 1
-        obs_metrics.inc(f"mem.kernel.{kernel}.verified")
-        expected = _oracle_replay(kernel, pre, trace, budget)
-        if _canonical(post) != _canonical(expected):
-            _record_divergence(
-                kernel,
-                config,
-                state,
-                ordinal,
-                pre,
-                blocks,
-                kinds,
-                reason="shadow-verify",
-                detail="kernel state differs from oracle replay",
-                kernel_state_dict=post,
-                oracle_state_dict=expected,
-            )
-            return False
     sim.load_state_dict(post)
-    state["chunks"] += 1
     if sampler is not None:
         sampler.finish(refs=n, misses=_miss_delta(kernel, pre, post))
     obs_metrics.inc(f"mem.kernel.{kernel}.chunks")
-    obs_metrics.set_gauge(f"mem.kernel.{kernel}.tier", 1.0)
     return True

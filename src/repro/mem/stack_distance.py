@@ -193,7 +193,7 @@ class StackDistanceProfiler:
         # Timeline recording is on: feed the same trace in windows so
         # each one lands a per-chunk row.  The incremental engine makes
         # chunked feeding bit-identical to a single feed, and the
-        # window floor stays above the kernel guard's min_refs so the
+        # window floor stays above the kernels' MIN_REFS so the
         # vector tier is never demoted by the chunking itself.
         for start in range(0, len(trace), step):
             run.feed(
@@ -305,9 +305,7 @@ class StackDistanceRun:
         When a timeline recorder is active (``repro.obs.timeline``),
         every feed also emits one per-chunk telemetry row — covering
         both the vectorized kernel tier and the pure-Python loop, since
-        both leave their results in the same incremental state.  The
-        kernel trust harness replays chunks with sampling suppressed,
-        which deactivates the recorder for the shadow copy.
+        both leave their results in the same incremental state.
         """
         from repro.obs import timeline as obs_timeline
 
@@ -335,8 +333,8 @@ class StackDistanceRun:
         elapsed: float,
     ) -> None:
         """Emit one timeline row for the chunk just fed (never raises)."""
-        from repro.mem import kernels
         from repro.obs.metrics import inc
+        from repro.obs.timeline import kernel_tier
 
         try:
             n = len(trace)
@@ -364,13 +362,6 @@ class StackDistanceRun:
                     percentiles[label] = int(
                         np.searchsorted(cum, q * hits_total)
                     )
-            config = kernels.active_kernel_config()
-            tier = (
-                "vector"
-                if config.tier == "vector"
-                and not kernels.quarantined("stackdist")
-                else "oracle"
-            )
             recorder.record(
                 "stackdist",
                 refs=n,
@@ -383,7 +374,7 @@ class StackDistanceRun:
                 footprint_blocks=len(self._last_time),
                 cache_sizes=[int(c) for c in grid],
                 misses=[int(m) for m in misses],
-                tier=tier,
+                tier=kernel_tier(),
                 **percentiles,
             )
         except Exception:

@@ -142,15 +142,15 @@ def campaign_rows(
 ) -> List[Dict[str, object]]:
     """One archive row summarising a finished campaign run directory.
 
-    Pulls throughput and kernel tier from the campaign status
-    (metrics snapshot), and phase/knee estimates from the timeline
-    artifact itself, so the row is self-contained and reproducible
-    from the run directory alone.
+    Pulls throughput from the campaign status (metrics snapshot) and
+    phase/knee estimates from the timeline artifact itself; the kernel
+    tier is this process's configured tier.
     """
     from repro.obs.status import load_status
     from repro.obs.timeline import (
         TIMELINE_FILENAME,
         detect_phases,
+        kernel_tier,
         latest_attempt_rows,
         read_timeline,
     )
@@ -176,12 +176,7 @@ def campaign_rows(
         row["refs_per_second"] = float(status.refs_per_second)
     if status.refs_simulated is not None:
         row["refs_simulated"] = int(status.refs_simulated)
-    if status.kernels:
-        tiers = {entry.get("tier") for entry in status.kernels.values()}
-        row["kernel_tier"] = (
-            "vector" if tiers == {"vector"} else "mixed"
-            if "vector" in tiers else "quarantined"
-        )
+    row["kernel_tier"] = kernel_tier()
     timeline_rows = read_timeline(run_dir / TIMELINE_FILENAME)
     if timeline_rows:
         knees: Dict[str, object] = {}

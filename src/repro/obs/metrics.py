@@ -415,48 +415,12 @@ class LoopSampler:
             ).observe(rps)
 
 
-_sampling_suppressed = False
-
-
-def suppress_hot_loop_sampling():
-    """Context manager: make :func:`hot_loop_sampler` return ``None``.
-
-    Used by the kernel trust harness while replaying a chunk through
-    the pure-Python oracle — the replay is a shadow computation and
-    must not double-count references or throughput.
-    """
-    return _SamplingSuppression()
-
-
-class _SamplingSuppression:
-    def __enter__(self) -> "_SamplingSuppression":
-        global _sampling_suppressed
-        self._prev = _sampling_suppressed
-        _sampling_suppressed = True
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        global _sampling_suppressed
-        _sampling_suppressed = self._prev
-
-
-def sampling_suppressed() -> bool:
-    """Is hot-loop sampling currently suppressed (shadow replay)?
-
-    Exposed so other per-chunk observers (the timeline recorder) can
-    honor the same rule: a suppressed region is a shadow computation
-    that must not be double-counted anywhere.
-    """
-    return _sampling_suppressed
-
-
 def hot_loop_sampler(name: str) -> Optional[LoopSampler]:
     """The only obs entry point the simulation hot loops call.
 
-    Returns ``None`` when observability is disabled (or sampling is
-    suppressed for a shadow replay) so the loops can gate everything
-    behind ``sampler is not None``.
+    Returns ``None`` when observability is disabled so the loops can
+    gate everything behind ``sampler is not None``.
     """
-    if _sampling_suppressed or not obs_enabled():
+    if not obs_enabled():
         return None
     return LoopSampler(name)

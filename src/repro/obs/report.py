@@ -368,14 +368,8 @@ def render_report(
         lines.append("")
     if status.kernels:
         for kind in sorted(status.kernels):
-            entry = status.kernels[kind]
-            lines.append(
-                f"Kernel `{kind}`: **{entry.get('tier', 'vector')}** tier — "
-                f"{entry.get('chunks', 0)} chunk(s), "
-                f"{entry.get('verified', 0)} shadow-verified, "
-                f"{entry.get('divergences', 0)} divergence(s), "
-                f"{entry.get('fallback_chunks', 0)} oracle fallback(s)."
-            )
+            chunks = status.kernels[kind]["chunks"]
+            lines.append(f"Kernel `{kind}`: **vector** tier — {chunks} chunk(s).")
         lines.append("")
     if status.trace_id:
         lines.append(f"Trace id: `{status.trace_id}`.")
@@ -426,7 +420,6 @@ def render_report(
                 ["validated results", tallies.get("validated", 0)],
                 ["resumed experiments", tallies.get("resume", 0)],
                 ["obs snapshot failures", tallies.get("obs-snapshot-failed", 0)],
-                ["kernel fallbacks", tallies.get("kernel-fallback", 0)],
             ],
         )
     )

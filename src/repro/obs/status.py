@@ -332,37 +332,26 @@ def _stream_progress_from_metrics(
 def _kernel_tallies_from_metrics(
     snapshot: Optional[Dict[str, object]]
 ) -> Optional[Dict[str, Dict[str, object]]]:
-    """Per-kernel trust-harness tallies (``mem.kernel.*`` counters and
-    tier gauges published by :mod:`repro.mem.kernels`); None when the
-    campaign predates the vectorized kernels or never exercised them."""
+    """Per-kernel vector-tier chunk counts (``mem.kernel.<kind>.chunks``
+    counters published by :mod:`repro.mem.kernels`); None when the
+    campaign never ran a kernel (oracle tier, or a pre-kernel run)."""
     if snapshot is None:
         return None
     campaign = snapshot.get("campaign")
     if not isinstance(campaign, dict):
         return None
     counters = campaign.get("counters")
-    gauges = campaign.get("gauges")
     counters = counters if isinstance(counters, dict) else {}
-    gauges = gauges if isinstance(gauges, dict) else {}
     tallies: Dict[str, Dict[str, object]] = {}
-    fields = ("chunks", "verified", "divergences", "fallback_chunks")
     for name, value in counters.items():
-        if not name.startswith("mem.kernel.") or not isinstance(
-            value, (int, float)
-        ):
-            continue
         parts = name.split(".")
-        if len(parts) != 4 or parts[3] not in fields:
-            continue
-        tallies.setdefault(parts[2], {})[parts[3]] = int(value)
-    for kind, entry in tallies.items():
-        tier = gauges.get(f"mem.kernel.{kind}.tier")
-        if isinstance(tier, (int, float)):
-            entry["tier"] = "vector" if tier >= 1.0 else "quarantined"
-        elif entry.get("divergences"):
-            entry["tier"] = "quarantined"
-        else:
-            entry["tier"] = "vector"
+        if (
+            len(parts) == 4
+            and parts[:2] == ["mem", "kernel"]
+            and parts[3] == "chunks"
+            and isinstance(value, (int, float))
+        ):
+            tallies[parts[2]] = {"chunks": int(value)}
     return tallies or None
 
 
@@ -680,16 +669,8 @@ def render_status(status: CampaignStatus) -> str:
         )
     if status.kernels:
         for kind in sorted(status.kernels):
-            entry = status.kernels[kind]
-            detail = (
-                f"{entry.get('chunks', 0)} chunk(s), "
-                f"{entry.get('verified', 0)} verified, "
-                f"{entry.get('divergences', 0)} divergence(s), "
-                f"{entry.get('fallback_chunks', 0)} fallback(s)"
-            )
-            lines.append(
-                f"kernel {kind}: {entry.get('tier', 'vector')} ({detail})"
-            )
+            chunks = status.kernels[kind]["chunks"]
+            lines.append(f"kernel {kind}: vector ({chunks} chunk(s))")
     if status.working_set:
         from repro.units import format_size
 

@@ -22,9 +22,7 @@ Recording is ambient, like the kernel and streaming configuration:
 :func:`configure_timeline` installs a process-wide recorder and
 exports ``REPRO_TIMELINE`` so spawned workers inherit it via
 :func:`install_from_env`.  :func:`active_recorder` returns ``None``
-whenever observability is off or hot-loop sampling is suppressed (the
-kernel trust harness replays chunks through the oracle with sampling
-suppressed — those shadow replays must not double-count rows).
+whenever observability is off.
 
 Everything here is observability: a write failure increments
 ``obs.timeline.write_errors`` and is otherwise swallowed; readers
@@ -67,7 +65,7 @@ TIMELINE_CHUNK_ENV = "REPRO_TIMELINE_CHUNK"
 ROW_KINDS = ("stackdist", "fullassoc", "setassoc")
 
 #: In-memory chunking bounds: aim for ~64 windows per trace, but keep
-#: every chunk above the kernel guard's ``min_refs`` (2048) so chunked
+#: every chunk above the kernels' ``MIN_REFS`` (2048) so chunked
 #: feeding never demotes the vector tier, and below a cap that keeps
 #: the per-row bookkeeping invisible next to the simulation itself.
 CHUNK_TARGET_WINDOWS = 64
@@ -588,18 +586,8 @@ def install_from_env() -> Optional[TimelineRecorder]:
 
 
 def active_recorder() -> Optional[TimelineRecorder]:
-    """The recorder, or ``None`` when recording must not happen now.
-
-    Gated on observability being enabled and on hot-loop sampling not
-    being suppressed: the kernel trust harness replays chunks through
-    the pure-Python oracle under suppressed sampling, and those shadow
-    replays must not emit duplicate timeline rows.
-    """
-    if _recorder is None:
-        return None
-    if not obs_metrics.obs_enabled():
-        return None
-    if obs_metrics.sampling_suppressed():
+    """The recorder, or ``None`` when observability is off."""
+    if _recorder is None or not obs_metrics.obs_enabled():
         return None
     return _recorder
 
@@ -619,14 +607,11 @@ def clear_labels() -> None:
         _recorder.clear_labels()
 
 
-def kernel_tier(kind: str) -> str:
-    """Effective kernel tier label for timeline rows."""
+def kernel_tier() -> str:
+    """The configured kernel tier, the ``tier`` label of timeline rows."""
     from repro.mem import kernels
 
-    config = kernels.active_kernel_config()
-    if config.tier == "vector" and not kernels.quarantined(kind):
-        return "vector"
-    return "oracle"
+    return kernels.active_kernel_config().tier
 
 
 def record_cache_chunk(
@@ -662,7 +647,7 @@ def record_cache_chunk(
             block_size=int(block_size),
             capacity_bytes=int(capacity_bytes),
             ws_blocks=int(trace.footprint(block_size)),
-            tier=kernel_tier(kind),
+            tier=kernel_tier(),
         )
     except Exception:
         obs_metrics.inc("obs.timeline.write_errors")

@@ -490,7 +490,6 @@ class CampaignEngine:
                     result, failure = run_attempt(
                         experiment_id, attempt, degraded, kwargs, budget
                     )
-                    self._drain_kernel_events(experiment_id)
                     if failure is None and config.validate:
                         failure = self._validate_attempt(
                             experiment_id, result, attempt, degraded
@@ -848,20 +847,6 @@ class CampaignEngine:
 
     # -- observability ------------------------------------------------
 
-    def _drain_kernel_events(self, experiment_id: str) -> None:
-        """Log any kernel divergence/fallback records from this process.
-
-        In-process attempts leave their records in the kernels module;
-        worker attempts ship theirs through the payload ``obs`` block
-        (see :meth:`record_worker_obs`).
-        """
-        try:
-            from repro.mem.kernels import drain_kernel_events
-        except ImportError:  # pragma: no cover - numpy-less install
-            return
-        for event in drain_kernel_events():
-            self.log_event("kernel-fallback", experiment_id, **event)
-
     def record_worker_obs(self, spec, obs: Dict[str, object]) -> None:
         """Fold one worker's shipped telemetry into the campaign rollup.
 
@@ -885,15 +870,6 @@ class CampaignEngine:
                 entry["metrics_merged"] = True
             except (ValueError, TypeError, KeyError):
                 entry["metrics_merged"] = False
-        kernel_events = obs.get("kernel_events")
-        if isinstance(kernel_events, list):
-            for event in kernel_events:
-                if isinstance(event, dict):
-                    self.log_event(
-                        "kernel-fallback",
-                        spec.experiment_id,
-                        **{str(k): v for k, v in event.items()},
-                    )
         spans = obs.get("spans")
         if isinstance(spans, list) and spans:
             tracer = tracing.get_tracer()

@@ -53,11 +53,11 @@ class SimulationError(ExperimentError):
 
 
 class KernelDivergenceError(SimulationError):
-    """A vectorized simulation kernel disagreed with the pure-Python
-    oracle (or failed its structural sanity checks).  The kernel is
-    quarantined for the rest of the process and the campaign continues
-    on the oracle path — this error is recorded in events and repro
-    bundles, not raised through the experiment."""
+    """A vectorized simulation kernel returned a result that breaks a
+    scalar invariant of its chunk (counts that do not match the chunk,
+    a decreasing counter, more misses than references).  Raised by
+    :func:`repro.mem.kernels.guard_run` before the simulator is touched;
+    it fails the attempt like any other simulation error."""
 
     category = "kernel-divergence"
 

@@ -95,17 +95,6 @@ finding code                defect class
                             entries are the truth)
 ``cache-quarantined``       quarantined entries present (warning:
                             forensic leftovers of served corruption)
-``kernel-divergence-bundle``  a vectorized-kernel divergence repro
-                            bundle under ``kernel-bundles/`` (warning:
-                            results are oracle-correct, the fast path
-                            misbehaved)
-``kernel-bundle-undecodable``  divergence bundle unreadable — the
-                            repro evidence is lost
-``kernel-bundle-incomplete``  partially written bundle (``*.tmp``;
-                            crash during divergence recording)
-``kernel-quarantined``      nonzero ``mem.kernel.*.divergences``
-                            counters in ``metrics.json`` (warning:
-                            oracle fallback computed the results)
 ``result-*`` / ``curve-*``  invariant-oracle findings on stored results
 ==========================  =============================================
 
@@ -1248,84 +1237,4 @@ def validate_run_dir(
             str(wal.relative_to(run_dir)),
         )
 
-    # -- kernel divergence audit trail --------------------------------
-    report.extend(validate_kernel_bundles(run_dir))
-
-    return report
-
-
-def validate_kernel_bundles(run_dir: Union[str, Path]) -> ValidationReport:
-    """Audit the kernel trust harness's divergence artifacts.
-
-    A campaign whose vectorized kernel diverged from the pure-Python
-    oracle completes on the oracle path and leaves two traces behind:
-    repro bundles under ``kernel-bundles/`` and nonzero
-    ``mem.kernel.<kernel>.divergences`` counters in ``metrics.json``.
-    Both are *warnings* — the results are oracle-correct — but an
-    operator must know the fast path misbehaved, and an undecodable
-    bundle is an error because the repro evidence is lost.
-    """
-    run_dir = Path(run_dir)
-    report = ValidationReport(subject=f"kernel-bundles {run_dir}")
-    bundle_dir = run_dir / "kernel-bundles"
-    if bundle_dir.is_dir():
-        for path in sorted(bundle_dir.glob("*.json")):
-            rel = str(path.relative_to(run_dir))
-            report.tick()
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                errors = check_schema(payload, schema_for("kernel-bundle"))
-                if errors:
-                    raise ValueError("; ".join(errors))
-            except (OSError, ValueError) as exc:
-                report.add(
-                    "kernel-bundle-undecodable",
-                    f"divergence repro bundle cannot be read: {exc}",
-                    path=rel,
-                )
-                continue
-            report.add(
-                "kernel-divergence-bundle",
-                f"{payload['kernel']} kernel diverged on chunk "
-                f"{payload['chunk']} ({payload['reason']}); the campaign "
-                "completed on the oracle path and this bundle reproduces "
-                "the divergence",
-                path=rel,
-                severity=SEVERITY_WARNING,
-            )
-        for leftover in sorted(bundle_dir.glob("*.tmp")):
-            report.tick()
-            report.add(
-                "kernel-bundle-incomplete",
-                "partially written repro bundle (crash during divergence "
-                "handling; safe to delete)",
-                path=str(leftover.relative_to(run_dir)),
-                severity=SEVERITY_WARNING,
-            )
-    metrics_path = run_dir / "metrics.json"
-    if metrics_path.is_file():
-        try:
-            snapshot = json.loads(metrics_path.read_text(encoding="utf-8"))
-            counters = snapshot.get("campaign", {}).get("counters", {})
-        except (OSError, ValueError, AttributeError):
-            counters = {}
-        if isinstance(counters, dict):
-            for name, value in sorted(counters.items()):
-                if (
-                    isinstance(name, str)
-                    and name.startswith("mem.kernel.")
-                    and name.endswith(".divergences")
-                    and isinstance(value, (int, float))
-                    and value > 0
-                ):
-                    kernel = name[len("mem.kernel."):-len(".divergences")]
-                    report.tick()
-                    report.add(
-                        "kernel-quarantined",
-                        f"the {kernel} kernel was quarantined after "
-                        f"{int(value)} divergence(s); results were computed "
-                        "by the pure-Python oracle fallback",
-                        path="metrics.json",
-                        severity=SEVERITY_WARNING,
-                    )
     return report

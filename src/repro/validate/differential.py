@@ -52,7 +52,7 @@ def _kernel_tier_scope(kernel_tier: Optional[str]):
     """Context manager pinning the simulation kernel tier for one check.
 
     ``kernel_tier="oracle"`` forces the pure-Python reference loops,
-    ``"vector"`` forces the vectorized kernels (still shadow-verified),
+    ``"vector"`` forces the vectorized kernels,
     and ``None`` leaves the ambient :mod:`repro.mem.kernels`
     configuration untouched — so existing callers see no behaviour
     change.

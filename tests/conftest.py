@@ -7,6 +7,10 @@ figures use reduced problems for exactly this reason.
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -54,3 +58,34 @@ def random_trace(num_refs: int, num_blocks: int, seed: int = 0) -> Trace:
     addrs = rng.integers(0, num_blocks, size=num_refs) * 8
     kinds = rng.integers(0, 2, size=num_refs).astype(np.uint8)
     return Trace(addrs.astype(np.int64), kinds)
+
+
+@contextmanager
+def count_kernel_calls():
+    """Count vector-kernel runs per kind while the block is active.
+
+    Wraps every entry of :data:`repro.mem.kernels.KERNELS`, which
+    :func:`~repro.mem.kernels.guard_run` looks up at call time; yields a
+    :class:`collections.Counter` keyed by kernel kind.
+    """
+    from repro.mem import kernels
+
+    calls: Counter = Counter()
+
+    def counting(kind, fn):
+        def run(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    wrapped = {kind: counting(kind, fn) for kind, fn in kernels.KERNELS.items()}
+    with mock.patch.dict(kernels.KERNELS, wrapped):
+        yield calls
+
+
+@pytest.fixture
+def kernel_calls():
+    """:func:`count_kernel_calls` for the whole test."""
+    with count_kernel_calls() as calls:
+        yield calls

@@ -1,12 +1,12 @@
-"""Tests for the vectorized simulation kernels and their trust harness.
+"""Tests for the vectorized simulation kernels.
 
 The contract under test (see ``docs/KERNELS.md``): the columnar numpy
 kernels in :mod:`repro.mem.kernels` must be *byte-identical* to the
-pure-Python hot loops at every chunk boundary, and when they are not —
-proven here with deterministic fault injection — the KernelGuard must
-record a typed divergence, quarantine the kernel, fall back to the
-oracle, and leave the campaign result exactly what the oracle alone
-would have produced.
+pure-Python hot loops at every chunk boundary, in the default
+configuration as much as under opt-in settings.  These tests, together
+with CI's whole-campaign tier-parity job, are what the vector tier is
+trusted on; the runtime only checks each chunk's scalar deltas, and a
+kernel result that breaks one raises before the simulator is touched.
 """
 
 import json
@@ -23,24 +23,22 @@ from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import StackDistanceRun, profile_trace
 from repro.mem.trace import Trace
 from repro.runtime.errors import KernelDivergenceError
+from tests.conftest import count_kernel_calls
 
 
 @pytest.fixture(autouse=True)
 def _clean_kernel_world(monkeypatch):
-    """Every test starts unconfigured, unquarantined, and fault-free."""
-    for name in (
-        kernels.TIER_ENV,
-        kernels.VERIFY_ENV,
-        kernels.MIN_REFS_ENV,
-        kernels.BUNDLE_DIR_ENV,
-        kernels.FAULT_ENV,
-    ):
-        monkeypatch.delenv(name, raising=False)
+    """Every test starts unconfigured, with no tier in the environment."""
+    monkeypatch.delenv(kernels.TIER_ENV, raising=False)
     kernels.clear_kernels(clear_env=False)
-    kernels.reset_kernel_state()
     yield
     kernels.clear_kernels(clear_env=False)
-    kernels.reset_kernel_state()
+
+
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    """Let the vector tier take chunks of any size."""
+    monkeypatch.setattr(kernels, "MIN_REFS", 0)
 
 
 def _trace(blocks, kinds=None):
@@ -58,29 +56,30 @@ def _mixed_trace(num_refs, num_blocks, seed=0):
     )
 
 
-def _vector(min_refs=0, **kwargs):
-    kernels.configure_kernels(
-        tier="vector", min_refs=min_refs, export_env=False, **kwargs
-    )
+def _vector():
+    kernels.configure_kernels(tier="vector", export_env=False)
 
 
-# -- configuration and fault grammar ---------------------------------------
+def _canonical(state):
+    return json.dumps(state, sort_keys=True)
+
+
+# -- configuration ---------------------------------------------------------
 
 
 class TestConfig:
     def test_defaults_from_empty_environment(self):
-        config = kernels.active_kernel_config()
-        assert config.tier == kernels.DEFAULT_TIER
-        assert config.verify_every == kernels.DEFAULT_VERIFY_EVERY
-        assert config.min_refs == kernels.DEFAULT_MIN_REFS
+        assert kernels.active_kernel_config() == kernels.KernelConfig(
+            tier=kernels.DEFAULT_TIER
+        )
+        assert kernels.MIN_REFS == 2048
 
-    def test_configure_exports_environment(self, monkeypatch):
-        kernels.configure_kernels(tier="oracle", verify_every=7)
-        assert kernels.active_kernel_config().tier == "oracle"
+    def test_configure_exports_environment(self):
         import os
 
+        kernels.configure_kernels(tier="oracle")
+        assert kernels.active_kernel_config().tier == "oracle"
         assert os.environ[kernels.TIER_ENV] == "oracle"
-        assert os.environ[kernels.VERIFY_ENV] == "7"
         kernels.clear_kernels()
         assert kernels.TIER_ENV not in os.environ
 
@@ -99,74 +98,57 @@ class TestConfig:
             with kernels.tier_override("turbo"):
                 pass
 
-    def test_parse_fault_spec(self):
-        faults = kernels.parse_fault_spec(
-            "fullassoc:wrong-count:1,stackdist:crash:3"
-        )
-        assert [(f.kernel, f.kind, f.nth) for f in faults] == [
-            ("fullassoc", "wrong-count", 1),
-            ("stackdist", "crash", 3),
-        ]
+    def test_mistyped_tier_in_environment_raises(self, monkeypatch):
+        monkeypatch.setenv(kernels.TIER_ENV, "orcale")
+        with pytest.raises(ValueError, match="orcale"):
+            kernels.active_kernel_config()
+        # A simulator must not quietly pick a tier either.
+        with pytest.raises(ValueError, match="orcale"):
+            FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
+        # An explicit tier replaces the environment's.
+        config = kernels.configure_kernels(tier="oracle", export_env=False)
+        assert config.tier == "oracle"
 
-    @pytest.mark.parametrize(
-        "raw",
-        ["nope", "fullassoc:wrong-count", "fullassoc:melt:1", "x:nan:1", "fullassoc:nan:0"],
-    )
-    def test_parse_fault_spec_rejects_garbage(self, raw):
-        with pytest.raises(ValueError):
-            kernels.parse_fault_spec(raw)
+    def test_cli_exits_2_on_mistyped_tier(self, monkeypatch, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        monkeypatch.setenv(kernels.TIER_ENV, "orcale")
+        run_dir = tmp_path / "run"
+        argv = ["--quick", "--jobs", "0", "--run-dir", str(run_dir), "table1"]
+        assert main(argv) == 2
+        assert "unknown kernel tier 'orcale'" in capsys.readouterr().out
+        assert not run_dir.exists()  # no attempt ran
 
 
 # -- guard engagement ------------------------------------------------------
 
 
 class TestGuard:
-    def test_vector_tier_engages_and_matches_oracle(self):
+    def test_vector_tier_engages_and_matches_oracle(self, kernel_calls):
         trace = _mixed_trace(4000, 64)
         _vector()
         stats = FullyAssociativeCache(32 * 8).run(trace)
-        assert kernels.kernel_state("fullassoc")["chunks"] == 1
-        assert kernels.kernel_state("fullassoc")["verified"] == 1
+        assert kernel_calls["fullassoc"] == 1
         with kernels.tier_override("oracle"):
             expected = FullyAssociativeCache(32 * 8).run(trace)
         assert stats.__dict__ == expected.__dict__
 
-    def test_small_chunks_stay_on_the_oracle(self):
-        _vector(min_refs=2048)
-        FullyAssociativeCache(32 * 8).run(_mixed_trace(100, 16))
-        assert kernels.kernel_state("fullassoc")["chunks"] == 0
+    def test_small_chunks_stay_on_the_oracle(self, kernel_calls):
+        _vector()
+        FullyAssociativeCache(32 * 8).run(_mixed_trace(kernels.MIN_REFS - 1, 16))
+        assert kernel_calls["fullassoc"] == 0
 
-    def test_oracle_tier_never_engages(self):
-        kernels.configure_kernels(tier="oracle", min_refs=0, export_env=False)
+    def test_oracle_tier_never_engages(self, tiny_chunks, kernel_calls):
+        kernels.configure_kernels(tier="oracle", export_env=False)
         profile_trace(_mixed_trace(4000, 64))
-        assert kernels.kernel_state("stackdist")["chunks"] == 0
+        assert kernel_calls["stackdist"] == 0
 
-    def test_out_of_domain_block_ids_fall_back(self):
+    def test_out_of_domain_block_ids_fall_back(self, tiny_chunks, kernel_calls):
         _vector()
         trace = _trace([0, 1, 2, (1 << 45)] * 300)
         stats = FullyAssociativeCache(32 * 8).run(trace)
-        assert kernels.kernel_state("fullassoc")["chunks"] == 0
+        assert kernel_calls["fullassoc"] == 0
         assert stats.accesses == len(trace)
-
-    def test_sampling_skips_between_verifies(self):
-        _vector(verify_every=3)
-        trace = _mixed_trace(1000, 32)
-        for _ in range(6):
-            FullyAssociativeCache(16 * 8).run(trace)
-        state = kernels.kernel_state("fullassoc")
-        assert state["chunks"] == 6
-        assert state["verified"] == 2  # ordinals 1 and 4
-
-
-# -- deterministic fault injection: the full detection matrix --------------
-
-
-_EXPECTED_REASON = {
-    "wrong-count": "shadow-verify",
-    "nan": "sanity",
-    "overflow": "sanity",
-    "crash": "kernel-crash",
-}
 
 
 def _split(trace, parts=3):
@@ -174,108 +156,124 @@ def _split(trace, parts=3):
     return [Trace(trace.addrs[p::parts], trace.kinds[p::parts]) for p in range(parts)]
 
 
-def _run_sim(kind, trace):
-    """Run one guarded simulator end to end; return its final state."""
+def _new_sim(kind):
     if kind == "multiproc":
-        sim = MultiprocessorMemory(3)
+        return MultiprocessorMemory(3)
+    if kind == "fullassoc":
+        return FullyAssociativeCache(32 * 8)
+    if kind == "setassoc":
+        return SetAssociativeCache(64 * 8, associativity=4)
+    return StackDistanceRun()
+
+
+def _chunk_for(kind, trace):
+    return _split(trace) if kind == "multiproc" else trace
+
+
+def _feed(kind, sim, trace):
+    """Advance ``sim`` over ``trace`` through its public entry point."""
+    if kind == "multiproc":
         sim.run_traces(_split(trace))
-    elif kind == "fullassoc":
-        sim = FullyAssociativeCache(32 * 8)
-        sim.run(trace)
-    elif kind == "setassoc":
-        sim = SetAssociativeCache(64 * 8, associativity=4)
-        sim.run(trace)
-    else:
-        sim = StackDistanceRun()
+    elif kind == "stackdist":
         sim.feed(trace)
+    else:
+        sim.run(trace)
+
+
+def _run_sim(kind, trace):
+    """Run a fresh simulator over ``trace``; return its final state."""
+    sim = _new_sim(kind)
+    _feed(kind, sim, trace)
     return sim.state_dict()
 
 
+class TestDefaultConfiguration:
+    """No environment and no ``configure_kernels``: what users run."""
+
+    @pytest.mark.parametrize("kind", kernels.KERNEL_KINDS)
+    def test_min_refs_chunk_takes_the_vector_tier_and_matches_oracle(self, kind):
+        trace = _mixed_trace(kernels.MIN_REFS * 3 // 2, 96, seed=4)
+        sim = _new_sim(kind)
+        assert kernels.guard_run(kind, sim, _chunk_for(kind, trace)) is True
+        with kernels.tier_override("oracle"):
+            expected = _run_sim(kind, trace)
+        assert _canonical(sim.state_dict()) == _canonical(expected)
+
+
+# -- the runtime invariant check -------------------------------------------
+
+
+_FAULTS = ("wrong-count", "decreasing", "nan", "overflow", "crash")
+
+
+def _corrupt(kind, fault, post, n):
+    """Break one scalar invariant of a kernel result, in place."""
+    if fault == "crash":
+        raise RuntimeError(f"injected {kind} kernel crash")
+    if kind == "stackdist":
+        stats, misses, count = post, "cold", "total"
+    else:
+        stats = post["stats"][0] if kind == "multiproc" else post["stats"]
+        misses, count = "read_misses", "reads"
+    if fault == "wrong-count":  # more misses than references
+        stats[misses] += n + 1
+    elif fault == "decreasing":
+        stats[misses] = -1
+    elif fault == "nan":
+        stats[misses] = float("nan")
+    else:  # overflow
+        stats[count] += 1 << 62
+
+
 class TestFaultMatrix:
+    """A kernel result that breaks a scalar invariant (misses above
+    references, a decreasing counter, NaN, a count off the chunk) or a
+    kernel that crashes fails the chunk loudly, and the simulator is
+    left exactly as it was, still usable on the oracle tier."""
+
     @pytest.mark.parametrize("kernel", kernels.KERNEL_KINDS)
-    @pytest.mark.parametrize("fault", kernels._FAULT_KINDS)
-    def test_every_fault_is_caught_and_survived(
-        self, kernel, fault, tmp_path, monkeypatch
-    ):
+    @pytest.mark.parametrize("fault", _FAULTS)
+    def test_every_fault_is_caught_and_survived(self, kernel, fault, monkeypatch):
         trace = _mixed_trace(3000, 48, seed=11)
+        real = kernels.KERNELS[kernel]
+
+        def faulty(state, blocks, kinds, **extra):
+            post = real(state, blocks, kinds, **extra)
+            _corrupt(kernel, fault, post, len(trace))
+            return post
+
+        monkeypatch.setitem(kernels.KERNELS, kernel, faulty)
+        sim = _new_sim(kernel)
+        before = _canonical(sim.state_dict())
+        expected_error = RuntimeError if fault == "crash" else KernelDivergenceError
+        with pytest.raises(expected_error):
+            kernels.guard_run(kernel, sim, _chunk_for(kernel, trace))
+        assert _canonical(sim.state_dict()) == before
+        # The untouched simulator finishes the chunk on the oracle tier.
         with kernels.tier_override("oracle"):
             expected = _run_sim(kernel, trace)
-
-        monkeypatch.setenv(kernels.FAULT_ENV, f"{kernel}:{fault}:1")
-        _vector(bundle_dir=tmp_path / "bundles")
-        got = _run_sim(kernel, trace)
-
-        # The campaign result is byte-identical to the pure oracle.
-        assert json.dumps(got, sort_keys=True) == json.dumps(
-            expected, sort_keys=True
-        )
-        state = kernels.kernel_state(kernel)
-        assert state["divergences"] == 1
-        assert state["quarantined"]
-        assert kernels.quarantined(kernel)
-        events = kernels.drain_kernel_events()
-        assert len(events) == 1
-        assert events[0]["kernel"] == kernel
-        assert events[0]["reason"] == _EXPECTED_REASON[fault]
-        assert events[0]["category"] == KernelDivergenceError("x").category
-        bundles = list((tmp_path / "bundles").glob("*.json"))
-        assert len(bundles) == 1
-        payload = json.loads(bundles[0].read_text())
-        assert payload["format"] == kernels.BUNDLE_FORMAT
-        assert payload["kernel"] == kernel
-        if kernel == "multiproc":
-            assert payload["blocks"] == [
-                t.block_ids(8).tolist() for t in _split(trace)
-            ]
-        else:
-            assert payload["blocks"] == trace.block_ids(8).tolist()
-
-    def test_quarantine_is_sticky_for_the_process(self, monkeypatch):
-        monkeypatch.setenv(kernels.FAULT_ENV, "fullassoc:crash:1")
-        _vector()
-        trace = _mixed_trace(3000, 48)
-        FullyAssociativeCache(32 * 8).run(trace)
-        assert kernels.quarantined("fullassoc")
-        FullyAssociativeCache(32 * 8).run(trace)
-        state = kernels.kernel_state("fullassoc")
-        assert state["chunks"] == 0  # never ran again
-        assert state["divergences"] == 1
-        # Other kernels are unaffected.
-        profile_trace(trace)
-        assert kernels.kernel_state("stackdist")["chunks"] == 1
-
-    def test_bad_fault_spec_disables_injection_with_one_event(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv(kernels.FAULT_ENV, "fullassoc:melt")
-        _vector()
-        trace = _mixed_trace(3000, 48)
-        FullyAssociativeCache(32 * 8).run(trace)
-        FullyAssociativeCache(32 * 8).run(trace)
-        events = kernels.drain_kernel_events()
-        assert [e["reason"] for e in events] == ["bad-fault-spec"]
-        assert kernels.kernel_state("fullassoc")["chunks"] == 2
+            _feed(kernel, sim, trace)
+        assert _canonical(sim.state_dict()) == _canonical(expected)
 
 
 # -- property: byte-identical state at every chunk boundary ----------------
 
 
 def _twin_check(make_vector_sim, make_oracle_sim, chunks):
-    """Feed identical chunks both ways; states must match at every cut."""
+    """Feed identical chunks both ways; states must match at every cut.
+    Returns the vector-kernel calls per kind."""
     _vector()
     vec = make_vector_sim()
     with kernels.tier_override("oracle"):
         ora = make_oracle_sim()
-    for chunk in chunks:
-        step = getattr(vec, "run", None) or vec.feed
-        step(chunk)
-        with kernels.tier_override("oracle"):
-            (getattr(ora, "run", None) or ora.feed)(chunk)
-        assert json.dumps(vec.state_dict(), sort_keys=True) == json.dumps(
-            ora.state_dict(), sort_keys=True
-        )
-    for kind in kernels.KERNEL_KINDS:
-        assert kernels.kernel_state(kind)["divergences"] == 0
+    with count_kernel_calls() as calls:
+        for chunk in chunks:
+            step = getattr(vec, "run", None) or vec.feed
+            step(chunk)
+            with kernels.tier_override("oracle"):
+                (getattr(ora, "run", None) or ora.feed)(chunk)
+            assert _canonical(vec.state_dict()) == _canonical(ora.state_dict())
+    return calls
 
 
 def _chunked(blocks, kinds, cuts):
@@ -291,6 +289,7 @@ block_lists = st.lists(st.integers(0, 7), min_size=1, max_size=60)
 cut_lists = st.lists(st.integers(0, 60), max_size=4)
 
 
+@pytest.mark.usefixtures("tiny_chunks")
 class TestPropertyEquivalence:
     @given(blocks=block_lists, cuts=cut_lists, data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -308,14 +307,12 @@ class TestPropertyEquivalence:
             lambda: FullyAssociativeCache(4 * 8),
             chunks,
         )
-        kernels.reset_kernel_state()
         for ways in (1, 2, 4):
             _twin_check(
                 lambda: SetAssociativeCache(8 * 8, associativity=ways),
                 lambda: SetAssociativeCache(8 * 8, associativity=ways),
                 chunks,
             )
-            kernels.reset_kernel_state()
         _twin_check(StackDistanceRun, StackDistanceRun, chunks)
 
     @pytest.mark.parametrize(
@@ -342,27 +339,21 @@ class TestPropertyEquivalence:
             lambda: FullyAssociativeCache(32 * 8),
             chunks,
         )
-        kernels.reset_kernel_state()
         _twin_check(
             lambda: SetAssociativeCache(32 * 8, associativity=2),
             lambda: SetAssociativeCache(32 * 8, associativity=2),
             chunks,
         )
-        kernels.reset_kernel_state()
         _twin_check(StackDistanceRun, StackDistanceRun, chunks)
 
     def test_warmup_and_reads_only_survive_the_kernel(self):
         trace = _mixed_trace(3000, 40, seed=3)
-        _vector()
-        vec = StackDistanceRun(warmup=500, count_reads_only=True)
-        vec.feed(trace)
-        assert kernels.kernel_state("stackdist")["chunks"] == 1
-        with kernels.tier_override("oracle"):
-            ora = StackDistanceRun(warmup=500, count_reads_only=True)
-            ora.feed(trace)
-        assert json.dumps(vec.state_dict(), sort_keys=True) == json.dumps(
-            ora.state_dict(), sort_keys=True
+        calls = _twin_check(
+            lambda: StackDistanceRun(warmup=500, count_reads_only=True),
+            lambda: StackDistanceRun(warmup=500, count_reads_only=True),
+            [trace],
         )
+        assert calls["stackdist"] == 1
 
 
 # -- the run-compressed depth engine ---------------------------------------
@@ -454,6 +445,7 @@ class TestStackDepthEngine:
         assert np.array_equal(depth[prev >= 0], full_depth[prev >= 0])
 
 
+@pytest.mark.usefixtures("tiny_chunks")
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestChunkBoundaryInsideRun:
     """Run-heavy traces cut inside a run: the second chunk's first block
@@ -463,8 +455,7 @@ class TestChunkBoundaryInsideRun:
         blocks, kinds = _run_heavy_trace(1500, 96, seed)
         cut = _cut_inside_run(blocks)
         chunks = _chunked(blocks, kinds, [cut])
-        _twin_check(make_sim, make_sim, chunks)
-        assert kernels.kernel_state(kind)["chunks"] == 2
+        assert _twin_check(make_sim, make_sim, chunks)[kind] == 2
 
     @pytest.mark.parametrize("ways", [1, 2, 4])
     def test_setassoc(self, seed, ways):
@@ -486,47 +477,44 @@ class TestChunkBoundaryInsideRun:
         )
 
 
-def test_assoc_study_vector_tier_equals_oracle():
+def test_assoc_study_vector_tier_equals_oracle(kernel_calls):
     from repro.experiments import assoc_study
 
     vector = assoc_study.run(n=128)
-    assert kernels.kernel_state("setassoc")["chunks"] > 0
-    assert kernels.kernel_state("setassoc")["divergences"] == 0
+    assert kernel_calls["setassoc"] > 0
     with kernels.tier_override("oracle"):
         oracle = assoc_study.run(n=128)
-    assert json.dumps(vector.to_dict(), sort_keys=True) == json.dumps(
-        oracle.to_dict(), sort_keys=True
-    )
+    assert _canonical(vector.to_dict()) == _canonical(oracle.to_dict())
 
 
-# -- campaign integration: the engine drains fallback events ---------------
+# -- campaign integration: a divergence fails the attempt ------------------
 
 
 class TestEngineIntegration:
-    def test_engine_logs_kernel_fallback_events(self, tmp_path, monkeypatch):
+    def test_engine_fails_the_attempt_on_kernel_divergence(self, tmp_path, monkeypatch):
         from repro.experiments.runner import ExperimentResult
         from repro.runtime.engine import CampaignEngine, EngineConfig
-        from repro.runtime.events import EventLog, read_events
+        from repro.runtime.events import EventLog
 
-        monkeypatch.setenv(kernels.FAULT_ENV, "fullassoc:wrong-count:1")
-        _vector()
+        def broken(state, blocks, kinds):
+            post = kernels.kernel_fullassoc(state, blocks, kinds)
+            post["stats"]["read_misses"] += len(blocks) + 1
+            return post
+
+        monkeypatch.setitem(kernels.KERNELS, "fullassoc", broken)
 
         class GuardedExperiment:
             def run(self, **kwargs):
                 FullyAssociativeCache(32 * 8).run(_mixed_trace(3000, 48))
                 return ExperimentResult("guarded", "guarded experiment")
 
-        log = EventLog(tmp_path / "events.jsonl")
         engine = CampaignEngine(
             {"guarded": (GuardedExperiment(), {})},
             config=EngineConfig(jobs=0, max_attempts=1, sleep=lambda s: None),
-            event_log=log,
+            event_log=EventLog(tmp_path / "events.jsonl"),
         )
         report = engine.run()
-        assert report.succeeded  # the campaign completed despite the fault
-        records = read_events(tmp_path / "events.jsonl")
-        fallbacks = [r for r in records if r.get("event") == "kernel-fallback"]
-        assert len(fallbacks) == 1
-        assert fallbacks[0]["kernel"] == "fullassoc"
-        assert fallbacks[0]["category"] == "kernel-divergence"
-        assert not kernels.drain_kernel_events()  # engine drained them
+        assert report.failed_ids == ["guarded"]
+        (failure,) = report.outcome("guarded").failures
+        assert failure.category == KernelDivergenceError.category
+        assert "misses exceed references" in failure.message

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.mem import kernels
 from repro.mem.multiproc import MultiprocessorMemory
 from repro.mem.trace import Access, READ, Trace, TraceBuilder, WRITE
+from tests.conftest import count_kernel_calls
 
 
 class TestConstruction:
@@ -157,15 +158,12 @@ class TestEvictionDirectoryConsistency:
 
 
 @pytest.fixture
-def vector_tier():
-    """The vector tier on every chunk size, without shadow replays."""
-    kernels.configure_kernels(
-        tier="vector", min_refs=0, verify_every=0, export_env=False
-    )
-    kernels.reset_kernel_state()
-    yield
+def vector_tier(monkeypatch, kernel_calls):
+    """The vector tier on every chunk size; yields the kernel calls."""
+    monkeypatch.setattr(kernels, "MIN_REFS", 0)
+    kernels.configure_kernels(tier="vector", export_env=False)
+    yield kernel_calls
     kernels.clear_kernels(clear_env=False)
-    kernels.reset_kernel_state()
 
 
 def _state(mem):
@@ -220,25 +218,25 @@ class TestCoherenceKernel:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle_across_windows_and_resets(self, calls, window, spread):
-        kernels.configure_kernels(
-            tier="vector", min_refs=0, verify_every=0, export_env=False
-        )
+        kernels.configure_kernels(tier="vector", export_env=False)
         try:
             procs = len(calls[0])
             vec = MultiprocessorMemory(procs)
             with kernels.tier_override("oracle"):
                 ora = MultiprocessorMemory(procs)
             touched = set()
-            with mock.patch.object(kernels, "MULTIPROC_WINDOW_REFS", window):
+            with mock.patch.object(
+                kernels, "MULTIPROC_WINDOW_REFS", window
+            ), mock.patch.object(kernels, "MIN_REFS", 0), count_kernel_calls() as runs:
                 for call in calls:
                     traces = [_trace(refs, spread) for refs in call]
                     touched.update(b for refs in call for b, _ in refs)
                     refs = sum(len(t) for t in traces)
                     dense = spread == 1 or len(touched) <= 1
-                    before = kernels.kernel_state("multiproc")["chunks"]
+                    before = runs["multiproc"]
                     vec.reset_stats()
                     vec.run_traces(traces)
-                    engaged = kernels.kernel_state("multiproc")["chunks"] - before
+                    engaged = runs["multiproc"] - before
                     assert engaged == int(refs > 0 and dense)
                     with kernels.tier_override("oracle"):
                         ora.reset_stats()
@@ -254,7 +252,7 @@ class TestCoherenceKernel:
         mem = MultiprocessorMemory(2)
         mem.run_traces([_trace([(0, WRITE)] * 5), _trace([(0, READ)] * 3)])
         mem.run_traces([_trace([(1, READ)]), _trace([])])
-        assert kernels.kernel_state("multiproc")["chunks"] == 2
+        assert vector_tier["multiproc"] == 2
 
     @pytest.mark.parametrize(
         "make",
@@ -268,7 +266,7 @@ class TestCoherenceKernel:
         mem, procs = make()
         traces = [_trace([(p, WRITE), (0, READ)]) for p in range(procs)]
         mem.run_traces(traces)
-        assert kernels.kernel_state("multiproc")["attempts"] == 0
+        assert vector_tier["multiproc"] == 0
         assert mem.aggregate().accesses == 2 * procs
 
     def test_sparse_block_ids_use_the_loop(self, vector_tier):
@@ -281,7 +279,7 @@ class TestCoherenceKernel:
             mem.run_traces(traces)
             with kernels.tier_override("oracle"):
                 ora.run_traces(traces)
-        assert kernels.kernel_state("multiproc")["attempts"] == 1
+        assert vector_tier["multiproc"] == 1
         assert _state(mem) == _state(ora)
 
     def test_streamed_traces_use_the_loop(self, vector_tier, tmp_path):
@@ -296,7 +294,7 @@ class TestCoherenceKernel:
             traces.append(builder.build())
         mem = MultiprocessorMemory(2)
         mem.run_traces(traces)
-        assert kernels.kernel_state("multiproc")["attempts"] == 0
+        assert vector_tier["multiproc"] == 0
         assert mem.stats[1].invalidations_received == 0
         assert mem.stats[0].invalidations_received == 10
 
@@ -325,7 +323,7 @@ class TestBarnesHutPhases:
                 ora.reset_stats()
                 ora.run_traces(traces)
             assert _state(vec) == _state(ora)
-        assert kernels.kernel_state("multiproc")["chunks"] == 3
+        assert vector_tier["multiproc"] == 3
 
 
 def test_budget_expiring_inside_the_kernel_propagates(vector_tier):
@@ -344,6 +342,4 @@ def test_budget_expiring_inside_the_kernel_propagates(vector_tier):
         with budget_mod.activate(deadline):
             with pytest.raises(BudgetExceeded):
                 mem.run_traces(traces)
-    state = kernels.kernel_state("multiproc")
-    assert state["divergences"] == 0 and not state["quarantined"]
     assert mem.aggregate().accesses == 0  # the machine is untouched

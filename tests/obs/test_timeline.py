@@ -209,14 +209,6 @@ class TestRecorder:
         assert not obs_metrics.obs_enabled()
         assert tl.active_recorder() is None
 
-    def test_inactive_under_suppressed_sampling(self, tmp_path):
-        obs_metrics.set_obs_enabled(True)
-        tl.configure_timeline(tmp_path / "timeline.jsonl")
-        assert tl.active_recorder() is not None
-        with obs_metrics.suppress_hot_loop_sampling():
-            assert tl.active_recorder() is None
-        assert tl.active_recorder() is not None
-
     def test_env_handoff_roundtrip(self, tmp_path, monkeypatch):
         import os
 
@@ -327,22 +319,6 @@ class TestSimulatorHooks:
         profile_trace(trace)
         FullyAssociativeCache(1024).run(trace)
         assert not (tmp_path / "timeline.jsonl").exists()
-
-    def test_kernel_trust_replay_writes_no_duplicate_rows(self, tmp_path):
-        """verify_every=1 shadow-replays every chunk through the oracle;
-        the replay must not double-count timeline rows."""
-        from repro.mem import kernels
-        from repro.mem.cache import FullyAssociativeCache
-
-        obs_metrics.set_obs_enabled(True)
-        tl.configure_timeline(tmp_path / "timeline.jsonl")
-        kernels.configure_kernels(tier="vector", verify_every=1)
-        try:
-            FullyAssociativeCache(128 * 8).run(self._trace(refs=10_000))
-        finally:
-            kernels.clear_kernels()
-        rows = tl.read_timeline(tmp_path / "timeline.jsonl")
-        assert len(rows) == 1
 
 
 class TestLoadWorkingSet:

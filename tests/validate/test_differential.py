@@ -155,42 +155,29 @@ class TestKernelTier:
     """The kernel_tier= parameter pins the simulation kernel tier."""
 
     @pytest.fixture(autouse=True)
-    def _clean_kernels(self):
+    def _clean_kernels(self, monkeypatch):
         from repro.mem import kernels
 
+        monkeypatch.setattr(kernels, "MIN_REFS", 0)
         kernels.clear_kernels(clear_env=False)
-        kernels.reset_kernel_state()
         yield
         kernels.clear_kernels(clear_env=False)
-        kernels.reset_kernel_state()
 
-    def test_vector_tier_engages_and_passes(self):
-        from repro.mem import kernels
-
-        kernels.configure_kernels(min_refs=0, export_env=False)
+    def test_vector_tier_engages_and_passes(self, kernel_calls):
         from tests.conftest import random_trace
 
         trace = random_trace(2_000, 64, seed=9)
         report = cross_check_trace(trace, kernel_tier="vector")
         assert report.ok
-        assert any(
-            kernels.kernel_state(kind)["chunks"] > 0
-            for kind in kernels.KERNEL_KINDS
-        )
+        assert sum(kernel_calls.values()) > 0
 
-    def test_oracle_tier_never_engages(self):
-        from repro.mem import kernels
-
-        kernels.configure_kernels(min_refs=0, export_env=False)
+    def test_oracle_tier_never_engages(self, kernel_calls):
         from tests.conftest import random_trace
 
         trace = random_trace(2_000, 64, seed=9)
         report = cross_check_trace(trace, kernel_tier="oracle")
         assert report.ok
-        assert all(
-            kernels.kernel_state(kind)["chunks"] == 0
-            for kind in kernels.KERNEL_KINDS
-        )
+        assert sum(kernel_calls.values()) == 0
 
     def test_ambient_config_restored_after_check(self):
         from repro.mem import kernels
