@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-import scipy.spatial
 
 
 @dataclass
@@ -55,6 +54,10 @@ class UnstructuredMesh:
 
 
 def _triangulate(points: np.ndarray) -> UnstructuredMesh:
+    # Imported here: scipy costs ~0.5 s, and every CLI start imports
+    # this module through the experiment registry.
+    import scipy.spatial
+
     tri = scipy.spatial.Delaunay(points)
     adjacency = [set() for _ in range(points.shape[0])]
     for simplex in tri.simplices:

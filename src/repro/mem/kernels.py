@@ -29,21 +29,25 @@ blocks since the previous reference to the same block, inclusive) is
     depth[i] = #{ j in (prev[i], i] : next[j] > i }
              = S_i - D_{prev[i]}
 
-where ``S_i = (i+1) - #{j : next[j] <= i}`` is the live-interval count
-at time ``i`` and ``D_p = #{k < p : next[k] > next[p]}`` is a
-per-element inversion count of the ``next`` sequence.  ``S`` comes from
-one ``bincount``/``cumsum`` pass; ``D`` from a bit-wise radix
-partition ("wavelet") sweep that needs no sorting or searching per
-level.  Cross-chunk exactness uses a synthetic prefix: the simulator
-state is fully characterised by its blocks in last-access order
-(the same invariant ``StackDistanceRun._compact`` relies on), so
+where ``S_i`` is the number of distinct blocks seen through ``i`` (a
+cumsum of first occurrences) and ``D_p = #{k < p : next[k] > next[p]}``
+is a per-element inversion count of the ``next`` sequence.  The
+finite ``next`` values are the positions that have a ``prev``, so
+their dense ranks come from one more cumsum, and ``D`` from a bit-wise
+radix partition over that dense permutation: at every level each
+element's segment is the aligned block of positions holding its rank
+prefix, so a level is two stable compressions and no segment bounds
+are carried.  Cross-chunk exactness uses a synthetic prefix: the
+simulator state is fully characterised by its blocks in last-access
+order (the same invariant ``StackDistanceRun._compact`` relies on), so
 prepending those blocks as synthetic references makes chunk-local
 depths equal the global ones.  The engine runs on run heads only: a
 reference repeating the block just before it has depth 1 and changes
 no other depth, so it is dropped and added back afterwards.
 
-Everything is value-sorts of packed int64 keys, ``bincount`` and
-``cumsum`` — ``np.argsort``/``np.searchsorted`` are avoided entirely
+One value sort of packed int64 ``(id, position)`` keys links the
+occurrences; everything after it is int32 cumsums, compressions and
+gathers — ``np.argsort``/``np.searchsorted`` are avoided entirely
 (they are an order of magnitude slower on small/medium arrays).
 
 The write-invalidate coherence kernel (infinite caches) needs no
@@ -84,67 +88,55 @@ def _pow2ceil(n: int) -> int:
     return 1 << max(int(n - 1).bit_length(), 0) if n > 1 else 1
 
 
-def _per_element_inversions(ranks: np.ndarray) -> np.ndarray:
-    """``D[j] = #{k < j : ranks[k] > ranks[j]}`` for distinct int ranks.
+def _deal(clear: np.ndarray, set_: np.ndarray, half: int, out: np.ndarray) -> None:
+    """Fill each aligned block of ``2 * half`` positions of ``out`` with
+    its share of ``clear`` and then of ``set_`` (both in stream order):
+    ``half`` of each for a full block, what is left for the last one."""
+    rows = out.shape[0] // (2 * half)
+    split = rows * half
+    blocks = out[: 2 * split].reshape(rows, 2, half)
+    blocks[:, 0] = clear[:split].reshape(rows, half)
+    blocks[:, 1] = set_[:split].reshape(rows, half)
+    tail = split + clear.shape[0]
+    out[2 * split : tail] = clear[split:]
+    out[tail:] = set_[split:]
 
-    Bit-wise top-down radix partition: a pair ``(k < j, rank_k >
-    rank_j)`` is counted exactly once, at the highest bit where the two
-    ranks diverge.  Per level: one cumsum, two gathers, two scatters —
-    no sorts.  The element's rank and running count share one int64
-    (``P``), as do its partition bounds (``Q``), halving scatter
-    traffic; counts can never carry into the rank bits because
-    ``D < m < 2**_PACK``.
+
+def _per_element_inversions(ranks: np.ndarray) -> np.ndarray:
+    """Inversion counts of a permutation ``ranks`` of ``0..m-1``, in
+    rank order: ``out[ranks[j]] = #{k < j : ranks[k] > ranks[j]}``.
+
+    Top-down radix partition: a pair ``(k < j, ranks[k] > ranks[j])``
+    is counted once, at the highest bit where the two ranks differ.
+    The ranks are dense, so once the elements are partitioned on the
+    bits above ``s``, each sits in the aligned block of ``2**(s+1)``
+    positions that holds its rank prefix, and that block holds
+    ``min(2**s, m - start)`` elements with bit ``s`` clear.  A level is
+    two stable compressions (bit clear, bit set) dealt back into the
+    blocks; no segment bounds are carried.  A cleared element gains the
+    set ones before it in its block, which is how far the level moves
+    it left.  After bit 0 every element sits at its rank.
     """
     m = int(ranks.shape[0])
-    out = np.zeros(m, dtype=np.int64)
-    if m < 2:
-        return out
-    nbits = int(m - 1).bit_length()
-    pack = 29  # supports m up to 2**28 references per chunk
-    mask = (1 << pack) - 1
-    p = ranks.astype(np.int64) << pack
-    q = np.full(m, m, dtype=np.int64)  # start=0, end=m packed
-    pos = np.arange(m, dtype=np.int32)
-    for shift in range(nbits - 1, -1, -1):
-        # int64 only for the pack containers and fancy indices (int64
-        # index gathers/scatters are ~3x faster than int32 ones here);
-        # all per-pass arithmetic runs in int32.
-        b = (p >> (pack + shift)).astype(np.int32) & 1
-        start = q >> pack
-        end = q & mask
-        c = np.cumsum(b, dtype=np.int32)
-        t = c - b  # ones strictly before each position (exclusive cumsum)
-        tpad = np.append(t, c[-1])
-        g_start = t[start]
-        ones_before = t - g_start
-        ones_total = tpad[end] - g_start
-        p += ones_before * (1 - b)
-        if shift == 0:
-            break
-        s32 = start.astype(np.int32)
-        e32 = end.astype(np.int32)
-        zeros_before = (pos - s32) - ones_before
-        zeros_total = (e32 - s32) - ones_total
-        dest = (
-            s32
-            + zeros_before
-            + b * (zeros_total + ones_before - zeros_before)
-        ).astype(np.int64)
-        new_start = s32 + b * zeros_total
-        new_q = (new_start.astype(np.int64) << pack) | (
-            new_start + zeros_total + b * (ones_total - zeros_total)
-        )
-        p2 = np.empty_like(p)
-        q2 = np.empty_like(q)
-        p2[dest] = p
-        q2[dest] = new_q
-        p, q = p2, q2
-    # p is in partition order but still carries each element's distinct
-    # rank, so scatter counts to rank space and gather per position.
-    by_rank = np.empty(m, dtype=np.int64)
-    by_rank[p >> pack] = p & mask
-    out[:] = by_rank[ranks]
-    return out
+    counts = np.zeros(m, dtype=np.int32)
+    rank = ranks.astype(np.int32)
+    positions = np.arange(m, dtype=np.int32)
+    for shift in range(int(m - 1).bit_length() - 1, -1, -1):
+        half = 1 << shift
+        clear = (rank & half) == 0
+        # Old position less new: the j-th cleared one lands at j + (j & -half).
+        moved = np.compress(clear, counts + positions)
+        j = positions[: moved.shape[0]]
+        moved -= j
+        moved -= j & -half
+        rank_clear = np.compress(clear, rank)
+        np.logical_not(clear, out=clear)
+        rank_set = np.compress(clear, rank)
+        counts_set = np.compress(clear, counts)
+        del clear
+        _deal(rank_clear, rank_set, half, rank)
+        _deal(moved, counts_set, half, counts)
+    return counts
 
 
 def _link_occurrences(
@@ -153,26 +145,25 @@ def _link_occurrences(
     """Link same-block occurrences in one packed value sort.
 
     Returns ``(prev, nxt, last_mask)``: index of the previous/next
-    occurrence of each position's block (-1 / ``m`` when none) and a
-    mask of each block's final occurrence.
+    occurrence of each position's block (-1 / ``m`` when none; int32)
+    and a mask of each block's final occurrence.
     """
     m = int(ids.shape[0])
-    arange = np.arange(m, dtype=np.int64)
-    prev = np.full(m, -1, dtype=np.int64)
-    nxt = np.full(m, m, dtype=np.int64)
-    if m < 2:
-        return prev, nxt, np.ones(m, dtype=bool)
+    prev = np.full(m, -1, dtype=np.int32)
+    nxt = np.full(m, m, dtype=np.int32)
     k = _pow2ceil(m)
-    # Group occurrences by block id with one *value* sort of packed
-    # (id, position) keys; within a block, positions come out ascending.
-    packed = np.sort(ids * k + arange)
-    pos_sorted = packed & (k - 1)
-    id_sorted = packed // k
-    same = np.empty(m, dtype=bool)
-    same[0] = False
-    np.equal(id_sorted[1:], id_sorted[:-1], out=same[1:])
-    tail = pos_sorted[1:][same[1:]]
-    head = pos_sorted[:-1][same[1:]]
+    # Group occurrences by block id with one in-place *value* sort of
+    # packed (id, position) keys; within a block, positions ascend.
+    packed = np.multiply(ids, k, dtype=np.int64)
+    packed += np.arange(m, dtype=np.int64)
+    packed.sort()
+    same = (packed[1:] ^ packed[:-1]) < k
+    packed &= k - 1
+    pos = packed.astype(np.int32)
+    del packed
+    tail = np.compress(same, pos[1:])
+    head = np.compress(same, pos[:-1])
+    del pos, same
     prev[tail] = head
     nxt[head] = tail
     return prev, nxt, nxt == m
@@ -181,10 +172,11 @@ def _link_occurrences(
 def _stack_depths(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact LRU stack depths for one sequence of block ids.
 
-    Returns ``(depth, prev, last_mask)`` where ``prev[i]`` is the index
-    of the previous occurrence of ``ids[i]`` (-1 if none), ``depth[i]``
-    is the 1-based Mattson stack depth (valid where ``prev[i] >= 0``)
-    and ``last_mask[i]`` marks each block's final occurrence.
+    Returns int32 ``(depth, prev)`` and ``last_mask``: ``prev[i]`` is
+    the index of the previous occurrence of ``ids[i]`` (-1 if none),
+    ``depth[i]`` the 1-based Mattson stack depth where ``prev[i] >= 0``
+    (elsewhere the distinct blocks seen through ``i``), and
+    ``last_mask[i]`` marks each block's final occurrence.
 
     Run compression: a reference repeating the block just before it
     has depth 1, and dropping it changes no other depth (any window
@@ -203,9 +195,9 @@ def _stack_depths(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     del head
     depth_h, prev_h, last_h = _run_head_depths(ids[heads])
     run_end = np.append(heads[1:], m) - 1
-    depth = np.ones(m, dtype=np.int64)
+    depth = np.ones(m, dtype=np.int32)
     depth[heads] = depth_h
-    prev = np.arange(-1, m - 1, dtype=np.int64)
+    prev = np.arange(-1, m - 1, dtype=np.int32)
     prev[heads] = np.where(prev_h >= 0, run_end[prev_h], -1)
     last_mask = np.zeros(m, dtype=bool)
     last_mask[run_end[last_h]] = True
@@ -217,38 +209,24 @@ def _run_head_depths(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_stack_depths` for a sequence with no immediate repeats
     (any sequence is correct; repeats just cost full price)."""
-    m = int(ids.shape[0])
-    if m == 0:
-        zero = np.zeros(0, dtype=np.int64)
-        return zero, np.full(0, -1, dtype=np.int64), np.zeros(0, dtype=bool)
-    arange = np.arange(m, dtype=np.int64)
-    if m == 1:
-        return (
-            np.ones(1, dtype=np.int64),
-            np.full(1, -1, dtype=np.int64),
-            np.ones(1, dtype=bool),
-        )
     prev, nxt, last_mask = _link_occurrences(ids)
-    # Distinct sentinels (> every finite next) for final occurrences.
-    nxt = nxt + last_mask * arange
-    # S_i = (i+1) - #{j : next[j] <= i}; sentinels never land <= i.
-    counts = np.bincount(nxt, minlength=2 * m)
-    live = arange + 1 - np.cumsum(counts[:m])
-    # Sentinel elements always outrank finite ones, so their
-    # contribution to D is just "sentinels seen so far"; the wavelet
-    # sweep only runs over the finite-next positions.
-    finite = ~last_mask
-    sent_before = np.cumsum(last_mask) - last_mask
-    fin_next = nxt[finite]
-    # Dense ranks of the (distinct) finite next values via bincount.
-    fin_counts = np.cumsum(np.bincount(fin_next, minlength=m))
-    fin_ranks = fin_counts[fin_next] - 1
-    d_fin = _per_element_inversions(fin_ranks)
-    d_all = np.zeros(m, dtype=np.int64)
-    d_all[finite] = d_fin
-    d_all += sent_before
     has_prev = prev >= 0
-    depth = live - d_all[np.maximum(prev, 0)] * has_prev
+    # The finite next values are exactly the positions with a prev, so
+    # their dense ranks count those positions strictly before them.
+    rank_at = np.cumsum(has_prev, dtype=np.int32)
+    rank_at -= has_prev
+    ranks = rank_at[np.compress(~last_mask, nxt)]
+    del nxt, rank_at
+    # Rank q is the prev of the q-th position that has one.  Sentinels
+    # (final occurrences) outrank every finite next: add those before it.
+    d_prev = _per_element_inversions(ranks)
+    del ranks
+    sentinels = np.cumsum(last_mask, dtype=np.int32)
+    sentinels -= last_mask
+    d_prev += sentinels[np.compress(has_prev, prev)]
+    del sentinels
+    depth = np.cumsum(~has_prev, dtype=np.int32)  # S: distinct blocks so far
+    depth[has_prev] -= d_prev
     return depth, prev, last_mask
 
 
@@ -793,6 +771,10 @@ TIERS = ("vector", "oracle")
 #: the numpy fixed costs; the pure loops run instead.
 MIN_REFS = 2048
 
+#: The depth engine indexes the chunk plus its synthetic prefix in
+#: int32; the guard declines a prefixed chunk this long.
+MAX_REFS = 1 << 28
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -976,9 +958,15 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         ):
             return False
         n = sum(len(t) for t in trace)
+        prefix_bound = 0
     else:
         n = len(trace)
-    if n == 0 or n < MIN_REFS or n >= (1 << 28):
+        # At most this many residents join the chunk as its prefix.
+        if kernel == "stackdist":
+            prefix_bound = len(sim._last_time)
+        else:
+            prefix_bound = sim.capacity_bytes // sim.block_size
+    if n == 0 or n < MIN_REFS or n + prefix_bound >= MAX_REFS:
         return False
     from repro.obs import metrics as obs_metrics
     from repro.obs.metrics import hot_loop_sampler
@@ -999,10 +987,6 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         bmax = int(blocks.max())
         # The depth engine packs (id, position) into int64 keys; the block
         # ids must leave room for the position bits of the prefixed chunk.
-        if kernel == "stackdist":
-            prefix_bound = len(sim._last_time)
-        else:
-            prefix_bound = sim.capacity_bytes // sim.block_size
         k = _pow2ceil(n + prefix_bound + 1)
         if bmin < 0 or bmax >= min(_MAX_BLOCK_ID, (1 << 62) // k):
             return False

@@ -15,6 +15,31 @@ def test_subcommands_cannot_shadow_experiment_ids():
     assert not set(SUBCOMMANDS) & set(EXPERIMENTS)
 
 
+def test_cli_import_does_not_load_scipy():
+    """Every CLI start, campaign parent and worker imports the
+    experiment registry; scipy (~0.5 s) loads only when a mesh is
+    triangulated."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    probe = (
+        "import sys, repro.experiments.__main__; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestValidateSubcommand:
     def test_missing_run_dir_exits_1(self, tmp_path, capsys):
         code = main(["validate", str(tmp_path / "absent")])

@@ -150,6 +150,29 @@ class TestGuard:
         assert kernel_calls["fullassoc"] == 0
         assert stats.accesses == len(trace)
 
+    def test_resident_prefix_counts_toward_max_refs(self, monkeypatch, kernel_calls):
+        """The engine runs on the chunk plus its synthetic prefix, so a
+        chunk below ``MAX_REFS`` is declined once the blocks already seen
+        push the prefixed length over it."""
+        _vector()
+        rng = np.random.default_rng(9)
+        first = _trace(rng.permutation(3000))  # 3000 distinct blocks
+        second = _trace(rng.integers(0, 6000, size=2500))
+        monkeypatch.setattr(kernels, "MAX_REFS", 4000)
+        assert kernels.guard_run("stackdist", StackDistanceRun(), second) is True
+        sim = StackDistanceRun()
+        sim.feed(first)
+        before = _canonical(sim.state_dict())
+        assert kernels.guard_run("stackdist", sim, second) is False
+        assert _canonical(sim.state_dict()) == before
+        sim.feed(second)  # declined again: the per-reference loop runs
+        assert kernel_calls["stackdist"] == 2
+        with kernels.tier_override("oracle"):
+            oracle = StackDistanceRun()
+            oracle.feed(first)
+            oracle.feed(second)
+        assert _canonical(sim.state_dict()) == _canonical(oracle.state_dict())
+
 
 def _split(trace, parts=3):
     """Deal a trace out to ``parts`` processors round-robin."""
@@ -415,7 +438,53 @@ def _cut_inside_run(blocks):
     return middle + int(inside[0])
 
 
+def _brute_inversions(ranks):
+    """``D[j] = #{k < j : ranks[k] > ranks[j]}`` from all pairs."""
+    ranks = np.asarray(ranks)
+    greater = ranks[None, :] > ranks[:, None]  # [j, k]: ranks[k] > ranks[j]
+    return np.tril(greater, -1).sum(axis=1)
+
+
+_INVERSION_SIZES = sorted(
+    set(range(71)) | {(1 << k) + d for k in range(1, 13) for d in (-1, 0, 1)}
+)
+
+
 class TestStackDepthEngine:
+    @pytest.mark.parametrize("m", _INVERSION_SIZES)
+    def test_inversions_match_brute_force(self, m):
+        """Every size up to 70 and around each power of two: the last
+        aligned block of the partition is full, partial or a single
+        element."""
+        ranks = np.random.default_rng(m).permutation(m)
+        by_rank = kernels._per_element_inversions(ranks)
+        assert by_rank.dtype == np.int32
+        assert np.array_equal(by_rank[ranks], _brute_inversions(ranks))
+
+    def test_outputs_are_int32(self):
+        blocks, _ = _run_heavy_trace(3000, 50, seed=2)
+        for engine in (kernels._stack_depths, kernels._run_head_depths):
+            depth, prev, last_mask = engine(blocks)
+            assert depth.dtype == np.int32 and prev.dtype == np.int32
+            assert last_mask.dtype == bool
+
+    def test_peak_memory_per_reference(self):
+        """A 1M-reference chunk with no repeats (the whole chunk goes
+        through the inversion pass) stays under 96 bytes per reference."""
+        import tracemalloc
+
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, 1 << 16, size=1_100_000)
+        ids = ids[np.flatnonzero(np.diff(ids, prepend=-1))][:1_000_000]
+        assert ids.shape[0] == 1_000_000
+        tracemalloc.start()
+        try:
+            kernels._stack_depths(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * ids.shape[0]
+
     @given(ids=run_heavy())
     @settings(max_examples=200, deadline=None)
     def test_matches_naive_definition_on_run_heavy_input(self, ids):
