@@ -7,7 +7,8 @@ parameterization), per-experiment wall-clock budgets bound hangs, and
 completed results are checkpointed for resume.
 
 By default (``--jobs 1``) every attempt runs hard-isolated in its own
-supervised subprocess (:mod:`repro.runtime.workers`): ``--jobs N``
+supervised worker process, forked from one preloaded fork server per
+campaign (:mod:`repro.runtime.workers`): ``--jobs N``
 runs N experiments concurrently, ``--hard-timeout-seconds`` kills
 non-cooperative hangs with SIGTERM→SIGKILL, and ``--max-rss-mb``
 rlimits each worker's address space so an OOM takes down one worker,
@@ -223,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run N experiments concurrently, each attempt in its own "
-        "supervised subprocess; 0 = legacy in-process serial backend "
-        "(default: 1)",
+        "supervised worker process forked from one preloaded fork "
+        "server; 0 = legacy in-process serial backend (default: 1)",
     )
     parser.add_argument(
         "--nodes",
@@ -1166,7 +1167,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     store = CheckpointStore(run_dir) if run_dir else None
 
     # Out-of-core trace streaming: install the ambient configuration
-    # (module global + environment, so worker subprocesses inherit it).
+    # (module global + environment, so worker processes inherit it).
     # Under --run-dir/--resume the shards and simulator checkpoints
     # live inside the run directory, which keeps them on the same
     # filesystem as the journal and lets resume find the mid-simulation

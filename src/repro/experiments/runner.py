@@ -4,13 +4,13 @@ Every experiment driver produces an :class:`ExperimentResult` holding
 the measured/model series plus paper-vs-measured comparisons, so that
 tests, benchmarks and EXPERIMENTS.md all consume the same object.
 
-This module is also the *worker-side* entry point of the hard-isolation
-backend (:mod:`repro.runtime.workers`): ``python -m
-repro.experiments.runner`` reads one JSON
-:class:`~repro.runtime.workers.AttemptSpec` from stdin, applies its
+This module also holds the *worker-side* entry point of the
+hard-isolation backend (:mod:`repro.runtime.workers`): a worker forked
+by :mod:`repro.runtime.forkserver` calls :func:`worker_main` with one
+JSON :class:`~repro.runtime.workers.AttemptSpec`, which applies its
 address-space rlimit to itself, rebuilds the experiment runner and
 kwargs, runs exactly one attempt under the cooperative budget, and
-writes one JSON payload to stdout (see :func:`worker_main`).
+writes one JSON payload to its payload fd.
 """
 
 from __future__ import annotations
@@ -164,38 +164,34 @@ class ExperimentResult:
 # -- worker-side entry point (hard-isolation backend) ---------------------
 
 
-def worker_main(stdin_text: Optional[str] = None) -> int:
+def worker_main(spec_text: str, payload_fd: int) -> int:
     """Run one experiment attempt as a supervised worker process.
 
-    Protocol (see :mod:`repro.runtime.workers`): one JSON
-    ``AttemptSpec`` arrives on stdin; one JSON payload leaves on
-    stdout — ``{"ok": true, "result": ...}`` or ``{"ok": false,
-    "failure": ...}`` with a pre-classified ``ExperimentFailure``.
-    Exit status 0 means the payload was delivered (success *or*
-    classified failure); anything else is a crash for the supervisor to
-    classify.
+    Protocol (see :mod:`repro.runtime.workers`): ``spec_text`` is one
+    JSON ``AttemptSpec``; one JSON payload leaves on ``payload_fd`` —
+    ``{"ok": true, "result": ...}`` or ``{"ok": false, "failure": ...}``
+    with a pre-classified ``ExperimentFailure``.  Returns 0 once the
+    payload was delivered (success *or* classified failure); any other
+    exit is a crash for the supervisor to classify.
 
-    Stdout hygiene: the payload channel is reserved by duplicating the
-    original stdout fd and pointing fd 1 (and ``sys.stdout``) at stderr
-    before any experiment code runs, so stray prints cannot corrupt the
-    protocol.
+    Stdout hygiene: the payload has its own fd, and fd 1 (and
+    ``sys.stdout``) is pointed at stderr before any experiment code
+    runs, so stray prints land in the forensics tail and cannot corrupt
+    the protocol.
 
     Args:
-        stdin_text: The spec JSON (tests); None reads ``sys.stdin``.
+        spec_text: The ``AttemptSpec`` JSON from the fork request.
+        payload_fd: The fd the payload is written to (and closed).
     """
     import json
     import os
 
-    # Reserve the payload channel before anything can print.
-    payload_fd = os.dup(1)
+    # Keep stray prints off the payload channel before anything runs.
     os.dup2(2, 1)
     sys.stdout = sys.stderr
 
     from pathlib import Path
 
-    # Under ``python -m`` this file executes as ``__main__``; import the
-    # canonical class so isinstance checks match what experiments return.
-    from repro.experiments.runner import ExperimentResult as CanonicalResult
     from repro.runtime.budget import Budget, activate
     from repro.runtime.errors import ExperimentFailure, WorkerMemoryError
     from repro.runtime.faults import FaultSpec, fire_fault
@@ -211,8 +207,7 @@ def worker_main(stdin_text: Optional[str] = None) -> int:
     spec: Optional[AttemptSpec] = None
     worker_tracer = None
     try:
-        raw = sys.stdin.read() if stdin_text is None else stdin_text
-        spec = AttemptSpec.from_json(raw)
+        spec = AttemptSpec.from_json(spec_text)
         if spec.obs:
             # The supervisor asked for telemetry: collect metrics and
             # buffer spans in-process; both ship back in the payload.
@@ -256,7 +251,7 @@ def worker_main(stdin_text: Optional[str] = None) -> int:
             ):
                 run = getattr(runner, "run", runner)
                 result = run(**spec.kwargs)
-        if not isinstance(result, CanonicalResult):
+        if not isinstance(result, ExperimentResult):
             raise TypeError(
                 f"experiment runner {runner!r} returned "
                 f"{type(result).__name__}, expected ExperimentResult"
@@ -334,7 +329,3 @@ def worker_main(stdin_text: Optional[str] = None) -> int:
         json.dump(payload, out)
         out.flush()
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(worker_main())

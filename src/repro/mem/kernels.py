@@ -811,8 +811,8 @@ def configure_kernels(
 
     ``tier=None`` keeps the current (or environment) tier.  With
     ``export_env`` (the default) the tier is also placed in
-    ``os.environ`` so worker subprocesses, which inherit the
-    supervisor's environment, run the same tier.
+    ``os.environ`` so worker processes, which get the supervisor's
+    environment at each attempt, run the same tier.
     """
     global _ACTIVE_CONFIG
     config = KernelConfig(

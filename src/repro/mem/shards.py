@@ -86,7 +86,7 @@ SIMCKPT_SITE = "simckpt"
 DEFAULT_SHARD_REFS = 1 << 18
 
 #: Environment variables carrying the ambient stream configuration to
-#: worker subprocesses (propagated by ``worker_environment()``).
+#: worker processes (propagated by ``worker_environment()``).
 STREAM_DIR_ENV = "REPRO_STREAM_DIR"
 SHARD_REFS_ENV = "REPRO_SHARD_REFS"
 
@@ -636,8 +636,8 @@ def configure_streaming(
     """Install the ambient stream configuration for this process.
 
     With ``export_env`` (the default) the configuration is also placed
-    in ``os.environ`` so worker subprocesses — which inherit the
-    supervisor's environment — stream to the same directory.
+    in ``os.environ`` so worker processes — which get the supervisor's
+    environment at each attempt — stream to the same directory.
     """
     global _ACTIVE_CONFIG
     config = StreamConfig(
@@ -665,7 +665,7 @@ def clear_streaming(clear_env: bool = True) -> None:
 def active_stream_config() -> Optional[StreamConfig]:
     """The installed configuration, else one read from the environment.
 
-    Reading the environment lazily means worker subprocesses need no
+    Reading the environment lazily means worker processes need no
     explicit install: the first trace build in the worker finds the
     supervisor's exported configuration.
     """

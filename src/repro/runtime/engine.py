@@ -94,7 +94,7 @@ class EngineConfig:
         backoff_base_seconds: Sleep before the first retry.
         backoff_factor: Multiplier applied per subsequent retry.
         jobs: Concurrent experiments on the worker-pool backend (each
-            attempt in its own supervised subprocess); ``0`` selects
+            attempt in its own forked, supervised worker); ``0`` selects
             the in-process serial backend (debugging, fault-injection
             tests, unshippable runners).
         validate: Run the invariant oracles
@@ -357,8 +357,8 @@ class CampaignEngine:
         *during* experiments never escape — they are captured into the
         returned report.  ``config.jobs == 0`` runs everything serially
         in-process; otherwise up to ``jobs`` experiments run
-        concurrently, each attempt hard-isolated in its own supervised
-        subprocess (:mod:`repro.runtime.workers`).
+        concurrently, each attempt hard-isolated in its own forked,
+        supervised worker process (:mod:`repro.runtime.workers`).
 
         A ``KeyboardInterrupt`` (Ctrl-C, or SIGTERM on the worker-pool
         backend) is re-raised, but only after live workers are killed,
@@ -427,7 +427,7 @@ class CampaignEngine:
 
         ``attempt_runner`` executes a single attempt and is the backend
         seam: None selects the in-process executor; the worker pool
-        passes its subprocess executor.
+        passes its forked-worker executor.
         """
         with self._store_lock:
             if self.store is not None and self._resume_skips(experiment_id):

@@ -5,10 +5,16 @@ code that polls it.  A hang in un-instrumented code (a numpy kernel,
 an octree build, a trace generator stuck in pure Python), a memory
 blowup, or a hard crash takes the whole campaign down with it.  This
 module contains those failures *outside* the failing code: every
-experiment attempt runs in its own spawned subprocess, and the
+experiment attempt runs in its own worker process, forked from a
+preloaded fork server (:mod:`repro.runtime.forkserver`), and the
 supervisor enforces what the child cannot be trusted to enforce on
 itself:
 
+- **Fresh state per attempt** — the fork server imports numpy,
+  :mod:`repro` and the campaign's runner modules once, and never runs
+  experiment code; each attempt is a new fork of it, in its own
+  session, with the environment :func:`worker_environment` returns at
+  attempt time.
 - **Hard deadlines** — a worker that outlives its hard wall-clock
   deadline is sent SIGTERM, given a grace period, then SIGKILLed.
   The attempt is classified as
@@ -23,7 +29,7 @@ itself:
   :class:`~repro.runtime.errors.WorkerCrashError` failure feeding the
   engine's ordinary retry/degradation policy.
 - **Parallelism** — up to ``jobs`` experiments run concurrently, each
-  driven by a supervisor thread that blocks on its worker subprocess;
+  driven by a supervisor thread that blocks on its worker;
   the final report and summary are ordered by the requested id list
   regardless of completion order.
 - **Graceful interruption** — SIGINT/SIGTERM in the supervisor kills
@@ -31,14 +37,19 @@ itself:
   partial summary through the engine, and re-raises so the CLI exits
   with the documented contract; ``--resume`` then skips everything
   checkpointed.
+- **Owned lifetime** — the fork server starts at a campaign's first
+  attempt and is stopped and reaped whenever :meth:`WorkerPool.run`
+  returns or unwinds, so no process outlives the campaign and the
+  workers' memory use reaches the caller's ``RUSAGE_CHILDREN``.
 
-The wire protocol is deliberately dumb: the supervisor writes one JSON
-:class:`AttemptSpec` to the worker's stdin; the worker
+The wire protocol is deliberately dumb: the supervisor hands the
+worker one JSON :class:`AttemptSpec` with its fork request; the worker
 (:func:`repro.experiments.runner.worker_main`) replies with one JSON
-payload on stdout — ``{"ok": true, "result": ...}`` (an
+payload on its own payload pipe — ``{"ok": true, "result": ...}`` (an
 :class:`~repro.experiments.runner.ExperimentResult` round-trip) or
 ``{"ok": false, "failure": ...}`` (a pre-classified
-:class:`~repro.runtime.errors.ExperimentFailure`).  A malformed or
+:class:`~repro.runtime.errors.ExperimentFailure`) — while its stdout
+and stderr go to a separate pipe kept for forensics.  A malformed or
 truncated payload is a *classified failure*, never a supervisor crash.
 Experiment runners are shipped by importable reference
 (``module`` or ``module:qualname``), so only registry entries that
@@ -69,10 +80,8 @@ from repro.runtime.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
+from repro.runtime.forkserver import ForkedWorker, ForkServer
 from repro.runtime.iofault import IOFAULT_ENV
-
-#: Module invoked as the worker entry point (``python -m ...``).
-WORKER_MODULE = "repro.experiments.runner"
 
 #: How much of a dead worker's stderr is kept for forensics.
 STDERR_TAIL_CHARS = 2000
@@ -129,7 +138,7 @@ def resolve_runner_ref(ref: str) -> object:
 class AttemptSpec:
     """Everything a worker needs to run one experiment attempt.
 
-    JSON-serialized onto the worker's stdin.  ``kwargs`` must be
+    JSON-serialized into the worker's fork request.  ``kwargs`` must be
     JSON-representable (tuples arrive as lists — the experiment
     drivers take ``Sequence`` parameters).
     """
@@ -302,9 +311,10 @@ def worker_environment() -> Dict[str, str]:
     """Environment for worker processes.
 
     Propagates the supervisor's full ``sys.path`` through
-    ``PYTHONPATH`` so the worker resolves the exact same packages
-    (including test-only registries), however the supervisor itself was
-    launched.
+    ``PYTHONPATH`` so the fork server, and every worker forked from it,
+    resolves the exact same packages (including test-only registries),
+    however the supervisor itself was launched.  Each worker gets this
+    environment as it is at its own attempt, not at server start.
 
     ``REPRO_IOFAULT`` is deliberately stripped: injected I/O faults
     (:mod:`repro.runtime.iofault`) target the *supervisor's* durability
@@ -321,10 +331,13 @@ def worker_environment() -> Dict[str, str]:
 
 
 class WorkerSupervisor:
-    """Spawns worker subprocesses and enforces hard containment.
+    """Forks worker processes and enforces hard containment.
 
     Thread-safe: one supervisor serves all pool threads, tracking live
-    workers so an interrupt can kill every one of them.
+    workers so an interrupt can kill every one of them.  Workers are
+    forked from a :class:`~repro.runtime.forkserver.ForkServer` that the
+    first attempt starts and :meth:`close` stops and reaps; use the
+    supervisor as a context manager, or call :meth:`close` yourself.
 
     Args:
         hard_timeout_seconds: Wall-clock deadline per attempt; None
@@ -332,7 +345,6 @@ class WorkerSupervisor:
             bound the attempt).
         term_grace_seconds: How long a worker gets between SIGTERM and
             SIGKILL.
-        python: Interpreter for workers (default: this interpreter).
         on_event: Callback ``(event, experiment_id, detail_dict)`` —
             the engine routes these into its event log
             (``worker-killed`` etc.).
@@ -344,18 +356,20 @@ class WorkerSupervisor:
         obs_sink: Callback ``(spec, obs_dict)`` receiving the telemetry
             block a worker shipped in its payload (the pool wires the
             engine's campaign rollup here).
+        preload: Modules the fork server imports before its first fork
+            (the pool passes the campaign's runner modules).
     """
 
     def __init__(
         self,
         hard_timeout_seconds: Optional[float] = None,
         term_grace_seconds: float = 5.0,
-        python: Optional[str] = None,
         on_event: Optional[Callable[[str, str, Dict[str, object]], None]] = None,
         current_token: Optional[Callable[[], int]] = None,
         obs_sink: Optional[
             Callable[[AttemptSpec, Dict[str, object]], None]
         ] = None,
+        preload: Sequence[str] = (),
     ) -> None:
         if hard_timeout_seconds is not None and hard_timeout_seconds <= 0:
             raise ValueError("hard_timeout_seconds must be positive")
@@ -363,14 +377,44 @@ class WorkerSupervisor:
             raise ValueError("term_grace_seconds must be >= 0")
         self.hard_timeout_seconds = hard_timeout_seconds
         self.term_grace_seconds = term_grace_seconds
-        self.python = python or sys.executable
         self.on_event = on_event
         self.current_token = current_token
         self.obs_sink = obs_sink
-        self._live: Dict[int, subprocess.Popen] = {}
+        self.preload = tuple(preload)
+        self._server: Optional[ForkServer] = None
+        self._live: Dict[int, ForkedWorker] = {}
         self._lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------
+
+    def __enter__(self) -> "WorkerSupervisor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop and reap the fork server (a no-op if none is running)."""
+        with self._lock:
+            server, self._server = self._server, None
+        if server is not None:
+            server.close()
+
+    def _spawn(self, spec: AttemptSpec) -> ForkedWorker:
+        """Fork a worker for ``spec``, starting the server on first use."""
+        with self._lock:
+            if self._server is None:
+                self._server = ForkServer(self.preload, worker_environment())
+            server = self._server
+        try:
+            return server.spawn(spec.to_json(), worker_environment())
+        except OSError:
+            if server.exited():  # replaced at the next attempt
+                with self._lock:
+                    if self._server is server:
+                        self._server = None
+                server.close()
+            raise
 
     def run_attempt(
         self, spec: AttemptSpec
@@ -379,15 +423,15 @@ class WorkerSupervisor:
         with tracing.span(
             "worker.spawn", experiment_id=spec.experiment_id, attempt=spec.attempt
         ) as spawn_span:
-            proc = subprocess.Popen(
-                [self.python, "-m", WORKER_MODULE],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=worker_environment(),
-                start_new_session=True,  # own process group: killable as a unit
-            )
+            try:
+                proc = self._spawn(spec)
+            except OSError as exc:
+                return None, _worker_failure(
+                    spec,
+                    WorkerCrashError,
+                    f"could not fork a worker for {spec.experiment_id}: "
+                    f"{type(exc).__name__}: {exc}",
+                )
             if spawn_span is not None:
                 spawn_span.attrs["worker_pid"] = proc.pid
         obs_metrics.inc("worker.spawns")
@@ -406,23 +450,21 @@ class WorkerSupervisor:
                 self._live.pop(proc.pid, None)
 
     def _converse(
-        self, spec: AttemptSpec, proc: subprocess.Popen
+        self, spec: AttemptSpec, proc: ForkedWorker
     ) -> Tuple[Optional[ExperimentResult], Optional[ExperimentFailure]]:
         killed_at_deadline = False
         try:
-            stdout, stderr = proc.communicate(
-                input=spec.to_json(), timeout=self.hard_timeout_seconds
-            )
+            stdout, stderr = proc.communicate(timeout=self.hard_timeout_seconds)
         except subprocess.TimeoutExpired:
             killed_at_deadline = True
             stdout, stderr = self._escalate(spec, proc)
         except BaseException:
             # The supervisor thread itself is unwinding (interrupt,
             # internal error): never leak a live worker.
-            self._kill(proc, signal.SIGKILL)
-            proc.wait()
+            proc.send_signal(signal.SIGKILL)
+            proc.communicate()
             raise
-        stderr_tail = (stderr or "")[-STDERR_TAIL_CHARS:]
+        stderr_tail = stderr[-STDERR_TAIL_CHARS:]
 
         if killed_at_deadline:
             return None, _worker_failure(
@@ -449,10 +491,18 @@ class WorkerSupervisor:
 
             return parse_worker_payload(
                 spec,
-                stdout or "",
+                stdout,
                 stderr_tail,
                 expected_token=expected,
                 obs_sink=sink,
+            )
+        if returncode is None:
+            return None, _worker_failure(
+                spec,
+                WorkerCrashError,
+                f"worker for {spec.experiment_id} was lost: the fork server "
+                "exited before reporting its exit status",
+                stderr_tail,
             )
         if returncode < 0:
             return None, _worker_failure(
@@ -471,7 +521,7 @@ class WorkerSupervisor:
         )
 
     def _escalate(
-        self, spec: AttemptSpec, proc: subprocess.Popen
+        self, spec: AttemptSpec, proc: ForkedWorker
     ) -> Tuple[str, str]:
         """SIGTERM, wait out the grace period, then SIGKILL."""
         obs_metrics.inc("worker.deadline_kills")
@@ -481,7 +531,7 @@ class WorkerSupervisor:
             {"attempt": spec.attempt, "signal": "SIGTERM",
              "reason": "hard-deadline", "pid": proc.pid},
         )
-        self._kill(proc, signal.SIGTERM)
+        proc.send_signal(signal.SIGTERM)
         try:
             return proc.communicate(timeout=self.term_grace_seconds)
         except subprocess.TimeoutExpired:
@@ -491,21 +541,8 @@ class WorkerSupervisor:
                 {"attempt": spec.attempt, "signal": "SIGKILL",
                  "reason": "term-grace-expired", "pid": proc.pid},
             )
-            self._kill(proc, signal.SIGKILL)
+            proc.send_signal(signal.SIGKILL)
             return proc.communicate()
-
-    @staticmethod
-    def _kill(proc: subprocess.Popen, signum: int) -> None:
-        """Signal the worker's whole process group (best effort)."""
-        if proc.poll() is not None:
-            return
-        try:
-            os.killpg(os.getpgid(proc.pid), signum)
-        except (ProcessLookupError, PermissionError, OSError):
-            try:
-                proc.send_signal(signum)
-            except (ProcessLookupError, OSError):
-                pass
 
     # -- interruption ------------------------------------------------
 
@@ -526,17 +563,14 @@ class WorkerSupervisor:
         with self._lock:
             victims = list(self._live.values())
         for proc in victims:
-            self._kill(proc, signal.SIGTERM)
+            proc.send_signal(signal.SIGTERM)
         deadline = _monotonic() + grace
         for proc in victims:
             remaining = deadline - _monotonic()
             if remaining > 0:
-                try:
-                    proc.wait(timeout=remaining)
-                except subprocess.TimeoutExpired:
-                    pass
+                proc.wait(timeout=remaining)
             if proc.poll() is None:
-                self._kill(proc, signal.SIGKILL)
+                proc.send_signal(signal.SIGKILL)
         return len(victims)
 
     def live_count(self) -> int:
@@ -578,13 +612,13 @@ def sigterm_as_interrupt() -> Iterator[None]:
 
 
 class WorkerPool:
-    """Schedules experiments onto supervised worker subprocesses.
+    """Schedules experiments onto supervised worker processes.
 
     One supervisor thread per in-flight experiment runs the engine's
     ordinary retry/degradation policy (``run_one``), with each attempt
-    executed in a fresh subprocess via :class:`WorkerSupervisor`.  The
-    thread count — not the subprocess count — is the concurrency cap:
-    at most ``jobs`` workers are ever alive.
+    executed in a freshly forked worker via :class:`WorkerSupervisor`.
+    The thread count — not the process count — is the concurrency cap:
+    at most ``jobs`` workers (plus the one fork server) are ever alive.
 
     Args:
         engine: The owning :class:`~repro.runtime.engine.CampaignEngine`.
@@ -623,11 +657,15 @@ class WorkerPool:
             return config.budget_seconds * 2 + 30.0
         return None
 
-    def check_shippable(self, experiment_ids: Sequence[str]) -> None:
-        """Fail fast (before any spawn) on unshippable registry entries."""
-        for experiment_id in experiment_ids:
-            runner, _ = self.engine.registry[experiment_id]
-            runner_ref(runner)
+    def check_shippable(self, experiment_ids: Sequence[str]) -> List[str]:
+        """Fail fast (before any spawn) on unshippable registry entries.
+
+        Returns the runner references, in ``experiment_ids`` order.
+        """
+        return [
+            runner_ref(self.engine.registry[experiment_id][0])
+            for experiment_id in experiment_ids
+        ]
 
     def run_attempt(
         self,
@@ -637,7 +675,7 @@ class WorkerPool:
         kwargs: Dict[str, object],
         budget,
     ) -> Tuple[Optional[ExperimentResult], Optional[ExperimentFailure]]:
-        """The engine-facing attempt runner (one subprocess per call)."""
+        """The engine-facing attempt runner (one worker per call)."""
         engine = self.engine
         runner, _ = engine.registry[experiment_id]
         fault_dict = None
@@ -677,8 +715,19 @@ class WorkerPool:
         summary the engine flushes is deterministic.  Re-raises
         ``KeyboardInterrupt`` after killing workers and draining
         threads; the engine finalizes and propagates.
+
+        The fork server starts at the first attempt, preloaded with the
+        runner modules of ``wanted``, and is stopped and reaped before
+        this returns or unwinds.
         """
-        self.check_shippable(wanted)
+        refs = self.check_shippable(wanted)
+        self.supervisor.preload = tuple(ref.partition(":")[0] for ref in refs)
+        try:
+            self._run(wanted, collected)
+        finally:
+            self.supervisor.close()
+
+    def _run(self, wanted: Sequence[str], collected: List) -> None:
         engine = self.engine
         outcomes: Dict[str, object] = {}
         now = _monotonic()

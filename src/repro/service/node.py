@@ -328,6 +328,7 @@ class Node:
                 self._supervisors.pop(assignment.assignment_id, None)
                 self._assignments.pop(assignment.assignment_id, None)
                 cancelled = assignment.cancelled
+            supervisor.close()
         if cancelled:
             return  # the dispatcher already moved on; don't even bother
         self.sender.send(

@@ -1,6 +1,7 @@
 """Tests for the hard process-isolation backend: runner shipping, the
-wire protocol, subprocess containment (kill-based timeouts, rlimits,
-death classification), and the parallel worker pool end to end."""
+wire protocol, worker containment (kill-based timeouts, rlimits,
+death classification), the fork server's lifetime and per-attempt
+isolation, and the parallel worker pool end to end."""
 
 import json
 import os
@@ -40,6 +41,20 @@ TARGETS = "tests.runtime.worker_targets"
 #: Generous rlimit that still stops the memhog quickly: the worker
 #: interpreter plus numpy needs a few hundred MiB of address space.
 RLIMIT_MB = 512
+
+
+@pytest.fixture
+def make_supervisor():
+    """Build supervisors that are closed (fork server reaped) after the test."""
+    made = []
+
+    def make(**kwargs) -> WorkerSupervisor:
+        made.append(WorkerSupervisor(**kwargs))
+        return made[-1]
+
+    yield make
+    for supervisor in made:
+        supervisor.close()
 
 
 def make_spec(runner=f"{TARGETS}:run_ok", **overrides) -> AttemptSpec:
@@ -164,25 +179,25 @@ class TestSupervisorValidation:
 
 
 class TestSupervisorContainment:
-    """Each test round-trips a real subprocess through the supervisor."""
+    """Each test round-trips a real forked worker through the supervisor."""
 
-    def test_healthy_attempt_round_trips(self):
-        supervisor = WorkerSupervisor(hard_timeout_seconds=60)
+    def test_healthy_attempt_round_trips(self, make_supervisor):
+        supervisor = make_supervisor(hard_timeout_seconds=60)
         result, failure = supervisor.run_attempt(make_spec(kwargs={"n": 7}))
         assert failure is None
         assert result.notes == ["param n=7"]
         assert supervisor.live_count() == 0
 
-    def test_stray_stdout_cannot_corrupt_the_protocol(self):
-        supervisor = WorkerSupervisor(hard_timeout_seconds=60)
+    def test_stray_stdout_cannot_corrupt_the_protocol(self, make_supervisor):
+        supervisor = make_supervisor(hard_timeout_seconds=60)
         result, failure = supervisor.run_attempt(
             make_spec(runner=f"{TARGETS}:run_noisy")
         )
         assert failure is None
         assert result.notes == ["param n=3"]
 
-    def test_classified_failure_travels_back(self):
-        supervisor = WorkerSupervisor(hard_timeout_seconds=60)
+    def test_classified_failure_travels_back(self, make_supervisor):
+        supervisor = make_supervisor(hard_timeout_seconds=60)
         result, failure = supervisor.run_attempt(
             make_spec(runner=f"{TARGETS}:run_crash")
         )
@@ -191,17 +206,17 @@ class TestSupervisorContainment:
         assert failure.error_type == "SimulationError"
         assert "deliberate crash" in failure.message
 
-    def test_wrong_return_type_is_classified(self):
-        supervisor = WorkerSupervisor(hard_timeout_seconds=60)
+    def test_wrong_return_type_is_classified(self, make_supervisor):
+        supervisor = make_supervisor(hard_timeout_seconds=60)
         result, failure = supervisor.run_attempt(
             make_spec(runner=f"{TARGETS}:run_wrong_type")
         )
         assert result is None
         assert "expected ExperimentResult" in failure.message
 
-    def test_non_cooperative_hang_is_killed_at_the_deadline(self):
+    def test_non_cooperative_hang_is_killed_at_the_deadline(self, make_supervisor):
         events = []
-        supervisor = WorkerSupervisor(
+        supervisor = make_supervisor(
             hard_timeout_seconds=1.0,
             term_grace_seconds=2.0,
             on_event=lambda e, i, d: events.append((e, i, d)),
@@ -222,8 +237,8 @@ class TestSupervisorContainment:
         assert kill_events[0][2]["signal"] == "SIGTERM"
         assert supervisor.live_count() == 0
 
-    def test_memhog_contained_by_rlimit(self):
-        supervisor = WorkerSupervisor(hard_timeout_seconds=120)
+    def test_memhog_contained_by_rlimit(self, make_supervisor):
+        supervisor = make_supervisor(hard_timeout_seconds=120)
         result, failure = supervisor.run_attempt(
             make_spec(fault={"kind": "memhog"}, max_rss_mb=RLIMIT_MB)
         )
@@ -232,8 +247,8 @@ class TestSupervisorContainment:
         assert failure.error_type == "WorkerMemoryError"
         assert "rlimit" in failure.message
 
-    def test_sudden_death_is_classified(self):
-        supervisor = WorkerSupervisor(hard_timeout_seconds=60)
+    def test_sudden_death_is_classified(self, make_supervisor):
+        supervisor = make_supervisor(hard_timeout_seconds=60)
         result, failure = supervisor.run_attempt(
             make_spec(fault={"kind": "die", "exit_code": 7})
         )
@@ -241,14 +256,159 @@ class TestSupervisorContainment:
         assert failure.category == WorkerCrashError.category
         assert "status 7" in failure.message
 
-    def test_death_by_signal_is_classified(self):
-        supervisor = WorkerSupervisor(hard_timeout_seconds=60)
+    def test_death_by_signal_is_classified(self, make_supervisor):
+        supervisor = make_supervisor(hard_timeout_seconds=60)
         result, failure = supervisor.run_attempt(
             make_spec(runner=f"{TARGETS}:run_sigkill")
         )
         assert result is None
         assert failure.category == WorkerCrashError.category
         assert "SIGKILL" in failure.message
+        assert "last words before SIGKILL" in failure.traceback_text
+
+
+#: Runs one pool campaign over ``worker_targets.run_alloc`` in a fresh
+#: interpreter (so ``RUSAGE_CHILDREN`` starts empty), then reports
+#: whether any child is still alive and the children's peak RSS.
+LIFETIME_SCRIPT = """
+import json, os, resource, sys
+from repro.runtime.engine import CampaignEngine, EngineConfig
+from tests.runtime import worker_targets
+
+scenario = sys.argv[1]
+kwargs = {
+    "crash": scenario == "crash",
+    "interrupt_pid": os.getpid() if scenario == "interrupt" else 0,
+}
+engine = CampaignEngine(
+    {"alloc": (worker_targets.run_alloc, kwargs)},
+    config=EngineConfig(jobs=1, max_attempts=1, term_grace_seconds=2.0),
+)
+try:
+    status = engine.run().outcome("alloc").status
+except KeyboardInterrupt:
+    status = "interrupted"
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    live_children = True
+except ChildProcessError:
+    live_children = False
+print(json.dumps({"status": status, "live_children": live_children,
+                  "maxrss_kb": usage.ru_maxrss}))
+"""
+
+
+class TestForkServerLifetime:
+    """The pool stops and reaps its fork server however ``run`` ends, so
+    no process outlives it and the workers' memory reaches the
+    caller's ``RUSAGE_CHILDREN``."""
+
+    @pytest.mark.parametrize(
+        "scenario, status",
+        [("normal", "ok"), ("crash", "failed"), ("interrupt", "interrupted")],
+    )
+    def test_server_is_reaped(self, scenario, status):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        done = subprocess.run(
+            [sys.executable, "-c", LIFETIME_SCRIPT, scenario],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert report["status"] == status
+        assert report["live_children"] is False
+        assert report["maxrss_kb"] >= worker_targets.ALLOC_MB * 1024
+
+    def test_server_starts_lazily_and_close_is_idempotent(self, make_supervisor):
+        supervisor = make_supervisor(hard_timeout_seconds=60)
+        assert supervisor._server is None
+        result, failure = supervisor.run_attempt(make_spec())
+        assert failure is None and supervisor._server is not None
+        server_pid = supervisor._server.pid
+        supervisor.close()
+        supervisor.close()
+        assert supervisor._server is None
+        with pytest.raises(ChildProcessError):  # already reaped
+            os.waitpid(server_pid, os.WNOHANG)
+
+
+    def test_a_dead_server_is_replaced(self, make_supervisor):
+        supervisor = make_supervisor(hard_timeout_seconds=60)
+        assert supervisor.run_attempt(make_spec())[1] is None
+        dead = supervisor._server
+        os.kill(dead.pid, signal.SIGKILL)
+        result, failure = supervisor.run_attempt(make_spec())
+        assert result is None
+        assert failure.category == WorkerCrashError.category
+        assert "could not fork" in failure.message
+        result, failure = supervisor.run_attempt(make_spec())
+        assert failure is None and result.notes == ["param n=3"]
+        assert supervisor._server is not dead
+
+
+    def test_concurrent_spawns_get_their_own_payloads(self, make_supervisor):
+        from concurrent.futures import ThreadPoolExecutor
+
+        supervisor = make_supervisor(hard_timeout_seconds=60)
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = {
+                n: pool.submit(
+                    supervisor.run_attempt, make_spec(kwargs={"n": n})
+                )
+                for n in range(18)
+            }
+            for n, future in futures.items():
+                result, failure = future.result(timeout=120)
+                assert failure is None
+                assert result.notes == [f"param n={n}"]
+        assert supervisor.live_count() == 0
+
+
+class TestPerAttemptIsolation:
+    """Every forked worker starts from the server's freshly imported
+    state and the supervisor's environment at attempt time."""
+
+    def test_module_state_is_fresh_on_every_attempt(self, make_supervisor):
+        supervisor = make_supervisor(hard_timeout_seconds=60, preload=[TARGETS])
+        for _ in range(3):
+            result, failure = supervisor.run_attempt(
+                make_spec(runner=f"{TARGETS}:run_count_calls")
+            )
+            assert failure is None
+            assert result.notes[-1] == "calls=1"
+
+    def test_environment_is_taken_at_attempt_time(
+        self, make_supervisor, monkeypatch
+    ):
+        from repro.mem.kernels import TIER_ENV
+
+        monkeypatch.setenv(TIER_ENV, "vector")
+        supervisor = make_supervisor(hard_timeout_seconds=60)
+        spec = make_spec(
+            runner=f"{TARGETS}:run_echo_env", kwargs={"name": TIER_ENV}
+        )
+        result, _ = supervisor.run_attempt(spec)
+        assert result.notes[-1] == f"{TIER_ENV}=vector"
+        monkeypatch.setenv(TIER_ENV, "oracle")  # the server is running now
+        result, _ = supervisor.run_attempt(spec)
+        assert result.notes[-1] == f"{TIER_ENV}=oracle"
+
+    def test_iofault_is_absent_in_a_live_worker(
+        self, make_supervisor, monkeypatch
+    ):
+        from repro.runtime.iofault import IOFAULT_ENV
+
+        monkeypatch.setenv(IOFAULT_ENV, "journal:write:kill:3")
+        supervisor = make_supervisor(hard_timeout_seconds=60)
+        result, failure = supervisor.run_attempt(
+            make_spec(
+                runner=f"{TARGETS}:run_echo_env", kwargs={"name": IOFAULT_ENV}
+            )
+        )
+        assert failure is None
+        assert result.notes[-1] == f"{IOFAULT_ENV}=None"
 
 
 class TestWorkerPoolAcceptance:
