@@ -11,11 +11,12 @@ rate high until the lev2WS (the entire local partition) fits.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, List, Optional
 
+import numpy as np
+
 from repro.mem.address import AddressSpace
-from repro.mem.trace import Trace, TraceBuilder
+from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
 from repro.mem.shards import trace_builder
 from repro.obs.tracing import traced
 from repro.units import DOUBLE_WORD
@@ -67,17 +68,6 @@ class CGTraceGenerator:
         self.coeffs = self.space.allocate_array("A", num_points * self.stencil)
         self.flops = 0.0
 
-    # -- addressing -------------------------------------------------------
-
-    def _point_index(self, coords) -> int:
-        index = 0
-        for c in coords:
-            index = index * self.n + c
-        return index
-
-    def _vec_addr(self, region, coords) -> int:
-        return region.element(self._point_index(coords))
-
     # -- local geometry ---------------------------------------------------
 
     def _local_ranges(self, pid: int) -> List[range]:
@@ -91,91 +81,71 @@ class CGTraceGenerator:
             ranges.append(range(block * self.sub, (block + 1) * self.sub))
         return ranges
 
-    def _neighbors(self, coords) -> List[tuple]:
-        out = []
-        for axis in range(self.dims):
-            for delta in (-1, 1):
-                moved = list(coords)
-                moved[axis] += delta
-                if 0 <= moved[axis] < self.n:
-                    out.append(tuple(moved))
-        return out
-
-    def _local_points(self, pid: int):
+    def _local_points(self, pid: int, tile: Optional[int] = None) -> np.ndarray:
+        """Global (row-major) ids of ``pid``'s subgrid points in sweep
+        order: row-major, or with ``tile`` (2-D only) in ``tile``-wide
+        column strips, row-major within each strip."""
         ranges = self._local_ranges(pid)
-        if self.dims == 2:
-            for i in ranges[0]:
-                for j in ranges[1]:
-                    yield (i, j)
-        else:
-            for i in ranges[0]:
-                for j in ranges[1]:
-                    for k in ranges[2]:
-                        yield (i, j, k)
+        coords = np.meshgrid(
+            *(np.arange(r.start, r.stop) for r in ranges), indexing="ij"
+        )
+        points = np.zeros(coords[0].shape, dtype=np.int64)
+        for c in coords:
+            points = points * self.n + c
+        points = points.reshape(-1)
+        if tile is not None:
+            strip = (coords[1].reshape(-1) - ranges[1].start) // tile
+            points = points[np.argsort(strip, kind="stable")]
+        return points
 
     # -- trace emission -----------------------------------------------------
 
-    def _matvec_point(self, tb: TraceBuilder, coords) -> None:
-        """One grid point of ``q = A p``."""
-        stencil = self.stencil
-        base = self._point_index(coords) * stencil
-        for s in range(stencil):
-            tb.read(self.coeffs.element(base + s))
-        tb.read(self._vec_addr(self.p_vec, coords))
-        for neighbor in self._neighbors(coords):
-            tb.read(self._vec_addr(self.p_vec, neighbor))
-        tb.write(self._vec_addr(self.q_vec, coords))
-        self.flops += 2 * stencil
+    def _trace_matvec(self, tb: TraceBuilder, points: np.ndarray) -> None:
+        """``q = A p`` over ``points`` in order: each point reads its
+        ``stencil`` coefficients, its own ``p`` and its in-grid stencil
+        neighbours' ``p`` (clipped at the boundary), then writes ``q``."""
+        n, dims = self.n, self.dims
+        always = np.ones((points.shape[0], 1), dtype=bool)
+        coefficients = points[:, None] * self.stencil + np.arange(self.stencil)
+        columns = [
+            self.coeffs.elements(coefficients),
+            self.p_vec.elements(points)[:, None],
+        ]
+        present = [np.repeat(always, self.stencil + 1, axis=1)]
+        for axis in range(dims):
+            step = n ** (dims - 1 - axis)
+            coord = points // step % n
+            for delta in (-1, 1):
+                inside = (coord + delta >= 0) & (coord + delta < n)
+                neighbor = np.where(inside, points + delta * step, points)
+                columns.append(self.p_vec.elements(neighbor)[:, None])
+                present.append(inside[:, None])
+        columns.append(self.q_vec.elements(points)[:, None])
+        present.append(always)
+        present = np.hstack(present)
+        kinds = np.full(present.shape[1], READ, dtype=np.uint8)
+        kinds[-1] = WRITE
+        tb.extend_arrays(
+            np.hstack(columns)[present], np.broadcast_to(kinds, present.shape)[present]
+        )
+        self.flops += points.shape[0] * 2 * self.stencil
 
-    def _trace_matvec(self, tb: TraceBuilder, pid: int) -> None:
-        """``q = A p`` over the local subgrid (row-major sweep)."""
-        for coords in self._local_points(pid):
-            self._matvec_point(tb, coords)
-
-    def _trace_matvec_blocked(
-        self, tb: TraceBuilder, pid: int, tile: int
-    ) -> None:
-        """``q = A p`` with the sweep blocked into ``tile``-wide column
-        strips (2-D only).
-
-        Section 4.2: "the size of lev1WS can actually be kept constant
-        through the use of blocking techniques" — the stencil's
-        row-to-row reuse distance becomes ~3 tile-rows of sweep state
-        instead of 3 full subrows, independent of n/sqrt(P).
-        """
-        if self.dims != 2:
-            raise ValueError("blocked sweep implemented for 2-D grids only")
-        if tile < 1:
-            raise ValueError("tile must be >= 1")
-        rows, cols = self._local_ranges(pid)
-        for col_start in range(cols.start, cols.stop, tile):
-            col_stop = min(col_start + tile, cols.stop)
-            for i in rows:
-                for j in range(col_start, col_stop):
-                    self._matvec_point(tb, (i, j))
-
-    def _trace_vector_ops(self, tb: TraceBuilder, pid: int) -> None:
-        """The dots and axpys of one CG iteration:
+    def _trace_vector_ops(self, tb: TraceBuilder, points: np.ndarray) -> None:
+        """The dots and axpys of one CG iteration over ``points``:
         ``alpha = (r.r)/(p.q)``, ``x += alpha p``, ``r -= alpha q``,
-        ``p = r + beta p``."""
-        for coords in self._local_points(pid):
-            p_addr = self._vec_addr(self.p_vec, coords)
-            q_addr = self._vec_addr(self.q_vec, coords)
-            x_addr = self._vec_addr(self.x_vec, coords)
-            r_addr = self._vec_addr(self.r_vec, coords)
-            # dot p.q
-            tb.read(p_addr)
-            tb.read(q_addr)
-            # x += alpha p
-            tb.read(x_addr)
-            tb.write(x_addr)
-            # r -= alpha q  (q still live)
-            tb.read(r_addr)
-            tb.write(r_addr)
-            # dot r.r folded into the same sweep
-            # p = r + beta p
-            tb.write(p_addr)
-            self.flops += 10
+        ``p = r + beta p``.  Per point: read p and q (dot p.q), read and
+        write x (x += alpha p), read and write r (r -= alpha q, with the
+        dot r.r folded into the same sweep), write p."""
+        p, q, x, r = (
+            region.elements(points)
+            for region in (self.p_vec, self.q_vec, self.x_vec, self.r_vec)
+        )
+        kinds = np.array([READ, READ, READ, WRITE, READ, WRITE, WRITE], dtype=np.uint8)
+        tb.extend_arrays(
+            np.stack([p, q, x, x, r, r, p], axis=1).reshape(-1),
+            np.tile(kinds, points.shape[0]),
+        )
+        self.flops += points.shape[0] * 10
 
     @traced("apps.cg.trace_for_processor")
     def trace_for_processor(
@@ -183,36 +153,37 @@ class CGTraceGenerator:
     ) -> Trace:
         """Trace ``iterations`` full CG iterations for one processor.
 
+        The matrix-vector multiply sweeps the subgrid in row-major
+        order, or with ``tile`` in column strips (below); then the
+        vector ops sweep it in row-major order.
+
         Args:
             pid: Processor id.
             iterations: CG iterations to trace.
             tile: When given (2-D only), block the matrix-vector sweep
-                into ``tile``-wide column strips — the Section 4.2
-                blocking that pins the lev1WS to a constant size.
+                into ``tile``-wide column strips.  Section 4.2: "the
+                size of lev1WS can actually be kept constant through
+                the use of blocking techniques" — the stencil's
+                row-to-row reuse distance becomes ~3 tile-rows of sweep
+                state instead of 3 full subrows, independent of
+                n/sqrt(P).
 
         Use the profiler's ``warmup`` to exclude the first iteration's
         cold misses, per the paper's methodology.
         """
+        if tile is not None:
+            if self.dims != 2:
+                raise ValueError("blocked sweep implemented for 2-D grids only")
+            if tile < 1:
+                raise ValueError("tile must be >= 1")
         self.flops = 0.0
         tb = trace_builder()
+        points = self._local_points(pid)
+        sweep = points if tile is None else self._local_points(pid, tile)
         for _ in range(iterations):
-            if tile is None:
-                self._trace_matvec(tb, pid)
-            else:
-                self._trace_matvec_blocked(tb, pid, tile)
-            self._trace_vector_ops(tb, pid)
+            self._trace_matvec(tb, sweep)
+            self._trace_vector_ops(tb, points)
         return tb.build()
-
-    def refs_per_iteration(self, pid: int = 0) -> int:
-        """Reference count of a single iteration (for warmup sizing)."""
-        local = self.sub**self.dims
-        matvec = local * (self.stencil + 1 + 2 * self.dims_clipped_avg() + 1)
-        return int(matvec) + local * 7
-
-    def dims_clipped_avg(self) -> float:
-        """Average neighbours per point divided by 2 (boundary clipping
-        makes this slightly less than ``dims``)."""
-        return self.dims * (1.0 - 1.0 / self.n)
 
     @property
     def dataset_bytes(self) -> int:

@@ -17,11 +17,13 @@ operation for internal radices 2 / 8 / 32 (Figure 5).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.apps.fft.transform import stage_structure
 from repro.mem.address import AddressSpace
-from repro.mem.trace import Trace, TraceBuilder
+from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
 from repro.mem.shards import trace_builder
 from repro.obs.tracing import traced
 from repro.units import DOUBLE_WORD
@@ -75,97 +77,94 @@ class FFTTraceGenerator:
         twiddle_count = 2 * self.points_local
         self.twiddles = self.space.allocate_array("twiddles", twiddle_count)
         self.flops = 0.0
-        self._twiddle_cursor = 0
-
-    def _point_addrs(self, region, index: int):
-        """The two double words of complex point ``index``."""
-        return (region.element(2 * index), region.element(2 * index + 1))
-
-    def _read_twiddle(self, tb: TraceBuilder) -> None:
-        limit = self.twiddles.size // DOUBLE_WORD
-        tb.read(self.twiddles.element(self._twiddle_cursor % limit))
-        self._twiddle_cursor += 1
-        tb.read(self.twiddles.element(self._twiddle_cursor % limit))
-        self._twiddle_cursor += 1
-
-    def _trace_butterfly(self, tb: TraceBuilder, region, indices) -> None:
-        """One radix-r butterfly over the given point indices.
-
-        Emitted output-by-output: every output value combines all r
-        inputs, so each output re-reads the input points.  With a cache
-        of at least one butterfly (the lev1WS) the re-reads hit; below
-        it the miss rate blows up toward ``2r`` double words per point —
-        the left side of the Figure 5 knees.
-        """
-        r = len(indices)
-        for output_index, _ in enumerate(indices):
-            for index in indices:
-                for addr in self._point_addrs(region, index):
-                    tb.read(addr)
-            if output_index > 0:
-                self._read_twiddle(tb)
-        for index in indices:
-            for addr in self._point_addrs(region, index):
-                tb.write(addr)
-        # 5 flops per point per radix-2 level; a radix-r butterfly
-        # performs log2(r) levels on r points.
-        self.flops += 5.0 * r * math.log2(r)
 
     def _trace_local_pass(
-        self, tb: TraceBuilder, base: int, span: int, stride: int
+        self, tb: TraceBuilder, base: int, radix: int, stride: int
     ) -> None:
-        """One internal-radix pass over ``span`` local points.
+        """One internal-radix-``radix`` pass over the local points.
 
         ``stride`` is the butterfly distance of the pass within the
-        local data.
+        local data.  Each butterfly is emitted output-by-output: every
+        output value combines all r inputs, so each output re-reads the
+        r input points (2 double words each) and, after the first, the
+        next complex twiddle (2 double words); then the r results are
+        written back.  With a cache of at least one butterfly (the
+        lev1WS) the re-reads hit; below it the miss rate blows up toward
+        ``2r`` double words per point — the left side of the Figure 5
+        knees.  The twiddle table is re-swept from its start every pass,
+        butterfly ``b`` reading entries ``b*2(r-1) + t`` (mod the table).
+
+        The pass is one ``(butterflies x references-per-butterfly)``
+        broadcast.
         """
-        r = self.radix
-        group_span = r * stride
-        self._twiddle_cursor = 0  # the table is re-swept every pass
-        for group_base in range(base, base + span, group_span):
-            for offset in range(stride):
-                indices = [group_base + offset + k * stride for k in range(r)]
-                self._trace_butterfly(tb, self.data, indices)
+        d = self.points_local
+        butterflies = d // radix
+        b = np.arange(butterflies, dtype=np.int64)
+        # Butterfly b: group b // stride, offset b % stride; its points
+        # are ``first + k * stride``.
+        first = base + (b // stride) * (radix * stride) + b % stride
+        points = first[:, None] + np.arange(radix) * stride
+        words = (2 * points[:, :, None] + np.arange(2)).reshape(butterflies, -1)
+        per_twiddles = 2 * (radix - 1)
+        limit = self.twiddles.size // DOUBLE_WORD
+        twiddles = (b[:, None] * per_twiddles + np.arange(per_twiddles)) % limit
+        columns = np.hstack(
+            [self.data.elements(words), self.twiddles.elements(twiddles)]
+        )
+        # Column template of one butterfly: the 2r point words, then per
+        # further output the point words and two twiddle words, then the
+        # point words again (written).
+        point_cols = np.arange(2 * radix)
+        template = [point_cols]
+        for output in range(1, radix):
+            template += [point_cols, 2 * radix + 2 * (output - 1) + np.arange(2)]
+        template.append(point_cols)
+        template = np.concatenate(template)
+        kinds = np.full(template.shape, READ, dtype=np.uint8)
+        kinds[-2 * radix :] = WRITE
+        tb.extend_arrays(
+            columns[:, template].reshape(-1), np.tile(kinds, butterflies)
+        )
+        # 5 flops per point per radix-2 level; a radix-r butterfly
+        # performs log2(r) levels on r points.
+        self.flops += butterflies * (5.0 * radix * math.log2(radix))
 
     def _trace_exchange(self, tb: TraceBuilder, base: int) -> None:
         """The all-to-all: read every local point, write it to the
-        (strided) exchange buffer where its next-stage owner expects it."""
+        (strided) exchange buffer where its next-stage owner expects it
+        (the transpose-style redistribution)."""
         d = self.points_local
         p = self.num_processors
-        for local in range(d):
-            for addr in self._point_addrs(self.data, base + local):
-                tb.read(addr)
-            # Destination index under the transpose-style redistribution.
-            dest = (local % p) * d + (local // p)
-            for addr in self._point_addrs(self.exchange, dest % self.n):
-                tb.write(addr)
+        local = np.arange(d, dtype=np.int64)
+        dest = ((local % p) * d + local // p) % self.n
+        words = np.arange(2)
+        columns = np.hstack(
+            [
+                self.data.elements(2 * (base + local)[:, None] + words),
+                self.exchange.elements(2 * dest[:, None] + words),
+            ]
+        )
+        kinds = np.array([READ, READ, WRITE, WRITE], dtype=np.uint8)
+        tb.extend_arrays(columns.reshape(-1), np.tile(kinds, d))
 
     @traced("apps.fft.trace_for_processor")
     def trace_for_processor(self, pid: int = 0) -> Trace:
         """Trace one processor through all radix-D stages of the FFT."""
         self.flops = 0.0
-        self._twiddle_cursor = 0
         tb = trace_builder()
         base = pid * self.points_local
         num_stages, stages = stage_structure(self.n, self.points_local)
         levels_per_pass = int(math.log2(self.radix))
         for stage_index, levels in enumerate(stages):
-            # Internal passes covering `levels` butterfly levels.
+            # Internal passes covering `levels` butterfly levels; the
+            # last may be a remainder pass with a smaller radix.
             done = 0
             stride = 1
             while done < levels:
                 step = min(levels_per_pass, levels - done)
-                if step == levels_per_pass:
-                    self._trace_local_pass(tb, base, self.points_local, stride)
-                    stride *= self.radix
-                else:
-                    # Remainder pass with a smaller effective radix.
-                    small = 2**step
-                    saved = self.radix
-                    self.radix = small
-                    self._trace_local_pass(tb, base, self.points_local, stride)
-                    self.radix = saved
-                    stride *= small
+                radix = 2**step
+                self._trace_local_pass(tb, base, radix, stride)
+                stride *= radix
                 done += step
             if stage_index != num_stages - 1:
                 self._trace_exchange(tb, base)

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.apps.lu.trace import LUTraceGenerator
-from repro.mem.trace import Trace, TraceBuilder
+from repro.mem.shards import trace_builder
+from repro.mem.trace import Trace
 from repro.obs.tracing import traced
 
 
@@ -22,27 +25,11 @@ class CholeskyTraceGenerator(LUTraceGenerator):
 
     Shares the matrix layout, scatter decomposition and kernel
     reference patterns of :class:`LUTraceGenerator`; only the iteration
-    space changes.
+    space changes, and the trailing update is the symmetric
+    ``A[I,J] -= A[I,K] @ A[J,K]^T``: its scalar stream walks block
+    (J,K) row-wise (the transpose access) while columns of (I,K) and
+    (I,J) stay live — the same two-block-column lev1WS as LU.
     """
-
-    def _trace_symmetric_update(
-        self, tb: TraceBuilder, bi: int, bj: int, bk: int
-    ) -> None:
-        """``A[I,J] -= A[I,K] @ A[J,K]^T`` in column-SAXPY order.
-
-        The scalar stream walks block (J,K) row-wise (the transpose
-        access) while columns of (I,K) and (I,J) stay live — the same
-        two-block-column lev1WS as LU.
-        """
-        b = self.block_size
-        for j in range(b):
-            for k in range(b):
-                tb.read(self._elem_addr(bj, bk, j, k))  # scalar A_JK[j,k]
-                for i in range(b):
-                    tb.read(self._elem_addr(bi, bk, i, k))
-                    tb.read(self._elem_addr(bi, bj, i, j))
-                    tb.write(self._elem_addr(bi, bj, i, j))
-                    self.flops += 2
 
     @traced("apps.cholesky.trace_for_processor")
     def trace_for_processor(
@@ -50,17 +37,15 @@ class CholeskyTraceGenerator(LUTraceGenerator):
     ) -> Trace:
         """Trace processor ``pid`` through the Cholesky factorization."""
         self.flops = 0.0
-        tb = TraceBuilder()
+        tb = trace_builder()
         nb = self.num_blocks
+        update = self._kernels.symmetric_update
         last_k = nb if max_k is None else min(nb, max_k)
         for bk in range(skip_k, last_k):
-            if self.decomp.owns(pid, bk, bk):
-                self._trace_factor_block(tb, bk)
-            for bi in range(bk + 1, nb):
-                if self.decomp.owns(pid, bi, bk):
-                    self._trace_triangular_solve(tb, bk, bi, bk)
-            for bj in range(bk + 1, nb):
-                for bi in range(bj, nb):  # lower triangle only
-                    if self.decomp.owns(pid, bi, bj):
-                        self._trace_symmetric_update(tb, bi, bj, bk)
+            self._trace_panel(tb, pid, bk)
+            bi, bj = self._trailing(pid, bk)
+            lower = bi >= bj
+            bi, bj = bi[lower], bj[lower]
+            blocks = np.stack([bj * nb + bk, bi * nb + bk, bi * nb + bj], axis=1)
+            self._emit(tb, update, blocks)
         return tb.build()

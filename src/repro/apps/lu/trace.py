@@ -14,12 +14,15 @@ for this application.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
-from repro.mem.address import AddressSpace, Region
-from repro.mem.trace import Trace, TraceBuilder
+import numpy as np
+
+from repro.mem.address import AddressSpace
+from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
 from repro.mem.shards import trace_builder
 from repro.obs.tracing import traced
 from repro.units import DOUBLE_WORD
@@ -67,6 +70,109 @@ class ScatterDecomposition:
         return rows * cols
 
 
+class _Kernel(NamedTuple):
+    """One kernel's reference template over its operand blocks.
+
+    Reference ``r`` touches element ``offset[r]`` (column-major within
+    a block: element (i, j) is ``j * B + i``) of operand block
+    ``operand[r]`` with access ``kind[r]``; ``flops`` counts one
+    invocation's floating-point operations.
+    """
+
+    operands: int
+    operand: np.ndarray
+    offset: np.ndarray
+    kind: np.ndarray
+    flops: int
+
+
+class _Kernels(NamedTuple):
+    factor: _Kernel  # operand 0: the diagonal block
+    solve: _Kernel  # operands: the diagonal block, the target block
+    update: _Kernel  # operands: (K,J) scalars, (I,K) columns, (I,J)
+    symmetric_update: _Kernel  # operands: (J,K) scalars, (I,K), (I,J)
+
+
+def _kernel_templates(b: int) -> _Kernels:
+    """The column-oriented (SAXPY form) kernel templates for block size
+    ``b``: a fixed (j, k, i) pattern that :meth:`LUTraceGenerator._emit`
+    offsets by the operands' block base addresses."""
+
+    def ref(operand, i, j, kind) -> np.ndarray:
+        """References as ``(..., 3)`` rows of (operand, offset, kind)."""
+        return np.stack(np.broadcast_arrays(operand, j * b + i, kind), axis=-1)
+
+    def saxpy(*refs) -> np.ndarray:
+        """Interleave per-row references over the innermost (i) axis:
+        ``a(i0) b(i0) c(i0) a(i1) ...``."""
+        rows = np.stack(np.broadcast_arrays(*refs), axis=-2)
+        return rows.reshape(rows.shape[:-3] + (rows.shape[-3] * len(refs), 3))
+
+    def kernel(operands: int, refs, flops: int) -> _Kernel:
+        table = np.concatenate([r.reshape(-1, 3) for r in refs])
+        return _Kernel(
+            operands, table[:, 0], table[:, 1], table[:, 2].astype(np.uint8), flops
+        )
+
+    i_all = np.arange(b)
+    # Step 2, unblocked LU of the diagonal block: per pivot k, read the
+    # pivot, scale the column below it, then update each later column j
+    # with one SAXPY over the rows below the pivot.
+    factor = []
+    for k in range(b):
+        i = np.arange(k + 1, b)
+        j = i[:, None]
+        factor += [
+            ref(0, k, k, READ),
+            saxpy(ref(0, i, k, READ), ref(0, i, k, WRITE)),
+            np.concatenate(
+                [
+                    ref(0, k, j, READ),
+                    saxpy(
+                        ref(0, i, k, READ), ref(0, i, j, READ), ref(0, i, j, WRITE)
+                    ),
+                ],
+                axis=1,
+            ),
+        ]
+    # Step 3, triangular solve, column by column of the target block:
+    # each column j is updated with every column k of the diagonal block.
+    j = i_all[:, None]
+    solve = []
+    for k in range(b):
+        i = np.arange(k + 1, b)
+        solve += [
+            np.broadcast_to(ref(0, k, k, READ), (b, 1, 3)),
+            saxpy(ref(0, i, k, READ), ref(1, i, j, READ), ref(1, i, j, WRITE)),
+        ]
+    solve = [np.concatenate(solve, axis=1)]
+    # Step 6, trailing update A[I,J] -= A[I,K] @ (scalars): per column
+    # j and term k, one scalar read and a SAXPY down column j.
+    j, k = i_all[:, None, None], i_all[None, :, None]
+
+    def update(scalar_row, scalar_col) -> np.ndarray:
+        return np.concatenate(
+            [
+                ref(0, scalar_row, scalar_col, READ),
+                saxpy(
+                    ref(1, i_all, k, READ),
+                    ref(2, i_all, j, READ),
+                    ref(2, i_all, j, WRITE),
+                ),
+            ],
+            axis=-2,
+        )
+
+    below = np.arange(b)[::-1]  # rows below each pivot k: b - k - 1
+    return _Kernels(
+        factor=kernel(1, factor, b * b + 2 * int((below**2).sum())),
+        solve=kernel(2, solve, b * b * (b - 1)),
+        update=kernel(3, [update(k, j)], 2 * b**3),
+        # Cholesky's scalars walk block (J,K) row-wise: the transpose.
+        symmetric_update=kernel(3, [update(j, k)], 2 * b**3),
+    )
+
+
 class LUTraceGenerator:
     """Generates per-processor reference traces for blocked LU.
 
@@ -95,75 +201,56 @@ class LUTraceGenerator:
         self.matrix = self.space.allocate_array("matrix A", n * n)
         self.flops = 0.0
 
-    def _elem_addr(self, block_i: int, block_j: int, i: int, j: int) -> int:
-        """Byte address of element (i, j) within block (I, J)."""
-        b = self.block_size
-        block_index = block_i * self.num_blocks + block_j
-        offset = block_index * b * b + j * b + i
-        return self.matrix.element(offset)
-
     # ------------------------------------------------------------------
     # Kernel reference patterns
     # ------------------------------------------------------------------
 
-    def _trace_factor_block(self, tb: TraceBuilder, bk: int) -> None:
-        """Unblocked LU of the diagonal block (Step 2)."""
-        b = self.block_size
-        for k in range(b):
-            tb.read(self._elem_addr(bk, bk, k, k))
-            for i in range(k + 1, b):
-                tb.read(self._elem_addr(bk, bk, i, k))
-                tb.write(self._elem_addr(bk, bk, i, k))
-            for j in range(k + 1, b):
-                pivot_row = self._elem_addr(bk, bk, k, j)
-                tb.read(pivot_row)
-                for i in range(k + 1, b):
-                    tb.read(self._elem_addr(bk, bk, i, k))
-                    tb.read(self._elem_addr(bk, bk, i, j))
-                    tb.write(self._elem_addr(bk, bk, i, j))
-                    self.flops += 2
-        self.flops += b * b  # divisions
+    @functools.cached_property
+    def _kernels(self) -> _Kernels:
+        """This block size's kernel templates, built on first use."""
+        return _kernel_templates(self.block_size)
 
-    def _trace_triangular_solve(
-        self, tb: TraceBuilder, diag: int, bi: int, bj: int
-    ) -> None:
-        """Column/row solve against the diagonal block (Step 3).
+    def _emit(self, tb: TraceBuilder, kernel: _Kernel, blocks) -> None:
+        """Append ``kernel``'s template once per row of ``blocks``, the
+        linear block indices of the kernel's operands."""
+        blocks = np.asarray(blocks, dtype=np.int64).reshape(-1, kernel.operands)
+        if not blocks.shape[0]:
+            return
+        elements = blocks[:, kernel.operand] * (self.block_size**2) + kernel.offset
+        tb.extend_arrays(
+            self.matrix.elements(elements.reshape(-1)),
+            np.tile(kernel.kind, blocks.shape[0]),
+        )
+        self.flops += blocks.shape[0] * kernel.flops
 
-        Traced column-by-column: each column of the target block is
-        updated using columns of the diagonal block.
-        """
-        b = self.block_size
-        for j in range(b):
-            for k in range(b):
-                tb.read(self._elem_addr(diag, diag, k, k))
-                for i in range(k + 1, b):
-                    tb.read(self._elem_addr(diag, diag, i, k))
-                    tb.read(self._elem_addr(bi, bj, i, j))
-                    tb.write(self._elem_addr(bi, bj, i, j))
-                    self.flops += 2
+    def _owned(self, pid: int, start: int, axis: int) -> np.ndarray:
+        """Block rows (``axis`` 0) or columns (1) from ``start`` on whose
+        blocks ``pid`` can own under the scatter decomposition."""
+        period = self.decomp.p_rows if axis == 0 else self.decomp.p_cols
+        mine = pid // self.decomp.p_cols if axis == 0 else pid % self.decomp.p_cols
+        candidates = np.arange(start, self.num_blocks, dtype=np.int64)
+        return candidates[candidates % period == mine]
 
-    def _trace_block_update(
-        self, tb: TraceBuilder, bi: int, bj: int, bk: int
-    ) -> None:
-        """The dominant Step 6: ``A[I,J] -= A[I,K] @ A[K,J]``.
+    def _trace_panel(self, tb: TraceBuilder, pid: int, bk: int) -> None:
+        """Steps 2-3 of iteration ``bk``: factor the diagonal block,
+        then solve the column panel below it."""
+        nb = self.num_blocks
+        kernels = self._kernels
+        diag = bk * nb + bk
+        if self.decomp.owns(pid, bk, bk):
+            self._emit(tb, kernels.factor, [diag])
+        if bk % self.decomp.p_cols == pid % self.decomp.p_cols:
+            rows = self._owned(pid, bk + 1, axis=0)
+            panel = np.stack([np.full_like(rows, diag), rows * nb + bk], axis=1)
+            self._emit(tb, kernels.solve, panel)
 
-        Column-SAXPY order: one column of A[I,J] and one column of
-        A[I,K] are live at a time — the paper's lev1WS of two block
-        columns (~260 bytes at B=16).
-        """
-        b = self.block_size
-        for j in range(b):
-            for k in range(b):
-                tb.read(self._elem_addr(bk, bj, k, j))  # scalar b_kj
-                for i in range(b):
-                    tb.read(self._elem_addr(bi, bk, i, k))
-                    tb.read(self._elem_addr(bi, bj, i, j))
-                    tb.write(self._elem_addr(bi, bj, i, j))
-                    self.flops += 2
-
-    # ------------------------------------------------------------------
-    # Whole-computation traces
-    # ------------------------------------------------------------------
+    def _trailing(self, pid: int, bk: int):
+        """``(bi, bj)`` of the trailing blocks ``pid`` owns after
+        iteration ``bk``, block column by block column."""
+        rows = self._owned(pid, bk + 1, axis=0)
+        cols = self._owned(pid, bk + 1, axis=1)
+        bj, bi = np.meshgrid(cols, rows, indexing="ij")
+        return bi.reshape(-1), bj.reshape(-1)
 
     @traced("apps.lu.trace_for_processor")
     def trace_for_processor(
@@ -171,6 +258,11 @@ class LUTraceGenerator:
     ) -> Trace:
         """Trace of processor ``pid``'s references through the
         factorization.
+
+        Each iteration ``bk`` factors the diagonal block, solves the
+        column and row panels against it and updates the trailing
+        blocks (Section 3.1), every kernel in the column-oriented
+        order of :func:`_kernel_templates`.
 
         Args:
             pid: Linear processor id.
@@ -182,20 +274,17 @@ class LUTraceGenerator:
         self.flops = 0.0
         tb = trace_builder()
         nb = self.num_blocks
+        kernels = self._kernels
         last_k = nb if max_k is None else min(nb, max_k)
         for bk in range(skip_k, last_k):
-            if self.decomp.owns(pid, bk, bk):
-                self._trace_factor_block(tb, bk)
-            for bi in range(bk + 1, nb):
-                if self.decomp.owns(pid, bi, bk):
-                    self._trace_triangular_solve(tb, bk, bi, bk)
-            for bj in range(bk + 1, nb):
-                if self.decomp.owns(pid, bk, bj):
-                    self._trace_triangular_solve(tb, bk, bk, bj)
-            for bj in range(bk + 1, nb):
-                for bi in range(bk + 1, nb):
-                    if self.decomp.owns(pid, bi, bj):
-                        self._trace_block_update(tb, bi, bj, bk)
+            self._trace_panel(tb, pid, bk)
+            if bk % self.decomp.p_rows == pid // self.decomp.p_cols:
+                cols = self._owned(pid, bk + 1, axis=1)
+                panel = np.stack([np.full_like(cols, bk * nb + bk), bk * nb + cols], 1)
+                self._emit(tb, kernels.solve, panel)
+            bi, bj = self._trailing(pid, bk)
+            blocks = np.stack([bk * nb + bj, bi * nb + bk, bi * nb + bj], axis=1)
+            self._emit(tb, kernels.update, blocks)
         return tb.build()
 
     def traces_for_all(self, max_k: Optional[int] = None) -> List[Trace]:

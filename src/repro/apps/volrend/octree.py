@@ -67,8 +67,10 @@ class MinMaxOctree:
         self.volume = volume
         self.leaf_size = leaf_size
         self._nodes: List[OctreeNode] = []
+        #: Root-to-node index path of every node, by node index.
+        self.paths: List[Tuple[int, ...]] = []
         shape = volume.shape
-        self.root = self._build((0, 0, 0), shape)
+        self.root = self._build((0, 0, 0), shape, ())
 
     @property
     def num_nodes(self) -> int:
@@ -78,7 +80,12 @@ class MinMaxOctree:
     def nodes(self) -> List[OctreeNode]:
         return self._nodes
 
-    def _build(self, lo: Tuple[int, int, int], hi: Tuple[int, int, int]) -> OctreeNode:
+    def _build(
+        self,
+        lo: Tuple[int, int, int],
+        hi: Tuple[int, int, int],
+        parent_path: Tuple[int, ...],
+    ) -> OctreeNode:
         sub = self.volume.opacities[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
         node = OctreeNode(
             lo=lo,
@@ -88,6 +95,8 @@ class MinMaxOctree:
             index=len(self._nodes),
         )
         self._nodes.append(node)
+        path = parent_path + (node.index,)
+        self.paths.append(path)
         extent = [hi[d] - lo[d] for d in range(3)]
         if max(extent) <= self.leaf_size or node.max_opacity == node.min_opacity:
             return node
@@ -107,55 +116,40 @@ class MinMaxOctree:
                     )
                     if any(child_hi[d] <= child_lo[d] for d in range(3)):
                         continue
-                    node.children.append(self._build(child_lo, child_hi))
+                    node.children.append(self._build(child_lo, child_hi, path))
+        return node
+
+    def terminal_node(self, x: float, y: float, z: float) -> Optional[OctreeNode]:
+        """Where a point's root-to-leaf walk stops: the first fully
+        transparent node or leaf containing it (or the deepest node
+        none of whose children does), or None outside the root."""
+        node = self.root
+        if not node.contains(x, y, z):
+            return None
+        while not (node.is_transparent or node.is_leaf):
+            for child in node.children:
+                if child.contains(x, y, z):
+                    node = child
+                    break
+            else:
+                return node
         return node
 
     def deepest_transparent_node(
         self, x: float, y: float, z: float
     ) -> Optional[OctreeNode]:
         """The largest fully transparent node containing the point, or
-        None if the point's region contains interesting voxels.
-
-        Also returns the path's final node via attribute access in the
-        trace generator (which re-walks the path itself to count node
-        touches).
-        """
-        node = self.root
-        if not node.contains(x, y, z):
-            return None
-        while True:
-            if node.is_transparent:
-                return node
-            if node.is_leaf:
-                return None
-            advanced = False
-            for child in node.children:
-                if child.contains(x, y, z):
-                    node = child
-                    advanced = True
-                    break
-            if not advanced:
-                return None
+        None if the point's region contains interesting voxels."""
+        node = self.terminal_node(x, y, z)
+        return node if node is not None and node.is_transparent else None
 
     def path_to(self, x: float, y: float, z: float) -> List[OctreeNode]:
-        """Root-to-terminal node path for a point (terminal = first
-        transparent node or leaf)."""
-        path: List[OctreeNode] = []
-        node = self.root
-        if not node.contains(x, y, z):
-            return path
-        while True:
-            path.append(node)
-            if node.is_transparent or node.is_leaf:
-                return path
-            next_node = None
-            for child in node.children:
-                if child.contains(x, y, z):
-                    next_node = child
-                    break
-            if next_node is None:
-                return path
-            node = next_node
+        """Root-to-terminal node path for a point (see
+        :meth:`terminal_node`; empty outside the root)."""
+        node = self.terminal_node(x, y, z)
+        if node is None:
+            return []
+        return [self._nodes[index] for index in self.paths[node.index]]
 
     def skip_distance(
         self, x: float, y: float, z: float, direction: np.ndarray
@@ -170,8 +164,22 @@ class MinMaxOctree:
         because a sample at position x interpolates voxels
         ``int(x)`` and ``int(x)+1``.
         """
-        node = self.deepest_transparent_node(x, y, z)
-        if node is None:
+        return self.skip_distance_from(
+            self.terminal_node(x, y, z), x, y, z, direction
+        )
+
+    def skip_distance_from(
+        self,
+        node: Optional[OctreeNode],
+        x: float,
+        y: float,
+        z: float,
+        direction,
+    ) -> float:
+        """:meth:`skip_distance` given the point's :meth:`terminal_node`
+        ``node``, so a caller that also needs the node walks the tree
+        once."""
+        if node is None or not node.is_transparent:
             return 0.0
         position = (x, y, z)
         # The whole support box must start inside the node: on axes the

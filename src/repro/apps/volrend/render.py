@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.apps.volrend.octree import MinMaxOctree
+from repro.apps.volrend.octree import MinMaxOctree, OctreeNode
 from repro.apps.volrend.volume import Volume
 
 #: Accumulated opacity at which a ray is terminated early.
@@ -102,7 +102,7 @@ class RayCaster:
         origin: np.ndarray,
         direction: np.ndarray,
         sample_hook: Optional[Callable[[float, float, float], None]] = None,
-        skip_hook: Optional[Callable[[float, float, float], None]] = None,
+        skip_hook: Optional[Callable[[Optional[OctreeNode]], None]] = None,
         step: float = 1.0,
     ) -> float:
         """Cast one ray; returns the composited opacity in [0, 1].
@@ -111,22 +111,27 @@ class RayCaster:
             origin, direction: The ray (direction need not be unit).
             sample_hook: Called with the position of every trilinear
                 sample taken (the trace generator hooks this).
-            skip_hook: Called with the position of every octree skip
-                decision.
+            skip_hook: Called at every octree skip decision with the
+                sample position's :meth:`MinMaxOctree.terminal_node`
+                (None outside the volume).
             step: Sampling interval along the ray, in voxels.
         """
         span = self._entry_exit(origin, direction)
         if span is None:
             return 0.0
         t, t_end = span
+        # Scalar arithmetic, rounded exactly as ``origin + t * direction``.
+        ox, oy, oz = (float(c) for c in origin)
+        dx, dy, dz = (float(c) for c in direction)
+        octree = self.octree
         accumulated = 0.0
         while t <= t_end and accumulated < TERMINATION_OPACITY:
-            position = origin + t * direction
-            x, y, z = float(position[0]), float(position[1]), float(position[2])
-            if self.octree is not None:
-                skip = self.octree.skip_distance(x, y, z, direction)
+            x, y, z = ox + t * dx, oy + t * dy, oz + t * dz
+            if octree is not None:
+                terminal = octree.terminal_node(x, y, z)
+                skip = octree.skip_distance_from(terminal, x, y, z, (dx, dy, dz))
                 if skip_hook is not None:
-                    skip_hook(x, y, z)
+                    skip_hook(terminal)
                 # Advance in whole steps so sample positions stay on the
                 # same grid as a non-skipping caster; skip_distance
                 # guarantees every skipped sample is exactly transparent,

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Region:
@@ -42,6 +44,19 @@ class Region:
     def element(self, index: int, element_size: int = 8) -> int:
         """Byte address of element ``index`` of ``element_size`` bytes."""
         return self.addr(index * element_size)
+
+    def elements(self, indices, element_size: int = 8) -> np.ndarray:
+        """Byte addresses (int64, same shape) of elements ``indices``.
+
+        The vector form of :meth:`element`: raises the same
+        :class:`IndexError` if any index falls outside the region,
+        checked once per array with its min and max.
+        """
+        offsets = np.asarray(indices, dtype=np.int64) * element_size
+        if offsets.size:
+            self.addr(int(offsets.min()))
+            self.addr(int(offsets.max()))
+        return offsets + self.base
 
     def contains(self, addr: int) -> bool:
         return self.base <= addr < self.end

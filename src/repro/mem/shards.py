@@ -476,9 +476,13 @@ class StreamingTraceBuilder:
     """Drop-in :class:`~repro.mem.trace.TraceBuilder` that spills shards.
 
     Buffers at most ``shard_refs`` references, sealing a shard whenever
-    the buffer fills, and never holds more than one chunk in memory.
-    Shards are staged in a ``<name>.trd.tmp`` directory that is
-    atomically renamed to ``<name>.trd`` by :meth:`build` — an
+    the buffer fills, and never holds more than one chunk in memory
+    beyond the columns a caller hands to :meth:`extend_arrays`.  Single
+    references collect in Python lists; whole columns are buffered as
+    numpy arrays, and full shards are sealed as exact ``shard_refs``
+    slices of them, so shard boundaries do not depend on how the stream
+    was appended.  Shards are staged in a ``<name>.trd.tmp`` directory
+    that is atomically renamed to ``<name>.trd`` by :meth:`build` — an
     interrupted build leaves only the clearly-marked staging directory.
     """
 
@@ -516,8 +520,11 @@ class StreamingTraceBuilder:
         self.shard_refs = shard_refs
         self.metadata = dict(metadata or {})
         self._writer = ShardWriter(self.staging_directory, shard_refs)
+        # Pending single references, in order after the buffered columns.
         self._addrs: List[int] = []
         self._kinds: List[int] = []
+        self._columns: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._held = 0  # references in ``_columns``
         self._built = False
 
     # -- TraceBuilder surface ----------------------------------------
@@ -525,52 +532,89 @@ class StreamingTraceBuilder:
     def read(self, addr: int) -> None:
         self._addrs.append(addr)
         self._kinds.append(READ)
-        if len(self._addrs) >= self.shard_refs:
+        if self._held + len(self._addrs) >= self.shard_refs:
             self._spill()
 
     def write(self, addr: int) -> None:
         self._addrs.append(addr)
         self._kinds.append(WRITE)
-        if len(self._addrs) >= self.shard_refs:
+        if self._held + len(self._addrs) >= self.shard_refs:
             self._spill()
 
     def read_range(self, base: int, count: int, stride: int = 8) -> None:
         self._addrs.extend(base + i * stride for i in range(count))
         self._kinds.extend([READ] * count)
-        if len(self._addrs) >= self.shard_refs:
-            self._spill()
+        self._spill()
 
     def write_range(self, base: int, count: int, stride: int = 8) -> None:
         self._addrs.extend(base + i * stride for i in range(count))
         self._kinds.extend([WRITE] * count)
-        if len(self._addrs) >= self.shard_refs:
-            self._spill()
+        self._spill()
 
     def extend(self, accesses: Iterable[Access]) -> None:
         for access in accesses:
             self._addrs.append(access.addr)
             self._kinds.append(access.kind)
-            if len(self._addrs) >= self.shard_refs:
+            if self._held + len(self._addrs) >= self.shard_refs:
                 self._spill()
 
     def extend_arrays(self, addrs: np.ndarray, kinds: np.ndarray) -> None:
-        """Bulk-append parallel address and kind columns."""
-        self._addrs.extend(np.asarray(addrs, dtype=np.int64).tolist())
-        self._kinds.extend(np.asarray(kinds, dtype=np.uint8).tolist())
-        while len(self._addrs) >= self.shard_refs:
-            self._spill()
+        """Bulk-append parallel address and kind columns (kept by
+        reference until sealed: do not modify them afterwards)."""
+        addrs = np.asarray(addrs, dtype=np.int64)
+        kinds = np.asarray(kinds, dtype=np.uint8)
+        if addrs.shape != kinds.shape:
+            raise ValueError("addrs and kinds must have the same length")
+        self._seal_pending()
+        self._columns.append((addrs, kinds))
+        self._held += int(addrs.shape[0])
+        self._spill()
 
     def __len__(self) -> int:
-        return self._writer.refs + len(self._addrs)
+        return self._writer.refs + self._held + len(self._addrs)
+
+    def _seal_pending(self) -> None:
+        """Move pending single references into the buffered columns."""
+        if self._addrs:
+            self._columns.append(
+                (
+                    np.asarray(self._addrs, dtype=np.int64),
+                    np.asarray(self._kinds, dtype=np.uint8),
+                )
+            )
+            self._held += len(self._addrs)
+            self._addrs = []
+            self._kinds = []
+
+    def _take_buffer(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Everything buffered, as one pair of columns; empties the buffer."""
+        self._seal_pending()
+        if len(self._columns) == 1:
+            addrs, kinds = self._columns[0]
+        else:
+            addrs = np.concatenate(
+                [a for a, _ in self._columns] or [np.zeros(0, dtype=np.int64)]
+            )
+            kinds = np.concatenate(
+                [k for _, k in self._columns] or [np.zeros(0, dtype=np.uint8)]
+            )
+        self._columns = []
+        self._held = 0
+        return addrs, kinds
 
     def _spill(self) -> None:
-        """Seal full buffered chunks (never more than one chunk held)."""
-        while len(self._addrs) >= self.shard_refs:
-            head_addrs = np.asarray(self._addrs[: self.shard_refs], dtype=np.int64)
-            head_kinds = np.asarray(self._kinds[: self.shard_refs], dtype=np.uint8)
-            del self._addrs[: self.shard_refs]
-            del self._kinds[: self.shard_refs]
-            self._writer.write_shard(head_addrs, head_kinds)
+        """Seal every full ``shard_refs`` slice of the buffer as a shard,
+        keeping only a copy of the remainder."""
+        if self._held + len(self._addrs) < self.shard_refs:
+            return
+        addrs, kinds = self._take_buffer()
+        full = addrs.shape[0] - addrs.shape[0] % self.shard_refs
+        for start in range(0, full, self.shard_refs):
+            stop = start + self.shard_refs
+            self._writer.write_shard(addrs[start:stop], kinds[start:stop])
+        if full < addrs.shape[0]:
+            self._columns.append((addrs[full:].copy(), kinds[full:].copy()))
+            self._held = int(addrs.shape[0]) - full
 
     def build(self) -> StreamingTrace:
         """Seal the tail shard, finalize the manifest, publish the dir.
@@ -585,13 +629,9 @@ class StreamingTraceBuilder:
         from repro.obs.console import debug
 
         self._spill()
-        if self._addrs:
-            self._writer.write_shard(
-                np.asarray(self._addrs, dtype=np.int64),
-                np.asarray(self._kinds, dtype=np.uint8),
-            )
-            self._addrs = []
-            self._kinds = []
+        addrs, kinds = self._take_buffer()
+        if addrs.shape[0]:
+            self._writer.write_shard(addrs, kinds)
         total = self._writer.refs
         manifest = self._writer.finalize(self.metadata)
         try:

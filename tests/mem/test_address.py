@@ -1,5 +1,6 @@
 """Tests for the address-space region allocator."""
 
+import numpy as np
 import pytest
 
 from repro.mem.address import AddressSpace, Region
@@ -19,6 +20,39 @@ class TestRegion:
         region = Region("r", base=0, size=80)
         assert region.element(3) == 24
         assert region.element(2, element_size=16) == 32
+
+    def test_elements_vector_addressing(self):
+        region = Region("r", base=64, size=80)
+        addrs = region.elements(np.array([[0, 9], [3, 3]]))
+        assert addrs.dtype == np.int64
+        assert addrs.tolist() == [[64, 136], [88, 88]]
+        assert region.elements([2], element_size=2).tolist() == [68]
+        assert region.elements(np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    def test_elements_first_and_last_valid_index(self):
+        region = Region("r", base=64, size=80)
+        assert region.elements([0, 9]).tolist() == [
+            region.element(0),
+            region.element(9),
+        ]
+        voxels = Region("v", base=64, size=10)
+        assert voxels.elements([0, 4], element_size=2).tolist() == [64, 72]
+
+    @pytest.mark.parametrize("index", [-1, 10])
+    def test_elements_one_past_either_end_raises_like_element(self, index):
+        region = Region("r", base=64, size=80)
+        with pytest.raises(IndexError) as scalar:
+            region.element(index)
+        with pytest.raises(IndexError) as vector:
+            region.elements([3, index, 5])
+        assert str(vector.value) == str(scalar.value)
+
+    def test_elements_bounds_respect_element_size(self):
+        voxels = Region("v", base=64, size=10)
+        with pytest.raises(IndexError):
+            voxels.elements([5], element_size=2)
+        with pytest.raises(IndexError):
+            voxels.elements([-1], element_size=2)
 
     def test_contains(self):
         region = Region("r", base=64, size=16)

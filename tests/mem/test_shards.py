@@ -149,6 +149,79 @@ class TestRoundtrip:
         assert a.content_sha256 == b.content_sha256
 
 
+class TestExtendArraysBuffering:
+    """Bulk columns are buffered as numpy arrays and sealed as exact
+    ``shard_refs`` slices: the manifest matches the per-reference path
+    however the stream is batched."""
+
+    SHARD_REFS = 100
+
+    @staticmethod
+    def _append_each(builder, addrs, kinds):
+        for addr, kind in zip(addrs.tolist(), kinds.tolist()):
+            (builder.write if kind else builder.read)(addr)
+
+    def _builder(self, tmp_path, name):
+        return StreamingTraceBuilder(tmp_path / name, shard_refs=self.SHARD_REFS)
+
+    def _per_reference(self, tmp_path, trace):
+        builder = self._builder(tmp_path, "ref.trd")
+        self._append_each(builder, trace.addrs, trace.kinds)
+        return read_manifest(builder.build().directory)
+
+    @staticmethod
+    def _same(got, want):
+        for key in ("refs", "reads", "writes", "content_sha256", "shards"):
+            assert got[key] == want[key], key
+
+    @pytest.mark.parametrize(
+        "batches",
+        [
+            [1050],  # one batch spanning ten shards and a tail
+            [99, 2, 99, 850],  # straddles the first and second boundaries
+            [100, 100, 850],  # ends exactly on boundaries
+            [37] * 28 + [14],  # many small batches
+            [250, 0, 800],  # an empty batch in between
+        ],
+        ids=["one", "straddle", "exact", "small", "empty"],
+    )
+    def test_batches_match_per_reference_path(self, tmp_path, batches):
+        trace = random_trace(1050, 300, seed=13)
+        builder = self._builder(tmp_path, "b.trd")
+        start = 0
+        for size in batches:
+            stop = start + size
+            builder.extend_arrays(trace.addrs[start:stop], trace.kinds[start:stop])
+            assert len(builder) == stop
+            start = stop
+        streamed = builder.build()
+        assert [e["refs"] for e in streamed.manifest["shards"]] == [100] * 10 + [50]
+        self._same(
+            read_manifest(streamed.directory), self._per_reference(tmp_path, trace)
+        )
+
+    def test_mixed_single_references_and_columns(self, tmp_path):
+        trace = random_trace(1050, 300, seed=14)
+        builder = self._builder(tmp_path, "m.trd")
+        addrs, kinds = trace.addrs, trace.kinds
+        for start, stop in ((0, 30), (30, 160), (160, 299), (299, 1050)):
+            if (stop - start) % 2:  # odd runs one reference at a time
+                self._append_each(builder, addrs[start:stop], kinds[start:stop])
+            else:
+                builder.extend_arrays(addrs[start:stop], kinds[start:stop])
+        streamed = builder.build()
+        np.testing.assert_array_equal(streamed.load().addrs, addrs)
+        np.testing.assert_array_equal(streamed.load().kinds, kinds)
+        self._same(
+            read_manifest(streamed.directory), self._per_reference(tmp_path, trace)
+        )
+
+    def test_rejects_ragged_columns(self, tmp_path):
+        builder = StreamingTraceBuilder(tmp_path / "r.trd", shard_refs=4)
+        with pytest.raises(ValueError):
+            builder.extend_arrays(np.array([0, 8]), np.array([0]))
+
+
 class TestAmbientConfig:
     def teardown_method(self):
         clear_streaming()
