@@ -62,21 +62,24 @@ def main() -> None:
         print(f"    L{index + 1} local miss rate: {rate:.4f} vs"
               f" {stat.local_miss_rate:.4f}")
 
-    # 3. Associativity: capacity needed to reach the L2 plateau.
+    # 3. Associativity: capacity needed to reach the L2 plateau.  One
+    #    sweep simulates every limited-associativity cache at once.
     print("\n== associativity penalty at the important working set ==")
     fa_profile = StackDistanceProfiler(count_reads_only=True).profile(trace)
     target = fa_profile.miss_rate_at(256 * KB) * 1.25 + 1e-6
-    for assoc, label in ((1, "direct-mapped"), (4, "4-way"), (0, "fully assoc")):
-        capacity = 1024
-        while capacity <= 512 * KB:
-            if assoc == 0:
-                rate = fa_profile.miss_rate_at(capacity)
-            else:
-                cache = SetAssociativeCache(capacity, 8, assoc)
-                rate = cache.run(trace).read_miss_rate
-            if rate <= target:
-                break
-            capacity *= 2
+    capacities = [KB << k for k in range(10)]  # 1 KB .. 512 KB
+    sweep = SetAssociativeCache.run_many(
+        [SetAssociativeCache(c, 8, assoc) for assoc in (1, 4) for c in capacities],
+        trace,
+    )
+    rates = {
+        "direct-mapped": [s.read_miss_rate for s in sweep[: len(capacities)]],
+        "4-way": [s.read_miss_rate for s in sweep[len(capacities) :]],
+        "fully assoc": [fa_profile.miss_rate_at(c) for c in capacities],
+    }
+    for label, curve in rates.items():
+        reached = [c for c, rate in zip(capacities, curve) if rate <= target]
+        capacity = reached[0] if reached else 2 * capacities[-1]
         print(f"  {label:>13}: {format_size(capacity)} to reach the plateau")
 
     # 4. Prefetchability of what remains.

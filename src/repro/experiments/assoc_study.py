@@ -11,7 +11,7 @@ corresponding fully associative cache size.  Set-associative caches
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -25,24 +25,31 @@ from repro.mem.stack_distance import StackDistanceProfiler, default_capacity_gri
 from repro.mem.trace import Trace
 
 
-def _limited_assoc_curve(
-    trace: Trace, capacities: Sequence[int], associativity: int, label: str
-) -> MissRateCurve:
-    """Read-miss-rate curve through explicit limited-associativity
-    simulation, one run per capacity."""
-    rates = []
-    for capacity in capacities:
-        cache = SetAssociativeCache(
-            int(capacity), block_size=8, associativity=associativity
+def _limited_assoc_curves(
+    trace: Trace, capacities: Sequence[int], associativities: Sequence[int]
+) -> List[MissRateCurve]:
+    """Read-miss-rate curves through explicit limited-associativity
+    simulation: one cache per (associativity, capacity), all swept
+    over the trace in one call."""
+    caches = [
+        SetAssociativeCache(int(capacity), block_size=8, associativity=assoc)
+        for assoc in associativities
+        for capacity in capacities
+    ]
+    stats = SetAssociativeCache.run_many(caches, trace)
+    width = len(capacities)
+    curves = []
+    for index, assoc in enumerate(associativities):
+        rates = [s.read_miss_rate for s in stats[index * width : (index + 1) * width]]
+        curves.append(
+            MissRateCurve(
+                np.asarray(capacities, dtype=np.int64),
+                np.asarray(rates, dtype=float),
+                metric="read_miss_rate",
+                label="direct-mapped" if assoc == 1 else f"{assoc}-way",
+            )
         )
-        stats = cache.run(trace)
-        rates.append(stats.read_miss_rate)
-    return MissRateCurve(
-        np.asarray(capacities, dtype=np.int64),
-        np.asarray(rates, dtype=float),
-        metric="read_miss_rate",
-        label=label,
-    )
+    return curves
 
 
 def run(
@@ -86,9 +93,9 @@ def run(
         return float(curve.capacities[-1])
 
     fa_size = first_capacity_reaching(fa_curve)
-    for assoc in associativities:
-        label = "direct-mapped" if assoc == 1 else f"{assoc}-way"
-        curve = _limited_assoc_curve(trace, capacities, assoc, label)
+    curves = _limited_assoc_curves(trace, capacities, associativities)
+    for assoc, curve in zip(associativities, curves):
+        label = curve.label
         result.curves.append(curve)
         size = first_capacity_reaching(curve)
         result.comparisons.append(

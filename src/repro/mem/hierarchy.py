@@ -13,17 +13,22 @@ the hierarchy obeys inclusion automatically: a level-i hit implies the
 block would hit in any larger level.  Per-level miss counts therefore
 derive from one stack-distance profile; the explicit simulator here is
 the cross-check and also yields per-level *traffic*, which the profile
-alone does not.
+alone does not.  On the vector tier :meth:`CacheHierarchy.run` takes
+one fully associative depth step per level over the miss stream of the
+level above (the ``hierarchy`` kernel); the per-reference ``access``
+loop is the oracle tier, and the tests hold the kernel to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.mem.cache import FullyAssociativeCache
 from repro.mem.stack_distance import StackDistanceProfile
 from repro.mem.trace import READ, Trace
+from repro.obs.metrics import hot_loop_sampler
+from repro.runtime.budget import CHECK_INTERVAL, Budget, active_budget
 
 
 @dataclass
@@ -86,12 +91,85 @@ class CacheHierarchy:
             self.memory_accesses += 1
         return hit_level
 
-    def run(self, trace: Trace) -> List[LevelStats]:
-        for block, kind in zip(
-            trace.block_ids(self.block_size).tolist(), trace.kinds.tolist()
-        ):
-            self.access(block * self.block_size, kind)
+    def run(self, trace: Trace, budget: Optional[Budget] = None) -> List[LevelStats]:
+        """Run a whole trace through the hierarchy; returns the
+        cumulative per-level stats.
+
+        A sharded :class:`~repro.mem.shards.StreamingTrace` is consumed
+        shard by shard, with checkpoint/resume at shard boundaries when
+        a stream configuration is active.  ``budget`` (default: the
+        ambient campaign budget) is polled every few thousand
+        references.
+        """
+        if hasattr(trace, "iter_chunks"):
+            from repro.mem.streamsim import run_hierarchy_streamed
+
+            return run_hierarchy_streamed(self, trace, budget=budget)
+        from repro.mem import kernels
+
+        if kernels.guard_run("hierarchy", self, trace, budget=budget):
+            return self.stats
+        if budget is None:
+            budget = active_budget()
+        sampler = hot_loop_sampler("mem.hierarchy")
+        memory_before = self.memory_accesses
+        access = self.access
+        block_size = self.block_size
+        blocks = trace.block_ids(block_size).tolist()
+        kinds = trace.kinds.tolist()
+        for start in range(0, len(blocks), CHECK_INTERVAL):
+            if budget is not None:
+                budget.check("cache hierarchy simulation")
+            if sampler is not None:
+                sampler.tick(start)
+            end = start + CHECK_INTERVAL
+            for block, kind in zip(blocks[start:end], kinds[start:end]):
+                access(block * block_size, kind)
+        if sampler is not None:
+            sampler.finish(
+                refs=len(blocks), misses=self.memory_accesses - memory_before
+            )
         return self.stats
+
+    def state_dict(self) -> dict:
+        """JSON-serializable snapshot: every level's cache, the
+        per-level counters and the memory access count."""
+        return {
+            "block_size": self.block_size,
+            "levels": [cache.state_dict() for cache in self.levels],
+            "stats": [
+                {
+                    "capacity_bytes": level.capacity_bytes,
+                    "accesses": level.accesses,
+                    "misses": level.misses,
+                }
+                for level in self.stats
+            ],
+            "memory_accesses": self.memory_accesses,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot (geometry must match)."""
+        capacities = [cache.capacity_bytes for cache in self.levels]
+        if state.get("block_size") != self.block_size:
+            raise ValueError(
+                f"checkpoint block_size={state.get('block_size')!r} does not "
+                f"match this hierarchy's block_size={self.block_size!r}"
+            )
+        for key in ("levels", "stats"):
+            found = [entry.get("capacity_bytes") for entry in state[key]]
+            if found != capacities:
+                raise ValueError(
+                    f"checkpoint {key} capacities {found} do not match this "
+                    f"hierarchy's {capacities}"
+                )
+        for cache, level in zip(self.levels, state["levels"]):
+            cache.load_state_dict(level)
+        self.stats = [
+            LevelStats(int(s["capacity_bytes"]), int(s["accesses"]), int(s["misses"]))
+            for s in state["stats"]
+        ]
+        self.memory_accesses = int(state["memory_accesses"])
 
     @property
     def global_miss_rate(self) -> float:

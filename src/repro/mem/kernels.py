@@ -1,9 +1,10 @@
 """Columnar batch-vectorized simulation kernels.
 
 The per-reference pure-Python hot loops in :mod:`repro.mem.cache`,
-:mod:`repro.mem.setassoc`, :mod:`repro.mem.stack_distance` and
-:mod:`repro.mem.multiproc` are the reference semantics.  This module
-provides numpy batch implementations of all four ("the vector tier"):
+:mod:`repro.mem.setassoc`, :mod:`repro.mem.stack_distance`,
+:mod:`repro.mem.hierarchy` and :mod:`repro.mem.multiproc` are the
+reference semantics.  This module provides numpy batch implementations
+of all five ("the vector tier"):
 pure functions from a simulator's ``state_dict()`` plus one columnar
 chunk to the successor snapshot.  :func:`guard_run` dispatches a chunk
 to them when the tier and the chunk's domain allow, and otherwise
@@ -22,7 +23,7 @@ the simulator untouched.
 Algorithm
 ---------
 
-The three uniprocessor kernels reduce to exact Mattson stack depths.
+The uniprocessor kernels reduce to exact Mattson stack depths.
 For a chunk of block ids the depth of reference ``i`` (1-based count of distinct
 blocks since the previous reference to the same block, inclusive) is
 
@@ -44,6 +45,12 @@ prepending those blocks as synthetic references makes chunk-local
 depths equal the global ones.  The engine runs on run heads only: a
 reference repeating the block just before it has depth 1 and changes
 no other depth, so it is dropped and added back afterwards.
+
+The set-associative kernel takes many caches ("views") at once and
+makes one pass per distinct set count over the chunk grouped by set: a
+reference hits an A-way view iff its per-set depth is at most A
+(Mattson inclusion, set by set).  The hierarchy kernel takes one fully
+associative step per level over the miss stream of the level above.
 
 One value sort of packed int64 ``(id, position)`` keys links the
 occurrences; everything after it is int32 cumsums, compressions and
@@ -73,7 +80,7 @@ import numpy as np
 
 from repro.mem.trace import READ
 
-KERNEL_KINDS = ("fullassoc", "setassoc", "stackdist", "multiproc")
+KERNEL_KINDS = ("fullassoc", "setassoc", "stackdist", "multiproc", "hierarchy")
 
 # Refuse to pack block ids that could overflow int64 key space.
 _MAX_BLOCK_ID = 1 << 44
@@ -261,18 +268,15 @@ def _cache_stats_delta(
     return reads, writes, read_misses, write_misses
 
 
-def kernel_fullassoc(
+def _fullassoc_step(
     state: dict, blocks: np.ndarray, kinds: np.ndarray
-) -> dict:
-    """Vectorized fully-associative LRU chunk step.
-
-    Pure function from a :meth:`FullyAssociativeCache.state_dict`-shaped
-    snapshot plus one columnar chunk to the successor snapshot.
-    """
+) -> Tuple[dict, np.ndarray]:
+    """One fully associative LRU chunk step: the successor snapshot and
+    the chunk's hit mask (the miss stream feeds the next hierarchy
+    level)."""
     capacity = int(state["capacity_bytes"]) // int(state["block_size"])
     resident = state["lru_mru_to_lru"]
     prefix = np.asarray(resident[::-1], dtype=np.int64)  # oldest -> newest
-    n = int(blocks.shape[0])
     f = int(prefix.shape[0])
     ext = np.concatenate([prefix, blocks]) if f else blocks
     depth, prev, last_mask = _stack_depths(ext)
@@ -289,7 +293,7 @@ def kernel_fullassoc(
     by_last_access = ext[np.flatnonzero(last_mask)]
     mru_to_lru = by_last_access[-capacity:][::-1].tolist()
     old = state["stats"]
-    return {
+    post = {
         "capacity_bytes": state["capacity_bytes"],
         "block_size": state["block_size"],
         "lru_mru_to_lru": [int(b) for b in mru_to_lru],
@@ -301,6 +305,53 @@ def kernel_fullassoc(
             "write_misses": int(old["write_misses"]) + write_misses,
             "cold_misses": int(old["cold_misses"]) + n_cold,
         },
+    }
+    return post, hit
+
+
+def kernel_fullassoc(
+    state: dict, blocks: np.ndarray, kinds: np.ndarray
+) -> dict:
+    """Vectorized fully-associative LRU chunk step.
+
+    Pure function from a :meth:`FullyAssociativeCache.state_dict`-shaped
+    snapshot plus one columnar chunk to the successor snapshot.
+    """
+    return _fullassoc_step(state, blocks, kinds)[0]
+
+
+def kernel_hierarchy(
+    state: dict, blocks: np.ndarray, kinds: np.ndarray, budget=None
+) -> dict:
+    """Vectorized multi-level hierarchy chunk step.
+
+    Pure function over :meth:`CacheHierarchy.state_dict` snapshots.
+    Level 1 takes one fully associative step over the chunk; each lower
+    level takes one over the references that missed every level above
+    it, which is exactly the stream the per-reference ``access`` loop
+    sends down.  The budget is polled once per level.
+    """
+    levels, stats = [], []
+    for level, old in zip(state["levels"], state["stats"]):
+        if budget is not None:
+            budget.check("hierarchy kernel level")
+        post, hit = _fullassoc_step(level, blocks, kinds)
+        miss = ~hit
+        levels.append(post)
+        stats.append(
+            {
+                "capacity_bytes": old["capacity_bytes"],
+                "accesses": int(old["accesses"]) + int(blocks.shape[0]),
+                "misses": int(old["misses"]) + int(np.count_nonzero(miss)),
+            }
+        )
+        blocks = blocks[miss]
+        kinds = kinds[miss]
+    return {
+        "block_size": state["block_size"],
+        "levels": levels,
+        "stats": stats,
+        "memory_accesses": int(state["memory_accesses"]) + int(blocks.shape[0]),
     }
 
 
@@ -348,127 +399,221 @@ def kernel_stackdist(
     }
 
 
-def kernel_setassoc(
-    state: dict, blocks: np.ndarray, kinds: np.ndarray
-) -> dict:
-    """Vectorized set-associative LRU chunk step.
-
-    One global stack-depth pass over the chunk stably grouped by set
-    index: same-block references always share a set, so the grouped
-    sequence gives exact per-set depths, and a reference hits iff its
-    depth is at most the associativity.
-    """
-    assoc = int(state["associativity"])
-    num_blocks = int(state["capacity_bytes"]) // int(state["block_size"])
-    num_sets = num_blocks // assoc
-    n = int(blocks.shape[0])
-    set_of = blocks % num_sets
-    touched_counts = np.bincount(set_of, minlength=num_sets)
-    touched = touched_counts > 0
-    old_counts = np.asarray(state["set_counts"], dtype=np.int64)
-    old_orders = np.asarray(state["set_orders_mru_to_lru"], dtype=np.int64)
-    old_offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(old_counts)]
+def _segment_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions ``starts[s] + j`` for ``j < counts[s]``, set after set:
+    the first ``counts[s]`` entries of each set's segment of a
+    flattened per-set list."""
+    ends = np.cumsum(counts)
+    return np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(
+        starts - (ends - counts), counts
     )
-    # Synthetic prefix: residents of touched sets, per set oldest ->
-    # newest (stored orders are MRU -> LRU, so reverse within set).
+
+
+def _set_geometry(state: dict) -> Tuple[int, int]:
+    ways = int(state["associativity"])
+    return int(state["capacity_bytes"]) // int(state["block_size"]) // ways, ways
+
+
+def _nested(view: dict, base: dict) -> bool:
+    """True when ``view`` (at ``base``'s set count, no wider) holds
+    exactly the top of ``base``'s per-set LRU stacks: equal
+    ``ever_seen`` holding every block ``base`` holds, and each set's
+    MRU order the first ``min(count, associativity)`` blocks of
+    ``base``'s.  Fresh caches and caches that saw one shared history
+    are nested; then one depth pass over ``base``'s residents serves
+    both (Mattson inclusion per set), and a block only ``base`` holds
+    is a capacity miss for ``view``, never a cold one."""
+    if view["ever_seen"] != base["ever_seen"]:
+        return False
+    ways = int(view["associativity"])
+    base_counts = np.asarray(base["set_counts"], dtype=np.int64)
+    counts = np.asarray(view["set_counts"], dtype=np.int64)
+    if not np.array_equal(counts, np.minimum(base_counts, ways)):
+        return False
+    base_orders = np.asarray(base["set_orders_mru_to_lru"], dtype=np.int64)
+    ever = np.asarray(base["ever_seen"], dtype=np.int64)
+    if np.setdiff1d(base_orders, ever).size:
+        return False
+    starts = np.cumsum(base_counts) - base_counts
+    top = base_orders[_segment_positions(starts, counts)]
+    orders = np.asarray(view["set_orders_mru_to_lru"], dtype=np.int64)
+    return np.array_equal(top, orders)
+
+
+def _setassoc_passes(states: List[dict]) -> List[Tuple[int, List[int]]]:
+    """Group views into depth passes: ``(num_sets, view indices)``, the
+    widest view first, fewest sets first (those passes compress the
+    fewest runs, so they run while the least output is held).  Views
+    share a pass only at one set count and only when nested in the
+    pass's widest view; any other view opens a pass of its own, so
+    loaded states of any shape stay exact."""
+    by_sets: dict = {}
+    for index, state in enumerate(states):
+        by_sets.setdefault(_set_geometry(state)[0], []).append(index)
+    passes = []
+    for num_sets, members in sorted(by_sets.items()):
+        members.sort(key=lambda i: -_set_geometry(states[i])[1])
+        groups: List[List[int]] = []
+        for index in members:
+            for group in groups:
+                if _nested(states[index], states[group[0]]):
+                    group.append(index)
+                    break
+            else:
+                groups.append([index])
+        passes.extend((num_sets, group) for group in groups)
+    return passes
+
+
+def _setassoc_pass(
+    states: List[dict],
+    members: List[int],
+    num_sets: int,
+    blocks: np.ndarray,
+    kinds: np.ndarray,
+    posts: List[Optional[dict]],
+) -> None:
+    """One grouped depth pass at ``num_sets`` sets, scoring every view
+    in ``members`` (the widest first); fills their ``posts``.
+
+    Reads, misses and first touches are counted in grouped order, never
+    scattered back to trace order, and every pass array is freed before
+    the per-view states are built, so a sweep holds no more than one
+    pass at a time.
+    """
+    n = int(blocks.shape[0])
+    base = states[members[0]]
+    widest = _set_geometry(base)[1]
+    old_counts = np.asarray(base["set_counts"], dtype=np.int64)
+    old_starts = np.cumsum(old_counts) - old_counts
+    # Synthetic prefix: the base view's residents of touched sets, per
+    # set oldest -> newest (stored orders are MRU -> LRU).
+    if num_sets & (num_sets - 1):
+        set_of = blocks % num_sets
+    else:  # the same sets for the non-negative ids the guard admits
+        set_of = blocks & (num_sets - 1)
+    touched = np.bincount(set_of, minlength=num_sets) > 0
     pref_counts = np.where(touched, old_counts, 0)
     r = int(pref_counts.sum())
-    if r:
-        rows = np.repeat(np.arange(num_sets, dtype=np.int64), pref_counts)
-        starts = np.repeat(old_offsets[:-1], pref_counts)
-        counts_rep = np.repeat(old_counts, pref_counts)
-        within = np.arange(r, dtype=np.int64) - np.repeat(
-            np.cumsum(pref_counts) - pref_counts, pref_counts
-        )
-        src = starts + (counts_rep - 1) - within  # reversed within set
-        pref_blocks = old_orders[src]
-        pref_sets = rows
-        all_blocks = np.concatenate([pref_blocks, blocks])
-        all_sets = np.concatenate([pref_sets, set_of])
-    else:
-        all_blocks = blocks
-        all_sets = set_of
-    m = int(all_blocks.shape[0])
-    seq = np.arange(m, dtype=np.int64)
+    m = r + n
     k = _pow2ceil(m)
-    grouped = np.sort(all_sets * k + seq)
-    order = grouped & (k - 1)
-    g_blocks = all_blocks[order]
-    chunk_rows = order >= r
-    if assoc == 1 and m > 1:
-        # Direct-mapped fast path: a reference hits iff the previous
-        # reference to its set touched the same block — no stack-depth
-        # (wavelet) pass needed, only occurrence linking for cold
-        # misses and residency.
-        prev, _, last_mask = _link_occurrences(g_blocks)
-        g_sets = grouped // k
-        hit_g = np.empty(m, dtype=bool)
-        hit_g[0] = False
-        np.equal(g_blocks[1:], g_blocks[:-1], out=hit_g[1:])
-        hit_g[1:] &= g_sets[1:] == g_sets[:-1]
-        hit_g &= chunk_rows
+    # Group by set with one value sort of packed (set, position) keys.
+    key = np.empty(m, dtype=np.int64)
+    np.multiply(set_of, k, out=key[r:])
+    del set_of
+    if r:
+        key[:r] = np.repeat(np.arange(num_sets, dtype=np.int64) * k, pref_counts)
+        pos = _segment_positions(old_starts, pref_counts)
+        pos = np.repeat(2 * old_starts + pref_counts - 1, pref_counts) - pos
+        pref_blocks = np.asarray(base["set_orders_mru_to_lru"], dtype=np.int64)[pos]
+        del pos
+    key += np.arange(m, dtype=np.int64)
+    key.sort()
+    key &= k - 1  # now the grouped order (int64 indices gather fastest)
+    if r:
+        g_blocks = np.concatenate([pref_blocks, blocks])[key]
+        g_cls = np.concatenate([np.zeros(r, dtype=np.uint8), kinds])[key]
+    else:
+        g_blocks = blocks[key]
+        g_cls = kinds[key]
+    # Reference class in grouped order: 1 read, 2 write, 0 prefix.
+    np.not_equal(g_cls, READ, out=g_cls)
+    g_cls += 1
+    if r:
+        g_cls[key < r] = 0
+    del key
+    # Same-block references always share a set, so the grouped stream
+    # gives exact per-set depths; a view of A ways hits iff depth <= A.
+    miss_bin = widest + 1
+    if widest == 1:
+        # Direct-mapped only: a hit is a repeat of the previous
+        # reference in the set, so only occurrence linking is needed.
+        prev, nxt, last_mask = _link_occurrences(g_blocks)
+        del nxt
+        depth = np.full(m, miss_bin, dtype=np.int32)
+        depth[1:][g_blocks[1:] == g_blocks[:-1]] = 1
     else:
         depth, prev, last_mask = _stack_depths(g_blocks)
-        hit_g = (prev >= 0) & (depth <= assoc) & chunk_rows
-    orig = order[chunk_rows] - r
-    hit = np.zeros(n, dtype=bool)
-    hit[orig] = hit_g[chunk_rows]
-    reads, writes, read_misses, write_misses = _cache_stats_delta(kinds, hit)
-    first = np.zeros(n, dtype=bool)
-    first[orig] = (prev < 0)[chunk_rows]
-    new_blocks = blocks[first]
-    ever = np.asarray(state["ever_seen"], dtype=np.int64)
-    ever_new, n_cold = _merge_sorted_unique(ever, new_blocks)
-    # New per-set residency: per set segment, final occurrences in
-    # position order are LRU -> MRU; keep the most recent `assoc`.
-    last_rows = np.flatnonzero(last_mask)
-    lr_sets = all_sets[order[last_rows]]
-    lr_blocks = g_blocks[last_rows]
-    lr_total = np.bincount(lr_sets, minlength=num_sets)
-    lr_start = np.cumsum(lr_total) - lr_total
-    within_lr = np.arange(lr_blocks.shape[0], dtype=np.int64) - lr_start[lr_sets]
-    from_end = lr_total[lr_sets] - within_lr  # 1 = most recent
-    keep = from_end <= assoc
-    kept_sets = lr_sets[keep]
-    kept_blocks = lr_blocks[keep]
-    kept_from_end = from_end[keep]
-    new_counts = np.where(touched, np.minimum(lr_total, assoc), old_counts)
-    new_offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(new_counts)]
+        np.minimum(depth, miss_bin, out=depth)
+    first = prev < 0
+    del prev
+    depth[first] = miss_bin
+    first &= g_cls != 0
+    new_blocks = g_blocks[first]  # first touches of blocks not in the prefix
+    del first
+    # One histogram of (depth, class) scores every view of the pass.
+    depth *= 3
+    depth += g_cls
+    hist = np.bincount(depth, minlength=3 * (miss_bin + 1)).reshape(-1, 3)
+    del depth, g_cls
+    reads, writes = (int(c) for c in hist[:, 1:].sum(axis=0))
+    hits = np.cumsum(hist[:, 1:], axis=0)  # [A] -> (read, write) hits at depth <= A
+    ever_new, n_cold = _merge_sorted_unique(
+        np.asarray(base["ever_seen"], dtype=np.int64), new_blocks
     )
-    total_new = int(new_offsets[-1])
-    new_orders = np.empty(total_new, dtype=np.int64)
-    # Untouched sets copy their old segments verbatim.
-    keep_old = ~touched & (old_counts > 0)
-    if np.any(keep_old):
-        cnts = np.where(keep_old, old_counts, 0)
-        tot = int(cnts.sum())
-        rows_u = np.repeat(np.arange(num_sets, dtype=np.int64), cnts)
-        within_u = np.arange(tot, dtype=np.int64) - np.repeat(
-            np.cumsum(cnts) - cnts, cnts
-        )
-        new_orders[new_offsets[rows_u] + within_u] = old_orders[
-            old_offsets[rows_u] + within_u
+    del new_blocks
+    ever_seen = ever_new.tolist()
+    # Per set, final occurrences in grouped order run LRU -> MRU.
+    lr_blocks = g_blocks[np.flatnonzero(last_mask)]
+    del g_blocks, last_mask
+    lr_sets = lr_blocks % num_sets
+    lr_total = np.bincount(lr_sets, minlength=num_sets)
+    from_end = np.cumsum(lr_total)[lr_sets] - np.arange(lr_blocks.shape[0])  # 1 = MRU
+    for index in members:
+        state = states[index]
+        ways = _set_geometry(state)[1]
+        counts = np.asarray(state["set_counts"], dtype=np.int64)
+        orders = np.asarray(state["set_orders_mru_to_lru"], dtype=np.int64)
+        new_counts = np.where(touched, np.minimum(lr_total, ways), counts)
+        new_starts = np.cumsum(new_counts) - new_counts
+        new_orders = np.empty(int(new_counts.sum()), dtype=np.int64)
+        # Untouched sets copy their old segments verbatim.
+        kept = np.where(touched, 0, counts)
+        new_orders[_segment_positions(new_starts, kept)] = orders[
+            _segment_positions(np.cumsum(counts) - counts, kept)
         ]
-    # Touched sets: MRU -> LRU is from_end - 1.
-    new_orders[new_offsets[kept_sets] + kept_from_end - 1] = kept_blocks
-    old = state["stats"]
-    return {
-        "capacity_bytes": state["capacity_bytes"],
-        "block_size": state["block_size"],
-        "associativity": state["associativity"],
-        "set_orders_mru_to_lru": new_orders.tolist(),
-        "set_counts": new_counts.tolist(),
-        "ever_seen": ever_new.tolist(),
-        "stats": {
-            "reads": int(old["reads"]) + reads,
-            "writes": int(old["writes"]) + writes,
-            "read_misses": int(old["read_misses"]) + read_misses,
-            "write_misses": int(old["write_misses"]) + write_misses,
-            "cold_misses": int(old["cold_misses"]) + n_cold,
-        },
-    }
+        # Touched sets keep their `ways` most recent blocks, MRU first.
+        keep = from_end <= ways
+        new_orders[new_starts[lr_sets[keep]] + from_end[keep] - 1] = lr_blocks[keep]
+        read_hits, write_hits = (int(h) for h in hits[ways])
+        old = state["stats"]
+        posts[index] = {
+            "capacity_bytes": state["capacity_bytes"],
+            "block_size": state["block_size"],
+            "associativity": state["associativity"],
+            "set_orders_mru_to_lru": new_orders.tolist(),
+            "set_counts": new_counts.tolist(),
+            "ever_seen": ever_seen,
+            "stats": {
+                "reads": int(old["reads"]) + reads,
+                "writes": int(old["writes"]) + writes,
+                "read_misses": int(old["read_misses"]) + reads - read_hits,
+                "write_misses": int(old["write_misses"]) + writes - write_hits,
+                "cold_misses": int(old["cold_misses"]) + n_cold,
+            },
+        }
+
+
+def kernel_setassoc(
+    states: List[dict], blocks: np.ndarray, kinds: np.ndarray, budget=None
+) -> List[dict]:
+    """Vectorized set-associative LRU chunk step for many caches.
+
+    Pure function from a list of :meth:`SetAssociativeCache.state_dict`
+    snapshots ("views": capacity, associativity and state may differ,
+    the block size may not) plus one columnar chunk to their successor
+    snapshots.  One grouped depth pass per distinct set count scores
+    every view at that count, by Mattson inclusion per set: a
+    reference hits an A-way view iff its per-set LRU depth is at most
+    A.  A single cache is the one-view case.  The budget is polled
+    once per pass.
+    """
+    posts: List[Optional[dict]] = [None] * len(states)
+    for num_sets, members in _setassoc_passes(states):
+        if budget is not None:
+            budget.check("setassoc kernel pass")
+        _setassoc_pass(states, members, num_sets, blocks, kinds, posts)
+    return posts
 
 
 #: Processors the coherence kernel handles: one bit each in an int64.
@@ -746,6 +891,7 @@ KERNELS = {
     "setassoc": kernel_setassoc,
     "stackdist": kernel_stackdist,
     "multiproc": kernel_multiproc,
+    "hierarchy": kernel_hierarchy,
 }
 
 _SAMPLER_NAMES = {
@@ -753,7 +899,11 @@ _SAMPLER_NAMES = {
     "setassoc": "mem.setassoc",
     "stackdist": "mem.stackdist",
     "multiproc": "mem.multiproc",
+    "hierarchy": "mem.hierarchy",
 }
+
+#: Kernels that poll the budget between their own passes or windows.
+_BUDGETED = ("setassoc", "multiproc", "hierarchy")
 
 
 # ---------------------------------------------------------------------------
@@ -852,17 +1002,22 @@ def tier_override(tier: str):
 _STAT_KEYS = ("reads", "writes", "read_misses", "write_misses", "cold_misses")
 
 
-def _counter_violation(old: dict, new: dict, keys, kinds: np.ndarray) -> Optional[str]:
-    """Scalar checks on one counter block: reads and writes match the
-    chunk, every counter is monotone, misses <= refs, cold <= misses.
-    Written so that a NaN fails every comparison."""
+def _counter_violation(
+    old: dict, new: dict, keys, n: int, reads: Optional[int]
+) -> Optional[str]:
+    """Scalar checks on one counter block over ``n`` references, of
+    which ``reads`` are reads (``None``: not known here): reads and
+    writes match, every counter is monotone, misses <= refs, cold <=
+    misses.  Written so that a NaN fails every comparison."""
     delta = {key: new[key] - old[key] for key in keys}
     for key, value in delta.items():
         if not value >= 0:
             return f"{key} decreased or is not a number"
-    n = int(kinds.shape[0])
-    reads = int(np.count_nonzero(kinds == READ))
-    if not (delta["reads"] == reads and delta["writes"] == n - reads):
+    if reads is None:
+        matched = delta["reads"] + delta["writes"] == n
+    else:
+        matched = delta["reads"] == reads and delta["writes"] == n - reads
+    if not matched:
         return "reads/writes do not match the chunk"
     misses = delta["read_misses"] + delta["write_misses"]
     if not misses <= n:
@@ -877,9 +1032,43 @@ def _counter_violation(old: dict, new: dict, keys, kinds: np.ndarray) -> Optiona
     return None
 
 
+def _reads(kinds: np.ndarray) -> int:
+    return int(np.count_nonzero(kinds == READ))
+
+
+def _hierarchy_violation(pre: dict, post: dict, kinds: np.ndarray) -> Optional[str]:
+    """Each level's accesses are the misses of the level above (the
+    chunk for L1) and its cache counters pass the cache checks over
+    them; memory takes the last level's misses."""
+    levels = len(pre["levels"])
+    if not len(post["levels"]) == len(post["stats"]) == levels:
+        return "levels do not match the hierarchy"
+    upstream, reads = int(kinds.shape[0]), _reads(kinds)
+    for index, (old, new, old_cache, new_cache) in enumerate(
+        zip(pre["stats"], post["stats"], pre["levels"], post["levels"])
+    ):
+        accesses = new["accesses"] - old["accesses"]
+        misses = new["misses"] - old["misses"]
+        cache_misses = sum(
+            new_cache["stats"][key] - old_cache["stats"][key]
+            for key in ("read_misses", "write_misses")
+        )
+        if not (accesses == upstream and misses == cache_misses):
+            return f"L{index + 1} accesses or misses do not chain"
+        reason = _counter_violation(
+            old_cache["stats"], new_cache["stats"], _STAT_KEYS, upstream, reads
+        )
+        if reason is not None:
+            return f"L{index + 1} {reason}"
+        upstream, reads = misses, None
+    if not post["memory_accesses"] - pre["memory_accesses"] == upstream:
+        return "memory accesses do not match the last level's misses"
+    return None
+
+
 def _invariant_violation(kernel: str, pre: dict, post: dict, kinds) -> Optional[str]:
-    """O(1) checks on one chunk's scalar deltas (O(P) for multiproc);
-    ``None`` when every invariant holds."""
+    """O(1) checks on one chunk's scalar deltas (O(P) for multiproc,
+    O(levels) for hierarchy); ``None`` when every invariant holds."""
     if kernel == "stackdist":
         n = int(kinds.shape[0])
         d_pos = post["pos"] - pre["pos"]
@@ -896,11 +1085,17 @@ def _invariant_violation(kernel: str, pre: dict, post: dict, kinds) -> Optional[
         if len(post["stats"]) != len(kinds):
             return "stats do not cover every processor"
         for pid, (old, new, col) in enumerate(zip(pre["stats"], post["stats"], kinds)):
-            reason = _counter_violation(old, new, _MP_STAT_KEYS, col)
+            reason = _counter_violation(
+                old, new, _MP_STAT_KEYS, int(col.shape[0]), _reads(col)
+            )
             if reason is not None:
                 return f"p{pid} {reason}"
         return None
-    return _counter_violation(pre["stats"], post["stats"], _STAT_KEYS, kinds)
+    if kernel == "hierarchy":
+        return _hierarchy_violation(pre, post, kinds)
+    return _counter_violation(
+        pre["stats"], post["stats"], _STAT_KEYS, int(kinds.shape[0]), _reads(kinds)
+    )
 
 
 def _miss_delta(kernel: str, pre: dict, post: dict) -> int:
@@ -912,6 +1107,8 @@ def _miss_delta(kernel: str, pre: dict, post: dict) -> int:
             for old, new in zip(pre["stats"], post["stats"])
             for key in ("read_misses", "write_misses")
         )
+    if kernel == "hierarchy":
+        return int(post["memory_accesses"]) - int(pre["memory_accesses"])
     return (
         int(post["stats"]["read_misses"])
         - int(pre["stats"]["read_misses"])
@@ -936,6 +1133,16 @@ def _multiproc_block_span(sim, traces) -> int:
     return max(ends) - min(ends) + 1 if ends else 0
 
 
+def _prefix_bound(kernel: str, sims: list) -> int:
+    """At most this many residents join a chunk as its synthetic prefix
+    (for a sweep, the widest pass's)."""
+    if kernel == "stackdist":
+        return len(sims[0]._last_time)
+    if kernel == "hierarchy":
+        return max(level.num_blocks for level in sims[0].levels)
+    return max(sim.capacity_bytes // sim.block_size for sim in sims)
+
+
 def guard_run(kernel: str, sim, trace, budget=None) -> bool:
     """Try to advance ``sim`` over ``trace`` with a vectorized kernel.
 
@@ -943,9 +1150,11 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
     loops.  Returns ``True`` when the kernel ran and the simulator state
     was updated (the caller is done); ``False`` when the caller must run
     its pure-Python loop: oracle tier, or a chunk that is small or
-    outside the kernel's domain.  A kernel result that breaks a scalar
-    invariant raises :class:`~repro.runtime.errors.KernelDivergenceError`.
-    In every case but ``True`` the simulator is untouched.
+    outside the kernel's domain.  For ``"setassoc"``, ``sim`` may be a
+    list of caches of one block size, advanced together over ``trace``
+    (a sweep).  A kernel result that breaks a scalar invariant raises
+    :class:`~repro.runtime.errors.KernelDivergenceError`.  In every case
+    but ``True`` every simulator is untouched.
     """
     if active_kernel_config().tier != "vector":
         return False
@@ -960,12 +1169,11 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         n = sum(len(t) for t in trace)
         prefix_bound = 0
     else:
+        sims = list(sim) if isinstance(sim, (list, tuple)) else [sim]
+        if not sims or len({s.block_size for s in sims}) != 1:
+            return False
         n = len(trace)
-        # At most this many residents join the chunk as its prefix.
-        if kernel == "stackdist":
-            prefix_bound = len(sim._last_time)
-        else:
-            prefix_bound = sim.capacity_bytes // sim.block_size
+        prefix_bound = _prefix_bound(kernel, sims)
     if n == 0 or n < MIN_REFS or n + prefix_bound >= MAX_REFS:
         return False
     from repro.obs import metrics as obs_metrics
@@ -981,7 +1189,7 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         blocks = [t.addrs for t in trace]  # divided per window
         kinds = [t.kinds for t in trace]
     else:
-        blocks = trace.block_ids(sim.block_size)
+        blocks = trace.block_ids(sims[0].block_size)
         kinds = trace.kinds
         bmin = int(blocks.min())
         bmax = int(blocks.max())
@@ -994,17 +1202,32 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         budget = active_budget()
     if budget is not None:
         budget.check(f"{kernel} kernel chunk")
-    pre = sim.state_dict()
     sampler = hot_loop_sampler(_SAMPLER_NAMES[kernel])
-    extra = {"budget": budget} if kernel == "multiproc" else {}
-    post = KERNELS[kernel](pre, blocks, kinds, **extra)
-    reason = _invariant_violation(kernel, pre, post, kinds)
-    if reason is not None:
-        raise KernelDivergenceError(
-            f"{kernel} kernel broke an invariant on a {n}-reference chunk: {reason}"
-        )
-    sim.load_state_dict(post)
+    extra = {"budget": budget} if kernel in _BUDGETED else {}
+    if kernel == "setassoc":
+        # The kernel takes and returns one snapshot per cache.
+        pre = [cache.state_dict() for cache in sims]
+        post = KERNELS[kernel](pre, blocks, kinds, **extra)
+        if len(post) != len(pre):
+            raise KernelDivergenceError(
+                f"setassoc kernel returned {len(post)} states for {len(pre)} caches"
+            )
+        pairs = list(zip(sims, pre, post))
+    else:
+        pre = sim.state_dict()
+        pairs = [(sim, pre, KERNELS[kernel](pre, blocks, kinds, **extra))]
+    for _, old, new in pairs:
+        reason = _invariant_violation(kernel, old, new, kinds)
+        if reason is not None:
+            raise KernelDivergenceError(
+                f"{kernel} kernel broke an invariant on a {n}-reference chunk: {reason}"
+            )
+    for target, _, new in pairs:
+        target.load_state_dict(new)
     if sampler is not None:
-        sampler.finish(refs=n, misses=_miss_delta(kernel, pre, post))
+        sampler.finish(
+            refs=n * len(pairs),
+            misses=sum(_miss_delta(kernel, old, new) for _, old, new in pairs),
+        )
     obs_metrics.inc(f"mem.kernel.{kernel}.chunks")
     return True

@@ -10,7 +10,10 @@ the limited-associativity instrument used to reproduce that study
 
 from __future__ import annotations
 
-from typing import List, Optional
+import time
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.mem.cache import CacheStats
 from repro.mem.trace import READ, Trace
@@ -110,43 +113,72 @@ class SetAssociativeCache:
                 few thousand references (defaults to the ambient
                 campaign budget, if any).
         """
+        return self.run_many([self], trace, budget=budget)[0]
+
+    @staticmethod
+    def run_many(
+        caches: Sequence["SetAssociativeCache"],
+        trace: Trace,
+        budget: Optional[Budget] = None,
+    ) -> List[CacheStats]:
+        """Run one trace through several caches (a capacity or
+        associativity sweep); returns each cache's cumulative stats.
+
+        Equal to ``[cache.run(trace, budget) for cache in caches]``:
+        the same stats, states and timeline rows (but for their
+        timings).  On the vector tier the caches share one kernel call,
+        which makes one depth pass per distinct set count (see
+        ``docs/KERNELS.md``).  The oracle tier runs each cache's loop, a
+        streamed trace each cache's :meth:`run`, and caches of different
+        block sizes run one by one.
+        """
+        caches = list(caches)
         if hasattr(trace, "iter_chunks"):
             from repro.mem.streamsim import run_setassoc_streamed
 
-            return run_setassoc_streamed(self, trace, budget=budget)
+            return [
+                run_setassoc_streamed(cache, trace, budget=budget) for cache in caches
+            ]
+        if len({cache.block_size for cache in caches}) != 1:
+            return [cache.run(trace, budget=budget) for cache in caches]
+        from repro.mem import kernels
         from repro.obs import timeline as obs_timeline
 
         recorder = obs_timeline.active_recorder()
-        if recorder is None:
-            return self._run_impl(trace, budget=budget)
-        import time as _time
+        before = [
+            (cache.stats.accesses, cache.stats.misses, cache.stats.cold_misses)
+            for cache in caches
+        ]
+        t0 = time.perf_counter()
+        if not kernels.guard_run("setassoc", caches, trace, budget=budget):
+            for cache in caches:
+                cache._run_loop(trace, budget=budget)
+        if recorder is not None:
+            # One footprint for the whole sweep; the rows share its time.
+            elapsed = (time.perf_counter() - t0) / len(caches)
+            block_size = caches[0].block_size
+            ws_blocks = trace.footprint(block_size)
+            for cache, (accesses, misses, cold) in zip(caches, before):
+                stats = cache.stats
+                obs_timeline.record_cache_chunk(
+                    recorder,
+                    "setassoc",
+                    trace,
+                    block_size=block_size,
+                    capacity_bytes=cache.capacity_bytes,
+                    refs=len(trace),
+                    counted=stats.accesses - accesses,
+                    cold=stats.cold_misses - cold,
+                    misses_total=stats.misses - misses,
+                    elapsed=elapsed,
+                    ws_blocks=ws_blocks,
+                )
+        return [cache.stats for cache in caches]
 
-        pre = self.stats
-        pre_accesses, pre_misses = pre.accesses, pre.misses
-        pre_cold = pre.cold_misses
-        t0 = _time.perf_counter()
-        stats = self._run_impl(trace, budget=budget)
-        obs_timeline.record_cache_chunk(
-            recorder,
-            "setassoc",
-            trace,
-            block_size=self.block_size,
-            capacity_bytes=self.capacity_bytes,
-            refs=len(trace),
-            counted=stats.accesses - pre_accesses,
-            cold=stats.cold_misses - pre_cold,
-            misses_total=stats.misses - pre_misses,
-            elapsed=_time.perf_counter() - t0,
-        )
-        return stats
-
-    def _run_impl(
+    def _run_loop(
         self, trace: Trace, budget: Optional[Budget] = None
     ) -> CacheStats:
-        from repro.mem import kernels
-
-        if kernels.guard_run("setassoc", self, trace, budget=budget):
-            return self.stats
+        """The per-reference loop: the oracle tier's semantics."""
         if budget is None:
             budget = active_budget()
         sampler = hot_loop_sampler("mem.setassoc")
@@ -216,32 +248,41 @@ class SetAssociativeCache:
                     f"not match this cache's "
                     f"{field_name}={getattr(self, field_name)!r}"
                 )
-        counts = [int(c) for c in state["set_counts"]]
-        if len(counts) != self.num_sets:
+        counts = np.asarray(state["set_counts"], dtype=np.int64)
+        if counts.shape != (self.num_sets,):
             raise ValueError(
-                f"checkpoint has {len(counts)} sets, cache has {self.num_sets}"
+                f"checkpoint has {counts.size} sets, cache has {self.num_sets}"
             )
-        orders = [int(k) for k in state["set_orders_mru_to_lru"]]
-        if len(orders) != sum(counts):
+        orders = np.asarray(state["set_orders_mru_to_lru"], dtype=np.int64)
+        if counts.min() < 0 or orders.size != counts.sum():
             raise ValueError("checkpoint set orders disagree with set counts")
-        sets = []
-        offset = 0
-        for index, count in enumerate(counts):
-            cache_set = orders[offset : offset + count]
-            offset += count
-            if count > self.associativity:
+        # Checked for every set at once; the first bad set is reported.
+        home = np.repeat(np.arange(self.num_sets), counts)
+        stray = orders % self.num_sets != home
+        misplaced = np.zeros(self.num_sets, dtype=bool)
+        misplaced[home[stray]] = True
+        # A block stored only in its own set repeats within that set.
+        placed = np.sort(orders[~stray])
+        twice = np.zeros(self.num_sets, dtype=bool)
+        twice[placed[1:][placed[1:] == placed[:-1]] % self.num_sets] = True
+        over = counts > self.associativity
+        bad = np.flatnonzero(over | misplaced | twice)
+        if bad.size:
+            index = int(bad[0])
+            if over[index]:
                 raise ValueError(
-                    f"checkpoint set {index} holds {count} blocks, more than "
-                    f"the associativity {self.associativity}"
+                    f"checkpoint set {index} holds {counts[index]} blocks, more "
+                    f"than the associativity {self.associativity}"
                 )
-            if any(block % self.num_sets != index for block in cache_set):
+            if misplaced[index]:
                 raise ValueError(
                     f"checkpoint set {index} holds a block that maps to "
                     "another set"
                 )
-            if len(set(cache_set)) != count:
-                raise ValueError(f"checkpoint set {index} holds a block twice")
-            sets.append(cache_set)
+            raise ValueError(f"checkpoint set {index} holds a block twice")
+        flat = orders.tolist()
+        ends = np.cumsum(counts).tolist()
+        sets = [flat[end - count : end] for end, count in zip(ends, counts.tolist())]
         self._sets = sets
         self._ever_seen = {int(b) for b in state["ever_seen"]}
         self.stats = CacheStats(**{k: int(v) for k, v in state["stats"].items()})

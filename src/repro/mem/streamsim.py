@@ -200,6 +200,20 @@ def run_setassoc_streamed(cache, trace: StreamingTrace, budget=None, checkpoint_
     return cache.stats
 
 
+def run_hierarchy_streamed(
+    hierarchy, trace: StreamingTrace, budget=None, checkpoint_path=_AMBIENT
+):
+    """Streamed drive of a :class:`~repro.mem.hierarchy.CacheHierarchy`."""
+    params = {
+        "capacities": [level.capacity_bytes for level in hierarchy.levels],
+        "block_size": hierarchy.block_size,
+    }
+    run_chunked(
+        hierarchy, trace, "hierarchy", params, budget=budget, checkpoint_path=checkpoint_path
+    )
+    return hierarchy.stats
+
+
 def profile_streamed(profiler, trace: StreamingTrace, budget=None, checkpoint_path=_AMBIENT):
     """Streamed stack-distance profile (exact, bounded memory).
 

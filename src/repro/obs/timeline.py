@@ -626,16 +626,21 @@ def record_cache_chunk(
     cold: int,
     misses_total: int,
     elapsed: float,
+    ws_blocks: Optional[int] = None,
 ) -> None:
     """One timeline row for an explicit-cache chunk (never raises).
 
     Shared by the fully associative and set-associative simulators:
     they simulate a single capacity, so the row carries the scalar
-    miss delta plus the Denning working-set estimate of the window.
+    miss delta plus the Denning working-set estimate of the window
+    (``ws_blocks``, the trace footprint, computed here unless a sweep
+    passes the one it already has).
     """
     try:
         if refs <= 0:
             return
+        if ws_blocks is None:
+            ws_blocks = trace.footprint(block_size)
         recorder.record(
             kind,
             refs=int(refs),
@@ -646,7 +651,7 @@ def record_cache_chunk(
             refs_per_second=(refs / elapsed) if elapsed > 0 else None,
             block_size=int(block_size),
             capacity_bytes=int(capacity_bytes),
-            ws_blocks=int(trace.footprint(block_size)),
+            ws_blocks=int(ws_blocks),
             tier=kernel_tier(),
         )
     except Exception:

@@ -145,7 +145,9 @@ def cross_check_trace(
             continue
         # Per-set inclusion chain: hold the set count at this capacity's
         # block count and widen each set — same index stream, larger
-        # per-set LRU stacks, so misses must not increase.
+        # per-set LRU stacks, so misses must not increase.  One cache
+        # per call: a sweep would score the chain from one shared depth
+        # pass, restating inclusion instead of checking the kernel.
         num_sets = capacity // block_size
         previous = None
         for ways in sorted(set(int(w) for w in associativities)):

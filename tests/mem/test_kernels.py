@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.mem import kernels
 from repro.mem.cache import FullyAssociativeCache
+from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.multiproc import MultiprocessorMemory
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import StackDistanceRun, profile_trace
@@ -186,6 +187,8 @@ def _new_sim(kind):
         return FullyAssociativeCache(32 * 8)
     if kind == "setassoc":
         return SetAssociativeCache(64 * 8, associativity=4)
+    if kind == "hierarchy":
+        return CacheHierarchy([8 * 8, 32 * 8])
     return StackDistanceRun()
 
 
@@ -236,7 +239,14 @@ def _corrupt(kind, fault, post, n):
     if kind == "stackdist":
         stats, misses, count = post, "cold", "total"
     else:
-        stats = post["stats"][0] if kind == "multiproc" else post["stats"]
+        if kind == "multiproc":
+            stats = post["stats"][0]
+        elif kind == "setassoc":
+            stats = post[0]["stats"]  # one snapshot per cache
+        elif kind == "hierarchy":
+            stats = post["levels"][0]["stats"]
+        else:
+            stats = post["stats"]
         misses, count = "read_misses", "reads"
     if fault == "wrong-count":  # more misses than references
         stats[misses] += n + 1
@@ -546,13 +556,307 @@ class TestChunkBoundaryInsideRun:
         )
 
 
+# -- the multi-view set-associative sweep ----------------------------------
+
+
+def _geometry_caches(geometries):
+    """One fresh cache per ``(sets, ways)``, 8-byte blocks."""
+    return [
+        SetAssociativeCache(sets * ways * 8, associativity=ways)
+        for sets, ways in geometries
+    ]
+
+
+def _states(sims):
+    return [_canonical(sim.state_dict()) for sim in sims]
+
+
+def _sweep_twin_check(geometries, histories, chunks):
+    """Sweep caches with ``run_many`` on the vector tier and their twins
+    one by one on the oracle tier; stats and states must match at every
+    cut, with one kernel call per chunk.  ``histories[i]`` (a block
+    list, when present) is fed to cache ``i`` on the oracle tier first."""
+    vec, ora = _geometry_caches(geometries), _geometry_caches(geometries)
+    with kernels.tier_override("oracle"):
+        for history, v, o in zip(histories, vec, ora):
+            if history:
+                v.run(_trace(history, [b % 2 for b in history]))
+                o.run(_trace(history, [b % 2 for b in history]))
+    _vector()
+    with count_kernel_calls() as calls:
+        for chunk in chunks:
+            stats = SetAssociativeCache.run_many(vec, chunk)
+            with kernels.tier_override("oracle"):
+                for cache in ora:
+                    cache.run(chunk)
+            assert [s.__dict__ for s in stats] == [c.stats.__dict__ for c in ora]
+            assert _states(vec) == _states(ora)
+    assert calls["setassoc"] == len(chunks)
+
+
+geometry_lists = st.lists(
+    st.tuples(st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 3, 4])),
+    min_size=1,
+    max_size=6,
+)
+history_lists = st.lists(st.lists(st.integers(0, 11), max_size=12), max_size=6)
+
+
+@pytest.mark.usefixtures("tiny_chunks")
+class TestSweep:
+    """``SetAssociativeCache.run_many``: one kernel call for many caches,
+    one depth pass per set count, exact for any loaded states."""
+
+    @given(
+        geometries=geometry_lists,
+        blocks=block_lists,
+        cuts=cut_lists,
+        histories=history_lists,
+        shared=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_run_many_matches_oracle_loops_at_every_boundary(
+        self, geometries, blocks, cuts, histories, shared, data
+    ):
+        """Views at one set count and at several; fresh, sharing one
+        history (nested: one pass) or each with its own (not nested:
+        a pass each)."""
+        kinds = data.draw(
+            st.lists(st.integers(0, 1), min_size=len(blocks), max_size=len(blocks))
+        )
+        if shared and histories:
+            histories = [histories[0]] * len(geometries)
+        _sweep_twin_check(geometries, histories, _chunked(blocks, kinds, cuts))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chunk_boundary_inside_a_run(self, seed):
+        blocks, kinds = _run_heavy_trace(1500, 96, seed)
+        chunks = _chunked(blocks, kinds, [_cut_inside_run(blocks)])
+        geometries = [(sets, ways) for sets in (8, 32) for ways in (1, 2, 4)]
+        _sweep_twin_check(geometries, [], chunks)
+
+    def test_unrelated_states_at_one_set_count_stay_exact(self):
+        """Each cache's own history, so no state is nested in another."""
+        blocks, kinds = _run_heavy_trace(3000, 200, seed=4)
+        rng = np.random.default_rng(8)
+        geometries = [(16, 4), (16, 2), (16, 1), (16, 4)]
+        histories = [rng.integers(0, 200, size=300).tolist() for _ in geometries]
+        _sweep_twin_check(geometries, histories, _chunked(blocks, kinds, [1000, 2000]))
+
+    def test_passes_share_a_set_count_only_when_nested(self):
+        geometries = [(32, 1), (8, 4), (32, 4), (8, 1), (32, 2)]
+        caches = _geometry_caches(geometries)
+        states = [cache.state_dict() for cache in caches]
+        assert kernels._setassoc_passes(states) == [(8, [1, 3]), (32, [2, 4, 0])]
+        # One shared history keeps the views nested ...
+        history = _mixed_trace(400, 150, seed=2)
+        with kernels.tier_override("oracle"):
+            for cache in caches:
+                cache.run(history)
+        states = [cache.state_dict() for cache in caches]
+        assert kernels._setassoc_passes(states) == [(8, [1, 3]), (32, [2, 4, 0])]
+        # ... one more reference to the direct-mapped cache alone does not.
+        with kernels.tier_override("oracle"):
+            caches[0].run(_trace([151]))
+        states = [cache.state_dict() for cache in caches]
+        assert kernels._setassoc_passes(states) == [
+            (8, [1, 3]),
+            (32, [2, 4]),
+            (32, [0]),
+        ]
+
+    @pytest.mark.parametrize(
+        "narrow, ever_seen",
+        [
+            # The narrow set holds fewer blocks than its top `ways` of the
+            # wide one: block 2 is resident at depth 2 in the wide view
+            # but absent from the narrow one.
+            (([0], [1, 0]), [0, 2, 4]),
+            # The wide view holds block 4, which neither has ever seen:
+            # the narrow view's miss on it is cold, the wide view's hit
+            # is not.
+            (([0, 2], [2, 0]), [0, 2]),
+        ],
+        ids=["short-set", "resident-never-seen"],
+    )
+    def test_loaded_states_that_only_look_nested(self, narrow, ever_seen):
+        """Loaded states can break what every reachable state has: each
+        set holds the top ``min(count, ways)`` and every resident was
+        seen.  Such a view gets a pass of its own."""
+
+        def loaded():
+            caches = []
+            for ways, (orders, counts) in ((4, ([0, 2, 4], [3, 0])), (2, narrow)):
+                cache = SetAssociativeCache(2 * ways * 8, associativity=ways)
+                state = cache.state_dict()
+                state.update(
+                    set_orders_mru_to_lru=orders, set_counts=counts, ever_seen=ever_seen
+                )
+                cache.load_state_dict(state)
+                caches.append(cache)
+            return caches
+
+        vec, ora = loaded(), loaded()
+        states = [cache.state_dict() for cache in vec]
+        assert kernels._setassoc_passes(states) == [(2, [0]), (2, [1])]
+        chunk = _trace([2, 0, 1, 2, 4, 3] * 4, [0, 1] * 12)
+        _vector()
+        SetAssociativeCache.run_many(vec, chunk)
+        with kernels.tier_override("oracle"):
+            for cache in ora:
+                cache.run(chunk)
+        assert _states(vec) == _states(ora)
+
+    def test_assoc_sweep_makes_one_pass_per_set_count(self):
+        capacities = [1 << k for k in range(8, 19)]
+        states = [
+            SetAssociativeCache(c, associativity=a).state_dict()
+            for a in (1, 4)
+            for c in capacities
+        ]
+        # 4-way 2^8..2^18 B: 8..8192 sets; direct-mapped: 32..32768.
+        assert [s for s, _ in kernels._setassoc_passes(states)] == [
+            1 << k for k in range(3, 16)
+        ]
+
+    def test_oracle_tier_and_mixed_block_sizes_run_cache_by_cache(self, kernel_calls):
+        trace = _mixed_trace(3000, 300, seed=6)
+
+        def caches():
+            return [
+                SetAssociativeCache(c, block_size=b, associativity=2)
+                for c, b in ((512, 8), (1024, 16))
+            ]
+
+        with kernels.tier_override("oracle"):
+            expected = [_canonical(c.run(trace).__dict__) for c in caches()]
+            swept = SetAssociativeCache.run_many(caches(), trace)
+        assert kernel_calls["setassoc"] == 0
+        assert [_canonical(s.__dict__) for s in swept] == expected
+        _vector()
+        swept = SetAssociativeCache.run_many(caches(), trace)
+        assert kernel_calls["setassoc"] == 2  # one single-view call each
+        assert [_canonical(s.__dict__) for s in swept] == expected
+
+    def test_sweep_peak_memory_stays_at_one_pass(self):
+        """On the Barnes-Hut trace of ``bench_kernel_setassoc4_bh_vector``
+        the sweep kernel peaks no higher than the single-view call: views
+        sharing its set count add nothing, and each pass's arrays are
+        freed before the next.  The allowance covers the per-view
+        bookkeeping (lists of snapshots and passes, measured under 1 KiB)
+        and is a sixteenth of the smallest trace-length array."""
+        import tracemalloc
+
+        from repro.apps.barnes_hut.bodies import plummer_model
+        from repro.apps.barnes_hut.trace import BarnesHutTraceGenerator
+
+        trace = BarnesHutTraceGenerator(
+            plummer_model(256, seed=3), theta=1.0, num_processors=4
+        ).trace_for_processor(0)
+        blocks, kinds = trace.block_ids(8), trace.kinds
+
+        def peak(views):
+            states = [
+                SetAssociativeCache(c, associativity=a).state_dict() for a, c in views
+            ]
+            kernels.kernel_setassoc(states, blocks, kinds)  # warm imports
+            tracemalloc.start()
+            try:
+                kernels.kernel_setassoc(states, blocks, kinds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = peak([(4, 4096)])
+        same_sets = [(4, 4096), (2, 2048), (1, 1024)]
+        sweep = peak(same_sets + [(4, 8192), (1, 2048), (4, 16384), (1, 4096)])
+        assert sweep <= single + len(trace) // 16
+
+
+# -- the hierarchy kernel --------------------------------------------------
+
+
+def _hierarchy(levels, history=(), history_kinds=()):
+    """A hierarchy of ``levels`` blocks per level, fed ``history`` on
+    the oracle tier."""
+    sim = CacheHierarchy([blocks * 8 for blocks in levels])
+    if len(history):
+        with kernels.tier_override("oracle"):
+            sim.run(_trace(history, history_kinds))
+    return sim
+
+
+@pytest.mark.usefixtures("tiny_chunks")
+class TestHierarchyKernel:
+    @given(
+        blocks=block_lists,
+        cuts=cut_lists,
+        levels=st.sampled_from([(1, 2), (2, 4), (1, 2, 4), (2, 8), (4, 5)]),
+        history=st.lists(st.integers(0, 9), max_size=16),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_access_loop_at_every_boundary(
+        self, blocks, cuts, levels, history, data
+    ):
+        """Writes, pre-loaded state and every cut: the per-level states,
+        counters and memory accesses equal the ``access`` loop's."""
+
+        def draw_kinds(refs):
+            return data.draw(
+                st.lists(st.integers(0, 1), min_size=len(refs), max_size=len(refs))
+            )
+
+        kinds, history_kinds = draw_kinds(blocks), draw_kinds(history)
+        chunks = _chunked(blocks, kinds, cuts)
+        calls = _twin_check(
+            lambda: _hierarchy(levels, history, history_kinds),
+            lambda: _hierarchy(levels, history, history_kinds),
+            chunks,
+        )
+        assert calls["hierarchy"] == len(chunks)
+
+    def test_lower_levels_may_see_no_references(self):
+        """An L1 that holds the whole footprint sends nothing down."""
+        chunks = [_trace([0, 1, 0, 1]), _trace([1, 0] * 5, [1, 0] * 5)]
+        calls = _twin_check(
+            lambda: _hierarchy((2, 8, 16)), lambda: _hierarchy((2, 8, 16)), chunks
+        )
+        assert calls["hierarchy"] == 2
+
+    def test_state_round_trip_and_geometry_checks(self):
+        sim = _hierarchy((4, 16), list(range(30)), [b % 2 for b in range(30)])
+        state = json.loads(json.dumps(sim.state_dict()))
+        twin = CacheHierarchy([4 * 8, 16 * 8])
+        twin.load_state_dict(state)
+        assert _canonical(twin.state_dict()) == _canonical(state)
+        assert twin.stats == sim.stats
+        with pytest.raises(ValueError):
+            CacheHierarchy([4 * 8, 32 * 8]).load_state_dict(state)
+        with pytest.raises(ValueError):
+            CacheHierarchy([4 * 8]).load_state_dict(state)
+        with pytest.raises(ValueError):
+            CacheHierarchy([4 * 16, 16 * 16], block_size=16).load_state_dict(state)
+
+
 def test_assoc_study_vector_tier_equals_oracle(kernel_calls):
     from repro.experiments import assoc_study
 
     vector = assoc_study.run(n=128)
-    assert kernel_calls["setassoc"] > 0
+    assert kernel_calls["setassoc"] == 1  # one sweep call for every cache
     with kernels.tier_override("oracle"):
         oracle = assoc_study.run(n=128)
+    assert _canonical(vector.to_dict()) == _canonical(oracle.to_dict())
+
+
+def test_hierarchy_design_vector_tier_equals_oracle(kernel_calls):
+    from repro.experiments import hierarchy_design
+
+    vector = hierarchy_design.run()
+    assert kernel_calls["hierarchy"] == 2  # one call per traced application
+    with kernels.tier_override("oracle"):
+        oracle = hierarchy_design.run()
     assert _canonical(vector.to_dict()) == _canonical(oracle.to_dict())
 
 

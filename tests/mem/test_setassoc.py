@@ -149,3 +149,19 @@ class TestSnapshots:
         cache = SetAssociativeCache(64, block_size=8, associativity=2)
         with pytest.raises(ValueError):
             cache.load_state_dict(self._state(orders, counts))
+
+    @pytest.mark.parametrize(
+        "orders, counts, message",
+        [
+            ([4, 2, 6, 1, 5, 9], [1, 0, 2, 3], "set 3 holds 3 blocks"),
+            ([4, 1, 1, 6, 6], [1, 0, 2, 2], "set 2 holds a block that maps"),
+            ([4, 6, 6, 3, 5], [1, 0, 2, 2], "set 2 holds a block twice"),
+            ([4, 0, 0], [3, 0, 0, 0], "set 0 holds 3 blocks"),
+        ],
+    )
+    def test_the_first_bad_set_is_named(self, orders, counts, message):
+        """Sets are checked in order, and within a set: size, then
+        mapping, then duplicates."""
+        cache = SetAssociativeCache(64, block_size=8, associativity=2)
+        with pytest.raises(ValueError, match=message):
+            cache.load_state_dict(self._state(orders, counts))

@@ -11,7 +11,9 @@ faults at the ``simckpt`` write site, not hand-built state.
 import numpy as np
 import pytest
 
+from repro.mem import kernels
 from repro.mem.cache import FullyAssociativeCache
+from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.shards import (
     StreamingTraceBuilder,
@@ -25,6 +27,7 @@ from repro.mem.streamsim import (
     default_checkpoint_path,
     profile_streamed,
     run_cache_streamed,
+    run_hierarchy_streamed,
     run_setassoc_streamed,
 )
 from repro.runtime.iofault import IOFaultInjector, install
@@ -261,3 +264,63 @@ class TestCheckpointCompatibility:
         ]
         assert [r["shard"] for r in records] == list(range(1, NUM_SHARDS + 1))
         assert not replay.torn_tail and not replay.corrupt
+
+
+HIERARCHY_LEVELS = (128, 1024)
+
+
+@pytest.fixture(params=["oracle", "vector"])
+def tier(request, monkeypatch):
+    """Both tiers, with every chunk (a 300-reference shard included)
+    inside the vector tier's domain."""
+    monkeypatch.setattr(kernels, "MIN_REFS", 0)
+    with kernels.tier_override(request.param):
+        yield request.param
+
+
+class TestHierarchyStreamed:
+    """``CacheHierarchy.run`` on a sharded trace goes shard by shard
+    through ``run_chunked``, never loading the whole trace."""
+
+    def test_streamed_equals_in_memory(self, streamed, tier, monkeypatch):
+        trace, out = streamed
+        mem = CacheHierarchy(HIERARCHY_LEVELS)
+        mem.run(trace)
+
+        def whole_trace(self):
+            raise AssertionError("the streamed hierarchy loaded the whole trace")
+
+        monkeypatch.setattr(type(out), "load", whole_trace)
+        srm = CacheHierarchy(HIERARCHY_LEVELS)
+        assert srm.run(out) == mem.stats
+        assert srm.memory_accesses == mem.memory_accesses
+
+    @pytest.mark.parametrize("fail_at", [1, 3, NUM_SHARDS])
+    def test_resume_mid_stream(self, streamed, tmp_path, tier, fail_at):
+        trace, out = streamed
+        reference = CacheHierarchy(HIERARCHY_LEVELS)
+        reference.run(trace)
+        path = tmp_path / "h.ckpt"
+        with install(IOFaultInjector.parse(f"simckpt:write:enospc:{fail_at}")):
+            with pytest.raises(OSError):
+                run_hierarchy_streamed(
+                    CacheHierarchy(HIERARCHY_LEVELS), out, checkpoint_path=path
+                )
+        ckpt = load_sim_checkpoint(path)
+        assert (ckpt["next_shard"] if ckpt else 0) == fail_at - 1
+        resumed = CacheHierarchy(HIERARCHY_LEVELS)
+        run_hierarchy_streamed(resumed, out, checkpoint_path=path)
+        assert resumed.state_dict() == reference.state_dict()
+
+    def test_expired_budget_stops_the_run(self, streamed, tier):
+        from repro.runtime.budget import Budget
+        from repro.runtime.errors import BudgetExceeded
+
+        trace, out = streamed
+        clock = iter([0.0])
+        expired = Budget(1.0, clock=lambda: next(clock, 5.0))
+        for source in (trace, out):
+            sim = CacheHierarchy(HIERARCHY_LEVELS)
+            with pytest.raises(BudgetExceeded):
+                sim.run(source, budget=expired)
+            assert sim.stats[0].accesses == 0

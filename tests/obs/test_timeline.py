@@ -310,6 +310,60 @@ class TestSimulatorHooks:
         assert rows[0]["kind"] == "setassoc"
         assert rows[0]["misses_total"] == stats.misses
 
+    def test_sweep_rows_equal_per_cache_rows(self, tmp_path, monkeypatch):
+        """``run_many`` writes one ``setassoc`` row per cache, equal field
+        for field to what each cache's ``run`` writes but for the timing
+        fields, and computes the trace footprint once per sweep."""
+        from repro.mem.setassoc import SetAssociativeCache
+        from repro.mem.trace import Trace
+
+        def caches():
+            return [
+                SetAssociativeCache(blocks * 8, associativity=ways)
+                for ways in (1, 4)
+                for blocks in (64, 256)
+            ]
+
+        footprints = []
+        footprint = Trace.footprint
+        monkeypatch.setattr(
+            Trace, "footprint", lambda t, b=8: footprints.append(b) or footprint(t, b)
+        )
+        trace = self._trace(refs=10_000)
+        obs_metrics.set_obs_enabled(True)
+        tl.configure_timeline(tmp_path / "sweep.jsonl")
+        SetAssociativeCache.run_many(caches(), trace)
+        assert len(footprints) == 1
+        tl.configure_timeline(tmp_path / "each.jsonl")
+        for cache in caches():
+            cache.run(trace)
+        assert len(footprints) == 5
+        tl.configure_timeline(None)
+        timing = ("elapsed_s", "refs_per_second", "t_wall")
+
+        def rows(name):
+            return [
+                {k: v for k, v in row.items() if k not in timing}
+                for row in tl.read_timeline(tmp_path / name)
+            ]
+
+        sweep = rows("sweep.jsonl")
+        assert len(sweep) == 4
+        assert [row["kind"] for row in sweep] == ["setassoc"] * 4
+        assert sweep == rows("each.jsonl")
+
+    def test_hierarchy_kernel_adds_no_rows(self, tmp_path):
+        from repro.mem import kernels
+        from repro.mem.hierarchy import CacheHierarchy
+        from tests.conftest import count_kernel_calls
+
+        obs_metrics.set_obs_enabled(True)
+        tl.configure_timeline(tmp_path / "timeline.jsonl")
+        with kernels.tier_override("vector"), count_kernel_calls() as calls:
+            CacheHierarchy([64 * 8, 256 * 8]).run(self._trace(refs=10_000))
+        assert calls["hierarchy"] == 1
+        assert tl.read_timeline(tmp_path / "timeline.jsonl") == []
+
     def test_no_rows_without_recorder(self, tmp_path):
         from repro.mem.cache import FullyAssociativeCache
         from repro.mem.stack_distance import profile_trace
