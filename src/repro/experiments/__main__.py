@@ -39,8 +39,6 @@ Usage::
                                       # live per-experiment state/ETA
     python -m repro.experiments report runs/full --html -o report.html
                                       # static post-hoc campaign report
-    python -m repro.experiments serve runs/service --quick
-                                      # multi-tenant campaign service
     python -m repro.experiments --quick --run-dir runs/q \
         --archive perf-archive.jsonl  # append an attributed perf row
     python -m repro.experiments trends perf-archive.jsonl
@@ -228,16 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         "server; 0 = legacy in-process serial backend (default: 1)",
     )
     parser.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the campaign across N long-lived worker-node "
-        "processes (the fault-tolerant dispatch fabric: fenced "
-        "assignment, failover re-dispatch, straggler hedging; see "
-        "docs/ROBUSTNESS.md); requires --jobs >= 1",
-    )
-    parser.add_argument(
         "--hard-timeout-seconds",
         type=float,
         default=None,
@@ -268,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         dest="verify_store",
         help="verify every checkpoint envelope in DIR (manifest, summary, "
-        "results, failures) and exit: 0 = all sound, 1 = corruption found",
+        "results, failures) and exit: 0 = all sound, 1 = corruption found "
+        "or no envelope to check, 2 = DIR is not a directory",
     )
     parser.add_argument(
         "--lease-ttl-seconds",
@@ -438,21 +427,9 @@ def validate_command(argv: List[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    from pathlib import Path as _Path
+    from repro.validate.artifacts import validate_run_dir
 
-    from repro.validate.artifacts import (
-        is_service_root,
-        validate_cache_dir,
-        validate_run_dir,
-        validate_service_root,
-    )
-
-    if is_service_root(args.run_dir):
-        report = validate_service_root(args.run_dir, deep=not args.shallow)
-    elif (_Path(args.run_dir) / "objects").is_dir():
-        report = validate_cache_dir(args.run_dir)
-    else:
-        report = validate_run_dir(args.run_dir, deep=not args.shallow)
+    report = validate_run_dir(args.run_dir, deep=not args.shallow)
     if args.json:
         import json
 
@@ -569,27 +546,12 @@ def chaos_command(argv: List[str]) -> int:
         dest="shard_refs",
         help="--shard-refs for the streamed campaigns under test",
     )
-    parser.add_argument(
-        "--nodes", type=int, default=None, metavar="N",
-        help="run every campaign on an N-node dispatch fabric and aim "
-        "the chaos at the nodes: seeded node self-kills (mid-attempt "
-        "and mid-heartbeat) with every third cycle a partition whose "
-        "healed stale results must be fenced; the summary must stay "
-        "byte-identical to an uninterrupted --nodes 1 reference "
-        "(requires --jobs >= 1)",
-    )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.cycles < 0 or args.enospc_cycles < 0:
         print("--cycles and --enospc-cycles must be >= 0")
-        return 2
-    if args.nodes is not None and args.nodes < 1:
-        print("--nodes must be >= 1")
-        return 2
-    if args.nodes is not None and args.jobs < 1:
-        print("--nodes requires --jobs >= 1")
         return 2
     if args.cycles + args.enospc_cycles < 1:
         print("nothing to do: --cycles + --enospc-cycles must be >= 1")
@@ -619,7 +581,6 @@ def chaos_command(argv: List[str]) -> int:
         deep=args.deep,
         stream=args.stream,
         shard_refs=args.shard_refs,
-        nodes=args.nodes,
     )
     print(report.render())
     if not report.passed:
@@ -636,174 +597,29 @@ def chaos_module_defaults() -> List[str]:
 def verify_store_command(run_dir: str) -> int:
     """``--verify-store DIR``: checksum every checkpoint envelope.
 
-    Understands three layouts: a plain campaign run directory, a
-    content-addressed cache root (an ``objects/`` directory of entry
-    envelopes), and a whole service root (``campaigns/<tenant>/<id>/``
-    run dirs plus a ``cache/``) — every store found under DIR is
-    verified and the findings are merged.
+    Exit 0 when DIR holds at least one envelope and every one verifies,
+    1 when any is corrupt or there is none to verify, 2 when DIR is not
+    a directory.
     """
-    from pathlib import Path
-
-    from repro.service.cache import OBJECTS_DIRNAME, ResultCache
-    from repro.service.http import CACHE_DIRNAME, CAMPAIGNS_DIRNAME
-
-    root = Path(run_dir)
-    problems: Dict[str, str] = {}
-    campaigns_dir = root / CAMPAIGNS_DIRNAME
-    if campaigns_dir.is_dir():
-        # Service root: verify every per-campaign run dir.
-        for campaign_dir in sorted(campaigns_dir.glob("*/*")):
-            if not campaign_dir.is_dir():
-                continue
-            for rel, message in CheckpointStore(campaign_dir).verify_all().items():
-                problems[str(campaign_dir.relative_to(root) / rel)] = message
-    else:
-        problems.update(CheckpointStore(run_dir).verify_all())
-    for cache_root in (root / CACHE_DIRNAME, root):
-        if (cache_root / OBJECTS_DIRNAME).is_dir():
-            for rel, message in ResultCache(cache_root).verify_all().items():
-                prefix = cache_root.relative_to(root)
-                problems[str(prefix / rel) if str(prefix) != "." else rel] = message
-            break
+    store = CheckpointStore(run_dir)
+    if not store.run_dir.is_dir():
+        print(f"store {run_dir}: not a directory")
+        return 2
+    checked = store.envelope_paths()
+    if not checked:
+        print(f"store {run_dir}: no checkpoint envelopes found")
+        return 1
+    problems = store.verify_all()
     if not problems:
-        print(f"store {run_dir}: every envelope verified")
+        print(
+            f"store {run_dir}: every envelope verified "
+            f"({len(checked)} checked)"
+        )
         return 0
     print(f"store {run_dir}: {len(problems)} corrupt envelope(s)")
     for rel_path, message in sorted(problems.items()):
         print(f"  {rel_path}: {message}")
     return 1
-
-
-def serve_command(argv: List[str]) -> int:
-    """``python -m repro.experiments serve <root>``.
-
-    Run the multi-tenant campaign service (see ``docs/SERVICE.md``):
-    an HTTP/JSON API over the full experiment registry with per-tenant
-    bounded admission queues, a shared content-addressed result cache,
-    a circuit breaker around the worker pool, and crash-consistent
-    graceful drain on SIGTERM/SIGINT.  Exit 0 on a clean drain, 1 when
-    the drain timed out with work still running, 2 on usage errors.
-    """
-    import signal
-    import threading
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments serve",
-        description="Serve the experiment campaign API over HTTP.",
-    )
-    parser.add_argument(
-        "root", metavar="ROOT",
-        help="service root directory (cache, WAL, per-campaign run dirs)",
-    )
-    parser.add_argument("--host", default="127.0.0.1", metavar="ADDR")
-    parser.add_argument(
-        "--port", type=int, default=0, metavar="PORT",
-        help="0 picks an ephemeral port, recorded in ROOT/service.json "
-        "(default: 0)",
-    )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=8, metavar="N",
-        help="queued submissions per tenant before 429 (default: 8)",
-    )
-    parser.add_argument(
-        "--max-queued", type=int, default=64, metavar="N",
-        help="queued submissions across all tenants before 503 (default: 64)",
-    )
-    parser.add_argument(
-        "--dispatchers", type=int, default=1, metavar="N",
-        help="concurrent campaign dispatch threads (default: 1)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="engine --jobs per campaign; 0 = in-process (default: 0)",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=None, metavar="N",
-        help="run campaigns on a shared N-node dispatch fabric "
-        "(fenced assignment, failover re-dispatch, hedging; requires "
-        "--jobs >= 1; default: no fabric)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="force every campaign to the quick parameterization",
-    )
-    parser.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help="attempts per experiment (default: 3)",
-    )
-    parser.add_argument(
-        "--default-deadline-seconds", type=float, default=None, metavar="S",
-        help="deadline for submissions that name none (default: none)",
-    )
-    parser.add_argument(
-        "--breaker-threshold", type=int, default=3, metavar="N",
-        help="consecutive worker failures that trip the breaker (default: 3)",
-    )
-    parser.add_argument(
-        "--breaker-cooldown-seconds", type=float, default=30.0, metavar="S",
-        help="open-state cooldown before the half-open probe (default: 30)",
-    )
-    parser.add_argument(
-        "--drain-timeout-seconds", type=float, default=None, metavar="S",
-        help="how long the drain waits for in-flight campaigns "
-        "(default: unbounded)",
-    )
-    parser.add_argument("--quiet", action="store_true")
-    parser.add_argument("--no-obs", action="store_true", dest="no_obs")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.queue_capacity < 1 or args.max_queued < args.queue_capacity:
-        print("--max-queued must be >= --queue-capacity >= 1")
-        return 2
-
-    from repro.service.http import CampaignService, ServiceConfig
-
-    if args.quiet:
-        console.set_quiet(True)
-    install_from_env()
-    obs_metrics.set_obs_enabled(not args.no_obs)
-    if obs_metrics.obs_enabled():
-        obs_metrics.get_registry().reset()
-
-    try:
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            queue_capacity=args.queue_capacity,
-            max_queued=args.max_queued,
-            dispatchers=args.dispatchers,
-            jobs=args.jobs,
-            nodes=args.nodes,
-            quick=args.quick,
-            max_attempts=args.max_attempts,
-            default_deadline_seconds=args.default_deadline_seconds,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown_seconds=args.breaker_cooldown_seconds,
-        )
-    except ValueError as exc:
-        print(f"serve: {exc}")
-        return 2
-    service = CampaignService(
-        args.root, EXPERIMENTS, quick_overrides=QUICK_OVERRIDES, config=config
-    )
-
-    stop = threading.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: stop.set())
-    try:
-        service.start()
-    except (LeaseHeldError, JournalCorruptError) as exc:
-        print(f"serve: {exc}")
-        return 1
-    host, port = service.address
-    console.info(f"[service listening on http://{host}:{port} — root {args.root}]")
-    stop.wait()
-    console.info("[drain: admissions closed; finishing in-flight campaigns]")
-    clean = service.drain(timeout=args.drain_timeout_seconds)
-    console.info("[drain complete]" if clean else "[drain timed out]")
-    return 0 if clean else 1
 
 
 def status_command(argv: List[str]) -> int:
@@ -854,36 +670,7 @@ def status_command(argv: List[str]) -> int:
         print(f"status: {args.run_dir} is not a directory")
         return 2
 
-    from repro.obs.status import (
-        load_service_status,
-        load_status,
-        render_service_status,
-        render_status,
-    )
-    from repro.validate.artifacts import is_service_root
-
-    if is_service_root(args.run_dir):
-        # Multi-tenant service root: render the tenant/cache/breaker
-        # rollup instead of the single-campaign view.
-        try:
-            while True:
-                rollup = load_service_status(args.run_dir)
-                if args.json:
-                    import json
-
-                    print(json.dumps(rollup, indent=1, sort_keys=True))
-                else:
-                    print(render_service_status(rollup))
-                busy = rollup["queue_depth_total"] or any(
-                    c["state"] == "running" for c in rollup["campaigns"]
-                )
-                if not args.follow or not busy:
-                    return 0
-                _time.sleep(args.interval)
-                print()
-        except BrokenPipeError:
-            sys.stderr.close()
-            return 0
+    from repro.obs.status import load_status, render_status
 
     try:
         while True:
@@ -948,24 +735,9 @@ def report_command(argv: List[str]) -> int:
         print(f"report: {args.run_dir} is not a directory")
         return 2
 
-    from repro.obs.report import (
-        render_report,
-        render_report_html,
-        render_service_report,
-        render_service_report_html,
-        report_to_json,
-        service_report_to_json,
-    )
-    from repro.validate.artifacts import is_service_root
+    from repro.obs.report import render_report, render_report_html, report_to_json
 
-    if is_service_root(args.run_dir):
-        if args.json:
-            text = service_report_to_json(args.run_dir)
-        elif args.html:
-            text = render_service_report_html(args.run_dir)
-        else:
-            text = render_service_report(args.run_dir)
-    elif args.json:
+    if args.json:
         text = report_to_json(args.run_dir)
     elif args.html:
         text = render_report_html(args.run_dir)
@@ -1075,7 +847,6 @@ SUBCOMMANDS = {
     "chaos": chaos_command,
     "status": status_command,
     "report": report_command,
-    "serve": serve_command,
     "trends": trends_command,
 }
 
@@ -1110,13 +881,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.hard_timeout_seconds is not None and args.hard_timeout_seconds <= 0:
         print("--hard-timeout-seconds must be positive")
         return 2
-    if args.nodes is not None and args.nodes < 1:
-        print("--nodes must be >= 1")
-        return 2
-    if args.nodes is not None and args.jobs < 1:
-        print("--nodes requires --jobs >= 1 (the in-process serial "
-              "backend cannot be sharded across nodes)")
-        return 2
     if args.max_rss_mb is not None and args.max_rss_mb <= 0:
         print("--max-rss-mb must be positive")
         return 2
@@ -1136,7 +900,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(exc)
         return 2
     # Simulation kernel tier: install it (module global + environment,
-    # inherited by workers and dispatch nodes).  A mistyped
+    # inherited by workers).  A mistyped
     # REPRO_KERNEL_TIER is a usage error, caught before any attempt.
     from repro.mem.kernels import configure_kernels
 
@@ -1249,35 +1013,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(recovery.render())
             journal.append("recovered", **recovery.to_dict())
 
-    # Multi-node dispatch: install the fabric through the engine's
-    # pool-factory seam.  The fabric's registry snapshot, node logs,
-    # and per-campaign dispatch.wal live in the run directory (or a
-    # temp directory for an ephemeral run).
-    pool_factory = None
-    if args.nodes is not None:
-        from repro.service.dispatch import (
-            DispatchPool,
-            FabricConfig,
-            NodeFabric,
-        )
-
-        fabric_dir = (
-            store.run_dir
-            if store is not None
-            else Path(tempfile.mkdtemp(prefix="repro-fabric-"))
-        )
-        fabric_config = FabricConfig(nodes=args.nodes)
-
-        def pool_factory(engine):
-            fabric = NodeFabric(
-                fabric_dir,
-                config=fabric_config,
-                on_event=lambda event, experiment_id, detail: (
-                    engine.log_event(event, experiment_id, **detail)
-                ),
-            )
-            return DispatchPool(engine, fabric)
-
     event_log = EventLog(store.events_path) if store is not None else None
     engine = CampaignEngine(
         EXPERIMENTS,
@@ -1297,7 +1032,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         event_log=event_log,
         journal=journal,
         recovery=recovery,
-        pool_factory=pool_factory,
     )
     try:
         report = engine.run(wanted)

@@ -13,14 +13,12 @@ Design constraints, in order:
    campaign CLI (or a test) turns it on, so library users and the
    uninstrumented benchmarks pay nothing.  ``REPRO_OBS=1`` force-enables
    and ``REPRO_OBS=0`` force-disables, overriding the CLI either way.
-3. **No dependencies.**  Snapshots are plain dicts; the Prometheus
-   text exposition is hand-rolled (the format is three line shapes).
+3. **No dependencies.**  Snapshots are plain dicts.
 
-Metric names are dotted lowercase (``runtime.journal.fsync_seconds``);
-the Prometheus renderer mangles them to legal identifiers.  Histograms
-use fixed bucket boundaries chosen at creation; merging two histograms
-with different boundaries is an error, which keeps worker → supervisor
-rollups honest.
+Metric names are dotted lowercase (``runtime.journal.fsync_seconds``).
+Histograms use fixed bucket boundaries chosen at creation; merging two
+histograms with different boundaries is an error, which keeps worker →
+supervisor rollups honest.
 """
 
 from __future__ import annotations
@@ -105,10 +103,10 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-boundary histogram (cumulative counts come out at render).
+    """Fixed-boundary histogram.
 
     ``counts[i]`` counts observations ``<= buckets[i]``; the final slot
-    counts overflows (+Inf bucket), Prometheus-style.
+    counts overflows (+Inf bucket).
     """
 
     __slots__ = ("name", "buckets", "counts", "total", "count", "_lock")
@@ -225,54 +223,6 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-
-    def to_prometheus(self) -> str:
-        return render_prometheus(self.snapshot())
-
-
-def _prom_name(name: str) -> str:
-    mangled = "".join(
-        ch if (ch.isalnum() and ch.isascii()) or ch == "_" else "_" for ch in name
-    )
-    if not mangled or mangled[0].isdigit():
-        mangled = "_" + mangled
-    return "repro_" + mangled
-
-
-def _prom_float(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
-def render_prometheus(snapshot: Dict[str, object]) -> str:
-    """Render a registry snapshot in Prometheus text exposition format."""
-    lines: List[str] = []
-    for name in sorted(dict(snapshot.get("counters", {}))):  # type: ignore[arg-type]
-        value = snapshot["counters"][name]  # type: ignore[index]
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {_prom_float(value)}")
-    for name in sorted(dict(snapshot.get("gauges", {}))):  # type: ignore[arg-type]
-        value = snapshot["gauges"][name]  # type: ignore[index]
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {_prom_float(value)}")
-    for name in sorted(dict(snapshot.get("histograms", {}))):  # type: ignore[arg-type]
-        hsnap = snapshot["histograms"][name]  # type: ignore[index]
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} histogram")
-        cumulative = 0
-        for bound, count in zip(hsnap["buckets"], hsnap["counts"]):
-            cumulative += count
-            lines.append(
-                f'{prom}_bucket{{le="{_prom_float(bound)}"}} {cumulative}'
-            )
-        cumulative += hsnap["counts"][-1]
-        lines.append(f'{prom}_bucket{{le="+Inf"}} {cumulative}')
-        lines.append(f"{prom}_sum {_prom_float(hsnap['sum'])}")
-        lines.append(f"{prom}_count {hsnap['count']}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- global registry and the enable gate --------------------------------

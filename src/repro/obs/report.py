@@ -599,137 +599,3 @@ def report_to_json(run_dir: Union[str, Path]) -> str:
         read_events(run_dir / "events.jsonl")
     )
     return json.dumps(payload, indent=1, sort_keys=True)
-
-
-# -- multi-tenant service report -------------------------------------------
-
-
-def render_service_report(root: Union[str, Path]) -> str:
-    """Markdown report for a multi-tenant service root.
-
-    Rolls up per-tenant campaign states and queue depths, the shared
-    cache's hit/miss/quarantine tallies, the circuit-breaker state,
-    and the admission counters — all from on-disk artifacts (the root
-    ``metrics.json`` snapshot and the per-campaign run directories).
-    """
-    from repro.obs.status import load_service_status
-
-    root = Path(root)
-    rollup = load_service_status(root)
-    now = time.time()
-    lines: List[str] = [
-        f"# Service report: `{root}`",
-        "",
-        f"Generated {time.strftime('%Y-%m-%d %H:%M:%S', time.localtime(now))}.",
-        "",
-        "## Tenants",
-        "",
-    ]
-    tenants = rollup["tenants"]
-    rows = []
-    for tenant in sorted(tenants):
-        entry = tenants[tenant]
-        states = entry.get("states") or {}
-        rows.append(
-            [
-                tenant,
-                entry.get("campaigns", 0),
-                entry.get("queue_depth", 0),
-                ", ".join(f"{k}:{v}" for k, v in sorted(states.items())) or "-",
-            ]
-        )
-    lines.extend(
-        _md_table(["tenant", "campaigns", "queued", "states"], rows)
-        or ["_No tenants recorded._"]
-    )
-    lines.append("")
-
-    cache = rollup["cache"]
-    ratio = cache.get("hit_ratio")
-    lines.append("## Cache")
-    lines.append("")
-    lines.extend(
-        _md_table(
-            ["entries", "hits", "misses", "hit ratio", "quarantined"],
-            [
-                [
-                    cache.get("entries", 0),
-                    cache.get("hits", 0),
-                    cache.get("misses", 0),
-                    "-" if ratio is None else f"{100.0 * float(ratio):.0f}%",
-                    cache.get("quarantined", 0),
-                ]
-            ],
-        )
-    )
-    lines.append("")
-
-    lines.append("## Admission and breaker")
-    lines.append("")
-    submissions = rollup["submissions"]
-    lines.extend(
-        _md_table(
-            ["signal", "value"],
-            [
-                ["accepted submissions", submissions.get("accepted", 0)],
-                ["refused (tenant queue full)", submissions.get("rejected_tenant", 0)],
-                ["refused (service at capacity)", submissions.get("rejected_service", 0)],
-                ["queued now", rollup.get("queue_depth_total", 0)],
-                ["breaker state", rollup.get("breaker_state") or "-"],
-            ],
-        )
-    )
-    lines.append("")
-
-    campaigns = rollup["campaigns"]
-    lines.append("## Campaigns")
-    lines.append("")
-    rows = []
-    for item in campaigns:
-        counts = item.get("counts") or {}
-        rows.append(
-            [
-                f"{item.get('tenant')}/{item.get('campaign_id')}",
-                item.get("state"),
-                item.get("requested", 0),
-                counts.get("ok", 0),
-                counts.get("degraded", 0),
-                counts.get("failed", 0),
-            ]
-        )
-    lines.extend(
-        _md_table(
-            ["campaign", "state", "requested", "ok", "degraded", "failed"], rows
-        )
-        or ["_No campaigns recorded._"]
-    )
-    lines.append("")
-
-    lines.append("## Metrics rollup")
-    lines.append("")
-    lines.extend(_metrics_sections(root))
-    return "\n".join(lines).rstrip() + "\n"
-
-
-def render_service_report_html(root: Union[str, Path]) -> str:
-    """The service report wrapped as a static HTML page."""
-    markdown = render_service_report(root)
-    title = _html.escape(f"Service report: {root}")
-    body = _html.escape(markdown)
-    return (
-        "<!DOCTYPE html>\n"
-        "<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"
-        f"<title>{title}</title>\n"
-        "<style>body{font-family:monospace;max-width:72rem;margin:2rem auto;"
-        "white-space:pre-wrap;}</style>\n"
-        "</head>\n<body>\n"
-        f"{body}\n"
-        "</body>\n</html>\n"
-    )
-
-
-def service_report_to_json(root: Union[str, Path]) -> str:
-    """Machine-readable form of the service rollup."""
-    from repro.obs.status import load_service_status
-
-    return json.dumps(load_service_status(root), indent=1, sort_keys=True)

@@ -13,12 +13,7 @@ already writes —
 - ``summary.json`` / ``manifest.json`` give the requested set and the
   terminal verdicts;
 - ``supervisor.lease`` tells live from dead (heartbeat freshness);
-- ``metrics.json`` supplies throughput (refs simulated, refs/sec);
-- ``nodes.json`` (when the campaign ran on a ``--nodes`` dispatch
-  fabric) gives per-node liveness, inflight load, death counts, and
-  circuit-breaker state, and ``breaker-transition`` events reconstruct
-  the breaker state-machine history (closed → open → half-open) with
-  wall-clock timestamps.
+- ``metrics.json`` supplies throughput (refs simulated, refs/sec).
 
 :func:`load_status` builds a :class:`CampaignStatus`;
 :func:`render_status` formats it for a terminal (the ``--follow`` mode
@@ -116,9 +111,6 @@ class CampaignStatus:
     trace_id: Optional[str] = None
     updated_wall: Optional[float] = None
     eta_seconds: Optional[float] = None
-    nodes: Optional[Dict[str, object]] = None
-    breaker_transitions: List[Dict[str, object]] = field(default_factory=list)
-    dispatch: Optional[Dict[str, int]] = None
     kernels: Optional[Dict[str, Dict[str, object]]] = None
     working_set: Optional[Dict[str, object]] = None
     notes: List[str] = field(default_factory=list)
@@ -156,9 +148,6 @@ class CampaignStatus:
             "trace_id": self.trace_id,
             "updated_wall": self.updated_wall,
             "eta_seconds": self.eta_seconds,
-            "nodes": self.nodes,
-            "breaker_transitions": list(self.breaker_transitions),
-            "dispatch": self.dispatch,
             "kernels": self.kernels,
             "working_set": self.working_set,
             "notes": list(self.notes),
@@ -194,85 +183,6 @@ def load_metrics_snapshot(
     if payload.get("format") != METRICS_FORMAT:
         return None
     return payload
-
-
-#: Breaker-transition history is bounded: only the most recent entries
-#: survive into the status payload (a long chaos run can flap a lot).
-BREAKER_HISTORY_LIMIT = 20
-
-
-def load_nodes_snapshot(
-    run_dir: Union[str, Path]
-) -> Optional[Dict[str, object]]:
-    """Read ``<run_dir>/nodes.json`` (dispatch-fabric per-node health
-    snapshot); None when absent, damaged, or not fabric-shaped."""
-    from repro.service.dispatch import NODES_SNAPSHOT_FILENAME
-
-    path = Path(run_dir) / NODES_SNAPSHOT_FILENAME
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if not isinstance(payload.get("nodes"), dict):
-        return None
-    return payload
-
-
-def _breaker_transitions_from_records(
-    records: List[Dict[str, object]], wall_key: str
-) -> List[Dict[str, object]]:
-    """Normalise ``breaker-transition`` records (campaign events carry
-    ``t_wall``, service WAL records carry ``at_wall``) into
-    ``{breaker, from_state, to_state, at_wall}`` history entries."""
-    history: List[Dict[str, object]] = []
-    for record in records:
-        old = record.get("from_state")
-        new = record.get("to_state")
-        if not isinstance(old, str) or not isinstance(new, str):
-            continue
-        wall = record.get(wall_key)
-        history.append(
-            {
-                "breaker": str(record.get("breaker") or "service"),
-                "from_state": old,
-                "to_state": new,
-                "at_wall": float(wall)
-                if isinstance(wall, (int, float))
-                else None,
-            }
-        )
-    return history[-BREAKER_HISTORY_LIMIT:]
-
-
-def _dispatch_counters_from_metrics(
-    snapshot: Optional[Dict[str, object]]
-) -> Optional[Dict[str, int]]:
-    """Fabric activity counters (``node.*``) from a metrics snapshot;
-    None when the campaign never ran on a dispatch fabric."""
-    if snapshot is None:
-        return None
-    campaign = snapshot.get("campaign")
-    if not isinstance(campaign, dict):
-        return None
-    counters = campaign.get("counters")
-    if not isinstance(counters, dict):
-        return None
-    wanted = (
-        "node.spawns",
-        "node.deaths",
-        "node.redispatches",
-        "node.hedges",
-        "node.stale_rejected",
-        "node.results",
-    )
-    out = {
-        name.split(".", 1)[1]: int(counters[name])
-        for name in wanted
-        if isinstance(counters.get(name), (int, float))
-    }
-    return out or None
 
 
 def _throughput_from_metrics(
@@ -533,9 +443,6 @@ def load_status(
     if metrics is not None and isinstance(metrics.get("trace_id"), str):
         status.trace_id = metrics["trace_id"]
 
-    # -- dispatch fabric: per-node health and breaker history ----------
-    status.nodes = load_nodes_snapshot(run_dir)
-    status.dispatch = _dispatch_counters_from_metrics(metrics)
     status.kernels = _kernel_tallies_from_metrics(metrics)
 
     # -- temporal working set: newest phase/knee from timeline.jsonl ---
@@ -545,10 +452,6 @@ def load_status(
         status.working_set = load_working_set(run_dir)
     except Exception:
         status.working_set = None
-    status.breaker_transitions = _breaker_transitions_from_records(
-        [r for r in events if r.get("event") == "breaker-transition"],
-        "t_wall",
-    )
 
     durations = [
         entry.elapsed_seconds()
@@ -580,55 +483,6 @@ def _format_seconds(value: Optional[float]) -> str:
         return f"{int(minutes)}m{seconds:02.0f}s"
     hours, minutes = divmod(minutes, 60.0)
     return f"{int(hours)}h{int(minutes):02d}m"
-
-
-def _format_wall(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    return time.strftime("%H:%M:%S", time.localtime(value))
-
-
-def _render_node_lines(nodes: Dict[str, object]) -> List[str]:
-    """Shared per-node health table (campaign and service views)."""
-    lines = [
-        f"nodes: {nodes.get('live', 0)}/{nodes.get('total', 0)} live",
-        (
-            f"  {'node':<10} {'state':<6} {'pid':>7} {'inc':>4} "
-            f"{'inflight':>8} {'deaths':>6} {'breaker':<9} last-heartbeat"
-        ),
-    ]
-    entries = nodes.get("nodes")
-    if not isinstance(entries, dict):
-        return lines
-    for node_id in sorted(entries):
-        node = entries[node_id]
-        if not isinstance(node, dict):
-            continue
-        heartbeat = node.get("last_heartbeat_wall")
-        lines.append(
-            f"  {node_id:<10} "
-            f"{'live' if node.get('alive') else 'dead':<6} "
-            f"{node.get('pid') or '-':>7} {node.get('token') or '-':>4} "
-            f"{node.get('inflight', 0):>8} {node.get('deaths', 0):>6} "
-            f"{node.get('breaker') or '-':<9} "
-            f"{_format_wall(heartbeat if isinstance(heartbeat, (int, float)) else None)}"
-        )
-    return lines
-
-
-def _render_breaker_history(
-    transitions: List[Dict[str, object]]
-) -> List[str]:
-    if not transitions:
-        return []
-    lines = ["breaker transitions:"]
-    for entry in transitions:
-        lines.append(
-            f"  {_format_wall(entry.get('at_wall'))}  "
-            f"{entry.get('breaker')}: "
-            f"{entry.get('from_state')} -> {entry.get('to_state')}"
-        )
-    return lines
 
 
 def render_status(status: CampaignStatus) -> str:
@@ -691,17 +545,6 @@ def render_status(status: CampaignStatus) -> str:
         f"artifacts: {status.events_seen} event(s), "
         f"{status.journal_records} journal record(s)"
     )
-    if status.nodes is not None:
-        lines.extend(_render_node_lines(status.nodes))
-        if status.dispatch:
-            lines.append(
-                "dispatch: "
-                + ", ".join(
-                    f"{name.replace('_', ' ')} {value}"
-                    for name, value in sorted(status.dispatch.items())
-                )
-            )
-    lines.extend(_render_breaker_history(status.breaker_transitions))
     if status.experiments:
         lines.append("")
         lines.append(
@@ -723,179 +566,4 @@ def render_status(status: CampaignStatus) -> str:
             )
     for note in status.notes:
         lines.append(f"note: {note}")
-    return "\n".join(lines)
-
-
-# -- multi-tenant service rollup -------------------------------------------
-
-
-def load_service_status(root: Union[str, Path]) -> Dict[str, object]:
-    """Roll up a multi-tenant service root (read-only).
-
-    A service root (``python -m repro.experiments serve <root>``) holds
-    per-campaign run directories under ``campaigns/<tenant>/<id>/``,
-    a shared cache, a service WAL, and a root ``metrics.json``.  The
-    rollup reports, per tenant, campaign counts by state and queue
-    depth (from the ``service.queue.depth.<tenant>`` gauges), plus the
-    cache hit ratio, circuit-breaker state, breaker state-machine
-    history (``breaker-transition`` records replayed from the service
-    WAL), and — when the service runs a ``--nodes`` dispatch fabric —
-    per-node health from the root ``nodes.json`` snapshot.  All
-    reconstructed from artifacts, never by talking to the service.
-    Tolerant of missing or damaged files, like :func:`load_status`.
-    """
-    from repro.runtime.journal import read_journal
-
-    root = Path(root)
-    snapshot = load_metrics_snapshot(root)
-    counters: Dict[str, object] = {}
-    gauges: Dict[str, object] = {}
-    if snapshot is not None:
-        campaign = snapshot.get("campaign")
-        if isinstance(campaign, dict):
-            if isinstance(campaign.get("counters"), dict):
-                counters = campaign["counters"]
-            if isinstance(campaign.get("gauges"), dict):
-                gauges = campaign["gauges"]
-
-    tenants: Dict[str, Dict[str, object]] = {}
-    campaigns: List[Dict[str, object]] = []
-    campaigns_dir = root / "campaigns"
-    if campaigns_dir.is_dir():
-        for tenant_dir in sorted(p for p in campaigns_dir.iterdir() if p.is_dir()):
-            tenant = tenant_dir.name
-            entry = tenants.setdefault(
-                tenant,
-                {"campaigns": 0, "states": {}, "queue_depth": 0},
-            )
-            for campaign_dir in sorted(p for p in tenant_dir.iterdir() if p.is_dir()):
-                status = load_status(campaign_dir)
-                entry["campaigns"] += 1
-                states: Dict[str, int] = entry["states"]  # type: ignore[assignment]
-                states[status.state] = states.get(status.state, 0) + 1
-                campaigns.append(
-                    {
-                        "tenant": tenant,
-                        "campaign_id": campaign_dir.name,
-                        "state": status.state,
-                        "counts": status.counts(),
-                        "requested": len(status.requested),
-                    }
-                )
-    for name, value in gauges.items():
-        prefix = "service.queue.depth."
-        if name.startswith(prefix) and isinstance(value, (int, float)):
-            tenant = name[len(prefix):]
-            tenants.setdefault(
-                tenant, {"campaigns": 0, "states": {}, "queue_depth": 0}
-            )["queue_depth"] = int(value)
-
-    def _count(name: str) -> int:
-        value = counters.get(name)
-        return int(value) if isinstance(value, (int, float)) else 0
-
-    hits = _count("service.cache.hits")
-    misses = _count("service.cache.misses")
-    lookups = hits + misses
-    breaker_gauge = gauges.get("service.breaker.state")
-    breaker_state = None
-    if isinstance(breaker_gauge, (int, float)):
-        breaker_state = {0: "closed", 1: "half-open", 2: "open"}.get(
-            int(breaker_gauge), f"unknown({int(breaker_gauge)})"
-        )
-    # Breaker state-machine history: the service journals every
-    # transition (its own breaker and the per-node fabric breakers) as
-    # ``breaker-transition`` WAL records; replay is tolerant of a torn
-    # tail, matching the read-only contract of this function.
-    replay = read_journal(root / "service.wal")
-    breaker_transitions = _breaker_transitions_from_records(
-        [
-            r
-            for r in replay.records
-            if r.get("type") == "breaker-transition"
-        ],
-        "at_wall",
-    )
-    return {
-        "root": str(root),
-        "tenants": tenants,
-        "campaigns": campaigns,
-        "queue_depth_total": int(gauges.get("service.queue.depth_total", 0))
-        if isinstance(gauges.get("service.queue.depth_total"), (int, float))
-        else 0,
-        "cache": {
-            "hits": hits,
-            "misses": misses,
-            "hit_ratio": (hits / lookups) if lookups else None,
-            "quarantined": _count("service.cache.quarantined"),
-            "entries": int(gauges.get("service.cache.entries", 0))
-            if isinstance(gauges.get("service.cache.entries"), (int, float))
-            else 0,
-        },
-        "breaker_state": breaker_state,
-        "breaker_transitions": breaker_transitions,
-        "nodes": load_nodes_snapshot(root),
-        "submissions": {
-            "accepted": _count("service.admission.accepted"),
-            "rejected_tenant": _count("service.admission.rejected_tenant"),
-            "rejected_service": _count("service.admission.rejected_service"),
-        },
-    }
-
-
-def render_service_status(rollup: Dict[str, object]) -> str:
-    """Terminal rendering of a :func:`load_service_status` rollup."""
-    lines = [f"== service status: {rollup.get('root')} =="]
-    cache = rollup.get("cache") or {}
-    ratio = cache.get("hit_ratio")
-    ratio_text = "-" if ratio is None else f"{100.0 * float(ratio):.0f}%"
-    lines.append(
-        f"cache: {cache.get('entries', 0)} entr"
-        f"{'y' if cache.get('entries') == 1 else 'ies'}, "
-        f"{cache.get('hits', 0)} hit(s) / {cache.get('misses', 0)} miss(es) "
-        f"(hit ratio {ratio_text}), "
-        f"{cache.get('quarantined', 0)} quarantined"
-    )
-    breaker = rollup.get("breaker_state")
-    if breaker is not None:
-        lines.append(f"breaker: {breaker}")
-    nodes = rollup.get("nodes")
-    if isinstance(nodes, dict):
-        lines.extend(_render_node_lines(nodes))
-    transitions = rollup.get("breaker_transitions")
-    if isinstance(transitions, list) and transitions:
-        lines.extend(_render_breaker_history(transitions))
-    submissions = rollup.get("submissions") or {}
-    lines.append(
-        f"admission: {submissions.get('accepted', 0)} accepted, "
-        f"{submissions.get('rejected_tenant', 0)} refused (tenant queue), "
-        f"{submissions.get('rejected_service', 0)} refused (service full); "
-        f"{rollup.get('queue_depth_total', 0)} queued now"
-    )
-    tenants = rollup.get("tenants") or {}
-    if tenants:
-        lines.append("")
-        lines.append(f"  {'tenant':<20} {'campaigns':>9} {'queued':>7}  states")
-        for tenant in sorted(tenants):
-            entry = tenants[tenant]
-            states = entry.get("states") or {}
-            state_text = (
-                ", ".join(f"{k}:{v}" for k, v in sorted(states.items())) or "-"
-            )
-            lines.append(
-                f"  {tenant:<20} {entry.get('campaigns', 0):>9} "
-                f"{entry.get('queue_depth', 0):>7}  {state_text}"
-            )
-    campaigns = rollup.get("campaigns") or []
-    if campaigns:
-        lines.append("")
-        lines.append(f"  {'campaign':<34} {'state':<12} ok/deg/fail")
-        for item in campaigns:
-            counts = item.get("counts") or {}
-            lines.append(
-                f"  {item.get('tenant')}/{item.get('campaign_id'):<26} "
-                f"{item.get('state'):<12} "
-                f"{counts.get(STATE_OK, 0)}/{counts.get(STATE_DEGRADED, 0)}"
-                f"/{counts.get(STATE_FAILED, 0)}"
-            )
     return "\n".join(lines)

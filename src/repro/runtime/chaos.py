@@ -37,20 +37,6 @@ ENOSPC cycles swap the SIGKILL for a transient injected disk-full at a
 checkpoint write; the supervisor must retry, complete, and leave an
 audit-clean directory without any restart at all.
 
-Node chaos (``nodes=N``) aims the violence at the dispatch fabric
-instead of the supervisor: campaigns run with ``--nodes N`` and seeded
-``REPRO_NODE_FAULT`` directives make worker *nodes* SIGKILL themselves
-mid-attempt or mid-heartbeat (``node-kill`` cycles) or go silent and
-buffer their outbound traffic for longer than the heartbeat TTL
-(``node-partition`` cycles — the healed node's late results must be
-fenced, not recorded).  The supervisor itself is never killed in these
-cycles, so a single launch must exit 0: the fabric absorbs every node
-death by re-dispatching onto survivors and respawning the dead node
-under a new fencing incarnation.  The audit adds the dispatch WAL
-(exactly-once ``dispatch-complete`` per attempt uid, via
-``validate_run_dir``) and compares ``summary.json`` byte-for-byte
-against an uninterrupted single-node (``--nodes 1``) reference.
-
 Everything is seeded: a failing cycle is rerun exactly with
 ``--seed``/``--cycles``.
 """
@@ -102,13 +88,6 @@ STREAM_IO_KILL_SITES = {
 #: Hard ceiling on restarts per cycle, over and above the kill budget
 #: (a safety net: the loop should always terminate via completion).
 MAX_RESTARTS = 20
-
-#: How long a node partition must outlast the default heartbeat TTL
-#: (3s) so the dispatcher actually declares the node dead and
-#: re-dispatches; the heal then delivers the buffered stale results,
-#: which MUST be fenced.
-PARTITION_SECONDS = (3.5, 6.0)
-
 
 @dataclass
 class CycleResult:
@@ -166,17 +145,13 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _campaign_env(
-    io_fault: Optional[str] = None, node_fault: Optional[str] = None
-) -> Dict[str, str]:
+def _campaign_env(io_fault: Optional[str] = None) -> Dict[str, str]:
     """Environment for a chaos-launched supervisor.
 
     Propagates ``sys.path`` (the harness may run from a source tree) and
-    sets/strips ``REPRO_IOFAULT`` / ``REPRO_NODE_FAULT`` explicitly so
-    one cycle's fault can never leak into the next.
+    sets/strips ``REPRO_IOFAULT`` explicitly so one cycle's fault can
+    never leak into the next.
     """
-    from repro.service.dispatch import NODE_FAULT_ENV
-
     env = dict(os.environ)
     entries = [entry for entry in sys.path if entry]
     if entries:
@@ -185,10 +160,6 @@ def _campaign_env(
         env.pop(IOFAULT_ENV, None)
     else:
         env[IOFAULT_ENV] = io_fault
-    if node_fault is None:
-        env.pop(NODE_FAULT_ENV, None)
-    else:
-        env[NODE_FAULT_ENV] = node_fault
     return env
 
 
@@ -200,8 +171,6 @@ def _launch(
     io_fault: Optional[str] = None,
     stream: bool = False,
     shard_refs: Optional[int] = None,
-    nodes: Optional[int] = None,
-    node_fault: Optional[str] = None,
 ) -> subprocess.Popen:
     """Start one real supervisor over ``run_dir`` (own session)."""
     cmd = [
@@ -212,8 +181,6 @@ def _launch(
         "--jobs",
         str(jobs),
     ]
-    if nodes is not None:
-        cmd.extend(["--nodes", str(nodes)])
     if stream:
         cmd.append("--stream")
         if shard_refs is not None:
@@ -228,7 +195,7 @@ def _launch(
         stdout=subprocess.DEVNULL,  # progress spam must never fill a pipe
         stderr=subprocess.PIPE,
         text=True,
-        env=_campaign_env(io_fault, node_fault),
+        env=_campaign_env(io_fault),
         start_new_session=True,  # killable (and self-killable) as a group
     )
 
@@ -262,7 +229,6 @@ def run_reference(
     timeout: float,
     stream: bool = False,
     shard_refs: Optional[int] = None,
-    nodes: Optional[int] = None,
 ) -> Tuple[Path, float, bytes]:
     """One uninterrupted campaign: the oracle every cycle compares to.
 
@@ -272,7 +238,7 @@ def run_reference(
     started = time.monotonic()
     proc = _launch(
         run_dir, experiments, jobs, resume=False,
-        stream=stream, shard_refs=shard_refs, nodes=nodes,
+        stream=stream, shard_refs=shard_refs,
     )
     returncode, stderr = _finish(proc, timeout)
     duration = time.monotonic() - started
@@ -374,42 +340,6 @@ def audit_run_dir(
     return problems
 
 
-def _node_fault_directives(
-    rng: random.Random,
-    nodes: int,
-    kind: str,
-    reference_duration: float,
-) -> Tuple[str, int]:
-    """Seeded ``REPRO_NODE_FAULT`` directives for one node-chaos cycle.
-
-    Kill delays are drawn from two windows on purpose: a short one
-    (0.05–0.4s) that lands during node startup / between heartbeats,
-    and a long one that lands mid-attempt while experiments are
-    executing.  Directives always target incarnation ``#1`` — the
-    respawned replacement (incarnation 2) must survive untouched, or
-    the cycle could never complete.
-
-    Returns ``(directive_string, kills_planned)``.
-    """
-    horizon = max(0.5, 0.9 * reference_duration)
-    if kind == "node-partition":
-        node = rng.randrange(nodes)
-        at = rng.uniform(0.1, max(0.3, 0.6 * horizon))
-        dur = rng.uniform(*PARTITION_SECONDS)
-        return f"node-{node}#1:partition@{at:.2f}+{dur:.2f}", 0
-    count = min(nodes - 1, rng.randint(1, 2)) if nodes > 1 else 1
-    count = max(1, count)
-    targets = rng.sample(range(nodes), count)
-    parts = []
-    for index, node in enumerate(targets):
-        if index == 0 and rng.random() < 0.5:
-            delay = rng.uniform(0.05, 0.4)  # mid-heartbeat / startup
-        else:
-            delay = rng.uniform(0.3, 0.4 + horizon)  # mid-attempt
-        parts.append(f"node-{node}#1:kill@{delay:.2f}")
-    return ",".join(parts), count
-
-
 def run_cycle(
     cycle: int,
     rng: random.Random,
@@ -423,41 +353,10 @@ def run_cycle(
     deep: bool = False,
     stream: bool = False,
     shard_refs: Optional[int] = None,
-    nodes: Optional[int] = None,
 ) -> CycleResult:
     """One kill/resume (or ENOSPC) cycle; see the module docstring."""
     result = CycleResult(cycle=cycle, kind=kind)
     run_dir = work_dir / f"cycle-{cycle:03d}"
-
-    if kind in ("node-kill", "node-partition"):
-        # Node chaos: the *fabric* takes the kills, the supervisor
-        # stays up, so exactly one launch must carry the campaign to a
-        # clean exit (re-dispatch + respawn are the mechanisms under
-        # test, not --resume).
-        node_fault, kills = _node_fault_directives(
-            rng, nodes or 1, kind, reference_duration
-        )
-        result.detail = node_fault
-        result.kills = kills
-        proc = _launch(
-            run_dir, experiments, jobs, resume=False,
-            stream=stream, shard_refs=shard_refs,
-            nodes=nodes, node_fault=node_fault,
-        )
-        result.launches = 1
-        returncode, stderr = _finish(proc, timeout)
-        if returncode != 0:
-            result.problems.append(
-                f"fabric campaign exited {returncode} (the dispatcher "
-                f"must absorb node deaths): {stderr[-500:]}"
-            )
-            return result
-        result.problems.extend(
-            audit_run_dir(run_dir, reference_summary, experiments, deep=deep)
-        )
-        if result.passed:
-            shutil.rmtree(run_dir, ignore_errors=True)
-        return result
 
     kills_planned = 0 if kind == "enospc" else rng.randint(1, 3)
     io_fault: Optional[str] = None
@@ -541,14 +440,12 @@ def run_chaos(
     deep: bool = False,
     stream: bool = False,
     shard_refs: Optional[int] = None,
-    nodes: Optional[int] = None,
 ) -> ChaosReport:
     """Run the full chaos campaign; see the module docstring.
 
     Args:
         cycles: SIGKILL/resume cycles (alternating timed kills and
-            in-write self-kills; with ``nodes``, node-kill cycles with
-            every third a node-partition cycle).
+            in-write self-kills).
         seed: Master seed; the whole campaign is a function of it.
         experiments: Experiment ids for every run (quick mode).
         jobs: ``--jobs`` for the campaigns under test.
@@ -566,17 +463,7 @@ def run_chaos(
             value small enough that the quick traces split into
             several shards, or the mid-simulation checkpoints never
             happen).
-        nodes: Run every cycle on an N-node dispatch fabric and aim
-            the chaos at the *nodes* (seeded self-kills and
-            partitions) instead of the supervisor.  The reference run
-            uses ``--nodes 1`` — the acceptance bar is that a chaotic
-            N-node campaign's summary is byte-identical to an
-            uninterrupted single-node one.  Requires ``jobs >= 1``.
     """
-    if nodes is not None and nodes < 1:
-        raise ValueError("nodes must be >= 1")
-    if nodes is not None and jobs < 1:
-        raise ValueError("node chaos requires jobs >= 1")
     report = ChaosReport()
     owns_work_dir = work_dir is None
     work_path = Path(
@@ -588,25 +475,19 @@ def run_chaos(
     reference_dir, duration, reference_summary = run_reference(
         work_path, experiments, jobs, timeout,
         stream=stream, shard_refs=shard_refs,
-        nodes=1 if nodes is not None else None,
     )
     report.reference_dir = str(reference_dir)
 
     for cycle in range(cycles):
         rng = random.Random((seed << 20) ^ (cycle * 0x9E3779B1))
-        if nodes is not None:
-            # Node chaos: mostly node kills, every third cycle a
-            # partition (silent node, buffered stale results).
-            kind = "node-partition" if cycle % 3 == 2 else "node-kill"
-        else:
-            # Alternate timed kills with self-kills planted inside the
-            # durability writes themselves.
-            kind = "io-kill" if cycle % 2 else "time-kill"
+        # Alternate timed kills with self-kills planted inside the
+        # durability writes themselves.
+        kind = "io-kill" if cycle % 2 else "time-kill"
         report.cycles.append(
             run_cycle(
                 cycle, rng, work_path, experiments, jobs,
                 duration, reference_summary, timeout, kind, deep=deep,
-                stream=stream, shard_refs=shard_refs, nodes=nodes,
+                stream=stream, shard_refs=shard_refs,
             )
         )
     for extra in range(enospc_cycles):

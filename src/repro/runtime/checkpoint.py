@@ -254,14 +254,9 @@ class CheckpointStore:
 
     # -- integrity ---------------------------------------------------
 
-    def verify_all(self) -> Dict[str, str]:
-        """Check every envelope in the store.
-
-        Returns a mapping of run-dir-relative path -> error message for
-        each file that fails its integrity check; an empty dict means
-        every envelope (manifest, summary, results, failures) verifies.
-        """
-        problems: Dict[str, str] = {}
+    def envelope_paths(self) -> List[Path]:
+        """Every envelope file in the store: manifest, summary, results,
+        failures."""
         candidates: List[Path] = []
         for name in (_MANIFEST, _SUMMARY):
             path = self.run_dir / name
@@ -270,7 +265,17 @@ class CheckpointStore:
         for directory in (self.results_dir, self.failures_dir):
             if directory.is_dir():
                 candidates.extend(sorted(directory.glob("*.json")))
-        for path in candidates:
+        return candidates
+
+    def verify_all(self) -> Dict[str, str]:
+        """Check every envelope in the store.
+
+        Returns a mapping of run-dir-relative path -> error message for
+        each file that fails its integrity check; an empty dict means
+        every envelope (manifest, summary, results, failures) verifies.
+        """
+        problems: Dict[str, str] = {}
+        for path in self.envelope_paths():
             try:
                 self._read_envelope(path)
             except CheckpointCorruptError as exc:

@@ -188,25 +188,6 @@ class FencingViolationError(WorkerError):
     category = "fencing-stale"
 
 
-class NodeDeadError(WorkerError):
-    """The node executing an assignment died or was partitioned away
-    before delivering a result (multi-node dispatch fabric).  The
-    dispatcher normally re-dispatches transparently; this surfaces only
-    when an assignment cannot be retried."""
-
-    category = "node-dead"
-
-
-class NoLiveNodesError(WorkerError):
-    """Every node of the dispatch fabric is dead or fenced — there is
-    nowhere to run the attempt.  Classified under the worker branch so
-    the engine's ordinary retry policy (and the service's circuit
-    breaker) see it as an infrastructure failure, not an experiment
-    bug."""
-
-    category = "no-live-nodes"
-
-
 #: Module-prefix -> taxonomy class, most specific attribution first.
 _LAYER_CATEGORIES = (
     ("repro.apps", TraceGenerationError),

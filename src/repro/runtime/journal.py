@@ -71,24 +71,13 @@ JOURNAL_FILENAME = "journal.wal"
 #: Line magic; bumped if the framing ever changes.
 JOURNAL_MAGIC = "WAL1"
 
-#: Record types the engine writes (validated by the journal schema).
-#: ``cache-hit`` and the ``submission-*`` pair belong to
-#: :mod:`repro.service` (``cache-hit`` marks an experiment committed
-#: from the content-addressed cache instead of an attempt; the
-#: ``submission-*`` pair frames the service-level WAL around each
-#: accepted campaign submission).  ``shard-sealed`` and
-#: ``sim-checkpoint`` belong to the streaming trace substrate
-#: (:mod:`repro.mem.shards` / :mod:`repro.mem.streamsim`): one per
-#: sealed trace shard (``shards.wal`` inside a ``.trd`` directory) and
-#: one per simulator snapshot (``<key>.ckpt.wal``).  The ``dispatch-*``
-#: family belongs to the multi-node dispatch fabric
-#: (:mod:`repro.service.dispatch`): its assignment WAL
-#: (``dispatch.wal``) records every assignment handed to a node
-#: (``dispatch-assign``), re-dispatch after a node death or partition
-#: (``dispatch-requeue``), hedged duplicates for stragglers
-#: (``dispatch-hedge``), the single accepted result per attempt uid
-#: (``dispatch-complete``), and every fenced-out late/stale result
-#: (``dispatch-fenced``).
+#: Every record type a journal accepts; the journal-record schema
+#: (:mod:`repro.validate.schemas`) enumerates this same tuple.  The
+#: first seven are the campaign engine's state transitions.
+#: ``shard-sealed`` and ``sim-checkpoint`` belong to the streaming
+#: trace substrate (:mod:`repro.mem.shards` / :mod:`repro.mem.streamsim`):
+#: one per sealed trace shard (``shards.wal`` inside a ``.trd``
+#: directory) and one per simulator snapshot (``<key>.ckpt.wal``).
 RECORD_TYPES = (
     "campaign-start",
     "attempt-start",
@@ -97,17 +86,8 @@ RECORD_TYPES = (
     "summary-flushed",
     "interrupted",
     "recovered",
-    "cache-hit",
-    "submission-accepted",
-    "submission-done",
     "shard-sealed",
     "sim-checkpoint",
-    "dispatch-assign",
-    "dispatch-complete",
-    "dispatch-requeue",
-    "dispatch-hedge",
-    "dispatch-fenced",
-    "breaker-transition",
 )
 
 #: ``attempt-end`` statuses that commit an experiment.

@@ -50,20 +50,6 @@ finding code                defect class
 ``journal-seq``             journal sequence numbers not increasing
 ``journal-missing``         checkpoints exist but no journal (warning:
                             a pre-journal run directory)
-``dispatch-torn``           torn record(s) at the dispatch WAL's tail
-                            (warning: the expected crash signature)
-``dispatch-corrupt``        damaged dispatch record before the tail,
-                            or a closure (complete/requeue/fence) for
-                            an assignment the WAL never opened
-``dispatch-schema``         dispatch WAL record violates the journal
-                            record schema
-``dispatch-orphan-assignment``  an assignment was dispatched but its
-                            attempt uid never completed, requeued, or
-                            fenced (warning: in-doubt work; resume
-                            re-dispatches the attempt)
-``dispatch-double-complete``  more than one ``dispatch-complete`` for
-                            one attempt uid — the exactly-once
-                            recording invariant is broken
 ``lease-stale``             a supervisor lease file left behind by a
                             dead owner (warning: reclaimed on resume)
 ``lease-schema``            lease file undecodable / violates schema
@@ -83,25 +69,8 @@ finding code                defect class
                             the snapshot schema
 ``metrics-dangling-id``     metrics snapshot records telemetry for an
                             attempt uid the journal/events never saw
-``cache-entry-corrupt``     cache entry envelope fails its checksum,
-                            format, or the cache-entry schema
-``cache-key-mismatch``      entry's filename, stored key, and the key
-                            recomputed from its (app, params, code)
-                            triple do not all agree
-``cache-dangling-entry``    cache manifest indexes a key with no valid
-                            entry on disk
-``cache-unindexed-entry``   valid entry the manifest never indexed
-                            (warning: the manifest is an index, the
-                            entries are the truth)
-``cache-quarantined``       quarantined entries present (warning:
-                            forensic leftovers of served corruption)
 ``result-*`` / ``curve-*``  invariant-oracle findings on stored results
 ==========================  =============================================
-
-:func:`validate_cache_dir` audits a content-addressed result cache
-(:mod:`repro.service.cache`), and :func:`validate_service_root` audits
-a whole multi-tenant service root — every per-campaign run directory,
-the service WAL, the service lease, and the shared cache.
 
 Everything is read-only; validation never mutates a run directory.
 """
@@ -274,126 +243,6 @@ def validate_journal_file(path: Union[str, Path]) -> ValidationReport:
                     path=path.name,
                 )
             last_token = max(last_token, token)
-    return report
-
-
-#: Dispatch WAL record types that *open* an assignment (a hedge is a
-#: duplicate dispatch, so its record doubles as the opener) and the
-#: types that *close* one.
-_DISPATCH_OPENERS = ("dispatch-assign", "dispatch-hedge")
-_DISPATCH_CLOSERS = (
-    "dispatch-complete",
-    "dispatch-requeue",
-    "dispatch-fenced",
-)
-
-
-def validate_dispatch_file(path: Union[str, Path]) -> ValidationReport:
-    """Audit a dispatch-fabric assignment WAL (``dispatch.wal``).
-
-    Structural checks mirror :func:`validate_journal_file` (CRC
-    framing, record schema, sequence monotonicity) under ``dispatch-*``
-    codes, then the assignment state machine is replayed per
-    ``attempt_uid``:
-
-    - every closure (``dispatch-complete`` / ``dispatch-requeue`` /
-      ``dispatch-fenced``) must reference an assignment the WAL opened
-      (``dispatch-corrupt`` otherwise — tails tear, heads do not);
-    - at most one ``dispatch-complete`` per attempt uid — more is
-      ``dispatch-double-complete``, a broken exactly-once-recording
-      invariant (the whole point of fencing);
-    - an attempt uid that was assigned but never completed is
-      ``dispatch-orphan-assignment``, a *warning*: it is the expected
-      signature of a dispatcher that died mid-flight (resume simply
-      re-dispatches), not of storage damage.  A hedge loser needs no
-      closure record — its cancellation is silent by design — so only
-      uids with *zero* completions are flagged.
-    """
-    from repro.runtime.journal import read_journal
-
-    path = Path(path)
-    report = ValidationReport(subject=f"dispatch {path.name}")
-    if not path.is_file():
-        return report
-    replay = read_journal(path)
-    report.tick()
-    for lineno, reason in replay.corrupt:
-        report.add(
-            "dispatch-corrupt",
-            f"line {lineno} is damaged before the tail ({reason}); a "
-            "single-writer append discipline cannot produce this",
-            path=path.name,
-        )
-    if replay.torn_tail:
-        report.add(
-            "dispatch-torn",
-            "torn record(s) at the tail (crash signature; the dispatcher "
-            "truncates this on the next resume)",
-            path=path.name,
-            severity=SEVERITY_WARNING,
-        )
-    last_seq = 0
-    opened: Dict[str, str] = {}  # assignment_id -> attempt_uid
-    completes: Dict[str, int] = {}  # attempt_uid -> dispatch-complete count
-    assigned_uids: List[str] = []
-    for index, record in enumerate(replay.records):
-        report.tick()
-        for problem in check_schema(record, schema_for("journal-record")):
-            report.add(
-                "dispatch-schema",
-                f"record {index + 1}: {problem}",
-                path=path.name,
-            )
-        seq = record.get("seq")
-        if isinstance(seq, int):
-            if seq <= last_seq:
-                report.add(
-                    "dispatch-corrupt",
-                    f"record {index + 1}: seq {seq} does not increase "
-                    f"past {last_seq}",
-                    path=path.name,
-                )
-            last_seq = max(last_seq, seq)
-        record_type = record.get("type")
-        assignment_id = record.get("assignment_id")
-        uid = record.get("attempt_uid")
-        if not isinstance(assignment_id, str) or not isinstance(uid, str):
-            continue
-        if record_type in _DISPATCH_OPENERS:
-            opened[assignment_id] = uid
-            if uid not in assigned_uids:
-                assigned_uids.append(uid)
-        elif record_type in _DISPATCH_CLOSERS:
-            if assignment_id not in opened:
-                report.add(
-                    "dispatch-corrupt",
-                    f"record {index + 1}: {record_type} closes assignment "
-                    f"{assignment_id} that was never opened by a "
-                    "dispatch-assign/dispatch-hedge record (only the tail "
-                    "of an append-only WAL can tear, never the head)",
-                    path=path.name,
-                )
-            if record_type == "dispatch-complete":
-                completes[uid] = completes.get(uid, 0) + 1
-    for uid, count in sorted(completes.items()):
-        if count > 1:
-            report.add(
-                "dispatch-double-complete",
-                f"attempt {uid} recorded {count} dispatch-complete "
-                "records; completion must be exactly-once (a stale or "
-                "hedged duplicate slipped past the fence)",
-                path=path.name,
-            )
-    for uid in assigned_uids:
-        if completes.get(uid, 0) == 0:
-            report.add(
-                "dispatch-orphan-assignment",
-                f"attempt {uid} was assigned but never completed "
-                "(in-doubt dispatch; the crash signature of a dispatcher "
-                "killed mid-flight — resume re-dispatches it)",
-                path=path.name,
-                severity=SEVERITY_WARNING,
-            )
     return report
 
 
@@ -829,183 +678,6 @@ def validate_archive_file(path: Union[str, Path]) -> ValidationReport:
     return report
 
 
-def validate_cache_dir(cache_root: Union[str, Path]) -> ValidationReport:
-    """Audit a content-addressed result cache (read-only).
-
-    Every entry under ``objects/`` is re-verified exactly as the
-    serving path would (envelope format, payload SHA-256, cache-entry
-    schema, filename/stored/recomputed key agreement) — but without
-    quarantining anything; findings use ``cache-entry-corrupt`` and
-    ``cache-key-mismatch``.  The manifest index is schema-checked and
-    cross-checked against the entries both ways: an indexed key with
-    no valid entry is ``cache-dangling-entry`` (error — a hit the
-    index promises but the store cannot serve), a valid entry the
-    index missed is ``cache-unindexed-entry`` (warning — the entries
-    are the truth, the index merely accelerates listing).
-    """
-    from repro.service.cache import (
-        MANIFEST_FILENAME,
-        ResultCache,
-        verify_entry_envelope,
-    )
-
-    cache_root = Path(cache_root)
-    report = ValidationReport(subject=f"cache {cache_root}")
-    if not cache_root.is_dir():
-        report.add("cache-missing", f"{cache_root} is not a directory")
-        return report
-    cache = ResultCache(cache_root)
-
-    valid_keys: Dict[str, str] = {}  # key -> rel path
-    if cache.objects_dir.is_dir():
-        for path in sorted(cache.objects_dir.rglob("*.json")):
-            rel = str(path.relative_to(cache_root))
-            report.tick()
-            try:
-                envelope = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                report.add(
-                    "cache-entry-corrupt", f"undecodable: {exc}", path=rel
-                )
-                continue
-            problem = verify_entry_envelope(path.stem, envelope)
-            if problem is not None:
-                # The verifier's integrity message also says
-                # "recomputed" (about the sha256), so match the two
-                # key-disagreement messages precisely.
-                code = (
-                    "cache-key-mismatch"
-                    if "does not recompute" in problem
-                    or "filed under" in problem
-                    else "cache-entry-corrupt"
-                )
-                report.add(code, problem, path=rel)
-                continue
-            valid_keys[path.stem] = rel
-
-    manifest = cache.read_manifest()
-    if cache.manifest_path.is_file():
-        report.tick()
-        if manifest is None:
-            report.add(
-                "cache-manifest-schema",
-                "cache-manifest.json exists but is undecodable",
-                path=MANIFEST_FILENAME,
-            )
-        elif _schema_findings(
-            report,
-            manifest,
-            "cache-manifest",
-            "cache-manifest-schema",
-            MANIFEST_FILENAME,
-        ):
-            indexed = manifest.get("entries", {})
-            for key in sorted(indexed):
-                report.tick()
-                if key not in valid_keys:
-                    report.add(
-                        "cache-dangling-entry",
-                        f"manifest indexes key {key[:12]}… but objects/ "
-                        "holds no valid entry for it",
-                        path=MANIFEST_FILENAME,
-                    )
-            for key, rel in sorted(valid_keys.items()):
-                report.tick()
-                if key not in indexed:
-                    report.add(
-                        "cache-unindexed-entry",
-                        f"valid entry {key[:12]}… is not in the manifest "
-                        "index (lookups still work; listing is incomplete)",
-                        path=rel,
-                        severity=SEVERITY_WARNING,
-                    )
-    elif valid_keys:
-        report.add(
-            "cache-manifest-schema",
-            "entries exist but there is no cache-manifest.json index",
-            severity=SEVERITY_WARNING,
-        )
-
-    if cache.quarantine_dir.is_dir():
-        quarantined = [
-            p
-            for p in cache.quarantine_dir.iterdir()
-            if p.is_file() and not p.name.endswith(".reason")
-        ]
-        report.tick()
-        if quarantined:
-            report.add(
-                "cache-quarantined",
-                f"{len(quarantined)} quarantined entr"
-                f"{'y' if len(quarantined) == 1 else 'ies'} present "
-                "(corruption was detected and evicted; forensics under "
-                "quarantine/)",
-                path="quarantine",
-                severity=SEVERITY_WARNING,
-            )
-    return report
-
-
-def _merge_prefixed(
-    report: ValidationReport, other: ValidationReport, prefix: str
-) -> None:
-    """Merge ``other`` into ``report``, prefixing every finding path."""
-    report.tick(other.checks_run)
-    for finding in other.findings:
-        path = f"{prefix}/{finding.path}" if finding.path else prefix
-        report.findings.append(dataclasses.replace(finding, path=path))
-
-
-def validate_service_root(
-    root: Union[str, Path], deep: bool = True
-) -> ValidationReport:
-    """Validate a whole multi-tenant service root.
-
-    Audits every per-campaign run directory under
-    ``campaigns/<tenant>/<id>/`` with :func:`validate_run_dir`, the
-    service-level WAL (``service.wal``) with the journal auditor, any
-    leftover service lease, and the shared content-addressed cache
-    with :func:`validate_cache_dir`, merging all findings with
-    path prefixes that name the offending tenant and campaign.
-    """
-    root = Path(root)
-    report = ValidationReport(subject=f"service-root {root}")
-    if not root.is_dir():
-        report.add("run-dir-missing", f"{root} is not a directory")
-        return report
-
-    campaigns_dir = root / "campaigns"
-    if campaigns_dir.is_dir():
-        for campaign_dir in sorted(campaigns_dir.glob("*/*")):
-            if not campaign_dir.is_dir():
-                continue
-            _merge_prefixed(
-                report,
-                validate_run_dir(campaign_dir, deep=deep),
-                str(campaign_dir.relative_to(root)),
-            )
-
-    wal_path = root / "service.wal"
-    if wal_path.is_file():
-        report.extend(validate_journal_file(wal_path))
-    report.extend(validate_lease_file(root / "supervisor.lease"))
-
-    cache_root = root / "cache"
-    if cache_root.is_dir():
-        _merge_prefixed(report, validate_cache_dir(cache_root), "cache")
-
-    report.extend(
-        validate_metrics_file(root / "metrics.json", known_uids=None)
-    )
-    return report
-
-
-def is_service_root(path: Union[str, Path]) -> bool:
-    """Does ``path`` look like a service root rather than a run dir?"""
-    path = Path(path)
-    return (path / "campaigns").is_dir() or (path / "service.wal").is_file()
-
-
 def validate_run_dir(
     run_dir: Union[str, Path], deep: bool = True
 ) -> ValidationReport:
@@ -1150,9 +822,6 @@ def validate_run_dir(
             severity=SEVERITY_WARNING,
         )
     report.extend(validate_lease_file(run_dir / "supervisor.lease"))
-
-    # -- dispatch fabric WAL (only written by --nodes campaigns) ------
-    report.extend(validate_dispatch_file(run_dir / "dispatch.wal"))
 
     # -- observability artifacts --------------------------------------
     report.extend(validate_spans_file(run_dir / "spans.jsonl"))

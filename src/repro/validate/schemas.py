@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.runtime.journal import RECORD_TYPES
+
 #: Bumped whenever any artifact schema below changes shape.
 SCHEMA_VERSION = 2
 
@@ -227,41 +229,11 @@ JOURNAL_RECORD_SCHEMA: Dict[str, object] = {
         "seq": {"type": "integer", "minimum": 1},
         "token": {"type": "integer", "minimum": 0},
         "t_wall": {"type": "number"},
-        "type": {
-            "type": "string",
-            "enum": [
-                "campaign-start",
-                "attempt-start",
-                "attempt-end",
-                "checkpoint-flushed",
-                "summary-flushed",
-                "interrupted",
-                "recovered",
-                "cache-hit",
-                "submission-accepted",
-                "submission-done",
-                "shard-sealed",
-                "sim-checkpoint",
-                "dispatch-assign",
-                "dispatch-complete",
-                "dispatch-requeue",
-                "dispatch-hedge",
-                "dispatch-fenced",
-                "breaker-transition",
-            ],
-        },
+        "type": {"type": "string", "enum": list(RECORD_TYPES)},
         "experiment_id": {"type": "string"},
         "attempt": {"type": "integer", "minimum": 1},
         "attempt_uid": {"type": "string"},
         "status": {"type": "string"},
-        "assignment_id": {"type": "string"},
-        "node_id": {"type": "string"},
-        "node_token": {"type": "integer", "minimum": 0},
-        "reason": {"type": "string"},
-        "breaker": {"type": "string"},
-        "from_state": {"type": "string"},
-        "to_state": {"type": "string"},
-        "at_wall": {"type": "number"},
     },
 }
 
@@ -365,57 +337,6 @@ METRICS_SNAPSHOT_SCHEMA: Dict[str, object] = {
     },
 }
 
-#: One entry of the content-addressed result cache
-#: (:mod:`repro.service.cache`): the payload inside the entry's
-#: integrity envelope.  The stored key must both match the filename
-#: and recompute from ``(experiment_id, params, code_fingerprint)`` —
-#: checked by :func:`repro.service.cache.verify_entry_envelope`, not
-#: expressible in the schema language.
-CACHE_ENTRY_SCHEMA: Dict[str, object] = {
-    "type": "object",
-    "required": [
-        "key",
-        "experiment_id",
-        "params",
-        "code_fingerprint",
-        "created_wall",
-        "token",
-        "outcome",
-    ],
-    "properties": {
-        "key": {"type": "string"},
-        "experiment_id": {"type": "string"},
-        "params": {"type": "object"},
-        "code_fingerprint": {"type": "string"},
-        "created_wall": {"type": "number"},
-        "token": {"type": "integer", "minimum": 0},
-        "outcome": OUTCOME_SCHEMA,
-    },
-}
-
-#: The cache's manifest index (``cache-manifest.json``).  The manifest
-#: is an index, the entries are the truth; ``validate`` flags
-#: disagreements between the two rather than trusting either blindly.
-CACHE_MANIFEST_SCHEMA: Dict[str, object] = {
-    "type": "object",
-    "required": ["format", "entries"],
-    "properties": {
-        "format": {"type": "integer", "minimum": 1},
-        "entries": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["experiment_id", "file"],
-                "properties": {
-                    "experiment_id": {"type": "string"},
-                    "file": {"type": "string"},
-                    "created_wall": {"type": "number"},
-                },
-            },
-        },
-    },
-}
-
 #: One CRC-framed line of ``timeline.jsonl`` (:mod:`repro.obs.timeline`).
 #: Recorders omit fields that do not apply to a row kind (cache rows
 #: carry no ``misses`` vector, for example), so only the envelope
@@ -494,8 +415,6 @@ PAYLOAD_SCHEMAS: Dict[str, Dict[str, object]] = {
     "lease": LEASE_SCHEMA,
     "span": SPAN_SCHEMA,
     "metrics": METRICS_SNAPSHOT_SCHEMA,
-    "cache-entry": CACHE_ENTRY_SCHEMA,
-    "cache-manifest": CACHE_MANIFEST_SCHEMA,
     "timeline-row": TIMELINE_ROW_SCHEMA,
     "archive-row": ARCHIVE_ROW_SCHEMA,
 }

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.experiments.__main__ import EXPERIMENTS, SUBCOMMANDS, main
 from repro.runtime.checkpoint import CheckpointStore
 
@@ -113,6 +111,22 @@ class TestVerifyStore:
         capsys.readouterr()
         assert main(["--verify-store", str(run_dir)]) == 1
         assert "corrupt envelope" in capsys.readouterr().out
+
+    def test_missing_path_exits_2(self, tmp_path, capsys):
+        assert main(["--verify-store", str(tmp_path / "absent")]) == 2
+        assert "not a directory" in capsys.readouterr().out
+
+    def test_directory_without_envelopes_exits_1(self, tmp_path, capsys):
+        assert main(["--verify-store", str(tmp_path)]) == 1
+        assert "no checkpoint envelopes" in capsys.readouterr().out
+
+    def test_success_line_counts_envelopes(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        main(["--quick", "--jobs", "0", "--run-dir", str(run_dir), "table1"])
+        capsys.readouterr()
+        assert main(["--verify-store", str(run_dir)]) == 0
+        # manifest, summary and table1's result
+        assert "(3 checked)" in capsys.readouterr().out
 
 
 class TestValidateFlag:
@@ -260,37 +274,3 @@ class TestDurabilityCLI:
         capsys.readouterr()
         assert main(["validate", str(run_dir)]) == 1
         assert "journal-corrupt" in capsys.readouterr().out
-
-
-class TestNodesFlag:
-    """--nodes validation on the campaign and chaos CLIs."""
-
-    def test_nodes_must_be_positive(self, tmp_path, capsys):
-        code = main([
-            "--quick", "--jobs", "1", "--nodes", "0",
-            "--run-dir", str(tmp_path / "r"), "table1",
-        ])
-        assert code == 2
-        assert "--nodes must be >= 1" in capsys.readouterr().out
-
-    def test_nodes_requires_subprocess_jobs(self, tmp_path, capsys):
-        code = main([
-            "--quick", "--jobs", "0", "--nodes", "2",
-            "--run-dir", str(tmp_path / "r"), "table1",
-        ])
-        assert code == 2
-        assert "--nodes requires --jobs >= 1" in capsys.readouterr().out
-
-    def test_chaos_nodes_validation(self, capsys):
-        assert main(["chaos", "--nodes", "0"]) == 2
-        assert "--nodes must be >= 1" in capsys.readouterr().out
-        assert main(["chaos", "--nodes", "2", "--jobs", "0"]) == 2
-        assert "--nodes requires --jobs >= 1" in capsys.readouterr().out
-
-    def test_serve_nodes_validation(self, tmp_path, capsys):
-        from repro.service.http import ServiceConfig
-
-        with pytest.raises(ValueError, match="nodes"):
-            ServiceConfig(nodes=0)
-        with pytest.raises(ValueError, match="jobs"):
-            ServiceConfig(nodes=2, jobs=0)

@@ -292,137 +292,6 @@ class TestDamageTolerance:
         assert status.experiments["a"].state == STATE_OK
 
 
-class TestDispatchFabricStatus:
-    """Per-node health (nodes.json) and breaker transition history."""
-
-    def nodes_payload(self):
-        return {
-            "nodes": {
-                "node-0": {
-                    "pid": 100,
-                    "token": 1,
-                    "alive": True,
-                    "inflight": 2,
-                    "deaths": 0,
-                    "last_heartbeat_wall": 1000.0,
-                    "breaker": "closed",
-                },
-                "node-1": {
-                    "pid": 200,
-                    "token": 3,
-                    "alive": False,
-                    "inflight": 0,
-                    "deaths": 2,
-                    "last_heartbeat_wall": 990.0,
-                    "breaker": "open",
-                },
-            },
-            "live": 1,
-            "total": 2,
-            "written_wall": 1001.0,
-        }
-
-    def test_nodes_snapshot_surfaces_in_status(self, tmp_path):
-        run_campaign(tmp_path, [FakeExperiment("a")])
-        (tmp_path / "nodes.json").write_text(json.dumps(self.nodes_payload()))
-        status = load_status(tmp_path)
-        assert status.nodes is not None
-        assert status.nodes["live"] == 1
-        text = render_status(status)
-        assert "nodes: 1/2 live" in text
-        assert "node-0" in text and "closed" in text
-        assert "dead" in text and "open" in text
-
-    def test_no_fabric_means_no_node_section(self, tmp_path):
-        run_campaign(tmp_path, [FakeExperiment("a")])
-        status = load_status(tmp_path)
-        assert status.nodes is None
-        assert "nodes:" not in render_status(status)
-
-    def test_damaged_nodes_snapshot_degrades_to_none(self, tmp_path):
-        run_campaign(tmp_path, [FakeExperiment("a")])
-        (tmp_path / "nodes.json").write_text("{half a snapsho")
-        status = load_status(tmp_path)  # must not raise
-        assert status.nodes is None
-
-    def test_breaker_transitions_come_from_events(self, tmp_path):
-        run_campaign(tmp_path, [FakeExperiment("a")])
-        with EventLog(tmp_path / "events.jsonl", fsync=False) as log:
-            log.emit(
-                "breaker-transition",
-                breaker="node:node-0",
-                node_id="node-0",
-                from_state="closed",
-                to_state="open",
-                t_wall=1000.0,
-            )
-            log.emit(
-                "breaker-transition",
-                breaker="node:node-0",
-                node_id="node-0",
-                from_state="open",
-                to_state="half-open",
-                t_wall=1010.0,
-            )
-        status = load_status(tmp_path)
-        assert [
-            (t["from_state"], t["to_state"])
-            for t in status.breaker_transitions
-        ] == [("closed", "open"), ("open", "half-open")]
-        text = render_status(status)
-        assert "breaker transitions:" in text
-        assert "node:node-0: closed -> open" in text
-        assert "open -> half-open" in text
-
-    def test_transition_history_is_bounded(self, tmp_path):
-        from repro.obs.status import BREAKER_HISTORY_LIMIT
-
-        run_campaign(tmp_path, [FakeExperiment("a")])
-        with EventLog(tmp_path / "events.jsonl", fsync=False) as log:
-            for index in range(BREAKER_HISTORY_LIMIT + 7):
-                log.emit(
-                    "breaker-transition",
-                    breaker="node:node-0",
-                    from_state="closed",
-                    to_state="open",
-                    t_wall=float(index),
-                )
-        status = load_status(tmp_path)
-        assert len(status.breaker_transitions) == BREAKER_HISTORY_LIMIT
-        # The *most recent* entries survive.
-        assert status.breaker_transitions[-1]["at_wall"] == float(
-            BREAKER_HISTORY_LIMIT + 6
-        )
-
-    def test_service_rollup_replays_wal_transitions_and_nodes(self, tmp_path):
-        from repro.obs.status import load_service_status, render_service_status
-
-        root = tmp_path / "root"
-        root.mkdir()
-        with Journal(root / "service.wal", fsync=False) as journal:
-            journal.append(
-                "breaker-transition",
-                breaker="service",
-                from_state="closed",
-                to_state="open",
-                at_wall=500.0,
-            )
-        (root / "nodes.json").write_text(json.dumps(self.nodes_payload()))
-        rollup = load_service_status(root)
-        assert rollup["breaker_transitions"] == [
-            {
-                "breaker": "service",
-                "from_state": "closed",
-                "to_state": "open",
-                "at_wall": 500.0,
-            }
-        ]
-        assert rollup["nodes"]["live"] == 1
-        text = render_service_status(rollup)
-        assert "nodes: 1/2 live" in text
-        assert "service: closed -> open" in text
-
-
 class TestKernelTallies:
     def metrics_payload(self, counters, gauges):
         return json.dumps(

@@ -59,6 +59,16 @@ class TestFraming:
             with pytest.raises(ValueError, match="unknown journal record"):
                 journal.append("made-up-type")
 
+    @pytest.mark.parametrize(
+        "record_type",
+        ["dispatch-assign", "cache-hit", "submission-accepted",
+         "breaker-transition"],
+    )
+    def test_retired_record_types_rejected(self, tmp_path, record_type):
+        with Journal(tmp_path / JOURNAL_FILENAME) as journal:
+            with pytest.raises(ValueError, match="unknown journal record"):
+                journal.append(record_type, experiment_id="x")
+
     def test_none_fields_are_dropped(self, tmp_path):
         with Journal(tmp_path / JOURNAL_FILENAME) as journal:
             record = journal.append("attempt-start", status=None, attempt=2)

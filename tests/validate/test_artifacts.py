@@ -15,7 +15,6 @@ from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import ExperimentOutcome
 from repro.runtime.events import EventLog
 from repro.validate.artifacts import (
-    validate_dispatch_file,
     validate_events_file,
     validate_run_dir,
     validate_trace_file,
@@ -330,6 +329,17 @@ class TestJournalAndLease:
         report = validate_run_dir(clean_run)
         assert "journal-schema" in report.codes()
 
+    def test_retired_dispatch_record_type_is_an_error(self, clean_run):
+        from repro.runtime.journal import JOURNAL_FILENAME, frame_record
+
+        record = {
+            "seq": 1, "token": 1, "t_wall": 0.0, "type": "dispatch-assign",
+        }
+        (clean_run / JOURNAL_FILENAME).write_bytes(frame_record(record))
+        report = validate_run_dir(clean_run)
+        assert "journal-schema" in report.codes()
+        assert not report.ok
+
     def test_stale_lease_is_a_warning(self, clean_run):
         import subprocess
 
@@ -530,143 +540,6 @@ class TestStreamingArtifacts:
         report = validate_run_dir(run_dir)
         assert not report.errors, report.render()
         assert "sim-checkpoint-corrupt" not in report.codes()
-
-
-class TestDispatchWal:
-    """The dispatch fabric's assignment WAL (``dispatch.wal``)."""
-
-    def write_wal(self, tmp_path, *appends, token=1):
-        from repro.runtime.journal import Journal
-
-        path = tmp_path / "dispatch.wal"
-        with Journal(path, token=token, fsync=False) as journal:
-            for record_type, fields in appends:
-                journal.append(record_type, **fields)
-        return path
-
-    @staticmethod
-    def assignment(aid, uid, node="node-0", **extra):
-        fields = {
-            "experiment_id": uid.split("@")[0],
-            "attempt": 1,
-            "attempt_uid": uid,
-            "assignment_id": aid,
-            "node_id": node,
-            "node_token": 1,
-        }
-        fields.update(extra)
-        return fields
-
-    def test_missing_wal_is_fine(self, tmp_path):
-        report = validate_dispatch_file(tmp_path / "dispatch.wal")
-        assert report.ok and not report.findings
-
-    def test_clean_assign_complete_passes(self, tmp_path):
-        uid = "figA@1.1"
-        path = self.write_wal(
-            tmp_path,
-            ("dispatch-assign", self.assignment("a#1", uid)),
-            ("dispatch-complete", self.assignment("a#1", uid, status="ok")),
-        )
-        report = validate_dispatch_file(path)
-        assert report.ok, report.render()
-        assert not report.findings
-
-    def test_requeue_then_complete_elsewhere_passes(self, tmp_path):
-        uid = "figA@1.1"
-        path = self.write_wal(
-            tmp_path,
-            ("dispatch-assign", self.assignment("a#1", uid)),
-            ("dispatch-requeue", self.assignment("a#1", uid, reason="dead")),
-            ("dispatch-assign", self.assignment("a#2", uid, node="node-1")),
-            (
-                "dispatch-complete",
-                self.assignment("a#2", uid, node="node-1", status="ok"),
-            ),
-        )
-        report = validate_dispatch_file(path)
-        assert report.ok and not report.findings, report.render()
-
-    def test_hedge_with_fenced_loser_passes(self, tmp_path):
-        uid = "figA@1.1"
-        path = self.write_wal(
-            tmp_path,
-            ("dispatch-assign", self.assignment("a#1", uid)),
-            ("dispatch-hedge", self.assignment("a#2", uid, node="node-1")),
-            (
-                "dispatch-complete",
-                self.assignment("a#2", uid, node="node-1", status="ok"),
-            ),
-            (
-                "dispatch-fenced",
-                self.assignment("a#1", uid, reason="duplicate-result"),
-            ),
-        )
-        report = validate_dispatch_file(path)
-        assert report.ok and not report.findings, report.render()
-
-    def test_double_complete_is_an_error(self, tmp_path):
-        uid = "figA@1.1"
-        path = self.write_wal(
-            tmp_path,
-            ("dispatch-assign", self.assignment("a#1", uid)),
-            ("dispatch-hedge", self.assignment("a#2", uid, node="node-1")),
-            ("dispatch-complete", self.assignment("a#1", uid, status="ok")),
-            (
-                "dispatch-complete",
-                self.assignment("a#2", uid, node="node-1", status="ok"),
-            ),
-        )
-        report = validate_dispatch_file(path)
-        assert "dispatch-double-complete" in report.codes()
-        assert not report.ok
-
-    def test_orphan_assignment_is_a_warning(self, tmp_path):
-        path = self.write_wal(
-            tmp_path,
-            ("dispatch-assign", self.assignment("a#1", "figA@1.1")),
-        )
-        report = validate_dispatch_file(path)
-        orphans = report.by_code("dispatch-orphan-assignment")
-        assert orphans and orphans[0].severity == "warning"
-        assert report.ok  # a crash signature, not storage damage
-
-    def test_closure_without_opener_is_corrupt(self, tmp_path):
-        path = self.write_wal(
-            tmp_path,
-            (
-                "dispatch-complete",
-                self.assignment("ghost#1", "figA@1.1", status="ok"),
-            ),
-        )
-        report = validate_dispatch_file(path)
-        assert "dispatch-corrupt" in report.codes()
-        assert not report.ok
-
-    def test_torn_tail_is_a_warning(self, tmp_path):
-        uid = "figA@1.1"
-        path = self.write_wal(
-            tmp_path,
-            ("dispatch-assign", self.assignment("a#1", uid)),
-            ("dispatch-complete", self.assignment("a#1", uid, status="ok")),
-        )
-        with open(path, "ab") as handle:
-            handle.write(b"WAL1 dead")
-        report = validate_dispatch_file(path)
-        torn = report.by_code("dispatch-torn")
-        assert torn and torn[0].severity == "warning"
-        assert report.ok
-
-    def test_run_dir_audit_includes_the_dispatch_wal(self, clean_run):
-        uid = "figA@1.1"
-        self.write_wal(
-            clean_run,
-            ("dispatch-assign", self.assignment("a#1", uid)),
-            ("dispatch-complete", self.assignment("a#1", uid, status="ok")),
-            ("dispatch-complete", self.assignment("a#1", uid, status="ok")),
-        )
-        report = validate_run_dir(clean_run)
-        assert "dispatch-double-complete" in report.codes()
 
 
 class TestKernelBundles:
