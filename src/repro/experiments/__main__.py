@@ -803,11 +803,12 @@ def trends_command(argv: List[str]) -> int:
         print(f"trends: {args.archive} does not exist")
         return 2
 
-    from repro.obs.archive import detect_regressions, render_trends, scan_archive
+    from repro.obs.archive import ARCHIVE_MAGIC, detect_regressions, render_trends
+    from repro.runtime.records import scan as scan_log
 
-    scan = scan_archive(args.archive)
+    scan = scan_log(args.archive, ARCHIVE_MAGIC)
     findings = detect_regressions(
-        scan.rows, metric=args.metric, threshold_pct=args.threshold_pct
+        scan.records, metric=args.metric, threshold_pct=args.threshold_pct
     )
     if args.json:
         import json
@@ -817,8 +818,8 @@ def trends_command(argv: List[str]) -> int:
                 {
                     "archive": args.archive,
                     "metric": args.metric,
-                    "rows": len(scan.rows),
-                    "damaged_lines": scan.damaged,
+                    "rows": len(scan.records),
+                    "damaged_lines": [line for line, _ in scan.damaged],
                     "torn_tail": scan.torn_tail,
                     "findings": findings,
                 },
@@ -965,15 +966,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         obs_tracing.configure(writer=span_writer)
 
     # Temporal working-set telemetry: per-chunk rows land in
-    # <run_dir>/timeline.jsonl (CRC-framed, same torn-tail discipline
-    # as events.jsonl); workers inherit the file via REPRO_TIMELINE.
+    # <run_dir>/timeline.jsonl (a framed record log, like events.jsonl);
+    # workers inherit the file via REPRO_TIMELINE.
     from repro.obs import timeline as obs_timeline
 
     if store is not None and obs_on:
         try:
             obs_timeline.configure_timeline(
-                store.run_dir / obs_timeline.TIMELINE_FILENAME,
-                prepare=True,
+                store.run_dir / obs_timeline.TIMELINE_FILENAME
             )
         except OSError as exc:
             console.warning(f"[obs] timeline.jsonl unavailable: {exc}")

@@ -31,11 +31,8 @@ instruction leaves either a fully valid shard/manifest or a staging
 directory (suffix ``.trd.tmp``) that validation flags as an expected
 crash leftover, never a silently short trace.
 
-Simulator checkpoints (see :mod:`repro.mem.streamsim`) use the
-CRC-framed single-line format written here::
-
-    SIMCKPT1 <crc32:08x> <canonical-json>
-
+Simulator checkpoints (see :mod:`repro.mem.streamsim`) are one
+``SIMCKPT1`` record in the shared frame of :mod:`repro.runtime.records`,
 written atomically at shard boundaries (fault site ``"simckpt"``), so
 a kill mid-simulation resumes from the last boundary and completes
 with results byte-identical to an uninterrupted run.
@@ -62,6 +59,7 @@ from repro.runtime.iofault import (
     fsync_directory,
     io_replace,
 )
+from repro.runtime.records import decode, frame
 
 #: Bumped when the on-disk layout changes.  Versions 1-2 are the
 #: single-file ``.npz`` formats of :mod:`repro.mem.tracefile`; version
@@ -90,7 +88,7 @@ DEFAULT_SHARD_REFS = 1 << 18
 STREAM_DIR_ENV = "REPRO_STREAM_DIR"
 SHARD_REFS_ENV = "REPRO_SHARD_REFS"
 
-#: Magic for the CRC-framed simulator checkpoint line.
+#: Frame magic of simulator checkpoint records.
 SIMCKPT_MAGIC = "SIMCKPT1"
 
 
@@ -741,7 +739,7 @@ def trace_builder(
     return StreamingTraceBuilder(metadata=metadata)
 
 
-# -- CRC-framed simulator checkpoints -------------------------------------
+# -- simulator checkpoints ------------------------------------------------
 
 
 def save_sim_checkpoint(
@@ -749,16 +747,14 @@ def save_sim_checkpoint(
 ) -> None:
     """Atomically persist one simulator snapshot.
 
-    Single CRC-framed line (``SIMCKPT1 <crc32:08x> <json>``), written
-    with the shared atomic-write discipline at fault site ``"simckpt"``
-    — a crash during the write leaves either the previous snapshot or
-    the new one, never a torn file.
+    One framed ``SIMCKPT1`` record, written with the shared atomic-write
+    discipline at fault site ``"simckpt"`` — a crash during the write
+    leaves either the previous snapshot or the new one, never a torn
+    file.
     """
-    data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
+    atomic_write_bytes(
+        Path(path), frame(SIMCKPT_MAGIC, payload), site=SIMCKPT_SITE
     )
-    line = f"{SIMCKPT_MAGIC} {zlib.crc32(data):08x} ".encode("ascii") + data
-    atomic_write_bytes(Path(path), line, site=SIMCKPT_SITE)
 
 
 def load_sim_checkpoint(path: Union[str, Path]) -> Optional[Dict[str, object]]:
@@ -767,22 +763,7 @@ def load_sim_checkpoint(path: Union[str, Path]) -> Optional[Dict[str, object]]:
     Resume treats a damaged snapshot as "no snapshot" and restarts the
     simulation from shard zero — always safe, never wrong.
     """
-    path = Path(path)
     try:
-        raw = path.read_bytes()
-    except OSError:
+        return decode(Path(path).read_bytes(), SIMCKPT_MAGIC)
+    except (OSError, ValueError):
         return None
-    parts = raw.split(b" ", 2)
-    if len(parts) != 3 or parts[0] != SIMCKPT_MAGIC.encode("ascii"):
-        return None
-    try:
-        stored = int(parts[1], 16)
-    except ValueError:
-        return None
-    if zlib.crc32(parts[2]) != stored:
-        return None
-    try:
-        payload = json.loads(parts[2])
-    except json.JSONDecodeError:
-        return None
-    return payload if isinstance(payload, dict) else None

@@ -9,25 +9,25 @@ can be walked back to the commit that introduced it, in the spirit of
 fleet-level workload telemetry (Blue Waters): trends that no single
 run can show.
 
-Rows share the timeline module's framing discipline (magic ``PFA1``)
-and its tolerant scanner; strict checking is ``repro.validate`` code
-``archive-corrupt``.  Regression detection is robust: for each series
-the newest row is compared against the *median* of its history, with a
-median-absolute-deviation band so noisy hardware does not flag — see
-:func:`detect_regressions` and the ``trends`` CLI subcommand.
+Rows are ``PFA1`` records in the shared CRC frame and damage rule of
+:mod:`repro.runtime.records` (fault site ``"archive"``); strict
+checking is ``repro.validate`` code ``archive-corrupt``.  Regression
+detection is robust: for each series the newest row is compared
+against the *median* of its history, with a median-absolute-deviation
+band so noisy hardware does not flag — see :func:`detect_regressions`
+and the ``trends`` CLI subcommand.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import socket
 import subprocess
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.obs.timeline import TimelineScan, frame_row, scan_framed
+from repro.runtime import records
 
 #: Frame magic for ``perf-archive.jsonl`` rows.
 ARCHIVE_MAGIC = "PFA1"
@@ -82,23 +82,25 @@ def attribution(
     return out
 
 
-def is_attributed(row: Dict[str, object]) -> bool:
-    return all(
-        isinstance(row.get(key), str) and row.get(key)
+def missing_attribution(row: Dict[str, object]) -> List[str]:
+    """The attribution keys ``row`` lacks (empty when attributed)."""
+    return [
+        key
         for key in ATTRIBUTION_KEYS
-    )
+        if not (isinstance(row.get(key), str) and row.get(key))
+    ]
+
+
+def is_attributed(row: Dict[str, object]) -> bool:
+    return not missing_attribution(row)
 
 
 # -- reading / appending ----------------------------------------------------
 
 
-def scan_archive(path: Union[str, Path]) -> TimelineScan:
-    return scan_framed(path, ARCHIVE_MAGIC)
-
-
 def read_archive(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """All decodable archive rows (tolerant of damage)."""
-    return scan_archive(path).rows
+    """All intact archive rows (damage is skipped)."""
+    return records.scan(path, ARCHIVE_MAGIC).records
 
 
 def append_rows(
@@ -112,25 +114,17 @@ def append_rows(
     """
     rows = list(rows)
     for row in rows:
-        if not is_attributed(row):
-            missing = [
-                key
-                for key in ATTRIBUTION_KEYS
-                if not (isinstance(row.get(key), str) and row.get(key))
-            ]
+        missing = missing_attribution(row)
+        if missing:
             raise ValueError(
                 "refusing unattributed archive row "
                 f"(missing {', '.join(missing)}): "
                 f"{json.dumps(row, sort_keys=True)[:200]}"
             )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(path, os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644)
-    try:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with records.RecordLog(path, ARCHIVE_MAGIC, "archive") as log:
         for row in rows:
-            os.write(fd, frame_row(row, ARCHIVE_MAGIC))
-    finally:
-        os.close(fd)
+            log.append(row)
     return len(rows)
 
 

@@ -228,17 +228,18 @@ def _timeline_groups(rows: List[Dict[str, object]]):
 def _working_set_sections(run_dir: Path) -> List[str]:
     """Per-phase knee tables from ``timeline.jsonl`` (tolerant)."""
     try:
-        from repro.obs.timeline import TIMELINE_FILENAME, detect_phases, scan_timeline
+        from repro.obs.timeline import TIMELINE_FILENAME, TIMELINE_MAGIC, detect_phases
+        from repro.runtime.records import scan as scan_log
         from repro.units import format_size
 
-        scan = scan_timeline(run_dir / TIMELINE_FILENAME)
-        if not scan.rows:
+        scan = scan_log(run_dir / TIMELINE_FILENAME, TIMELINE_MAGIC)
+        if not scan.records:
             return [
                 "_No readable `timeline.jsonl` (campaign ran without obs?)._",
                 "",
             ]
         lines: List[str] = []
-        for experiment_id, group in _timeline_groups(scan.rows):
+        for experiment_id, group in _timeline_groups(scan.records):
             phases = detect_phases(group)
             if not phases:
                 continue

@@ -293,9 +293,9 @@ def load_status(
         status.notes.append(
             "journal has a torn tail (crash signature; truncated on resume)"
         )
-    if replay.corrupt:
+    if replay.damaged:
         status.notes.append(
-            f"journal has {len(replay.corrupt)} damaged record(s) before "
+            f"journal has {len(replay.damaged)} damaged record(s) before "
             "the tail (storage corruption)"
         )
 

@@ -5,9 +5,9 @@ curves, but working sets are by definition windowed over time and
 phase-dependent (Barnes-Hut's tree-build/force phases, LU's shrinking
 active matrix).  This module adds the time axis:
 
-- :class:`TimelineRecorder` appends one CRC-framed JSON row per
-  simulated chunk to ``timeline.jsonl`` (``TLN1 <crc32> <json>``, the
-  same torn-tail discipline as the journal): refs/s, per-capacity miss
+- :class:`TimelineRecorder` appends one ``TLN1`` row per simulated
+  chunk to ``timeline.jsonl`` (the shared CRC frame and damage rule of
+  :mod:`repro.runtime.records`): refs/s, per-capacity miss
   deltas, stack-depth percentiles, and a Denning working-set estimate
   (unique blocks touched in the chunk window).
 - :class:`PhaseDetector` segments the row stream into phases online
@@ -23,20 +23,19 @@ exports ``REPRO_TIMELINE`` so spawned workers inherit it via
 :func:`install_from_env`.  :func:`active_recorder` returns ``None``
 whenever observability is off.
 
-Everything here is observability: a write failure increments
-``obs.timeline.write_errors`` and is otherwise swallowed; readers
-tolerate torn tails and damaged lines.  Strict checking lives in
-``repro.validate`` (codes ``timeline-torn`` / ``timeline-schema``).
+Everything here is observability: a write failure (fault site
+``"timeline"``) increments ``obs.timeline.write_errors`` and is
+otherwise swallowed; readers skip torn tails and damaged lines.
+Strict checking lives in ``repro.validate`` (codes ``timeline-torn`` /
+``timeline-schema``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -44,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
+from repro.runtime import records
 
 #: Frame magic for ``timeline.jsonl`` rows.
 TIMELINE_MAGIC = "TLN1"
@@ -74,119 +74,9 @@ CHUNK_MAX_REFS = 262144
 _MAD_SCALE = 1.4826  # MAD -> sigma for normal data
 
 
-# -- framing ----------------------------------------------------------------
-
-
-def _canonical(record: Dict[str, object]) -> bytes:
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-
-
-def frame_row(record: Dict[str, object], magic: str = TIMELINE_MAGIC) -> bytes:
-    """One CRC-framed line: ``<magic> <crc32:08x> <canonical-json>\\n``."""
-    data = _canonical(record)
-    return f"{magic} {zlib.crc32(data):08x} ".encode("ascii") + data + b"\n"
-
-
-def decode_frame(
-    line: bytes, magic: str = TIMELINE_MAGIC
-) -> Optional[Dict[str, object]]:
-    """Decode one framed line; ``None`` on any damage."""
-    parts = line.split(b" ", 2)
-    if len(parts) != 3 or parts[0] != magic.encode("ascii"):
-        return None
-    try:
-        expected = int(parts[1], 16)
-    except ValueError:
-        return None
-    if zlib.crc32(parts[2]) != expected:
-        return None
-    try:
-        record = json.loads(parts[2])
-    except ValueError:
-        return None
-    return record if isinstance(record, dict) else None
-
-
-@dataclass
-class TimelineScan:
-    """Tolerant scan of a framed JSONL artifact.
-
-    ``damaged`` holds 1-based line numbers that failed to decode before
-    the tail; ``torn_tail`` marks damage at the very end of the file
-    (the crash signature append-only writers are allowed to leave).
-    """
-
-    rows: List[Dict[str, object]] = field(default_factory=list)
-    damaged: List[int] = field(default_factory=list)
-    torn_tail: bool = False
-
-
-def scan_framed(path: Union[str, Path], magic: str) -> TimelineScan:
-    """Scan a CRC-framed JSONL file, tolerating any damage."""
-    scan = TimelineScan()
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return scan
-    if not raw:
-        return scan
-    lines = raw.split(b"\n")
-    unterminated = lines[-1] != b""
-    if lines[-1] == b"":
-        lines.pop()
-    bad: List[int] = []
-    for number, line in enumerate(lines, start=1):
-        record = decode_frame(line, magic)
-        if record is None:
-            bad.append(number)
-        else:
-            scan.rows.append(record)
-    if bad and bad[-1] == len(lines) and unterminated:
-        # An unterminated, undecodable final fragment is a torn tail,
-        # not corruption: the writer died mid-append.
-        scan.torn_tail = True
-        bad.pop()
-    scan.damaged = bad
-    return scan
-
-
-def scan_timeline(path: Union[str, Path]) -> TimelineScan:
-    return scan_framed(path, TIMELINE_MAGIC)
-
-
 def read_timeline(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """All decodable rows of a timeline file (tolerant)."""
-    return scan_timeline(path).rows
-
-
-def prepare_for_append(path: Union[str, Path]) -> None:
-    """Truncate an undecodable tail so appends start on a clean line.
-
-    Mirrors the event-log discipline: only the *trailing* damage is
-    removed (a torn append from a killed process); decodable history is
-    never rewritten.  Must only be called while no other process is
-    appending (the CLI calls it once, before workers spawn).
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return
-    good = raw
-    while good:
-        newline = good.rfind(b"\n")
-        if newline == len(good) - 1:
-            start = good.rfind(b"\n", 0, newline) + 1
-            if decode_frame(good[start:newline]) is not None:
-                break
-            good = good[:start]
-        else:
-            good = good[: newline + 1] if newline >= 0 else b""
-    if len(good) != len(raw):
-        with open(path, "wb") as handle:
-            handle.write(good)
+    """All intact rows of a timeline file (damage is skipped)."""
+    return records.scan(path, TIMELINE_MAGIC).records
 
 
 # -- phase detection --------------------------------------------------------
@@ -424,12 +314,12 @@ def latest_attempt_rows(
 
 
 class TimelineRecorder:
-    """Append-only CRC-framed timeline writer with live phase gauges.
+    """Append-only timeline writer with live phase gauges.
 
-    One ``os.write`` per row on an ``O_APPEND`` descriptor keeps lines
-    atomic across concurrently-appending worker processes.  Recording
-    never raises: write failures increment
-    ``obs.timeline.write_errors`` and drop the row.
+    Rows go through a :class:`~repro.runtime.records.RecordLog`, opened
+    at the first row, which keeps them whole across concurrently
+    appending worker processes.  Recording never raises: write failures
+    increment ``obs.timeline.write_errors`` and drop the row.
     """
 
     def __init__(
@@ -439,7 +329,7 @@ class TimelineRecorder:
     ) -> None:
         self.path = Path(path)
         self.chunk_refs = chunk_refs
-        self._fd: Optional[int] = None
+        self._log: Optional[records.RecordLog] = None
         self._lock = threading.Lock()
         self._seq = 0
         self._labels: Dict[str, str] = {}
@@ -492,13 +382,11 @@ class TimelineRecorder:
             row.update(self._labels)
             row.update({k: v for k, v in fields.items() if v is not None})
             try:
-                if self._fd is None:
-                    self._fd = os.open(
-                        self.path,
-                        os.O_APPEND | os.O_CREAT | os.O_WRONLY,
-                        0o644,
+                if self._log is None:
+                    self._log = records.RecordLog(
+                        self.path, TIMELINE_MAGIC, "timeline"
                     )
-                os.write(self._fd, frame_row(row))
+                self._log.append(row)
             except (OSError, ValueError):
                 obs_metrics.inc("obs.timeline.write_errors")
                 return None
@@ -521,12 +409,9 @@ class TimelineRecorder:
 
     def close(self) -> None:
         with self._lock:
-            if self._fd is not None:
-                try:
-                    os.close(self._fd)
-                except OSError:
-                    pass
-                self._fd = None
+            if self._log is not None:
+                self._log.close()
+                self._log = None
 
 
 # -- ambient configuration --------------------------------------------------
@@ -537,14 +422,11 @@ _recorder: Optional[TimelineRecorder] = None
 def configure_timeline(
     path: Optional[Union[str, Path]],
     chunk_refs: Optional[int] = None,
-    prepare: bool = False,
 ) -> Optional[TimelineRecorder]:
     """Install (or clear, with ``None``) the process-wide recorder.
 
     Exports ``REPRO_TIMELINE`` / ``REPRO_TIMELINE_CHUNK`` so spawned
     workers can pick the same file up via :func:`install_from_env`.
-    ``prepare=True`` truncates a torn tail first — only safe while no
-    other process is appending.
     """
     global _recorder
     if _recorder is not None:
@@ -554,8 +436,6 @@ def configure_timeline(
         os.environ.pop(TIMELINE_ENV, None)
         os.environ.pop(TIMELINE_CHUNK_ENV, None)
         return None
-    if prepare:
-        prepare_for_append(path)
     _recorder = TimelineRecorder(path, chunk_refs=chunk_refs)
     os.environ[TIMELINE_ENV] = str(path)
     if chunk_refs:
@@ -682,10 +562,11 @@ def load_working_set(
     except OSError:
         return None
     rows: List[Dict[str, object]] = []
-    for line in raw.split(b"\n"):
-        record = decode_frame(line)
-        if record is not None:
-            rows.append(record)
+    for line in raw.splitlines(keepends=True):
+        try:
+            rows.append(records.decode(line, TIMELINE_MAGIC))
+        except ValueError:
+            continue
     rows = latest_attempt_rows(rows)
     if not rows:
         return None

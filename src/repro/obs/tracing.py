@@ -23,10 +23,10 @@ finished spans ship to the supervisor inside the AttemptSpec result
 payload and are re-emitted into the campaign's span log with the
 worker's ids intact (the supervisor attempt span is their parent).
 
-``spans.jsonl`` follows the same torn-tail discipline as
-``events.jsonl``: one JSON object per line, single ``write`` syscall
-per line (site ``"spans"`` for fault injection), tolerant reader
-(:func:`read_spans`) plus a strict validator in
+``spans.jsonl`` holds one ``SPN1`` record per span in the shared CRC
+frame and damage rule of :mod:`repro.runtime.records` (site
+``"spans"`` for fault injection), with a tolerant reader
+(:func:`read_spans`) and a strict validator in
 :mod:`repro.validate.artifacts`.  :func:`to_chrome_trace` /
 :func:`from_chrome_trace` convert to and from the Chrome trace-event
 JSON format for ``chrome://tracing`` and Perfetto.
@@ -34,7 +34,6 @@ JSON format for ``chrome://tracing`` and Perfetto.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -45,10 +44,13 @@ from functools import wraps
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from repro.runtime.iofault import io_write
+from repro.runtime import records
 
 #: Default filename inside a campaign run directory.
 SPANS_FILENAME = "spans.jsonl"
+
+#: Frame magic of span records.
+SPANS_MAGIC = "SPN1"
 
 #: Injection-site tag for the span writer.
 SPANS_SITE = "spans"
@@ -106,47 +108,23 @@ class Span:
         )
 
 
-class SpanWriter:
-    """Append-only JSONL span sink (same discipline as EventLog).
+class SpanWriter(records.RecordLog):
+    """Append-only span sink (a :class:`~repro.runtime.records.RecordLog`).
 
-    Like the event log, a torn tail left by a killed supervisor is
-    truncated before appending (welding a new line onto torn garbage
-    would corrupt mid-file), and write failures are *counted*, never
-    raised — telemetry must not be able to fail a campaign.
+    Write failures are *counted*, never raised — telemetry must not be
+    able to fail a campaign.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
-        from repro.runtime.events import _prepare_for_append
-
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        _prepare_for_append(self.path)
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        super().__init__(path, SPANS_MAGIC, SPANS_SITE)
         self.write_errors = 0
-        self._lock = threading.Lock()
-        self._fd: Optional[int] = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
 
     def write(self, span: Span) -> None:
-        line = json.dumps(span.to_dict(), sort_keys=True) + "\n"
-        with self._lock:
-            if self._fd is not None:
-                try:
-                    io_write(self._fd, line.encode("utf-8"), SPANS_SITE)
-                except OSError:
-                    self.write_errors += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fd is not None:
-                os.close(self._fd)
-                self._fd = None
-
-    def __enter__(self) -> "SpanWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        try:
+            self.append(span.to_dict())
+        except OSError:
+            self.write_errors += 1
 
 
 class Tracer:
@@ -358,21 +336,9 @@ def traced(name: Optional[str] = None, **attrs: object) -> Callable:
 
 
 def read_spans(path: Union[str, Path]) -> List[Span]:
-    """Parse a spans file, skipping torn or undecodable lines."""
+    """Parse a spans file, skipping damaged lines and alien records."""
     spans: List[Span] = []
-    path = Path(path)
-    if not path.is_file():
-        return spans
-    for line in path.read_text(encoding="utf-8", errors="replace").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(record, dict):
-            continue
+    for record in records.scan(path, SPANS_MAGIC).records:
         try:
             spans.append(Span.from_dict(record))
         except (KeyError, TypeError, ValueError):

@@ -1,14 +1,12 @@
-"""Structured JSONL event log for campaign post-mortems.
+"""Structured, checksummed event log for campaign post-mortems.
 
 A failed or interrupted campaign must be reconstructible without
-scraping stdout.  :class:`EventLog` appends one JSON object per engine
-event to ``events.jsonl`` inside the run directory:
+scraping stdout.  :class:`EventLog` appends one record per engine
+event to ``events.jsonl`` inside the run directory::
 
-```
-{"seq": 3, "t_mono": 1.042, "t_wall": 1754450000.1,
- "event": "worker-killed", "experiment_id": "fig6",
- "attempt": 1, "signal": "SIGKILL"}
-```
+    EVT1 <crc32:08x> {"attempt":1,"event":"worker-killed",
+        "experiment_id":"fig6","seq":3,"signal":"SIGKILL",
+        "t_mono":1.042,"t_wall":1754450000.1}
 
 - ``seq`` is a strictly increasing sequence number, so interleavings
   from the parallel supervisor threads have a total order even when
@@ -18,74 +16,36 @@ event to ``events.jsonl`` inside the run directory:
   correlating with the outside world).
 - Everything else is the event name plus free-form detail fields.
 
-Each event line is written with a single ``write`` syscall (through
-the fault-injectable shim in :mod:`repro.runtime.iofault`, site
-``"events"``) and serialized by a lock, so the log is safe to write
-from the worker-pool supervisor threads and each line is intact even
-if the supervisor itself is SIGKILLed mid-campaign (the torn line, if
-any, is the last one — readers skip undecodable lines).  Pass
-``fsync=True`` for power-loss durability per event; the default relies
-on the kernel having the bytes, which kill semantics preserve.
+Each event is one ``EVT1`` record in the shared CRC frame of
+:mod:`repro.runtime.records`, appended with a single ``write`` (site
+``"events"`` for fault injection) under a lock, so the log is safe to
+write from the worker-pool supervisor threads and every record is
+intact even if the supervisor itself is SIGKILLed mid-campaign.  The
+records module's damage rule applies: a torn tail is truncated by the
+next :class:`EventLog` (which continues its ``seq``) and skipped by
+:func:`read_events`.  Pass ``fsync=True`` for power-loss durability
+per event; the default relies on the kernel having the bytes, which
+kill semantics preserve.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.runtime.iofault import io_fsync, io_write
+from repro.runtime import records
 
 #: Default filename inside a campaign run directory.
 EVENTS_FILENAME = "events.jsonl"
 
-
-def _prepare_for_append(path: Path) -> int:
-    """Make an existing log safe to append to after a crash.
-
-    Truncates torn trailing lines (unterminated, or terminated but
-    undecodable — a short write that happened to include a newline) and
-    returns the last surviving record's ``seq`` (0 for a fresh or empty
-    log).  Damage *before* intact lines is left alone: the strict
-    validator reports it as storage corruption, and rewriting history
-    is not this writer's job.
-    """
-    if not path.is_file():
-        return 0
-    data = path.read_bytes()
-    end = len(data)
-    last_seq = 0
-    # Walk backwards over whole lines, dropping the damaged tail.
-    while end > 0:
-        start = data.rfind(b"\n", 0, end - 1) + 1
-        line = data[start:end]
-        record: Optional[Dict[str, object]] = None
-        if line.endswith(b"\n"):
-            try:
-                decoded = json.loads(line.decode("utf-8"))
-                if isinstance(decoded, dict):
-                    record = decoded
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                record = None
-        if record is not None:
-            seq = record.get("seq")
-            if isinstance(seq, int):
-                last_seq = seq
-            break
-        end = start
-    if end < len(data):
-        with open(path, "rb+") as handle:
-            handle.truncate(end)
-            handle.flush()
-            os.fsync(handle.fileno())
-    return last_seq
+#: Frame magic of event records.
+EVENTS_MAGIC = "EVT1"
 
 
-class EventLog:
-    """Append-only JSONL log of engine events.
+class EventLog(records.RecordLog):
+    """Append-only log of engine events (one ``EVT1`` record each).
 
     Args:
         path: Destination file; parent directories are created.
@@ -102,27 +62,22 @@ class EventLog:
         wall_clock: Callable[[], float] = time.time,
         fsync: bool = False,
     ) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        super().__init__(path, EVENTS_MAGIC, "events", fsync=fsync)
         self._clock = clock
         self._wall_clock = wall_clock
         self._origin = clock()
-        # Resume discipline: drop any torn tail the previous (killed)
-        # writer left — appending after one would weld two lines into
-        # mid-file garbage — and continue its sequence so ``seq`` stays
-        # strictly increasing across supervisor generations.
-        self._seq = _prepare_for_append(self.path)
-        self._fsync = fsync
-        self._lock = threading.Lock()
-        self._fd: Optional[int] = os.open(
-            self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
+        # Continue the sequence of the previous (killed) writer, so
+        # ``seq`` stays strictly increasing across supervisor generations.
+        seq = self.last.get("seq") if self.last is not None else None
+        self._seq = seq if isinstance(seq, int) else 0
+        self._seq_lock = threading.Lock()
 
     def emit(
         self, event: str, experiment_id: Optional[str] = None, **detail: object
     ) -> Dict[str, object]:
         """Append one event line; returns the record that was written."""
-        with self._lock:
+        with self._seq_lock:
             self._seq += 1
             record: Dict[str, object] = {
                 "seq": self._seq,
@@ -135,40 +90,10 @@ class EventLog:
             for key, value in detail.items():
                 if value is not None:
                     record[key] = value
-            if self._fd is not None:
-                line = json.dumps(record, sort_keys=True) + "\n"
-                io_write(self._fd, line.encode("utf-8"), "events")
-                if self._fsync:
-                    io_fsync(self._fd, "events")
+            self.append(record)
             return record
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fd is not None:
-                os.close(self._fd)
-                self._fd = None
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def read_events(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Parse an events file, skipping any torn trailing line."""
-    events: List[Dict[str, object]] = []
-    path = Path(path)
-    if not path.is_file():
-        return events
-    for line in path.read_text(encoding="utf-8", errors="replace").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict):
-            events.append(record)
-    return events
+    """Every intact event record, skipping damaged lines."""
+    return records.scan(path, EVENTS_MAGIC).records

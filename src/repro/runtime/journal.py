@@ -9,17 +9,11 @@ fsync per record, so a ``kill -9`` of ``python -m repro.experiments``
 at any instruction leaves a journal from which the exact campaign
 state can be reconstructed.
 
-**Record framing.**  One record per line::
-
-    WAL1 <crc32:08x> <canonical-json>\\n
-
-The CRC32 covers the JSON bytes.  A record is accepted only when the
-magic, CRC, and JSON decode all agree; anything else is either a
-*torn tail* (damage at the very end of the file — the only damage a
-single-writer append-fsync discipline can produce on crash) or
-*corruption* (damage anywhere earlier, which the discipline cannot
-produce and which therefore indicts the storage).  Replay truncates a
-torn tail; corruption is surfaced, never silently skipped.
+**Record framing.**  One ``WAL1`` record per line, in the shared frame
+of :mod:`repro.runtime.records` (``WAL1 <crc32:08x> <canonical-json>``)
+and under its damage rule: a torn tail (the one damaged line a crash
+can leave after the last intact record) is truncated on recovery; any
+other damage indicts the storage and is surfaced, never skipped.
 
 **Record contents.**  Every record carries ``seq`` (per-journal,
 strictly increasing), ``token`` (the supervisor's fencing token, see
@@ -53,17 +47,15 @@ no-op.
 
 from __future__ import annotations
 
-import json
-import os
+import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.obs import metrics as obs_metrics
+from repro.runtime import records
 from repro.runtime.errors import JournalCorruptError
-from repro.runtime.iofault import fsync_directory, io_fsync, io_write
 
 #: Filename inside a campaign run directory.
 JOURNAL_FILENAME = "journal.wal"
@@ -105,17 +97,6 @@ def attempt_uid(experiment_id: str, token: int, attempt: int) -> str:
     return f"{experiment_id}@{token}.{attempt}"
 
 
-def frame_record(record: Dict[str, object]) -> bytes:
-    """Encode one record into its CRC-framed line."""
-    payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    data = payload.encode("utf-8")
-    return (
-        f"{JOURNAL_MAGIC} {zlib.crc32(data):08x} ".encode("ascii")
-        + data
-        + b"\n"
-    )
-
-
 class Journal:
     """The append side: fsync-disciplined CRC-framed record writer.
 
@@ -140,28 +121,9 @@ class Journal:
         self.token = token
         self.fsync = fsync
         self._wall_clock = wall_clock
-        self._fd: Optional[int] = None
+        self._log: Optional[records.RecordLog] = None
         self._seq = 0
-        import threading
-
         self._lock = threading.Lock()
-
-    def _ensure_open(self) -> int:
-        if self._fd is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            existed = self.path.exists()
-            self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            if not existed:
-                fsync_directory(self.path.parent, "journal")
-            # Continue the sequence of whatever is already on disk so
-            # appends after a resume stay strictly increasing.
-            if existed and self._seq == 0:
-                replay = read_journal(self.path)
-                if replay.records:
-                    self._seq = int(replay.records[-1].get("seq", 0))
-        return self._fd
 
     def append(self, record_type: str, **fields: object) -> Dict[str, object]:
         """Append one record and (by default) fsync it to disk.
@@ -176,7 +138,15 @@ class Journal:
                 f"choices: {RECORD_TYPES}"
             )
         with self._lock:
-            fd = self._ensure_open()
+            if self._log is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._log = records.RecordLog(
+                    self.path, JOURNAL_MAGIC, "journal", fsync=self.fsync
+                )
+                # Continue the sequence of whatever is already on disk so
+                # appends after a resume stay strictly increasing.
+                if self._seq == 0 and self._log.last is not None:
+                    self._seq = int(self._log.last.get("seq", 0))
             self._seq += 1
             record: Dict[str, object] = {
                 "seq": self._seq,
@@ -187,18 +157,15 @@ class Journal:
             for key, value in fields.items():
                 if value is not None:
                     record[key] = value
-            io_write(fd, frame_record(record), "journal")
-            if self.fsync:
-                with obs_metrics.timed("runtime.journal.fsync_seconds"):
-                    io_fsync(fd, "journal")
+            self._log.append(record)
             obs_metrics.inc("runtime.journal.appends")
             return record
 
     def close(self) -> None:
         with self._lock:
-            if self._fd is not None:
-                os.close(self._fd)
-                self._fd = None
+            if self._log is not None:
+                self._log.close()
+                self._log = None
 
     def __enter__(self) -> "Journal":
         return self
@@ -207,97 +174,24 @@ class Journal:
         self.close()
 
 
-@dataclass
-class JournalReplay:
-    """The decoded contents of one journal file.
+class JournalReplay(records.Scan):
+    """The decoded contents of one journal file (:func:`read_journal`)."""
 
-    Attributes:
-        records: Every intact record, in file order.
-        good_bytes: File offset just past the last intact record.
-        torn_tail: True when bytes after ``good_bytes`` exist but do
-            not frame a complete record (the expected crash signature).
-        corrupt: ``(line_number, reason)`` for every damaged line that
-            is *not* the tail — storage corruption, not a crash.
-    """
-
-    records: List[Dict[str, object]] = field(default_factory=list)
-    good_bytes: int = 0
-    torn_tail: bool = False
-    corrupt: List[tuple] = field(default_factory=list)
+    @property
+    def corrupt(self) -> List[tuple]:
+        """Damage before the tail: storage corruption, not a crash."""
+        return self.damaged
 
     @property
     def last_token(self) -> int:
         """The highest fencing token recorded (0 for an empty journal)."""
-        best = 0
-        for record in self.records:
-            token = record.get("token")
-            if isinstance(token, int) and token > best:
-                best = token
-        return best
-
-
-def _decode_line(line: bytes) -> Dict[str, object]:
-    """Decode one framed line; raises ``ValueError`` on any defect."""
-    if not line.endswith(b"\n"):
-        raise ValueError("record has no terminating newline")
-    body = line[:-1]
-    parts = body.split(b" ", 2)
-    if len(parts) != 3 or parts[0] != JOURNAL_MAGIC.encode("ascii"):
-        raise ValueError("bad record framing (magic/field count)")
-    try:
-        stated_crc = int(parts[1], 16)
-    except ValueError:
-        raise ValueError(f"unparseable CRC field {parts[1]!r}")
-    actual_crc = zlib.crc32(parts[2])
-    if stated_crc != actual_crc:
-        raise ValueError(
-            f"CRC mismatch (stated {stated_crc:08x}, actual {actual_crc:08x})"
-        )
-    record = json.loads(parts[2].decode("utf-8"))
-    if not isinstance(record, dict):
-        raise ValueError("record payload is not a JSON object")
-    return record
+        tokens = [r.get("token") for r in self.records]
+        return max((t for t in tokens if isinstance(t, int)), default=0)
 
 
 def read_journal(path: Union[str, Path]) -> JournalReplay:
-    """Replay a journal file, tolerating (and locating) damage.
-
-    Never raises on damaged content: a damaged final region is
-    reported as ``torn_tail``; damage anywhere earlier is collected
-    into ``corrupt``.  A missing file replays as empty.
-    """
-    path = Path(path)
-    replay = JournalReplay()
-    if not path.is_file():
-        return replay
-    data = path.read_bytes()
-    offset = 0
-    lineno = 0
-    pending: List[tuple] = []  # damage seen since the last good record
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline < 0:
-            # Unterminated final line: the canonical torn tail.
-            replay.torn_tail = True
-            break
-        lineno += 1
-        line = data[offset : newline + 1]
-        try:
-            record = _decode_line(line)
-        except (ValueError, json.JSONDecodeError) as exc:
-            pending.append((lineno, str(exc)))
-        else:
-            # Damage *followed by* a good record cannot be a torn tail.
-            replay.corrupt.extend(pending)
-            pending = []
-            replay.records.append(record)
-            replay.good_bytes = newline + 1
-        offset = newline + 1
-    if pending:
-        # Damaged-but-terminated lines at the very end: still the tail
-        # (e.g. a short write that happened to include the newline).
-        replay.torn_tail = True
-    return replay
+    """Replay a journal file; damage is located, never raised."""
+    return JournalReplay(**vars(records.scan(path, JOURNAL_MAGIC)))
 
 
 def truncate_torn_tail(path: Union[str, Path]) -> int:
@@ -305,10 +199,9 @@ def truncate_torn_tail(path: Union[str, Path]) -> int:
 
     Returns the number of bytes dropped (0 when the file is intact or
     missing).  Raises :class:`JournalCorruptError` when the journal has
-    mid-file corruption — truncating would silently discard committed
-    records, so that case must be surfaced to a human.
+    damage other than a torn tail — truncating would silently discard
+    committed records, so that case must be surfaced to a human.
     """
-    path = Path(path)
     replay = read_journal(path)
     if replay.corrupt:
         first = replay.corrupt[0]
@@ -317,16 +210,7 @@ def truncate_torn_tail(path: Union[str, Path]) -> int:
             f"(first damage at line {first[0]}: {first[1]}); refusing to "
             "truncate through committed records"
         )
-    if not path.is_file():
-        return 0
-    total = path.stat().st_size
-    dropped = total - replay.good_bytes
-    if dropped > 0:
-        with open(path, "rb+") as handle:
-            handle.truncate(replay.good_bytes)
-            handle.flush()
-            io_fsync(handle.fileno(), "journal")
-    return dropped
+    return records.truncate_torn_tail(path, JOURNAL_MAGIC, "journal")
 
 
 @dataclass

@@ -22,8 +22,8 @@ finding code                defect class
 ``summary-status-mismatch`` summary's per-experiment status disagrees
                             with the checkpoint on disk
 ``summary-dangling-id``     summary lists a completion with no checkpoint
-``events-torn``             undecodable event line *before* the end of
-                            the log (a crash can tear only the last line)
+``events-torn``             damaged ``events.jsonl`` record (the torn
+                            tail only warns, as for every framed log)
 ``events-seq``              sequence numbers not strictly increasing
 ``event-schema``            event record violates the schema
 ``trace-unreadable``        trace archive truncated / not a zip at all
@@ -42,10 +42,10 @@ finding code                defect class
                             expected crash signature; safe to delete)
 ``sim-checkpoint-corrupt``  damaged mid-simulation snapshot (warning:
                             resume safely restarts from shard zero)
-``journal-torn``            torn record(s) at the journal's tail
+``journal-torn``            torn record at the journal's tail
                             (warning: the expected crash signature)
-``journal-corrupt``         damaged record *before* the tail, or a
-                            fencing token that goes backwards
+``journal-corrupt``         damaged record other than the torn tail, or
+                            a fencing token that goes backwards
 ``journal-schema``          journal record violates the record schema
 ``journal-seq``             journal sequence numbers not increasing
 ``journal-missing``         checkpoints exist but no journal (warning:
@@ -53,16 +53,15 @@ finding code                defect class
 ``lease-stale``             a supervisor lease file left behind by a
                             dead owner (warning: reclaimed on resume)
 ``lease-schema``            lease file undecodable / violates schema
-``spans-torn``              undecodable span line *before* the end of
-                            ``spans.jsonl`` (only the tail may tear)
+``spans-torn``              damaged ``spans.jsonl`` record (torn tail
+                            warns)
 ``spans-schema``            span record violates the span schema
-``timeline-torn``           undecodable ``timeline.jsonl`` frame before
-                            the tail (error), or a torn trailing append
-                            (warning: the expected crash signature)
+``timeline-torn``           damaged ``timeline.jsonl`` record (torn
+                            tail warns)
 ``timeline-schema``         timeline row violates the row schema, or
                             its miss vector disagrees with its
                             capacity ladder
-``archive-corrupt``         ``perf-archive.jsonl`` frame damaged (torn
+``archive-corrupt``         ``perf-archive.jsonl`` record damaged (torn
                             tail warns), row violating the row schema,
                             or an unattributed row
 ``metrics-schema``          ``metrics.json`` undecodable or violates
@@ -72,6 +71,11 @@ finding code                defect class
 ``result-*`` / ``curve-*``  invariant-oracle findings on stored results
 ==========================  =============================================
 
+The five append-only logs (journal, events, spans, timeline, archive)
+share one frame and one damage rule (:mod:`repro.runtime.records`): a
+torn tail — one damaged line after the last intact record — is the
+crash signature and only warns; any other damage is an error.
+
 Everything is read-only; validation never mutates a run directory.
 """
 
@@ -80,11 +84,17 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.mem.tracefile import TraceFileCorruptError, load_metadata, load_trace
+from repro.obs.archive import ARCHIVE_MAGIC, missing_attribution
+from repro.obs.timeline import TIMELINE_MAGIC
+from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.errors import CheckpointCorruptError
+from repro.runtime.events import EVENTS_MAGIC, read_events
+from repro.runtime.journal import JOURNAL_MAGIC, read_journal
+from repro.runtime.records import scan
 from repro.validate.oracles import validate_result
 from repro.validate.report import SEVERITY_WARNING, Finding, ValidationReport
 from repro.validate.schemas import check_schema, schema_for
@@ -127,123 +137,166 @@ def _read_envelope(
     return payload
 
 
-def validate_events_file(path: Union[str, Path]) -> ValidationReport:
-    """Validate an ``events.jsonl`` log line by line.
+@dataclasses.dataclass(frozen=True)
+class _LogKind:
+    """How :func:`_validate_log` audits one framed log type.
 
-    Unlike :func:`repro.runtime.events.read_events` (which tolerantly
-    skips undecodable lines for post-mortem use), this is the strict
-    reader: a torn line anywhere but the very end of the file is an
-    error, because the line-buffered single-writer discipline can only
-    tear the final line.
+    ``monotonic`` lists ``(field, code, strict)``: integer fields that
+    must strictly increase (``strict``) or never decrease from record to
+    record.  ``invariant`` returns the problems a schema cannot express;
+    they are reported under ``schema_code``.
     """
+
+    subject: str
+    magic: str
+    damage_code: str  # damage other than a torn tail: an error
+    torn_code: str  # the torn tail: a warning
+    schema: str
+    schema_code: str
+    monotonic: Tuple[Tuple[str, str, bool], ...] = ()
+    invariant: Callable[[Dict[str, object]], List[str]] = lambda record: []
+
+
+def _validate_log(path: Union[str, Path], kind: _LogKind) -> ValidationReport:
+    """Audit one framed log under the records module's damage rule."""
     path = Path(path)
-    report = ValidationReport(subject=f"events {path.name}")
+    report = ValidationReport(subject=f"{kind.subject} {path.name}")
     if not path.is_file():
         return report
-    lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
-    last_seq = 0
-    for lineno, line in enumerate(lines, start=1):
-        report.tick()
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-            if not isinstance(record, dict):
-                raise ValueError("event line is not a JSON object")
-        except (json.JSONDecodeError, ValueError) as exc:
-            severity = "error" if lineno < len(lines) else SEVERITY_WARNING
-            report.add(
-                "events-torn",
-                f"line {lineno} is not a JSON object ({exc})"
-                + ("" if lineno < len(lines) else " [trailing line: tolerated]"),
-                path=str(path.name),
-                severity=severity,
-            )
-            continue
-        for problem in check_schema(record, schema_for("event")):
-            report.add(
-                "event-schema", f"line {lineno}: {problem}", path=str(path.name)
-            )
-        seq = record.get("seq")
-        if isinstance(seq, int):
-            if seq <= last_seq:
-                report.add(
-                    "events-seq",
-                    f"line {lineno}: seq {seq} does not increase past "
-                    f"{last_seq}",
-                    path=str(path.name),
-                )
-            last_seq = max(last_seq, seq)
-    return report
-
-
-def validate_journal_file(path: Union[str, Path]) -> ValidationReport:
-    """Audit a write-ahead journal (``journal.wal``).
-
-    Replays the CRC framing (:func:`repro.runtime.journal.read_journal`)
-    and checks every intact record against the journal-record schema,
-    sequence monotonicity, and fencing-token monotonicity.  A torn tail
-    is a *warning* — it is the expected signature of a crashed
-    supervisor, and recovery truncates it — while damage anywhere
-    earlier (or a token that goes backwards) indicts the storage and is
-    an error.
-    """
-    from repro.runtime.journal import read_journal
-
-    path = Path(path)
-    report = ValidationReport(subject=f"journal {path.name}")
-    if not path.is_file():
-        return report
-    replay = read_journal(path)
+    found = scan(path, kind.magic)
     report.tick()
-    for lineno, reason in replay.corrupt:
+    for lineno, reason in found.damaged:
         report.add(
-            "journal-corrupt",
+            kind.damage_code,
             f"line {lineno} is damaged before the tail ({reason}); a "
             "single-writer append discipline cannot produce this",
             path=path.name,
         )
-    if replay.torn_tail:
+    if found.torn_tail:
         report.add(
-            "journal-torn",
-            "torn record(s) at the tail (crash signature; recovery "
-            "truncates this on the next resume)",
+            kind.torn_code,
+            "torn record at the tail (crash signature: tolerated; the "
+            "next appender truncates it)",
             path=path.name,
             severity=SEVERITY_WARNING,
         )
-    last_seq = 0
-    last_token = 0
-    for index, record in enumerate(replay.records):
+    last: Dict[str, int] = {}
+    for index, record in enumerate(found.records, start=1):
         report.tick()
-        for problem in check_schema(record, schema_for("journal-record")):
-            report.add(
-                "journal-schema",
-                f"record {index + 1}: {problem}",
-                path=path.name,
-            )
-        seq = record.get("seq")
-        if isinstance(seq, int):
-            if seq <= last_seq:
-                report.add(
-                    "journal-seq",
-                    f"record {index + 1}: seq {seq} does not increase "
-                    f"past {last_seq}",
-                    path=path.name,
+        problems = [
+            (kind.schema_code, problem)
+            for problem in check_schema(record, schema_for(kind.schema))
+            + kind.invariant(record)
+        ]
+        for name, code, strict in kind.monotonic:
+            value, prior = record.get(name), last.get(name, 0)
+            if not isinstance(value, int):
+                continue
+            if value < prior or (strict and value == prior):
+                problems.append(
+                    (code, f"{name} {value} does not increase past {prior}")
+                    if strict
+                    else (code, f"{name} went backwards ({prior} -> {value})")
                 )
-            last_seq = max(last_seq, seq)
-        token = record.get("token")
-        if isinstance(token, int):
-            if token < last_token:
-                report.add(
-                    "journal-corrupt",
-                    f"record {index + 1}: fencing token went backwards "
-                    f"({last_token} -> {token}); tokens are monotonic by "
-                    "protocol",
-                    path=path.name,
-                )
-            last_token = max(last_token, token)
+            last[name] = max(prior, value)
+        for code, problem in problems:
+            report.add(code, f"record {index}: {problem}", path=path.name)
     return report
+
+
+def _nan_duration(record: Dict[str, object]) -> List[str]:
+    dur = record.get("dur_s")
+    # NaN sneaks past the schema's "number".
+    return ["dur_s is NaN"] if isinstance(dur, float) and dur != dur else []
+
+
+def _ladder_mismatch(record: Dict[str, object]) -> List[str]:
+    sizes, misses = record.get("cache_sizes"), record.get("misses")
+    if isinstance(sizes, list) and isinstance(misses, list):
+        if len(sizes) != len(misses):
+            return [
+                f"{len(misses)} miss slot(s) for {len(sizes)} capacity "
+                "ladder entr(ies)"
+            ]
+    return []
+
+
+def _unattributed(record: Dict[str, object]) -> List[str]:
+    missing = missing_attribution(record)
+    if not missing:
+        return []
+    return [
+        f"unattributed (missing {', '.join(missing)}); the writers refuse "
+        "such rows"
+    ]
+
+
+_EVENTS = _LogKind(
+    subject="events", magic=EVENTS_MAGIC,
+    damage_code="events-torn", torn_code="events-torn",
+    schema="event", schema_code="event-schema",
+    monotonic=(("seq", "events-seq", True),),
+)
+_JOURNAL = _LogKind(
+    subject="journal", magic=JOURNAL_MAGIC,
+    damage_code="journal-corrupt", torn_code="journal-torn",
+    schema="journal-record", schema_code="journal-schema",
+    # Fencing tokens never go backwards, by protocol.
+    monotonic=(("seq", "journal-seq", True), ("token", "journal-corrupt", False)),
+)
+_SPANS = _LogKind(
+    subject="spans", magic=SPANS_MAGIC,
+    damage_code="spans-torn", torn_code="spans-torn",
+    schema="span", schema_code="spans-schema",
+    invariant=_nan_duration,
+)
+_TIMELINE = _LogKind(
+    subject="timeline", magic=TIMELINE_MAGIC,
+    damage_code="timeline-torn", torn_code="timeline-torn",
+    schema="timeline-row", schema_code="timeline-schema",
+    invariant=_ladder_mismatch,
+)
+_ARCHIVE = _LogKind(
+    subject="archive", magic=ARCHIVE_MAGIC,
+    damage_code="archive-corrupt", torn_code="archive-corrupt",
+    schema="archive-row", schema_code="archive-corrupt",
+    invariant=_unattributed,
+)
+
+
+def validate_events_file(path: Union[str, Path]) -> ValidationReport:
+    """Audit an ``events.jsonl`` log (codes ``events-torn``,
+    ``event-schema``, ``events-seq``)."""
+    return _validate_log(path, _EVENTS)
+
+
+def validate_journal_file(path: Union[str, Path]) -> ValidationReport:
+    """Audit a write-ahead journal (``journal.wal``, ``shards.wal``,
+    ``<key>.ckpt.wal``): codes ``journal-torn``, ``journal-corrupt``
+    (including a fencing token that goes backwards), ``journal-schema``
+    and ``journal-seq``."""
+    return _validate_log(path, _JOURNAL)
+
+
+def validate_spans_file(path: Union[str, Path]) -> ValidationReport:
+    """Audit a ``spans.jsonl`` log (codes ``spans-torn``,
+    ``spans-schema``, including a NaN ``dur_s``)."""
+    return _validate_log(path, _SPANS)
+
+
+def validate_timeline_file(path: Union[str, Path]) -> ValidationReport:
+    """Audit a ``timeline.jsonl`` log (codes ``timeline-torn``,
+    ``timeline-schema``, including a miss vector whose length differs
+    from its capacity ladder)."""
+    return _validate_log(path, _TIMELINE)
+
+
+def validate_archive_file(path: Union[str, Path]) -> ValidationReport:
+    """Audit a ``perf-archive.jsonl`` archive (code ``archive-corrupt``
+    for damage, schema violations and unattributed rows — the appenders
+    refuse those, so one on disk means the archive was edited outside
+    the writers)."""
+    return _validate_log(path, _ARCHIVE)
 
 
 def validate_lease_file(path: Union[str, Path]) -> ValidationReport:
@@ -442,55 +495,6 @@ def validate_trace_dir(path: Union[str, Path]) -> ValidationReport:
     return report
 
 
-def validate_spans_file(path: Union[str, Path]) -> ValidationReport:
-    """Validate a ``spans.jsonl`` trace-span log line by line.
-
-    Same strictness contract as :func:`validate_events_file`: the span
-    writer is line-buffered and single-writer per process, so a crash
-    can only tear the final line.  An undecodable line anywhere earlier
-    is an error (``spans-torn``); a torn trailing line is the expected
-    crash signature and only warns.  Every intact record is checked
-    against the span schema (``spans-schema``), plus one invariant the
-    schema language cannot express: ``dur_s`` must not be NaN.
-    """
-    path = Path(path)
-    report = ValidationReport(subject=f"spans {path.name}")
-    if not path.is_file():
-        return report
-    lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        report.tick()
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-            if not isinstance(record, dict):
-                raise ValueError("span line is not a JSON object")
-        except (json.JSONDecodeError, ValueError) as exc:
-            severity = "error" if lineno < len(lines) else SEVERITY_WARNING
-            report.add(
-                "spans-torn",
-                f"line {lineno} is not a JSON object ({exc})"
-                + ("" if lineno < len(lines) else " [trailing line: tolerated]"),
-                path=str(path.name),
-                severity=severity,
-            )
-            continue
-        for problem in check_schema(record, schema_for("span")):
-            report.add(
-                "spans-schema", f"line {lineno}: {problem}", path=str(path.name)
-            )
-        dur = record.get("dur_s")
-        if isinstance(dur, float) and dur != dur:  # NaN sneaks past "number"
-            report.add(
-                "spans-schema",
-                f"line {lineno}: dur_s is NaN",
-                path=str(path.name),
-            )
-    return report
-
-
 def validate_metrics_file(
     path: Union[str, Path],
     known_uids: Optional[List[str]] = None,
@@ -567,114 +571,6 @@ def validate_metrics_file(
                     "the journal nor the event log ever started",
                     path=path.name,
                 )
-    return report
-
-
-def validate_timeline_file(path: Union[str, Path]) -> ValidationReport:
-    """Validate a ``timeline.jsonl`` working-set telemetry log.
-
-    Timeline rows are CRC-framed single-``write`` appends, so damage
-    anywhere but an unterminated final fragment is corruption
-    (``timeline-torn``, error); the unterminated fragment itself is the
-    expected crash signature and only warns.  Every decodable row is
-    checked against the timeline-row schema plus one invariant the
-    schema language cannot express: a ``misses`` vector must be as long
-    as its ``cache_sizes`` ladder (``timeline-schema``).
-    """
-    path = Path(path)
-    report = ValidationReport(subject=f"timeline {path.name}")
-    if not path.is_file():
-        return report
-    from repro.obs.timeline import scan_timeline
-
-    scan = scan_timeline(path)
-    report.tick()
-    for lineno in scan.damaged:
-        report.add(
-            "timeline-torn",
-            f"line {lineno} fails its CRC frame before the tail "
-            "(single-write appends may only tear the final line)",
-            path=path.name,
-        )
-    if scan.torn_tail:
-        report.add(
-            "timeline-torn",
-            "trailing line is a torn append (crash signature: tolerated)",
-            path=path.name,
-            severity=SEVERITY_WARNING,
-        )
-    for index, row in enumerate(scan.rows, start=1):
-        report.tick()
-        for problem in check_schema(row, schema_for("timeline-row")):
-            report.add(
-                "timeline-schema", f"row {index}: {problem}", path=path.name
-            )
-        sizes = row.get("cache_sizes")
-        misses = row.get("misses")
-        if (
-            isinstance(sizes, list)
-            and isinstance(misses, list)
-            and len(sizes) != len(misses)
-        ):
-            report.add(
-                "timeline-schema",
-                f"row {index}: {len(misses)} miss slot(s) for "
-                f"{len(sizes)} capacity ladder entr(ies)",
-                path=path.name,
-            )
-    return report
-
-
-def validate_archive_file(path: Union[str, Path]) -> ValidationReport:
-    """Validate a ``perf-archive.jsonl`` cross-campaign perf archive.
-
-    Same framing discipline as the timeline (``archive-corrupt`` for
-    mid-file damage, warning for an unterminated torn tail).  Every
-    decodable row must satisfy the archive-row schema *and* carry full
-    attribution (git SHA, timestamp, hostname): the appenders refuse
-    unattributed rows, so one on disk means the archive was edited
-    outside the writers.
-    """
-    path = Path(path)
-    report = ValidationReport(subject=f"archive {path.name}")
-    if not path.is_file():
-        return report
-    from repro.obs.archive import ATTRIBUTION_KEYS, is_attributed, scan_archive
-
-    scan = scan_archive(path)
-    report.tick()
-    for lineno in scan.damaged:
-        report.add(
-            "archive-corrupt",
-            f"line {lineno} fails its CRC frame before the tail "
-            "(single-write appends may only tear the final line)",
-            path=path.name,
-        )
-    if scan.torn_tail:
-        report.add(
-            "archive-corrupt",
-            "trailing line is a torn append (crash signature: tolerated)",
-            path=path.name,
-            severity=SEVERITY_WARNING,
-        )
-    for index, row in enumerate(scan.rows, start=1):
-        report.tick()
-        for problem in check_schema(row, schema_for("archive-row")):
-            report.add(
-                "archive-corrupt", f"row {index}: {problem}", path=path.name
-            )
-        if not is_attributed(row):
-            missing = [
-                key
-                for key in ATTRIBUTION_KEYS
-                if not (isinstance(row.get(key), str) and row.get(key))
-            ]
-            report.add(
-                "archive-corrupt",
-                f"row {index}: unattributed (missing "
-                f"{', '.join(missing)}); the writers refuse such rows",
-                path=path.name,
-            )
     return report
 
 
@@ -827,20 +723,12 @@ def validate_run_dir(
     report.extend(validate_spans_file(run_dir / "spans.jsonl"))
     report.extend(validate_timeline_file(run_dir / "timeline.jsonl"))
     report.extend(validate_archive_file(run_dir / "perf-archive.jsonl"))
-    known_uids: List[str] = []
-    if journal_path.is_file():
-        from repro.runtime.journal import read_journal
-
-        for record in read_journal(journal_path).records:
-            uid = record.get("attempt_uid")
-            if isinstance(uid, str):
-                known_uids.append(uid)
-    from repro.runtime.events import read_events
-
-    for record in read_events(store.events_path):
-        uid = record.get("attempt_uid")
-        if isinstance(uid, str):
-            known_uids.append(uid)
+    known_uids = [
+        record["attempt_uid"]
+        for record in read_journal(journal_path).records
+        + read_events(store.events_path)
+        if isinstance(record.get("attempt_uid"), str)
+    ]
     report.extend(
         validate_metrics_file(run_dir / "metrics.json", known_uids=known_uids)
     )

@@ -19,12 +19,14 @@ Each case is classified:
   data equal to the pristine artifact (the mutation hit slack bytes:
   zip padding, JSON whitespace, a truncation past the payload).  Also
   fine.
+- ``accepted-prefix`` — a log reader accepted the bytes and produced a
+  strict prefix of the pristine records: the mutation truncated the log
+  or tore its last record, which the records module's damage rule
+  (:mod:`repro.runtime.records`) tolerates as a crash signature.  Fine.
 - ``accepted-divergent`` — the reader accepted the bytes but produced
-  *different* data.  For checksummed artifacts (traces, checkpoints)
-  this is a silent-corruption bug and fails the fuzz run; for the
-  event log — which is deliberately unchecksummed — a mutation that
-  keeps a line valid JSON is indistinguishable from a legitimate
-  record, so divergence there is expected and counted separately.
+  any other data.  Every artifact is checksummed — traces, checkpoints
+  and the CRC-framed event log alike — so this is a silent-corruption
+  bug and fails the fuzz run.
 - ``unexpected-error`` — the reader leaked an exception outside its
   typed contract (``KeyError``, ``TypeError``, a raw ``zlib.error``,
   ...).  Always a bug; always fails the run.
@@ -69,6 +71,7 @@ TYPED_REJECTIONS = (
 #: Case classifications.
 REJECTED = "rejected"
 ACCEPTED_IDENTICAL = "accepted-identical"
+ACCEPTED_PREFIX = "accepted-prefix"
 ACCEPTED_DIVERGENT = "accepted-divergent"
 UNEXPECTED_ERROR = "unexpected-error"
 
@@ -158,8 +161,7 @@ class FuzzReport:
         return [
             c
             for c in self.cases
-            if c.classification == UNEXPECTED_ERROR
-            or (c.classification == ACCEPTED_DIVERGENT and c.target != "events")
+            if c.classification in (UNEXPECTED_ERROR, ACCEPTED_DIVERGENT)
         ]
 
     @property
@@ -216,7 +218,8 @@ def _build_targets(work_dir: Path) -> Dict[str, Tuple[Path, Callable[[Path], obj
     """Create pristine artifacts; returns target -> (path, loader).
 
     Loaders return a canonical representation used for divergence
-    detection; they raise on rejection.
+    detection (a list of records for the log, so a prefix shows); they
+    raise on rejection.
     """
     from repro.experiments.runner import ExperimentResult
     from repro.runtime.engine import ExperimentOutcome
@@ -285,7 +288,7 @@ def _build_targets(work_dir: Path) -> Dict[str, Tuple[Path, Callable[[Path], obj
             )
         from repro.runtime.events import read_events
 
-        return json.dumps(read_events(path), sort_keys=True)
+        return [json.dumps(event, sort_keys=True) for event in read_events(path)]
 
     return {
         "trace": (trace_path, load_trace_canonical),
@@ -350,6 +353,8 @@ def run_fuzz(
             else:
                 if mutated == original or loaded == baseline:
                     classification, detail = ACCEPTED_IDENTICAL, ""
+                elif isinstance(loaded, list) and loaded == baseline[: len(loaded)]:
+                    classification, detail = ACCEPTED_PREFIX, ""
                 else:
                     classification = ACCEPTED_DIVERGENT
                     detail = "reader accepted mutated bytes as different data"

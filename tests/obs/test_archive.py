@@ -11,6 +11,7 @@ import pytest
 
 from repro.obs import archive as ar
 from repro.obs import timeline as tl
+from repro.runtime import records
 from repro.validate.fuzz import MUTATIONS
 
 ATTR = {
@@ -81,8 +82,8 @@ class TestAppendScan:
         ar.append_rows(path, [_row()])
         with open(path, "ab") as handle:
             handle.write(b"PFA1 0000 {torn")
-        scan = ar.scan_archive(path)
-        assert len(scan.rows) == 1
+        scan = records.scan(path, ar.ARCHIVE_MAGIC)
+        assert len(scan.records) == 1
         assert scan.torn_tail
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
@@ -91,7 +92,7 @@ class TestAppendScan:
         ar.append_rows(path, [_row(100.0 + i) for i in range(10)])
         rng = np.random.default_rng(11)
         path.write_bytes(MUTATIONS[mutation](path.read_bytes(), rng))
-        ar.scan_archive(path)  # must not raise
+        records.scan(path, ar.ARCHIVE_MAGIC)  # must not raise
         from repro.validate.artifacts import validate_archive_file
 
         validate_archive_file(path)  # must not raise
@@ -225,7 +226,7 @@ class TestCampaignRows:
             )
         with open(run_dir / tl.TIMELINE_FILENAME, "wb") as handle:
             for row in rows:
-                handle.write(tl.frame_row(row))
+                handle.write(records.frame(tl.TIMELINE_MAGIC, row))
         row = ar.campaign_rows(run_dir)[0]
         assert row["phases"] == {"a": 2}
 
@@ -282,7 +283,7 @@ class TestValidateArchiveCodes:
         from repro.validate.artifacts import validate_archive_file
 
         path = tmp_path / ar.ARCHIVE_FILENAME
-        good = tl.frame_row(_row(), magic=ar.ARCHIVE_MAGIC)
+        good = records.frame(ar.ARCHIVE_MAGIC, _row())
         path.write_bytes(good + b"junk\n" + good)
         report = validate_archive_file(path)
         assert not report.ok
@@ -305,7 +306,7 @@ class TestValidateArchiveCodes:
         bad = _row()
         del bad["git_sha"]
         path = tmp_path / ar.ARCHIVE_FILENAME
-        path.write_bytes(tl.frame_row(bad, magic=ar.ARCHIVE_MAGIC))
+        path.write_bytes(records.frame(ar.ARCHIVE_MAGIC, bad))
         report = validate_archive_file(path)
         assert not report.ok
         assert any("unattributed" in f.message for f in report.findings)
@@ -316,7 +317,7 @@ class TestValidateArchiveCodes:
         bad = _row()
         bad["kind"] = "mystery"
         path = tmp_path / ar.ARCHIVE_FILENAME
-        path.write_bytes(tl.frame_row(bad, magic=ar.ARCHIVE_MAGIC))
+        path.write_bytes(records.frame(ar.ARCHIVE_MAGIC, bad))
         report = validate_archive_file(path)
         assert not report.ok
         assert {f.code for f in report.findings} == {"archive-corrupt"}

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro.obs.report import render_report, render_report_html, report_to_json
+from repro.obs.tracing import SPANS_MAGIC
+from repro.runtime.records import frame
 from repro.validate.fuzz import MUTATIONS
 
 from tests.obs.test_status import run_campaign
@@ -83,8 +85,9 @@ class TestRenderReport:
 
         run_dir = tmp_path / "run"
         run_campaign(run_dir, [FakeExperiment("a")])
-        (run_dir / "spans.jsonl").write_text(
-            json.dumps(
+        (run_dir / "spans.jsonl").write_bytes(
+            frame(
+                SPANS_MAGIC,
                 {
                     "name": "campaign.run",
                     "trace_id": "t",
@@ -93,9 +96,8 @@ class TestRenderReport:
                     "dur_s": 2.0,
                     "status": "ok",
                     "pid": 1,
-                }
+                },
             )
-            + "\n"
         )
         (run_dir / "metrics.json").write_text(
             json.dumps(
@@ -230,7 +232,7 @@ class TestTemporalWorkingSets:
         run_dir.mkdir(exist_ok=True)
         with open(run_dir / tl.TIMELINE_FILENAME, "wb") as handle:
             for row in rows:
-                handle.write(tl.frame_row(row))
+                handle.write(frame(tl.TIMELINE_MAGIC, row))
 
     def test_markdown_has_per_phase_knee_table(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -22,11 +22,13 @@ from repro.obs.status import (
     load_status,
     render_status,
 )
+from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import CampaignEngine, EngineConfig
 from repro.runtime.events import EventLog
 from repro.runtime.journal import Journal
 from repro.runtime.lease import LEASE_FILENAME, LeaseState
+from repro.runtime.records import frame
 from repro.validate.fuzz import MUTATIONS
 
 from tests.runtime.conftest import FakeClock, FakeExperiment, SleepRecorder
@@ -259,8 +261,9 @@ class TestDamageTolerance:
     def test_mutated_artifacts_never_raise(self, tmp_path, mutation, victim):
         run_dir = tmp_path / "run"
         run_campaign(run_dir, [FakeExperiment("a"), FakeExperiment("b")])
-        (run_dir / "spans.jsonl").write_text(
-            json.dumps(
+        (run_dir / "spans.jsonl").write_bytes(
+            frame(
+                SPANS_MAGIC,
                 {
                     "name": "campaign.run",
                     "trace_id": "t",
@@ -269,9 +272,8 @@ class TestDamageTolerance:
                     "dur_s": 2.0,
                     "status": "ok",
                     "pid": 1,
-                }
+                },
             )
-            + "\n"
         )
         target = run_dir / victim
         rng = np.random.default_rng(7)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import timeline as tl
+from repro.runtime import records
 from repro.validate.fuzz import MUTATIONS
 
 
@@ -30,57 +31,68 @@ def _row(seq=0, ws_blocks=100, **extra):
     return row
 
 
+def _frame(row):
+    return records.frame(tl.TIMELINE_MAGIC, row)
+
+
+def _decode(line):
+    try:
+        return records.decode(line, tl.TIMELINE_MAGIC)
+    except ValueError:
+        return None
+
+
 def _write_rows(path, rows):
     with open(path, "wb") as handle:
         for row in rows:
-            handle.write(tl.frame_row(row))
+            handle.write(_frame(row))
 
 
 class TestFraming:
     def test_roundtrip(self):
         row = _row()
-        assert tl.decode_frame(tl.frame_row(row).rstrip(b"\n")) == row
+        assert _decode(_frame(row)) == row
 
     def test_crc_damage_returns_none(self):
-        line = bytearray(tl.frame_row(_row()).rstrip(b"\n"))
+        line = bytearray(_frame(_row()))
         line[-3] ^= 0x40
-        assert tl.decode_frame(bytes(line)) is None
+        assert _decode(bytes(line)) is None
 
     def test_wrong_magic_returns_none(self):
-        line = tl.frame_row(_row(), magic="XXXX").rstrip(b"\n")
-        assert tl.decode_frame(line) is None
+        line = records.frame("XXXX", _row())
+        assert _decode(line) is None
 
     def test_non_dict_payload_returns_none(self):
         data = json.dumps([1, 2]).encode()
         import zlib
 
-        line = f"TLN1 {zlib.crc32(data):08x} ".encode() + data
-        assert tl.decode_frame(line) is None
+        line = f"TLN1 {zlib.crc32(data):08x} ".encode() + data + b"\n"
+        assert _decode(line) is None
 
     def test_scan_separates_torn_tail_from_damage(self, tmp_path):
         path = tmp_path / "timeline.jsonl"
-        good = tl.frame_row(_row(0)) + tl.frame_row(_row(1))
+        good = _frame(_row(0)) + _frame(_row(1))
         path.write_bytes(good + b"TLN1 deadbeef {torn")  # unterminated
-        scan = tl.scan_timeline(path)
-        assert len(scan.rows) == 2
+        scan = records.scan(path, tl.TIMELINE_MAGIC)
+        assert len(scan.records) == 2
         assert scan.torn_tail
         assert scan.damaged == []
 
     def test_scan_flags_midfile_damage(self, tmp_path):
         path = tmp_path / "timeline.jsonl"
         path.write_bytes(
-            tl.frame_row(_row(0)) + b"garbage line\n" + tl.frame_row(_row(1))
+            _frame(_row(0)) + b"garbage line\n" + _frame(_row(1))
         )
-        scan = tl.scan_timeline(path)
-        assert len(scan.rows) == 2
-        assert scan.damaged == [2]
+        scan = records.scan(path, tl.TIMELINE_MAGIC)
+        assert len(scan.records) == 2
+        assert [line for line, _ in scan.damaged] == [2]
         assert not scan.torn_tail
 
-    def test_prepare_for_append_truncates_torn_tail(self, tmp_path):
+    def test_truncate_torn_tail_drops_the_torn_append(self, tmp_path):
         path = tmp_path / "timeline.jsonl"
-        good = tl.frame_row(_row(0))
+        good = _frame(_row(0))
         path.write_bytes(good + b"TLN1 0000 {half")
-        tl.prepare_for_append(path)
+        records.truncate_torn_tail(path, tl.TIMELINE_MAGIC, "timeline")
         assert path.read_bytes() == good
         assert tl.read_timeline(path) == [_row(0)]
 
@@ -90,10 +102,11 @@ class TestFraming:
         _write_rows(path, [_row(i) for i in range(20)])
         rng = np.random.default_rng(7)
         path.write_bytes(MUTATIONS[mutation](path.read_bytes(), rng))
-        scan = tl.scan_timeline(path)  # must not raise
-        for row in scan.rows:
+        scan = records.scan(path, tl.TIMELINE_MAGIC)  # must not raise
+        for row in scan.records:
             assert isinstance(row, dict)
-        tl.prepare_for_append(path)  # must not raise either
+        # must not raise either
+        records.truncate_torn_tail(path, tl.TIMELINE_MAGIC, "timeline")
         tl.read_timeline(path)
 
 
@@ -221,6 +234,28 @@ class TestRecorder:
         assert recorder.record("stackdist", refs=1, ws_blocks=1) is None
         snapshot = obs_metrics.get_registry().snapshot()
         assert snapshot["counters"]["obs.timeline.write_errors"] == 1
+
+
+class TestFaultSite:
+    def test_repeated_enospc_costs_rows_not_the_campaign(self, tmp_path):
+        """Timeline writes go through the I/O fault injector (site
+        ``timeline``), and a full disk there only drops rows."""
+        from repro.experiments.__main__ import main
+        from repro.runtime.iofault import IOFaultInjector, install
+
+        argv = ["--quick", "--jobs", "0", "--quiet", "fig2", "--run-dir"]
+        assert main(argv + [str(tmp_path / "clean")]) == 0
+        injector = IOFaultInjector.parse("timeline:write:enospc:1:repeat")
+        with install(injector):
+            assert main(argv + [str(tmp_path / "faulted")]) == 0
+        assert injector.fired
+        assert (tmp_path / "faulted" / "summary.json").read_bytes() == (
+            tmp_path / "clean" / "summary.json"
+        ).read_bytes()
+        metrics = json.loads((tmp_path / "faulted" / "metrics.json").read_text())
+        assert metrics["campaign"]["counters"]["obs.timeline.write_errors"] > 0
+        assert tl.read_timeline(tmp_path / "faulted" / "timeline.jsonl") == []
+        assert tl.read_timeline(tmp_path / "clean" / "timeline.jsonl")
 
 
 class TestSimulatorHooks:
@@ -416,7 +451,7 @@ class TestValidateCodes:
 
         path = tmp_path / "timeline.jsonl"
         path.write_bytes(
-            tl.frame_row(_row(0)) + b"junk\n" + tl.frame_row(_row(1))
+            _frame(_row(0)) + b"junk\n" + _frame(_row(1))
         )
         report = validate_timeline_file(path)
         assert not report.ok
@@ -426,7 +461,7 @@ class TestValidateCodes:
         from repro.validate.artifacts import validate_timeline_file
 
         path = tmp_path / "timeline.jsonl"
-        path.write_bytes(tl.frame_row(_row(0)) + b"TLN1 0bad {")
+        path.write_bytes(_frame(_row(0)) + b"TLN1 0bad {")
         report = validate_timeline_file(path)
         assert report.ok  # warning only
         assert [f.code for f in report.findings] == ["timeline-torn"]
@@ -466,7 +501,7 @@ class TestValidateCodes:
         run_dir.mkdir()
         path = run_dir / "timeline.jsonl"
         path.write_bytes(
-            tl.frame_row(_row(0)) + b"junk\n" + tl.frame_row(_row(1))
+            _frame(_row(0)) + b"junk\n" + _frame(_row(1))
         )
         report = validate_run_dir(run_dir)
         assert "timeline-torn" in {f.code for f in report.findings}

@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs import tracing
 from repro.obs.tracing import (
+    SPANS_MAGIC,
     Span,
     SpanWriter,
     Tracer,
@@ -15,6 +16,7 @@ from repro.obs.tracing import (
     read_spans,
     to_chrome_trace,
 )
+from repro.runtime.records import decode, frame
 
 
 def make_tracer(**kwargs):
@@ -123,13 +125,18 @@ class TestSpanWriter:
 
     def test_truncates_torn_tail_before_appending(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        intact = json.dumps(Span(name="old", trace_id="t", span_id="s0").to_dict())
-        path.write_text(intact + "\n" + '{"torn": ')  # no trailing newline
+        intact = frame(
+            SPANS_MAGIC, Span(name="old", trace_id="t", span_id="s0").to_dict()
+        )
+        path.write_bytes(intact + b'SPN1 {"torn": ')  # no trailing newline
         with SpanWriter(path) as writer:
             writer.write(Span(name="new", trace_id="t", span_id="s1"))
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().splitlines(keepends=True)
         assert len(lines) == 2
-        assert [json.loads(line)["name"] for line in lines] == ["old", "new"]
+        assert [decode(line, SPANS_MAGIC)["name"] for line in lines] == [
+            "old",
+            "new",
+        ]
 
     def test_write_failure_is_counted_not_raised(self, tmp_path):
         writer = SpanWriter(tmp_path / "spans.jsonl")
@@ -145,8 +152,10 @@ class TestSpanWriter:
 class TestFiles:
     def test_read_spans_skips_torn_and_alien_lines(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        good = json.dumps(Span(name="keep", trace_id="t", span_id="s").to_dict())
-        path.write_text('{"torn\n[1, 2]\n' + good + "\n")
+        good = frame(
+            SPANS_MAGIC, Span(name="keep", trace_id="t", span_id="s").to_dict()
+        )
+        path.write_bytes(b'{"torn\n' + frame(SPANS_MAGIC, [1, 2]) + good)
         spans = read_spans(path)
         assert [s.name for s in spans] == ["keep"]
 

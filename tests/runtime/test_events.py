@@ -1,9 +1,9 @@
 """Tests for the structured JSONL campaign event log."""
 
-import json
 import threading
 
-from repro.runtime.events import EVENTS_FILENAME, EventLog, read_events
+from repro.runtime.events import EVENTS_FILENAME, EVENTS_MAGIC, EventLog, read_events
+from repro.runtime.records import decode
 
 from tests.runtime.conftest import FakeClock
 
@@ -64,9 +64,9 @@ class TestEventLog:
             thread.join()
         log.close()
 
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().splitlines(keepends=True)
         assert len(lines) == 400
-        records = [json.loads(line) for line in lines]  # every line intact
+        records = [decode(line, EVENTS_MAGIC) for line in lines]  # every line intact
         seqs = [r["seq"] for r in records]
         assert sorted(seqs) == list(range(1, 401))
 
@@ -98,8 +98,8 @@ class TestResumeAppend:
         assert [e["event"] for e in events] == ["campaign-start", "resume"]
         assert [e["seq"] for e in events] == [1, 2]
         # Every line is intact — no welded torn/valid hybrid line.
-        for line in path.read_text().splitlines():
-            json.loads(line)
+        for line in path.read_bytes().splitlines(keepends=True):
+            decode(line, EVENTS_MAGIC)
 
     def test_terminated_garbage_tail_is_also_dropped(self, tmp_path):
         path = tmp_path / EVENTS_FILENAME

@@ -16,11 +16,11 @@ from repro.runtime.journal import (
     JOURNAL_MAGIC,
     Journal,
     attempt_uid,
-    frame_record,
     read_journal,
     recover,
     truncate_torn_tail,
 )
+from repro.runtime.records import frame
 
 from tests.runtime.conftest import make_result
 
@@ -52,7 +52,7 @@ class TestFraming:
         assert line.startswith(JOURNAL_MAGIC.encode() + b" ")
         # Reframing the decoded payload reproduces the exact bytes.
         record = json.loads(line.split(b" ", 2)[2])
-        assert frame_record(record) == line
+        assert frame(JOURNAL_MAGIC, record) == line
 
     def test_unknown_record_type_rejected(self, tmp_path):
         with Journal(tmp_path / JOURNAL_FILENAME) as journal:

@@ -13,7 +13,9 @@ from repro.mem.trace import TraceBuilder
 from repro.mem.tracefile import save_trace, trace_header
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import ExperimentOutcome
-from repro.runtime.events import EventLog
+from repro.obs.tracing import SPANS_MAGIC
+from repro.runtime.events import EVENTS_MAGIC, EventLog
+from repro.runtime.records import frame
 from repro.validate.artifacts import (
     validate_events_file,
     validate_run_dir,
@@ -231,13 +233,13 @@ class TestEventsFile:
             {"seq": 1, "t_mono": 0.0, "t_wall": 1.0, "event": "a"},
             {"seq": 1, "t_mono": 0.1, "t_wall": 1.1, "event": "b"},
         ]
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        path.write_bytes(b"".join(frame(EVENTS_MAGIC, r) for r in records))
         report = validate_events_file(path)
         assert "events-seq" in report.codes()
 
     def test_schema_violation_detected(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        path.write_text(json.dumps({"seq": 1, "event": "a"}) + "\n")
+        path.write_bytes(frame(EVENTS_MAGIC, {"seq": 1, "event": "a"}))
         report = validate_events_file(path)
         assert "event-schema" in report.codes()
 
@@ -309,10 +311,11 @@ class TestJournalAndLease:
         assert not report.ok
 
     def test_seq_regression_is_an_error(self, clean_run):
-        from repro.runtime.journal import JOURNAL_FILENAME, frame_record
+        from repro.runtime.journal import JOURNAL_FILENAME, JOURNAL_MAGIC
 
         lines = b"".join(
-            frame_record(
+            frame(
+                JOURNAL_MAGIC,
                 {"seq": seq, "token": 1, "t_wall": 0.0, "type": "recovered"}
             )
             for seq in (2, 1)
@@ -322,20 +325,20 @@ class TestJournalAndLease:
         assert "journal-seq" in report.codes()
 
     def test_schema_violation_is_an_error(self, clean_run):
-        from repro.runtime.journal import JOURNAL_FILENAME, frame_record
+        from repro.runtime.journal import JOURNAL_FILENAME, JOURNAL_MAGIC
 
         record = {"seq": 1, "token": 1, "t_wall": 0.0, "type": "not-a-type"}
-        (clean_run / JOURNAL_FILENAME).write_bytes(frame_record(record))
+        (clean_run / JOURNAL_FILENAME).write_bytes(frame(JOURNAL_MAGIC, record))
         report = validate_run_dir(clean_run)
         assert "journal-schema" in report.codes()
 
     def test_retired_dispatch_record_type_is_an_error(self, clean_run):
-        from repro.runtime.journal import JOURNAL_FILENAME, frame_record
+        from repro.runtime.journal import JOURNAL_FILENAME, JOURNAL_MAGIC
 
         record = {
             "seq": 1, "token": 1, "t_wall": 0.0, "type": "dispatch-assign",
         }
-        (clean_run / JOURNAL_FILENAME).write_bytes(frame_record(record))
+        (clean_run / JOURNAL_FILENAME).write_bytes(frame(JOURNAL_MAGIC, record))
         report = validate_run_dir(clean_run)
         assert "journal-schema" in report.codes()
         assert not report.ok
@@ -379,7 +382,7 @@ class TestObservabilityArtifacts:
             "pid": 1,
         }
         record.update(overrides)
-        return json.dumps(record)
+        return frame(SPANS_MAGIC, record).decode().rstrip("\n")
 
     def _metrics(self, clean_run, **overrides):
         payload = {

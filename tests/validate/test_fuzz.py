@@ -6,6 +6,7 @@ import pytest
 
 from repro.validate.fuzz import (
     ACCEPTED_DIVERGENT,
+    ACCEPTED_PREFIX,
     MUTATIONS,
     REJECTED,
     UNEXPECTED_ERROR,
@@ -75,12 +76,21 @@ class TestReportSemantics:
             "fuzz-silent-corruption"
         ]
 
-    def test_divergence_on_events_is_tolerated(self):
+    def test_only_a_record_prefix_is_tolerated_on_events(self):
         report = FuzzReport(
-            seed=0, cases=[self._case(ACCEPTED_DIVERGENT, target="events")]
+            seed=0, cases=[self._case(ACCEPTED_PREFIX, target="events")]
         )
         assert report.ok
         assert report.to_validation_report().ok
+        # The event log is CRC-framed: any other divergence is silent
+        # corruption, as for every checksummed target.
+        report = FuzzReport(
+            seed=0, cases=[self._case(ACCEPTED_DIVERGENT, target="events")]
+        )
+        assert not report.ok
+        assert report.to_validation_report().codes() == [
+            "fuzz-silent-corruption"
+        ]
 
     def test_render_mentions_verdict(self):
         report = FuzzReport(seed=3, cases=[self._case(REJECTED)])
