@@ -356,11 +356,15 @@ def kernel_hierarchy(
 
 
 def kernel_stackdist(
-    state: dict, blocks: np.ndarray, kinds: np.ndarray
+    state: dict, blocks: np.ndarray, kinds: np.ndarray, links: bool = False
 ) -> dict:
     """Vectorized Mattson stack-distance chunk step.
 
     Pure function over :meth:`StackDistanceRun.state_dict` snapshots.
+    With ``links`` the successor also carries ``"links"``: the chunk's
+    int32 ``(depth, prev)``, the depth of every reference (0 for a
+    first touch) and the in-chunk index of the previous reference to
+    its block (-1 when that lies before the chunk or there is none).
     """
     n = int(blocks.shape[0])
     prefix = np.asarray(state["blocks_by_last_access"], dtype=np.int64)
@@ -387,7 +391,7 @@ def kernel_stackdist(
     nonzero = np.nonzero(hist)[0]
     top = int(nonzero[-1]) if nonzero.size else 0
     by_last_access = ext[np.flatnonzero(last_mask)]
-    return {
+    post = {
         "block_size": state["block_size"],
         "count_reads_only": state["count_reads_only"],
         "warmup": state["warmup"],
@@ -397,6 +401,12 @@ def kernel_stackdist(
         "blocks_by_last_access": by_last_access.tolist(),
         "hist": hist[: top + 1].tolist(),
     }
+    if links:
+        chunk_depth = np.where(first, 0, depth[f:]).astype(np.int32, copy=False)
+        chunk_prev = prev[f:] - f
+        np.maximum(chunk_prev, -1, out=chunk_prev)
+        post["links"] = (chunk_depth, chunk_prev)
+    return post
 
 
 def _segment_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -1143,7 +1153,7 @@ def _prefix_bound(kernel: str, sims: list) -> int:
     return max(sim.capacity_bytes // sim.block_size for sim in sims)
 
 
-def guard_run(kernel: str, sim, trace, budget=None) -> bool:
+def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
     """Try to advance ``sim`` over ``trace`` with a vectorized kernel.
 
     The dispatch point the simulators call at the top of their hot
@@ -1152,7 +1162,9 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
     its pure-Python loop: oracle tier, or a chunk that is small or
     outside the kernel's domain.  For ``"setassoc"``, ``sim`` may be a
     list of caches of one block size, advanced together over ``trace``
-    (a sweep).  A kernel result that breaks a scalar invariant raises
+    (a sweep).  ``options`` go to the kernel as keyword arguments
+    (``links=True`` for ``"stackdist"``).  A kernel result that breaks
+    a scalar invariant raises
     :class:`~repro.runtime.errors.KernelDivergenceError`.  In every case
     but ``True`` every simulator is untouched.
     """
@@ -1204,6 +1216,7 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         budget.check(f"{kernel} kernel chunk")
     sampler = hot_loop_sampler(_SAMPLER_NAMES[kernel])
     extra = {"budget": budget} if kernel in _BUDGETED else {}
+    extra.update(options)
     if kernel == "setassoc":
         # The kernel takes and returns one snapshot per cache.
         pre = [cache.state_dict() for cache in sims]

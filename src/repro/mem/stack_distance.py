@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,25 +184,13 @@ class StackDistanceProfiler:
             capacity_hint=len(trace),
         )
         recorder = obs_timeline.active_recorder()
-        step = (
-            recorder.chunk_refs_for(len(trace)) if recorder is not None else 0
+        run.feed(
+            trace,
+            budget=budget,
+            row_refs=(
+                recorder.chunk_refs_for(len(trace)) if recorder is not None else None
+            ),
         )
-        if recorder is None or step >= len(trace):
-            run.feed(trace, budget=budget)
-            return run.result()
-        # Timeline recording is on: feed the same trace in windows so
-        # each one lands a per-chunk row.  The incremental engine makes
-        # chunked feeding bit-identical to a single feed, and the
-        # window floor stays above the kernels' MIN_REFS so the
-        # vector tier is never demoted by the chunking itself.
-        for start in range(0, len(trace), step):
-            run.feed(
-                Trace(
-                    trace.addrs[start : start + step],
-                    trace.kinds[start : start + step],
-                ),
-                budget=budget,
-            )
         return run.result()
 
 
@@ -254,6 +242,8 @@ class StackDistanceRun:
         self._hist = np.zeros(max(int(capacity_hint) + 2, 1024), dtype=np.int64)
         self._cold = 0
         self._total = 0
+        # The last kernel chunk's (depth, prev), when it was asked for.
+        self._links: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def refs_fed(self) -> int:
@@ -299,97 +289,158 @@ class StackDistanceRun:
         need = max(2 * footprint + incoming, 4096)
         self._tree = _fenwick_of_ones(footprint, 1 << (need - 1).bit_length())
 
-    def feed(self, trace: Trace, budget: Optional[Budget] = None) -> None:
+    def feed(
+        self,
+        trace: Trace,
+        budget: Optional[Budget] = None,
+        row_refs: Optional[int] = None,
+    ) -> None:
         """Consume one chunk of references, updating the running state.
 
         When a timeline recorder is active (``repro.obs.timeline``),
-        every feed also emits one per-chunk telemetry row — covering
-        both the vectorized kernel tier and the pure-Python loop, since
-        both leave their results in the same incremental state.
+        the chunk also lands one row per window of ``row_refs``
+        references (default: the whole chunk is one window).  The chunk
+        is still fed in one pass: both tiers hand back every
+        reference's depth and in-chunk previous reference, and by
+        Mattson inclusion those give each window's counts, per-capacity
+        misses, depth percentiles and working set exactly as feeding
+        the window alone would.  The arrays are dropped as soon as the
+        rows are built, and without a recorder they are never made.
         """
         from repro.obs import timeline as obs_timeline
+        from repro.obs.metrics import inc
 
         recorder = obs_timeline.active_recorder()
-        if recorder is None:
+        if recorder is None or len(trace) == 0:
             self._feed_impl(trace, budget=budget)
             return
-        pre_hist = self._hist.copy()
-        pre_cold = self._cold
-        pre_total = self._total
+        pos0 = self._pos
+        footprint0 = len(self._last_time)
         t0 = time.perf_counter()
-        self._feed_impl(trace, budget=budget)
+        depth, prev = self._feed_impl(trace, budget=budget, links=True)
         elapsed = time.perf_counter() - t0
-        self._record_chunk(
-            recorder, trace, pre_hist, pre_cold, pre_total, elapsed
-        )
-
-    def _record_chunk(
-        self,
-        recorder,
-        trace: Trace,
-        pre_hist: np.ndarray,
-        pre_cold: int,
-        pre_total: int,
-        elapsed: float,
-    ) -> None:
-        """Emit one timeline row for the chunk just fed (never raises)."""
-        from repro.obs.metrics import inc
-        from repro.obs.timeline import kernel_tier
-
-        try:
-            n = len(trace)
-            if n == 0:
-                return
-            d_cold = self._cold - pre_cold
-            d_total = self._total - pre_total
-            size = max(len(self._hist), len(pre_hist))
-            d_hist = np.zeros(size, dtype=np.int64)
-            d_hist[: len(self._hist)] += self._hist
-            d_hist[: len(pre_hist)] -= pre_hist
-            cum = np.cumsum(d_hist)
-            hits_total = int(cum[-1])
-            grid = default_capacity_grid()
-            cap_blocks = np.minimum(grid // self.block_size, size - 1)
-            hits_within = np.where(cap_blocks >= 1, cum[cap_blocks], 0)
-            misses = d_total - hits_within
-            percentiles: Dict[str, int] = {}
-            if hits_total > 0:
-                for label, q in (
-                    ("depth_p50", 0.50),
-                    ("depth_p90", 0.90),
-                    ("depth_p99", 0.99),
-                ):
-                    percentiles[label] = int(
-                        np.searchsorted(cum, q * hits_total)
-                    )
-            recorder.record(
-                "stackdist",
-                refs=n,
-                counted=int(d_total),
-                cold=int(d_cold),
-                elapsed_s=round(elapsed, 9),
-                refs_per_second=(n / elapsed) if elapsed > 0 else None,
-                block_size=self.block_size,
-                ws_blocks=int(trace.footprint(self.block_size)),
-                footprint_blocks=len(self._last_time),
-                cache_sizes=[int(c) for c in grid],
-                misses=[int(m) for m in misses],
-                tier=kernel_tier(),
-                **percentiles,
+        try:  # telemetry never fails the feed
+            rows = self._timeline_rows(
+                trace, depth, prev, pos0, footprint0, row_refs or len(trace)
             )
+            del depth, prev
+            share = elapsed / len(rows)
+            tier = obs_timeline.kernel_tier()
+            for row in rows:
+                row["elapsed_s"] = round(share, 9)
+                row["refs_per_second"] = row["refs"] / share if share > 0 else None
+                row["tier"] = tier
+            recorder.record_many("stackdist", rows)
         except Exception:
             inc("obs.timeline.write_errors")
 
-    def _feed_impl(self, trace: Trace, budget: Optional[Budget] = None) -> None:
+    def _timeline_rows(
+        self,
+        trace: Trace,
+        depth: np.ndarray,
+        prev: np.ndarray,
+        pos0: int,
+        footprint0: int,
+        step: int,
+    ) -> List[Dict[str, object]]:
+        """One row per ``step``-reference window of a chunk fed from
+        reference ``pos0`` on, with ``footprint0`` blocks resident.
+
+        ``depth`` is each reference's stack depth (0 for a first touch)
+        and ``prev`` the in-chunk index of the previous reference to its
+        block (-1 for none).  A window's distinct blocks are its
+        references whose ``prev`` falls before the window's start.
+        """
+        n = len(trace)
+        starts = np.arange(0, n, step)
+        rows_n = len(starts)
+        window = np.arange(n, dtype=np.int64) // step
+        counted = self._counted(trace, pos0)
+        first = depth == 0
+        counted_w = np.add.reduceat(counted, starts, dtype=np.int64)
+        cold_w = np.add.reduceat(first & counted, starts, dtype=np.int64)
+        footprint_w = footprint0 + np.cumsum(
+            np.add.reduceat(first, starts, dtype=np.int64)
+        )
+        ws_w = np.add.reduceat(prev // step != window, starts, dtype=np.int64)
+        hit = counted & ~first
+        del counted, first
+        hit_w = window[hit]
+        hit_d = depth[hit]
+        del window, hit
+        # Hits within each capacity: bin every hit at the first capacity
+        # that holds its depth, then accumulate along the grid.
+        grid = default_capacity_grid()
+        caps = grid // self.block_size
+        bins = len(caps) + 1
+        per_bin = np.bincount(
+            hit_w * bins + np.searchsorted(caps, hit_d), minlength=rows_n * bins
+        ).reshape(rows_n, bins)
+        misses_w = counted_w[:, None] - np.cumsum(per_bin[:, :-1], axis=1)
+        # Depth percentiles: the ceil(q * H)-th smallest of a window's
+        # H hit depths, read off one sort of (window, depth) keys.
+        hits_w = np.bincount(hit_w, minlength=rows_n)
+        percentiles: Dict[str, List[int]] = {}
+        if hit_d.size:
+            span = int(hit_d.max()) + 1
+            keys = hit_w * span + hit_d
+            keys.sort()
+            offsets = np.cumsum(hits_w) - hits_w - 1
+            base = np.arange(rows_n, dtype=np.int64) * span
+            for label, q in (
+                ("depth_p50", 0.50),
+                ("depth_p90", 0.90),
+                ("depth_p99", 0.99),
+            ):
+                at = offsets + np.ceil(q * hits_w).astype(np.int64)
+                percentiles[label] = (
+                    keys[np.maximum(at, 0)] - base
+                ).tolist()
+        cache_sizes = grid.tolist()
+        has_hits = (hits_w > 0).tolist()
+        rows: List[Dict[str, object]] = []
+        for w, (start, counted_n, cold, ws, footprint, misses) in enumerate(
+            zip(
+                starts.tolist(),
+                counted_w.tolist(),
+                cold_w.tolist(),
+                ws_w.tolist(),
+                footprint_w.tolist(),
+                misses_w.tolist(),
+            )
+        ):
+            row: Dict[str, object] = {
+                "refs": min(step, n - start),
+                "counted": counted_n,
+                "cold": cold,
+                "block_size": self.block_size,
+                "ws_blocks": ws,
+                "footprint_blocks": footprint,
+                "cache_sizes": cache_sizes,
+                "misses": misses,
+            }
+            if has_hits[w]:
+                for label, values in percentiles.items():
+                    row[label] = values[w]
+            rows.append(row)
+        return rows
+
+    def _feed_impl(
+        self, trace: Trace, budget: Optional[Budget] = None, links: bool = False
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Advance over one chunk on the configured tier.  With ``links``
+        returns the chunk's int32 ``(depth, prev)`` (see
+        :meth:`_timeline_rows`); otherwise ``None``."""
         from repro.mem import kernels
 
-        if kernels.guard_run("stackdist", self, trace, budget=budget):
-            return
+        if kernels.guard_run("stackdist", self, trace, budget=budget, links=links):
+            chunk_links, self._links = self._links, None
+            return chunk_links
         if budget is None:
             budget = active_budget()
         n = len(trace)
         if n == 0:
-            return
+            return None
         blocks = trace.block_ids(self.block_size).tolist()
         if self._tree is None or self._clock + n > len(self._tree) - 1:
             self._compact(n)
@@ -401,8 +452,12 @@ class StackDistanceRun:
         t0 = self._clock
         # One depth per reference (0 marks a cold miss); the counted
         # subset is histogrammed with a single bincount afterwards.
+        # The previous reference's timestamp (-1: none) rides along for
+        # timeline rows.
         depths = array("q")
         push = depths.append
+        prevs = array("q")
+        push_prev = prevs.append
         sampler = hot_loop_sampler("mem.stackdist")
         for start in range(0, n, CHECK_INTERVAL):
             if budget is not None:
@@ -416,6 +471,7 @@ class StackDistanceRun:
                 if prev is None:
                     live += 1
                     push(0)
+                    push_prev(-1)
                     while j <= size:
                         tree[j] += 1
                         j += j & -j
@@ -428,6 +484,7 @@ class StackDistanceRun:
                         below += tree[i]
                         i &= i - 1
                     push(live - below + 1)
+                    push_prev(prev)
                     # Move prev's one to t.  With a power-of-two size
                     # both update paths merge below the root, and above
                     # the merge the -1 and +1 cancel.
@@ -441,20 +498,33 @@ class StackDistanceRun:
                             j += j & -j
                 last_time[block] = t
         self._clock = t0 + n
-        cold = self._tally(trace, np.frombuffer(depths, dtype=np.int64))
+        depth = np.frombuffer(depths, dtype=np.int64)
+        cold = self._tally(trace, depth)
         self._pos += n
         if sampler is not None:
             sampler.finish(refs=n, misses=cold)
+        if not links:
+            return None
+        # Timestamps t0.. are this chunk's references, in order.
+        prev = np.frombuffer(prevs, dtype=np.int64) - t0
+        np.maximum(prev, -1, out=prev)
+        return depth.astype(np.int32), prev.astype(np.int32)
+
+    def _counted(self, trace: Trace, pos: int) -> np.ndarray:
+        """Mask of a chunk's references that enter the histogram, for a
+        chunk whose first reference is number ``pos``: past the warmup,
+        and reads only when so configured."""
+        n = len(trace)
+        counted = np.ones(n, dtype=bool)
+        counted[: max(0, min(n, self.warmup - pos))] = False
+        if self.count_reads_only:
+            counted &= trace.kinds == READ
+        return counted
 
     def _tally(self, trace: Trace, depths: np.ndarray) -> int:
         """Fold one chunk's per-reference depths into the histogram;
         returns the chunk's counted cold misses."""
-        n = len(trace)
-        counted = np.ones(n, dtype=bool)
-        counted[: max(0, min(n, self.warmup - self._pos))] = False
-        if self.count_reads_only:
-            counted &= trace.kinds == READ
-        kept = depths[counted]
+        kept = depths[self._counted(trace, self._pos)]
         counts = np.bincount(kept)
         cold = int(counts[0]) if counts.size else 0
         self._grow_hist(counts.size)
@@ -514,6 +584,7 @@ class StackDistanceRun:
         hist = np.asarray(state["hist"], dtype=np.int64)
         self._hist = np.zeros(max(len(hist), 1024), dtype=np.int64)
         self._hist[: len(hist)] = hist
+        self._links = state.get("links")
 
 
 def profile_trace(

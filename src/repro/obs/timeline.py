@@ -5,11 +5,16 @@ curves, but working sets are by definition windowed over time and
 phase-dependent (Barnes-Hut's tree-build/force phases, LU's shrinking
 active matrix).  This module adds the time axis:
 
-- :class:`TimelineRecorder` appends one ``TLN1`` row per simulated
-  chunk to ``timeline.jsonl`` (the shared CRC frame and damage rule of
-  :mod:`repro.runtime.records`): refs/s, per-capacity miss
-  deltas, stack-depth percentiles, and a Denning working-set estimate
-  (unique blocks touched in the chunk window).
+- :class:`TimelineRecorder` appends ``TLN1`` rows to
+  ``timeline.jsonl`` (the shared CRC frame and damage rule of
+  :mod:`repro.runtime.records`): refs/s, per-capacity miss deltas,
+  stack-depth percentiles, and a Denning working-set estimate (unique
+  blocks touched in the window).  The explicit caches write one row
+  per simulated chunk.  The stack-distance profiler feeds an in-memory
+  trace once and derives a row per window of :meth:`chunk_refs_for`
+  references from the per-reference depths, written as one
+  :meth:`~TimelineRecorder.record_many` batch; a streamed trace gets a
+  row per shard.
 - :class:`PhaseDetector` segments the row stream into phases online
   (robust median/MAD change-point test on ``log2(ws_blocks)`` with
   two-row hysteresis) and re-estimates the knees *per phase* from the
@@ -57,16 +62,17 @@ TIMELINE_VERSION = 1
 #: Environment handoff to spawned workers (path to the timeline file).
 TIMELINE_ENV = "REPRO_TIMELINE"
 
-#: Optional chunk-size override (refs per in-memory timeline chunk).
+#: Optional window override (refs per in-memory profile row).
 TIMELINE_CHUNK_ENV = "REPRO_TIMELINE_CHUNK"
 
 #: Row kinds emitted by the simulators.
 ROW_KINDS = ("stackdist", "fullassoc", "setassoc")
 
-#: In-memory chunking bounds: aim for ~64 windows per trace, but keep
-#: every chunk above the kernels' ``MIN_REFS`` (2048) so chunked
-#: feeding never demotes the vector tier, and below a cap that keeps
-#: the per-row bookkeeping invisible next to the simulation itself.
+#: Row granularity of an in-memory profile: ~64 windows per trace,
+#: each at least ``CHUNK_MIN_REFS`` references (so a short trace is not
+#: split into noise) and at most ``CHUNK_MAX_REFS`` (so a long one keeps
+#: its time resolution).  The trace is still fed in one pass; these
+#: bounds set only how its references are grouped into rows.
 CHUNK_TARGET_WINDOWS = 64
 CHUNK_MIN_REFS = 4096
 CHUNK_MAX_REFS = 262144
@@ -83,7 +89,13 @@ def read_timeline(path: Union[str, Path]) -> List[Dict[str, object]]:
 
 
 def _median(values: Sequence[float]) -> float:
-    return float(np.median(np.asarray(values, dtype=np.float64)))
+    # np.median's value, without an array per call: the detector takes
+    # two medians per row.
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return (float(ordered[mid - 1]) + float(ordered[mid])) / 2
 
 
 @dataclass
@@ -360,7 +372,7 @@ class TimelineRecorder:
     # -- chunking policy -----------------------------------------------
 
     def chunk_refs_for(self, total_refs: int) -> int:
-        """Refs per in-memory timeline window for a trace of
+        """Refs per row (window) of an in-memory profile of
         ``total_refs`` references."""
         if self.chunk_refs is not None and self.chunk_refs > 0:
             return int(self.chunk_refs)
@@ -372,29 +384,59 @@ class TimelineRecorder:
     def record(self, kind: str, **fields: object) -> Optional[Dict[str, object]]:
         """Append one row; returns the row, or ``None`` when dropped."""
         with self._lock:
-            row: Dict[str, object] = {
-                "v": TIMELINE_VERSION,
-                "kind": kind,
-                "seq": self._seq,
-                "pid": os.getpid(),
-                "t_wall": time.time(),
-            }
-            row.update(self._labels)
-            row.update({k: v for k, v in fields.items() if v is not None})
-            try:
-                if self._log is None:
-                    self._log = records.RecordLog(
-                        self.path, TIMELINE_MAGIC, "timeline"
-                    )
-                self._log.append(row)
-            except (OSError, ValueError):
-                obs_metrics.inc("obs.timeline.write_errors")
+            row = self._append(kind, fields)
+            if row is None:
                 return None
-            self._seq += 1
-            obs_metrics.inc("obs.timeline.rows")
-            if self._detector.update(row):
-                obs_metrics.inc("obs.timeline.phase_starts")
             summary = self._detector.summary()
+        self._publish(summary)
+        return row
+
+    def record_many(
+        self, kind: str, rows: Sequence[Dict[str, object]]
+    ) -> int:
+        """Append ``rows`` in order under one lock; returns how many
+        were written.
+
+        Each row passes the phase detector, but the knee search behind
+        the ``mem.ws.*`` gauges runs once for the batch.
+        """
+        with self._lock:
+            written = sum(self._append(kind, fields) is not None for fields in rows)
+            if not written:
+                return 0
+            summary = self._detector.summary()
+        self._publish(summary)
+        return written
+
+    def _append(
+        self, kind: str, fields: Dict[str, object]
+    ) -> Optional[Dict[str, object]]:
+        """Frame and append one row and feed the phase detector (the
+        caller holds the lock); ``None`` when the write failed."""
+        row: Dict[str, object] = {
+            "v": TIMELINE_VERSION,
+            "kind": kind,
+            "seq": self._seq,
+            "pid": os.getpid(),
+            "t_wall": time.time(),
+        }
+        row.update(self._labels)
+        row.update({k: v for k, v in fields.items() if v is not None})
+        try:
+            if self._log is None:
+                self._log = records.RecordLog(self.path, TIMELINE_MAGIC, "timeline")
+            self._log.append(row)
+        except (OSError, ValueError):
+            obs_metrics.inc("obs.timeline.write_errors")
+            return None
+        self._seq += 1
+        obs_metrics.inc("obs.timeline.rows")
+        if self._detector.update(row):
+            obs_metrics.inc("obs.timeline.phase_starts")
+        return row
+
+    @staticmethod
+    def _publish(summary: Dict[str, object]) -> None:
         obs_metrics.set_gauge("mem.ws.phase", float(summary["phase"]))
         obs_metrics.set_gauge("mem.ws.phases", float(summary["phases"]))
         if summary["ws_bytes"] is not None:
@@ -405,7 +447,6 @@ class TimelineRecorder:
             obs_metrics.set_gauge(
                 "mem.ws.knee_bytes", float(summary["knee_bytes"])
             )
-        return row
 
     def close(self) -> None:
         with self._lock:

@@ -232,8 +232,49 @@ class TestRecorder:
         obs_metrics.set_obs_enabled(True)
         recorder = tl.TimelineRecorder(tmp_path / "no-such-dir" / "t.jsonl")
         assert recorder.record("stackdist", refs=1, ws_blocks=1) is None
+        assert recorder.record_many("stackdist", [{"refs": 1, "ws_blocks": 1}] * 3) == 0
         snapshot = obs_metrics.get_registry().snapshot()
-        assert snapshot["counters"]["obs.timeline.write_errors"] == 1
+        assert snapshot["counters"]["obs.timeline.write_errors"] == 4
+
+    def test_record_many_equals_one_record_per_row(self, tmp_path, monkeypatch):
+        """A batch writes the rows ``record`` would, in order, and ends
+        with the same counters and gauges, but searches knees once."""
+        rows = [
+            {"refs": 100, "ws_blocks": ws, "block_size": 8, "counted": 100,
+             "cache_sizes": [64, 128, 256], "misses": [90, 40 + i, 10]}
+            for i, ws in enumerate([64] * 4 + [4096] * 4)
+        ]
+        searches = []
+        summary = tl.PhaseDetector.summary
+        monkeypatch.setattr(
+            tl.PhaseDetector, "summary", lambda d: searches.append(1) or summary(d)
+        )
+        obs_metrics.set_obs_enabled(True)
+
+        def written(name, write):
+            obs_metrics.get_registry().reset()
+            recorder = tl.configure_timeline(tmp_path / name)
+            tl.set_labels(experiment_id="fig2", attempt_uid="fig2@1.1")
+            write(recorder)
+            out = [
+                {k: v for k, v in row.items() if k not in ("pid", "t_wall")}
+                for row in tl.read_timeline(tmp_path / name)
+            ]
+            return out, obs_metrics.get_registry().snapshot()
+
+        each, each_metrics = written(
+            "each.jsonl", lambda r: [r.record("stackdist", **row) for row in rows]
+        )
+        del searches[:]
+        batch, batch_metrics = written(
+            "batch.jsonl", lambda r: r.record_many("stackdist", rows)
+        )
+        assert len(searches) == 1
+        assert batch == each
+        assert [row["seq"] for row in batch] == list(range(len(rows)))
+        assert batch_metrics["counters"] == each_metrics["counters"]
+        assert batch_metrics["gauges"] == each_metrics["gauges"]
+        assert batch_metrics["gauges"]["mem.ws.phases"] == 2.0
 
 
 class TestFaultSite:
