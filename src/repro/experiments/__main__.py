@@ -55,11 +55,11 @@ artifacts plus the journal and event log.  See
 
 Campaigns with a run directory are crash-consistent: every state
 transition is written ahead to ``<run_dir>/journal.wal`` (fsynced,
-CRC-framed), a heartbeat lease (``supervisor.lease``) fences out
-concurrent or superseded supervisors with a monotonic token, and
-``--resume`` replays the journal to decide what is committed — a
-``kill -9`` at any instruction loses nothing that was committed and
-re-runs nothing that was.  See ``docs/DURABILITY.md``.
+CRC-framed), an exclusive lock on ``supervisor.lock`` refuses a second
+supervisor of the same run directory, and ``--resume`` replays the
+journal to decide what is committed — a ``kill -9`` at any instruction
+loses nothing that was committed and re-runs nothing that was.  See
+``docs/DURABILITY.md``.
 
 Exit status: 0 when every experiment finished (possibly degraded),
 1 when any experiment ultimately failed after retries or the campaign
@@ -73,6 +73,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -109,12 +110,17 @@ from repro.runtime.engine import (
     EngineConfig,
     ExperimentOutcome,
 )
-from repro.runtime.errors import JournalCorruptError, LeaseHeldError
+from repro.runtime.errors import JournalCorruptError
 from repro.runtime.events import EventLog
 from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.runtime.iofault import install_from_env
-from repro.runtime.journal import JOURNAL_FILENAME, Journal, recover
-from repro.runtime.lease import DEFAULT_TTL_SECONDS, Lease
+from repro.runtime.journal import (
+    JOURNAL_FILENAME,
+    Journal,
+    lock_holder_pid,
+    lock_run_dir,
+    recover,
+)
 
 #: ``--inject-fault`` kind names -> FaultSpec constructor kwargs.
 #: ``hang-hard`` is the non-cooperative variant only the worker
@@ -258,16 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify every checkpoint envelope in DIR (manifest, summary, "
         "results, failures) and exit: 0 = all sound, 1 = corruption found "
         "or no envelope to check, 2 = DIR is not a directory",
-    )
-    parser.add_argument(
-        "--lease-ttl-seconds",
-        type=float,
-        default=DEFAULT_TTL_SECONDS,
-        metavar="S",
-        help="staleness threshold for the run-directory supervisor lease; "
-        "a lease whose heartbeat is older (or whose owner is dead) is "
-        f"reclaimed with a bumped fencing token (default: "
-        f"{DEFAULT_TTL_SECONDS:g})",
     )
     parser.add_argument(
         "--inject-fault",
@@ -628,7 +624,7 @@ def status_command(argv: List[str]) -> int:
     One-shot (or ``--follow``) live view of a campaign run directory:
     per-experiment state, attempt/retry counts, throughput, and ETA,
     reconstructed read-only from ``events.jsonl``, ``journal.wal``,
-    ``summary.json``, the supervisor lease, and ``metrics.json`` —
+    ``summary.json``, the supervisor lock, and ``metrics.json`` —
     torn tails and missing files degrade the view, never crash it.
     Exit 0 whenever the directory could be inspected, 2 on usage
     errors.
@@ -917,10 +913,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"unknown experiments: {unknown}; choices: {list(EXPERIMENTS)}")
         return 2
 
-    if args.lease_ttl_seconds <= 0:
-        print("--lease-ttl-seconds must be positive")
-        return 2
-
     if args.quiet:
         console.set_quiet(True)
 
@@ -931,6 +923,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_dir = args.resume or args.run_dir
     store = CheckpointStore(run_dir) if run_dir else None
 
+    # One supervisor per run directory: take its lock before anything
+    # else touches the directory, so a refused run changes nothing.
+    lock_fd = None
+    if store is not None:
+        lock_fd = lock_run_dir(store.run_dir)
+        if lock_fd is None:
+            print(
+                f"lease refused: run directory {store.run_dir} is locked by "
+                f"a live supervisor (pid {lock_holder_pid(store.run_dir)}); "
+                "refusing to run two supervisors against one run directory"
+            )
+            return 1
+    try:
+        return _run_campaign(args, wanted, fault_plan, store)
+    finally:
+        if lock_fd is not None:
+            os.close(lock_fd)
+
+
+def _run_campaign(
+    args: argparse.Namespace,
+    wanted: List[str],
+    fault_plan: Dict[str, FaultSpec],
+    store: Optional[CheckpointStore],
+) -> int:
+    """Run the campaign ``main`` parsed, holding the run-directory lock."""
     # Out-of-core trace streaming: install the ambient configuration
     # (module global + environment, so worker processes inherit it).
     # Under --run-dir/--resume the shards and simulator checkpoints
@@ -979,10 +997,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             console.warning(f"[obs] timeline.jsonl unavailable: {exc}")
 
     # Crash consistency for checkpointed campaigns: replay the journal
-    # (truncating any torn tail), take the supervisor lease with a
-    # bumped fencing token, and hand both to the engine.
+    # (truncating any torn tail), open it under the next supervisor
+    # generation, and hand both to the engine.
     recovery = None
-    lease = None
     journal = None
     if store is not None:
         try:
@@ -995,18 +1012,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "then delete it to fall back to checkpoint-presence resume"
             )
             return 1
-        try:
-            lease = Lease.acquire(
-                store.run_dir,
-                ttl_seconds=args.lease_ttl_seconds,
-                token_floor=recovery.last_token if recovery else 0,
-            )
-        except LeaseHeldError as exc:
-            print(f"lease refused: {exc}")
-            return 1
-        lease.start_heartbeat()
         journal = Journal(
-            store.run_dir / JOURNAL_FILENAME, token=lease.token
+            store.run_dir / JOURNAL_FILENAME,
+            token=(recovery.last_token if recovery else 0) + 1,
         )
         if recovery is not None:
             if not recovery.clean:
@@ -1048,8 +1056,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             event_log.close()
         if journal is not None:
             journal.close()
-        if lease is not None:
-            lease.release()
     if args.archive is not None and store is not None:
         # Cross-campaign perf archive: one attributed row per finished
         # campaign.  Failure to append is a warning, never a campaign

@@ -227,7 +227,7 @@ def worker_main(spec_text: str, payload_fd: int) -> int:
                 recorder.set_labels(
                     experiment_id=spec.experiment_id,
                     attempt_uid=_attempt_uid(
-                        spec.experiment_id, spec.fencing_token, spec.attempt
+                        spec.experiment_id, spec.generation, spec.attempt
                     ),
                 )
         apply_address_space_limit(spec.max_rss_mb)
@@ -295,11 +295,6 @@ def worker_main(spec_text: str, payload_fd: int) -> int:
                 degraded=spec.degraded if spec else False,
             ).to_dict(),
         }
-
-    # Echo the fencing token the supervisor handed us: a payload from a
-    # worker spawned by a superseded supervisor generation carries the
-    # old token and is rejected at parse time (lease-based fencing).
-    payload["token"] = spec.fencing_token if spec else 0
 
     # Ship telemetry alongside the result: the worker's metrics
     # snapshot, its buffered spans, and the process RSS peak.  Failures

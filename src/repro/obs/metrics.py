@@ -38,7 +38,7 @@ METRICS_FORMAT = 1
 #: masked branch; enforced by LoopSampler.
 DEFAULT_SAMPLE_INTERVAL = 8192
 
-#: Latency buckets (seconds) for fsync/checkpoint/heartbeat style
+#: Latency buckets (seconds) for fsync/checkpoint style
 #: metrics: 10us .. 10s, decade-ish spacing.
 LATENCY_BUCKETS_S = (
     1e-5,

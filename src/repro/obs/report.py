@@ -330,7 +330,7 @@ def render_report(
     from repro.runtime.events import read_events
 
     run_dir = Path(run_dir)
-    status = load_status(run_dir, now=now) if status is None else status
+    status = load_status(run_dir) if status is None else status
     counts = status.counts()
     now = time.time() if now is None else now
 

@@ -12,7 +12,8 @@ already writes —
   attempts and supplies failure categories;
 - ``summary.json`` / ``manifest.json`` give the requested set and the
   terminal verdicts;
-- ``supervisor.lease`` tells live from dead (heartbeat freshness);
+- ``supervisor.lock`` tells live from dead (a supervisor holds its
+  ``flock`` until it exits; the kernel drops it when it dies);
 - ``metrics.json`` supplies throughput (refs simulated, refs/sec).
 
 :func:`load_status` builds a :class:`CampaignStatus`;
@@ -268,23 +269,23 @@ def _kernel_tallies_from_metrics(
 # -- reconstruction --------------------------------------------------------
 
 
-def load_status(
-    run_dir: Union[str, Path], now: Optional[float] = None
-) -> CampaignStatus:
+def load_status(run_dir: Union[str, Path]) -> CampaignStatus:
     """Reconstruct campaign status from ``run_dir`` (read-only)."""
     from repro.runtime.events import read_events
-    from repro.runtime.journal import JOURNAL_FILENAME, read_journal
-    from repro.runtime.lease import LEASE_FILENAME, lease_is_stale, read_lease
+    from repro.runtime.journal import (
+        JOURNAL_FILENAME,
+        lock_holder_pid,
+        read_journal,
+        run_dir_locked,
+    )
 
     run_dir = Path(run_dir)
-    now = time.time() if now is None else now
     status = CampaignStatus(run_dir=str(run_dir))
 
     manifest = _read_envelope_payload(run_dir / "manifest.json")
     summary = _read_envelope_payload(run_dir / "summary.json")
     events = read_events(run_dir / "events.jsonl")
     replay = read_journal(run_dir / JOURNAL_FILENAME)
-    lease = read_lease(run_dir / LEASE_FILENAME)
     metrics = load_metrics_snapshot(run_dir)
 
     status.events_seen = len(events)
@@ -395,17 +396,10 @@ def load_status(
                 entry.degraded = True
 
     # -- supervisor liveness -------------------------------------------
-    live = False
-    if lease is not None:
-        stale = lease_is_stale(lease, now=now)
-        live = not stale
-        status.supervisor = {
-            "pid": lease.pid,
-            "token": lease.token,
-            "hostname": lease.hostname,
-            "heartbeat_age_seconds": max(0.0, now - lease.heartbeat_wall),
-            "live": live,
-        }
+    live = run_dir_locked(run_dir)
+    pid = lock_holder_pid(run_dir)
+    if live or pid is not None:
+        status.supervisor = {"pid": pid, "live": live}
 
     # A journal attempt-start with no attempt-end is only "running" if
     # somebody is alive to be running it; otherwise it is in doubt and
@@ -491,13 +485,8 @@ def render_status(status: CampaignStatus) -> str:
     verdict = status.state
     if status.supervisor is not None:
         sup = status.supervisor
-        liveness = "live" if sup.get("live") else "stale"
-        verdict += (
-            f" (supervisor pid {sup.get('pid')} token {sup.get('token')}, "
-            f"{liveness}, heartbeat "
-            f"{_format_seconds(float(sup.get('heartbeat_age_seconds', 0.0)))} "
-            "ago)"
-        )
+        liveness = "live" if sup.get("live") else "exited"
+        verdict += f" (supervisor pid {sup.get('pid')}, {liveness})"
     lines.append(f"state: {verdict}")
     counts = status.counts()
     lines.append(

@@ -38,12 +38,11 @@ fragile for-loop into a pipeline that survives partial failure:
   SIGKILL) every durability-relevant syscall goes through.
 - :mod:`repro.runtime.journal` — the append-only, CRC-framed,
   fsync-disciplined write-ahead journal (``journal.wal``) of campaign
-  state transitions, and the idempotent :func:`recover` that
-  reconciles it with the checkpoint store after a crash.
-- :mod:`repro.runtime.lease` — the heartbeat supervisor lease
-  (``supervisor.lease``) with a monotonic fencing token: concurrent
-  supervisors are refused, dead ones are reclaimed, and stale worker
-  results are fenced out.
+  state transitions, the idempotent :func:`recover` that reconciles it
+  with the checkpoint store after a crash, and the run directory's
+  supervisor lock (``supervisor.lock``): an exclusive ``flock`` that
+  refuses a second supervisor and that the kernel drops when its
+  holder dies.
 - :mod:`repro.runtime.chaos` — the SIGKILL/resume and disk-fault chaos
   harness that proves all of the above against real processes.
 
@@ -64,11 +63,8 @@ from repro.runtime.errors import (
     CheckpointWriteError,
     ExperimentError,
     ExperimentFailure,
-    FencingViolationError,
     JournalCorruptError,
     JournalError,
-    LeaseError,
-    LeaseHeldError,
     SimulationError,
     TraceFileWriteError,
     TraceGenerationError,
@@ -111,10 +107,6 @@ _LAZY = {
     "read_journal": "repro.runtime.journal",
     "recover": "repro.runtime.journal",
     "truncate_torn_tail": "repro.runtime.journal",
-    "Lease": "repro.runtime.lease",
-    "LeaseState": "repro.runtime.lease",
-    "lease_is_stale": "repro.runtime.lease",
-    "read_lease": "repro.runtime.lease",
     "ChaosReport": "repro.runtime.chaos",
     "run_chaos": "repro.runtime.chaos",
 }
@@ -137,17 +129,12 @@ __all__ = [
     "ExperimentOutcome",
     "FaultInjector",
     "FaultSpec",
-    "FencingViolationError",
     "IOFault",
     "IOFaultInjector",
     "Journal",
     "JournalCorruptError",
     "JournalError",
     "JournalReplay",
-    "Lease",
-    "LeaseError",
-    "LeaseHeldError",
-    "LeaseState",
     "RecoveryReport",
     "SimulationError",
     "TraceFileWriteError",
@@ -170,10 +157,8 @@ __all__ = [
     "fire_fault",
     "install",
     "install_from_env",
-    "lease_is_stale",
     "read_events",
     "read_journal",
-    "read_lease",
     "recover",
     "resolve_runner_ref",
     "run_chaos",

@@ -1,9 +1,9 @@
 """Kill/disk-fault chaos harness for the campaign supervisor.
 
-The durability layer (:mod:`repro.runtime.journal`,
-:mod:`repro.runtime.lease`, :mod:`repro.runtime.iofault`) makes strong
-claims: a SIGKILL of the supervisor at *any* instruction — including
-inside a journal or checkpoint write — leaves a run directory from
+The durability layer (:mod:`repro.runtime.journal` with its supervisor
+lock, and :mod:`repro.runtime.iofault`) makes strong claims: a SIGKILL
+of the supervisor at *any* instruction — including inside a journal or
+checkpoint write — leaves a run directory from
 which ``--resume`` completes the campaign with no lost committed
 attempt and no double-execution.  This module tests the claim the only
 honest way: by actually killing real supervisors at seeded random
@@ -265,7 +265,7 @@ def audit_run_dir(
     """
     problems: List[str] = []
 
-    # 1. Artifact validation (includes the journal/lease audit).
+    # 1. Artifact validation (includes the journal audit).
     from repro.validate.artifacts import validate_run_dir
 
     report = validate_run_dir(run_dir, deep=deep)
@@ -283,7 +283,7 @@ def audit_run_dir(
 
     # 3. Journal invariants: exactly-once commits, no double-execution.
     replay = read_journal(run_dir / JOURNAL_FILENAME)
-    # (Fencing-token monotonicity is part of the validation above.)
+    # (Generation monotonicity is part of the validation above.)
     end_counts: Dict[str, int] = {}
     committed_ends: Dict[str, int] = {}
     for record in replay.records:

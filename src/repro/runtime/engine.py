@@ -28,9 +28,8 @@ failure:
   record, and resume decisions come from the journal's recovery
   classification rather than bare checkpoint presence: the checkpoint
   store is a derived snapshot, the journal is the source of truth.
-  Every record and worker attempt is stamped with the supervisor's
-  fencing token (:mod:`repro.runtime.lease`), so a superseded
-  supervisor generation cannot commit results.
+  Every record and worker attempt is stamped with the supervisor
+  generation, so attempts of different supervisor runs stay distinct.
 
 Sleep and clock are injectable so the retry/backoff/deadline behaviour
 is deterministic under test.
@@ -328,9 +327,9 @@ class CampaignEngine:
         self._obs_attempts: Dict[str, Dict[str, object]] = {}
 
     @property
-    def fencing_token(self) -> int:
+    def generation(self) -> int:
         """The supervisor generation stamped into journal records and
-        worker attempts (0 when running without a journal/lease)."""
+        worker attempts (0 when running without a journal)."""
         return self.journal.token if self.journal is not None else 0
 
     def journal_append(self, record_type: str, **fields: object) -> None:
@@ -441,7 +440,7 @@ class CampaignEngine:
             kwargs = dict(base_kwargs)
             if config.quick or degraded:
                 kwargs.update(self.quick_overrides.get(experiment_id, {}))
-            uid = attempt_uid(experiment_id, self.fencing_token, attempt)
+            uid = attempt_uid(experiment_id, self.generation, attempt)
             self.journal_append(
                 "attempt-start",
                 experiment_id=experiment_id,
@@ -561,7 +560,7 @@ class CampaignEngine:
         if outcome.succeeded:
             # The successful attempt's end is journaled only now, after
             # the checkpoint flush — it is the commit record.
-            uid = attempt_uid(experiment_id, self.fencing_token, final_attempt)
+            uid = attempt_uid(experiment_id, self.generation, final_attempt)
             self.journal_append(
                 "attempt-end",
                 experiment_id=experiment_id,
@@ -845,7 +844,7 @@ class CampaignEngine:
         current attempt span, and the RSS peak is kept per attempt_uid
         for ``metrics.json``.
         """
-        uid = attempt_uid(spec.experiment_id, spec.fencing_token, spec.attempt)
+        uid = attempt_uid(spec.experiment_id, spec.generation, spec.attempt)
         entry: Dict[str, object] = {}
         rss = obs.get("rss_peak_kb")
         if isinstance(rss, (int, float)):

@@ -112,20 +112,6 @@ class JournalCorruptError(JournalError):
     category = "journal-corrupt"
 
 
-class LeaseError(ExperimentError):
-    """Base class of the supervisor-lease branch."""
-
-    category = "lease"
-
-
-class LeaseHeldError(LeaseError):
-    """A *live* supervisor already owns the run directory (fresh
-    heartbeat, live PID).  Refusing is the only safe answer; a stale
-    lease would have been reclaimed instead."""
-
-    category = "lease-held"
-
-
 class ValidationError(ExperimentError):
     """Base class of the result-integrity branch: an artifact or result
     failed a :mod:`repro.validate` check.  These are *rejections*, not
@@ -178,14 +164,6 @@ class WorkerMemoryError(WorkerError):
     allocation failure was contained to that one worker."""
 
     category = "worker-rlimit"
-
-
-class FencingViolationError(WorkerError):
-    """A worker payload arrived stamped with a fencing token older than
-    the supervisor's current one — the worker belongs to a superseded
-    supervisor generation and its result must not be committed."""
-
-    category = "fencing-stale"
 
 
 #: Module-prefix -> taxonomy class, most specific attribution first.

@@ -11,13 +11,13 @@ Two jobs live here, deliberately in one dependency-free module:
    a rename is only durable once the directory's own metadata has
    reached disk, so an ``os.replace`` without it can be silently
    undone by power loss.  :mod:`repro.runtime.checkpoint`,
-   :mod:`repro.runtime.journal`, :mod:`repro.runtime.lease`, and
-   :mod:`repro.mem.tracefile` all write through these helpers.
+   :mod:`repro.runtime.journal` and :mod:`repro.mem.tracefile` all
+   write through these helpers.
 
 2. **The deterministic I/O fault injector.**  Every durability-relevant
    syscall in this repo goes through the ``io_*`` wrappers below, each
    tagged with a *site* name (``"journal"``, ``"checkpoint"``,
-   ``"events"``, ``"tracefile"``, ``"lease"``).  An installed
+   ``"events"``, ``"tracefile"``).  An installed
    :class:`IOFaultInjector` counts matching calls and fires a
    configured fault at the Nth one: ``enospc`` and ``eio`` raise the
    real ``OSError``; ``short-write`` writes a torn prefix of the data
@@ -307,7 +307,7 @@ def atomic_write_bytes(
         data: Full new contents.
         site: Injection-site tag for :class:`IOFaultInjector`.
         durable: When False, skip both fsyncs (callers that only need
-            atomicity, e.g. high-rate heartbeats).
+            atomicity, e.g. the ``metrics.json`` snapshot).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

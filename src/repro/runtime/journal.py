@@ -16,11 +16,15 @@ can leave after the last intact record) is truncated on recovery; any
 other damage indicts the storage and is surfaced, never skipped.
 
 **Record contents.**  Every record carries ``seq`` (per-journal,
-strictly increasing), ``token`` (the supervisor's fencing token, see
-:mod:`repro.runtime.lease`), ``t_wall``, and ``type``; records about an
-attempt also carry ``attempt_uid`` — ``"<experiment_id>@<token>.<attempt>"``
-— which is unique across supervisor generations because every
-restart bumps the token.
+strictly increasing), ``token`` (the supervisor generation: one more
+than the highest token already in the journal), ``t_wall``, and
+``type``; records about an attempt also carry ``attempt_uid`` —
+``"<experiment_id>@<token>.<attempt>"`` — which is unique across
+supervisor generations because every restart bumps the token.
+
+**One supervisor.**  A supervisor holds an exclusive ``flock`` on
+``<run_dir>/supervisor.lock`` (:func:`lock_run_dir`) until it exits; the
+kernel drops the lock of a dead holder, so a crash needs no cleanup.
 
 **Recovery.**  :func:`recover` replays the journal against the
 checkpoint store and ``events.jsonl`` and classifies every experiment:
@@ -34,7 +38,7 @@ checkpoint store and ``events.jsonl`` and classifies every experiment:
 - ``in_doubt`` — an ``attempt-start`` with no ``attempt-end``: the
   supervisor died mid-attempt.  The attempt may have done arbitrary
   partial work but committed nothing; resume re-runs it under a new
-  fencing token (a new ``attempt_uid``).
+  generation (a new ``attempt_uid``).
 - ``lost`` — the journal committed an attempt but the checkpoint is
   missing or fails its checksum (a disk fault ate it).  Resume re-runs
   the experiment and the loss is recorded rather than silently
@@ -47,6 +51,8 @@ no-op.
 
 from __future__ import annotations
 
+import fcntl
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -59,6 +65,9 @@ from repro.runtime.errors import JournalCorruptError
 
 #: Filename inside a campaign run directory.
 JOURNAL_FILENAME = "journal.wal"
+
+#: The supervisor lock inside a campaign run directory.
+LOCK_FILENAME = "supervisor.lock"
 
 #: Line magic; bumped if the framing ever changes.
 JOURNAL_MAGIC = "WAL1"
@@ -90,11 +99,65 @@ def attempt_uid(experiment_id: str, token: int, attempt: int) -> str:
     """The globally unique id of one attempt execution.
 
     Unique across supervisor restarts because every restart bumps the
-    fencing token; "exactly-once per attempt uid" is therefore a
+    generation; "exactly-once per attempt uid" is therefore a
     meaningful invariant even for experiments that were legitimately
     re-run after a crash.
     """
     return f"{experiment_id}@{token}.{attempt}"
+
+
+def lock_run_dir(run_dir: Union[str, Path]) -> Optional[int]:
+    """Take the run directory's supervisor lock without waiting.
+
+    Returns the fd that holds ``<run_dir>/supervisor.lock`` exclusively
+    (closing it drops the lock) after writing our PID into the file,
+    or None when another open file holds the lock.  The fd is not
+    inherited across ``exec``, so no worker keeps a dead supervisor's
+    lock alive.  The file is never unlinked: a holder that unlinked it
+    could leave two supervisors locking two different files.
+    """
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    fd = os.open(run_dir / LOCK_FILENAME, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        os.ftruncate(fd, 0)
+        os.write(fd, f"{os.getpid()}\n".encode())
+    except BlockingIOError:
+        os.close(fd)
+        return None
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def run_dir_locked(run_dir: Union[str, Path]) -> bool:
+    """Whether a live process holds the run directory's supervisor lock.
+
+    Probes with a shared lock on a read-only fd and drops it at
+    once; a supervisor started during those microseconds is refused.
+    """
+    try:
+        fd = os.open(Path(run_dir) / LOCK_FILENAME, os.O_RDONLY)
+    except OSError:
+        return False
+    try:
+        fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return True
+    finally:
+        os.close(fd)
+    return False
+
+
+def lock_holder_pid(run_dir: Union[str, Path]) -> Optional[int]:
+    """The PID the last holder wrote into ``supervisor.lock`` (None when
+    the file is missing or holds no PID yet)."""
+    try:
+        return int((Path(run_dir) / LOCK_FILENAME).read_text().strip())
+    except (OSError, ValueError):
+        return None
 
 
 class Journal:
@@ -102,9 +165,7 @@ class Journal:
 
     Args:
         path: The ``journal.wal`` file (parent created on first append).
-        token: Fencing token stamped into every record (see
-            :mod:`repro.runtime.lease`); mutable — a reclaim mid-test
-            can bump it.
+        token: Supervisor generation stamped into every record.
         fsync: fsync the journal fd after every record (the default;
             disable only in throughput tests).
         wall_clock: Injectable time source.
@@ -184,7 +245,7 @@ class JournalReplay(records.Scan):
 
     @property
     def last_token(self) -> int:
-        """The highest fencing token recorded (0 for an empty journal)."""
+        """The highest generation recorded (0 for an empty journal)."""
         tokens = [r.get("token") for r in self.records]
         return max((t for t in tokens if isinstance(t, int)), default=0)
 
@@ -223,7 +284,7 @@ class RecoveryReport:
         lost: Ids the journal committed but whose checkpoint is gone.
         truncated_bytes: Torn-tail bytes dropped from the journal.
         torn_tail: Whether a torn tail was found (and truncated).
-        last_token: Highest fencing token seen in the journal.
+        last_token: Highest generation seen in the journal.
         notes: Human-readable reconciliation notes.
     """
 

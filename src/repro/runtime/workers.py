@@ -76,7 +76,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.runtime.errors import (
     ExperimentFailure,
-    FencingViolationError,
     WorkerCrashError,
     WorkerTimeoutError,
 )
@@ -152,7 +151,7 @@ class AttemptSpec:
     max_rss_mb: Optional[int] = None
     fault: Optional[Dict[str, object]] = None
     workspace: Optional[str] = None
-    fencing_token: int = 0
+    generation: int = 0
     obs: bool = False
     trace_id: Optional[str] = None
     parent_span_id: Optional[str] = None
@@ -169,7 +168,7 @@ class AttemptSpec:
                 "max_rss_mb": self.max_rss_mb,
                 "fault": self.fault,
                 "workspace": self.workspace,
-                "fencing_token": self.fencing_token,
+                "generation": self.generation,
                 "obs": self.obs,
                 "trace_id": self.trace_id,
                 "parent_span_id": self.parent_span_id,
@@ -189,7 +188,7 @@ class AttemptSpec:
             max_rss_mb=payload.get("max_rss_mb"),
             fault=payload.get("fault"),
             workspace=payload.get("workspace"),
-            fencing_token=int(payload.get("fencing_token", 0)),
+            generation=int(payload.get("generation", 0)),
             obs=bool(payload.get("obs", False)),
             trace_id=payload.get("trace_id"),
             parent_span_id=payload.get("parent_span_id"),
@@ -221,7 +220,6 @@ def parse_worker_payload(
     spec: AttemptSpec,
     stdout: str,
     stderr_tail: str = "",
-    expected_token: Optional[int] = None,
     obs_sink: Optional[Callable[[Dict[str, object]], None]] = None,
 ) -> Tuple[Optional[ExperimentResult], Optional[ExperimentFailure]]:
     """Decode a worker's stdout into ``(result, failure)``.
@@ -230,35 +228,13 @@ def parse_worker_payload(
     classified :class:`WorkerCrashError` failure — the supervisor never
     crashes on what a dying worker managed to write.
 
-    When ``expected_token`` is given, the payload's echoed fencing
-    token must match it: a payload stamped with an older token comes
-    from a worker spawned by a superseded supervisor generation (see
-    :mod:`repro.runtime.lease`) and is rejected as a
-    :class:`~repro.runtime.errors.FencingViolationError` failure rather
-    than committed.  A payload with no token field counts as token 0,
-    so any fenced supervisor (token >= 1) rejects it too.
-
     ``obs_sink`` receives the payload's optional ``obs`` block (worker
-    metrics snapshot, buffered spans, RSS peak) once the payload passes
-    the fencing check — telemetry from a fenced-out worker generation
-    is dropped with its result.
+    metrics snapshot, buffered spans, RSS peak).
     """
     try:
         payload = json.loads(stdout)
         if not isinstance(payload, dict):
             raise ValueError(f"payload is {type(payload).__name__}, not object")
-        if expected_token is not None:
-            stated = int(payload.get("token", 0))
-            if stated != expected_token:
-                return None, _worker_failure(
-                    spec,
-                    FencingViolationError,
-                    f"worker for {spec.experiment_id} returned a payload "
-                    f"stamped with fencing token {stated}, but the current "
-                    f"supervisor generation is {expected_token}; the result "
-                    "is from a superseded supervisor and was rejected",
-                    stderr_tail,
-                )
         obs = payload.get("obs")
         if obs_sink is not None and isinstance(obs, dict):
             obs_sink(obs)
@@ -348,11 +324,6 @@ class WorkerSupervisor:
         on_event: Callback ``(event, experiment_id, detail_dict)`` —
             the engine routes these into its event log
             (``worker-killed`` etc.).
-        current_token: Callable returning the supervisor's *current*
-            fencing token; payloads are checked against it at parse
-            time (not spawn time), so a token bumped mid-flight by a
-            lease reclaim fences out workers already running.  None
-            disables the check (legacy callers).
         obs_sink: Callback ``(spec, obs_dict)`` receiving the telemetry
             block a worker shipped in its payload (the pool wires the
             engine's campaign rollup here).
@@ -365,7 +336,6 @@ class WorkerSupervisor:
         hard_timeout_seconds: Optional[float] = None,
         term_grace_seconds: float = 5.0,
         on_event: Optional[Callable[[str, str, Dict[str, object]], None]] = None,
-        current_token: Optional[Callable[[], int]] = None,
         obs_sink: Optional[
             Callable[[AttemptSpec, Dict[str, object]], None]
         ] = None,
@@ -378,7 +348,6 @@ class WorkerSupervisor:
         self.hard_timeout_seconds = hard_timeout_seconds
         self.term_grace_seconds = term_grace_seconds
         self.on_event = on_event
-        self.current_token = current_token
         self.obs_sink = obs_sink
         self.preload = tuple(preload)
         self._server: Optional[ForkServer] = None
@@ -479,9 +448,6 @@ class WorkerSupervisor:
             )
         returncode = proc.returncode
         if returncode == 0:
-            expected = (
-                self.current_token() if self.current_token is not None else None
-            )
             sink = None
             if self.obs_sink is not None:
                 obs_sink = self.obs_sink
@@ -493,7 +459,6 @@ class WorkerSupervisor:
                 spec,
                 stdout,
                 stderr_tail,
-                expected_token=expected,
                 obs_sink=sink,
             )
         if returncode is None:
@@ -635,7 +600,6 @@ class WorkerPool:
             hard_timeout_seconds=self._hard_deadline(config),
             term_grace_seconds=config.term_grace_seconds,
             on_event=self._supervisor_event,
-            current_token=lambda: engine.fencing_token,
             obs_sink=getattr(engine, "record_worker_obs", None),
         )
         # Submit timestamps for queue-wait accounting (experiment id ->
@@ -698,7 +662,7 @@ class WorkerPool:
             max_rss_mb=engine.config.max_rss_mb,
             fault=fault_dict,
             workspace=workspace,
-            fencing_token=engine.fencing_token,
+            generation=engine.generation,
             obs=obs_metrics.obs_enabled(),
             trace_id=tracer.trace_id if tracer is not None else None,
             parent_span_id=(

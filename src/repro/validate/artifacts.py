@@ -45,14 +45,12 @@ finding code                defect class
 ``journal-torn``            torn record at the journal's tail
                             (warning: the expected crash signature)
 ``journal-corrupt``         damaged record other than the torn tail, or
-                            a fencing token that goes backwards
+                            a supervisor generation (``token``) that
+                            goes backwards
 ``journal-schema``          journal record violates the record schema
 ``journal-seq``             journal sequence numbers not increasing
 ``journal-missing``         checkpoints exist but no journal (warning:
                             a pre-journal run directory)
-``lease-stale``             a supervisor lease file left behind by a
-                            dead owner (warning: reclaimed on resume)
-``lease-schema``            lease file undecodable / violates schema
 ``spans-torn``              damaged ``spans.jsonl`` record (torn tail
                             warns)
 ``spans-schema``            span record violates the span schema
@@ -241,7 +239,8 @@ _JOURNAL = _LogKind(
     subject="journal", magic=JOURNAL_MAGIC,
     damage_code="journal-corrupt", torn_code="journal-torn",
     schema="journal-record", schema_code="journal-schema",
-    # Fencing tokens never go backwards, by protocol.
+    # Supervisor generations never go backwards: each is one more than
+    # the highest already in the journal.
     monotonic=(("seq", "journal-seq", True), ("token", "journal-corrupt", False)),
 )
 _SPANS = _LogKind(
@@ -273,7 +272,7 @@ def validate_events_file(path: Union[str, Path]) -> ValidationReport:
 def validate_journal_file(path: Union[str, Path]) -> ValidationReport:
     """Audit a write-ahead journal (``journal.wal``, ``shards.wal``,
     ``<key>.ckpt.wal``): codes ``journal-torn``, ``journal-corrupt``
-    (including a fencing token that goes backwards), ``journal-schema``
+    (including a generation that goes backwards), ``journal-schema``
     and ``journal-seq``."""
     return _validate_log(path, _JOURNAL)
 
@@ -297,46 +296,6 @@ def validate_archive_file(path: Union[str, Path]) -> ValidationReport:
     refuse those, so one on disk means the archive was edited outside
     the writers)."""
     return _validate_log(path, _ARCHIVE)
-
-
-def validate_lease_file(path: Union[str, Path]) -> ValidationReport:
-    """Audit a leftover supervisor lease (``supervisor.lease``).
-
-    A run directory at rest should have no lease at all (supervisors
-    remove theirs on exit).  One left by a dead or silent owner is a
-    warning — the next supervisor reclaims it — and an undecodable or
-    schema-violating one is an error.
-    """
-    from repro.runtime.lease import lease_is_stale, read_lease
-
-    path = Path(path)
-    report = ValidationReport(subject=f"lease {path.name}")
-    if not path.is_file():
-        return report
-    report.tick()
-    state = read_lease(path)
-    if state is None:
-        report.add(
-            "lease-schema",
-            "lease file exists but is undecodable",
-            path=path.name,
-        )
-        return report
-    import json as _json
-
-    for problem in check_schema(
-        _json.loads(state.to_json()), schema_for("lease")
-    ):
-        report.add("lease-schema", problem, path=path.name)
-    if lease_is_stale(state):
-        report.add(
-            "lease-stale",
-            f"lease held by dead/silent supervisor pid {state.pid} "
-            f"(token {state.token}); the next supervisor will reclaim it",
-            path=path.name,
-            severity=SEVERITY_WARNING,
-        )
-    return report
 
 
 def validate_trace_file(path: Union[str, Path]) -> ValidationReport:
@@ -707,7 +666,7 @@ def validate_run_dir(
     # -- events --------------------------------------------------------
     report.extend(validate_events_file(store.events_path))
 
-    # -- journal / lease ----------------------------------------------
+    # -- journal ------------------------------------------------------
     journal_path = run_dir / "journal.wal"
     report.extend(validate_journal_file(journal_path))
     if not journal_path.is_file() and statuses_on_disk:
@@ -717,7 +676,6 @@ def validate_run_dir(
             "run directory; resume falls back to checkpoint presence)",
             severity=SEVERITY_WARNING,
         )
-    report.extend(validate_lease_file(run_dir / "supervisor.lease"))
 
     # -- observability artifacts --------------------------------------
     report.extend(validate_spans_file(run_dir / "spans.jsonl"))

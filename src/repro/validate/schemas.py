@@ -237,19 +237,6 @@ JOURNAL_RECORD_SCHEMA: Dict[str, object] = {
     },
 }
 
-#: The supervisor lease file (:mod:`repro.runtime.lease`).
-LEASE_SCHEMA: Dict[str, object] = {
-    "type": "object",
-    "required": ["pid", "token", "acquired_wall", "heartbeat_wall"],
-    "properties": {
-        "pid": {"type": "integer", "minimum": 1},
-        "token": {"type": "integer", "minimum": 1},
-        "acquired_wall": {"type": "number"},
-        "heartbeat_wall": {"type": "number"},
-        "hostname": {"type": "string"},
-    },
-}
-
 #: The reference-count header (:func:`repro.mem.tracefile.trace_header`)
 #: that savers may embed in an archive's metadata.
 TRACE_HEADER_SCHEMA: Dict[str, object] = {
@@ -412,7 +399,6 @@ PAYLOAD_SCHEMAS: Dict[str, Dict[str, object]] = {
     "event": EVENT_SCHEMA,
     "trace-header": TRACE_HEADER_SCHEMA,
     "journal-record": JOURNAL_RECORD_SCHEMA,
-    "lease": LEASE_SCHEMA,
     "span": SPAN_SCHEMA,
     "metrics": METRICS_SNAPSHOT_SCHEMA,
     "timeline-row": TIMELINE_ROW_SCHEMA,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 from repro.experiments.__main__ import EXPERIMENTS, SUBCOMMANDS, main
 from repro.runtime.checkpoint import CheckpointStore
@@ -190,11 +191,15 @@ class TestChaosSubcommand:
 
 
 class TestDurabilityCLI:
-    """The journal/lease wiring of the main campaign entry point."""
+    """The journal and supervisor-lock wiring of the main campaign
+    entry point."""
 
     def test_campaign_journals_and_releases_lease(self, tmp_path, capsys):
-        from repro.runtime.journal import JOURNAL_FILENAME, read_journal
-        from repro.runtime.lease import LEASE_FILENAME
+        from repro.runtime.journal import (
+            JOURNAL_FILENAME,
+            lock_run_dir,
+            read_journal,
+        )
 
         run_dir = tmp_path / "run"
         assert (
@@ -206,7 +211,9 @@ class TestDurabilityCLI:
         assert types[0] == "campaign-start"
         assert "attempt-end" in types and "summary-flushed" in types
         assert all(r["token"] == 1 for r in replay.records)
-        assert not (run_dir / LEASE_FILENAME).exists()
+        fd = lock_run_dir(run_dir)  # free once main returns
+        assert fd is not None
+        os.close(fd)
 
     def test_resume_journals_recovery_under_new_token(self, tmp_path, capsys):
         from repro.runtime.journal import JOURNAL_FILENAME, read_journal
@@ -224,16 +231,86 @@ class TestDurabilityCLI:
         assert recovered[0]["committed"] == ["table1"]
 
     def test_live_lease_refuses_second_supervisor(self, tmp_path, capsys):
-        from repro.runtime.lease import Lease
+        from repro.runtime.journal import lock_run_dir
 
         run_dir = tmp_path / "run"
-        run_dir.mkdir(parents=True)
-        with Lease.acquire(run_dir):
+        fd = lock_run_dir(run_dir)
+        try:
             code = main(
                 ["--quick", "--jobs", "0", "--run-dir", str(run_dir), "table1"]
             )
+        finally:
+            os.close(fd)
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "lease refused" in out and f"pid {os.getpid()}" in out
+
+    def test_refused_supervisor_leaves_run_dir_untouched(self, tmp_path, capsys):
+        """Refusal comes before streaming setup, spans, the timeline and
+        journal recovery: not one file appears, grows or shrinks."""
+        from repro.runtime.journal import JOURNAL_FILENAME, lock_run_dir
+
+        run_dir = tmp_path / "run"
+        main(["--quick", "--jobs", "0", "--run-dir", str(run_dir), "table1"])
+        with open(run_dir / JOURNAL_FILENAME, "ab") as handle:
+            handle.write(b"WAL1 torn")  # recovery would truncate this
+        (run_dir / "spans.jsonl").unlink()
+        (run_dir / "timeline.jsonl").unlink(missing_ok=True)
+
+        def snapshot():
+            return {
+                str(path.relative_to(run_dir)): path.stat().st_size
+                for path in sorted(run_dir.rglob("*"))
+            }
+
+        fd = lock_run_dir(run_dir)
+        try:
+            before = snapshot()
+            capsys.readouterr()
+            code = main(
+                ["--quick", "--jobs", "0", "--stream", "--resume",
+                 str(run_dir), "table1"]
+            )
+            after = snapshot()
+        finally:
+            os.close(fd)
         assert code == 1
         assert "lease refused" in capsys.readouterr().out
+        assert after == before
+
+    def test_resume_of_a_lease_era_run_dir(self, tmp_path, capsys):
+        """A run directory in the heartbeat-lease format (journal tokens
+        1-2, a stale ``supervisor.lease``, no lock file) resumes under
+        generation 3 and validates clean."""
+        from repro.runtime.journal import (
+            JOURNAL_FILENAME,
+            LOCK_FILENAME,
+            read_journal,
+        )
+
+        run_dir = tmp_path / "run"
+        args = ["--quick", "--jobs", "0", "table1"]
+        assert main([*args, "--run-dir", str(run_dir)]) == 0
+        assert main([*args, "--resume", str(run_dir)]) == 0
+        (run_dir / LOCK_FILENAME).unlink()
+        (run_dir / "supervisor.lease").write_text(
+            json.dumps(
+                {"pid": 2**22 + 1, "token": 2, "acquired_wall": 0.0,
+                 "heartbeat_wall": 0.0, "hostname": "gone"},
+                sort_keys=True,
+            )
+        )
+        replay = read_journal(run_dir / JOURNAL_FILENAME)
+        assert [r["token"] for r in replay.records][-1] == 2
+        assert main([*args, "--resume", str(run_dir)]) == 0
+        recovered = [
+            r
+            for r in read_journal(run_dir / JOURNAL_FILENAME).records
+            if r["type"] == "recovered"
+        ]
+        assert [r["token"] for r in recovered] == [2, 3]
+        capsys.readouterr()
+        assert main(["validate", str(run_dir)]) == 0, capsys.readouterr().out
 
     def test_corrupt_journal_refuses_to_run(self, tmp_path, capsys):
         from repro.runtime.journal import JOURNAL_FILENAME
@@ -247,20 +324,6 @@ class TestDurabilityCLI:
         path.write_bytes(bytes(blob))
         assert main(["--quick", "--jobs", "0", "--resume", str(run_dir), "table1"]) == 1
         assert "journal unusable" in capsys.readouterr().out
-
-    def test_nonpositive_lease_ttl_is_usage_error(self, tmp_path, capsys):
-        code = main(
-            [
-                "--quick",
-                "--lease-ttl-seconds",
-                "0",
-                "--run-dir",
-                str(tmp_path / "run"),
-                "table1",
-            ]
-        )
-        assert code == 2
-        assert "must be positive" in capsys.readouterr().out
 
     def test_validate_audits_the_journal(self, tmp_path, capsys):
         from repro.runtime.journal import JOURNAL_FILENAME

@@ -19,6 +19,7 @@ from repro.obs.status import (
     STATE_FAILED,
     STATE_IN_DOUBT,
     STATE_OK,
+    STATE_RUNNING,
     load_status,
     render_status,
 )
@@ -26,8 +27,7 @@ from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import CampaignEngine, EngineConfig
 from repro.runtime.events import EventLog
-from repro.runtime.journal import Journal
-from repro.runtime.lease import LEASE_FILENAME, LeaseState
+from repro.runtime.journal import Journal, lock_run_dir
 from repro.runtime.records import frame
 from repro.validate.fuzz import MUTATIONS
 
@@ -142,34 +142,42 @@ class TestFailuresAndRetries:
 
 
 class TestLiveness:
-    def _lease(self, run_dir, heartbeat_wall):
-        state = LeaseState(
-            pid=os.getpid(),
-            token=3,
-            acquired_wall=heartbeat_wall,
-            heartbeat_wall=heartbeat_wall,
-            hostname="testhost",
-        )
-        (run_dir / LEASE_FILENAME).write_text(state.to_json())
+    """Liveness comes from the run directory's supervisor lock."""
+
+    def _open_attempt(self, run_dir):
+        """A finished campaign plus one attempt that never ended."""
+        run_campaign(run_dir, [FakeExperiment("a")])
+        with Journal(run_dir / "journal.wal", fsync=False) as journal:
+            journal.append("attempt-start", experiment_id="b", attempt=1)
 
     def test_live_lease_means_running(self, tmp_path):
+        # A lock held on a separate open file is live, even when the
+        # holder is this very process.
         run_dir = tmp_path / "run"
-        run_campaign(run_dir, [FakeExperiment("a")])
-        now = 1_700_000_000.0
-        self._lease(run_dir, heartbeat_wall=now - 1.0)
-        status = load_status(run_dir, now=now)
+        self._open_attempt(run_dir)
+        fd = lock_run_dir(run_dir)
+        try:
+            status = load_status(run_dir)
+        finally:
+            os.close(fd)
         assert status.state == "running"
-        assert status.supervisor["live"] is True
-        assert status.supervisor["pid"] == os.getpid()
+        assert status.supervisor == {"pid": os.getpid(), "live": True}
+        assert status.experiments["b"].state == STATE_RUNNING
+        assert f"supervisor pid {os.getpid()}, live" in render_status(status)
 
     def test_stale_lease_does_not_claim_running(self, tmp_path):
+        # An unlocked leftover file: its PID is shown, the open attempt
+        # is in doubt, and the probe leaves the lock free.
         run_dir = tmp_path / "run"
-        run_campaign(run_dir, [FakeExperiment("a")])
-        now = 1_700_000_000.0
-        self._lease(run_dir, heartbeat_wall=now - 3600.0)
-        status = load_status(run_dir, now=now)
+        self._open_attempt(run_dir)
+        os.close(lock_run_dir(run_dir))
+        status = load_status(run_dir)
         assert status.state == "complete"
-        assert status.supervisor["live"] is False
+        assert status.supervisor == {"pid": os.getpid(), "live": False}
+        assert status.experiments["b"].state == STATE_IN_DOUBT
+        fd = lock_run_dir(run_dir)
+        assert fd is not None
+        os.close(fd)
 
 
 class TestThroughput:

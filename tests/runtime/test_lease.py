@@ -1,305 +1,160 @@
-"""Tests for the supervisor lease: acquire/reclaim/refuse, monotonic
-fencing tokens, and stale-worker rejection."""
+"""Tests for the supervisor's claim on a run directory: acquiring and
+refusing ``supervisor.lock``, reclaiming a dead holder's directory, and
+the supervisor generation (journal ``token``) a campaign runs under.
+
+The generation is one more than the highest token already in the
+journal, so every restart, crashed or clean, journals under a new one.
+"""
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
+import sys
+import time
 
-import pytest
-
-from repro.runtime.errors import FencingViolationError, LeaseHeldError
-from repro.runtime.lease import (
-    DEFAULT_TTL_SECONDS,
-    LEASE_FILENAME,
-    Lease,
-    LeaseState,
-    lease_is_stale,
-    pid_alive,
-    read_lease,
+from repro.experiments.__main__ import main
+from repro.runtime.journal import (
+    JOURNAL_FILENAME,
+    LOCK_FILENAME,
+    Journal,
+    lock_holder_pid,
+    lock_run_dir,
+    read_journal,
+    run_dir_locked,
 )
-from repro.runtime.workers import AttemptSpec, parse_worker_payload
 
-from tests.runtime.conftest import make_result
+QUICK = ["--quick", "--jobs", "0", "table1"]
+
+#: Takes the lock of the run directory in ``argv[1]``, reports it, and
+#: exits without closing the fd: only the kernel drops the lock.
+HOLD_AND_EXIT = (
+    "import os, sys\n"
+    "from repro.runtime.journal import lock_run_dir\n"
+    "assert lock_run_dir(sys.argv[1]) is not None\n"
+    "print('locked', flush=True)\n"
+    "sys.stdin.readline()\n"
+    "os._exit(0)\n"
+)
 
 
-class _FakeDwell:
-    """Deterministic monotonic/sleep pair for the reclaim dwell."""
+def subprocess_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    return env
 
-    def __init__(self) -> None:
-        self.t = 0.0
-        self.on_sleep = None
 
-    def monotonic(self) -> float:
-        return self.t
+def hold_then_exit(run_dir):
+    """Run :data:`HOLD_AND_EXIT` against ``run_dir``; return its pid once
+    it has held the lock and exited."""
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLD_AND_EXIT, str(run_dir)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=subprocess_env(),
+    )
+    try:
+        assert holder.stdout.readline().strip() == "locked"
+        assert run_dir_locked(run_dir)
+        holder.stdin.write("\n")
+        holder.stdin.flush()
+        assert holder.wait(timeout=30) == 0
+    finally:
+        if holder.poll() is None:
+            holder.kill()
+            holder.wait(timeout=30)
+        holder.stdin.close()
+        holder.stdout.close()
+    return holder.pid
 
-    def sleep(self, seconds: float) -> None:
-        self.t += seconds
-        if self.on_sleep is not None:
-            self.on_sleep()
+
+def journal_tokens(run_dir):
+    return [r["token"] for r in read_journal(run_dir / JOURNAL_FILENAME).records]
 
 
 class TestAcquire:
-    def test_fresh_acquire_gets_token_1(self, tmp_path):
-        with Lease.acquire(tmp_path) as lease:
-            assert lease.token == 1
-            state = read_lease(tmp_path / LEASE_FILENAME)
-            assert state.pid == os.getpid() and state.token == 1
-        assert read_lease(tmp_path / LEASE_FILENAME) is None  # released
+    def test_fresh_acquire_gets_token_1(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main([*QUICK, "--run-dir", str(run_dir)]) == 0, (
+            capsys.readouterr().out
+        )
+        assert set(journal_tokens(run_dir)) == {1}
+        # Released on return; the file keeps the last holder's PID.
+        assert not run_dir_locked(run_dir)
+        assert lock_holder_pid(run_dir) == os.getpid()
 
-    def test_token_floor_from_journal(self, tmp_path):
-        with Lease.acquire(tmp_path, token_floor=7) as lease:
-            assert lease.token == 8
+    def test_token_floor_from_journal(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        with Journal(run_dir / JOURNAL_FILENAME, token=7) as journal:
+            journal.append(
+                "campaign-start", experiments=["table1"], quick=True, jobs=0
+            )
+        assert main([*QUICK, "--resume", str(run_dir)]) == 0, (
+            capsys.readouterr().out
+        )
+        tokens = journal_tokens(run_dir)
+        assert tokens[0] == 7 and set(tokens[1:]) == {8}
 
     def test_live_lease_is_refused(self, tmp_path):
-        with Lease.acquire(tmp_path):
-            with pytest.raises(LeaseHeldError, match="live supervisor"):
-                Lease.acquire(tmp_path)
+        fd = lock_run_dir(tmp_path)
+        assert fd is not None
+        try:
+            # A second open file is refused, even in the same process.
+            assert lock_run_dir(tmp_path) is None
+            assert run_dir_locked(tmp_path)
+        finally:
+            os.close(fd)
+        fd = lock_run_dir(tmp_path)
+        assert fd is not None
+        os.close(fd)
 
-    def test_dead_owner_is_reclaimed_with_bumped_token(self, tmp_path):
-        proc = subprocess.Popen(["true"])
-        proc.wait()
-        state = LeaseState(
-            pid=proc.pid, token=3, acquired_wall=0.0, heartbeat_wall=0.0
+    def test_dead_owner_is_reclaimed_with_bumped_token(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main([*QUICK, "--run-dir", str(run_dir)]) == 0
+        dead_pid = hold_then_exit(run_dir)
+        assert lock_holder_pid(run_dir) == dead_pid
+        assert not run_dir_locked(run_dir)
+        assert main([*QUICK, "--resume", str(run_dir)]) == 0, (
+            capsys.readouterr().out
         )
-        (tmp_path / LEASE_FILENAME).write_text(state.to_json())
-        with Lease.acquire(tmp_path) as lease:
-            assert lease.token == 4
-
-    def test_silent_owner_is_reclaimed_after_ttl(self, tmp_path):
-        # Owner PID is alive (it is us) but stopped heartbeating.
-        now = 1000.0
-        state = LeaseState(
-            pid=os.getpid(),
-            token=2,
-            acquired_wall=now - 100,
-            heartbeat_wall=now - 100,
-        )
-        (tmp_path / LEASE_FILENAME).write_text(state.to_json())
-        with pytest.raises(LeaseHeldError):
-            Lease.acquire(tmp_path, ttl_seconds=500.0, wall_clock=lambda: now)
-        dwell = _FakeDwell()
-        with Lease.acquire(
-            tmp_path,
-            ttl_seconds=30.0,
-            wall_clock=lambda: now,
-            monotonic_clock=dwell.monotonic,
-            sleep=dwell.sleep,
-        ) as lease:
-            assert lease.token == 3
-        # The reclaim really dwelled (ttl/2) before trusting the
-        # wall-clock staleness verdict.
-        assert dwell.t >= 15.0
+        assert set(journal_tokens(run_dir)) == {1, 2}
+        assert journal_tokens(run_dir)[-1] == 2
+        assert lock_holder_pid(run_dir) == os.getpid()
 
     def test_undecodable_lease_treated_as_absent(self, tmp_path):
-        (tmp_path / LEASE_FILENAME).write_text("{torn")
-        with Lease.acquire(tmp_path, token_floor=5) as lease:
-            assert lease.token == 6
-
-    def test_nonpositive_ttl_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="ttl_seconds"):
-            Lease.acquire(tmp_path, ttl_seconds=0)
-
-
-class TestHeartbeatAndRelease:
-    def test_heartbeat_refreshes_timestamp(self, tmp_path):
-        clock = iter([100.0, 200.0, 300.0])
-        lease = Lease.acquire(tmp_path, wall_clock=lambda: next(clock))
-        lease.heartbeat()
-        assert read_lease(tmp_path / LEASE_FILENAME).heartbeat_wall == 200.0
-        lease.release()
-
-    def test_heartbeat_thread_beats_and_stops(self, tmp_path):
-        lease = Lease.acquire(tmp_path)
-        lease.start_heartbeat(interval_seconds=0.01)
-        import time as _time
-
-        deadline = _time.monotonic() + 2.0
-        acquired = lease.state.heartbeat_wall
-        while _time.monotonic() < deadline:
-            state = read_lease(tmp_path / LEASE_FILENAME)
-            if state is not None and state.heartbeat_wall > acquired:
-                break
-            _time.sleep(0.01)
-        else:
-            pytest.fail("heartbeat thread never refreshed the lease")
-        lease.release()
-        assert not (tmp_path / LEASE_FILENAME).exists()
-
-    def test_release_leaves_a_newer_owner_alone(self, tmp_path):
-        lease = Lease.acquire(tmp_path)
-        usurper = LeaseState(
-            pid=os.getpid(), token=99, acquired_wall=0.0, heartbeat_wall=0.0
-        )
-        (tmp_path / LEASE_FILENAME).write_text(usurper.to_json())
-        lease.release()
-        # The usurper's file survives: fencing forbids deleting it.
-        assert read_lease(tmp_path / LEASE_FILENAME).token == 99
+        (tmp_path / LOCK_FILENAME).write_text("{torn" * 100)
+        (tmp_path / "supervisor.lease").write_text("{torn")
+        assert lock_holder_pid(tmp_path) is None
+        assert not run_dir_locked(tmp_path)
+        fd = lock_run_dir(tmp_path)
+        assert fd is not None
+        try:
+            # The holder's PID replaces every byte of the old content.
+            assert (tmp_path / LOCK_FILENAME).read_text() == f"{os.getpid()}\n"
+        finally:
+            os.close(fd)
 
 
 class TestClockSkew:
-    """Monotonic-vs-wall cross-check: a reader whose wall clock runs a
-    full TTL ahead of a live owner's must NOT steal the lease — the
-    off-by-TTL reclaim window is closed by heartbeat progress observed
-    across a monotonic dwell."""
-
-    TTL = 30.0
-
-    def _owner_lease(self, tmp_path, heartbeat_wall: float) -> LeaseState:
-        state = LeaseState(
-            pid=os.getpid(),
-            token=5,
-            acquired_wall=heartbeat_wall,
-            heartbeat_wall=heartbeat_wall,
-        )
-        (tmp_path / LEASE_FILENAME).write_text(state.to_json())
-        return state
-
-    def test_skewed_reader_refuses_live_owner(self, tmp_path):
-        # Owner heartbeat "now" by its own clock (t=1000); the reader's
-        # wall clock is 2*TTL ahead, so the snapshot verdict says stale.
-        owner = self._owner_lease(tmp_path, heartbeat_wall=1000.0)
-        dwell = _FakeDwell()
-        beats = []
-
-        def owner_heartbeats():
-            # The live owner refreshes mid-dwell (on its own clock).
-            if not beats:
-                beats.append(True)
-                refreshed = LeaseState(
-                    pid=owner.pid,
-                    token=owner.token,
-                    acquired_wall=owner.acquired_wall,
-                    heartbeat_wall=owner.heartbeat_wall + 10.0,
-                )
-                (tmp_path / LEASE_FILENAME).write_text(refreshed.to_json())
-
-        dwell.on_sleep = owner_heartbeats
-        with pytest.raises(LeaseHeldError, match="clock skew"):
-            Lease.acquire(
-                tmp_path,
-                ttl_seconds=self.TTL,
-                wall_clock=lambda: 1000.0 + 2 * self.TTL,
-                monotonic_clock=dwell.monotonic,
-                sleep=dwell.sleep,
-            )
-        # The live owner's lease survived untouched.
-        assert read_lease(tmp_path / LEASE_FILENAME).token == owner.token
-
-    def test_dwell_confirms_truly_silent_owner(self, tmp_path):
-        # Same skewed snapshot, but the owner never heartbeats during
-        # the dwell: a genuinely hung owner is still reclaimed.
-        self._owner_lease(tmp_path, heartbeat_wall=1000.0)
-        dwell = _FakeDwell()
-        with Lease.acquire(
-            tmp_path,
-            ttl_seconds=self.TTL,
-            wall_clock=lambda: 1000.0 + 2 * self.TTL,
-            monotonic_clock=dwell.monotonic,
-            sleep=dwell.sleep,
-        ) as lease:
-            assert lease.token == 6
-        assert dwell.t >= self.TTL / 2.0
-
     def test_dead_pid_reclaims_without_dwell(self, tmp_path):
-        proc = subprocess.Popen(["true"])
-        proc.wait()
-        state = LeaseState(
-            pid=proc.pid, token=3, acquired_wall=0.0, heartbeat_wall=0.0
-        )
-        (tmp_path / LEASE_FILENAME).write_text(state.to_json())
-
-        def must_not_sleep(seconds: float) -> None:
-            pytest.fail("dead-PID reclaim must not dwell")
-
-        with Lease.acquire(
-            tmp_path, sleep=must_not_sleep
-        ) as lease:
-            assert lease.token == 4
-
-    def test_owner_release_during_dwell_allows_reclaim(self, tmp_path):
-        self._owner_lease(tmp_path, heartbeat_wall=1000.0)
-        dwell = _FakeDwell()
-        dwell.on_sleep = lambda: (tmp_path / LEASE_FILENAME).unlink(
-            missing_ok=True
-        )
-        with Lease.acquire(
-            tmp_path,
-            ttl_seconds=self.TTL,
-            wall_clock=lambda: 1000.0 + 2 * self.TTL,
-            monotonic_clock=dwell.monotonic,
-            sleep=dwell.sleep,
-        ) as lease:
-            assert lease.token == 6
+        hold_then_exit(tmp_path)
+        # A lock file stamped far in the future changes nothing: the
+        # lock reads no clock.
+        future = time.time() + 10 * 24 * 3600
+        os.utime(tmp_path / LOCK_FILENAME, (future, future))
+        started = time.monotonic()
+        fd = lock_run_dir(tmp_path)
+        assert fd is not None
+        os.close(fd)
+        assert time.monotonic() - started < 1.0
 
 
 class TestStaleness:
-    def test_dead_pid_is_stale(self):
+    def test_dead_pid_is_stale(self, tmp_path):
         proc = subprocess.Popen(["true"])
         proc.wait()
-        state = LeaseState(
-            pid=proc.pid, token=1, acquired_wall=0.0, heartbeat_wall=0.0
-        )
-        assert lease_is_stale(state)
-
-    def test_future_heartbeat_is_fresh(self):
-        state = LeaseState(
-            pid=os.getpid(), token=1, acquired_wall=0.0, heartbeat_wall=1e12
-        )
-        assert not lease_is_stale(state, ttl_seconds=DEFAULT_TTL_SECONDS)
-
-    def test_pid_alive_basics(self):
-        assert pid_alive(os.getpid())
-        assert not pid_alive(0) and not pid_alive(-5)
-
-
-class TestFencing:
-    """A worker payload from a superseded supervisor must be rejected."""
-
-    def make_spec(self, token: int) -> AttemptSpec:
-        return AttemptSpec(
-            experiment_id="figA",
-            runner="tests.runtime.worker_targets:ok_result",
-            fencing_token=token,
-        )
-
-    def ok_payload(self, token: int) -> str:
-        return json.dumps(
-            {
-                "ok": True,
-                "result": make_result("figA").to_dict(),
-                "token": token,
-            }
-        )
-
-    def test_current_token_is_accepted(self):
-        result, failure = parse_worker_payload(
-            self.make_spec(2), self.ok_payload(2), expected_token=2
-        )
-        assert failure is None and result.experiment_id == "figA"
-
-    def test_stale_token_is_rejected(self):
-        result, failure = parse_worker_payload(
-            self.make_spec(1), self.ok_payload(1), expected_token=2
-        )
-        assert result is None
-        assert failure.error_type == "FencingViolationError"
-        assert failure.category == FencingViolationError.category
-        assert "superseded" in failure.message
-
-    def test_tokenless_legacy_payload_rejected_by_fenced_supervisor(self):
-        payload = json.dumps(
-            {"ok": True, "result": make_result("figA").to_dict()}
-        )
-        _, failure = parse_worker_payload(
-            self.make_spec(0), payload, expected_token=1
-        )
-        assert failure is not None
-        assert failure.error_type == "FencingViolationError"
-
-    def test_no_expectation_accepts_anything(self):
-        result, failure = parse_worker_payload(
-            self.make_spec(0), self.ok_payload(0), expected_token=None
-        )
-        assert failure is None and result is not None
+        (tmp_path / LOCK_FILENAME).write_text(f"{proc.pid}\n")
+        # The file still names the dead holder, but nothing holds the lock.
+        assert lock_holder_pid(tmp_path) == proc.pid
+        assert not run_dir_locked(tmp_path)

@@ -259,7 +259,8 @@ class TestTraceFile:
 
 
 class TestJournalAndLease:
-    """The durability artifacts: journal.wal and supervisor.lease."""
+    """The durability artifacts: journal.wal and a leftover supervisor
+    lock or lease file."""
 
     def write_journal(self, run_dir, *appends, token=1):
         from repro.runtime.journal import JOURNAL_FILENAME, Journal
@@ -343,29 +344,34 @@ class TestJournalAndLease:
         assert "journal-schema" in report.codes()
         assert not report.ok
 
-    def test_stale_lease_is_a_warning(self, clean_run):
+    def test_stale_lease_is_not_a_finding(self, clean_run):
+        """The heartbeat lease file older run directories carry, naming
+        a dead holder, beside a released ``supervisor.lock``, is no
+        finding at all."""
+        import json
         import subprocess
-
-        from repro.runtime.lease import LEASE_FILENAME, LeaseState
 
         proc = subprocess.Popen(["true"])
         proc.wait()
-        state = LeaseState(
-            pid=proc.pid, token=1, acquired_wall=0.0, heartbeat_wall=0.0
+        (clean_run / "supervisor.lease").write_text(
+            json.dumps(
+                {"pid": proc.pid, "token": 1, "acquired_wall": 0.0,
+                 "heartbeat_wall": 0.0, "hostname": "gone"},
+                sort_keys=True,
+            )
         )
-        (clean_run / LEASE_FILENAME).write_text(state.to_json())
+        (clean_run / "supervisor.lock").write_text(f"{proc.pid}\n")
         report = validate_run_dir(clean_run)
-        stale = report.by_code("lease-stale")
-        assert stale and stale[0].severity == "warning"
-        assert report.ok
+        assert report.ok, report.render()
+        assert not [c for c in report.codes() if "lease" in c or "lock" in c]
 
-    def test_undecodable_lease_is_an_error(self, clean_run):
-        from repro.runtime.lease import LEASE_FILENAME
-
-        (clean_run / LEASE_FILENAME).write_text("{half a lease")
+    def test_undecodable_lease_is_not_a_finding(self, clean_run):
+        """Nothing reads a leftover lease file, so a torn one is no
+        finding either."""
+        (clean_run / "supervisor.lease").write_text("{half a lease")
         report = validate_run_dir(clean_run)
-        assert "lease-schema" in report.codes()
-        assert not report.ok
+        assert report.ok, report.render()
+        assert not [c for c in report.codes() if "lease" in c or "lock" in c]
 
 
 class TestObservabilityArtifacts:
