@@ -31,10 +31,6 @@ Usage::
                                       # checksum every checkpoint, exit 0/1
     python -m repro.experiments validate runs/full
                                       # full artifact validation of a run dir
-    python -m repro.experiments fuzz --cases 500
-                                      # adversarial fuzz of artifact readers
-    python -m repro.experiments chaos --cycles 10
-                                      # SIGKILL/resume chaos gate
     python -m repro.experiments status runs/full --follow
                                       # live per-experiment state/ETA
     python -m repro.experiments report runs/full --html -o report.html
@@ -65,8 +61,7 @@ Exit status: 0 when every experiment finished (possibly degraded),
 1 when any experiment ultimately failed after retries or the campaign
 was interrupted (Ctrl-C / SIGTERM — completed results are already
 checkpointed, so ``--resume`` finishes the remainder), 2 on usage
-errors.  The ``validate`` / ``fuzz`` / ``chaos`` subcommands and
-``--verify-store`` exit 0 on a clean report, 1 on findings, 2 on usage
+errors.  The ``validate`` subcommand and ``--verify-store`` exit 0 on a clean report, 1 on findings, 2 on usage
 errors.
 """
 
@@ -77,7 +72,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.experiments import (
     all_cache,
@@ -112,8 +107,6 @@ from repro.runtime.engine import (
 )
 from repro.runtime.errors import JournalCorruptError
 from repro.runtime.events import EventLog
-from repro.runtime.faults import FaultInjector, FaultSpec
-from repro.runtime.iofault import install_from_env
 from repro.runtime.journal import (
     JOURNAL_FILENAME,
     Journal,
@@ -121,18 +114,6 @@ from repro.runtime.journal import (
     lock_run_dir,
     recover,
 )
-
-#: ``--inject-fault`` kind names -> FaultSpec constructor kwargs.
-#: ``hang-hard`` is the non-cooperative variant only the worker
-#: backend's kill escalation can stop.
-INJECTABLE_FAULTS = {
-    "crash": {"kind": "crash"},
-    "hang": {"kind": "hang", "cooperative": True},
-    "hang-hard": {"kind": "hang", "cooperative": False},
-    "memhog": {"kind": "memhog"},
-    "die": {"kind": "die"},
-    "corrupt-trace": {"kind": "corrupt-trace"},
-}
 
 #: id -> kwargs overriding the defaults for a fast smoke run; also the
 #: degradation target when a full-size experiment fails or runs over
@@ -266,16 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or no envelope to check, 2 = DIR is not a directory",
     )
     parser.add_argument(
-        "--inject-fault",
-        action="append",
-        default=[],
-        metavar="ID=KIND[:ATTEMPTS]",
-        dest="inject_faults",
-        help="testing/CI only: inject a fault into experiment ID for its "
-        f"first ATTEMPTS attempts (default 1); kinds: "
-        f"{', '.join(INJECTABLE_FAULTS)}",
-    )
-    parser.add_argument(
         "--stream",
         action="store_true",
         help="generate and simulate traces out-of-core: generators spill "
@@ -327,38 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the `trends` subcommand",
     )
     return parser
-
-
-def parse_fault_plan(entries: List[str]) -> Dict[str, FaultSpec]:
-    """Parse ``--inject-fault ID=KIND[:ATTEMPTS]`` flags into a plan.
-
-    Raises ``ValueError`` with a usage message on malformed entries.
-    """
-    plan: Dict[str, FaultSpec] = {}
-    for entry in entries:
-        experiment_id, sep, rest = entry.partition("=")
-        if not sep or not experiment_id or not rest:
-            raise ValueError(
-                f"--inject-fault {entry!r}: expected ID=KIND[:ATTEMPTS]"
-            )
-        kind, _, attempts_text = rest.partition(":")
-        if kind not in INJECTABLE_FAULTS:
-            raise ValueError(
-                f"--inject-fault {entry!r}: unknown kind {kind!r}; "
-                f"choices: {', '.join(INJECTABLE_FAULTS)}"
-            )
-        fail_attempts = 1
-        if attempts_text:
-            try:
-                fail_attempts = int(attempts_text)
-            except ValueError:
-                raise ValueError(
-                    f"--inject-fault {entry!r}: ATTEMPTS must be an integer"
-                )
-        plan[experiment_id] = FaultSpec(
-            fail_attempts=fail_attempts, **INJECTABLE_FAULTS[kind]
-        )
-    return plan
 
 
 def _print_event(event: str, payload: object) -> None:
@@ -433,161 +372,6 @@ def validate_command(argv: List[str]) -> int:
     else:
         print(report.render())
     return 0 if report.ok else 1
-
-
-def fuzz_command(argv: List[str]) -> int:
-    """``python -m repro.experiments fuzz``.
-
-    Deterministic adversarial fuzz of the artifact readers; exit 0
-    when every mutated artifact was handled within the readers' typed
-    error contracts, 1 otherwise.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments fuzz",
-        description="Fuzz the trace/checkpoint/event readers with "
-        "corrupted artifacts.",
-    )
-    parser.add_argument(
-        "--cases", type=int, default=500, metavar="N",
-        help="mutated artifacts to generate (default: 500)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="S",
-        help="RNG seed; the campaign is a pure function of it (default: 0)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the report as JSON instead of text",
-    )
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.cases < 1:
-        print("--cases must be >= 1")
-        return 2
-
-    from repro.validate.fuzz import run_fuzz
-
-    report = run_fuzz(cases=args.cases, seed=args.seed)
-    if args.json:
-        import json
-
-        print(json.dumps(report.to_validation_report().to_dict(), indent=1))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
-
-
-def chaos_command(argv: List[str]) -> int:
-    """``python -m repro.experiments chaos``.
-
-    The kill/disk-fault chaos gate: repeatedly SIGKILL a real quick
-    campaign at seeded random points (including inside journal and
-    checkpoint writes), resume it, and assert the final run directory
-    is audit-clean with a summary byte-identical to an uninterrupted
-    reference run.  Exit 0 when every cycle passes, 1 otherwise.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments chaos",
-        description="SIGKILL/resume and disk-fault chaos testing of the "
-        "campaign supervisor's crash consistency.",
-    )
-    parser.add_argument(
-        "--cycles", type=int, default=10, metavar="N",
-        help="SIGKILL/resume cycles (default: 10)",
-    )
-    parser.add_argument(
-        "--enospc-cycles", type=int, default=1, metavar="N",
-        help="additional transient disk-full cycles (default: 1)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="S",
-        help="master seed; kill points are a pure function of it "
-        "(default: 0)",
-    )
-    parser.add_argument(
-        "--experiments", default=",".join(chaos_module_defaults()),
-        metavar="IDS", help="comma-separated experiment ids for every "
-        "campaign under test",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="--jobs for the campaigns under test (default: 1)",
-    )
-    parser.add_argument(
-        "--work-dir", default=None, metavar="DIR",
-        help="where cycle run directories live (default: a temp dir, "
-        "removed when every cycle passes; failing cycles are kept "
-        "either way)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=300.0, metavar="S",
-        help="harness ceiling per uninterrupted launch (default: 300)",
-    )
-    parser.add_argument(
-        "--deep", action="store_true",
-        help="run the invariant oracles during each audit (slower)",
-    )
-    parser.add_argument(
-        "--stream", action="store_true",
-        help="run every campaign under test with --stream, and aim the "
-        "io-kill cycles at the shard/simulator-checkpoint writes so "
-        "kills land mid-generation and mid-simulation (needs --jobs 0 "
-        "for the planted faults to fire in the supervisor process)",
-    )
-    parser.add_argument(
-        "--shard-refs", type=int, default=None, metavar="N",
-        dest="shard_refs",
-        help="--shard-refs for the streamed campaigns under test",
-    )
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.cycles < 0 or args.enospc_cycles < 0:
-        print("--cycles and --enospc-cycles must be >= 0")
-        return 2
-    if args.cycles + args.enospc_cycles < 1:
-        print("nothing to do: --cycles + --enospc-cycles must be >= 1")
-        return 2
-    if args.shard_refs is not None and not args.stream:
-        print("--shard-refs requires --stream")
-        return 2
-    if args.shard_refs is not None and args.shard_refs < 1:
-        print("--shard-refs must be >= 1")
-        return 2
-    experiments = [e for e in args.experiments.split(",") if e]
-    unknown = [e for e in experiments if e not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {unknown}; choices: {list(EXPERIMENTS)}")
-        return 2
-
-    from repro.runtime.chaos import run_chaos
-
-    report = run_chaos(
-        cycles=args.cycles,
-        seed=args.seed,
-        experiments=experiments,
-        jobs=args.jobs,
-        enospc_cycles=args.enospc_cycles,
-        work_dir=args.work_dir,
-        timeout=args.timeout,
-        deep=args.deep,
-        stream=args.stream,
-        shard_refs=args.shard_refs,
-    )
-    print(report.render())
-    if not report.passed:
-        print(f"[failing run directories kept under {report.work_dir}]")
-    return 0 if report.passed else 1
-
-
-def chaos_module_defaults() -> List[str]:
-    from repro.runtime.chaos import DEFAULT_EXPERIMENTS
-
-    return list(DEFAULT_EXPERIMENTS)
 
 
 def verify_store_command(run_dir: str) -> int:
@@ -840,8 +624,6 @@ def trends_command(argv: List[str]) -> int:
 #: CLI test suite).
 SUBCOMMANDS = {
     "validate": validate_command,
-    "fuzz": fuzz_command,
-    "chaos": chaos_command,
     "status": status_command,
     "report": report_command,
     "trends": trends_command,
@@ -891,11 +673,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("--archive requires --run-dir or --resume (the archive row "
               "is built from the run directory's artifacts)")
         return 2
-    try:
-        fault_plan = parse_fault_plan(args.inject_faults)
-    except ValueError as exc:
-        print(exc)
-        return 2
     # Simulation kernel tier: install it (module global + environment,
     # inherited by workers).  A mistyped
     # REPRO_KERNEL_TIER is a usage error, caught before any attempt.
@@ -916,10 +693,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.quiet:
         console.set_quiet(True)
 
-    # Arm the deterministic I/O fault injector when REPRO_IOFAULT is
-    # set (testing and the chaos harness only; a no-op otherwise).
-    install_from_env()
-
     run_dir = args.resume or args.run_dir
     store = CheckpointStore(run_dir) if run_dir else None
 
@@ -936,7 +709,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 1
     try:
-        return _run_campaign(args, wanted, fault_plan, store)
+        return _run_campaign(args, wanted, store)
     finally:
         if lock_fd is not None:
             os.close(lock_fd)
@@ -945,7 +718,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _run_campaign(
     args: argparse.Namespace,
     wanted: List[str],
-    fault_plan: Dict[str, FaultSpec],
     store: Optional[CheckpointStore],
 ) -> int:
     """Run the campaign ``main`` parsed, holding the run-directory lock."""
@@ -1035,7 +807,6 @@ def _run_campaign(
             max_rss_mb=args.max_rss_mb,
         ),
         store=store,
-        faults=FaultInjector(plan=fault_plan) if fault_plan else None,
         on_event=_print_event,
         event_log=event_log,
         journal=journal,

@@ -190,11 +190,8 @@ def worker_main(spec_text: str, payload_fd: int) -> int:
     os.dup2(2, 1)
     sys.stdout = sys.stderr
 
-    from pathlib import Path
-
     from repro.runtime.budget import Budget, activate
     from repro.runtime.errors import ExperimentFailure, WorkerMemoryError
-    from repro.runtime.faults import FaultSpec, fire_fault
     from repro.runtime.workers import (
         AttemptSpec,
         apply_address_space_limit,
@@ -234,15 +231,6 @@ def worker_main(spec_text: str, payload_fd: int) -> int:
         runner = resolve_runner_ref(spec.runner)
         budget = Budget(spec.budget_seconds)
         with activate(budget):
-            if spec.fault is not None:
-                fire_fault(
-                    FaultSpec.from_dict(spec.fault),
-                    spec.experiment_id,
-                    spec.attempt,
-                    budget=budget,
-                    workspace=Path(spec.workspace) if spec.workspace else None,
-                    in_worker=True,
-                )
             with obs_tracing.span(
                 "worker.run",
                 experiment_id=spec.experiment_id,

@@ -26,7 +26,7 @@ streams that cannot live in memory; a generator fills a
 time, and the simulators consume the resulting :class:`StreamingTrace`
 chunk-wise — never holding more than one shard per producer or
 consumer.  Crash safety rides on the shared atomic-write discipline of
-:mod:`repro.runtime.iofault` (fault site ``"shard"``): a SIGKILL at any
+:mod:`repro.runtime.records` (site ``"shard"``): a SIGKILL at any
 instruction leaves either a fully valid shard/manifest or a staging
 directory (suffix ``.trd.tmp``) that validation flags as an expected
 crash leftover, never a silently short trace.
@@ -53,13 +53,14 @@ import numpy as np
 
 from repro.mem.trace import READ, WRITE, Access, Trace, TraceBuilder
 from repro.runtime.errors import TraceFileWriteError
-from repro.runtime.iofault import (
+from repro.runtime.records import (
     atomic_write_bytes,
     atomic_write_text,
+    decode,
+    frame,
     fsync_directory,
     io_replace,
 )
-from repro.runtime.records import decode, frame
 
 #: Bumped when the on-disk layout changes.  Versions 1-2 are the
 #: single-file ``.npz`` formats of :mod:`repro.mem.tracefile`; version
@@ -75,7 +76,7 @@ SHARDS_WAL_FILENAME = "shards.wal"
 TRACE_DIR_SUFFIX = ".trd"
 STAGING_SUFFIX = ".trd.tmp"
 
-#: Injection-site tags for :mod:`repro.runtime.iofault`.
+#: I/O site tags (see :data:`repro.runtime.records.io_hook`).
 SHARD_SITE = "shard"
 SIMCKPT_SITE = "simckpt"
 
@@ -127,7 +128,7 @@ class ShardWriter:
     """Seals bounded columnar chunks into CRC'd + hashed shard files.
 
     Writes into ``directory`` (the caller manages staging/rename) via
-    :func:`~repro.runtime.iofault.atomic_write_bytes` at fault site
+    :func:`~repro.runtime.records.atomic_write_bytes` at site
     ``"shard"``, journals one ``shard-sealed`` record per shard into
     ``shards.wal``, and accumulates the manifest.  A write failure
     (ENOSPC, EIO, a vanished directory) surfaces as the typed

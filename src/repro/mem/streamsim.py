@@ -5,7 +5,7 @@ through the ordinary in-memory simulators one shard at a time — each
 chunk is wrapped as a plain :class:`~repro.mem.trace.Trace` and fed to
 the exact hot loop the in-memory path runs, so streamed results are
 identical *by construction*, not by reimplementation (the
-``validate/differential.py`` oracle still checks this exhaustively).
+``tests/harness/differential.py`` oracle still checks this exhaustively).
 
 At every shard boundary the simulator's full state is snapshotted to a
 CRC-framed checkpoint file (see :func:`repro.mem.shards.save_sim_checkpoint`)

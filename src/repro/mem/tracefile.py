@@ -11,7 +11,7 @@ Integrity guarantees (format version 2):
 - **Durable atomic save** — the archive is written to a temporary file
   in the destination directory, fsynced, moved into place with
   ``os.replace``, and the directory entry fsynced (the shared
-  crash-consistency discipline of :mod:`repro.runtime.iofault`), so an
+  crash-consistency discipline of :mod:`repro.runtime.records`), so an
   interrupted :func:`save_trace` never leaves a truncated ``.npz``
   where a valid one was expected — and a completed one survives
   power-loss/kill semantics, not just process death.
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.mem.trace import Trace
 from repro.runtime.errors import TraceFileWriteError
-from repro.runtime.iofault import check_io, fsync_directory, io_fsync, io_replace
+from repro.runtime.records import check_io, fsync_directory, io_fsync, io_replace
 
 #: Bumped when the on-disk layout changes.  Version 2 added the CRC32
 #: content checksums; version-1 archives (no checksum) are rejected.

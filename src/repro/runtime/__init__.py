@@ -18,9 +18,6 @@ fragile for-loop into a pipeline that survives partial failure:
 - :mod:`repro.runtime.checkpoint` — completed results are serialized
   to a run directory with atomic write-rename and a content checksum;
   ``python -m repro.experiments --resume <run-dir>`` skips them.
-- :mod:`repro.runtime.faults` — deterministic fault injection
-  (crashes, hangs, corrupted trace files) so the recovery paths are
-  themselves testable.
 - :mod:`repro.runtime.engine` — the :class:`CampaignEngine` that ties
   it together: isolation per experiment, retry with exponential
   backoff, and graceful degradation to the quick parameterization.
@@ -32,10 +29,10 @@ fragile for-loop into a pipeline that survives partial failure:
   :class:`WorkerMemoryError`); the default backend of the engine.
 - :mod:`repro.runtime.events` — structured JSONL event log
   (``events.jsonl`` in the run directory) for campaign post-mortems.
-- :mod:`repro.runtime.iofault` — the shared crash-consistent atomic
-  write (file fsync + rename + directory fsync) and the deterministic
-  I/O fault injector (``ENOSPC``, ``EIO``, torn writes, in-write
-  SIGKILL) every durability-relevant syscall goes through.
+- :mod:`repro.runtime.records` — the one framed record log behind
+  every append-only artifact, and the shared crash-consistent atomic
+  write (file fsync + rename + directory fsync) with its site-tagged
+  syscalls and their one test seam, :data:`~repro.runtime.records.io_hook`.
 - :mod:`repro.runtime.journal` — the append-only, CRC-framed,
   fsync-disciplined write-ahead journal (``journal.wal``) of campaign
   state transitions, the idempotent :func:`recover` that reconciles it
@@ -43,12 +40,10 @@ fragile for-loop into a pipeline that survives partial failure:
   supervisor lock (``supervisor.lock``): an exclusive ``flock`` that
   refuses a second supervisor and that the kernel drops when its
   holder dies.
-- :mod:`repro.runtime.chaos` — the SIGKILL/resume and disk-fault chaos
-  harness that proves all of the above against real processes.
 
 Layering note: :mod:`repro.mem` polls the ambient budget, so this
 package's ``__init__`` eagerly imports only the dependency-free
-``errors`` and ``budget`` modules; the engine/checkpoint/faults names
+``errors`` and ``budget`` modules; the engine/checkpoint/journal names
 (which sit *above* :mod:`repro.experiments`) are loaded lazily on first
 attribute access to keep the import graph acyclic.
 """
@@ -81,10 +76,6 @@ _LAZY = {
     "file_lock": "repro.runtime.checkpoint",
     "EventLog": "repro.runtime.events",
     "read_events": "repro.runtime.events",
-    "FaultInjector": "repro.runtime.faults",
-    "FaultSpec": "repro.runtime.faults",
-    "corrupt_file": "repro.runtime.faults",
-    "fire_fault": "repro.runtime.faults",
     "CampaignEngine": "repro.runtime.engine",
     "CampaignReport": "repro.runtime.engine",
     "EngineConfig": "repro.runtime.engine",
@@ -94,12 +85,8 @@ _LAZY = {
     "WorkerSupervisor": "repro.runtime.workers",
     "runner_ref": "repro.runtime.workers",
     "resolve_runner_ref": "repro.runtime.workers",
-    "IOFault": "repro.runtime.iofault",
-    "IOFaultInjector": "repro.runtime.iofault",
-    "atomic_write_bytes": "repro.runtime.iofault",
-    "atomic_write_text": "repro.runtime.iofault",
-    "install": "repro.runtime.iofault",
-    "install_from_env": "repro.runtime.iofault",
+    "atomic_write_bytes": "repro.runtime.records",
+    "atomic_write_text": "repro.runtime.records",
     "Journal": "repro.runtime.journal",
     "JournalReplay": "repro.runtime.journal",
     "RecoveryReport": "repro.runtime.journal",
@@ -107,8 +94,6 @@ _LAZY = {
     "read_journal": "repro.runtime.journal",
     "recover": "repro.runtime.journal",
     "truncate_torn_tail": "repro.runtime.journal",
-    "ChaosReport": "repro.runtime.chaos",
-    "run_chaos": "repro.runtime.chaos",
 }
 
 __all__ = [
@@ -118,7 +103,6 @@ __all__ = [
     "BudgetExceeded",
     "CampaignEngine",
     "CampaignReport",
-    "ChaosReport",
     "CheckpointCorruptError",
     "CheckpointStore",
     "CheckpointWriteError",
@@ -127,10 +111,6 @@ __all__ = [
     "ExperimentError",
     "ExperimentFailure",
     "ExperimentOutcome",
-    "FaultInjector",
-    "FaultSpec",
-    "IOFault",
-    "IOFaultInjector",
     "Journal",
     "JournalCorruptError",
     "JournalError",
@@ -152,16 +132,11 @@ __all__ = [
     "attempt_uid",
     "check_active_budget",
     "classify_exception",
-    "corrupt_file",
     "file_lock",
-    "fire_fault",
-    "install",
-    "install_from_env",
     "read_events",
     "read_journal",
     "recover",
     "resolve_runner_ref",
-    "run_chaos",
     "runner_ref",
     "truncate_torn_tail",
 ]

@@ -11,7 +11,7 @@ must never masquerade as a finished experiment.  Two mechanisms
 guarantee that:
 
 - **Durable atomic write-rename**: every envelope goes through the
-  shared :func:`repro.runtime.iofault.atomic_write_text` — temp file
+  shared :func:`repro.runtime.records.atomic_write_text` — temp file
   in the destination directory, file fsync, ``os.replace``, directory
   fsync — so an interruption leaves either the old file or the new
   one (never a truncated one), and the rename itself survives
@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Union
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.runtime.errors import CheckpointCorruptError
-from repro.runtime.iofault import atomic_write_text as _shared_atomic_write_text
+from repro.runtime.records import atomic_write_text as _shared_atomic_write_text
 
 try:  # POSIX-only; the lock degrades to a no-op elsewhere.
     import fcntl
@@ -81,8 +81,8 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
     """Durably replace ``path`` with ``text``.
 
     Delegates to the shared crash-consistent helper in
-    :mod:`repro.runtime.iofault` (file fsync + atomic rename +
-    directory-entry fsync), tagged with the ``checkpoint`` injection
+    :mod:`repro.runtime.records` (file fsync + atomic rename +
+    directory-entry fsync), tagged with the ``checkpoint`` I/O
     site.  Kept under its historical name — callers throughout the
     runtime and tests import it from here.
     """

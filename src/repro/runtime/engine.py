@@ -48,9 +48,12 @@ from repro.obs import timeline as obs_timeline
 from repro.obs import tracing
 from repro.runtime.budget import Budget, activate
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.errors import CheckpointWriteError, ExperimentFailure
+from repro.runtime.errors import (
+    CheckpointCorruptError,
+    CheckpointWriteError,
+    ExperimentFailure,
+)
 from repro.runtime.events import EventLog
-from repro.runtime.faults import FaultInjector
 from repro.runtime.journal import Journal, RecoveryReport, attempt_uid
 
 #: Outcome statuses.
@@ -94,8 +97,8 @@ class EngineConfig:
         backoff_factor: Multiplier applied per subsequent retry.
         jobs: Concurrent experiments on the worker-pool backend (each
             attempt in its own forked, supervised worker); ``0`` selects
-            the in-process serial backend (debugging, fault-injection
-            tests, unshippable runners).
+            the in-process serial backend (debugging, unshippable
+            runners).
         validate: Run the invariant oracles
             (:func:`repro.validate.oracles.validate_result`) over every
             successful attempt's result.  A result that fails them is
@@ -274,7 +277,6 @@ class CampaignEngine:
             ``--quick`` and as the degradation target after failures.
         config: Policy knobs (:class:`EngineConfig`).
         store: Optional checkpoint store enabling persist + resume.
-        faults: Optional fault injector (tests of the engine itself).
         on_event: Optional callback ``(event, outcome_or_failure)``
             used by the CLI for progress lines; events are
             ``"start"``, ``"retry"``, ``"finish"``, ``"resume"``,
@@ -300,7 +302,6 @@ class CampaignEngine:
         quick_overrides: Optional[Mapping[str, Dict[str, object]]] = None,
         config: Optional[EngineConfig] = None,
         store: Optional[CheckpointStore] = None,
-        faults: Optional[FaultInjector] = None,
         on_event: Optional[Callable[[str, object], None]] = None,
         event_log: Optional[EventLog] = None,
         journal: Optional[Journal] = None,
@@ -310,7 +311,6 @@ class CampaignEngine:
         self.quick_overrides = dict(quick_overrides or {})
         self.config = config or EngineConfig()
         self.store = store
-        self.faults = faults
         self.on_event = on_event
         self.event_log = event_log
         self.journal = journal
@@ -363,7 +363,7 @@ class CampaignEngine:
             )
         if self.store is not None:
             manifest = {
-                "experiments": wanted,
+                "experiments": self._manifest_ids(wanted),
                 "quick": self.config.quick,
                 "budget_seconds": self.config.budget_seconds,
                 "max_attempts": self.config.max_attempts,
@@ -598,6 +598,17 @@ class CampaignEngine:
         )
         return outcome
 
+    def _manifest_ids(self, wanted: List[str]) -> List[str]:
+        """Every id the run directory was ever asked for, first-seen
+        order: a resume that names a subset keeps the rest in scope."""
+        try:
+            previous = self.store.read_manifest()
+        except CheckpointCorruptError:
+            previous = None
+        if not previous or not isinstance(previous.get("experiments"), list):
+            return wanted
+        return list(dict.fromkeys([*previous["experiments"], *wanted]))
+
     def _resume_skips(self, experiment_id: str) -> bool:
         """Should resume skip ``experiment_id`` as already committed?
 
@@ -806,8 +817,6 @@ class CampaignEngine:
         attempt_started = config.clock()
         try:
             with activate(budget):
-                if self.faults is not None:
-                    self.faults.before_attempt(experiment_id, attempt, budget)
                 result = self._invoke(runner, kwargs)
         except BaseException as exc:  # noqa: BLE001 — isolation is the point
             if isinstance(exc, (KeyboardInterrupt, SystemExit, CampaignAborted)):
@@ -894,7 +903,7 @@ class CampaignEngine:
         if self.store is None or not obs_metrics.obs_enabled():
             return
         from repro.obs.metrics import METRICS_FORMAT
-        from repro.runtime.iofault import atomic_write_text
+        from repro.runtime.records import atomic_write_text
 
         tracer = tracing.get_tracer()
         with self._obs_lock:

@@ -57,7 +57,6 @@ BASE_PRELOAD = (
     "repro.experiments.runner",
     "repro.runtime.workers",
     "repro.runtime.budget",
-    "repro.runtime.faults",
     "repro.runtime.journal",
     "repro.obs.timeline",
 )

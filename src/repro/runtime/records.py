@@ -24,6 +24,19 @@ one partial line, and only at the end of the file.  Hence:
 - any other damage — a bad line followed by an intact record, or two
   or more bad lines at the end — cannot come from a crash.  It is an
   error, and nothing ever truncates it.
+
+The module also holds the one durable-write discipline every artifact
+shares.  :func:`atomic_write_bytes` / :func:`atomic_write_text` replace
+a file so the change survives a crash: write a temporary file in the
+destination directory, ``fsync`` it, ``os.replace`` it into place, then
+``fsync`` the *directory*, without which a rename can be undone by
+power loss.  Every durability-relevant syscall (``io_write``,
+``io_fsync``, ``io_replace``, ``fsync_directory``, ``check_io``)
+carries a *site* tag (``"journal"``, ``"checkpoint"``, ``"events"``,
+``"tracefile"``, ``"shard"``, ...) and first calls :data:`io_hook`,
+which is ``None`` in the product: the one seam through which the
+tests' fault injector (``tests/harness/iofault.py``) plants ``ENOSPC``,
+``EIO``, torn writes and in-write SIGKILLs.
 """
 
 from __future__ import annotations
@@ -32,15 +45,125 @@ import contextlib
 import fcntl
 import json
 import os
+import tempfile
 import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
-
-from repro.runtime.iofault import fsync_directory, io_fsync, io_write
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 Record = Dict[str, object]
+
+#: The I/O fault seam: ``None`` in the product.  A test may set it to a
+#: callable ``(site, op, fd, data)`` that every tagged write, fsync and
+#: rename calls first; it may raise ``OSError`` (after writing a torn
+#: prefix of ``data`` to ``fd``, if it likes) or kill the process.
+io_hook: Optional[
+    Callable[[str, str, Optional[int], Optional[bytes]], None]
+] = None
+
+
+# -- tagged syscalls and the atomic write -----------------------------------
+
+
+def check_io(site: str, op: str) -> None:
+    """The seam for writes handed to a third-party writer (numpy's
+    ``savez``): called where such a write begins."""
+    if io_hook is not None:
+        io_hook(site, op, None, None)
+
+
+def io_write(fd: int, data: bytes, site: str) -> int:
+    """``os.write`` with full-write semantics."""
+    if io_hook is not None:
+        io_hook(site, "write", fd, data)
+    written = 0
+    view = memoryview(data)
+    while written < len(view):
+        written += os.write(fd, view[written:])
+    return written
+
+
+def io_fsync(fd: int, site: str) -> None:
+    if io_hook is not None:
+        io_hook(site, "fsync", None, None)
+    os.fsync(fd)
+
+
+def io_replace(src: Union[str, Path], dst: Union[str, Path], site: str) -> None:
+    if io_hook is not None:
+        io_hook(site, "replace", None, None)
+    os.replace(src, dst)
+
+
+def fsync_directory(path: Union[str, Path], site: str = "dir") -> None:
+    """fsync a directory so a rename inside it is durable.
+
+    Best-effort: a filesystem that refuses to fsync a directory fd
+    degrades to a no-op (the rename is still atomic, just not
+    power-loss-durable).  A fault from :data:`io_hook` does propagate.
+    """
+    if io_hook is not None:
+        io_hook(site, "fsync", None, None)
+    try:
+        fd = os.open(os.fspath(path), os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform-dependent
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - platform-dependent
+        pass
+    finally:
+        os.close(fd)
+
+
+def atomic_write_bytes(
+    path: Union[str, Path],
+    data: bytes,
+    site: str = "atomic",
+    durable: bool = True,
+) -> None:
+    """Atomically (and, by default, durably) replace ``path`` with ``data``.
+
+    On any failure the temporary file is unlinked, so a failed write
+    leaves no ``*.tmp`` litter, and the old contents of ``path`` stay.
+    ``durable=False`` skips both fsyncs, for callers that need only
+    atomicity (the ``metrics.json`` snapshot).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=f".{path.name}.", suffix=".tmp", dir=path.parent
+    )
+    try:
+        try:
+            io_write(fd, data, site)
+            if durable:
+                io_fsync(fd, site)
+        finally:
+            os.close(fd)
+        io_replace(tmp_name, path, site)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    if durable:
+        fsync_directory(path.parent, site)
+
+
+def atomic_write_text(
+    path: Union[str, Path],
+    text: str,
+    site: str = "atomic",
+    durable: bool = True,
+) -> None:
+    """:func:`atomic_write_bytes` for UTF-8 text."""
+    atomic_write_bytes(path, text.encode("utf-8"), site=site, durable=durable)
+
+
+# -- the framed record log ---------------------------------------------------
 
 
 def frame(magic: str, record: Record) -> bytes:
@@ -182,8 +305,8 @@ class RecordLog:
     Args:
         path: The log file.
         magic: Frame magic of this log type.
-        site: Fault-injection site of its writes (see
-            :mod:`repro.runtime.iofault`); fsyncs are timed as
+        site: Site tag of its writes (see :data:`io_hook`); fsyncs
+            are timed as
             ``runtime.<site>.fsync_seconds``.
         fsync: fsync after every record, and the directory entry of a
             newly created file.

@@ -80,7 +80,6 @@ from repro.runtime.errors import (
     WorkerTimeoutError,
 )
 from repro.runtime.forkserver import ForkedWorker, ForkServer
-from repro.runtime.iofault import IOFAULT_ENV
 
 #: How much of a dead worker's stderr is kept for forensics.
 STDERR_TAIL_CHARS = 2000
@@ -149,8 +148,6 @@ class AttemptSpec:
     degraded: bool = False
     budget_seconds: Optional[float] = None
     max_rss_mb: Optional[int] = None
-    fault: Optional[Dict[str, object]] = None
-    workspace: Optional[str] = None
     generation: int = 0
     obs: bool = False
     trace_id: Optional[str] = None
@@ -166,8 +163,6 @@ class AttemptSpec:
                 "degraded": self.degraded,
                 "budget_seconds": self.budget_seconds,
                 "max_rss_mb": self.max_rss_mb,
-                "fault": self.fault,
-                "workspace": self.workspace,
                 "generation": self.generation,
                 "obs": self.obs,
                 "trace_id": self.trace_id,
@@ -186,8 +181,6 @@ class AttemptSpec:
             degraded=bool(payload.get("degraded", False)),
             budget_seconds=payload.get("budget_seconds"),
             max_rss_mb=payload.get("max_rss_mb"),
-            fault=payload.get("fault"),
-            workspace=payload.get("workspace"),
             generation=int(payload.get("generation", 0)),
             obs=bool(payload.get("obs", False)),
             trace_id=payload.get("trace_id"),
@@ -291,15 +284,8 @@ def worker_environment() -> Dict[str, str]:
     resolves the exact same packages (including test-only registries),
     however the supervisor itself was launched.  Each worker gets this
     environment as it is at its own attempt, not at server start.
-
-    ``REPRO_IOFAULT`` is deliberately stripped: injected I/O faults
-    (:mod:`repro.runtime.iofault`) target the *supervisor's* durability
-    writes; a worker inheriting the variable would consume the fault's
-    call counter in the wrong process and make chaos kill points
-    non-deterministic.
     """
     env = dict(os.environ)
-    env.pop(IOFAULT_ENV, None)
     entries = [entry for entry in sys.path if entry]
     if entries:
         env["PYTHONPATH"] = os.pathsep.join(entries)
@@ -642,15 +628,6 @@ class WorkerPool:
         """The engine-facing attempt runner (one worker per call)."""
         engine = self.engine
         runner, _ = engine.registry[experiment_id]
-        fault_dict = None
-        if engine.faults is not None:
-            fault_spec = engine.faults.spec_for(experiment_id, attempt)
-            if fault_spec is not None:
-                engine.faults.record(experiment_id, attempt, fault_spec.kind)
-                fault_dict = fault_spec.to_dict()
-        workspace = None
-        if engine.faults is not None and engine.faults.workspace is not None:
-            workspace = str(engine.faults.workspace)
         tracer = tracing.get_tracer()
         spec = AttemptSpec(
             experiment_id=experiment_id,
@@ -660,8 +637,6 @@ class WorkerPool:
             degraded=degraded,
             budget_seconds=engine.config.budget_seconds,
             max_rss_mb=engine.config.max_rss_mb,
-            fault=fault_dict,
-            workspace=workspace,
             generation=engine.generation,
             obs=obs_metrics.obs_enabled(),
             trace_id=tracer.trace_id if tracer is not None else None,

@@ -2,7 +2,7 @@
 
 ``repro.validate`` is the repository's self-verification subsystem.  It
 answers, mechanically, the question every reproduction must face: *why
-believe these numbers?*  Four independent lines of defense:
+believe these numbers?*  Three lines of defense ship with the package:
 
 - **Invariant oracles** (:mod:`~repro.validate.oracles`): structural
   checks over every :class:`~repro.experiments.runner.ExperimentResult`
@@ -13,15 +13,14 @@ believe these numbers?*  Four independent lines of defense:
   traced algorithm proves it still computes the right answer (LU
   reconstructs, CG converges, FFT inverts, exact N-body conserves
   momentum, the volrend octree bounds its voxels).
-- **Differential cross-checks** (:mod:`~repro.validate.differential`):
-  two independent simulators (Mattson profiler vs explicit LRU cache)
-  must agree *exactly* on every corpus trace.
-- **Artifact validation and fuzzing** (:mod:`~repro.validate.artifacts`,
-  :mod:`~repro.validate.fuzz`): every file a campaign writes is
-  schema-checked and checksum-verified, and every reader is
-  adversarially tested to fail typed on corrupt input.
+- **Artifact validation** (:mod:`~repro.validate.artifacts`): every
+  file a campaign writes is schema-checked and checksum-verified.
 
-See ``docs/VALIDATION.md`` for the operator's view.
+The attacks on these defenses live with the tests, in
+``tests/harness/``: the differential cross-checks over a pinned trace
+corpus (Mattson profiler vs explicit LRU cache, streamed vs in-memory)
+and the seeded fuzzer that proves every reader fails typed on corrupt
+input.  See ``docs/VALIDATION.md`` for the operator's view.
 """
 
 from repro.validate.artifacts import (
@@ -29,9 +28,6 @@ from repro.validate.artifacts import (
     validate_run_dir,
     validate_trace_file,
 )
-from repro.validate.corpus import CORPUS, CorpusEntry, build_corpus, corpus_entry
-from repro.validate.differential import cross_check_corpus, cross_check_trace
-from repro.validate.fuzz import FuzzReport, run_fuzz
 from repro.validate.oracles import (
     RESULT_ORACLES,
     assert_valid_result,
@@ -51,23 +47,15 @@ from repro.validate.selfchecks import (
 )
 
 __all__ = [
-    "CORPUS",
-    "CorpusEntry",
     "Finding",
-    "FuzzReport",
     "RESULT_ORACLES",
     "SCHEMA_VERSION",
     "SELF_CHECKS",
     "ValidationReport",
     "assert_self_check",
     "assert_valid_result",
-    "build_corpus",
     "check_schema",
-    "corpus_entry",
-    "cross_check_corpus",
-    "cross_check_trace",
     "merge_reports",
-    "run_fuzz",
     "run_self_check",
     "schema_for",
     "validate_events_file",

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.mem.tracefile import save_trace
-from repro.validate.corpus import CORPUS
+
+from tests.harness.corpus import CORPUS
 
 
 def trace_bytes(trace, tmp_path, name):

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 from repro.experiments.__main__ import EXPERIMENTS, SUBCOMMANDS, main
 from repro.runtime.checkpoint import CheckpointStore
+
+from tests.harness import cli as harness_cli
 
 
 def test_subcommands_cannot_shadow_experiment_ids():
@@ -83,15 +87,17 @@ class TestValidateSubcommand:
 
 
 class TestFuzzSubcommand:
+    """The fuzz gate of ``python -m tests.harness.cli``."""
+
     def test_smoke_fuzz_exits_0(self, capsys):
-        assert main(["fuzz", "--cases", "30", "--seed", "5"]) == 0
+        assert harness_cli.main(["fuzz", "--cases", "30", "--seed", "5"]) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_bad_cases_value_is_usage_error(self, capsys):
-        assert main(["fuzz", "--cases", "0"]) == 2
+        assert harness_cli.main(["fuzz", "--cases", "0"]) == 2
 
     def test_json_output(self, capsys):
-        assert main(["fuzz", "--cases", "10", "--json"]) == 0
+        assert harness_cli.main(["fuzz", "--cases", "10", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
 
@@ -174,20 +180,73 @@ class TestValidateFlag:
 
 
 class TestChaosSubcommand:
+    """The chaos gate of ``python -m tests.harness.cli``."""
+
     def test_chaos_is_registered(self):
-        assert "chaos" in SUBCOMMANDS
+        assert "chaos" in harness_cli.GATES
 
     def test_negative_cycles_is_usage_error(self, capsys):
-        assert main(["chaos", "--cycles", "-1"]) == 2
+        assert harness_cli.main(["chaos", "--cycles", "-1"]) == 2
         assert "must be >= 0" in capsys.readouterr().out
 
     def test_zero_total_cycles_is_usage_error(self, capsys):
-        assert main(["chaos", "--cycles", "0", "--enospc-cycles", "0"]) == 2
+        assert harness_cli.main(["chaos", "--cycles", "0", "--enospc-cycles", "0"]) == 2
         assert "nothing to do" in capsys.readouterr().out
 
     def test_unknown_experiment_is_usage_error(self, capsys):
-        assert main(["chaos", "--cycles", "1", "--experiments", "nope"]) == 2
+        assert harness_cli.main(["chaos", "--cycles", "1", "--experiments", "nope"]) == 2
         assert "unknown experiments" in capsys.readouterr().out
+
+
+def _product_env(**extra):
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    return env
+
+
+class TestProductIgnoresTheHarness:
+    """The user CLI carries no test harness: no fault flag, no chaos or
+    fuzz subcommand, and no environment variable that arms a fault."""
+
+    def test_subcommands_are_the_product_ones(self):
+        assert set(SUBCOMMANDS) == {"validate", "status", "report", "trends"}
+
+    def test_harness_entry_points_are_usage_errors(self, capsys):
+        assert main(["chaos"]) == 2
+        assert main(["fuzz"]) == 2
+        assert main(["--inject-fault", "x=crash"]) == 2
+
+    def test_help_has_no_fault_flag(self, capsys):
+        assert main(["--help"]) == 0
+        assert "--inject-fault" not in capsys.readouterr().out
+
+    def test_iofault_variable_changes_nothing(self, tmp_path):
+        run_dir = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "--quick",
+             "--run-dir", str(run_dir), "table1", "cost"],
+            capture_output=True, text=True, timeout=300,
+            env=_product_env(REPRO_IOFAULT="journal:write:kill:1"),
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert main(["validate", str(run_dir)]) == 0
+
+
+class TestResumeKeepsTheManifest:
+    def test_resume_of_a_subset_keeps_every_requested_id(self, tmp_path, capsys):
+        run_dir = str(tmp_path / "run")
+        base = ["--quick", "--jobs", "0"]
+        assert main(base + ["--run-dir", run_dir, "table1", "fig2", "cost"]) == 0
+        store = CheckpointStore(run_dir)
+        assert store.read_manifest()["experiments"] == ["table1", "fig2", "cost"]
+        assert main(base + ["--resume", run_dir, "table1"]) == 0
+        assert store.read_manifest()["experiments"] == ["table1", "fig2", "cost"]
+        assert main(base + ["--resume", run_dir, "scaling", "table1"]) == 0
+        assert store.read_manifest()["experiments"] == [
+            "table1", "fig2", "cost", "scaling",
+        ]
+        capsys.readouterr()
+        assert main(["validate", run_dir]) == 0, capsys.readouterr().out
 
 
 class TestDurabilityCLI:

@@ -1,7 +1,8 @@
-"""Kill/disk-fault chaos harness for the campaign supervisor.
+"""Kill/disk-fault chaos gate for the campaign supervisor.
 
 The durability layer (:mod:`repro.runtime.journal` with its supervisor
-lock, and :mod:`repro.runtime.iofault`) makes strong claims: a SIGKILL
+lock, and the atomic writes of :mod:`repro.runtime.records`) makes
+strong claims: a SIGKILL
 of the supervisor at *any* instruction — including inside a journal or
 checkpoint write — leaves a run directory from
 which ``--resume`` completes the campaign with no lost committed
@@ -11,8 +12,8 @@ points, resuming, and auditing the wreckage.
 
 One chaos *cycle*:
 
-1. launch ``python -m repro.experiments --quick --run-dir <dir> ...``
-   as a real subprocess (its own session, so the whole process group
+1. launch ``python -m tests.harness.cli --quick --run-dir <dir> ...``
+   (the real CLI, with the I/O fault injector armed) as a subprocess (its own session, so the whole process group
    dies together);
 2. SIGKILL it at a seeded random delay — or, on io-fault cycles, plant
    ``REPRO_IOFAULT=<site>:write:kill:<n>`` so the process SIGKILLs
@@ -38,7 +39,9 @@ checkpoint write; the supervisor must retry, complete, and leave an
 audit-clean directory without any restart at all.
 
 Everything is seeded: a failing cycle is rerun exactly with
-``--seed``/``--cycles``.
+``--seed``/``--cycles``::
+
+    python -m tests.harness.cli chaos --cycles 10 --enospc-cycles 1 --seed 3
 """
 
 from __future__ import annotations
@@ -55,12 +58,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.runtime.iofault import IOFAULT_ENV
 from repro.runtime.journal import (
     COMMITTED_STATUSES,
     JOURNAL_FILENAME,
     read_journal,
 )
+
+from tests.harness.iofault import IOFAULT_ENV
 
 #: Default experiment subset: three quick experiments with distinct
 #: runtimes, so kills land before, between, and inside experiments.
@@ -77,9 +81,9 @@ IO_KILL_SITES = {
 
 #: Streamed-campaign kill sites: inside a trace-shard write
 #: (mid-generation) and inside a simulator-snapshot write
-#: (mid-simulation).  Only meaningful with ``--jobs 0`` — the worker
-#: environment deliberately strips ``REPRO_IOFAULT``, so planted
-#: faults fire only when the supervisor itself runs the experiments.
+#: (mid-simulation).  Only meaningful with ``--jobs 0``: workers never
+#: arm the injector, so planted faults fire only when the supervisor
+#: itself runs the experiments.
 STREAM_IO_KILL_SITES = {
     "shard": (1, 4),
     "simckpt": (1, 3),
@@ -176,7 +180,7 @@ def _launch(
     cmd = [
         sys.executable,
         "-m",
-        "repro.experiments",
+        "tests.harness.cli",
         "--quick",
         "--jobs",
         str(jobs),
@@ -257,7 +261,6 @@ def audit_run_dir(
     run_dir: Path,
     reference_summary: bytes,
     experiments: Sequence[str],
-    deep: bool = False,
 ) -> List[str]:
     """Every post-recovery invariant the durability layer promises.
 
@@ -268,7 +271,7 @@ def audit_run_dir(
     # 1. Artifact validation (includes the journal audit).
     from repro.validate.artifacts import validate_run_dir
 
-    report = validate_run_dir(run_dir, deep=deep)
+    report = validate_run_dir(run_dir, deep=False)
     for finding in report.errors:
         problems.append(f"validate: [{finding.code}] {finding.message}")
 
@@ -342,7 +345,6 @@ def run_cycle(
     reference_summary: bytes,
     timeout: float,
     kind: str,
-    deep: bool = False,
     stream: bool = False,
     shard_refs: Optional[int] = None,
 ) -> CycleResult:
@@ -414,7 +416,7 @@ def run_cycle(
         return result
 
     result.problems.extend(
-        audit_run_dir(run_dir, reference_summary, experiments, deep=deep)
+        audit_run_dir(run_dir, reference_summary, experiments)
     )
     if result.passed:
         shutil.rmtree(run_dir, ignore_errors=True)
@@ -429,7 +431,6 @@ def run_chaos(
     enospc_cycles: int = 1,
     work_dir: Optional[Union[str, Path]] = None,
     timeout: float = 300.0,
-    deep: bool = False,
     stream: bool = False,
     shard_refs: Optional[int] = None,
 ) -> ChaosReport:
@@ -445,7 +446,6 @@ def run_chaos(
         work_dir: Where run directories live (default: a fresh temp
             dir, removed when every cycle passes).
         timeout: Harness ceiling per uninterrupted launch, seconds.
-        deep: Run the invariant oracles during the audit (slower).
         stream: Run every campaign (reference and cycles alike) with
             ``--stream``, and aim io-kill cycles at the shard and
             simulator-checkpoint writes so the kills land
@@ -478,7 +478,7 @@ def run_chaos(
         report.cycles.append(
             run_cycle(
                 cycle, rng, work_path, experiments, jobs,
-                duration, reference_summary, timeout, kind, deep=deep,
+                duration, reference_summary, timeout, kind,
                 stream=stream, shard_refs=shard_refs,
             )
         )
@@ -488,7 +488,7 @@ def run_chaos(
         report.cycles.append(
             run_cycle(
                 cycle, rng, work_path, experiments, jobs,
-                duration, reference_summary, timeout, "enospc", deep=deep,
+                duration, reference_summary, timeout, "enospc",
                 stream=stream, shard_refs=shard_refs,
             )
         )

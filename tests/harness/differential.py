@@ -322,7 +322,7 @@ def cross_check_corpus(
             kernel tier for every check; None keeps the ambient
             :mod:`repro.mem.kernels` configuration.
     """
-    from repro.validate.corpus import CORPUS, corpus_entry
+    from tests.harness.corpus import CORPUS, corpus_entry
     from repro.validate.report import merge_reports
 
     entries = (

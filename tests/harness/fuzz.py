@@ -32,7 +32,9 @@ Each case is classified:
   ...).  Always a bug; always fails the run.
 
 The whole campaign is a pure function of ``seed``, so a failure
-reproduces with the case index alone.
+reproduces with the case index alone::
+
+    python -m tests.harness.cli fuzz --cases 500 --seed 0
 """
 
 from __future__ import annotations

@@ -387,7 +387,7 @@ class TestSimCheckpoint:
 
 class TestWriteFaults:
     def test_enospc_raises_typed_error(self, tmp_path):
-        from repro.runtime.iofault import IOFaultInjector, install
+        from tests.harness.iofault import IOFaultInjector, install
 
         builder = StreamingTraceBuilder(tmp_path / "f.trd", shard_refs=8)
         with install(IOFaultInjector.parse("shard:write:enospc:1")):

@@ -30,9 +30,9 @@ from repro.mem.streamsim import (
     run_hierarchy_streamed,
     run_setassoc_streamed,
 )
-from repro.runtime.iofault import IOFaultInjector, install
 from repro.runtime.journal import read_journal
 from tests.conftest import random_trace
+from tests.harness.iofault import IOFaultInjector, install
 
 NUM_SHARDS = 5
 

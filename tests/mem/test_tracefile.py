@@ -161,7 +161,7 @@ class TestIntegrity:
     def test_corrupt_file_helper_integration(self, tmp_path):
         """The fault harness's corrupt_file damages real archives."""
         from repro.mem.tracefile import TraceFileCorruptError
-        from repro.runtime.faults import corrupt_file
+        from tests.harness.faulty import corrupt_file
 
         path, _ = self._saved(tmp_path)
         corrupt_file(path, offset=path.stat().st_size // 2)
@@ -213,7 +213,7 @@ class TestIntegrity:
         unlink the staging temp file."""
         import os
 
-        from repro.runtime.iofault import IOFault, IOFaultInjector, install
+        from tests.harness.iofault import IOFault, IOFaultInjector, install
 
         path, original = self._saved(tmp_path)
         injector = IOFaultInjector(
@@ -228,7 +228,7 @@ class TestIntegrity:
         np.testing.assert_array_equal(reloaded.addrs, original.addrs)
 
     def test_fsync_fault_during_save_is_typed(self, tmp_path):
-        from repro.runtime.iofault import IOFault, IOFaultInjector, install
+        from tests.harness.iofault import IOFault, IOFaultInjector, install
 
         injector = IOFaultInjector(
             [IOFault("tracefile", "fsync", "fsync-fail")]

@@ -12,7 +12,8 @@ import pytest
 from repro.obs import archive as ar
 from repro.obs import timeline as tl
 from repro.runtime import records
-from repro.validate.fuzz import MUTATIONS
+
+from tests.harness.fuzz import MUTATIONS
 
 ATTR = {
     "git_sha": "a" * 40,

@@ -10,8 +10,8 @@ import pytest
 from repro.obs.report import render_report, render_report_html, report_to_json
 from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.records import frame
-from repro.validate.fuzz import MUTATIONS
 
+from tests.harness.fuzz import MUTATIONS
 from tests.obs.test_status import run_campaign
 from tests.runtime.conftest import FakeExperiment
 

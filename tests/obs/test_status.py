@@ -29,8 +29,8 @@ from repro.runtime.engine import CampaignEngine, EngineConfig
 from repro.runtime.events import EventLog
 from repro.runtime.journal import Journal, lock_run_dir
 from repro.runtime.records import frame
-from repro.validate.fuzz import MUTATIONS
 
+from tests.harness.fuzz import MUTATIONS
 from tests.runtime.conftest import FakeClock, FakeExperiment, SleepRecorder
 
 

@@ -11,7 +11,8 @@ import pytest
 from repro.obs import metrics as obs_metrics
 from repro.obs import timeline as tl
 from repro.runtime import records
-from repro.validate.fuzz import MUTATIONS
+
+from tests.harness.fuzz import MUTATIONS
 
 
 def _row(seq=0, ws_blocks=100, **extra):
@@ -282,7 +283,7 @@ class TestFaultSite:
         """Timeline writes go through the I/O fault injector (site
         ``timeline``), and a full disk there only drops rows."""
         from repro.experiments.__main__ import main
-        from repro.runtime.iofault import IOFaultInjector, install
+        from tests.harness.iofault import IOFaultInjector, install
 
         argv = ["--quick", "--jobs", "0", "--quiet", "fig2", "--run-dir"]
         assert main(argv + [str(tmp_path / "clean")]) == 0

@@ -1,19 +1,19 @@
-"""Tests for the chaos harness: the audit logic unit-level, and one
-small real SIGKILL/resume campaign end-to-end."""
+"""Tests for the chaos gate (tests/harness/chaos.py): the audit logic
+unit-level, and one small real SIGKILL/resume campaign end-to-end."""
 
 from __future__ import annotations
 
-from repro.runtime.chaos import (
-    ChaosReport,
-    CycleResult,
-    audit_run_dir,
-    run_chaos,
-)
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import ExperimentOutcome
 from repro.runtime.events import EventLog
 from repro.runtime.journal import JOURNAL_FILENAME, Journal
 
+from tests.harness.chaos import (
+    ChaosReport,
+    CycleResult,
+    audit_run_dir,
+    run_chaos,
+)
 from tests.runtime.conftest import make_result
 
 

@@ -14,7 +14,7 @@ indistinguishable from a campaign that never crashed:
 - :func:`repro.validate.artifacts.validate_run_dir` finds no errors.
 
 The subprocess/SIGKILL version of the same property lives in the chaos
-harness (:mod:`repro.runtime.chaos`); this sweep covers the engine
+gate (``tests/harness/chaos.py``); this sweep covers the engine
 protocol itself, deterministically and fast.
 """
 
@@ -27,7 +27,6 @@ import pytest
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import CampaignEngine, EngineConfig
 from repro.runtime.events import EventLog, read_events
-from repro.runtime.iofault import IOFault, IOFaultInjector, install
 from repro.runtime.journal import (
     COMMITTED_STATUSES,
     JOURNAL_FILENAME,
@@ -37,6 +36,7 @@ from repro.runtime.journal import (
 )
 from repro.validate.artifacts import validate_run_dir
 
+from tests.harness.iofault import IOFault, IOFaultInjector, install
 from tests.runtime.conftest import FakeClock, FakeExperiment, SleepRecorder
 
 EXPERIMENT_IDS = ("e0", "e1", "e2")

@@ -17,8 +17,8 @@ from repro.runtime.errors import (
     TraceGenerationError,
     classify_exception,
 )
-from repro.runtime.faults import FaultInjector, FaultSpec
 
+from tests.harness.faulty import arm, fault
 from tests.runtime.conftest import FakeClock, FakeExperiment, SleepRecorder
 
 
@@ -144,13 +144,15 @@ class TestIsolationAndRetry:
 
 
 class TestBudgetIntegration:
-    def test_hang_is_converted_to_degraded_retry(self, fake_clock, sleep_recorder):
+    def test_hang_is_converted_to_degraded_retry(
+        self, tmp_path, fake_clock, sleep_recorder
+    ):
         exp = FakeExperiment("fig6")
         engine = make_engine(
             [exp], fake_clock, sleep_recorder, budget_seconds=0.5
         )
-        engine.faults = FaultInjector(
-            plan={"fig6": FaultSpec(kind="hang", fail_attempts=1)}
+        engine.registry = arm(
+            engine.registry, {"fig6": fault("hang", attempts=1)}, tmp_path
         )
         report = engine.run()
         outcome = report.outcome("fig6")
@@ -247,13 +249,15 @@ class TestAcceptanceScenario:
             budget_seconds=0.5,
             max_attempts=2,
         )
-        engine.faults = FaultInjector(
-            plan={
-                "crash-exp": FaultSpec(
-                    kind="crash", exception=TraceGenerationError, fail_attempts=1
+        engine.registry = arm(
+            engine.registry,
+            {
+                "crash-exp": fault(
+                    "crash", attempts=1, exception=TraceGenerationError.__name__
                 ),
-                "hang-exp": FaultSpec(kind="hang", fail_attempts=1),
-            }
+                "hang-exp": fault("hang", attempts=1),
+            },
+            tmp_path,
         )
         store = CheckpointStore(tmp_path / "run")
         engine.store = store

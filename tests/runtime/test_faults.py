@@ -1,78 +1,39 @@
-"""Tests for the deterministic fault-injection harness."""
+"""Tests for the failing experiment runners of tests/harness/faulty.py."""
 
 import pytest
 
 from repro.mem.tracefile import TraceFileCorruptError
-from repro.runtime.budget import Budget
+from repro.runtime.budget import Budget, activate
 from repro.runtime.errors import (
     BudgetExceeded,
     ExperimentError,
     TraceGenerationError,
 )
-from repro.runtime.faults import (
-    FaultInjector,
-    FaultSpec,
-    corrupt_file,
-    fire_fault,
-)
 
-from tests.runtime.conftest import FakeClock
+from tests.harness.faulty import arm, corrupt_file, fault, fired
+from tests.runtime.conftest import FakeClock, FakeExperiment
+
+
+def attempt(registry, experiment_id, budget=None):
+    """Run one attempt of ``experiment_id`` the way the engine does."""
+    runner, kwargs = registry[experiment_id]
+    with activate(budget or Budget.unlimited()):
+        return getattr(runner, "run", runner)(**kwargs)
+
+
+def armed(tmp_path, experiment_id, **planned):
+    registry = {experiment_id: (FakeExperiment(experiment_id), {"n": 1})}
+    return arm(registry, {experiment_id: fault(**planned)}, tmp_path)
 
 
 class TestFaultSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec(kind="meltdown")
+            fault(kind="meltdown")
 
     def test_fail_attempts_must_be_positive(self):
         with pytest.raises(ValueError):
-            FaultSpec(kind="crash", fail_attempts=0)
-
-
-class TestFaultShipping:
-    """FaultSpec must round-trip through JSON to reach a worker."""
-
-    def test_dict_round_trip(self):
-        spec = FaultSpec(
-            kind="crash",
-            fail_attempts=2,
-            exception=TraceGenerationError,
-            message="ship me",
-            cooperative=False,
-            exit_code=7,
-        )
-        restored = FaultSpec.from_dict(spec.to_dict())
-        assert restored == spec
-
-    def test_builtin_exception_resolves(self):
-        spec = FaultSpec(kind="crash", exception=ValueError)
-        assert FaultSpec.from_dict(spec.to_dict()).exception is ValueError
-
-    def test_unknown_exception_falls_back(self):
-        from repro.runtime.errors import SimulationError
-
-        payload = FaultSpec(kind="crash").to_dict()
-        payload["exception"] = "NoSuchExceptionAnywhere"
-        assert FaultSpec.from_dict(payload).exception is SimulationError
-
-
-class TestUncontainableKinds:
-    """The kinds only a process kill can stop are refused in-process."""
-
-    @pytest.mark.parametrize("kind", ["memhog", "die"])
-    def test_worker_only_kinds_refused_in_process(self, kind):
-        with pytest.raises(ExperimentError, match="worker"):
-            fire_fault(FaultSpec(kind=kind), "fig6", 1)
-
-    def test_non_cooperative_hang_refused_in_process(self):
-        spec = FaultSpec(kind="hang", cooperative=False)
-        with pytest.raises(ExperimentError, match="non-cooperative"):
-            fire_fault(spec, "fig6", 1, budget=Budget.unlimited())
-
-    def test_injector_refuses_them_too(self):
-        injector = FaultInjector(plan={"fig6": FaultSpec(kind="die")})
-        with pytest.raises(ExperimentError, match="worker"):
-            injector.before_attempt("fig6", 1, Budget.unlimited())
+            fault(kind="crash", attempts=0)
 
 
 class TestCorruptFile:
@@ -92,46 +53,47 @@ class TestCorruptFile:
 
 
 class TestFaultInjector:
-    def test_crash_raises_configured_exception(self):
-        injector = FaultInjector(
-            plan={"fig2": FaultSpec(kind="crash", exception=TraceGenerationError)}
+    def test_crash_raises_configured_exception(self, tmp_path):
+        registry = armed(
+            tmp_path, "fig2", kind="crash", exception="TraceGenerationError"
         )
         with pytest.raises(TraceGenerationError, match="fig2"):
-            injector.before_attempt("fig2", 1, Budget.unlimited())
-        assert injector.triggered == [("fig2", 1, "crash")]
+            attempt(registry, "fig2")
+        assert fired(tmp_path) == [("fig2", 1, "crash")]
 
-    def test_fault_stands_down_after_fail_attempts(self):
-        injector = FaultInjector(plan={"fig2": FaultSpec(kind="crash")})
+    def test_fault_stands_down_after_fail_attempts(self, tmp_path):
+        registry = armed(tmp_path, "fig2", kind="crash")
         with pytest.raises(ExperimentError):
-            injector.before_attempt("fig2", 1, Budget.unlimited())
-        injector.before_attempt("fig2", 2, Budget.unlimited())  # clean
-        assert len(injector.triggered) == 1
+            attempt(registry, "fig2")
+        result = attempt(registry, "fig2")  # clean: the real runner
+        assert result.experiment_id == "fig2"
+        assert registry["fig2"][1]["fault"]["runner"].calls == [{"n": 1}]
+        assert len(fired(tmp_path)) == 1
 
-    def test_unplanned_experiment_untouched(self):
-        injector = FaultInjector(plan={"fig2": FaultSpec(kind="crash")})
-        injector.before_attempt("fig4", 1, Budget.unlimited())
-        assert injector.triggered == []
+    def test_unplanned_experiment_untouched(self, tmp_path):
+        registry = armed(tmp_path, "fig2", kind="crash")
+        registry["fig4"] = (FakeExperiment("fig4"), {})
+        attempt(registry, "fig4")
+        assert fired(tmp_path) == []
 
-    def test_hang_spins_until_budget_exceeded(self):
-        injector = FaultInjector(plan={"fig6": FaultSpec(kind="hang")})
+    def test_hang_spins_until_budget_exceeded(self, tmp_path):
+        registry = armed(tmp_path, "fig6", kind="hang")
         budget = Budget(0.5, clock=FakeClock(step=0.05))
         with pytest.raises(BudgetExceeded, match="injected hang"):
-            injector.before_attempt("fig6", 1, budget)
+            attempt(registry, "fig6", budget)
 
-    def test_hang_refuses_unlimited_budget(self):
-        injector = FaultInjector(plan={"fig6": FaultSpec(kind="hang")})
+    def test_hang_refuses_unlimited_budget(self, tmp_path):
+        registry = armed(tmp_path, "fig6", kind="hang")
         with pytest.raises(ExperimentError, match="finite budget"):
-            injector.before_attempt("fig6", 1, Budget.unlimited())
+            attempt(registry, "fig6")
 
     def test_corrupt_trace_travels_real_path(self, tmp_path):
-        injector = FaultInjector(
-            plan={"fig5": FaultSpec(kind="corrupt-trace")}, workspace=tmp_path
-        )
+        registry = armed(tmp_path, "fig5", kind="corrupt-trace")
         with pytest.raises(TraceFileCorruptError):
-            injector.before_attempt("fig5", 1, Budget.unlimited())
+            attempt(registry, "fig5")
         assert (tmp_path / "fig5-injected.npz").is_file()
 
-    def test_corrupt_trace_requires_workspace(self):
-        injector = FaultInjector(plan={"fig5": FaultSpec(kind="corrupt-trace")})
-        with pytest.raises(ExperimentError, match="workspace"):
-            injector.before_attempt("fig5", 1, Budget.unlimited())
+    def test_corrupt_trace_requires_workspace(self, tmp_path):
+        registry = armed(tmp_path / "missing", "fig5", kind="corrupt-trace")
+        with pytest.raises(OSError):
+            attempt(registry, "fig5")

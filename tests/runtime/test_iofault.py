@@ -1,4 +1,5 @@
-"""Tests for the I/O fault injector and the shared atomic write."""
+"""Tests for the I/O fault injector (tests/harness/iofault.py) and the
+shared atomic write of repro.runtime.records."""
 
 from __future__ import annotations
 
@@ -7,17 +8,21 @@ import os
 
 import pytest
 
-import repro.runtime.iofault as iofault
-from repro.runtime.iofault import (
-    IOFAULT_ENV,
-    IOFault,
-    IOFaultInjector,
+from repro.runtime import records
+from repro.runtime.records import (
     atomic_write_bytes,
     atomic_write_text,
     check_io,
+    io_write,
+)
+
+from tests.harness.iofault import (
+    IOFAULT_ENV,
+    IOFault,
+    IOFaultInjector,
+    active_injector,
     install,
     install_from_env,
-    io_write,
 )
 
 
@@ -90,6 +95,7 @@ class TestCounting:
             os.close(fd)
 
     def test_uninstalled_wrappers_are_plain_syscalls(self, tmp_path):
+        assert records.io_hook is None
         fd = os.open(tmp_path / "f", os.O_WRONLY | os.O_CREAT)
         try:
             assert io_write(fd, b"hello", "journal") == 5
@@ -123,7 +129,7 @@ class TestFaultKinds:
         injector = IOFaultInjector([IOFault("lease", "fsync", "fsync-fail")])
         with install(injector):
             with pytest.raises(OSError, match=r"injected at lease:fsync"):
-                iofault.io_fsync(0, "lease")
+                records.io_fsync(0, "lease")
 
 
 class TestAtomicWrite:
@@ -169,10 +175,10 @@ class TestEnvInstall:
         assert install_from_env({}) is None
 
     def test_env_spec_arms_the_process(self, tmp_path):
-        previous = iofault.active_injector()
+        previous = records.io_hook
         try:
             injector = install_from_env({IOFAULT_ENV: "journal:write:eio:1"})
-            assert injector is not None
+            assert injector is not None and active_injector() is injector
             fd = os.open(tmp_path / "f", os.O_WRONLY | os.O_CREAT)
             try:
                 with pytest.raises(OSError):
@@ -180,10 +186,4 @@ class TestEnvInstall:
             finally:
                 os.close(fd)
         finally:
-            iofault._ACTIVE = previous
-
-    def test_worker_environment_strips_the_variable(self, monkeypatch):
-        from repro.runtime.workers import worker_environment
-
-        monkeypatch.setenv(IOFAULT_ENV, "journal:write:kill:1")
-        assert IOFAULT_ENV not in worker_environment()
+            records.io_hook = previous

@@ -16,7 +16,8 @@ from repro.runtime import records
 from repro.runtime.events import EVENTS_MAGIC, EventLog
 from repro.runtime.journal import JOURNAL_MAGIC, Journal
 from repro.validate import artifacts
-from repro.validate.fuzz import MUTATIONS
+
+from tests.harness.fuzz import MUTATIONS
 
 ATTRIBUTION = {
     "git_sha": "a" * 40,
@@ -239,7 +240,7 @@ class TestAppendersRepairTheTornTail:
             assert log.emit("resume")["seq"] == 3
 
     def test_append_after_a_failed_write_drops_its_torn_bytes(self, tmp_path):
-        from repro.runtime.iofault import IOFault, IOFaultInjector, install
+        from tests.harness.iofault import IOFault, IOFaultInjector, install
 
         path = tmp_path / "log"
         injector = IOFaultInjector([IOFault("t", "write", "short-write", nth=2)])

@@ -22,7 +22,6 @@ from repro.runtime.errors import (
     WorkerTimeoutError,
 )
 from repro.runtime.events import EventLog, read_events
-from repro.runtime.faults import FaultInjector, FaultSpec
 from repro.runtime.workers import (
     AttemptSpec,
     WorkerPool,
@@ -34,6 +33,7 @@ from repro.runtime.workers import (
     worker_environment,
 )
 
+from tests.harness.faulty import arm, fault
 from tests.runtime import worker_targets
 
 TARGETS = "tests.runtime.worker_targets"
@@ -61,6 +61,15 @@ def make_spec(runner=f"{TARGETS}:run_ok", **overrides) -> AttemptSpec:
     defaults = dict(experiment_id="exp", runner=runner, kwargs={"n": 3})
     defaults.update(overrides)
     return AttemptSpec(**defaults)
+
+
+def faulty_spec(fault_dir, kind, exit_code=1, **overrides) -> AttemptSpec:
+    """A spec whose runner fails as ``kind`` (tests/harness/faulty.py)."""
+    planned = {"exp": {**fault(kind), "exit_code": exit_code}}
+    runner, kwargs = arm(
+        {"exp": (worker_targets.run_ok, {"n": 3})}, planned, fault_dir
+    )["exp"]
+    return make_spec(runner=runner_ref(runner), kwargs=kwargs, **overrides)
 
 
 class TestRunnerRef:
@@ -107,8 +116,8 @@ class TestAttemptSpec:
             degraded=True,
             budget_seconds=12.5,
             max_rss_mb=512,
-            fault={"kind": "crash"},
-            workspace="/tmp/ws",
+            generation=3,
+            obs=True,
         )
         restored = AttemptSpec.from_json(spec.to_json())
         assert restored == spec
@@ -214,7 +223,9 @@ class TestSupervisorContainment:
         assert result is None
         assert "expected ExperimentResult" in failure.message
 
-    def test_non_cooperative_hang_is_killed_at_the_deadline(self, make_supervisor):
+    def test_non_cooperative_hang_is_killed_at_the_deadline(
+        self, make_supervisor, tmp_path
+    ):
         events = []
         supervisor = make_supervisor(
             hard_timeout_seconds=1.0,
@@ -223,7 +234,7 @@ class TestSupervisorContainment:
         )
         started = time.monotonic()
         result, failure = supervisor.run_attempt(
-            make_spec(fault={"kind": "hang", "cooperative": False})
+            faulty_spec(tmp_path, "hang-hard")
         )
         elapsed = time.monotonic() - started
         assert result is None
@@ -237,20 +248,20 @@ class TestSupervisorContainment:
         assert kill_events[0][2]["signal"] == "SIGTERM"
         assert supervisor.live_count() == 0
 
-    def test_memhog_contained_by_rlimit(self, make_supervisor):
+    def test_memhog_contained_by_rlimit(self, make_supervisor, tmp_path):
         supervisor = make_supervisor(hard_timeout_seconds=120)
         result, failure = supervisor.run_attempt(
-            make_spec(fault={"kind": "memhog"}, max_rss_mb=RLIMIT_MB)
+            faulty_spec(tmp_path, "memhog", max_rss_mb=RLIMIT_MB)
         )
         assert result is None
         assert failure.category == WorkerMemoryError.category
         assert failure.error_type == "WorkerMemoryError"
         assert "rlimit" in failure.message
 
-    def test_sudden_death_is_classified(self, make_supervisor):
+    def test_sudden_death_is_classified(self, make_supervisor, tmp_path):
         supervisor = make_supervisor(hard_timeout_seconds=60)
         result, failure = supervisor.run_attempt(
-            make_spec(fault={"kind": "die", "exit_code": 7})
+            faulty_spec(tmp_path, "die", exit_code=7)
         )
         assert result is None
         assert failure.category == WorkerCrashError.category
@@ -396,19 +407,21 @@ class TestPerAttemptIsolation:
         assert result.notes[-1] == f"{TIER_ENV}=oracle"
 
     def test_iofault_is_absent_in_a_live_worker(
-        self, make_supervisor, monkeypatch
+        self, make_supervisor, monkeypatch, tmp_path
     ):
-        from repro.runtime.iofault import IOFAULT_ENV
+        from tests.harness.iofault import IOFAULT_ENV
 
-        monkeypatch.setenv(IOFAULT_ENV, "journal:write:kill:3")
+        monkeypatch.setenv(IOFAULT_ENV, "*:*:kill:1")
         supervisor = make_supervisor(hard_timeout_seconds=60)
         result, failure = supervisor.run_attempt(
             make_spec(
-                runner=f"{TARGETS}:run_echo_env", kwargs={"name": IOFAULT_ENV}
+                runner=f"{TARGETS}:run_atomic_write",
+                kwargs={"path": str(tmp_path / "out.txt")},
             )
         )
         assert failure is None
-        assert result.notes[-1] == f"{IOFAULT_ENV}=None"
+        assert result.notes[-1] == "io_hook=None"
+        assert (tmp_path / "out.txt").read_text() == "written"
 
 
 class TestWorkerPoolAcceptance:
@@ -424,6 +437,8 @@ class TestWorkerPoolAcceptance:
             "hoggy": (worker_targets.run_ok, {"n": 3}),
         }
         overrides = {name: {"n": 0} for name in registry}
+        if faults is not None:
+            registry = arm(registry, faults, store.run_dir.parent)
         return CampaignEngine(
             registry,
             quick_overrides=overrides,
@@ -436,18 +451,12 @@ class TestWorkerPoolAcceptance:
                 backoff_base_seconds=0.0,
             ),
             store=store,
-            faults=faults,
             event_log=event_log,
         )
 
     def test_parallel_containment_degrade_and_resume(self, tmp_path):
         store = CheckpointStore(tmp_path / "run")
-        faults = FaultInjector(
-            plan={
-                "hangy": FaultSpec(kind="hang", cooperative=False),
-                "hoggy": FaultSpec(kind="memhog"),
-            }
-        )
+        faults = {"hangy": fault("hang-hard"), "hoggy": fault("memhog")}
         with EventLog(store.events_path) as event_log:
             engine = self._engine(store, event_log=event_log, faults=faults)
             report = engine.run()
@@ -498,7 +507,7 @@ class TestGracefulInterruption:
         run_dir = tmp_path / "run"
         store = CheckpointStore(run_dir)
         argv = [
-            sys.executable, "-m", "repro.experiments",
+            sys.executable, "-m", "tests.harness.cli",
             "--quick", "--jobs", "2", "--run-dir", str(run_dir),
             "--inject-fault", "fig5=hang-hard:99",
             "table1", "fig5",

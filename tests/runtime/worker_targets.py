@@ -103,6 +103,16 @@ def run_echo_env(name: str = "", **kwargs) -> ExperimentResult:
     return result
 
 
+def run_atomic_write(path: str = "", **kwargs) -> ExperimentResult:
+    """Durably write ``path`` and report the worker's I/O seam."""
+    from repro.runtime import records
+
+    records.atomic_write_text(path, "written", site="journal")
+    result = run_ok(**kwargs)
+    result.notes.append(f"io_hook={records.io_hook}")
+    return result
+
+
 def _factory():
     def local_runner(**kwargs):  # pragma: no cover - never shipped
         return run_ok(**kwargs)

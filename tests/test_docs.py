@@ -77,3 +77,68 @@ class TestPaperMap:
             assert (
                 REPO / "src/repro" / prefix / f"{rest}.py"
             ).exists(), f"{prefix}/{rest}.py"
+
+
+#: The operator docs whose ``repro.…`` names and CLI lines must resolve.
+OPERATOR_DOCS = [
+    "README.md",
+    "DESIGN.md",
+    *sorted(str(p.relative_to(REPO)) for p in (REPO / "docs").glob("*.md")),
+    ".claude/skills/verify/SKILL.md",
+]
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then getattr the rest."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+class TestOperatorDocs:
+    @pytest.mark.parametrize("name", OPERATOR_DOCS)
+    def test_cited_repro_names_resolve(self, name):
+        text = _read(name)
+        unresolved = sorted(
+            {
+                match.group()
+                for match in re.finditer(r"\brepro(?:\.\w+)+", text)
+                # Wildcard and brace forms (repro.experiments.fig*) name
+                # a family, not one object.
+                if text[match.end() : match.end() + 1] not in ("*", "{")
+                and not _resolves(match.group())
+            }
+        )
+        assert not unresolved, f"{name} cites {unresolved}"
+
+    @pytest.mark.parametrize("name", OPERATOR_DOCS)
+    def test_cited_cli_words_exist(self, name):
+        from repro.experiments.__main__ import (
+            EXPERIMENTS,
+            SUBCOMMANDS,
+            build_parser,
+        )
+
+        flags = set(build_parser()._option_string_actions)
+        unknown = set()
+        for match in re.finditer(r"python -m repro\.experiments[ \t]+(\S+)", _read(name)):
+            word = match.group(1).rstrip("`),;:")
+            if not word.strip(".") or word[:1] in ("<", "["):
+                continue  # an ellipsis or a placeholder
+            word = word.rstrip(".")
+            if word.startswith("--"):
+                known = word.split("=")[0] in flags
+            else:
+                known = word in SUBCOMMANDS or word in EXPERIMENTS
+            if not known:
+                unknown.add(word)
+        assert not unknown, f"{name} runs unknown CLI words {sorted(unknown)}"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.mem.trace import Trace, TraceBuilder
-from repro.validate.corpus import CORPUS, build_corpus, corpus_entry
-from repro.validate.differential import (
+
+from tests.harness.corpus import CORPUS, build_corpus, corpus_entry
+from tests.harness.differential import (
     cross_check_corpus,
     cross_check_trace,
     default_check_capacities,
@@ -48,7 +49,7 @@ class TestCrossCheckTrace:
     def test_mismatch_is_reported(self, monkeypatch):
         """Sabotage the explicit simulator and verify the harness sees it."""
         from repro.mem import cache as cache_mod
-        from repro.validate import differential
+        from tests.harness import differential
 
         class FakeStats:
             def __init__(self, misses):
@@ -104,7 +105,7 @@ class TestStreamedDifferential:
     """Streamed simulators must agree EXACTLY with in-memory ones."""
 
     def test_random_trace_exact_agreement(self, tmp_path):
-        from repro.validate.differential import cross_check_streamed
+        from tests.harness.differential import cross_check_streamed
         from tests.conftest import random_trace
 
         report = cross_check_streamed(
@@ -116,7 +117,7 @@ class TestStreamedDifferential:
     def test_sabotaged_shard_order_detected(self, tmp_path, monkeypatch):
         """Swap two shards during chunk iteration: the oracle notices."""
         from repro.mem.shards import StreamingTrace
-        from repro.validate.differential import cross_check_streamed
+        from tests.harness.differential import cross_check_streamed
         from tests.conftest import random_trace
 
         original = StreamingTrace.iter_chunks
@@ -137,7 +138,7 @@ class TestStreamedDifferential:
         """One real application trace through the streamed oracle; the
         full five-app sweep runs in CI via ``cross_check_corpus``."""
         entry = corpus_entry("cg-n16-p4")
-        from repro.validate.differential import cross_check_streamed
+        from tests.harness.differential import cross_check_streamed
 
         report = cross_check_streamed(
             entry.build(), tmp_path, subject=entry.name
@@ -191,7 +192,7 @@ class TestKernelTier:
         assert kernels.active_kernel_config().tier == before
 
     def test_streamed_check_accepts_kernel_tier(self, tmp_path):
-        from repro.validate.differential import cross_check_streamed
+        from tests.harness.differential import cross_check_streamed
         from tests.conftest import random_trace
 
         trace = random_trace(1_000, 32, seed=4)

@@ -1,10 +1,10 @@
-"""Tests for the deterministic artifact-reader fuzzer."""
+"""Tests for the deterministic artifact-reader fuzzer (tests/harness/fuzz.py)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.validate.fuzz import (
+from tests.harness.fuzz import (
     ACCEPTED_DIVERGENT,
     ACCEPTED_PREFIX,
     MUTATIONS,
