@@ -2,10 +2,9 @@
 
 Two rows per kernel (``repro.mem.kernels``):
 
-- ``*_oracle``: the pure-Python reference hot loop, tier pinned to
-  ``oracle``;
-- ``*_vector``: the columnar numpy kernel, the configuration campaigns
-  actually run.
+- ``*_oracle``: the pure-Python reference hot loop, every chunk held
+  to it by ``tests.harness.loops.loops_only``;
+- ``*_vector``: the columnar numpy kernel, what campaigns actually run.
 
 The random traces have almost no per-set runs, so
 ``bench_kernel_setassoc4_bh_vector`` adds a Barnes-Hut trace (the
@@ -18,14 +17,13 @@ suite: a kernel row regressing more than 10% against
 """
 
 import numpy as np
-import pytest
 
-from repro.mem import kernels
 from repro.mem.cache import FullyAssociativeCache
 from repro.mem.multiproc import MultiprocessorMemory
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import profile_trace
 from repro.mem.trace import Trace
+from tests.harness.loops import loops_only
 
 def _random_trace(num_refs=50_000, num_blocks=4096, seed=0):
     rng = np.random.default_rng(seed)
@@ -34,16 +32,10 @@ def _random_trace(num_refs=50_000, num_blocks=4096, seed=0):
     return Trace(addrs, kinds)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_kernels():
-    yield
-    kernels.clear_kernels(clear_env=False)
-
-
 def _bench_tier(benchmark, fn, refs, tier):
-    kernels.configure_kernels(tier=tier, export_env=False)
-    fn()  # warmup
-    benchmark(fn)
+    with loops_only(tier == "oracle"):
+        fn()  # warmup
+        benchmark(fn)
     benchmark.extra_info["refs"] = refs
     benchmark.extra_info["kernel_tier"] = tier
     if benchmark.stats and benchmark.stats.stats.mean:

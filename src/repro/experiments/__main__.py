@@ -27,8 +27,6 @@ Usage::
         --max-rss-mb 2048 --run-dir runs/par     # parallel + contained
     python -m repro.experiments --validate --run-dir runs/full
                                       # reject results failing the oracles
-    python -m repro.experiments --verify-store runs/full
-                                      # checksum every checkpoint, exit 0/1
     python -m repro.experiments validate runs/full
                                       # full artifact validation of a run dir
     python -m repro.experiments status runs/full --follow
@@ -61,8 +59,8 @@ Exit status: 0 when every experiment finished (possibly degraded),
 1 when any experiment ultimately failed after retries or the campaign
 was interrupted (Ctrl-C / SIGTERM — completed results are already
 checkpointed, so ``--resume`` finishes the remainder), 2 on usage
-errors.  The ``validate`` subcommand and ``--verify-store`` exit 0 on a clean report, 1 on findings, 2 on usage
-errors.
+errors.  The ``validate`` subcommand exits 0 on a clean report, 1 on
+findings, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -238,15 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         "like any other failure",
     )
     parser.add_argument(
-        "--verify-store",
-        default=None,
-        metavar="DIR",
-        dest="verify_store",
-        help="verify every checkpoint envelope in DIR (manifest, summary, "
-        "results, failures) and exit: 0 = all sound, 1 = corruption found "
-        "or no envelope to check, 2 = DIR is not a directory",
-    )
-    parser.add_argument(
         "--stream",
         action="store_true",
         help="generate and simulate traces out-of-core: generators spill "
@@ -264,16 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="references per trace shard when --stream is on "
         "(default: 262144); smaller shards mean more frequent "
         "mid-simulation checkpoints at more I/O cost",
-    )
-    parser.add_argument(
-        "--kernel-tier",
-        choices=("vector", "oracle"),
-        default=None,
-        dest="kernel_tier",
-        help="simulation kernel tier: 'vector' (default) runs the numpy "
-        "batch kernels on every chunk they cover; 'oracle' forces the "
-        "per-reference loops everywhere (default: REPRO_KERNEL_TIER, "
-        "else 'vector'; see docs/KERNELS.md)",
     )
     parser.add_argument(
         "--quiet",
@@ -372,34 +351,6 @@ def validate_command(argv: List[str]) -> int:
     else:
         print(report.render())
     return 0 if report.ok else 1
-
-
-def verify_store_command(run_dir: str) -> int:
-    """``--verify-store DIR``: checksum every checkpoint envelope.
-
-    Exit 0 when DIR holds at least one envelope and every one verifies,
-    1 when any is corrupt or there is none to verify, 2 when DIR is not
-    a directory.
-    """
-    store = CheckpointStore(run_dir)
-    if not store.run_dir.is_dir():
-        print(f"store {run_dir}: not a directory")
-        return 2
-    checked = store.envelope_paths()
-    if not checked:
-        print(f"store {run_dir}: no checkpoint envelopes found")
-        return 1
-    problems = store.verify_all()
-    if not problems:
-        print(
-            f"store {run_dir}: every envelope verified "
-            f"({len(checked)} checked)"
-        )
-        return 0
-    print(f"store {run_dir}: {len(problems)} corrupt envelope(s)")
-    for rel_path, message in sorted(problems.items()):
-        print(f"  {rel_path}: {message}")
-    return 1
 
 
 def status_command(argv: List[str]) -> int:
@@ -645,9 +596,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(experiment_id)
         return 0
 
-    if args.verify_store is not None:
-        return verify_store_command(args.verify_store)
-
     if args.budget_seconds is not None and args.budget_seconds <= 0:
         print("--budget-seconds must be positive")
         return 2
@@ -673,17 +621,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("--archive requires --run-dir or --resume (the archive row "
               "is built from the run directory's artifacts)")
         return 2
-    # Simulation kernel tier: install it (module global + environment,
-    # inherited by workers).  A mistyped
-    # REPRO_KERNEL_TIER is a usage error, caught before any attempt.
-    from repro.mem.kernels import configure_kernels
-
-    try:
-        configure_kernels(tier=args.kernel_tier)
-    except ValueError as exc:
-        print(exc)
-        return 2
-
     wanted = args.experiments or list(EXPERIMENTS)
     unknown = [name for name in wanted if name not in EXPERIMENTS]
     if unknown:

@@ -13,10 +13,11 @@ the hierarchy obeys inclusion automatically: a level-i hit implies the
 block would hit in any larger level.  Per-level miss counts therefore
 derive from one stack-distance profile; the explicit simulator here is
 the cross-check and also yields per-level *traffic*, which the profile
-alone does not.  On the vector tier :meth:`CacheHierarchy.run` takes
-one fully associative depth step per level over the miss stream of the
-level above (the ``hierarchy`` kernel); the per-reference ``access``
-loop is the oracle tier, and the tests hold the kernel to it.
+alone does not.  On a chunk in the kernel's domain
+:meth:`CacheHierarchy.run` takes one fully associative depth step per
+level over the miss stream of the level above (the ``hierarchy``
+kernel); the per-reference ``access`` loop is the reference semantics,
+and the tests hold the kernel to it.
 """
 
 from __future__ import annotations

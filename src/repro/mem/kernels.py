@@ -4,18 +4,18 @@ The per-reference pure-Python hot loops in :mod:`repro.mem.cache`,
 :mod:`repro.mem.setassoc`, :mod:`repro.mem.stack_distance`,
 :mod:`repro.mem.hierarchy` and :mod:`repro.mem.multiproc` are the
 reference semantics.  This module provides numpy batch implementations
-of all five ("the vector tier"):
-pure functions from a simulator's ``state_dict()`` plus one columnar
-chunk to the successor snapshot.  :func:`guard_run` dispatches a chunk
-to them when the tier and the chunk's domain allow, and otherwise
-leaves the chunk to the loop ("the oracle tier",
-``REPRO_KERNEL_TIER=oracle``).
+of all five: pure functions from a simulator's ``state_dict()`` plus
+one columnar chunk to the successor snapshot.  :func:`guard_run`
+dispatches a chunk to them when the chunk is in the kernel's domain
+(long enough, block ids in range, infinite coherent caches), and
+otherwise leaves it to the loop.  No option chooses between the two.
 
 Trust lives in the tests and in CI, not in the runtime.  The test
 suite compares every kernel against its loop at every chunk boundary
 (hypothesis differentials, adversarial and run-heavy traces, the
-default configuration), and CI runs the whole ``--quick`` campaign on
-both tiers and requires identical results.  At runtime each chunk pays
+default configuration), and CI runs the whole ``--quick`` campaign
+again with every simulator held to its loop (``tests/harness/loops.py``)
+and requires identical results.  At runtime each chunk pays
 only O(1) checks on its scalar deltas; a kernel result that breaks one
 raises :class:`~repro.runtime.errors.KernelDivergenceError` and leaves
 the simulator untouched.
@@ -71,9 +71,6 @@ the per-reference loop.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -917,91 +914,16 @@ _BUDGETED = ("setassoc", "multiproc", "hierarchy")
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Domain
 # ---------------------------------------------------------------------------
 
-#: The one kernel switch, exported by :func:`configure_kernels` so
-#: worker processes inherit the campaign's tier.
-TIER_ENV = "REPRO_KERNEL_TIER"
-
-DEFAULT_TIER = "vector"
-TIERS = ("vector", "oracle")
-
-#: Below this many references per chunk the vector tier is not worth
-#: the numpy fixed costs; the pure loops run instead.
+#: Below this many references per chunk the kernels are not worth the
+#: numpy fixed costs; the pure loops run instead.
 MIN_REFS = 2048
 
 #: The depth engine indexes the chunk plus its synthetic prefix in
 #: int32; the guard declines a prefixed chunk this long.
 MAX_REFS = 1 << 28
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Ambient kernel policy for this process (and its workers)."""
-
-    tier: str = DEFAULT_TIER
-
-
-_ACTIVE_CONFIG: Optional[KernelConfig] = None
-
-
-def _checked_tier(tier: str) -> str:
-    if tier not in TIERS:
-        raise ValueError(f"unknown kernel tier {tier!r} (expected one of {TIERS})")
-    return tier
-
-
-def active_kernel_config() -> KernelConfig:
-    """The installed configuration, else one read from the environment.
-
-    An unknown ``REPRO_KERNEL_TIER`` raises :class:`ValueError`: a typo
-    must not quietly run the default tier.
-    """
-    if _ACTIVE_CONFIG is not None:
-        return _ACTIVE_CONFIG
-    tier = os.environ.get(TIER_ENV, "") or DEFAULT_TIER
-    return KernelConfig(tier=_checked_tier(tier))
-
-
-def configure_kernels(
-    tier: Optional[str] = None, export_env: bool = True
-) -> KernelConfig:
-    """Install the ambient kernel configuration for this process.
-
-    ``tier=None`` keeps the current (or environment) tier.  With
-    ``export_env`` (the default) the tier is also placed in
-    ``os.environ`` so worker processes, which get the supervisor's
-    environment at each attempt, run the same tier.
-    """
-    global _ACTIVE_CONFIG
-    config = KernelConfig(
-        tier=_checked_tier(tier) if tier is not None else active_kernel_config().tier
-    )
-    _ACTIVE_CONFIG = config
-    if export_env:
-        os.environ[TIER_ENV] = config.tier
-    return config
-
-
-def clear_kernels(clear_env: bool = True) -> None:
-    """Remove the ambient configuration (tests, teardown)."""
-    global _ACTIVE_CONFIG
-    _ACTIVE_CONFIG = None
-    if clear_env:
-        os.environ.pop(TIER_ENV, None)
-
-
-@contextmanager
-def tier_override(tier: str):
-    """Temporarily force a kernel tier in this process (no env export)."""
-    global _ACTIVE_CONFIG
-    prev = _ACTIVE_CONFIG
-    _ACTIVE_CONFIG = KernelConfig(tier=_checked_tier(tier))
-    try:
-        yield
-    finally:
-        _ACTIVE_CONFIG = prev
 
 
 # ---------------------------------------------------------------------------
@@ -1159,17 +1081,15 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
     The dispatch point the simulators call at the top of their hot
     loops.  Returns ``True`` when the kernel ran and the simulator state
     was updated (the caller is done); ``False`` when the caller must run
-    its pure-Python loop: oracle tier, or a chunk that is small or
-    outside the kernel's domain.  For ``"setassoc"``, ``sim`` may be a
-    list of caches of one block size, advanced together over ``trace``
-    (a sweep).  ``options`` go to the kernel as keyword arguments
-    (``links=True`` for ``"stackdist"``).  A kernel result that breaks
+    its pure-Python loop: a chunk that is small or outside the kernel's
+    domain.  For ``"setassoc"``, ``sim`` may be a list of caches of one
+    block size, advanced together over ``trace`` (a sweep).  ``options``
+    go to the kernel as keyword arguments (``links=True`` for
+    ``"stackdist"``).  A kernel result that breaks
     a scalar invariant raises
     :class:`~repro.runtime.errors.KernelDivergenceError`.  In every case
     but ``True`` every simulator is untouched.
     """
-    if active_kernel_config().tier != "vector":
-        return False
     if kernel == "multiproc":
         # Infinite caches and in-memory traces only.
         if (

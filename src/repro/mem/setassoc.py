@@ -126,11 +126,11 @@ class SetAssociativeCache:
 
         Equal to ``[cache.run(trace, budget) for cache in caches]``:
         the same stats, states and timeline rows (but for their
-        timings).  On the vector tier the caches share one kernel call,
-        which makes one depth pass per distinct set count (see
-        ``docs/KERNELS.md``).  The oracle tier runs each cache's loop, a
-        streamed trace each cache's :meth:`run`, and caches of different
-        block sizes run one by one.
+        timings).  On a chunk in the kernel's domain the caches share
+        one kernel call, which makes one depth pass per distinct set
+        count (see ``docs/KERNELS.md``).  Otherwise each cache runs its
+        loop, a streamed trace each cache's :meth:`run`, and caches of
+        different block sizes run one by one.
         """
         caches = list(caches)
         if hasattr(trace, "iter_chunks"):
@@ -178,7 +178,7 @@ class SetAssociativeCache:
     def _run_loop(
         self, trace: Trace, budget: Optional[Budget] = None
     ) -> CacheStats:
-        """The per-reference loop: the oracle tier's semantics."""
+        """The per-reference loop: the reference semantics."""
         if budget is None:
             budget = active_budget()
         sampler = hot_loop_sampler("mem.setassoc")

@@ -19,7 +19,7 @@ live timestamp precedes the current time ``t``, so the blocks touched
 strictly after ``prev`` are ``live - prefix(prev)``, and the depth is
 that plus one: a single prefix walk per reference.  The tree is built
 lazily, only when the pure-Python loop actually runs, so chunks that
-the vectorized kernel tier handles (``repro.mem.kernels``) never pay
+the vectorized kernels handle (``repro.mem.kernels``) never pay
 for it.
 """
 
@@ -213,7 +213,7 @@ class StackDistanceRun:
     order plus the histogram — no tree, no raw timestamps.  It also
     makes the tree disposable: renumbering drops it, and :meth:`feed`
     rebuilds it (in linear time) only when the pure-Python loop runs.
-    A vectorized-tier chunk goes snapshot → kernel → restore without
+    A kernel chunk goes snapshot → kernel → restore without
     ever touching a tree.
 
     Feed chunks with :meth:`feed`; finish with :meth:`result`.
@@ -300,7 +300,7 @@ class StackDistanceRun:
         When a timeline recorder is active (``repro.obs.timeline``),
         the chunk also lands one row per window of ``row_refs``
         references (default: the whole chunk is one window).  The chunk
-        is still fed in one pass: both tiers hand back every
+        is still fed in one pass: kernel and loop both hand back every
         reference's depth and in-chunk previous reference, and by
         Mattson inclusion those give each window's counts, per-capacity
         misses, depth percentiles and working set exactly as feeding
@@ -325,11 +325,9 @@ class StackDistanceRun:
             )
             del depth, prev
             share = elapsed / len(rows)
-            tier = obs_timeline.kernel_tier()
             for row in rows:
                 row["elapsed_s"] = round(share, 9)
                 row["refs_per_second"] = row["refs"] / share if share > 0 else None
-                row["tier"] = tier
             recorder.record_many("stackdist", rows)
         except Exception:
             inc("obs.timeline.write_errors")
@@ -428,7 +426,7 @@ class StackDistanceRun:
     def _feed_impl(
         self, trace: Trace, budget: Optional[Budget] = None, links: bool = False
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Advance over one chunk on the configured tier.  With ``links``
+        """Advance over one chunk (kernel or loop).  With ``links``
         returns the chunk's int32 ``(depth, prev)`` (see
         :meth:`_timeline_rows`); otherwise ``None``."""
         from repro.mem import kernels
@@ -574,7 +572,9 @@ class StackDistanceRun:
                     f"checkpoint {field}={state.get(field)!r} does not match "
                     f"this run's {field}={getattr(self, field)!r}"
                 )
-        blocks = [int(b) for b in state["blocks_by_last_access"]]
+        # Every producer (state_dict, the kernel, the JSON snapshot
+        # decoder) hands over Python ints: no per-block conversion.
+        blocks = state["blocks_by_last_access"]
         self._last_time = dict(zip(blocks, range(len(blocks))))
         self._tree = None
         self._clock = len(blocks)

@@ -137,14 +137,12 @@ def campaign_rows(
     """One archive row summarising a finished campaign run directory.
 
     Pulls throughput from the campaign status (metrics snapshot) and
-    phase/knee estimates from the timeline artifact itself; the kernel
-    tier is this process's configured tier.
+    phase/knee estimates from the timeline artifact itself.
     """
     from repro.obs.status import load_status
     from repro.obs.timeline import (
         TIMELINE_FILENAME,
         detect_phases,
-        kernel_tier,
         latest_attempt_rows,
         read_timeline,
     )
@@ -170,7 +168,6 @@ def campaign_rows(
         row["refs_per_second"] = float(status.refs_per_second)
     if status.refs_simulated is not None:
         row["refs_simulated"] = int(status.refs_simulated)
-    row["kernel_tier"] = kernel_tier()
     timeline_rows = read_timeline(run_dir / TIMELINE_FILENAME)
     if timeline_rows:
         knees: Dict[str, object] = {}

@@ -243,9 +243,9 @@ def _stream_progress_from_metrics(
 def _kernel_tallies_from_metrics(
     snapshot: Optional[Dict[str, object]]
 ) -> Optional[Dict[str, Dict[str, object]]]:
-    """Per-kernel vector-tier chunk counts (``mem.kernel.<kind>.chunks``
-    counters published by :mod:`repro.mem.kernels`); None when the
-    campaign never ran a kernel (oracle tier, or a pre-kernel run)."""
+    """Per-kernel chunk counts (``mem.kernel.<kind>.chunks`` counters
+    published by :mod:`repro.mem.kernels`); None when the campaign
+    never ran a kernel (every chunk on the loops, or a pre-kernel run)."""
     if snapshot is None:
         return None
     campaign = snapshot.get("campaign")

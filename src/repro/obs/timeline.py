@@ -527,13 +527,6 @@ def clear_labels() -> None:
         _recorder.clear_labels()
 
 
-def kernel_tier() -> str:
-    """The configured kernel tier, the ``tier`` label of timeline rows."""
-    from repro.mem import kernels
-
-    return kernels.active_kernel_config().tier
-
-
 def record_cache_chunk(
     recorder: TimelineRecorder,
     kind: str,
@@ -572,7 +565,6 @@ def record_cache_chunk(
             block_size=int(block_size),
             capacity_bytes=int(capacity_bytes),
             ws_blocks=int(ws_blocks),
-            tier=kernel_tier(),
         )
     except Exception:
         obs_metrics.inc("obs.timeline.write_errors")

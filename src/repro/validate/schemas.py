@@ -355,6 +355,8 @@ TIMELINE_ROW_SCHEMA: Dict[str, object] = {
         "depth_p50": {"type": "integer", "minimum": 0},
         "depth_p90": {"type": "integer", "minimum": 0},
         "depth_p99": {"type": "integer", "minimum": 0},
+        # Written by earlier versions only; kept so their run
+        # directories still validate.
         "tier": {"type": "string", "enum": ["vector", "oracle"]},
         "experiment_id": {"type": "string"},
         "attempt_uid": {"type": "string"},
@@ -380,7 +382,7 @@ ARCHIVE_ROW_SCHEMA: Dict[str, object] = {
         "bench": {"type": "string"},
         "refs_per_second": {"type": ["number", "null"]},
         "refs_simulated": {"type": ["integer", "null"]},
-        "kernel_tier": {"type": "string"},
+        "kernel_tier": {"type": "string"},  # earlier versions only
         "obs_overhead_pct": {"type": ["number", "null"]},
         "mean_seconds": {"type": ["number", "null"]},
         "phases": {"type": "object"},

@@ -1,9 +1,10 @@
-"""CLI integration: subcommands, --validate, --verify-store, exit codes."""
+"""CLI integration: subcommands, --validate, store verification, exit codes."""
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -48,6 +49,22 @@ class TestValidateSubcommand:
         code = main(["validate", str(tmp_path / "absent")])
         assert code == 1
         assert "run-dir-missing" in capsys.readouterr().out
+
+    def test_timeline_rows_labelled_with_a_tier_still_validate(self, tmp_path, capsys):
+        """Earlier versions stamped ``tier`` on every timeline row."""
+        from repro.obs import timeline as tl
+        from repro.runtime import records
+
+        run_dir = tmp_path / "run"
+        assert main(["--quick", "--jobs", "0", "--run-dir", str(run_dir), "fig4"]) == 0
+        path = run_dir / tl.TIMELINE_FILENAME
+        rows = tl.read_timeline(path)
+        assert rows and all("tier" not in row for row in rows)
+        path.write_bytes(
+            b"".join(records.frame(tl.TIMELINE_MAGIC, {**row, "tier": "vector"}) for row in rows)
+        )
+        capsys.readouterr()
+        assert main(["validate", str(run_dir)]) == 0, capsys.readouterr().out
 
     def test_clean_quick_campaign_validates(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -103,12 +120,15 @@ class TestFuzzSubcommand:
 
 
 class TestVerifyStore:
+    """Checksumming a run directory's envelopes is ``validate --shallow``:
+    it reads every checkpoint envelope without running the oracles."""
+
     def test_clean_store_exits_0(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         main(["--quick", "--jobs", "0", "--run-dir", str(run_dir), "table1"])
         capsys.readouterr()
-        assert main(["--verify-store", str(run_dir)]) == 0
-        assert "every envelope verified" in capsys.readouterr().out
+        assert main(["validate", "--shallow", str(run_dir)]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_corrupt_store_exits_1(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -116,24 +136,33 @@ class TestVerifyStore:
         checkpoint = run_dir / "results" / "table1.json"
         checkpoint.write_text(checkpoint.read_text()[:-20])
         capsys.readouterr()
-        assert main(["--verify-store", str(run_dir)]) == 1
-        assert "corrupt envelope" in capsys.readouterr().out
+        assert main(["validate", "--shallow", str(run_dir)]) == 1
+        assert "checkpoint-corrupt [results/table1.json]" in capsys.readouterr().out
 
-    def test_missing_path_exits_2(self, tmp_path, capsys):
-        assert main(["--verify-store", str(tmp_path / "absent")]) == 2
-        assert "not a directory" in capsys.readouterr().out
+    def test_missing_path_exits_1(self, tmp_path, capsys):
+        assert main(["validate", "--shallow", str(tmp_path / "absent")]) == 1
+        assert "run-dir-missing" in capsys.readouterr().out
 
-    def test_directory_without_envelopes_exits_1(self, tmp_path, capsys):
-        assert main(["--verify-store", str(tmp_path)]) == 1
-        assert "no checkpoint envelopes" in capsys.readouterr().out
+    def test_directory_without_envelopes_passes_with_warnings(self, tmp_path, capsys):
+        assert main(["validate", "--shallow", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "manifest-missing" in out and "summary-missing" in out
 
-    def test_success_line_counts_envelopes(self, tmp_path, capsys):
+    def test_every_envelope_is_checked(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         main(["--quick", "--jobs", "0", "--run-dir", str(run_dir), "table1"])
-        capsys.readouterr()
-        assert main(["--verify-store", str(run_dir)]) == 0
-        # manifest, summary and table1's result
-        assert "(3 checked)" in capsys.readouterr().out
+        for name in ("manifest.json", "summary.json", "results/table1.json"):
+            broken = tmp_path / name.replace("/", "-")
+            shutil.copytree(run_dir, broken)
+            envelope = broken / name
+            envelope.write_text(envelope.read_text().replace('"', "'", 1))
+            capsys.readouterr()
+            assert main(["validate", "--shallow", str(broken)]) == 1
+            assert f"checkpoint-corrupt [{name}]" in capsys.readouterr().out
+
+    def test_verify_store_flag_is_gone(self, tmp_path, capsys):
+        assert main(["--verify-store", str(tmp_path)]) == 2
+        assert "--verify-store" in capsys.readouterr().err
 
 
 class TestValidateFlag:
@@ -247,6 +276,34 @@ class TestResumeKeepsTheManifest:
         ]
         capsys.readouterr()
         assert main(["validate", run_dir]) == 0, capsys.readouterr().out
+
+
+class TestLoopsOnlyHarness:
+    """``python -m tests.harness.cli --loops-only`` holds forked workers
+    to the per-reference loops, and the results do not change."""
+
+    def test_loops_reach_forked_workers(self, tmp_path, capsys):
+        default, loops = str(tmp_path / "default"), str(tmp_path / "loops")
+        base = ["--quick", "--jobs", "1", "--run-dir"]
+        assert main(base + [default, "fig4"]) == 0
+        assert harness_cli.main(["--loops-only"] + base + [loops, "fig4"]) == 0
+
+        def payload(run_dir):
+            envelope = json.loads((tmp_path / run_dir / "results" / "fig4.json").read_text())
+            envelope["payload"].pop("elapsed_seconds", None)
+            return envelope["payload"]
+
+        def kernel_chunks(run_dir):
+            counters = json.loads((tmp_path / run_dir / "metrics.json").read_text())
+            return {
+                name: value
+                for name, value in counters["campaign"]["counters"].items()
+                if name.startswith("mem.kernel.") and name.endswith(".chunks")
+            }
+
+        assert payload("default") == payload("loops")
+        assert kernel_chunks("default").get("mem.kernel.stackdist.chunks", 0) > 0
+        assert kernel_chunks("loops") == {}
 
 
 class TestDurabilityCLI:

@@ -38,10 +38,16 @@ ENOSPC cycles swap the SIGKILL for a transient injected disk-full at a
 checkpoint write; the supervisor must retry, complete, and leave an
 audit-clean directory without any restart at all.
 
-Everything is seeded: a failing cycle is rerun exactly with
-``--seed``/``--cycles``::
+``--seed``/``--cycles`` fix each cycle's kind, kill budget, planted
+I/O fault (site and write index) and the random draws behind its kill
+delays, which also scale with the reference run's wall time::
 
     python -m tests.harness.cli chaos --cycles 10 --enospc-cycles 1 --seed 3
+
+Only io-kill and ENOSPC cycles replay exactly: they fail at a planted
+write.  A time-kill cycle races its delay against wall time, so whether
+a launch finishes before the kill, and so how many launches and kills
+the cycle takes, varies from run to run under the same seed.
 """
 
 from __future__ import annotations
@@ -439,7 +445,8 @@ def run_chaos(
     Args:
         cycles: SIGKILL/resume cycles (alternating timed kills and
             in-write self-kills).
-        seed: Master seed; the whole campaign is a function of it.
+        seed: Master seed for every cycle's random draws (see the
+            module docstring for what replays exactly).
         experiments: Experiment ids for every run (quick mode).
         jobs: ``--jobs`` for the campaigns under test.
         enospc_cycles: Additional transient disk-full cycles.

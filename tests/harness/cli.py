@@ -4,13 +4,16 @@ Three forms, each run from the repository root with ``PYTHONPATH=src``::
 
     python -m tests.harness.cli chaos --cycles 10 --enospc-cycles 1 --seed 3
     python -m tests.harness.cli fuzz --cases 500 --seed 0
-    python -m tests.harness.cli [--inject-fault ID=KIND[:ATTEMPTS]]... ARGS...
+    python -m tests.harness.cli [--loops-only] \
+        [--inject-fault ID=KIND[:ATTEMPTS]]... ARGS...
 
 The last form arms the I/O fault injector from ``REPRO_IOFAULT``
-(:mod:`tests.harness.iofault`), swaps each ``--inject-fault``
-experiment for a failing runner (:mod:`tests.harness.faulty`), and then
-runs the real :func:`repro.experiments.__main__.main` on ARGS, so the
-faults hit the code users run.  Exit codes are the real CLI's; the
+(:mod:`tests.harness.iofault`), with ``--loops-only`` holds every
+experiment's simulators to their per-reference loops
+(:mod:`tests.harness.loops`), swaps each ``--inject-fault`` experiment
+for a failing runner (:mod:`tests.harness.faulty`), and then runs the
+real :func:`repro.experiments.__main__.main` on ARGS, so the harness
+hits the code users run.  Exit codes are the real CLI's; the
 gates exit 0 on a pass, 1 on a failure and 2 on a usage error.
 """
 
@@ -106,10 +109,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in GATES:
         return GATES[argv[0]](argv[1:])
-    from tests.harness import faulty, iofault
+    from tests.harness import faulty, iofault, loops
 
     parser = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     parser.add_argument("--inject-fault", action="append", default=[])
+    parser.add_argument("--loops-only", action="store_true")
     args, rest = parser.parse_known_args(argv)
     try:
         plan = faulty.parse_plan(args.inject_fault)
@@ -121,17 +125,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"--inject-fault: unknown experiments {unknown}")
         return 2
     iofault.install_from_env()
-    if not plan:
+    if not (plan or args.loops_only):
         return product.main(rest)
-    fault_dir = tempfile.mkdtemp(prefix="repro-faults-")
     saved = dict(product.EXPERIMENTS)
-    product.EXPERIMENTS.update(faulty.arm(saved, plan, fault_dir))
+    armed = loops.arm(saved) if args.loops_only else saved
+    fault_dir = tempfile.mkdtemp(prefix="repro-faults-") if plan else None
+    if plan:
+        armed = faulty.arm(armed, plan, fault_dir)
+    product.EXPERIMENTS.update(armed)
     try:
         return product.main(rest)
     finally:
         product.EXPERIMENTS.clear()
         product.EXPERIMENTS.update(saved)
-        shutil.rmtree(fault_dir, ignore_errors=True)
+        if fault_dir is not None:
+            shutil.rmtree(fault_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -48,24 +48,6 @@ from repro.validate.report import ValidationReport
 DEFAULT_ASSOCIATIVITIES = (1, 2, 4)
 
 
-def _kernel_tier_scope(kernel_tier: Optional[str]):
-    """Context manager pinning the simulation kernel tier for one check.
-
-    ``kernel_tier="oracle"`` forces the pure-Python reference loops,
-    ``"vector"`` forces the vectorized kernels,
-    and ``None`` leaves the ambient :mod:`repro.mem.kernels`
-    configuration untouched — so existing callers see no behaviour
-    change.
-    """
-    import contextlib
-
-    if kernel_tier is None:
-        return contextlib.nullcontext()
-    from repro.mem import kernels
-
-    return kernels.tier_override(kernel_tier)
-
-
 def default_check_capacities(
     trace: Trace, block_size: int = 8, points: int = 6
 ) -> List[int]:
@@ -84,7 +66,6 @@ def cross_check_trace(
     block_size: int = 8,
     associativities: Iterable[int] = DEFAULT_ASSOCIATIVITIES,
     subject: str = "trace",
-    kernel_tier: Optional[str] = None,
 ) -> ValidationReport:
     """Cross-check the Mattson profiler against explicit simulation.
 
@@ -102,9 +83,6 @@ def cross_check_trace(
         block_size: Line size in bytes for all three instruments.
         associativities: Ways for the inclusion chain (ascending).
         subject: Label for the returned report.
-        kernel_tier: ``"vector"``/``"oracle"`` to pin the simulation
-            kernel tier for the whole check; None keeps the ambient
-            :mod:`repro.mem.kernels` configuration.
 
     Returns:
         A :class:`~repro.validate.report.ValidationReport` whose error
@@ -112,15 +90,6 @@ def cross_check_trace(
         ``setassoc-inclusion``, and ``setassoc-below-cold-floor`` (plus
         any profile-oracle codes).
     """
-    if kernel_tier is not None:
-        with _kernel_tier_scope(kernel_tier):
-            return cross_check_trace(
-                trace,
-                capacities_bytes=capacities_bytes,
-                block_size=block_size,
-                associativities=associativities,
-                subject=subject,
-            )
     report = ValidationReport(subject=f"differential {subject}")
     if capacities_bytes is None:
         capacities_bytes = default_check_capacities(trace, block_size)
@@ -185,7 +154,6 @@ def cross_check_streamed(
     block_size: int = 8,
     shard_refs: Optional[int] = None,
     subject: str = "trace",
-    kernel_tier: Optional[str] = None,
 ) -> ValidationReport:
     """Demand EXACT agreement between streamed and in-memory paths.
 
@@ -195,24 +163,14 @@ def cross_check_streamed(
     because the streamed path feeds the identical hot loops chunk-wise;
     any divergence is a bug in the shard substrate, never noise.
 
-    Error findings use the code ``streaming-mismatch``.
-    ``kernel_tier`` pins the simulation kernel tier for both paths
-    (see :func:`cross_check_trace`).
+    Error findings use the code ``streaming-mismatch``.  Run it inside
+    :func:`tests.harness.loops.loops_only` to check the per-reference
+    loops rather than the kernels.
     """
     from pathlib import Path
 
     from repro.mem.shards import StreamingTraceBuilder
 
-    if kernel_tier is not None:
-        with _kernel_tier_scope(kernel_tier):
-            return cross_check_streamed(
-                trace,
-                work_dir,
-                capacities_bytes=capacities_bytes,
-                block_size=block_size,
-                shard_refs=shard_refs,
-                subject=subject,
-            )
     report = ValidationReport(subject=f"streaming {subject}")
     if capacities_bytes is None:
         capacities_bytes = default_check_capacities(trace, block_size)
@@ -308,7 +266,6 @@ def cross_check_streamed(
 def cross_check_corpus(
     names: Optional[Iterable[str]] = None,
     streamed_work_dir=None,
-    kernel_tier: Optional[str] = None,
 ) -> ValidationReport:
     """Run :func:`cross_check_trace` over the pinned trace corpus.
 
@@ -318,9 +275,6 @@ def cross_check_corpus(
             :func:`cross_check_streamed` for every entry, sharding into
             this directory — the acceptance oracle that the streamed
             simulators agree exactly with the in-memory path.
-        kernel_tier: ``"vector"``/``"oracle"`` to pin the simulation
-            kernel tier for every check; None keeps the ambient
-            :mod:`repro.mem.kernels` configuration.
     """
     from tests.harness.corpus import CORPUS, corpus_entry
     from repro.validate.report import merge_reports
@@ -331,18 +285,9 @@ def cross_check_corpus(
     reports = []
     for entry in entries:
         trace = entry.build()
-        reports.append(
-            cross_check_trace(
-                trace, subject=entry.name, kernel_tier=kernel_tier
-            )
-        )
+        reports.append(cross_check_trace(trace, subject=entry.name))
         if streamed_work_dir is not None:
             reports.append(
-                cross_check_streamed(
-                    trace,
-                    streamed_work_dir,
-                    subject=entry.name,
-                    kernel_tier=kernel_tier,
-                )
+                cross_check_streamed(trace, streamed_work_dir, subject=entry.name)
             )
     return merge_reports("differential corpus", reports)

@@ -4,8 +4,8 @@ The contract under test (see ``docs/KERNELS.md``): the columnar numpy
 kernels in :mod:`repro.mem.kernels` must be *byte-identical* to the
 pure-Python hot loops at every chunk boundary, in the default
 configuration as much as under opt-in settings.  These tests, together
-with CI's whole-campaign tier-parity job, are what the vector tier is
-trusted on; the runtime only checks each chunk's scalar deltas, and a
+with CI's whole-campaign parity job, are what the kernels are trusted
+on; the runtime only checks each chunk's scalar deltas, and a
 kernel result that breaks one raises before the simulator is touched.
 """
 
@@ -25,20 +25,12 @@ from repro.mem.stack_distance import StackDistanceRun, profile_trace
 from repro.mem.trace import Trace
 from repro.runtime.errors import KernelDivergenceError
 from tests.conftest import count_kernel_calls
-
-
-@pytest.fixture(autouse=True)
-def _clean_kernel_world(monkeypatch):
-    """Every test starts unconfigured, with no tier in the environment."""
-    monkeypatch.delenv(kernels.TIER_ENV, raising=False)
-    kernels.clear_kernels(clear_env=False)
-    yield
-    kernels.clear_kernels(clear_env=False)
+from tests.harness.loops import loops_only
 
 
 @pytest.fixture
 def tiny_chunks(monkeypatch):
-    """Let the vector tier take chunks of any size."""
+    """Let the kernels take chunks of any size."""
     monkeypatch.setattr(kernels, "MIN_REFS", 0)
 
 
@@ -57,10 +49,6 @@ def _mixed_trace(num_refs, num_blocks, seed=0):
     )
 
 
-def _vector():
-    kernels.configure_kernels(tier="vector", export_env=False)
-
-
 def _canonical(state):
     return json.dumps(state, sort_keys=True)
 
@@ -69,56 +57,39 @@ def _canonical(state):
 
 
 class TestConfig:
-    def test_defaults_from_empty_environment(self):
-        assert kernels.active_kernel_config() == kernels.KernelConfig(
-            tier=kernels.DEFAULT_TIER
-        )
+    def test_defaults_from_empty_environment(self, monkeypatch, kernel_calls):
+        monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
         assert kernels.MIN_REFS == 2048
+        FullyAssociativeCache(32 * 8).run(_mixed_trace(kernels.MIN_REFS, 64))
+        assert kernel_calls["fullassoc"] == 1
 
-    def test_configure_exports_environment(self):
-        import os
+    @pytest.mark.parametrize("value", ["oracle", "orcale"])
+    def test_kernel_tier_variable_is_ignored(self, monkeypatch, kernel_calls, value):
+        """The retired switch neither forces the loops nor fails a run."""
+        monkeypatch.setenv("REPRO_KERNEL_TIER", value)
+        FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
+        assert kernel_calls["fullassoc"] == 1
 
-        kernels.configure_kernels(tier="oracle")
-        assert kernels.active_kernel_config().tier == "oracle"
-        assert os.environ[kernels.TIER_ENV] == "oracle"
-        kernels.clear_kernels()
-        assert kernels.TIER_ENV not in os.environ
 
-    def test_configure_rejects_unknown_tier(self):
-        with pytest.raises(ValueError):
-            kernels.configure_kernels(tier="gpu")
+class TestLoopsSeam:
+    """``tests.harness.loops``: the seam every loop comparison runs on."""
 
-    def test_tier_override_restores(self):
-        _vector()
-        with kernels.tier_override("oracle"):
-            assert kernels.active_kernel_config().tier == "oracle"
-        assert kernels.active_kernel_config().tier == "vector"
-
-    def test_tier_override_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with kernels.tier_override("turbo"):
-                pass
-
-    def test_mistyped_tier_in_environment_raises(self, monkeypatch):
-        monkeypatch.setenv(kernels.TIER_ENV, "orcale")
-        with pytest.raises(ValueError, match="orcale"):
-            kernels.active_kernel_config()
-        # A simulator must not quietly pick a tier either.
-        with pytest.raises(ValueError, match="orcale"):
+    def test_loops_only_restores(self, kernel_calls):
+        guard = kernels.guard_run
+        with loops_only():
+            assert kernels.guard_run is not guard
             FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
-        # An explicit tier replaces the environment's.
-        config = kernels.configure_kernels(tier="oracle", export_env=False)
-        assert config.tier == "oracle"
+        assert kernels.guard_run is guard
+        assert kernel_calls["fullassoc"] == 0
+        FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
+        assert kernel_calls["fullassoc"] == 1
 
-    def test_cli_exits_2_on_mistyped_tier(self, monkeypatch, tmp_path, capsys):
-        from repro.experiments.__main__ import main
-
-        monkeypatch.setenv(kernels.TIER_ENV, "orcale")
-        run_dir = tmp_path / "run"
-        argv = ["--quick", "--jobs", "0", "--run-dir", str(run_dir), "table1"]
-        assert main(argv) == 2
-        assert "unknown kernel tier 'orcale'" in capsys.readouterr().out
-        assert not run_dir.exists()  # no attempt ran
+    def test_loops_only_reaches_every_simulator(self, kernel_calls):
+        trace = _mixed_trace(kernels.MIN_REFS * 3 // 2, 96, seed=4)
+        with loops_only():
+            for kind in kernels.KERNEL_KINDS:
+                _run_sim(kind, trace)
+        assert sum(kernel_calls.values()) == 0
 
 
 # -- guard engagement ------------------------------------------------------
@@ -127,25 +98,22 @@ class TestConfig:
 class TestGuard:
     def test_vector_tier_engages_and_matches_oracle(self, kernel_calls):
         trace = _mixed_trace(4000, 64)
-        _vector()
         stats = FullyAssociativeCache(32 * 8).run(trace)
         assert kernel_calls["fullassoc"] == 1
-        with kernels.tier_override("oracle"):
+        with loops_only():
             expected = FullyAssociativeCache(32 * 8).run(trace)
         assert stats.__dict__ == expected.__dict__
 
     def test_small_chunks_stay_on_the_oracle(self, kernel_calls):
-        _vector()
         FullyAssociativeCache(32 * 8).run(_mixed_trace(kernels.MIN_REFS - 1, 16))
         assert kernel_calls["fullassoc"] == 0
 
     def test_oracle_tier_never_engages(self, tiny_chunks, kernel_calls):
-        kernels.configure_kernels(tier="oracle", export_env=False)
-        profile_trace(_mixed_trace(4000, 64))
+        with loops_only():
+            profile_trace(_mixed_trace(4000, 64))
         assert kernel_calls["stackdist"] == 0
 
     def test_out_of_domain_block_ids_fall_back(self, tiny_chunks, kernel_calls):
-        _vector()
         trace = _trace([0, 1, 2, (1 << 45)] * 300)
         stats = FullyAssociativeCache(32 * 8).run(trace)
         assert kernel_calls["fullassoc"] == 0
@@ -155,7 +123,6 @@ class TestGuard:
         """The engine runs on the chunk plus its synthetic prefix, so a
         chunk below ``MAX_REFS`` is declined once the blocks already seen
         push the prefixed length over it."""
-        _vector()
         rng = np.random.default_rng(9)
         first = _trace(rng.permutation(3000))  # 3000 distinct blocks
         second = _trace(rng.integers(0, 6000, size=2500))
@@ -168,7 +135,7 @@ class TestGuard:
         assert _canonical(sim.state_dict()) == before
         sim.feed(second)  # declined again: the per-reference loop runs
         assert kernel_calls["stackdist"] == 2
-        with kernels.tier_override("oracle"):
+        with loops_only():
             oracle = StackDistanceRun()
             oracle.feed(first)
             oracle.feed(second)
@@ -214,14 +181,14 @@ def _run_sim(kind, trace):
 
 
 class TestDefaultConfiguration:
-    """No environment and no ``configure_kernels``: what users run."""
+    """Nothing patched: what users run."""
 
     @pytest.mark.parametrize("kind", kernels.KERNEL_KINDS)
     def test_min_refs_chunk_takes_the_vector_tier_and_matches_oracle(self, kind):
         trace = _mixed_trace(kernels.MIN_REFS * 3 // 2, 96, seed=4)
         sim = _new_sim(kind)
         assert kernels.guard_run(kind, sim, _chunk_for(kind, trace)) is True
-        with kernels.tier_override("oracle"):
+        with loops_only():
             expected = _run_sim(kind, trace)
         assert _canonical(sim.state_dict()) == _canonical(expected)
 
@@ -262,7 +229,7 @@ class TestFaultMatrix:
     """A kernel result that breaks a scalar invariant (misses above
     references, a decreasing counter, NaN, a count off the chunk) or a
     kernel that crashes fails the chunk loudly, and the simulator is
-    left exactly as it was, still usable on the oracle tier."""
+    left exactly as it was, still usable on its loop."""
 
     @pytest.mark.parametrize("kernel", kernels.KERNEL_KINDS)
     @pytest.mark.parametrize("fault", _FAULTS)
@@ -282,8 +249,8 @@ class TestFaultMatrix:
         with pytest.raises(expected_error):
             kernels.guard_run(kernel, sim, _chunk_for(kernel, trace))
         assert _canonical(sim.state_dict()) == before
-        # The untouched simulator finishes the chunk on the oracle tier.
-        with kernels.tier_override("oracle"):
+        # The untouched simulator finishes the chunk on its loop.
+        with loops_only():
             expected = _run_sim(kernel, trace)
             _feed(kernel, sim, trace)
         assert _canonical(sim.state_dict()) == _canonical(expected)
@@ -295,15 +262,14 @@ class TestFaultMatrix:
 def _twin_check(make_vector_sim, make_oracle_sim, chunks):
     """Feed identical chunks both ways; states must match at every cut.
     Returns the vector-kernel calls per kind."""
-    _vector()
     vec = make_vector_sim()
-    with kernels.tier_override("oracle"):
+    with loops_only():
         ora = make_oracle_sim()
     with count_kernel_calls() as calls:
         for chunk in chunks:
             step = getattr(vec, "run", None) or vec.feed
             step(chunk)
-            with kernels.tier_override("oracle"):
+            with loops_only():
                 (getattr(ora, "run", None) or ora.feed)(chunk)
             assert _canonical(vec.state_dict()) == _canonical(ora.state_dict())
     return calls
@@ -572,21 +538,20 @@ def _states(sims):
 
 
 def _sweep_twin_check(geometries, histories, chunks):
-    """Sweep caches with ``run_many`` on the vector tier and their twins
-    one by one on the oracle tier; stats and states must match at every
-    cut, with one kernel call per chunk.  ``histories[i]`` (a block
-    list, when present) is fed to cache ``i`` on the oracle tier first."""
+    """Sweep caches with ``run_many`` on the kernel and their twins one
+    by one on the loops; stats and states must match at every cut, with
+    one kernel call per chunk.  ``histories[i]`` (a block list, when
+    present) is fed to cache ``i`` on the loops first."""
     vec, ora = _geometry_caches(geometries), _geometry_caches(geometries)
-    with kernels.tier_override("oracle"):
+    with loops_only():
         for history, v, o in zip(histories, vec, ora):
             if history:
                 v.run(_trace(history, [b % 2 for b in history]))
                 o.run(_trace(history, [b % 2 for b in history]))
-    _vector()
     with count_kernel_calls() as calls:
         for chunk in chunks:
             stats = SetAssociativeCache.run_many(vec, chunk)
-            with kernels.tier_override("oracle"):
+            with loops_only():
                 for cache in ora:
                     cache.run(chunk)
             assert [s.__dict__ for s in stats] == [c.stats.__dict__ for c in ora]
@@ -651,13 +616,13 @@ class TestSweep:
         assert kernels._setassoc_passes(states) == [(8, [1, 3]), (32, [2, 4, 0])]
         # One shared history keeps the views nested ...
         history = _mixed_trace(400, 150, seed=2)
-        with kernels.tier_override("oracle"):
+        with loops_only():
             for cache in caches:
                 cache.run(history)
         states = [cache.state_dict() for cache in caches]
         assert kernels._setassoc_passes(states) == [(8, [1, 3]), (32, [2, 4, 0])]
         # ... one more reference to the direct-mapped cache alone does not.
-        with kernels.tier_override("oracle"):
+        with loops_only():
             caches[0].run(_trace([151]))
         states = [cache.state_dict() for cache in caches]
         assert kernels._setassoc_passes(states) == [
@@ -701,9 +666,8 @@ class TestSweep:
         states = [cache.state_dict() for cache in vec]
         assert kernels._setassoc_passes(states) == [(2, [0]), (2, [1])]
         chunk = _trace([2, 0, 1, 2, 4, 3] * 4, [0, 1] * 12)
-        _vector()
         SetAssociativeCache.run_many(vec, chunk)
-        with kernels.tier_override("oracle"):
+        with loops_only():
             for cache in ora:
                 cache.run(chunk)
         assert _states(vec) == _states(ora)
@@ -729,12 +693,11 @@ class TestSweep:
                 for c, b in ((512, 8), (1024, 16))
             ]
 
-        with kernels.tier_override("oracle"):
+        with loops_only():
             expected = [_canonical(c.run(trace).__dict__) for c in caches()]
             swept = SetAssociativeCache.run_many(caches(), trace)
         assert kernel_calls["setassoc"] == 0
         assert [_canonical(s.__dict__) for s in swept] == expected
-        _vector()
         swept = SetAssociativeCache.run_many(caches(), trace)
         assert kernel_calls["setassoc"] == 2  # one single-view call each
         assert [_canonical(s.__dict__) for s in swept] == expected
@@ -779,10 +742,10 @@ class TestSweep:
 
 def _hierarchy(levels, history=(), history_kinds=()):
     """A hierarchy of ``levels`` blocks per level, fed ``history`` on
-    the oracle tier."""
+    the loops."""
     sim = CacheHierarchy([blocks * 8 for blocks in levels])
     if len(history):
-        with kernels.tier_override("oracle"):
+        with loops_only():
             sim.run(_trace(history, history_kinds))
     return sim
 
@@ -845,7 +808,7 @@ def test_assoc_study_vector_tier_equals_oracle(kernel_calls):
 
     vector = assoc_study.run(n=128)
     assert kernel_calls["setassoc"] == 1  # one sweep call for every cache
-    with kernels.tier_override("oracle"):
+    with loops_only():
         oracle = assoc_study.run(n=128)
     assert _canonical(vector.to_dict()) == _canonical(oracle.to_dict())
 
@@ -855,7 +818,7 @@ def test_hierarchy_design_vector_tier_equals_oracle(kernel_calls):
 
     vector = hierarchy_design.run()
     assert kernel_calls["hierarchy"] == 2  # one call per traced application
-    with kernels.tier_override("oracle"):
+    with loops_only():
         oracle = hierarchy_design.run()
     assert _canonical(vector.to_dict()) == _canonical(oracle.to_dict())
 

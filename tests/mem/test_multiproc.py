@@ -14,6 +14,7 @@ from repro.mem import kernels
 from repro.mem.multiproc import MultiprocessorMemory
 from repro.mem.trace import Access, READ, Trace, TraceBuilder, WRITE
 from tests.conftest import count_kernel_calls
+from tests.harness.loops import loops_only
 
 
 class TestConstruction:
@@ -159,11 +160,9 @@ class TestEvictionDirectoryConsistency:
 
 @pytest.fixture
 def vector_tier(monkeypatch, kernel_calls):
-    """The vector tier on every chunk size; yields the kernel calls."""
+    """The kernels on every chunk size; yields the kernel calls."""
     monkeypatch.setattr(kernels, "MIN_REFS", 0)
-    kernels.configure_kernels(tier="vector", export_env=False)
-    yield kernel_calls
-    kernels.clear_kernels(clear_env=False)
+    return kernel_calls
 
 
 def _state(mem):
@@ -218,35 +217,31 @@ class TestCoherenceKernel:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle_across_windows_and_resets(self, calls, window, spread):
-        kernels.configure_kernels(tier="vector", export_env=False)
-        try:
-            procs = len(calls[0])
-            vec = MultiprocessorMemory(procs)
-            with kernels.tier_override("oracle"):
-                ora = MultiprocessorMemory(procs)
-            touched = set()
-            with mock.patch.object(
-                kernels, "MULTIPROC_WINDOW_REFS", window
-            ), mock.patch.object(kernels, "MIN_REFS", 0), count_kernel_calls() as runs:
-                for call in calls:
-                    traces = [_trace(refs, spread) for refs in call]
-                    touched.update(b for refs in call for b, _ in refs)
-                    refs = sum(len(t) for t in traces)
-                    dense = spread == 1 or len(touched) <= 1
-                    before = runs["multiproc"]
-                    vec.reset_stats()
-                    vec.run_traces(traces)
-                    engaged = runs["multiproc"] - before
-                    assert engaged == int(refs > 0 and dense)
-                    with kernels.tier_override("oracle"):
-                        ora.reset_stats()
-                        ora.run_traces(traces)
-                    assert [s.__dict__ for s in vec.stats] == [
-                        s.__dict__ for s in ora.stats
-                    ]
-                    assert _state(vec) == _state(ora)
-        finally:
-            kernels.clear_kernels(clear_env=False)
+        procs = len(calls[0])
+        vec = MultiprocessorMemory(procs)
+        with loops_only():
+            ora = MultiprocessorMemory(procs)
+        touched = set()
+        with mock.patch.object(
+            kernels, "MULTIPROC_WINDOW_REFS", window
+        ), mock.patch.object(kernels, "MIN_REFS", 0), count_kernel_calls() as runs:
+            for call in calls:
+                traces = [_trace(refs, spread) for refs in call]
+                touched.update(b for refs in call for b, _ in refs)
+                refs = sum(len(t) for t in traces)
+                dense = spread == 1 or len(touched) <= 1
+                before = runs["multiproc"]
+                vec.reset_stats()
+                vec.run_traces(traces)
+                engaged = runs["multiproc"] - before
+                assert engaged == int(refs > 0 and dense)
+                with loops_only():
+                    ora.reset_stats()
+                    ora.run_traces(traces)
+                assert [s.__dict__ for s in vec.stats] == [
+                    s.__dict__ for s in ora.stats
+                ]
+                assert _state(vec) == _state(ora)
 
     def test_kernel_engages_once_per_call(self, vector_tier):
         mem = MultiprocessorMemory(2)
@@ -272,12 +267,12 @@ class TestCoherenceKernel:
     def test_sparse_block_ids_use_the_loop(self, vector_tier):
         """The span counts blocks already held in the machine's state."""
         mem = MultiprocessorMemory(2)
-        with kernels.tier_override("oracle"):
+        with loops_only():
             ora = MultiprocessorMemory(2)
         for blocks in ([0, 1], [1 << 20, 1]):
             traces = [_trace([(b, WRITE)]) for b in blocks]
             mem.run_traces(traces)
-            with kernels.tier_override("oracle"):
+            with loops_only():
                 ora.run_traces(traces)
         assert vector_tier["multiproc"] == 1
         assert _state(mem) == _state(ora)
@@ -314,12 +309,12 @@ class TestBarnesHutPhases:
             [gen.trace_for_processor(p) for p in range(4)],
         ]
         vec = MultiprocessorMemory(4)
-        with kernels.tier_override("oracle"):
+        with loops_only():
             ora = MultiprocessorMemory(4)
         for traces in phases:
             vec.reset_stats()
             vec.run_traces(traces)
-            with kernels.tier_override("oracle"):
+            with loops_only():
                 ora.reset_stats()
                 ora.run_traces(traces)
             assert _state(vec) == _state(ora)

@@ -19,6 +19,7 @@ from repro.mem.stack_distance import (
 )
 from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
 from tests.conftest import random_trace
+from tests.harness.loops import loops_only
 
 
 class TestBasics:
@@ -153,15 +154,6 @@ class TestEquivalenceWithExplicitCache:
         assert misses[-1] == profile.cold_misses
 
 
-@pytest.fixture
-def clean_kernels(monkeypatch):
-    """Unconfigured kernel tier, restored afterwards."""
-    monkeypatch.delenv(kernels.TIER_ENV, raising=False)
-    kernels.clear_kernels(clear_env=False)
-    yield
-    kernels.clear_kernels(clear_env=False)
-
-
 def _local_trace(num_refs, num_blocks, seed):
     """Random walk over blocks with occasional far jumps: a mix of
     short and long stack depths, with reads and writes."""
@@ -212,11 +204,11 @@ class TestOracleAgainstBruteForce:
         [(0, 0, False), (1, 1000, True), (2, 5000, False), (3, 4321, True)],
     )
     def test_matches_explicit_stack(
-        self, clean_kernels, seed, warmup, count_reads_only
+        self, seed, warmup, count_reads_only
     ):
         trace = _local_trace(6000, 400, seed)
         run = StackDistanceRun(count_reads_only=count_reads_only, warmup=warmup)
-        with kernels.tier_override("oracle"):
+        with loops_only():
             for start, stop in ((0, 1), (1, 2500), (2500, 4600), (4600, 6000)):
                 run.feed(_window(trace, start, stop))
         profile = run.result()
@@ -241,14 +233,14 @@ class TestLazyTreeTransitions:
     def _feed_all(self, run, trace, tiers, snapshots=()):
         start = 0
         for index, (size, tier) in enumerate(zip(self.CHUNKS, tiers)):
-            with kernels.tier_override(tier):
+            with loops_only(tier == "oracle"):
                 run.feed(_window(trace, start, start + size))
             if index in snapshots:
                 run.state_dict()
             start += size
 
     def test_mixed_tiers_match_all_oracle(
-        self, clean_kernels, kernel_calls, monkeypatch
+        self, kernel_calls, monkeypatch
     ):
         trace = _local_trace(sum(self.CHUNKS), 3000, seed=7)
         monkeypatch.setattr(kernels, "MIN_REFS", 0)
@@ -278,11 +270,11 @@ class TestLazyTreeTransitions:
             mixed.result().depth_histogram, oracle.result().depth_histogram
         )
 
-    def test_snapshot_leaves_a_valid_tree_alone(self, clean_kernels):
+    def test_snapshot_leaves_a_valid_tree_alone(self):
         """Snapshots of a dense state (no re-access since the last
         renumbering) keep the tree; sparse ones drop it."""
         run = StackDistanceRun()
-        with kernels.tier_override("oracle"):
+        with loops_only():
             run.feed(Trace.from_addresses([0, 8, 16]))
             assert run.state_dict()["blocks_by_last_access"] == [0, 1, 2]
             assert run._tree is not None

@@ -33,6 +33,7 @@ from repro.mem.streamsim import (
 from repro.runtime.journal import read_journal
 from tests.conftest import random_trace
 from tests.harness.iofault import IOFaultInjector, install
+from tests.harness.loops import loops_only
 
 NUM_SHARDS = 5
 
@@ -271,10 +272,11 @@ HIERARCHY_LEVELS = (128, 1024)
 
 @pytest.fixture(params=["oracle", "vector"])
 def tier(request, monkeypatch):
-    """Both tiers, with every chunk (a 300-reference shard included)
-    inside the vector tier's domain."""
+    """The per-reference loops (``oracle``) and the kernels
+    (``vector``), with every chunk (a 300-reference shard included)
+    inside the kernels' domain."""
     monkeypatch.setattr(kernels, "MIN_REFS", 0)
-    with kernels.tier_override(request.param):
+    with loops_only(request.param == "oracle"):
         yield request.param
 
 

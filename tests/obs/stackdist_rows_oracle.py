@@ -6,7 +6,7 @@ active, and reads each window's row off the change in the run's
 depth histogram and counters, exactly as the profiler did before it
 derived every row from a single pass over the whole trace.  The rows
 carry every content field; the timing fields (``elapsed_s``,
-``refs_per_second``) and the ``tier`` label are left out.
+``refs_per_second``) are left out.
 """
 
 from __future__ import annotations

@@ -202,6 +202,14 @@ class TestCampaignRows:
         assert row["experiments"] == ["a"]
         assert ar.is_attributed(row) or "git_sha" not in row
 
+    def test_campaign_row_carries_no_kernel_label(self, tmp_path):
+        from tests.obs.test_status import run_campaign
+        from tests.runtime.conftest import FakeExperiment
+
+        run_dir = tmp_path / "run"
+        run_campaign(run_dir, [FakeExperiment("a")])
+        assert "kernel_tier" not in ar.campaign_rows(run_dir)[0]
+
     def test_campaign_row_carries_phases_from_timeline(self, tmp_path):
         from tests.obs.test_status import run_campaign
         from tests.runtime.conftest import FakeExperiment
@@ -279,6 +287,13 @@ class TestValidateArchiveCodes:
         report = validate_archive_file(path)
         assert report.ok
         assert report.findings == []
+
+    def test_kernel_tier_field_of_earlier_rows_passes(self, tmp_path):
+        from repro.validate.artifacts import validate_archive_file
+
+        path = tmp_path / ar.ARCHIVE_FILENAME
+        path.write_bytes(records.frame(ar.ARCHIVE_MAGIC, _row(kernel_tier="vector")))
+        assert validate_archive_file(path).findings == []
 
     def test_archive_corrupt_midfile_is_error(self, tmp_path):
         from repro.validate.artifacts import validate_archive_file

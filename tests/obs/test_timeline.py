@@ -329,17 +329,29 @@ class TestSimulatorHooks:
             assert summed == baseline.misses_at(capacity // baseline.block_size)
         assert sum(r["counted"] for r in rows) == baseline.total
 
-    def test_profile_rows_under_oracle_tier(self, tmp_path, monkeypatch):
-        from repro.mem import kernels
+    def test_profile_rows_under_oracle_tier(self, tmp_path):
+        """Rows from the per-reference loop equal the kernel's but for
+        their timing and framing, and neither carries a ``tier`` label:
+        the rows say what was simulated, not which path simulated it."""
         from repro.mem.stack_distance import profile_trace
+        from tests.harness.loops import loops_only
 
         obs_metrics.set_obs_enabled(True)
-        tl.configure_timeline(tmp_path / "timeline.jsonl", chunk_refs=8192)
-        with kernels.tier_override("oracle"):
-            profile_trace(self._trace())
-        rows = tl.read_timeline(tmp_path / "timeline.jsonl")
-        assert rows
-        assert all(r["tier"] == "oracle" for r in rows)
+
+        def rows(name, loops):
+            tl.configure_timeline(tmp_path / name, chunk_refs=8192)
+            with loops_only(loops):
+                profile_trace(self._trace())
+            tl.configure_timeline(None)
+            drop = {"seq", "pid", "t_wall", "elapsed_s", "refs_per_second"}
+            return [
+                {k: v for k, v in row.items() if k not in drop}
+                for row in tl.read_timeline(tmp_path / name)
+            ]
+
+        loops, vector = rows("loops.jsonl", True), rows("vector.jsonl", False)
+        assert loops and loops == vector
+        assert all("tier" not in row for row in loops)
 
     def test_fullassoc_run_records_one_row(self, tmp_path):
         from repro.mem.cache import FullyAssociativeCache
@@ -413,13 +425,12 @@ class TestSimulatorHooks:
         assert sweep == rows("each.jsonl")
 
     def test_hierarchy_kernel_adds_no_rows(self, tmp_path):
-        from repro.mem import kernels
         from repro.mem.hierarchy import CacheHierarchy
         from tests.conftest import count_kernel_calls
 
         obs_metrics.set_obs_enabled(True)
         tl.configure_timeline(tmp_path / "timeline.jsonl")
-        with kernels.tier_override("vector"), count_kernel_calls() as calls:
+        with count_kernel_calls() as calls:
             CacheHierarchy([64 * 8, 256 * 8]).run(self._trace(refs=10_000))
         assert calls["hierarchy"] == 1
         assert tl.read_timeline(tmp_path / "timeline.jsonl") == []

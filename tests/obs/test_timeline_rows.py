@@ -1,5 +1,6 @@
 """One-pass ``stackdist`` timeline rows against the window-by-window
-oracle in :mod:`tests.obs.stackdist_rows_oracle`, on both kernel tiers.
+oracle in :mod:`tests.obs.stackdist_rows_oracle`, on the kernel
+(``"vector"``) and on the per-reference loop (``"oracle"``).
 
 The profiler feeds a trace once and derives every window's row from the
 per-reference depths and previous-reference links; the oracle feeds the
@@ -24,11 +25,12 @@ from repro.mem.stack_distance import StackDistanceProfiler, StackDistanceRun
 from repro.mem.trace import READ, WRITE, Trace
 from repro.obs import metrics as obs_metrics
 from repro.obs import timeline as tl
+from tests.harness.loops import loops_only
 from tests.obs.stackdist_rows_oracle import windowed_rows
 
 #: Row fields that do not come from the trace: framing, labels, timing.
 NOT_CONTENT = (
-    "v", "kind", "seq", "pid", "t_wall", "elapsed_s", "refs_per_second", "tier",
+    "v", "kind", "seq", "pid", "t_wall", "elapsed_s", "refs_per_second",
 )
 
 TIERS = st.sampled_from(["vector", "oracle"])
@@ -48,13 +50,13 @@ def _trace(seed: int, refs: int, words: int) -> Trace:
 
 def _recorded(trace, tier: str, chunk_refs: int, **params):
     """Profile ``trace`` with a recorder on; returns the profile and its
-    rows' content fields.  The vector tier takes chunks of any size."""
+    rows' content fields.  The kernel takes chunks of any size."""
     obs_metrics.set_obs_enabled(True)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / tl.TIMELINE_FILENAME
         tl.configure_timeline(path, chunk_refs=chunk_refs)
         try:
-            with kernels.tier_override(tier), mock.patch.object(
+            with loops_only(tier == "oracle"), mock.patch.object(
                 kernels, "MIN_REFS", 0
             ):
                 profile = StackDistanceProfiler(**params).profile(trace)
@@ -158,7 +160,7 @@ class TestLinks:
         trace = _trace(3, 5000, 900)
         seen, patch = self._spy()
         obs_metrics.set_obs_enabled(True)
-        with patch, kernels.tier_override("vector"):
+        with patch:
             run = StackDistanceRun()
             run.feed(trace)
             tl.configure_timeline(tmp_path / tl.TIMELINE_FILENAME)
@@ -173,7 +175,7 @@ class TestLinks:
         links = {}
         for tier in ("vector", "oracle"):
             run = StackDistanceRun(block_size=32)
-            with kernels.tier_override(tier):
+            with loops_only(tier == "oracle"):
                 run.feed(warm)
                 links[tier] = run._feed_impl(trace, links=True)
         for got, want in zip(links["vector"], links["oracle"]):

@@ -393,18 +393,15 @@ class TestPerAttemptIsolation:
     def test_environment_is_taken_at_attempt_time(
         self, make_supervisor, monkeypatch
     ):
-        from repro.mem.kernels import TIER_ENV
-
-        monkeypatch.setenv(TIER_ENV, "vector")
+        name = "REPRO_TEST_ATTEMPT_ENV"
+        monkeypatch.setenv(name, "first")
         supervisor = make_supervisor(hard_timeout_seconds=60)
-        spec = make_spec(
-            runner=f"{TARGETS}:run_echo_env", kwargs={"name": TIER_ENV}
-        )
+        spec = make_spec(runner=f"{TARGETS}:run_echo_env", kwargs={"name": name})
         result, _ = supervisor.run_attempt(spec)
-        assert result.notes[-1] == f"{TIER_ENV}=vector"
-        monkeypatch.setenv(TIER_ENV, "oracle")  # the server is running now
+        assert result.notes[-1] == f"{name}=first"
+        monkeypatch.setenv(name, "second")  # the server is running now
         result, _ = supervisor.run_attempt(spec)
-        assert result.notes[-1] == f"{TIER_ENV}=oracle"
+        assert result.notes[-1] == f"{name}=second"
 
     def test_iofault_is_absent_in_a_live_worker(
         self, make_supervisor, monkeypatch, tmp_path

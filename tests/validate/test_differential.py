@@ -13,6 +13,7 @@ from tests.harness.differential import (
     cross_check_trace,
     default_check_capacities,
 )
+from tests.harness.loops import loops_only
 
 
 def sweep_trace(blocks: int = 20, sweeps: int = 3) -> Trace:
@@ -153,22 +154,20 @@ class TestStreamedDifferential:
 
 
 class TestKernelTier:
-    """The kernel_tier= parameter pins the simulation kernel tier."""
+    """The checks pass on the kernels and, inside ``loops_only``, on the
+    per-reference loops."""
 
     @pytest.fixture(autouse=True)
-    def _clean_kernels(self, monkeypatch):
+    def _tiny_chunks(self, monkeypatch):
         from repro.mem import kernels
 
         monkeypatch.setattr(kernels, "MIN_REFS", 0)
-        kernels.clear_kernels(clear_env=False)
-        yield
-        kernels.clear_kernels(clear_env=False)
 
     def test_vector_tier_engages_and_passes(self, kernel_calls):
         from tests.conftest import random_trace
 
         trace = random_trace(2_000, 64, seed=9)
-        report = cross_check_trace(trace, kernel_tier="vector")
+        report = cross_check_trace(trace)
         assert report.ok
         assert sum(kernel_calls.values()) > 0
 
@@ -176,7 +175,8 @@ class TestKernelTier:
         from tests.conftest import random_trace
 
         trace = random_trace(2_000, 64, seed=9)
-        report = cross_check_trace(trace, kernel_tier="oracle")
+        with loops_only():
+            report = cross_check_trace(trace)
         assert report.ok
         assert sum(kernel_calls.values()) == 0
 
@@ -185,18 +185,17 @@ class TestKernelTier:
 
         from tests.conftest import random_trace
 
-        before = kernels.active_kernel_config().tier
-        cross_check_trace(
-            random_trace(500, 32, seed=1), kernel_tier="oracle"
-        )
-        assert kernels.active_kernel_config().tier == before
+        guard = kernels.guard_run
+        with loops_only():
+            cross_check_trace(random_trace(500, 32, seed=1))
+        assert kernels.guard_run is guard
 
-    def test_streamed_check_accepts_kernel_tier(self, tmp_path):
+    def test_streamed_check_accepts_kernel_tier(self, tmp_path, kernel_calls):
         from tests.harness.differential import cross_check_streamed
         from tests.conftest import random_trace
 
         trace = random_trace(1_000, 32, seed=4)
-        report = cross_check_streamed(
-            trace, tmp_path, kernel_tier="vector", subject="tiered"
-        )
+        with loops_only():
+            report = cross_check_streamed(trace, tmp_path, subject="tiered")
         assert report.ok
+        assert sum(kernel_calls.values()) == 0
