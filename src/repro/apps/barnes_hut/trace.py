@@ -27,8 +27,7 @@ from repro.apps.barnes_hut.force import WalkStats, accelerate_body
 from repro.apps.barnes_hut.octree import Cell, Octree
 from repro.apps.barnes_hut.partition import morton_partition
 from repro.mem.address import AddressSpace
-from repro.mem.shards import trace_builder
-from repro.mem.trace import READ, WRITE, Trace
+from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
 from repro.obs.tracing import traced
 from repro.units import DOUBLE_WORD
 
@@ -46,8 +45,7 @@ SCRATCH_DOUBLEWORDS = 48
 _START, _OPEN, _ACCEPT, _BODY, _END = range(5)
 
 #: Recorded events expanded at a time (up to ~84K references): bounds
-#: the expansion temporaries and the columns a streamed trace holds in
-#: memory.  Larger slices measured a higher peak RSS.
+#: the expansion temporaries.  Larger slices measured a higher peak RSS.
 _EMIT_EVENTS = 1024
 
 
@@ -221,7 +219,7 @@ class BarnesHutTraceGenerator:
         """
         if not 0 <= pid < self.num_processors:
             raise IndexError("processor id out of range")
-        tb = trace_builder()
+        tb = TraceBuilder()
         self.stats = WalkStats()
         scratch = [("scratch", i, READ) for i in range(SCRATCH_DOUBLEWORDS)] + [
             ("scratch", i, WRITE) for i in range(0, SCRATCH_DOUBLEWORDS, 2)
@@ -301,7 +299,7 @@ class BarnesHutTraceGenerator:
         that "building the octree ... do[es] not yield quite as good
         speedups" (Section 6.4).
         """
-        tb = trace_builder()
+        tb = TraceBuilder()
         step = [("cell", offset, READ) for offset in range(10, 14)] + [
             ("cell", 14, READ),
             ("cell", 14, WRITE),
@@ -332,7 +330,7 @@ class BarnesHutTraceGenerator:
         a leaf reads its body's position and mass, an internal cell each
         child's center of mass, mass and quadrupole; then the cell writes
         its own moment fields."""
-        tb = trace_builder()
+        tb = TraceBuilder()
         templates = self._templates(
             [
                 [("body", offset, READ) for offset in (0, 1, 2, 6)],

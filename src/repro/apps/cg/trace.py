@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.mem.address import AddressSpace
 from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
-from repro.mem.shards import trace_builder
 from repro.obs.tracing import traced
 from repro.units import DOUBLE_WORD
 
@@ -177,7 +176,7 @@ class CGTraceGenerator:
             if tile < 1:
                 raise ValueError("tile must be >= 1")
         self.flops = 0.0
-        tb = trace_builder()
+        tb = TraceBuilder()
         points = self._local_points(pid)
         sweep = points if tile is None else self._local_points(pid, tile)
         for _ in range(iterations):

@@ -24,7 +24,6 @@ import numpy as np
 from repro.apps.fft.transform import stage_structure
 from repro.mem.address import AddressSpace
 from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
-from repro.mem.shards import trace_builder
 from repro.obs.tracing import traced
 from repro.units import DOUBLE_WORD
 
@@ -151,7 +150,7 @@ class FFTTraceGenerator:
     def trace_for_processor(self, pid: int = 0) -> Trace:
         """Trace one processor through all radix-D stages of the FFT."""
         self.flops = 0.0
-        tb = trace_builder()
+        tb = TraceBuilder()
         base = pid * self.points_local
         num_stages, stages = stage_structure(self.n, self.points_local)
         levels_per_pass = int(math.log2(self.radix))

@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.lu.trace import LUTraceGenerator
-from repro.mem.shards import trace_builder
-from repro.mem.trace import Trace
+from repro.mem.trace import Trace, TraceBuilder
 from repro.obs.tracing import traced
 
 
@@ -37,7 +36,7 @@ class CholeskyTraceGenerator(LUTraceGenerator):
     ) -> Trace:
         """Trace processor ``pid`` through the Cholesky factorization."""
         self.flops = 0.0
-        tb = trace_builder()
+        tb = TraceBuilder()
         nb = self.num_blocks
         update = self._kernels.symmetric_update
         last_k = nb if max_k is None else min(nb, max_k)

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.mem.address import AddressSpace
 from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
-from repro.mem.shards import trace_builder
 from repro.obs.tracing import traced
 from repro.units import DOUBLE_WORD
 
@@ -272,7 +271,7 @@ class LUTraceGenerator:
                 for trimming trace length).
         """
         self.flops = 0.0
-        tb = trace_builder()
+        tb = TraceBuilder()
         nb = self.num_blocks
         kernels = self._kernels
         last_k = nb if max_k is None else min(nb, max_k)

@@ -24,8 +24,7 @@ from repro.apps.volrend.partition import ImagePartition
 from repro.apps.volrend.render import Camera, RayCaster
 from repro.apps.volrend.volume import VOXEL_BYTES, Volume
 from repro.mem.address import AddressSpace
-from repro.mem.trace import READ, WRITE, Trace
-from repro.mem.shards import trace_builder
+from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
 from repro.obs.tracing import traced
 
 if TYPE_CHECKING:
@@ -39,8 +38,7 @@ NODE_DOUBLEWORDS = 2
 #: Ray-march event codes (see :meth:`VolrendTraceGenerator._emit`).
 _START, _SKIP, _SAMPLE, _PIXEL = range(4)
 
-#: Recorded events expanded at a time: bounds the expansion temporaries
-#: and the columns a streamed trace holds in memory.
+#: Recorded events expanded at a time: bounds the expansion temporaries.
 _EMIT_EVENTS = 1 << 14
 
 
@@ -240,7 +238,7 @@ class VolrendTraceGenerator:
         """
         if not 0 <= pid < self.num_processors:
             raise IndexError("processor id out of range")
-        tb = trace_builder()
+        tb = TraceBuilder()
         rows, cols = self.partition.block(pid)
         codes: List[int] = []
         ids: List[int] = []

@@ -68,7 +68,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import List, Optional
 
@@ -234,25 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the invariant oracles over every successful attempt; "
         "a result that fails them is rejected and retried (degrading) "
         "like any other failure",
-    )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="generate and simulate traces out-of-core: generators spill "
-        "CRC'd shards to disk (bounded memory), simulators consume them "
-        "chunk-wise and checkpoint at shard boundaries so a kill "
-        "mid-simulation resumes from the last boundary; shards live "
-        "under <run-dir>/stream (or a temp directory without --run-dir)",
-    )
-    parser.add_argument(
-        "--shard-refs",
-        type=int,
-        default=None,
-        metavar="N",
-        dest="shard_refs",
-        help="references per trace shard when --stream is on "
-        "(default: 262144); smaller shards mean more frequent "
-        "mid-simulation checkpoints at more I/O cost",
     )
     parser.add_argument(
         "--quiet",
@@ -611,12 +591,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.max_rss_mb is not None and args.max_rss_mb <= 0:
         print("--max-rss-mb must be positive")
         return 2
-    if args.shard_refs is not None and not args.stream:
-        print("--shard-refs requires --stream")
-        return 2
-    if args.shard_refs is not None and args.shard_refs < 1:
-        print("--shard-refs must be >= 1")
-        return 2
     if args.archive is not None and not (args.run_dir or args.resume):
         print("--archive requires --run-dir or --resume (the archive row "
               "is built from the run directory's artifacts)")
@@ -658,23 +632,6 @@ def _run_campaign(
     store: Optional[CheckpointStore],
 ) -> int:
     """Run the campaign ``main`` parsed, holding the run-directory lock."""
-    # Out-of-core trace streaming: install the ambient configuration
-    # (module global + environment, so worker processes inherit it).
-    # Under --run-dir/--resume the shards and simulator checkpoints
-    # live inside the run directory, which keeps them on the same
-    # filesystem as the journal and lets resume find the mid-simulation
-    # snapshots of a killed attempt.
-    if args.stream:
-        from repro.mem.shards import configure_streaming
-
-        if store is not None:
-            stream_dir = store.run_dir / "stream"
-        else:
-            stream_dir = Path(
-                tempfile.mkdtemp(prefix="repro-stream-")
-            )
-        configure_streaming(stream_dir, shard_refs=args.shard_refs)
-
     # Campaign telemetry: on by default, off with --no-obs; the
     # REPRO_OBS environment variable overrides in either direction.
     obs_metrics.set_obs_enabled(not args.no_obs)

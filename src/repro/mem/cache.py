@@ -113,20 +113,12 @@ class FullyAssociativeCache:
     def run(self, trace: Trace, budget: Optional[Budget] = None) -> CacheStats:
         """Run a whole trace through the cache; returns cumulative stats.
 
-        A sharded :class:`~repro.mem.shards.StreamingTrace` is consumed
-        chunk-wise in bounded memory, with checkpoint/resume at shard
-        boundaries when a stream configuration is active.
-
         Args:
             trace: The reference stream.
             budget: Optional wall-clock :class:`Budget` polled every
                 few thousand references (defaults to the ambient
                 campaign budget, if any).
         """
-        if hasattr(trace, "iter_chunks"):
-            from repro.mem.streamsim import run_cache_streamed
-
-            return run_cache_streamed(self, trace, budget=budget)
         from repro.obs import timeline as obs_timeline
 
         recorder = obs_timeline.active_recorder()

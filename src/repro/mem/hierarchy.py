@@ -96,16 +96,9 @@ class CacheHierarchy:
         """Run a whole trace through the hierarchy; returns the
         cumulative per-level stats.
 
-        A sharded :class:`~repro.mem.shards.StreamingTrace` is consumed
-        shard by shard, with checkpoint/resume at shard boundaries when
-        a stream configuration is active.  ``budget`` (default: the
-        ambient campaign budget) is polled every few thousand
-        references.
+        ``budget`` (default: the ambient campaign budget) is polled
+        every few thousand references.
         """
-        if hasattr(trace, "iter_chunks"):
-            from repro.mem.streamsim import run_hierarchy_streamed
-
-            return run_hierarchy_streamed(self, trace, budget=budget)
         from repro.mem import kernels
 
         if kernels.guard_run("hierarchy", self, trace, budget=budget):

@@ -1091,11 +1091,10 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
     but ``True`` every simulator is untouched.
     """
     if kernel == "multiproc":
-        # Infinite caches and in-memory traces only.
+        # Infinite caches only.
         if (
             sim.capacity_blocks is not None
             or sim.num_processors > MULTIPROC_MAX_PROCESSORS
-            or any(hasattr(t, "iter_chunks") for t in trace)
         ):
             return False
         n = sum(len(t) for t in trace)

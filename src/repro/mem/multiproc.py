@@ -170,11 +170,10 @@ class MultiprocessorMemory:
     def run_traces(self, traces: Sequence[Trace]) -> List[ProcessorStats]:
         """Round-robin interleave per-processor traces and run them.
 
-        In-memory traces on infinite caches go through the columnar
-        coherence kernel (:func:`repro.mem.kernels.kernel_multiproc`),
-        one guarded call per invocation.  Otherwise the interleaving is
-        lazy, so out-of-core per-processor traces are merged without
-        ever materializing the combined stream.
+        Traces on infinite caches go through the columnar coherence
+        kernel (:func:`repro.mem.kernels.kernel_multiproc`), one guarded
+        call per invocation.  Otherwise the traces are interleaved
+        lazily, without materializing the combined stream.
         """
         if len(traces) != self.num_processors:
             raise ValueError(

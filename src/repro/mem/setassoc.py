@@ -103,10 +103,6 @@ class SetAssociativeCache:
     def run(self, trace: Trace, budget: Optional[Budget] = None) -> CacheStats:
         """Run a whole trace through the cache; returns cumulative stats.
 
-        A sharded :class:`~repro.mem.shards.StreamingTrace` is consumed
-        chunk-wise in bounded memory, with checkpoint/resume at shard
-        boundaries when a stream configuration is active.
-
         Args:
             trace: The reference stream.
             budget: Optional wall-clock :class:`Budget` polled every
@@ -129,16 +125,9 @@ class SetAssociativeCache:
         timings).  On a chunk in the kernel's domain the caches share
         one kernel call, which makes one depth pass per distinct set
         count (see ``docs/KERNELS.md``).  Otherwise each cache runs its
-        loop, a streamed trace each cache's :meth:`run`, and caches of
-        different block sizes run one by one.
+        loop, and caches of different block sizes run one by one.
         """
         caches = list(caches)
-        if hasattr(trace, "iter_chunks"):
-            from repro.mem.streamsim import run_setassoc_streamed
-
-            return [
-                run_setassoc_streamed(cache, trace, budget=budget) for cache in caches
-            ]
         if len({cache.block_size for cache in caches}) != 1:
             return [cache.run(trace, budget=budget) for cache in caches]
         from repro.mem import kernels

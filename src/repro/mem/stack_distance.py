@@ -158,10 +158,7 @@ class StackDistanceProfiler:
     ) -> StackDistanceProfile:
         """Profile a trace; returns the full stack-depth distribution.
 
-        A sharded :class:`~repro.mem.shards.StreamingTrace` is consumed
-        chunk-wise in bounded memory (with checkpoint/resume when a
-        stream configuration is active); an in-memory trace runs the
-        same incremental engine in a single feed.
+        The trace runs the incremental engine in a single feed.
 
         Args:
             trace: The reference stream.
@@ -171,10 +168,6 @@ class StackDistanceProfiler:
                 :class:`~repro.runtime.errors.BudgetExceeded` when the
                 deadline passes.
         """
-        if hasattr(trace, "iter_chunks"):
-            from repro.mem.streamsim import profile_streamed
-
-            return profile_streamed(self, trace, budget=budget)
         from repro.obs import timeline as obs_timeline
 
         run = StackDistanceRun(
@@ -198,11 +191,10 @@ class StackDistanceRun:
     """Incremental stack-distance engine with bounded, serializable state.
 
     The classic single-pass algorithm indexes its Fenwick tree by raw
-    reference timestamp, so the tree grows with the *trace* — fatal for
-    out-of-core streams.  The saving observation: the tree slot for
-    time ``i`` holds 1 exactly when ``i`` is some block's most recent
-    access time, so the entire tree is a function of the ``last_time``
-    map alone.  Depths depend only on the *relative order* of last
+    reference timestamp, so the tree grows with the *trace*.  The saving
+    observation: the tree slot for time ``i`` holds 1 exactly when ``i``
+    is some block's most recent access time, so the entire tree is a
+    function of the ``last_time`` map alone.  Depths depend only on the *relative order* of last
     accesses, which lets us compact: renumber the live timestamps to
     ``0..F-1`` (order preserved), rebuild the tree linearly, and keep
     going — results are bit-identical while memory stays

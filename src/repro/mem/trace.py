@@ -46,43 +46,14 @@ class Access:
 
 
 class TraceBuilder:
-    """Incrementally build a :class:`Trace`.
+    """Build a :class:`Trace` from whole address/kind columns.
 
-    Application trace generators append references one at a time, in
-    ranges, or as whole address/kind columns (:meth:`extend_arrays`),
-    and then call :meth:`build`.
+    Application trace generators append each phase's references with
+    :meth:`extend_arrays` and then call :meth:`build`.
     """
 
     def __init__(self) -> None:
-        self._addrs: List[int] = []
-        self._kinds: List[int] = []
-        # Sealed columns, in order, ahead of the pending lists above.
         self._columns: List[Tuple[np.ndarray, np.ndarray]] = []
-
-    def read(self, addr: int) -> None:
-        """Append a read of the double word at byte address ``addr``."""
-        self._addrs.append(addr)
-        self._kinds.append(READ)
-
-    def write(self, addr: int) -> None:
-        """Append a write of the double word at byte address ``addr``."""
-        self._addrs.append(addr)
-        self._kinds.append(WRITE)
-
-    def read_range(self, base: int, count: int, stride: int = 8) -> None:
-        """Append ``count`` sequential reads starting at ``base``."""
-        self._addrs.extend(base + i * stride for i in range(count))
-        self._kinds.extend([READ] * count)
-
-    def write_range(self, base: int, count: int, stride: int = 8) -> None:
-        """Append ``count`` sequential writes starting at ``base``."""
-        self._addrs.extend(base + i * stride for i in range(count))
-        self._kinds.extend([WRITE] * count)
-
-    def extend(self, accesses: Iterable[Access]) -> None:
-        for access in accesses:
-            self._addrs.append(access.addr)
-            self._kinds.append(access.kind)
 
     def extend_arrays(self, addrs: np.ndarray, kinds: np.ndarray) -> None:
         """Bulk-append parallel address and kind columns (kept by
@@ -91,28 +62,15 @@ class TraceBuilder:
         kinds = np.asarray(kinds, dtype=np.uint8)
         if addrs.shape != kinds.shape:
             raise ValueError("addrs and kinds must have the same length")
-        self._seal()
         self._columns.append((addrs, kinds))
 
-    def _seal(self) -> None:
-        if self._addrs:
-            self._columns.append(
-                (
-                    np.asarray(self._addrs, dtype=np.int64),
-                    np.asarray(self._kinds, dtype=np.uint8),
-                )
-            )
-            self._addrs = []
-            self._kinds = []
-
     def __len__(self) -> int:
-        return sum(int(a.shape[0]) for a, _ in self._columns) + len(self._addrs)
+        return sum(int(a.shape[0]) for a, _ in self._columns)
 
     def build(self) -> "Trace":
         from repro.obs import metrics as obs_metrics
         from repro.obs.console import debug
 
-        self._seal()
         if len(self._columns) == 1:
             addrs, kinds = self._columns[0]
         else:
@@ -137,10 +95,12 @@ class Trace:
         self.kinds = kinds
 
     @classmethod
-    def from_accesses(cls, accesses: Sequence[Access]) -> "Trace":
-        builder = TraceBuilder()
-        builder.extend(accesses)
-        return builder.build()
+    def from_accesses(cls, accesses: Iterable[Access]) -> "Trace":
+        accesses = list(accesses)
+        return cls(
+            np.array([access.addr for access in accesses], dtype=np.int64),
+            np.array([access.kind for access in accesses], dtype=np.uint8),
+        )
 
     @classmethod
     def from_addresses(cls, addrs: Iterable[int], kind: int = READ) -> "Trace":
@@ -215,18 +175,11 @@ def iter_interleave_round_robin(
 ) -> Iterator[Tuple[int, Access]]:
     """Lazy round-robin interleaving of per-processor traces.
 
-    Yields ``(processor_id, access)`` pairs one at a time — the merged
-    stream is never materialized, so interleaving P out-of-core traces
-    costs O(P) memory instead of O(total references).  Round-robin
-    interleaving models processors proceeding in lock-step, a
-    reasonable approximation for the regular SPMD computations studied
-    in the paper.
-
-    Works over anything iterable of :class:`Access` — in-memory
-    :class:`Trace` and sharded
-    :class:`~repro.mem.shards.StreamingTrace` alike.  The emission
-    order is identical to the historical list-building implementation:
-    each round visits processors in pid order, skipping exhausted ones.
+    Yields ``(processor_id, access)`` pairs one at a time; the merged
+    stream is never materialized.  Round-robin interleaving models
+    processors proceeding in lock-step, a reasonable approximation for
+    the regular SPMD computations studied in the paper.  Each round
+    visits processors in pid order, skipping exhausted ones.
 
     Args:
         traces: One trace per processor.
@@ -249,15 +202,3 @@ def iter_interleave_round_robin(
                 exhausted.append(pid)
         if exhausted:
             live = [pid for pid in live if pid not in exhausted]
-
-
-def interleave_round_robin(
-    traces: Sequence["Trace"], budget: Optional[Budget] = None
-) -> List[Tuple[int, Access]]:
-    """Materialized round-robin interleaving (compatibility wrapper).
-
-    Historical callers expect a list; new code should prefer
-    :func:`iter_interleave_round_robin`, which interleaves lazily in
-    O(P) memory.
-    """
-    return list(iter_interleave_round_robin(traces, budget=budget))

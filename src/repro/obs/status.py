@@ -107,8 +107,6 @@ class CampaignStatus:
     journal_records: int = 0
     refs_simulated: Optional[int] = None
     refs_per_second: Optional[float] = None
-    stream_shards_done: Optional[int] = None
-    stream_shards_total: Optional[int] = None
     trace_id: Optional[str] = None
     updated_wall: Optional[float] = None
     eta_seconds: Optional[float] = None
@@ -144,8 +142,6 @@ class CampaignStatus:
             "journal_records": self.journal_records,
             "refs_simulated": self.refs_simulated,
             "refs_per_second": self.refs_per_second,
-            "stream_shards_done": self.stream_shards_done,
-            "stream_shards_total": self.stream_shards_total,
             "trace_id": self.trace_id,
             "updated_wall": self.updated_wall,
             "eta_seconds": self.eta_seconds,
@@ -217,27 +213,6 @@ def _throughput_from_metrics(
         if rates:
             rate = max(rates)
     return refs, rate
-
-
-def _stream_progress_from_metrics(
-    snapshot: Optional[Dict[str, object]]
-) -> tuple:
-    """(shards done, shards total) gauges published by the streaming
-    simulators (:mod:`repro.mem.streamsim`); (None, None) when the
-    campaign is not streamed."""
-    if snapshot is None:
-        return None, None
-    campaign = snapshot.get("campaign")
-    if not isinstance(campaign, dict):
-        return None, None
-    gauges = campaign.get("gauges")
-    if not isinstance(gauges, dict):
-        return None, None
-    done = gauges.get("mem.stream.shards_done")
-    total = gauges.get("mem.stream.shards_total")
-    if isinstance(done, (int, float)) and isinstance(total, (int, float)):
-        return int(done), int(total)
-    return None, None
 
 
 def _kernel_tallies_from_metrics(
@@ -431,9 +406,6 @@ def load_status(run_dir: Union[str, Path]) -> CampaignStatus:
     status.refs_simulated, status.refs_per_second = _throughput_from_metrics(
         metrics
     )
-    status.stream_shards_done, status.stream_shards_total = (
-        _stream_progress_from_metrics(metrics)
-    )
     if metrics is not None and isinstance(metrics.get("trace_id"), str):
         status.trace_id = metrics["trace_id"]
 
@@ -502,14 +474,6 @@ def render_status(status: CampaignStatus) -> str:
         throughput.append(f"last {status.refs_per_second:,.0f} refs/s")
     if throughput:
         lines.append("throughput: " + ", ".join(throughput))
-    if (
-        status.stream_shards_done is not None
-        and status.stream_shards_total is not None
-    ):
-        lines.append(
-            f"streaming: shard {status.stream_shards_done}"
-            f"/{status.stream_shards_total}"
-        )
     if status.kernels:
         for kind in sorted(status.kernels):
             chunks = status.kernels[kind]["chunks"]

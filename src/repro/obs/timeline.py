@@ -13,8 +13,7 @@ active matrix).  This module adds the time axis:
   per simulated chunk.  The stack-distance profiler feeds an in-memory
   trace once and derives a row per window of :meth:`chunk_refs_for`
   references from the per-reference depths, written as one
-  :meth:`~TimelineRecorder.record_many` batch; a streamed trace gets a
-  row per shard.
+  :meth:`~TimelineRecorder.record_many` batch.
 - :class:`PhaseDetector` segments the row stream into phases online
   (robust median/MAD change-point test on ``log2(ws_blocks)`` with
   two-row hysteresis) and re-estimates the knees *per phase* from the
@@ -22,7 +21,7 @@ active matrix).  This module adds the time axis:
 - ``mem.ws.*`` gauges and ``obs.timeline.*`` counters surface the live
   phase/knee state through the ordinary metrics registry.
 
-Recording is ambient, like the kernel and streaming configuration:
+Recording is ambient, like the campaign budget:
 :func:`configure_timeline` installs a process-wide recorder and
 exports ``REPRO_TIMELINE`` so spawned workers inherit it via
 :func:`install_from_env`.  :func:`active_recorder` returns ``None``
@@ -579,7 +578,7 @@ def load_working_set(
     """Live working-set summary from the tail of ``timeline.jsonl``.
 
     Reads only the last ``tail_bytes`` of the file (status must stay
-    cheap against a multi-gigabyte streamed campaign), segments the
+    cheap against a multi-gigabyte timeline), segments the
     newest attempt's rows, and returns ``{experiment_id, phase,
     phases, ws_bytes, knee_bytes, rows}`` — or ``None`` when there is
     no usable timeline.

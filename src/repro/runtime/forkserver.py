@@ -53,7 +53,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Modules every server imports: the worker entry point and what
 #: :func:`~repro.experiments.runner.worker_main` imports per attempt.
+#: ``hashlib`` loads OpenSSL, which workers import through scipy; a
+#: library loaded before the fork stays shared, while one loaded in a
+#: worker adds its pages (~3.5 MiB) to that worker's RSS.
 BASE_PRELOAD = (
+    "hashlib",
     "repro.experiments.runner",
     "repro.runtime.workers",
     "repro.runtime.budget",

@@ -74,11 +74,7 @@ JOURNAL_MAGIC = "WAL1"
 
 #: Every record type a journal accepts; the journal-record schema
 #: (:mod:`repro.validate.schemas`) enumerates this same tuple.  The
-#: first seven are the campaign engine's state transitions.
-#: ``shard-sealed`` and ``sim-checkpoint`` belong to the streaming
-#: trace substrate (:mod:`repro.mem.shards` / :mod:`repro.mem.streamsim`):
-#: one per sealed trace shard (``shards.wal`` inside a ``.trd``
-#: directory) and one per simulator snapshot (``<key>.ckpt.wal``).
+#: types are the campaign engine's state transitions.
 RECORD_TYPES = (
     "campaign-start",
     "attempt-start",
@@ -87,8 +83,6 @@ RECORD_TYPES = (
     "summary-flushed",
     "interrupted",
     "recovered",
-    "shard-sealed",
-    "sim-checkpoint",
 )
 
 #: ``attempt-end`` statuses that commit an experiment.

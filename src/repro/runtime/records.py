@@ -1,17 +1,15 @@
 """One framed record log for every append-only artifact.
 
-Every log a campaign writes — ``journal.wal`` and the streaming
-substrate's ``shards.wal`` / ``<key>.ckpt.wal``, ``events.jsonl``,
-``spans.jsonl``, ``timeline.jsonl``, ``perf-archive.jsonl`` — and every
-simulator snapshot (``<key>.ckpt``) stores its records in one frame,
-one record per line::
+Every log a campaign writes — ``journal.wal``, ``events.jsonl``,
+``spans.jsonl``, ``timeline.jsonl``, ``perf-archive.jsonl`` — stores
+its records in one frame, one record per line::
 
     <MAGIC> <crc32:08x> <canonical-json>\\n
 
 The CRC32 covers the canonical JSON bytes (sorted keys, no spaces);
 the magic names the log type (``WAL1``, ``EVT1``, ``SPN1``, ``TLN1``,
-``PFA1``, ``SIMCKPT1``).  A line is a record only when the magic, the
-CRC, the JSON object and the terminating newline all agree.
+``PFA1``).  A line is a record only when the magic, the CRC, the JSON
+object and the terminating newline all agree.
 
 **The damage rule.**  :class:`RecordLog` writes each record with one
 ``write`` on an ``O_APPEND`` descriptor, so a crash can leave at most
@@ -33,7 +31,7 @@ destination directory, ``fsync`` it, ``os.replace`` it into place, then
 power loss.  Every durability-relevant syscall (``io_write``,
 ``io_fsync``, ``io_replace``, ``fsync_directory``, ``check_io``)
 carries a *site* tag (``"journal"``, ``"checkpoint"``, ``"events"``,
-``"tracefile"``, ``"shard"``, ...) and first calls :data:`io_hook`,
+``"tracefile"``, ...) and first calls :data:`io_hook`,
 which is ``None`` in the product: the one seam through which the
 tests' fault injector (``tests/harness/iofault.py``) plants ``ENOSPC``,
 ``EIO``, torn writes and in-write SIGKILLs.

@@ -18,9 +18,9 @@ believe these numbers?*  Three lines of defense ship with the package:
 
 The attacks on these defenses live with the tests, in
 ``tests/harness/``: the differential cross-checks over a pinned trace
-corpus (Mattson profiler vs explicit LRU cache, streamed vs in-memory)
-and the seeded fuzzer that proves every reader fails typed on corrupt
-input.  See ``docs/VALIDATION.md`` for the operator's view.
+corpus (Mattson profiler vs explicit LRU cache) and the seeded fuzzer
+that proves every reader fails typed on corrupt input.  See
+``docs/VALIDATION.md`` for the operator's view.
 """
 
 from repro.validate.artifacts import (

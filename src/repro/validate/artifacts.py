@@ -29,19 +29,6 @@ finding code                defect class
 ``trace-unreadable``        trace archive truncated / not a zip at all
 ``trace-corrupt``           trace decodes but fails checksum or fields
 ``trace-header-mismatch``   metadata header counts disagree with arrays
-``trace-manifest-mismatch`` sharded trace directory's manifest missing,
-                            undecodable, failing its self-checksum, or
-                            disagreeing with the shards on disk
-                            (totals, indexes, unexpected extras)
-``trace-shard-missing``     manifest lists a shard file that is absent
-``trace-shard-corrupt``     shard truncated, bit-flipped, failing its
-                            SHA-256/CRC, or disagreeing with its
-                            manifest entry
-``trace-shard-incomplete``  ``.trd.tmp`` staging directory left by an
-                            interrupted trace build (warning: the
-                            expected crash signature; safe to delete)
-``sim-checkpoint-corrupt``  damaged mid-simulation snapshot (warning:
-                            resume safely restarts from shard zero)
 ``journal-torn``            torn record at the journal's tail
                             (warning: the expected crash signature)
 ``journal-corrupt``         damaged record other than the torn tail, or
@@ -270,10 +257,9 @@ def validate_events_file(path: Union[str, Path]) -> ValidationReport:
 
 
 def validate_journal_file(path: Union[str, Path]) -> ValidationReport:
-    """Audit a write-ahead journal (``journal.wal``, ``shards.wal``,
-    ``<key>.ckpt.wal``): codes ``journal-torn``, ``journal-corrupt``
-    (including a generation that goes backwards), ``journal-schema``
-    and ``journal-seq``."""
+    """Audit the write-ahead journal (``journal.wal``): codes
+    ``journal-torn``, ``journal-corrupt`` (including a generation that
+    goes backwards), ``journal-schema`` and ``journal-seq``."""
     return _validate_log(path, _JOURNAL)
 
 
@@ -349,108 +335,6 @@ def validate_trace_file(path: Union[str, Path]) -> ValidationReport:
                     f"hold {actual[key]}",
                     path=name,
                 )
-    return report
-
-
-def validate_trace_dir(path: Union[str, Path]) -> ValidationReport:
-    """Validate one sharded ``.trd`` trace directory (format v3).
-
-    Audits the manifest's self-checksum, its agreement with the shards
-    actually on disk (indexes, totals, no extras), and every shard's
-    SHA-256, content CRC, and reference count, finishing with the
-    combined content hash.  Damage maps onto three codes:
-    ``trace-manifest-mismatch`` (the index lies),
-    ``trace-shard-missing`` (a listed shard is gone), and
-    ``trace-shard-corrupt`` (a shard's bytes are wrong).
-    """
-    import hashlib
-
-    from repro.mem import shards as shard_format
-
-    path = Path(path)
-    report = ValidationReport(subject=f"trace directory {path.name}")
-    manifest_rel = shard_format.MANIFEST_FILENAME
-    try:
-        manifest = shard_format.read_manifest(path)
-    except shard_format.TraceShardCorruptError as exc:
-        report.add("trace-manifest-mismatch", str(exc), path=manifest_rel)
-        return report
-    finally:
-        report.tick()
-
-    entries = manifest.get("shards", [])
-    indexes = [int(entry.get("index", -1)) for entry in entries]
-    report.tick()
-    if indexes != list(range(len(entries))):
-        report.add(
-            "trace-manifest-mismatch",
-            f"shard indexes {indexes} are not exactly "
-            f"0..{len(entries) - 1} in order (duplicate or gap)",
-            path=manifest_rel,
-        )
-    report.tick()
-    for key in ("refs", "reads", "writes"):
-        from_shards = sum(int(entry.get(key, 0)) for entry in entries)
-        if int(manifest.get(key, -1)) != from_shards:
-            report.add(
-                "trace-manifest-mismatch",
-                f"manifest total {key}={manifest.get(key)} but its shard "
-                f"entries sum to {from_shards}",
-                path=manifest_rel,
-            )
-    listed = {str(entry.get("name", "")) for entry in entries}
-    report.tick()
-    for extra in sorted(p.name for p in path.glob("*.npz")):
-        if extra not in listed:
-            report.add(
-                "trace-manifest-mismatch",
-                f"shard file {extra!r} is on disk but not in the manifest",
-                path=manifest_rel,
-            )
-
-    addr_hash = hashlib.sha256()
-    kind_hash = hashlib.sha256()
-    damaged = False
-    for entry in entries:
-        name = str(entry.get("name", ""))
-        shard_path = path / name
-        report.tick()
-        if not shard_path.is_file():
-            report.add(
-                "trace-shard-missing",
-                f"manifest lists {name!r} "
-                f"({entry.get('refs')} refs) but the file is absent",
-                path=name,
-            )
-            damaged = True
-            continue
-        try:
-            data = shard_path.read_bytes()
-            addrs, kinds = shard_format._decode_shard(data, entry, shard_path)
-        except shard_format.TraceShardCorruptError as exc:
-            report.add("trace-shard-corrupt", str(exc), path=name)
-            damaged = True
-            continue
-        except OSError as exc:
-            report.add(
-                "trace-shard-corrupt", f"shard unreadable: {exc}", path=name
-            )
-            damaged = True
-            continue
-        addr_bytes, kind_bytes = shard_format._canonical_columns(addrs, kinds)
-        addr_hash.update(addr_bytes)
-        kind_hash.update(kind_bytes)
-    report.tick()
-    combined = hashlib.sha256(
-        addr_hash.digest() + kind_hash.digest()
-    ).hexdigest()
-    if not damaged and combined != manifest.get("content_sha256"):
-        report.add(
-            "trace-manifest-mismatch",
-            "every shard verifies individually but the combined content "
-            "SHA-256 disagrees with the manifest",
-            path=manifest_rel,
-        )
     return report
 
 
@@ -692,64 +576,17 @@ def validate_run_dir(
     )
 
     # -- traces --------------------------------------------------------
-    trace_dirs = sorted(
-        p for p in run_dir.rglob("*.trd") if p.is_dir()
-    )
-    staging_dirs = sorted(
-        p for p in run_dir.rglob("*.trd.tmp") if p.is_dir()
-    )
-    shard_roots = set(trace_dirs) | set(staging_dirs)
+    # ``stream/`` holds the trace shards and simulator snapshots of
+    # earlier versions' out-of-core mode.  Nothing reads them now, so
+    # they are neither audited nor taken for saved traces.
+    stream_root = run_dir / "stream"
     for path in sorted(run_dir.rglob("*.npz")):
-        # Shards are audited by validate_trace_dir, not as single-file
-        # archives; anything inside a staging dir is a crash leftover.
-        if any(root in path.parents for root in shard_roots):
+        if stream_root in path.parents:
             continue
         trace_report = validate_trace_file(path)
         report.tick(trace_report.checks_run)
         rel = str(path.relative_to(run_dir))
         for finding in trace_report.findings:
             report.findings.append(dataclasses.replace(finding, path=rel))
-    for trace_dir in trace_dirs:
-        rel = str(trace_dir.relative_to(run_dir))
-        dir_report = validate_trace_dir(trace_dir)
-        report.tick(dir_report.checks_run)
-        for finding in dir_report.findings:
-            stamped = f"{rel}/{finding.path}" if finding.path else rel
-            report.findings.append(dataclasses.replace(finding, path=stamped))
-        wal = trace_dir / "shards.wal"
-        if wal.is_file():
-            _with_path(report, validate_journal_file(wal), f"{rel}/shards.wal")
-    for staging in staging_dirs:
-        report.tick()
-        report.add(
-            "trace-shard-incomplete",
-            "staging directory left by an interrupted trace build (the "
-            "expected crash signature; a retry regenerates the trace, so "
-            "this is safe to delete)",
-            path=str(staging.relative_to(run_dir)),
-            severity=SEVERITY_WARNING,
-        )
-
-    # -- streaming simulator checkpoints ------------------------------
-    from repro.mem.shards import load_sim_checkpoint
-
-    for ckpt in sorted(run_dir.rglob("*.ckpt")):
-        if not ckpt.is_file():
-            continue
-        report.tick()
-        if load_sim_checkpoint(ckpt) is None:
-            report.add(
-                "sim-checkpoint-corrupt",
-                "mid-simulation snapshot is damaged or unreadable (resume "
-                "degrades safely: the simulation restarts from shard zero)",
-                path=str(ckpt.relative_to(run_dir)),
-                severity=SEVERITY_WARNING,
-            )
-    for wal in sorted(run_dir.rglob("*.ckpt.wal")):
-        _with_path(
-            report,
-            validate_journal_file(wal),
-            str(wal.relative_to(run_dir)),
-        )
 
     return report

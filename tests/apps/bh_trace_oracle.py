@@ -2,7 +2,7 @@
 columnar generator in :mod:`repro.apps.barnes_hut.trace`.
 
 Each function emits one processor's phase trace one reference at a
-time through ``TraceBuilder.read``/``write`` and bounds-checked
+time through ``ReferenceBuilder.read``/``write`` and bounds-checked
 ``Region.element`` addressing, exactly as the generator did before it
 expanded per-event address templates with numpy.
 """
@@ -16,7 +16,7 @@ from repro.apps.barnes_hut.trace import (
     SCRATCH_DOUBLEWORDS,
     BarnesHutTraceGenerator,
 )
-from repro.mem.shards import trace_builder
+from tests.harness.builder import ReferenceBuilder
 
 
 def _body_addr(gen: BarnesHutTraceGenerator, body: int, offset: int) -> int:
@@ -46,7 +46,7 @@ def _interaction_scratch(tb, scratch) -> None:
 
 def force_trace(gen: BarnesHutTraceGenerator, pid: int):
     """Processor ``pid`` computing forces on its partition."""
-    tb = trace_builder()
+    tb = ReferenceBuilder()
     stats = WalkStats()
     scratch = gen.scratch_regions[pid]
 
@@ -82,7 +82,7 @@ def force_trace(gen: BarnesHutTraceGenerator, pid: int):
 
 def build_trace(gen: BarnesHutTraceGenerator, pid: int):
     """Processor ``pid`` inserting its bodies into the octree."""
-    tb = trace_builder()
+    tb = ReferenceBuilder()
     cells = gen.tree.cells
     for body in gen.partitions[pid]:
         body = int(body)
@@ -101,7 +101,7 @@ def build_trace(gen: BarnesHutTraceGenerator, pid: int):
 
 def moments_trace(gen: BarnesHutTraceGenerator, pid: int):
     """Processor ``pid`` computing the moments of the cells it owns."""
-    tb = trace_builder()
+    tb = ReferenceBuilder()
     for cell in gen.tree.cells:
         if gen.cell_owner(cell) != pid:
             continue

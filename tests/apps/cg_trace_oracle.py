@@ -2,7 +2,7 @@
 generator in :mod:`repro.apps.cg.trace`.
 
 Emits one processor's trace one reference at a time through
-``TraceBuilder.read``/``write`` and bounds-checked ``Region.element``
+``ReferenceBuilder.read``/``write`` and bounds-checked ``Region.element``
 addressing, exactly as the generator did before it expressed the
 matrix-vector product and the vector-op sweep over the local point
 set with numpy.
@@ -11,7 +11,7 @@ set with numpy.
 from __future__ import annotations
 
 from repro.apps.cg.trace import CGTraceGenerator
-from repro.mem.shards import trace_builder
+from tests.harness.builder import ReferenceBuilder
 
 
 def _local_ranges(gen: CGTraceGenerator, pid: int):
@@ -58,7 +58,7 @@ def _neighbors(gen: CGTraceGenerator, coords):
 
 def trace(gen: CGTraceGenerator, pid: int, iterations: int = 2, tile=None):
     """``(trace, flops)`` of ``iterations`` CG iterations on ``pid``."""
-    tb = trace_builder()
+    tb = ReferenceBuilder()
     flops = 0.0
 
     def vec(region, coords) -> int:

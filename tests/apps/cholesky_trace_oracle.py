@@ -5,13 +5,13 @@ the LU kernels of :mod:`tests.apps.lu_trace_oracle`."""
 from __future__ import annotations
 
 from repro.apps.lu.cholesky_trace import CholeskyTraceGenerator
-from repro.mem.shards import trace_builder
 from tests.apps.lu_trace_oracle import Kernels
+from tests.harness.builder import ReferenceBuilder
 
 
 def trace(gen: CholeskyTraceGenerator, pid: int, max_k=None, skip_k: int = 0):
     """``(trace, flops)`` of processor ``pid`` through the factorization."""
-    kernels = Kernels(gen, trace_builder())
+    kernels = Kernels(gen, ReferenceBuilder())
     owns = gen.decomp.owns
     nb = gen.num_blocks
     last_k = nb if max_k is None else min(nb, max_k)

@@ -2,7 +2,7 @@
 generator in :mod:`repro.apps.fft.trace`.
 
 Emits one processor's trace one reference at a time through
-``TraceBuilder.read``/``write`` and bounds-checked ``Region.element``
+``ReferenceBuilder.read``/``write`` and bounds-checked ``Region.element``
 addressing, exactly as the generator did before it built each pass as
 one numpy broadcast.
 """
@@ -13,13 +13,13 @@ import math
 
 from repro.apps.fft.trace import FFTTraceGenerator
 from repro.apps.fft.transform import stage_structure
-from repro.mem.shards import trace_builder
 from repro.units import DOUBLE_WORD
+from tests.harness.builder import ReferenceBuilder
 
 
 def trace(gen: FFTTraceGenerator, pid: int = 0):
     """``(trace, flops)`` of processor ``pid`` through every stage."""
-    tb = trace_builder()
+    tb = ReferenceBuilder()
     flops = 0.0
     limit = gen.twiddles.size // DOUBLE_WORD
 

@@ -2,7 +2,7 @@
 columnar generator in :mod:`repro.apps.lu.trace`.
 
 Emits one processor's trace one reference at a time through
-``TraceBuilder.read``/``write`` and bounds-checked ``Region.element``
+``ReferenceBuilder.read``/``write`` and bounds-checked ``Region.element``
 addressing, exactly as the generator did before it expanded per-kernel
 index templates with numpy.  :mod:`tests.apps.cholesky_trace_oracle`
 reuses the kernels.
@@ -11,7 +11,7 @@ reuses the kernels.
 from __future__ import annotations
 
 from repro.apps.lu.trace import LUTraceGenerator
-from repro.mem.shards import trace_builder
+from tests.harness.builder import ReferenceBuilder
 
 
 class Kernels:
@@ -79,7 +79,7 @@ class Kernels:
 
 def trace(gen: LUTraceGenerator, pid: int, max_k=None, skip_k: int = 0):
     """``(trace, flops)`` of processor ``pid`` through the factorization."""
-    kernels = Kernels(gen, trace_builder())
+    kernels = Kernels(gen, ReferenceBuilder())
     owns = gen.decomp.owns
     nb = gen.num_blocks
     last_k = nb if max_k is None else min(nb, max_k)

@@ -1,12 +1,11 @@
 """The columnar Barnes-Hut trace generator against the per-reference
 oracle in :mod:`tests.apps.bh_trace_oracle`: byte-identical force,
-build and moments traces for every processor, in memory and streamed."""
+build and moments traces for every processor."""
 
 import numpy as np
 import pytest
 
 from repro.apps.barnes_hut.trace import BarnesHutTraceGenerator
-from repro.mem.shards import clear_streaming, configure_streaming, read_manifest
 from tests.apps import bh_trace_oracle
 
 PHASES = [
@@ -48,19 +47,3 @@ def test_walk_statistics_still_recorded(generator):
     generator.trace_for_processor(1)
     assert generator.stats.interactions > 0
     assert generator.interactions_per_body(1) > 0
-
-
-@pytest.mark.parametrize("method, oracle", PHASES, ids=[m for m, _ in PHASES])
-def test_streamed_shards_identical(generator, method, oracle, tmp_path):
-    configure_streaming(tmp_path, shard_refs=3000, export_env=False)
-    try:
-        for pid in range(generator.num_processors):
-            got = getattr(generator, method)(pid)
-            want = oracle(generator, pid)
-            assert len(got) == len(want)
-            ours = read_manifest(got.directory)
-            theirs = read_manifest(want.directory)
-            for key in ("refs", "reads", "writes", "content_sha256", "shards"):
-                assert ours[key] == theirs[key], key
-    finally:
-        clear_streaming(clear_env=False)

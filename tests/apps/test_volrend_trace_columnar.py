@@ -1,14 +1,14 @@
 """The columnar volume-rendering trace generator against the
 per-reference oracle in :mod:`tests.apps.volrend_trace_oracle`:
 byte-identical traces and equal ray and sample counts for every
-processor, in memory and streamed."""
+processor."""
 
 import pytest
 
 from repro.apps.volrend.trace import SCRATCH_DOUBLEWORDS, VolrendTraceGenerator
 from repro.apps.volrend.volume import synthetic_head
 from tests.apps import volrend_trace_oracle
-from tests.apps.trace_parity import assert_same_manifest, assert_same_trace, streaming
+from tests.apps.trace_parity import assert_same_trace
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +45,3 @@ def test_block_whose_rays_miss_the_volume():
     assert len(trace) == gen.rays_cast * (SCRATCH_DOUBLEWORDS + 1)  # init + pixel
     for pid in range(gen.num_processors):
         _check(gen, pid, assert_same_trace)
-
-
-def test_streamed_shards_identical(generator, tmp_path):
-    with streaming(tmp_path):
-        for pid in range(generator.num_processors):
-            _check(generator, pid, assert_same_manifest, frames=2)

@@ -2,7 +2,7 @@
 the columnar generator in :mod:`repro.apps.volrend.trace`.
 
 Marches every ray with its own copy of the ray caster's loop and emits
-one reference at a time through ``TraceBuilder.read``/``write`` and
+one reference at a time through ``ReferenceBuilder.read``/``write`` and
 bounds-checked ``Region`` addressing, exactly as the generator did
 before it recorded ray-march events and expanded them with numpy: a
 skip decision re-walks the octree from the root to read the path's
@@ -19,7 +19,7 @@ from repro.apps.volrend.trace import (
     VolrendTraceGenerator,
 )
 from repro.apps.volrend.volume import VOXEL_BYTES
-from repro.mem.shards import trace_builder
+from tests.harness.builder import ReferenceBuilder
 
 
 def _path_to(octree, x: float, y: float, z: float):
@@ -75,7 +75,7 @@ def trace(
 ):
     """``(trace, rays_cast, samples)`` of processor ``pid`` rendering its
     block over ``frames`` frames."""
-    tb = trace_builder()
+    tb = ReferenceBuilder()
     rows, cols = gen.partition.block(pid)
     counts = {"rays": 0, "samples": 0}
 

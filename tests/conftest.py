@@ -7,8 +7,10 @@ figures use reduced problems for exactly this reason.
 
 from __future__ import annotations
 
+import shutil
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,23 @@ import pytest
 
 from repro.apps.barnes_hut.bodies import plummer_model, uniform_cube
 from repro.apps.volrend.volume import synthetic_head
-from repro.mem.trace import Trace, TraceBuilder
+from repro.mem.trace import Trace
+from tests.harness.builder import ReferenceBuilder
+
+#: A ``stream/`` subtree as the out-of-core mode of earlier versions
+#: left it in a run directory (a 96-reference trace, profiled once):
+#: one ``.trd`` trace directory with ``manifest.json``, ``shards.wal``
+#: and ``shard-00000.npz``, and under ``checkpoints/`` one simulator
+#: snapshot (``.ckpt``) with its ``.ckpt.wal``.  Written by that code
+#: before it was removed; nothing reads these files now.
+LEGACY_STREAM_DIR = Path(__file__).parent / "data" / "legacy_stream" / "stream"
+
+
+def plant_legacy_stream(run_dir) -> Path:
+    """Copy :data:`LEGACY_STREAM_DIR` to ``<run_dir>/stream``."""
+    target = Path(run_dir) / "stream"
+    shutil.copytree(LEGACY_STREAM_DIR, target)
+    return target
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +64,7 @@ def sequential_trace():
 @pytest.fixture
 def looping_trace():
     """A trace that sweeps 64 double words four times (high reuse)."""
-    builder = TraceBuilder()
+    builder = ReferenceBuilder()
     for _ in range(4):
         builder.read_range(0, 64)
     return builder.build()

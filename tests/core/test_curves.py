@@ -5,12 +5,12 @@ import pytest
 
 from repro.core.curves import MissRateCurve
 from repro.mem.stack_distance import profile_trace
-from repro.mem.trace import TraceBuilder
+from tests.harness.builder import ReferenceBuilder
 
 
 @pytest.fixture
 def loop_profile():
-    builder = TraceBuilder()
+    builder = ReferenceBuilder()
     for _ in range(4):
         builder.read_range(0, 64)
     return profile_trace(builder.build())

@@ -261,6 +261,52 @@ class TestProductIgnoresTheHarness:
         assert main(["validate", str(run_dir)]) == 0
 
 
+class TestStreamingIsGone:
+    """Every trace builds in memory: the out-of-core flags are usage
+    errors, their environment variables change nothing, and a run
+    directory left by the earlier streamed mode still validates and
+    resumes."""
+
+    def test_stream_flags_are_usage_errors(self, capsys):
+        assert main(["--stream"]) == 2
+        assert main(["--shard-refs", "8"]) == 2
+
+    def test_stream_variables_change_nothing(self, tmp_path, monkeypatch, capsys):
+        def payload(run_dir):
+            envelope = json.loads((run_dir / "results" / "fig2.json").read_text())
+            envelope["payload"].pop("elapsed_seconds", None)
+            return envelope["payload"]
+
+        base = ["--quick", "--jobs", "1", "--run-dir"]
+        plain = tmp_path / "plain"
+        assert main(base + [str(plain), "fig2"]) == 0
+        stream_dir = tmp_path / "stream-dir"
+        monkeypatch.setenv("REPRO_STREAM_DIR", str(stream_dir))
+        monkeypatch.setenv("REPRO_SHARD_REFS", "64")
+        env_run = tmp_path / "env"
+        assert main(base + [str(env_run), "fig2"]) == 0
+        assert not stream_dir.exists()
+        assert not (env_run / "stream").exists()
+        assert payload(env_run) == payload(plain)
+
+    def test_legacy_streamed_run_dir_validates_and_resumes(self, tmp_path, capsys):
+        from tests.conftest import plant_legacy_stream
+
+        run_dir = tmp_path / "run"
+        args = ["--quick", "--jobs", "0", "table1", "fig2"]
+        assert main([*args, "--run-dir", str(run_dir)]) == 0
+        stream = plant_legacy_stream(run_dir)
+        before = {p: p.read_bytes() for p in stream.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["validate", str(run_dir)]) == 0, capsys.readouterr().out
+        (run_dir / "results" / "fig2.json").unlink()
+        assert main([*args, "--resume", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert main(["validate", str(run_dir)]) == 0, capsys.readouterr().out
+        after = {p: p.read_bytes() for p in stream.rglob("*") if p.is_file()}
+        assert after == before
+
+
 class TestResumeKeepsTheManifest:
     def test_resume_of_a_subset_keeps_every_requested_id(self, tmp_path, capsys):
         run_dir = str(tmp_path / "run")
@@ -362,8 +408,8 @@ class TestDurabilityCLI:
         assert "lease refused" in out and f"pid {os.getpid()}" in out
 
     def test_refused_supervisor_leaves_run_dir_untouched(self, tmp_path, capsys):
-        """Refusal comes before streaming setup, spans, the timeline and
-        journal recovery: not one file appears, grows or shrinks."""
+        """Refusal comes before spans, the timeline and journal
+        recovery: not one file appears, grows or shrinks."""
         from repro.runtime.journal import JOURNAL_FILENAME, lock_run_dir
 
         run_dir = tmp_path / "run"
@@ -384,8 +430,7 @@ class TestDurabilityCLI:
             before = snapshot()
             capsys.readouterr()
             code = main(
-                ["--quick", "--jobs", "0", "--stream", "--resume",
-                 str(run_dir), "table1"]
+                ["--quick", "--jobs", "0", "--resume", str(run_dir), "table1"]
             )
             after = snapshot()
         finally:

@@ -85,16 +85,6 @@ IO_KILL_SITES = {
     "events": (1, 12),
 }
 
-#: Streamed-campaign kill sites: inside a trace-shard write
-#: (mid-generation) and inside a simulator-snapshot write
-#: (mid-simulation).  Only meaningful with ``--jobs 0``: workers never
-#: arm the injector, so planted faults fire only when the supervisor
-#: itself runs the experiments.
-STREAM_IO_KILL_SITES = {
-    "shard": (1, 4),
-    "simckpt": (1, 3),
-}
-
 #: Hard ceiling on restarts per cycle, over and above the kill budget
 #: (a safety net: the loop should always terminate via completion).
 MAX_RESTARTS = 20
@@ -179,8 +169,6 @@ def _launch(
     jobs: int,
     resume: bool,
     io_fault: Optional[str] = None,
-    stream: bool = False,
-    shard_refs: Optional[int] = None,
 ) -> subprocess.Popen:
     """Start one real supervisor over ``run_dir`` (own session)."""
     cmd = [
@@ -190,12 +178,6 @@ def _launch(
         "--quick",
         "--jobs",
         str(jobs),
-    ]
-    if stream:
-        cmd.append("--stream")
-        if shard_refs is not None:
-            cmd.extend(["--shard-refs", str(shard_refs)])
-    cmd += [
         "--resume" if resume else "--run-dir",
         str(run_dir),
         *experiments,
@@ -237,8 +219,6 @@ def run_reference(
     experiments: Sequence[str],
     jobs: int,
     timeout: float,
-    stream: bool = False,
-    shard_refs: Optional[int] = None,
 ) -> Tuple[Path, float, bytes]:
     """One uninterrupted campaign: the oracle every cycle compares to.
 
@@ -246,10 +226,7 @@ def run_reference(
     """
     run_dir = work_dir / "reference"
     started = time.monotonic()
-    proc = _launch(
-        run_dir, experiments, jobs, resume=False,
-        stream=stream, shard_refs=shard_refs,
-    )
+    proc = _launch(run_dir, experiments, jobs, resume=False)
     returncode, stderr = _finish(proc, timeout)
     duration = time.monotonic() - started
     if returncode != 0:
@@ -351,8 +328,6 @@ def run_cycle(
     reference_summary: bytes,
     timeout: float,
     kind: str,
-    stream: bool = False,
-    shard_refs: Optional[int] = None,
 ) -> CycleResult:
     """One kill/resume (or ENOSPC) cycle; see the module docstring."""
     result = CycleResult(cycle=cycle, kind=kind)
@@ -361,15 +336,8 @@ def run_cycle(
     kills_planned = 0 if kind == "enospc" else rng.randint(1, 3)
     io_fault: Optional[str] = None
     if kind == "io-kill":
-        # Streamed campaigns aim every planted kill at the streaming
-        # substrate itself — mid-shard-write and mid-snapshot-write —
-        # which only fires in-process (--jobs 0); the classic sites
-        # stay covered by the non-streamed chaos runs.
-        sites = (
-            STREAM_IO_KILL_SITES if stream and jobs == 0 else IO_KILL_SITES
-        )
-        site = rng.choice(sorted(sites))
-        low, high = sites[site]
+        site = rng.choice(sorted(IO_KILL_SITES))
+        low, high = IO_KILL_SITES[site]
         io_fault = f"{site}:write:kill:{rng.randint(low, high)}"
         result.detail = io_fault
     elif kind == "enospc":
@@ -383,10 +351,7 @@ def run_cycle(
         # The planted io fault applies to the first launch only; resumed
         # supervisors run fault-free (the crash already happened).
         fault_now = io_fault if result.launches == 0 else None
-        proc = _launch(
-            run_dir, experiments, jobs, resume, fault_now,
-            stream=stream, shard_refs=shard_refs,
-        )
+        proc = _launch(run_dir, experiments, jobs, resume, fault_now)
         result.launches += 1
 
         if kind == "time-kill" and result.kills < kills_planned:
@@ -437,8 +402,6 @@ def run_chaos(
     enospc_cycles: int = 1,
     work_dir: Optional[Union[str, Path]] = None,
     timeout: float = 300.0,
-    stream: bool = False,
-    shard_refs: Optional[int] = None,
 ) -> ChaosReport:
     """Run the full chaos campaign; see the module docstring.
 
@@ -453,15 +416,6 @@ def run_chaos(
         work_dir: Where run directories live (default: a fresh temp
             dir, removed when every cycle passes).
         timeout: Harness ceiling per uninterrupted launch, seconds.
-        stream: Run every campaign (reference and cycles alike) with
-            ``--stream``, and aim io-kill cycles at the shard and
-            simulator-checkpoint writes so the kills land
-            mid-generation and mid-simulation.  Use ``jobs=0`` so the
-            planted faults fire in the supervisor process.
-        shard_refs: ``--shard-refs`` for streamed campaigns (pick a
-            value small enough that the quick traces split into
-            several shards, or the mid-simulation checkpoints never
-            happen).
     """
     report = ChaosReport()
     owns_work_dir = work_dir is None
@@ -472,8 +426,7 @@ def run_chaos(
     report.work_dir = str(work_path)
 
     reference_dir, duration, reference_summary = run_reference(
-        work_path, experiments, jobs, timeout,
-        stream=stream, shard_refs=shard_refs,
+        work_path, experiments, jobs, timeout
     )
     report.reference_dir = str(reference_dir)
 
@@ -486,7 +439,6 @@ def run_chaos(
             run_cycle(
                 cycle, rng, work_path, experiments, jobs,
                 duration, reference_summary, timeout, kind,
-                stream=stream, shard_refs=shard_refs,
             )
         )
     for extra in range(enospc_cycles):
@@ -496,7 +448,6 @@ def run_chaos(
             run_cycle(
                 cycle, rng, work_path, experiments, jobs,
                 duration, reference_summary, timeout, "enospc",
-                stream=stream, shard_refs=shard_refs,
             )
         )
 

@@ -46,8 +46,6 @@ def chaos_command(argv: List[str]) -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--work-dir", default=None)
     parser.add_argument("--timeout", type=float, default=300.0)
-    parser.add_argument("--stream", action="store_true")
-    parser.add_argument("--shard-refs", type=int, default=None)
     args, code = _parse(parser, argv)
     if args is None:
         return code
@@ -70,8 +68,6 @@ def chaos_command(argv: List[str]) -> int:
         enospc_cycles=args.enospc_cycles,
         work_dir=args.work_dir,
         timeout=args.timeout,
-        stream=args.stream,
-        shard_refs=args.shard_refs,
     )
     print(report.render())
     if not report.passed:

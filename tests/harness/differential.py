@@ -147,134 +147,13 @@ def cross_check_trace(
     return report
 
 
-def cross_check_streamed(
-    trace: Trace,
-    work_dir,
-    capacities_bytes: Optional[Sequence[int]] = None,
-    block_size: int = 8,
-    shard_refs: Optional[int] = None,
-    subject: str = "trace",
-) -> ValidationReport:
-    """Demand EXACT agreement between streamed and in-memory paths.
-
-    Shards ``trace`` into a multi-shard ``.trd`` directory under
-    ``work_dir`` and replays all three simulators both ways.  Every
-    comparison is exact — same misses, same histograms, same columns —
-    because the streamed path feeds the identical hot loops chunk-wise;
-    any divergence is a bug in the shard substrate, never noise.
-
-    Error findings use the code ``streaming-mismatch``.  Run it inside
-    :func:`tests.harness.loops.loops_only` to check the per-reference
-    loops rather than the kernels.
-    """
-    from pathlib import Path
-
-    from repro.mem.shards import StreamingTraceBuilder
-
-    report = ValidationReport(subject=f"streaming {subject}")
-    if capacities_bytes is None:
-        capacities_bytes = default_check_capacities(trace, block_size)
-    if shard_refs is None:
-        # Force a genuinely multi-shard layout so chunk boundaries and
-        # cross-shard state carry are actually exercised.
-        shard_refs = max(len(trace) // 7, 1)
-
-    builder = StreamingTraceBuilder(
-        Path(work_dir) / f"{subject}.trd", shard_refs=shard_refs
-    )
-    builder.extend_arrays(trace.addrs, trace.kinds)
-    streamed = builder.build()
-
-    report.tick()
-    if len(streamed) != len(trace) or not (
-        np.array_equal(streamed.load().addrs, trace.addrs)
-        and np.array_equal(streamed.load().kinds, trace.kinds)
-    ):
-        report.add(
-            "streaming-mismatch",
-            f"shard round-trip altered the reference stream "
-            f"({len(trace)} refs in, {len(streamed)} out)",
-        )
-        return report
-
-    profiler = StackDistanceProfiler(block_size=block_size)
-    profile_mem = profiler.profile(trace)
-    profile_str = profiler.profile(streamed)
-    report.tick()
-    if not (
-        np.array_equal(
-            profile_mem.depth_histogram, profile_str.depth_histogram
-        )
-        and profile_mem.cold_misses == profile_str.cold_misses
-        and profile_mem.total == profile_str.total
-    ):
-        report.add(
-            "streaming-mismatch",
-            "streamed stack-distance profile differs from in-memory "
-            f"(cold {profile_str.cold_misses} vs {profile_mem.cold_misses}, "
-            f"total {profile_str.total} vs {profile_mem.total})",
-        )
-
-    for capacity in capacities_bytes:
-        capacity = int(capacity)
-        stats_mem = FullyAssociativeCache(capacity, block_size).run(trace)
-        stats_str = FullyAssociativeCache(capacity, block_size).run(streamed)
-        report.tick()
-        if (
-            stats_mem.reads,
-            stats_mem.writes,
-            stats_mem.read_misses,
-            stats_mem.write_misses,
-            stats_mem.cold_misses,
-        ) != (
-            stats_str.reads,
-            stats_str.writes,
-            stats_str.read_misses,
-            stats_str.write_misses,
-            stats_str.cold_misses,
-        ):
-            report.add(
-                "streaming-mismatch",
-                f"capacity {capacity} B: streamed fully associative stats "
-                f"({stats_str.misses} misses) differ from in-memory "
-                f"({stats_mem.misses} misses)",
-            )
-        num_blocks = max(capacity // block_size, 1)
-        for ways in (1, 2):
-            if num_blocks % ways:
-                continue
-            sa_mem = SetAssociativeCache(
-                capacity, block_size=block_size, associativity=ways
-            ).run(trace)
-            sa_str = SetAssociativeCache(
-                capacity, block_size=block_size, associativity=ways
-            ).run(streamed)
-            report.tick()
-            if (sa_mem.misses, sa_mem.cold_misses) != (
-                sa_str.misses,
-                sa_str.cold_misses,
-            ):
-                report.add(
-                    "streaming-mismatch",
-                    f"capacity {capacity} B x {ways} way(s): streamed "
-                    f"set-associative misses {sa_str.misses} differ from "
-                    f"in-memory {sa_mem.misses}",
-                )
-    return report
-
-
 def cross_check_corpus(
     names: Optional[Iterable[str]] = None,
-    streamed_work_dir=None,
 ) -> ValidationReport:
     """Run :func:`cross_check_trace` over the pinned trace corpus.
 
     Args:
         names: Corpus entry names to check (default: all five apps).
-        streamed_work_dir: When given, additionally run
-            :func:`cross_check_streamed` for every entry, sharding into
-            this directory — the acceptance oracle that the streamed
-            simulators agree exactly with the in-memory path.
     """
     from tests.harness.corpus import CORPUS, corpus_entry
     from repro.validate.report import merge_reports
@@ -286,8 +165,4 @@ def cross_check_corpus(
     for entry in entries:
         trace = entry.build()
         reports.append(cross_check_trace(trace, subject=entry.name))
-        if streamed_work_dir is not None:
-            reports.append(
-                cross_check_streamed(trace, streamed_work_dir, subject=entry.name)
-            )
     return merge_reports("differential corpus", reports)

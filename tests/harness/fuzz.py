@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.mem.trace import Trace, TraceBuilder
+from repro.mem.trace import Trace
 from repro.mem.tracefile import (
     TraceFileCorruptError,
     load_metadata,
@@ -59,6 +59,7 @@ from repro.mem.tracefile import (
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.errors import CheckpointCorruptError, ValidationError
 from repro.validate.report import ValidationReport
+from tests.harness.builder import ReferenceBuilder
 
 #: Exceptions a reader is *allowed* to raise on corrupt input.
 #: ``TraceFileCorruptError`` subclasses ``ValueError``; the bare
@@ -207,7 +208,7 @@ class FuzzReport:
 
 
 def _pristine_trace() -> Trace:
-    tb = TraceBuilder()
+    tb = ReferenceBuilder()
     for sweep in range(3):
         for i in range(128):
             tb.read(8 * i)

@@ -2,7 +2,7 @@
 
 Every durability-relevant syscall in :mod:`repro.runtime.records`
 carries a site tag (``"journal"``, ``"checkpoint"``, ``"events"``,
-``"tracefile"``, ``"shard"``, ``"simckpt"``, ...) and first calls
+``"tracefile"``, ...) and first calls
 :data:`repro.runtime.records.io_hook`.  An installed
 :class:`IOFaultInjector` counts the calls matching each of its faults
 and fires the fault at the Nth one: ``enospc`` and ``eio`` raise the

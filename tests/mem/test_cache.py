@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.mem.cache import FullyAssociativeCache, sweep_cache_sizes
-from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
+from repro.mem.trace import READ, WRITE, Trace
+from tests.harness.builder import ReferenceBuilder
 
 
 class TestConstruction:
@@ -137,7 +138,7 @@ class TestRun:
 
 class TestSweep:
     def test_monotone_in_capacity(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         for sweep in range(3):
             builder.read_range(0, 100)
         trace = builder.build()

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.mem import kernels
 from repro.mem.multiproc import MultiprocessorMemory
-from repro.mem.trace import Access, READ, Trace, TraceBuilder, WRITE
+from repro.mem.trace import Access, READ, Trace, WRITE
 from tests.conftest import count_kernel_calls
+from tests.harness.builder import ReferenceBuilder
 from tests.harness.loops import loops_only
 
 
@@ -105,9 +106,9 @@ class TestCoherence:
 
 class TestRun:
     def test_run_traces_round_robin(self):
-        a = TraceBuilder()
+        a = ReferenceBuilder()
         a.write(0)
-        b = TraceBuilder()
+        b = ReferenceBuilder()
         b.read(0)
         mem = MultiprocessorMemory(2)
         stats = mem.run_traces([a.build(), b.build()])
@@ -276,22 +277,6 @@ class TestCoherenceKernel:
                 ora.run_traces(traces)
         assert vector_tier["multiproc"] == 1
         assert _state(mem) == _state(ora)
-
-    def test_streamed_traces_use_the_loop(self, vector_tier, tmp_path):
-        from repro.mem.shards import StreamingTraceBuilder
-
-        traces = []
-        for pid in range(2):
-            builder = StreamingTraceBuilder(tmp_path / f"p{pid}", shard_refs=4)
-            builder.extend_arrays(
-                np.arange(10, dtype=np.int64) * 8, np.full(10, pid, dtype=np.uint8)
-            )
-            traces.append(builder.build())
-        mem = MultiprocessorMemory(2)
-        mem.run_traces(traces)
-        assert vector_tier["multiproc"] == 0
-        assert mem.stats[1].invalidations_received == 0
-        assert mem.stats[0].invalidations_received == 10
 
 
 class TestBarnesHutPhases:

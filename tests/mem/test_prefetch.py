@@ -8,8 +8,9 @@ from repro.mem.prefetch import (
     StridePrefetcher,
     measure_prefetch_coverage,
 )
-from repro.mem.trace import Trace, TraceBuilder
+from repro.mem.trace import Trace
 from tests.conftest import random_trace
+from tests.harness.builder import ReferenceBuilder
 
 
 class TestStridePrefetcher:
@@ -82,13 +83,13 @@ class TestCoverage:
         assert stats.coverage < 0.15
 
     def test_no_misses_no_coverage_div_by_zero(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.read(0)
         stats = measure_prefetch_coverage(builder.build(), 8 * 1024, block_size=8)
         assert stats.coverage == 0.0 or stats.misses <= 1
 
     def test_reads_only_flag(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.write_range(0, 100)
         trace = builder.build()
         reads_only = measure_prefetch_coverage(trace, 64, reads_only=True)

@@ -4,8 +4,9 @@ import pytest
 
 from repro.mem.cache import FullyAssociativeCache
 from repro.mem.setassoc import SetAssociativeCache
-from repro.mem.trace import Trace, TraceBuilder
+from repro.mem.trace import Trace
 from tests.conftest import random_trace
+from tests.harness.builder import ReferenceBuilder
 
 
 class TestConstruction:
@@ -104,7 +105,7 @@ class TestLifecycle:
         assert cache.access(0) is False
 
     def test_run_returns_stats(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.read_range(0, 16)
         stats = SetAssociativeCache(256, block_size=8).run(builder.build())
         assert stats.reads == 16

@@ -17,8 +17,9 @@ from repro.mem.stack_distance import (
     default_capacity_grid,
     profile_trace,
 )
-from repro.mem.trace import READ, WRITE, Trace, TraceBuilder
+from repro.mem.trace import READ, WRITE, Trace
 from tests.conftest import random_trace
+from tests.harness.builder import ReferenceBuilder
 from tests.harness.loops import loops_only
 
 
@@ -80,7 +81,7 @@ class TestOptions:
         assert profile.total == 192
 
     def test_count_reads_only(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.read(0)
         builder.write(8)
         builder.read(0)
@@ -132,7 +133,7 @@ class TestEquivalenceWithExplicitCache:
     )
     @settings(max_examples=60, deadline=None)
     def test_any_trace_any_capacity(self, refs, capacity_blocks):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         for block, kind in refs:
             if kind == READ:
                 builder.read(block * 8)

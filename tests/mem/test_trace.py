@@ -9,8 +9,9 @@ from repro.mem.trace import (
     Trace,
     TraceBuilder,
     WRITE,
-    interleave_round_robin,
+    iter_interleave_round_robin,
 )
+from tests.harness.builder import ReferenceBuilder
 
 
 class TestAccess:
@@ -29,7 +30,7 @@ class TestAccess:
 
 class TestBuilder:
     def test_read_write(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.read(0)
         builder.write(8)
         trace = builder.build()
@@ -38,30 +39,30 @@ class TestBuilder:
         assert trace[1] == Access(8, WRITE)
 
     def test_read_range(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.read_range(100, 3)
         trace = builder.build()
         assert list(trace.addrs) == [100, 108, 116]
 
     def test_write_range_custom_stride(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.write_range(0, 3, stride=16)
         trace = builder.build()
         assert list(trace.addrs) == [0, 16, 32]
         assert trace.write_count == 3
 
     def test_extend(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.extend([Access(0), Access(8, WRITE)])
         assert len(builder) == 2
 
     def test_len(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.read(0)
         assert len(builder) == 1
 
     def test_extend_arrays_keeps_order_with_single_references(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.read(0)
         builder.extend_arrays(np.array([8, 16]), np.array([WRITE, READ]))
         builder.write(24)
@@ -81,6 +82,15 @@ class TestBuilder:
         trace = TraceBuilder().build()
         assert len(trace) == 0
         assert trace.addrs.dtype == np.int64
+
+    def test_columns_only(self):
+        builder = TraceBuilder()
+        builder.extend_arrays(np.array([0, 8]), np.array([READ, WRITE]))
+        builder.extend_arrays(np.array([16]), np.array([READ]))
+        assert len(builder) == 3
+        assert builder.build().addrs.tolist() == [0, 8, 16]
+        for name in ("read", "write", "read_range", "write_range", "extend"):
+            assert not hasattr(builder, name)
 
 
 class TestTrace:
@@ -129,7 +139,7 @@ class TestInterleave:
     def test_round_robin_order(self):
         a = Trace.from_addresses([0, 8])
         b = Trace.from_addresses([100])
-        merged = interleave_round_robin([a, b])
+        merged = list(iter_interleave_round_robin([a, b]))
         assert [(pid, acc.addr) for pid, acc in merged] == [
             (0, 0),
             (1, 100),
@@ -138,24 +148,26 @@ class TestInterleave:
 
     def test_total_length_preserved(self):
         traces = [Trace.from_addresses(range(0, n * 8, 8)) for n in (3, 1, 5)]
-        merged = interleave_round_robin(traces)
+        merged = list(iter_interleave_round_robin(traces))
         assert len(merged) == 9
 
     def test_empty_traces(self):
-        assert interleave_round_robin([Trace.from_addresses([])]) == []
+        assert list(iter_interleave_round_robin([Trace.from_addresses([])])) == []
 
     def test_lazy_iterator_matches_wrapper(self):
-        from repro.mem.trace import iter_interleave_round_robin
-
         traces = [Trace.from_addresses(range(0, n * 8, 8)) for n in (4, 2, 7)]
         lazy = list(iter_interleave_round_robin(traces))
-        assert lazy == interleave_round_robin(traces)
+        rounds = [
+            (pid, trace[i])
+            for i in range(7)
+            for pid, trace in enumerate(traces)
+            if i < len(trace)
+        ]
+        assert lazy == rounds
 
     def test_lazy_iterator_is_lazy(self):
         """The generator pulls references on demand, never whole traces."""
         from itertools import islice
-
-        from repro.mem.trace import iter_interleave_round_robin
 
         pulled = []
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.mem.tracefile import FORMAT_VERSION, load_metadata, load_trace, save_trace
-from repro.mem.trace import Trace, TraceBuilder
+from repro.mem.trace import Trace
 from repro.runtime.errors import TraceFileWriteError
 from tests.conftest import random_trace
+from tests.harness.builder import ReferenceBuilder
 
 
 class TestRoundtrip:
@@ -53,7 +54,7 @@ class TestRoundtrip:
         """A reloaded trace profiles identically."""
         from repro.mem.stack_distance import profile_trace
 
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         for _ in range(3):
             builder.read_range(0, 32)
         trace = builder.build()

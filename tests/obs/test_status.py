@@ -218,39 +218,6 @@ class TestThroughput:
         assert status.refs_simulated is None
         assert status.refs_per_second is None
 
-    def test_stream_gauges_render_shard_progress(self, tmp_path):
-        run_dir = tmp_path / "run"
-        run_campaign(run_dir, [FakeExperiment("a")])
-        (run_dir / "metrics.json").write_text(
-            json.dumps(
-                {
-                    "format": METRICS_FORMAT,
-                    "written_wall": 1.0,
-                    "campaign": {
-                        "counters": {},
-                        "gauges": {
-                            "mem.stream.shards_done": 3,
-                            "mem.stream.shards_total": 7,
-                        },
-                        "histograms": {},
-                    },
-                    "attempts": {},
-                }
-            )
-        )
-        status = load_status(run_dir)
-        assert status.stream_shards_done == 3
-        assert status.stream_shards_total == 7
-        assert "streaming: shard 3/7" in render_status(status)
-        assert status.to_dict()["stream_shards_done"] == 3
-
-    def test_unstreamed_campaign_has_no_shard_line(self, tmp_path):
-        run_dir = tmp_path / "run"
-        run_campaign(run_dir, [FakeExperiment("a")])
-        status = load_status(run_dir)
-        assert status.stream_shards_done is None
-        assert "streaming:" not in render_status(status)
-
 
 class TestDamageTolerance:
     """Status must never raise on a damaged run directory."""

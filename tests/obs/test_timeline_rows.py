@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem import kernels
-from repro.mem.shards import StreamingTraceBuilder
 from repro.mem.stack_distance import StackDistanceProfiler, StackDistanceRun
 from repro.mem.trace import READ, WRITE, Trace
 from repro.obs import metrics as obs_metrics
@@ -113,33 +112,6 @@ class TestOnePassRowsEqualWindowedRows:
         _, rows = _recorded(trace, tier, refs + extra, **params)
         assert len(rows) == 1
         assert rows == windowed_rows(trace, refs + extra, **params)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(0, 2**16),
-        refs=st.integers(1, 4000),
-        shard_refs=st.integers(50, 1500),
-        block_size=BLOCK_SIZES,
-        count_reads_only=st.booleans(),
-        warmup=st.integers(0, 3000),
-        tier=TIERS,
-    )
-    def test_streamed_rows_are_one_per_shard(
-        self, seed, refs, shard_refs, block_size, count_reads_only, warmup, tier
-    ):
-        trace = _trace(seed, refs, 2000)
-        params = dict(
-            block_size=block_size, count_reads_only=count_reads_only, warmup=warmup
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            builder = StreamingTraceBuilder(Path(tmp) / "t.trd", shard_refs=shard_refs)
-            builder.extend_arrays(trace.addrs, trace.kinds)
-            streamed = builder.build()
-            # The window setting is ignored: a shard is one row.
-            profile, rows = _recorded(streamed, tier, 7, **params)
-        assert len(rows) == streamed.num_shards
-        assert rows == windowed_rows(trace, shard_refs, **params)
-        _same_profile(profile, StackDistanceProfiler(**params).profile(trace))
 
 
 class TestLinks:

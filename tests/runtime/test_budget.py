@@ -7,7 +7,7 @@ import pytest
 from repro.mem.cache import FullyAssociativeCache
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import profile_trace
-from repro.mem.trace import Trace, TraceBuilder, interleave_round_robin
+from repro.mem.trace import Trace, iter_interleave_round_robin
 from repro.runtime.budget import (
     Budget,
     activate,
@@ -16,6 +16,7 @@ from repro.runtime.budget import (
 )
 from repro.runtime.errors import BudgetExceeded
 
+from tests.harness.builder import ReferenceBuilder
 from tests.runtime.conftest import FakeClock
 
 
@@ -119,11 +120,11 @@ class TestCooperativeChecks:
             cache.run(big_trace(), budget=expired_budget())
 
     def test_interleave_aborts(self):
-        builder = TraceBuilder()
+        builder = ReferenceBuilder()
         builder.read_range(0, 64)
         traces = [builder.build()] * 4
         with pytest.raises(BudgetExceeded):
-            interleave_round_robin(traces, budget=expired_budget())
+            list(iter_interleave_round_robin(traces, budget=expired_budget()))
 
     def test_generous_budget_does_not_interfere(self):
         trace = big_trace(10_000)

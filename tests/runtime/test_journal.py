@@ -62,7 +62,7 @@ class TestFraming:
     @pytest.mark.parametrize(
         "record_type",
         ["dispatch-assign", "cache-hit", "submission-accepted",
-         "breaker-transition"],
+         "breaker-transition", "shard-sealed", "sim-checkpoint"],
     )
     def test_retired_record_types_rejected(self, tmp_path, record_type):
         with Journal(tmp_path / JOURNAL_FILENAME) as journal:

@@ -8,7 +8,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.mem.shards import SIMCKPT_MAGIC
 from repro.obs.archive import ARCHIVE_MAGIC, append_rows
 from repro.obs.timeline import TIMELINE_MAGIC, TimelineRecorder
 from repro.obs.tracing import SPANS_MAGIC, Span, SpanWriter
@@ -29,7 +28,7 @@ ATTRIBUTION = {
 def _append_journal(path, n):
     with Journal(path) as journal:
         for i in range(n):
-            journal.append("shard-sealed", shard=i)
+            journal.append("attempt-start", experiment_id="x", attempt=i + 1)
 
 
 def _append_events(path, n):
@@ -62,22 +61,14 @@ def _append_archive(path, n):
     )
 
 
-def _append_snapshots(path, n):
-    with records.RecordLog(path, SIMCKPT_MAGIC, "simckpt") as log:
-        for i in range(n):
-            log.append({"next_shard": i, "state": {}})
-
-
-#: magic -> (file name, appender).  The five append-only logs use their
-#: real writers; simulator snapshots are written whole, so the shared
-#: appender stands in for them.
+#: magic -> (file name, appender): the five append-only logs, each
+#: with its real writer.
 APPENDERS = {
-    JOURNAL_MAGIC: ("shards.wal", _append_journal),
+    JOURNAL_MAGIC: ("journal.wal", _append_journal),
     EVENTS_MAGIC: ("events.jsonl", _append_events),
     SPANS_MAGIC: ("spans.jsonl", _append_spans),
     TIMELINE_MAGIC: ("timeline.jsonl", _append_timeline),
     ARCHIVE_MAGIC: ("perf-archive.jsonl", _append_archive),
-    SIMCKPT_MAGIC: ("abc.ckpt", _append_snapshots),
 }
 
 #: magic -> (validator, torn-tail code, damage code) for the five logs

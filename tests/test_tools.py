@@ -3,14 +3,14 @@
 import pytest
 
 from repro.mem.tracefile import save_trace
-from repro.mem.trace import TraceBuilder
 from repro.tools import main
 from tests.conftest import random_trace
+from tests.harness.builder import ReferenceBuilder
 
 
 @pytest.fixture
 def saved_trace(tmp_path):
-    builder = TraceBuilder()
+    builder = ReferenceBuilder()
     for _ in range(4):
         builder.read_range(0, 64)
     path = tmp_path / "loop.npz"

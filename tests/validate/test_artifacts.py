@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.curves import MissRateCurve
 from repro.experiments.runner import ExperimentResult
-from repro.mem.trace import TraceBuilder
 from repro.mem.tracefile import save_trace, trace_header
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import ExperimentOutcome
@@ -21,6 +20,7 @@ from repro.validate.artifacts import (
     validate_run_dir,
     validate_trace_file,
 )
+from tests.harness.builder import ReferenceBuilder
 
 
 def make_result(experiment_id: str = "figA") -> ExperimentResult:
@@ -37,7 +37,7 @@ def make_result(experiment_id: str = "figA") -> ExperimentResult:
 
 
 def make_trace():
-    tb = TraceBuilder()
+    tb = ReferenceBuilder()
     for block in range(32):
         tb.read(8 * block)
         tb.write(8 * block)
@@ -481,74 +481,30 @@ class TestObservabilityArtifacts:
         assert report.ok, report.render()
 
 
-class TestStreamingArtifacts:
-    """Run-dir auditing of the sharded-trace streaming substrate."""
+class TestLegacyStreamDir:
+    """The ``stream/`` subtree that earlier versions' out-of-core mode
+    left in a run directory is inert: not audited, not read as traces."""
 
-    def _streamed_run(self, tmp_path, shard_refs=128):
-        from repro.mem.shards import StreamingTraceBuilder
-        from tests.conftest import random_trace
+    def test_legacy_stream_subtree_adds_no_finding(self, clean_run):
+        from tests.conftest import plant_legacy_stream
 
-        run_dir = tmp_path / "run"
-        stream = run_dir / "stream"
-        stream.mkdir(parents=True)
-        trace = random_trace(600, 90, seed=31)
-        builder = StreamingTraceBuilder(stream / "t.trd", shard_refs=shard_refs)
-        builder.extend_arrays(trace.addrs, trace.kinds)
-        return run_dir, builder.build()
+        before = validate_run_dir(clean_run)
+        plant_legacy_stream(clean_run)
+        report = validate_run_dir(clean_run)
+        assert report.ok, report.render()
+        assert report.findings == before.findings
+        assert report.checks_run == before.checks_run
 
-    def test_clean_streamed_run_dir_passes(self, tmp_path):
-        run_dir, _ = self._streamed_run(tmp_path)
-        report = validate_run_dir(run_dir)
-        assert not report.errors, report.render()
+    def test_damaged_shard_under_stream_is_not_read(self, clean_run):
+        from tests.conftest import plant_legacy_stream
 
-    def test_shard_damage_surfaces_with_relative_path(self, tmp_path):
-        from repro.mem.shards import shard_name
-
-        run_dir, streamed = self._streamed_run(tmp_path)
-        (streamed.directory / shard_name(2)).unlink()
-        report = validate_run_dir(run_dir)
-        findings = [f for f in report.errors if f.code == "trace-shard-missing"]
-        assert findings and "stream/t.trd" in (findings[0].path or "")
-
-    def test_staging_dir_is_a_warning_only(self, tmp_path):
-        from repro.mem.shards import StreamingTraceBuilder
-        from tests.conftest import random_trace
-
-        run_dir, _ = self._streamed_run(tmp_path)
-        orphan = StreamingTraceBuilder(
-            run_dir / "stream" / "orphan.trd", shard_refs=64
-        )
-        trace = random_trace(200, 30, seed=32)
-        orphan.extend_arrays(trace.addrs, trace.kinds)  # never build()
-        report = validate_run_dir(run_dir)
-        assert not report.errors, report.render()
-        assert "trace-shard-incomplete" in report.codes()
-
-    def test_damaged_sim_checkpoint_is_a_warning(self, tmp_path):
-        from repro.mem.shards import save_sim_checkpoint
-
-        run_dir, _ = self._streamed_run(tmp_path)
-        ckpt_dir = run_dir / "stream" / "checkpoints"
-        ckpt_dir.mkdir()
-        path = ckpt_dir / "abc123.ckpt"
-        save_sim_checkpoint(path, {"next_shard": 1, "state": {}})
-        path.write_bytes(path.read_bytes()[:-5])
-        report = validate_run_dir(run_dir)
-        assert not report.errors, report.render()
-        assert "sim-checkpoint-corrupt" in report.codes()
-
-    def test_healthy_sim_checkpoint_passes(self, tmp_path):
-        from repro.mem.shards import save_sim_checkpoint
-
-        run_dir, _ = self._streamed_run(tmp_path)
-        ckpt_dir = run_dir / "stream" / "checkpoints"
-        ckpt_dir.mkdir()
-        save_sim_checkpoint(
-            ckpt_dir / "abc123.ckpt", {"next_shard": 1, "state": {}}
-        )
-        report = validate_run_dir(run_dir)
-        assert not report.errors, report.render()
-        assert "sim-checkpoint-corrupt" not in report.codes()
+        stream = plant_legacy_stream(clean_run)
+        for path in stream.rglob("*"):
+            if path.is_file():
+                path.write_bytes(b"garbage")
+        report = validate_run_dir(clean_run)
+        assert report.ok, report.render()
+        assert not any("stream" in (f.path or "") for f in report.findings)
 
 
 class TestKernelBundles:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mem.trace import Trace, TraceBuilder
+from repro.mem.trace import Trace
 
+from tests.harness.builder import ReferenceBuilder
 from tests.harness.corpus import CORPUS, build_corpus, corpus_entry
 from tests.harness.differential import (
     cross_check_corpus,
@@ -17,7 +18,7 @@ from tests.harness.loops import loops_only
 
 
 def sweep_trace(blocks: int = 20, sweeps: int = 3) -> Trace:
-    tb = TraceBuilder()
+    tb = ReferenceBuilder()
     for _ in range(sweeps):
         for block in range(blocks):
             tb.read(8 * block)
@@ -31,7 +32,7 @@ class TestCrossCheckTrace:
 
     def test_random_trace_passes(self):
         rng = np.random.default_rng(42)
-        tb = TraceBuilder()
+        tb = ReferenceBuilder()
         for addr in rng.integers(0, 512, size=2000):
             if rng.random() < 0.3:
                 tb.write(int(addr) * 8)
@@ -102,57 +103,6 @@ class TestCorpus:
         assert report.checks_run > 0
 
 
-class TestStreamedDifferential:
-    """Streamed simulators must agree EXACTLY with in-memory ones."""
-
-    def test_random_trace_exact_agreement(self, tmp_path):
-        from tests.harness.differential import cross_check_streamed
-        from tests.conftest import random_trace
-
-        report = cross_check_streamed(
-            random_trace(3000, 400, seed=13), tmp_path, subject="random"
-        )
-        assert report.ok, report.render()
-        assert report.checks_run > 5
-
-    def test_sabotaged_shard_order_detected(self, tmp_path, monkeypatch):
-        """Swap two shards during chunk iteration: the oracle notices."""
-        from repro.mem.shards import StreamingTrace
-        from tests.harness.differential import cross_check_streamed
-        from tests.conftest import random_trace
-
-        original = StreamingTrace.iter_chunks
-
-        def swapped(self, start_shard=0):
-            chunks = list(original(self, start_shard))
-            if len(chunks) >= 2:
-                chunks[0], chunks[1] = chunks[1], chunks[0]
-            return iter(chunks)
-
-        monkeypatch.setattr(StreamingTrace, "iter_chunks", swapped)
-        report = cross_check_streamed(
-            random_trace(2000, 300, seed=14), tmp_path, subject="sabotaged"
-        )
-        assert "streaming-mismatch" in report.codes()
-
-    def test_corpus_entry_streams_exactly(self, tmp_path):
-        """One real application trace through the streamed oracle; the
-        full five-app sweep runs in CI via ``cross_check_corpus``."""
-        entry = corpus_entry("cg-n16-p4")
-        from tests.harness.differential import cross_check_streamed
-
-        report = cross_check_streamed(
-            entry.build(), tmp_path, subject=entry.name
-        )
-        assert report.ok, report.render()
-
-    def test_cross_check_corpus_streamed_subset(self, tmp_path):
-        report = cross_check_corpus(
-            names=["lu-n32-b8-p4"], streamed_work_dir=tmp_path
-        )
-        assert report.ok, report.render()
-
-
 class TestKernelTier:
     """The checks pass on the kernels and, inside ``loops_only``, on the
     per-reference loops."""
@@ -190,12 +140,3 @@ class TestKernelTier:
             cross_check_trace(random_trace(500, 32, seed=1))
         assert kernels.guard_run is guard
 
-    def test_streamed_check_accepts_kernel_tier(self, tmp_path, kernel_calls):
-        from tests.harness.differential import cross_check_streamed
-        from tests.conftest import random_trace
-
-        trace = random_trace(1_000, 32, seed=4)
-        with loops_only():
-            report = cross_check_streamed(trace, tmp_path, subject="tiered")
-        assert report.ok
-        assert sum(kernel_calls.values()) == 0

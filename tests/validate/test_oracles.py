@@ -8,7 +8,6 @@ import pytest
 from repro.core.curves import MissRateCurve
 from repro.experiments.runner import ExperimentResult, SeriesComparison
 from repro.mem.stack_distance import profile_trace
-from repro.mem.trace import TraceBuilder
 from repro.runtime.errors import ResultRejectedError
 from repro.validate.oracles import (
     RESULT_ORACLES,
@@ -16,6 +15,7 @@ from repro.validate.oracles import (
     validate_profile,
     validate_result,
 )
+from tests.harness.builder import ReferenceBuilder
 
 
 def make_result(**overrides) -> ExperimentResult:
@@ -137,7 +137,7 @@ class TestResultOracles:
 
 class TestProfileOracles:
     def _trace(self):
-        tb = TraceBuilder()
+        tb = ReferenceBuilder()
         for sweep in range(3):
             for block in range(20):
                 tb.read(8 * block)
