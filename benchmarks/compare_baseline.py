@@ -24,14 +24,6 @@ the comparison when regressing more than ``--kernel-regression-pct``
 (default 10%), even in report mode — a kernel slowdown silently
 erodes the whole campaign, so it is never just informational.  Pass
 ``--kernel-regression-pct 0`` to disable the kernel gate.
-
-``--archive PATH`` additionally appends CURRENT's rows to a
-cross-run ``perf-archive.jsonl`` and prints the robust trend report
-(``repro.obs.archive``).  Archiving *refuses* rows that carry no
-attribution (git SHA, timestamp, hostname — stamped by
-``benchmarks/conftest.py``): an anonymous archive cannot be walked
-back to the commit that regressed.  The trend report itself never
-fails the run — the deltas above are the gate.
 """
 
 from __future__ import annotations
@@ -99,56 +91,6 @@ def compare(current_path: Path, baseline_path: Path) -> list[dict]:
     return rows
 
 
-def _import_archive():
-    """Import ``repro.obs.archive`` (works from a bare checkout too)."""
-    try:
-        from repro.obs import archive as obs_archive
-    except ImportError:
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parent.parent / "src")
-        )
-        from repro.obs import archive as obs_archive
-    return obs_archive
-
-
-def archive_current(current_path: Path, archive_path: Path) -> int:
-    """Append CURRENT's rows to the perf archive and print trends.
-
-    Returns 0 on success, 2 when any row lacks attribution (the row is
-    *refused*, nothing is appended).
-    """
-    obs_archive = _import_archive()
-    payload = json.loads(current_path.read_text(encoding="utf-8"))
-    rows = obs_archive.bench_rows(payload)
-    if not rows:
-        print(
-            "compare_baseline: no benchmark rows to archive",
-            file=sys.stderr,
-        )
-        return 2
-    unattributed = sorted(
-        str(row.get("series"))
-        for row in rows
-        if not obs_archive.is_attributed(row)
-    )
-    if unattributed:
-        print(
-            "compare_baseline: refusing to archive unattributed row(s) "
-            f"({', '.join(unattributed)}); re-run the benchmarks from a "
-            "git checkout so conftest.py can stamp "
-            "git_sha/timestamp/hostname",
-            file=sys.stderr,
-        )
-        return 2
-    appended = obs_archive.append_rows(archive_path, rows)
-    print(f"archived {appended} row(s) to {archive_path}")
-    findings = obs_archive.detect_regressions(
-        obs_archive.read_archive(archive_path)
-    )
-    print(obs_archive.render_trends(findings))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("current", metavar="CURRENT", type=Path)
@@ -175,23 +117,11 @@ def main(argv: list[str] | None = None) -> int:
         help="fail when a bench_kernel_* row regresses more than PCT%% "
         "(default: 10; 0 disables the kernel gate)",
     )
-    parser.add_argument(
-        "--archive",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="append CURRENT's rows to this perf-archive.jsonl and "
-        "print the cross-run trend report (refuses unattributed rows)",
-    )
     args = parser.parse_args(argv)
     for path in (args.current, args.baseline):
         if not path.is_file():
             print(f"compare_baseline: {path} does not exist", file=sys.stderr)
             return 2
-    if args.archive is not None:
-        status = archive_current(args.current, args.archive)
-        if status:
-            return status
 
     rows = compare(args.current, args.baseline)
     if not rows:

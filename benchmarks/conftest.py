@@ -40,23 +40,7 @@ def run_once():
     return one_shot
 
 
-def _attribution() -> dict:
-    """Row attribution (git SHA, ISO timestamp, hostname), best-effort.
-
-    Computed once per session; an environment without the repro package
-    on the path (bare ``pytest benchmarks/``) degrades to no
-    attribution rather than failing the run — the archive appenders are
-    the layer that *refuses* unattributed rows.
-    """
-    try:
-        from repro.obs.archive import attribution
-
-        return attribution(cwd=Path(__file__).resolve().parent)
-    except Exception:
-        return {}
-
-
-def _export(bench, attribution: dict) -> dict:
+def _export(bench) -> dict:
     stats = {}
     for field in _STAT_FIELDS:
         value = getattr(bench.stats, field, None)
@@ -68,7 +52,6 @@ def _export(bench, attribution: dict) -> dict:
         "group": bench.group,
         "stats": stats,
         "extra_info": dict(bench.extra_info),
-        "attribution": dict(attribution),
     }
 
 
@@ -81,11 +64,10 @@ def pytest_sessionfinish(session, exitstatus):
     benchsession = getattr(session.config, "_benchmarksession", None)
     if benchsession is None or not benchsession.benchmarks:
         return
-    attribution = _attribution()
     payload = {
         "exit_status": int(exitstatus),
         "benchmarks": sorted(
-            (_export(bench, attribution) for bench in benchsession.benchmarks),
+            (_export(bench) for bench in benchsession.benchmarks),
             key=lambda entry: entry["fullname"],
         ),
     }

@@ -4,9 +4,11 @@ Usage::
 
     python benchmarks/obs_budget.py [--pairs 5] [--max-ratio 1.20] [ID ...]
 
-Runs the ``--quick`` campaign in one process (``--jobs 0``) as
-alternating pairs: once with the default settings (metrics, spans and
-the timeline on) and once with ``--no-obs``.  Every run gets a fresh
+Runs the ``--quick`` campaign on the default backend (``--jobs 1``:
+every attempt in a worker forked from the campaign's fork server, which
+ships its spans and metrics back to the supervisor) as alternating
+pairs: once with the default settings (metrics, spans and the timeline
+on) and once with ``--no-obs``.  Every run gets a fresh
 ``--run-dir``, since the timeline is written only with one.  The order
 within a pair alternates, so drift on a shared host falls on both sides
 alike.  Prints each pair's wall times and ratio, then the median ratio
@@ -30,9 +32,9 @@ from typing import List, Optional
 
 
 def _campaign(run_dir: Path, ids: List[str], no_obs: bool) -> float:
-    """Wall seconds of one ``--quick --jobs 0`` campaign."""
+    """Wall seconds of one default ``--quick`` campaign."""
     cmd = [sys.executable, "-m", "repro.experiments", "--quick", "--quiet",
-           "--jobs", "0", "--run-dir", str(run_dir), *ids]
+           "--run-dir", str(run_dir), *ids]
     if no_obs:
         cmd.append("--no-obs")
     start = time.perf_counter()

@@ -33,10 +33,6 @@ Usage::
                                       # live per-experiment state/ETA
     python -m repro.experiments report runs/full --html -o report.html
                                       # static post-hoc campaign report
-    python -m repro.experiments --quick --run-dir runs/q \
-        --archive perf-archive.jsonl  # append an attributed perf row
-    python -m repro.experiments trends perf-archive.jsonl
-                                      # cross-campaign regression check
 
 Campaigns are observable by default (``--no-obs`` or ``REPRO_OBS=0``
 opts out): counters/gauges/histograms roll up into
@@ -246,15 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="no_obs",
         help="disable campaign telemetry (metrics.json, spans.jsonl); "
         "REPRO_OBS=0/1 overrides in either direction",
-    )
-    parser.add_argument(
-        "--archive",
-        default=None,
-        metavar="FILE",
-        help="when the campaign finishes, append one attributed "
-        "perf-archive row (git SHA, timestamp, hostname, refs/s, "
-        "per-phase knee estimates) to FILE; inspect the history with "
-        "the `trends` subcommand",
     )
     return parser
 
@@ -466,90 +453,6 @@ def report_command(argv: List[str]) -> int:
     return 0
 
 
-def trends_command(argv: List[str]) -> int:
-    """``python -m repro.experiments trends <archive>``.
-
-    Robust regression detection over a ``perf-archive.jsonl`` history:
-    for every series (campaign or benchmark) the newest row is compared
-    against the median of its history, with a MAD-scaled noise band so
-    variable hardware does not flag spuriously.  Exit 0 when no series
-    regressed (including the first-row case with no history yet), 1
-    when any series is flagged, 2 on usage errors.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments trends",
-        description="Detect perf regressions across archived campaign "
-        "and benchmark rows.",
-    )
-    parser.add_argument(
-        "archive", metavar="ARCHIVE", help="perf-archive.jsonl path"
-    )
-    parser.add_argument(
-        "--metric",
-        default="refs_per_second",
-        metavar="NAME",
-        help="row field to trend (default: refs_per_second)",
-    )
-    parser.add_argument(
-        "--threshold-pct",
-        type=float,
-        default=10.0,
-        metavar="PCT",
-        help="minimum drop vs the series median to flag (default: 10; "
-        "noisy series need more, by their own MAD band)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable findings instead of the table",
-    )
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.threshold_pct < 0:
-        print("--threshold-pct must be >= 0")
-        return 2
-    if not Path(args.archive).is_file():
-        print(f"trends: {args.archive} does not exist")
-        return 2
-
-    from repro.obs.archive import ARCHIVE_MAGIC, detect_regressions, render_trends
-    from repro.runtime.records import scan as scan_log
-
-    scan = scan_log(args.archive, ARCHIVE_MAGIC)
-    findings = detect_regressions(
-        scan.records, metric=args.metric, threshold_pct=args.threshold_pct
-    )
-    if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "archive": args.archive,
-                    "metric": args.metric,
-                    "rows": len(scan.records),
-                    "damaged_lines": [line for line, _ in scan.damaged],
-                    "torn_tail": scan.torn_tail,
-                    "findings": findings,
-                },
-                indent=1,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(render_trends(findings))
-        if scan.damaged:
-            print(
-                f"note: {len(scan.damaged)} damaged archive line(s) "
-                "skipped (run `validate` for details)"
-            )
-        if scan.torn_tail:
-            print("note: archive has a torn tail (interrupted append)")
-    return 1 if any(f.get("regression") for f in findings) else 0
-
-
 #: Subcommand names dispatched before experiment-id parsing.  Safe
 #: because they can never collide with experiment ids (asserted by the
 #: CLI test suite).
@@ -557,7 +460,6 @@ SUBCOMMANDS = {
     "validate": validate_command,
     "status": status_command,
     "report": report_command,
-    "trends": trends_command,
 }
 
 
@@ -590,10 +492,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.max_rss_mb is not None and args.max_rss_mb <= 0:
         print("--max-rss-mb must be positive")
-        return 2
-    if args.archive is not None and not (args.run_dir or args.resume):
-        print("--archive requires --run-dir or --resume (the archive row "
-              "is built from the run directory's artifacts)")
         return 2
     wanted = args.experiments or list(EXPERIMENTS)
     unknown = [name for name in wanted if name not in EXPERIMENTS]
@@ -721,21 +619,6 @@ def _run_campaign(
             event_log.close()
         if journal is not None:
             journal.close()
-    if args.archive is not None and store is not None:
-        # Cross-campaign perf archive: one attributed row per finished
-        # campaign.  Failure to append is a warning, never a campaign
-        # failure — the simulation results are already checkpointed.
-        from repro.obs import archive as obs_archive
-
-        try:
-            appended = obs_archive.append_rows(
-                args.archive, obs_archive.campaign_rows(store.run_dir)
-            )
-            console.info(
-                f"[archive] {appended} row(s) appended to {args.archive}"
-            )
-        except (OSError, ValueError) as exc:
-            console.warning(f"[archive] append failed: {exc}")
     if report.degraded_ids or report.failed_ids:
         print(report.render())
     return 0 if report.succeeded else 1

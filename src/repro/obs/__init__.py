@@ -11,8 +11,7 @@ for campaigns:
   Snapshotted to ``<run_dir>/metrics.json`` per attempt.
 - :mod:`repro.obs.tracing` — spans (trace/span/parent ids, monotonic
   durations) as context managers and decorators, written to
-  ``<run_dir>/spans.jsonl`` with a Chrome trace-event export for
-  ``chrome://tracing`` / Perfetto.
+  ``<run_dir>/spans.jsonl``.
 - :mod:`repro.obs.console` — the leveled progress logger that replaced
   bare ``print`` in the experiment drivers, honoring ``--quiet`` and
   ``REPRO_LOG_LEVEL`` while keeping worker-mode stdout machine-clean.

@@ -93,10 +93,6 @@ class Console:
 _console = Console()
 
 
-def get_console() -> Console:
-    return _console
-
-
 def set_level(name: str) -> None:
     _console.set_level(name)
 

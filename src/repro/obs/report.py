@@ -575,20 +575,6 @@ def render_report_html(
     )
 
 
-def write_report(
-    run_dir: Union[str, Path],
-    output: Optional[Union[str, Path]] = None,
-    html: bool = False,
-) -> str:
-    """Render (and optionally write) the report; returns the text."""
-    text = (
-        render_report_html(run_dir) if html else render_report(run_dir)
-    )
-    if output is not None:
-        Path(output).write_text(text, encoding="utf-8")
-    return text
-
-
 def report_to_json(run_dir: Union[str, Path]) -> str:
     """Machine-readable form: the status dict plus event tallies."""
     from repro.runtime.events import read_events

@@ -27,9 +27,7 @@ worker's ids intact (the supervisor attempt span is their parent).
 frame and damage rule of :mod:`repro.runtime.records` (site
 ``"spans"`` for fault injection), with a tolerant reader
 (:func:`read_spans`) and a strict validator in
-:mod:`repro.validate.artifacts`.  :func:`to_chrome_trace` /
-:func:`from_chrome_trace` convert to and from the Chrome trace-event
-JSON format for ``chrome://tracing`` and Perfetto.
+:mod:`repro.validate.artifacts`.
 """
 
 from __future__ import annotations
@@ -343,66 +341,4 @@ def read_spans(path: Union[str, Path]) -> List[Span]:
             spans.append(Span.from_dict(record))
         except (KeyError, TypeError, ValueError):
             continue
-    return spans
-
-
-def to_chrome_trace(spans: List[Span]) -> Dict[str, object]:
-    """Convert spans to Chrome trace-event JSON (complete 'X' events).
-
-    Timestamps and durations are microseconds; ``pid`` is the real
-    process id and ``tid`` packs the span's trace-local identity so
-    Perfetto keeps parent/child rows distinguishable.  The span's ids
-    ride along in ``args`` so :func:`from_chrome_trace` can round-trip.
-    """
-    events: List[Dict[str, object]] = []
-    for s in spans:
-        args: Dict[str, object] = {
-            "trace_id": s.trace_id,
-            "span_id": s.span_id,
-            "status": s.status,
-        }
-        if s.parent_id is not None:
-            args["parent_id"] = s.parent_id
-        args.update(s.attrs)
-        events.append(
-            {
-                "name": s.name,
-                "cat": s.name.split(".", 1)[0],
-                "ph": "X",
-                "ts": round(s.t_wall * 1e6, 3),
-                "dur": round(s.dur_s * 1e6, 3),
-                "pid": s.pid,
-                "tid": s.pid,
-                "args": args,
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def from_chrome_trace(payload: Dict[str, object]) -> List[Span]:
-    """Rebuild spans from :func:`to_chrome_trace` output."""
-    spans: List[Span] = []
-    for event in payload.get("traceEvents", []):  # type: ignore[union-attr]
-        if not isinstance(event, dict) or event.get("ph") != "X":
-            continue
-        args = dict(event.get("args", {}))
-        span_id = args.pop("span_id", None)
-        trace_id = args.pop("trace_id", None)
-        if span_id is None or trace_id is None:
-            continue
-        parent_id = args.pop("parent_id", None)
-        status = args.pop("status", "ok")
-        spans.append(
-            Span(
-                name=str(event.get("name", "")),
-                trace_id=str(trace_id),
-                span_id=str(span_id),
-                parent_id=str(parent_id) if parent_id is not None else None,
-                t_wall=float(event.get("ts", 0.0)) / 1e6,  # type: ignore[arg-type]
-                dur_s=float(event.get("dur", 0.0)) / 1e6,  # type: ignore[arg-type]
-                status=str(status),
-                attrs=args,
-                pid=int(event.get("pid", 0)),  # type: ignore[arg-type]
-            )
-        )
     return spans

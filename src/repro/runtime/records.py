@@ -1,14 +1,14 @@
 """One framed record log for every append-only artifact.
 
 Every log a campaign writes — ``journal.wal``, ``events.jsonl``,
-``spans.jsonl``, ``timeline.jsonl``, ``perf-archive.jsonl`` — stores
-its records in one frame, one record per line::
+``spans.jsonl``, ``timeline.jsonl`` — stores its records in one frame,
+one record per line::
 
     <MAGIC> <crc32:08x> <canonical-json>\\n
 
 The CRC32 covers the canonical JSON bytes (sorted keys, no spaces);
-the magic names the log type (``WAL1``, ``EVT1``, ``SPN1``, ``TLN1``,
-``PFA1``).  A line is a record only when the magic, the CRC, the JSON
+the magic names the log type (``WAL1``, ``EVT1``, ``SPN1``,
+``TLN1``).  A line is a record only when the magic, the CRC, the JSON
 object and the terminating newline all agree.
 
 **The damage rule.**  :class:`RecordLog` writes each record with one

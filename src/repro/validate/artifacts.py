@@ -46,9 +46,6 @@ finding code                defect class
 ``timeline-schema``         timeline row violates the row schema, or
                             its miss vector disagrees with its
                             capacity ladder
-``archive-corrupt``         ``perf-archive.jsonl`` record damaged (torn
-                            tail warns), row violating the row schema,
-                            or an unattributed row
 ``metrics-schema``          ``metrics.json`` undecodable or violates
                             the snapshot schema
 ``metrics-dangling-id``     metrics snapshot records telemetry for an
@@ -56,8 +53,8 @@ finding code                defect class
 ``result-*`` / ``curve-*``  invariant-oracle findings on stored results
 ==========================  =============================================
 
-The five append-only logs (journal, events, spans, timeline, archive)
-share one frame and one damage rule (:mod:`repro.runtime.records`): a
+The four append-only logs (journal, events, spans, timeline) share
+one frame and one damage rule (:mod:`repro.runtime.records`): a
 torn tail — one damaged line after the last intact record — is the
 crash signature and only warns; any other damage is an error.
 
@@ -72,7 +69,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.mem.tracefile import TraceFileCorruptError, load_metadata, load_trace
-from repro.obs.archive import ARCHIVE_MAGIC, missing_attribution
 from repro.obs.timeline import TIMELINE_MAGIC
 from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.checkpoint import CheckpointStore
@@ -206,16 +202,6 @@ def _ladder_mismatch(record: Dict[str, object]) -> List[str]:
     return []
 
 
-def _unattributed(record: Dict[str, object]) -> List[str]:
-    missing = missing_attribution(record)
-    if not missing:
-        return []
-    return [
-        f"unattributed (missing {', '.join(missing)}); the writers refuse "
-        "such rows"
-    ]
-
-
 _EVENTS = _LogKind(
     subject="events", magic=EVENTS_MAGIC,
     damage_code="events-torn", torn_code="events-torn",
@@ -241,12 +227,6 @@ _TIMELINE = _LogKind(
     damage_code="timeline-torn", torn_code="timeline-torn",
     schema="timeline-row", schema_code="timeline-schema",
     invariant=_ladder_mismatch,
-)
-_ARCHIVE = _LogKind(
-    subject="archive", magic=ARCHIVE_MAGIC,
-    damage_code="archive-corrupt", torn_code="archive-corrupt",
-    schema="archive-row", schema_code="archive-corrupt",
-    invariant=_unattributed,
 )
 
 
@@ -274,14 +254,6 @@ def validate_timeline_file(path: Union[str, Path]) -> ValidationReport:
     ``timeline-schema``, including a miss vector whose length differs
     from its capacity ladder)."""
     return _validate_log(path, _TIMELINE)
-
-
-def validate_archive_file(path: Union[str, Path]) -> ValidationReport:
-    """Audit a ``perf-archive.jsonl`` archive (code ``archive-corrupt``
-    for damage, schema violations and unattributed rows — the appenders
-    refuse those, so one on disk means the archive was edited outside
-    the writers)."""
-    return _validate_log(path, _ARCHIVE)
 
 
 def validate_trace_file(path: Union[str, Path]) -> ValidationReport:
@@ -564,7 +536,6 @@ def validate_run_dir(
     # -- observability artifacts --------------------------------------
     report.extend(validate_spans_file(run_dir / "spans.jsonl"))
     report.extend(validate_timeline_file(run_dir / "timeline.jsonl"))
-    report.extend(validate_archive_file(run_dir / "perf-archive.jsonl"))
     known_uids = [
         record["attempt_uid"]
         for record in read_journal(journal_path).records

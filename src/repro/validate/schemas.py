@@ -363,34 +363,6 @@ TIMELINE_ROW_SCHEMA: Dict[str, object] = {
     },
 }
 
-#: One CRC-framed line of ``perf-archive.jsonl`` (:mod:`repro.obs.archive`).
-#: ``git_sha`` is optional (omitted when unresolvable, never faked);
-#: detail fields vary with ``kind`` so extras stay open.
-ARCHIVE_ROW_SCHEMA: Dict[str, object] = {
-    "type": "object",
-    "required": ["v", "kind", "series", "timestamp", "hostname"],
-    "properties": {
-        "v": {"type": "integer", "minimum": 1},
-        "kind": {"type": "string", "enum": ["campaign", "bench"]},
-        "series": {"type": "string"},
-        "timestamp": {"type": "string"},
-        "hostname": {"type": "string"},
-        "git_sha": {"type": "string"},
-        "run_dir": {"type": "string"},
-        "state": {"type": "string"},
-        "experiments": {"type": "array", "items": {"type": "string"}},
-        "bench": {"type": "string"},
-        "refs_per_second": {"type": ["number", "null"]},
-        "refs_simulated": {"type": ["integer", "null"]},
-        "kernel_tier": {"type": "string"},  # earlier versions only
-        "obs_overhead_pct": {"type": ["number", "null"]},
-        "mean_seconds": {"type": ["number", "null"]},
-        "phases": {"type": "object"},
-        "knee_bytes": {"type": "object"},
-        "miss_rates": {"type": "object"},
-    },
-}
-
 #: Artifact-kind name -> payload schema (what sits inside an envelope).
 PAYLOAD_SCHEMAS: Dict[str, Dict[str, object]] = {
     "manifest": MANIFEST_SCHEMA,
@@ -404,7 +376,6 @@ PAYLOAD_SCHEMAS: Dict[str, Dict[str, object]] = {
     "span": SPAN_SCHEMA,
     "metrics": METRICS_SNAPSHOT_SCHEMA,
     "timeline-row": TIMELINE_ROW_SCHEMA,
-    "archive-row": ARCHIVE_ROW_SCHEMA,
 }
 
 

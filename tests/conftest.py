@@ -29,6 +29,12 @@ from tests.harness.builder import ReferenceBuilder
 #: before it was removed; nothing reads these files now.
 LEGACY_STREAM_DIR = Path(__file__).parent / "data" / "legacy_stream" / "stream"
 
+#: A ``perf-archive.jsonl`` as the removed cross-campaign performance
+#: archive of earlier versions wrote it: one campaign row and one
+#: benchmark row (``PFA1`` records), then the torn half-row an
+#: interrupted append leaves.  Nothing reads it now.
+LEGACY_ARCHIVE = Path(__file__).parent / "data" / "legacy_archive" / "perf-archive.jsonl"
+
 
 def plant_legacy_stream(run_dir) -> Path:
     """Copy :data:`LEGACY_STREAM_DIR` to ``<run_dir>/stream``."""

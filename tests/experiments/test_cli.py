@@ -238,7 +238,7 @@ class TestProductIgnoresTheHarness:
     fuzz subcommand, and no environment variable that arms a fault."""
 
     def test_subcommands_are_the_product_ones(self):
-        assert set(SUBCOMMANDS) == {"validate", "status", "report", "trends"}
+        assert set(SUBCOMMANDS) == {"validate", "status", "report"}
 
     def test_harness_entry_points_are_usage_errors(self, capsys):
         assert main(["chaos"]) == 2
@@ -305,6 +305,35 @@ class TestStreamingIsGone:
         assert main(["validate", str(run_dir)]) == 0, capsys.readouterr().out
         after = {p: p.read_bytes() for p in stream.rglob("*") if p.is_file()}
         assert after == before
+
+
+class TestArchiveIsGone:
+    """The cross-campaign performance archive is gone: ``--archive`` and
+    ``trends`` are usage errors, and a ``perf-archive.jsonl`` that an
+    earlier version left in a run directory is inert."""
+
+    def test_archive_flag_is_a_usage_error(self, capsys):
+        assert main(["--quick", "--archive", "x.jsonl", "table1"]) == 2
+
+    def test_trends_is_an_unknown_experiment(self, capsys):
+        assert main(["trends", "x.jsonl"]) == 2
+        assert "unknown experiments: ['trends'" in capsys.readouterr().out
+
+    def test_legacy_archive_in_run_dir_is_inert(self, tmp_path, capsys):
+        from tests.conftest import LEGACY_ARCHIVE
+        from repro.validate.artifacts import validate_run_dir
+
+        run_dir = tmp_path / "run"
+        args = ["--quick", "--jobs", "0", "table1", "cost"]
+        assert main([*args, "--run-dir", str(run_dir)]) == 0
+        archive = run_dir / "perf-archive.jsonl"
+        shutil.copyfile(LEGACY_ARCHIVE, archive)
+        before = archive.read_bytes()
+        assert validate_run_dir(run_dir).findings == []
+        (run_dir / "results" / "cost.json").unlink()
+        assert main([*args, "--resume", str(run_dir)]) == 0
+        assert validate_run_dir(run_dir).findings == []
+        assert archive.read_bytes() == before
 
 
 class TestResumeKeepsTheManifest:

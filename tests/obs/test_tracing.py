@@ -1,8 +1,6 @@
-"""Tests for tracing spans, the span writer, and format conversions."""
+"""Tests for tracing spans, the span writer, and the span reader."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -12,9 +10,7 @@ from repro.obs.tracing import (
     Span,
     SpanWriter,
     Tracer,
-    from_chrome_trace,
     read_spans,
-    to_chrome_trace,
 )
 from repro.runtime.records import decode, frame
 
@@ -161,49 +157,3 @@ class TestFiles:
 
     def test_read_spans_missing_file(self, tmp_path):
         assert read_spans(tmp_path / "nope.jsonl") == []
-
-
-class TestChromeTrace:
-    def test_round_trip_preserves_identity_and_timing(self):
-        spans = [
-            Span(
-                name="campaign.run",
-                trace_id="t1",
-                span_id="a",
-                t_wall=100.0,
-                dur_s=2.5,
-                pid=42,
-            ),
-            Span(
-                name="engine.attempt",
-                trace_id="t1",
-                span_id="b",
-                parent_id="a",
-                t_wall=100.5,
-                dur_s=1.25,
-                status="error",
-                attrs={"experiment_id": "fig6"},
-                pid=42,
-            ),
-        ]
-        payload = to_chrome_trace(spans)
-        assert payload["displayTimeUnit"] == "ms"
-        assert all(e["ph"] == "X" for e in payload["traceEvents"])
-        back = from_chrome_trace(payload)
-        assert [s.to_dict() for s in back] == [s.to_dict() for s in spans]
-
-    def test_round_trip_survives_json_serialization(self):
-        spans = [Span(name="x", trace_id="t", span_id="s", t_wall=1.0, dur_s=0.5)]
-        payload = json.loads(json.dumps(to_chrome_trace(spans)))
-        assert [s.to_dict() for s in from_chrome_trace(payload)] == [
-            s.to_dict() for s in spans
-        ]
-
-    def test_from_chrome_trace_ignores_foreign_events(self):
-        payload = {
-            "traceEvents": [
-                {"ph": "M", "name": "metadata"},
-                {"ph": "X", "name": "no-ids", "args": {}},
-            ]
-        }
-        assert from_chrome_trace(payload) == []

@@ -8,7 +8,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.obs.archive import ARCHIVE_MAGIC, append_rows
 from repro.obs.timeline import TIMELINE_MAGIC, TimelineRecorder
 from repro.obs.tracing import SPANS_MAGIC, Span, SpanWriter
 from repro.runtime import records
@@ -17,13 +16,6 @@ from repro.runtime.journal import JOURNAL_MAGIC, Journal
 from repro.validate import artifacts
 
 from tests.harness.fuzz import MUTATIONS
-
-ATTRIBUTION = {
-    "git_sha": "a" * 40,
-    "timestamp": "2026-08-08T12:00:00+0000",
-    "hostname": "testhost",
-}
-
 
 def _append_journal(path, n):
     with Journal(path) as journal:
@@ -51,27 +43,16 @@ def _append_timeline(path, n):
     recorder.close()
 
 
-def _append_archive(path, n):
-    append_rows(
-        path,
-        [
-            {"v": 1, "kind": "bench", "series": "bench:x", **ATTRIBUTION}
-            for _ in range(n)
-        ],
-    )
-
-
-#: magic -> (file name, appender): the five append-only logs, each
+#: magic -> (file name, appender): the four append-only logs, each
 #: with its real writer.
 APPENDERS = {
     JOURNAL_MAGIC: ("journal.wal", _append_journal),
     EVENTS_MAGIC: ("events.jsonl", _append_events),
     SPANS_MAGIC: ("spans.jsonl", _append_spans),
     TIMELINE_MAGIC: ("timeline.jsonl", _append_timeline),
-    ARCHIVE_MAGIC: ("perf-archive.jsonl", _append_archive),
 }
 
-#: magic -> (validator, torn-tail code, damage code) for the five logs
+#: magic -> (validator, torn-tail code, damage code) for the four logs
 #: a run directory validates.
 VALIDATORS = {
     JOURNAL_MAGIC: (
@@ -81,9 +62,6 @@ VALIDATORS = {
     SPANS_MAGIC: (artifacts.validate_spans_file, "spans-torn", "spans-torn"),
     TIMELINE_MAGIC: (
         artifacts.validate_timeline_file, "timeline-torn", "timeline-torn"
-    ),
-    ARCHIVE_MAGIC: (
-        artifacts.validate_archive_file, "archive-corrupt", "archive-corrupt"
     ),
 }
 
