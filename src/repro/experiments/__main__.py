@@ -40,7 +40,7 @@ opts out): counters/gauges/histograms roll up into
 per-chunk working-set telemetry into ``<run_dir>/timeline.jsonl``
 (phase segmentation + per-phase knees), and the ``status`` /
 ``report`` subcommands reconstruct everything read-only from those
-artifacts plus the journal and event log.  See
+artifacts plus the journal.  See
 ``docs/OBSERVABILITY.md``.
 
 Campaigns with a run directory are crash-consistent: every state
@@ -99,7 +99,6 @@ from repro.runtime.engine import (
     ExperimentOutcome,
 )
 from repro.runtime.errors import JournalCorruptError
-from repro.runtime.events import EventLog
 from repro.runtime.journal import (
     JOURNAL_FILENAME,
     Journal,
@@ -283,8 +282,8 @@ def validate_command(argv: List[str]) -> int:
     """``python -m repro.experiments validate <run-dir>``.
 
     Full artifact validation of a campaign run directory: envelope
-    checksums, payload schemas, cross-file consistency, the strict
-    event-log reader, saved traces, and the invariant oracles over
+    checksums, payload schemas, cross-file consistency, the framed
+    logs (journal, spans, timeline), saved traces, and the invariant oracles over
     every stored result.  Exit 0 on a clean report, 1 on any
     error-severity finding.
     """
@@ -325,9 +324,9 @@ def status_command(argv: List[str]) -> int:
 
     One-shot (or ``--follow``) live view of a campaign run directory:
     per-experiment state, attempt/retry counts, throughput, and ETA,
-    reconstructed read-only from ``events.jsonl``, ``journal.wal``,
-    ``summary.json``, the supervisor lock, and ``metrics.json`` —
-    torn tails and missing files degrade the view, never crash it.
+    reconstructed read-only from ``journal.wal``, ``summary.json``,
+    the supervisor lock, and ``metrics.json`` — torn tails and missing
+    files degrade the view, never crash it.
     Exit 0 whenever the directory could be inspected, 2 on usage
     errors.
     """
@@ -548,7 +547,7 @@ def _run_campaign(
         obs_tracing.configure(writer=span_writer)
 
     # Temporal working-set telemetry: per-chunk rows land in
-    # <run_dir>/timeline.jsonl (a framed record log, like events.jsonl);
+    # <run_dir>/timeline.jsonl (a framed record log, like journal.wal);
     # workers inherit the file via REPRO_TIMELINE.
     from repro.obs import timeline as obs_timeline
 
@@ -585,7 +584,6 @@ def _run_campaign(
                 print(recovery.render())
             journal.append("recovered", **recovery.to_dict())
 
-    event_log = EventLog(store.events_path) if store is not None else None
     engine = CampaignEngine(
         EXPERIMENTS,
         quick_overrides=QUICK_OVERRIDES,
@@ -600,7 +598,6 @@ def _run_campaign(
         ),
         store=store,
         on_event=_print_event,
-        event_log=event_log,
         journal=journal,
         recovery=recovery,
     )
@@ -608,15 +605,13 @@ def _run_campaign(
         report = engine.run(wanted)
     except KeyboardInterrupt:
         # The engine has already killed workers, flushed completed
-        # outcomes, written the partial summary, and emitted the
-        # interrupted event (printed above).
+        # outcomes, written the partial summary, and journaled and
+        # printed the interruption.
         return 1
     finally:
         if obs_on:
             obs_tracing.shutdown()  # closes the span writer too
         obs_timeline.configure_timeline(None)
-        if event_log is not None:
-            event_log.close()
         if journal is not None:
             journal.close()
     if report.degraded_ids or report.failed_ids:

@@ -3,7 +3,7 @@
 ``python -m repro.experiments report <run-dir>`` renders one document
 answering "what happened and where did the time go" for a finished (or
 interrupted) campaign: per-experiment timings and verdicts, the
-retry/fault/validation story from ``events.jsonl``, miss-rate result
+retry/fault/validation story from ``journal.wal``, miss-rate result
 tables from the checkpointed outcomes, the campaign metrics rollup
 from ``metrics.json``, and the slowest spans from ``spans.jsonl``.
 
@@ -41,10 +41,13 @@ def _md_table(headers: List[str], rows: List[List[object]]) -> List[str]:
     return lines
 
 
-def _event_tallies(events: List[Dict[str, object]]) -> Dict[str, int]:
+def _journal_tallies(run_dir: Path) -> Dict[str, int]:
+    """How many journal records of each type ``run_dir`` holds."""
+    from repro.runtime.journal import JOURNAL_FILENAME, read_journal
+
     tally: Dict[str, int] = {}
-    for record in events:
-        name = record.get("event")
+    for record in read_journal(run_dir / JOURNAL_FILENAME).records:
+        name = record.get("type")
         if isinstance(name, str):
             tally[name] = tally.get(name, 0) + 1
     return tally
@@ -327,8 +330,6 @@ def render_report(
     now: Optional[float] = None,
 ) -> str:
     """Render the campaign report for ``run_dir`` as markdown."""
-    from repro.runtime.events import read_events
-
     run_dir = Path(run_dir)
     status = load_status(run_dir) if status is None else status
     counts = status.counts()
@@ -404,8 +405,8 @@ def render_report(
     # -- retries / faults / validation ---------------------------------
     lines.append("## Retries, faults, and validation")
     lines.append("")
-    events = read_events(run_dir / "events.jsonl")
-    tallies = _event_tallies(events)
+    tallies = _journal_tallies(run_dir)
+    retries = sum(entry.retries for entry in status.experiments.values())
     failed_attempts = sum(
         entry.failed_attempts for entry in status.experiments.values()
     )
@@ -414,12 +415,12 @@ def render_report(
         _md_table(
             ["signal", "count"],
             [
-                ["retries", tallies.get("retry", 0)],
+                ["retries", retries],
                 ["failed attempts", failed_attempts],
                 ["worker kills", kills],
                 ["checkpoint write retries", tallies.get("checkpoint-retry", 0)],
                 ["validated results", tallies.get("validated", 0)],
-                ["resumed experiments", tallies.get("resume", 0)],
+                ["resumed experiments", tallies.get("resumed", 0)],
                 ["obs snapshot failures", tallies.get("obs-snapshot-failed", 0)],
             ],
         )
@@ -576,13 +577,9 @@ def render_report_html(
 
 
 def report_to_json(run_dir: Union[str, Path]) -> str:
-    """Machine-readable form: the status dict plus event tallies."""
-    from repro.runtime.events import read_events
-
+    """Machine-readable form: the status dict plus journal record
+    tallies."""
     run_dir = Path(run_dir)
-    status = load_status(run_dir)
-    payload = status.to_dict()
-    payload["event_tallies"] = _event_tallies(
-        read_events(run_dir / "events.jsonl")
-    )
+    payload = load_status(run_dir).to_dict()
+    payload["journal_tallies"] = _journal_tallies(run_dir)
     return json.dumps(payload, indent=1, sort_keys=True)

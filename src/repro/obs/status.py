@@ -5,11 +5,10 @@ campaign doing *right now*" without talking to the supervisor at all:
 everything is reconstructed read-only from the artifacts the runtime
 already writes —
 
-- ``events.jsonl`` (tolerant reader: a torn tail is skipped) gives the
-  per-experiment state machine: start/retry/attempt-end/finish/resume;
 - ``journal.wal`` (tolerant replay, **never** truncated here — status
-  must be safe to run against a live campaign) corroborates in-doubt
-  attempts and supplies failure categories;
+  must be safe to run against a live campaign) gives the per-experiment
+  state machine: attempt start/end, checkpoint flush, worker kills,
+  resume skips, failure categories and in-doubt attempts;
 - ``summary.json`` / ``manifest.json`` give the requested set and the
   terminal verdicts;
 - ``supervisor.lock`` tells live from dead (a supervisor holds its
@@ -103,7 +102,6 @@ class CampaignStatus:
     requested: List[str] = field(default_factory=list)
     experiments: Dict[str, ExperimentStatus] = field(default_factory=dict)
     supervisor: Optional[Dict[str, object]] = None
-    events_seen: int = 0
     journal_records: int = 0
     refs_simulated: Optional[int] = None
     refs_per_second: Optional[float] = None
@@ -138,7 +136,6 @@ class CampaignStatus:
                 for experiment_id, exp in sorted(self.experiments.items())
             },
             "supervisor": self.supervisor,
-            "events_seen": self.events_seen,
             "journal_records": self.journal_records,
             "refs_simulated": self.refs_simulated,
             "refs_per_second": self.refs_per_second,
@@ -246,7 +243,6 @@ def _kernel_tallies_from_metrics(
 
 def load_status(run_dir: Union[str, Path]) -> CampaignStatus:
     """Reconstruct campaign status from ``run_dir`` (read-only)."""
-    from repro.runtime.events import read_events
     from repro.runtime.journal import (
         JOURNAL_FILENAME,
         lock_holder_pid,
@@ -259,11 +255,9 @@ def load_status(run_dir: Union[str, Path]) -> CampaignStatus:
 
     manifest = _read_envelope_payload(run_dir / "manifest.json")
     summary = _read_envelope_payload(run_dir / "summary.json")
-    events = read_events(run_dir / "events.jsonl")
     replay = read_journal(run_dir / JOURNAL_FILENAME)
     metrics = load_metrics_snapshot(run_dir)
 
-    status.events_seen = len(events)
     status.journal_records = len(replay.records)
     if replay.torn_tail:
         status.notes.append(
@@ -298,13 +292,11 @@ def load_status(run_dir: Union[str, Path]) -> CampaignStatus:
             experiment_id, ExperimentStatus(experiment_id)
         )
 
-    # -- event-log state machine (authoritative for in-flight state) ---
+    # -- journal state machine (authoritative for in-flight state) ----
     last_wall: Optional[float] = None
-    for record in sorted(
-        events,
-        key=lambda r: r.get("seq") if isinstance(r.get("seq"), int) else 0,
-    ):
-        name = record.get("event")
+    open_attempts: Dict[str, Dict[str, object]] = {}
+    for record in replay.records:
+        record_type = record.get("type")
         wall = record.get("t_wall")
         if isinstance(wall, (int, float)):
             last_wall = float(wall)
@@ -317,46 +309,35 @@ def load_status(run_dir: Union[str, Path]) -> CampaignStatus:
         uid = record.get("attempt_uid")
         if isinstance(uid, str):
             entry.last_attempt_uid = uid
-        if name in ("start", "retry"):
+        if record_type == "attempt-start":
+            open_attempts[entry.experiment_id] = record
             if not entry.terminal:
                 entry.state = STATE_RUNNING
             if entry.started_wall is None and isinstance(wall, (int, float)):
                 entry.started_wall = float(wall)
-            if name == "retry":
+            if isinstance(attempt, int) and attempt > 1:
                 entry.retries += 1
-        elif name == "attempt-end":
+        elif record_type == "attempt-end":
+            open_attempts.pop(entry.experiment_id, None)
             if record.get("status") == "failed":
                 entry.failed_attempts += 1
-        elif name == "worker-killed":
+            category = record.get("category")
+            if isinstance(category, str):
+                entry.last_failure = category
+        elif record_type == "worker-killed":
             entry.worker_kills += 1
-        elif name == "finish":
+        elif record_type == "checkpoint-flushed":
             verdict = record.get("status")
             if isinstance(verdict, str) and verdict in _TERMINAL_STATES:
                 entry.state = verdict
                 entry.degraded = verdict == STATE_DEGRADED
             if isinstance(wall, (int, float)):
                 entry.finished_wall = float(wall)
-        elif name == "resume":
+        elif record_type == "resumed":
             entry.resumed = True
             if not entry.terminal:
                 entry.state = STATE_OK  # refined by the summary below
     status.updated_wall = last_wall
-
-    # -- journal overlay: categories and in-doubt attempts -------------
-    open_attempts: Dict[str, Dict[str, object]] = {}
-    for record in replay.records:
-        record_type = record.get("type")
-        experiment_id = record.get("experiment_id")
-        if not isinstance(experiment_id, str):
-            continue
-        if record_type == "attempt-start":
-            open_attempts[experiment_id] = record
-        elif record_type == "attempt-end":
-            open_attempts.pop(experiment_id, None)
-            category = record.get("category")
-            entry = exp(experiment_id)
-            if entry is not None and isinstance(category, str):
-                entry.last_failure = category
 
     # -- summary overlay: terminal verdicts ----------------------------
     if summary is not None and isinstance(summary.get("statuses"), dict):
@@ -392,7 +373,7 @@ def load_status(run_dir: Union[str, Path]) -> CampaignStatus:
         "interrupted",
     ):
         status.state = str(summary["status"])
-    elif events or replay.records:
+    elif replay.records:
         status.state = "stopped"  # died without a terminal summary
     else:
         status.state = "empty"
@@ -495,8 +476,7 @@ def render_status(status: CampaignStatus) -> str:
     if status.trace_id:
         lines.append(f"trace: {status.trace_id}")
     lines.append(
-        f"artifacts: {status.events_seen} event(s), "
-        f"{status.journal_records} journal record(s)"
+        f"artifacts: {status.journal_records} journal record(s)"
     )
     if status.experiments:
         lines.append("")

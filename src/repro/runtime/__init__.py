@@ -27,15 +27,14 @@ fragile for-loop into a pipeline that survives partial failure:
   address-space rlimits, and worker-death classification
   (:class:`WorkerCrashError` / :class:`WorkerTimeoutError` /
   :class:`WorkerMemoryError`); the default backend of the engine.
-- :mod:`repro.runtime.events` — structured JSONL event log
-  (``events.jsonl`` in the run directory) for campaign post-mortems.
 - :mod:`repro.runtime.records` — the one framed record log behind
   every append-only artifact, and the shared crash-consistent atomic
   write (file fsync + rename + directory fsync) with its site-tagged
   syscalls and their one test seam, :data:`~repro.runtime.records.io_hook`.
 - :mod:`repro.runtime.journal` — the append-only, CRC-framed,
   fsync-disciplined write-ahead journal (``journal.wal``) of campaign
-  state transitions, the idempotent :func:`recover` that reconciles it
+  state transitions and lifecycle facts (the run directory's one
+  lifecycle log, read by ``status`` and ``report``), the idempotent :func:`recover` that reconciles it
   with the checkpoint store after a crash, and the run directory's
   supervisor lock (``supervisor.lock``): an exclusive ``flock`` that
   refuses a second supervisor and that the kernel drops when its
@@ -74,8 +73,6 @@ from repro.runtime.errors import (
 _LAZY = {
     "CheckpointStore": "repro.runtime.checkpoint",
     "file_lock": "repro.runtime.checkpoint",
-    "EventLog": "repro.runtime.events",
-    "read_events": "repro.runtime.events",
     "CampaignEngine": "repro.runtime.engine",
     "CampaignReport": "repro.runtime.engine",
     "EngineConfig": "repro.runtime.engine",
@@ -107,7 +104,6 @@ __all__ = [
     "CheckpointStore",
     "CheckpointWriteError",
     "EngineConfig",
-    "EventLog",
     "ExperimentError",
     "ExperimentFailure",
     "ExperimentOutcome",
@@ -133,7 +129,6 @@ __all__ = [
     "check_active_budget",
     "classify_exception",
     "file_lock",
-    "read_events",
     "read_journal",
     "recover",
     "resolve_runner_ref",

@@ -51,7 +51,6 @@ _FAILURES_DIR = "failures"
 _MANIFEST = "manifest.json"
 _SUMMARY = "summary.json"
 _LOCKFILE = ".store.lock"
-_EVENTS = "events.jsonl"
 
 
 @contextlib.contextmanager
@@ -124,11 +123,6 @@ class CheckpointStore:
     @property
     def lock_path(self) -> Path:
         return self.run_dir / _LOCKFILE
-
-    @property
-    def events_path(self) -> Path:
-        """Where the campaign's JSONL event log lives."""
-        return self.run_dir / _EVENTS
 
     @property
     def summary_path(self) -> Path:

@@ -30,6 +30,9 @@ failure:
   store is a derived snapshot, the journal is the source of truth.
   Every record and worker attempt is stamped with the supervisor
   generation, so attempts of different supervisor runs stay distinct.
+  The journal is also the campaign's one lifecycle log: worker kills,
+  oracle verdicts, store-write retries and resume skips are journaled
+  beside the state transitions for ``status`` and ``report``.
 
 Sleep and clock are injectable so the retry/backoff/deadline behaviour
 is deterministic under test.
@@ -53,7 +56,6 @@ from repro.runtime.errors import (
     CheckpointWriteError,
     ExperimentFailure,
 )
-from repro.runtime.events import EventLog
 from repro.runtime.journal import Journal, RecoveryReport, attempt_uid
 
 #: Outcome statuses.
@@ -281,8 +283,6 @@ class CampaignEngine:
             used by the CLI for progress lines; events are
             ``"start"``, ``"retry"``, ``"finish"``, ``"resume"``,
             ``"interrupted"``.
-        event_log: Optional :class:`~repro.runtime.events.EventLog`
-            receiving every engine/supervisor event as a JSONL line.
         journal: Optional write-ahead :class:`~repro.runtime.journal.Journal`.
             When present, every state transition is journaled (with an
             fsync) *before* the engine acts on it, and the commit point
@@ -303,7 +303,6 @@ class CampaignEngine:
         config: Optional[EngineConfig] = None,
         store: Optional[CheckpointStore] = None,
         on_event: Optional[Callable[[str, object], None]] = None,
-        event_log: Optional[EventLog] = None,
         journal: Optional[Journal] = None,
         recovery: Optional[RecoveryReport] = None,
     ) -> None:
@@ -312,7 +311,6 @@ class CampaignEngine:
         self.config = config or EngineConfig()
         self.store = store
         self.on_event = on_event
-        self.event_log = event_log
         self.journal = journal
         self.recovery = recovery
         # The store and callbacks are shared by worker-pool supervisor
@@ -421,7 +419,8 @@ class CampaignEngine:
                 outcome = self.store.load_outcome(experiment_id)
                 outcome.resumed = True
                 obs_metrics.inc("engine.resumed")
-                self._emit("resume", outcome, experiment_id=experiment_id)
+                self.journal_append("resumed", experiment_id=experiment_id)
+                self._emit("resume", outcome)
                 return outcome
 
         run_attempt = attempt_runner or self._attempt_in_process
@@ -448,14 +447,7 @@ class CampaignEngine:
                 attempt_uid=uid,
                 degraded=degraded,
             )
-            self._emit(
-                "retry" if attempt > 1 else "start",
-                experiment_id,
-                experiment_id=experiment_id,
-                attempt=attempt,
-                attempt_uid=uid,
-                degraded=degraded,
-            )
+            self._emit("retry" if attempt > 1 else "start", experiment_id)
             budget = Budget(config.budget_seconds, clock=config.clock)
             obs_metrics.inc("engine.attempts")
             if attempt > 1:
@@ -499,13 +491,6 @@ class CampaignEngine:
                     status=STATUS_FAILED,
                     category=failure.category,
                 )
-                self.log_event(
-                    "attempt-end",
-                    experiment_id,
-                    attempt=attempt,
-                    attempt_uid=uid,
-                    status=STATUS_FAILED,
-                )
                 self._check_abort()
                 if attempt < config.max_attempts:
                     self._backoff_sleep(config.backoff_delay(attempt - 1))
@@ -540,7 +525,7 @@ class CampaignEngine:
         if self.store is not None:
             path = self._flush_outcome(outcome)
             # Commit protocol: checkpoint rename -> journal
-            # checkpoint-flushed -> event -> journal attempt-end.  A
+            # checkpoint-flushed -> journal attempt-end.  A
             # crash in any gap is recoverable: before the flush record
             # the attempt is in-doubt (re-run); after it, recovery
             # promotes the valid checkpoint to committed; the
@@ -550,12 +535,6 @@ class CampaignEngine:
                 experiment_id=experiment_id,
                 status=outcome.status,
                 path=str(path.name),
-            )
-            self.log_event(
-                "checkpointed",
-                experiment_id,
-                status=outcome.status,
-                path=str(path),
             )
         if outcome.succeeded:
             # The successful attempt's end is journaled only now, after
@@ -568,20 +547,6 @@ class CampaignEngine:
                 attempt_uid=uid,
                 status=outcome.status,
             )
-            self.log_event(
-                "attempt-end",
-                experiment_id,
-                attempt=final_attempt,
-                attempt_uid=uid,
-                status=outcome.status,
-            )
-        if outcome.status == STATUS_DEGRADED:
-            self.log_event(
-                "degraded",
-                experiment_id,
-                attempts=outcome.attempts,
-                last_failure=failures[-1].category if failures else None,
-            )
         obs_metrics.inc(f"engine.outcomes.{outcome.status}")
         obs_metrics.observe(
             "engine.experiment_seconds",
@@ -589,13 +554,7 @@ class CampaignEngine:
             buckets=obs_metrics.LATENCY_BUCKETS_S,
         )
         self._write_obs_snapshot()
-        self._emit(
-            "finish",
-            outcome,
-            experiment_id=experiment_id,
-            status=outcome.status,
-            attempts=outcome.attempts,
-        )
+        self._emit("finish", outcome)
         return outcome
 
     def _manifest_ids(self, wanted: List[str]) -> List[str]:
@@ -656,11 +615,11 @@ class CampaignEngine:
                 return write()
             except OSError as exc:
                 last_error = exc
-                self.log_event(
+                self.journal_append(
                     "checkpoint-retry",
-                    experiment_id,
+                    experiment_id=experiment_id,
                     target=what,
-                    attempt=flush_try + 1,
+                    flush_try=flush_try + 1,
                     error=str(exc),
                 )
         raise CheckpointWriteError(
@@ -706,9 +665,9 @@ class CampaignEngine:
         from repro.validate.oracles import validate_result
 
         report = validate_result(result)
-        self.log_event(
+        self.journal_append(
             "validated",
-            experiment_id,
+            experiment_id=experiment_id,
             attempt=attempt,
             checks=report.checks_run,
             errors=len(report.errors),
@@ -768,13 +727,7 @@ class CampaignEngine:
         except OSError:
             pass  # a dying disk must not mask the interrupt itself
         self._write_summary("interrupted", collected, wanted)
-        partial = CampaignReport(outcomes=list(collected))
-        self._emit(
-            "interrupted",
-            partial,
-            completed=len(collected),
-            requested=len(wanted),
-        )
+        self._emit("interrupted", CampaignReport(outcomes=list(collected)))
 
     def _write_summary(
         self,
@@ -927,23 +880,9 @@ class CampaignEngine:
                 durable=False,
             )
         except OSError as exc:
-            self.log_event("obs-snapshot-failed", error=str(exc))
+            self.journal_append("obs-snapshot-failed", error=str(exc))
 
-    def log_event(
-        self, event: str, experiment_id: Optional[str] = None, **detail: object
-    ) -> None:
-        """Append to the JSONL event log (no-op without one)."""
-        if self.event_log is not None:
-            self.event_log.emit(event, experiment_id=experiment_id, **detail)
-
-    def _emit(
-        self,
-        event: str,
-        payload: object,
-        experiment_id: Optional[str] = None,
-        **detail: object,
-    ) -> None:
-        self.log_event(event, experiment_id=experiment_id, **detail)
+    def _emit(self, event: str, payload: object) -> None:
         if self.on_event is not None:
             with self._emit_lock:
                 self.on_event(event, payload)

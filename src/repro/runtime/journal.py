@@ -27,13 +27,12 @@ supervisor generations because every restart bumps the token.
 kernel drops the lock of a dead holder, so a crash needs no cleanup.
 
 **Recovery.**  :func:`recover` replays the journal against the
-checkpoint store and ``events.jsonl`` and classifies every experiment:
+checkpoint store and classifies every experiment:
 
 - ``committed`` — the journal records a successful ``attempt-end`` (or
-  the crash landed in the tiny window after the checkpoint rename but
-  before the journal append — detected by a valid checkpoint plus a
-  corroborating ``checkpointed`` event) **and** the checkpoint on disk
-  verifies.  Resume skips these; re-executing one would be the
+  the crash landed in the window after the ``checkpoint-flushed``
+  record but before the ``attempt-end`` append) **and** the checkpoint
+  on disk verifies.  Resume skips these; re-executing one would be the
   double-execution the acceptance gate forbids.
 - ``in_doubt`` — an ``attempt-start`` with no ``attempt-end``: the
   supervisor died mid-attempt.  The attempt may have done arbitrary
@@ -74,7 +73,11 @@ JOURNAL_MAGIC = "WAL1"
 
 #: Every record type a journal accepts; the journal-record schema
 #: (:mod:`repro.validate.schemas`) enumerates this same tuple.  The
-#: types are the campaign engine's state transitions.
+#: first seven are the campaign engine's state transitions; the rest
+#: are lifecycle facts for ``status`` and ``report`` (a supervisor
+#: killing a worker, an oracle verdict, a retried store write, a failed
+#: ``metrics.json`` refresh, an experiment skipped as already
+#: committed), which recovery ignores.
 RECORD_TYPES = (
     "campaign-start",
     "attempt-start",
@@ -83,6 +86,11 @@ RECORD_TYPES = (
     "summary-flushed",
     "interrupted",
     "recovered",
+    "worker-killed",
+    "validated",
+    "checkpoint-retry",
+    "obs-snapshot-failed",
+    "resumed",
 )
 
 #: ``attempt-end`` statuses that commit an experiment.
@@ -325,7 +333,7 @@ def recover(
     run_dir: Union[str, Path],
     journal_path: Optional[Union[str, Path]] = None,
 ) -> Optional[RecoveryReport]:
-    """Reconcile the journal against the checkpoint store and event log.
+    """Reconcile the journal against the checkpoint store.
 
     Returns None when the run directory has no journal (a pre-journal
     run dir, or a campaign that never started): the caller falls back
@@ -338,7 +346,6 @@ def recover(
         return None
 
     from repro.runtime.checkpoint import CheckpointStore
-    from repro.runtime.events import read_events
 
     report = RecoveryReport()
     report.truncated_bytes = truncate_torn_tail(journal_path)
@@ -347,13 +354,6 @@ def recover(
     report.last_token = replay.last_token
 
     store = CheckpointStore(run_dir)
-    events = read_events(store.events_path)
-    checkpointed_event_ids = {
-        str(event.get("experiment_id"))
-        for event in events
-        if event.get("event") == "checkpointed"
-        and event.get("status") in COMMITTED_STATUSES
-    }
 
     # Last journal verdict per experiment id, in journal order.
     started: Dict[str, Dict[str, object]] = {}
@@ -391,18 +391,14 @@ def recover(
             )
     for experiment_id, record in started.items():
         seen.append(experiment_id)
-        # The crash window between the checkpoint rename and the
-        # journal's attempt-end append: the checkpoint is valid and
-        # either the checkpoint-flushed journal record or the
-        # ``checkpointed`` event corroborates that the flush completed.
-        corroborated = (
-            experiment_id in flushed or experiment_id in checkpointed_event_ids
-        )
-        if store.has_result(experiment_id) and corroborated:
+        # The crash window between the checkpoint-flushed record and
+        # the attempt-end append: the flush completed and the
+        # checkpoint verifies.
+        if experiment_id in flushed and store.has_result(experiment_id):
             report.committed.append(experiment_id)
             report.notes.append(
                 f"{experiment_id}: in-doubt in the journal but its "
-                "checkpoint verifies and the event log corroborates — "
+                "checkpoint verifies and the flush record corroborates — "
                 "promoted to committed"
             )
         else:

@@ -1,14 +1,13 @@
 """One framed record log for every append-only artifact.
 
-Every log a campaign writes — ``journal.wal``, ``events.jsonl``,
-``spans.jsonl``, ``timeline.jsonl`` — stores its records in one frame,
-one record per line::
+Every log a campaign writes — ``journal.wal``, ``spans.jsonl``,
+``timeline.jsonl`` — stores its records in one frame, one record per
+line::
 
     <MAGIC> <crc32:08x> <canonical-json>\\n
 
 The CRC32 covers the canonical JSON bytes (sorted keys, no spaces);
-the magic names the log type (``WAL1``, ``EVT1``, ``SPN1``,
-``TLN1``).  A line is a record only when the magic, the CRC, the JSON
+the magic names the log type (``WAL1``, ``SPN1``, ``TLN1``).  A line is a record only when the magic, the CRC, the JSON
 object and the terminating newline all agree.
 
 **The damage rule.**  :class:`RecordLog` writes each record with one
@@ -30,7 +29,7 @@ destination directory, ``fsync`` it, ``os.replace`` it into place, then
 ``fsync`` the *directory*, without which a rename can be undone by
 power loss.  Every durability-relevant syscall (``io_write``,
 ``io_fsync``, ``io_replace``, ``fsync_directory``, ``check_io``)
-carries a *site* tag (``"journal"``, ``"checkpoint"``, ``"events"``,
+carries a *site* tag (``"journal"``, ``"checkpoint"``,
 ``"tracefile"``, ...) and first calls :data:`io_hook`,
 which is ``None`` in the product: the one seam through which the
 tests' fault injector (``tests/harness/iofault.py``) plants ``ENOSPC``,

@@ -308,8 +308,7 @@ class WorkerSupervisor:
         term_grace_seconds: How long a worker gets between SIGTERM and
             SIGKILL.
         on_event: Callback ``(event, experiment_id, detail_dict)`` —
-            the engine routes these into its event log
-            (``worker-killed`` etc.).
+            the engine journals these (``worker-killed``).
         obs_sink: Callback ``(spec, obs_dict)`` receiving the telemetry
             block a worker shipped in its payload (the pool wires the
             engine's campaign rollup here).
@@ -742,4 +741,4 @@ class WorkerPool:
     def _supervisor_event(
         self, event: str, experiment_id: str, detail: Dict[str, object]
     ) -> None:
-        self.engine.log_event(event, experiment_id, **detail)
+        self.engine.journal_append(event, experiment_id=experiment_id, **detail)

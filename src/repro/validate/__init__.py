@@ -24,7 +24,6 @@ that proves every reader fails typed on corrupt input.  See
 """
 
 from repro.validate.artifacts import (
-    validate_events_file,
     validate_run_dir,
     validate_trace_file,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "merge_reports",
     "run_self_check",
     "schema_for",
-    "validate_events_file",
     "validate_profile",
     "validate_result",
     "validate_run_dir",

@@ -3,7 +3,7 @@
 A campaign run directory is the repository's unit of reproducibility:
 ``manifest.json`` records what was asked for, ``results/`` and
 ``failures/`` hold checksummed outcome envelopes, ``summary.json``
-records how the run ended, ``events.jsonl`` is the forensic log, and
+records how the run ended, ``journal.wal`` is the lifecycle log, and
 any ``.npz`` files are saved traces.  :func:`validate_run_dir` walks
 all of it and returns a :class:`~repro.validate.report.ValidationReport`
 with one typed finding per defect, each corruption class under its own
@@ -22,10 +22,6 @@ finding code                defect class
 ``summary-status-mismatch`` summary's per-experiment status disagrees
                             with the checkpoint on disk
 ``summary-dangling-id``     summary lists a completion with no checkpoint
-``events-torn``             damaged ``events.jsonl`` record (the torn
-                            tail only warns, as for every framed log)
-``events-seq``              sequence numbers not strictly increasing
-``event-schema``            event record violates the schema
 ``trace-unreadable``        trace archive truncated / not a zip at all
 ``trace-corrupt``           trace decodes but fails checksum or fields
 ``trace-header-mismatch``   metadata header counts disagree with arrays
@@ -49,12 +45,12 @@ finding code                defect class
 ``metrics-schema``          ``metrics.json`` undecodable or violates
                             the snapshot schema
 ``metrics-dangling-id``     metrics snapshot records telemetry for an
-                            attempt uid the journal/events never saw
+                            attempt uid the journal never saw
 ``result-*`` / ``curve-*``  invariant-oracle findings on stored results
 ==========================  =============================================
 
-The four append-only logs (journal, events, spans, timeline) share
-one frame and one damage rule (:mod:`repro.runtime.records`): a
+The three append-only logs (journal, spans, timeline) share one
+frame and one damage rule (:mod:`repro.runtime.records`): a
 torn tail — one damaged line after the last intact record — is the
 crash signature and only warns; any other damage is an error.
 
@@ -73,7 +69,6 @@ from repro.obs.timeline import TIMELINE_MAGIC
 from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.errors import CheckpointCorruptError
-from repro.runtime.events import EVENTS_MAGIC, read_events
 from repro.runtime.journal import JOURNAL_MAGIC, read_journal
 from repro.runtime.records import scan
 from repro.validate.oracles import validate_result
@@ -202,12 +197,6 @@ def _ladder_mismatch(record: Dict[str, object]) -> List[str]:
     return []
 
 
-_EVENTS = _LogKind(
-    subject="events", magic=EVENTS_MAGIC,
-    damage_code="events-torn", torn_code="events-torn",
-    schema="event", schema_code="event-schema",
-    monotonic=(("seq", "events-seq", True),),
-)
 _JOURNAL = _LogKind(
     subject="journal", magic=JOURNAL_MAGIC,
     damage_code="journal-corrupt", torn_code="journal-torn",
@@ -228,12 +217,6 @@ _TIMELINE = _LogKind(
     schema="timeline-row", schema_code="timeline-schema",
     invariant=_ladder_mismatch,
 )
-
-
-def validate_events_file(path: Union[str, Path]) -> ValidationReport:
-    """Audit an ``events.jsonl`` log (codes ``events-torn``,
-    ``event-schema``, ``events-seq``)."""
-    return _validate_log(path, _EVENTS)
 
 
 def validate_journal_file(path: Union[str, Path]) -> ValidationReport:
@@ -321,7 +304,7 @@ def validate_metrics_file(
     schema violation or a histogram whose ``counts`` length is not
     ``len(buckets) + 1`` (the +Inf overflow slot).  When ``known_uids``
     is given, every per-attempt telemetry key must be an attempt uid
-    the journal or event log actually issued (``metrics-dangling-id``)
+    the journal actually issued (``metrics-dangling-id``)
     — telemetry for an attempt nobody started means the snapshot and
     the run directory disagree about history.
     """
@@ -382,8 +365,8 @@ def validate_metrics_file(
             if uid not in known:
                 report.add(
                     "metrics-dangling-id",
-                    f"per-attempt telemetry for uid {uid!r} which neither "
-                    "the journal nor the event log ever started",
+                    f"per-attempt telemetry for uid {uid!r} which the "
+                    "journal never started",
                     path=path.name,
                 )
     return report
@@ -519,9 +502,6 @@ def validate_run_dir(
             severity=SEVERITY_WARNING,
         )
 
-    # -- events --------------------------------------------------------
-    report.extend(validate_events_file(store.events_path))
-
     # -- journal ------------------------------------------------------
     journal_path = run_dir / "journal.wal"
     report.extend(validate_journal_file(journal_path))
@@ -539,7 +519,6 @@ def validate_run_dir(
     known_uids = [
         record["attempt_uid"]
         for record in read_journal(journal_path).records
-        + read_events(store.events_path)
         if isinstance(record.get("attempt_uid"), str)
     ]
     report.extend(

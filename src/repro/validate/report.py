@@ -5,7 +5,7 @@ cross-checks, artifact/schema validation, fuzz targets — reports
 problems as :class:`Finding` records collected into a
 :class:`ValidationReport`.  A finding is *typed*: its ``code`` names
 the corruption or violation class (``"trace-checksum"``,
-``"curve-not-monotone"``, ``"events-torn"``, ...), so tests and CI can
+``"curve-not-monotone"``, ``"journal-torn"``, ...), so tests and CI can
 assert that a specific fault produced a specific finding rather than
 grepping prose.
 """

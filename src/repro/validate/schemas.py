@@ -1,7 +1,7 @@
 """Versioned JSON schemas for every artifact a campaign writes.
 
 Each artifact class — checkpoint envelope, experiment outcome, result,
-miss-rate curve, manifest, summary, JSONL event record, trace metadata
+miss-rate curve, manifest, summary, journal record, trace metadata
 header — has a declarative schema below, checked by a small
 self-contained validator (:func:`check_schema`).  The validator
 supports the subset of JSON Schema this repo needs (``type``,
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from repro.runtime.journal import RECORD_TYPES
 
 #: Bumped whenever any artifact schema below changes shape.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # -- the minimal validator -------------------------------------------------
 
@@ -207,18 +207,6 @@ SUMMARY_SCHEMA: Dict[str, object] = {
     },
 }
 
-EVENT_SCHEMA: Dict[str, object] = {
-    "type": "object",
-    "required": ["seq", "t_mono", "t_wall", "event"],
-    "properties": {
-        "seq": {"type": "integer", "minimum": 1},
-        "t_mono": {"type": "number"},
-        "t_wall": {"type": "number"},
-        "event": {"type": "string"},
-        "experiment_id": {"type": "string"},
-    },
-}
-
 #: One CRC-framed record of the write-ahead journal
 #: (:mod:`repro.runtime.journal`).  ``additionalProperties`` stays open:
 #: each record type carries its own detail fields.
@@ -370,7 +358,6 @@ PAYLOAD_SCHEMAS: Dict[str, Dict[str, object]] = {
     "outcome": OUTCOME_SCHEMA,
     "result": RESULT_SCHEMA,
     "failure": FAILURE_SCHEMA,
-    "event": EVENT_SCHEMA,
     "trace-header": TRACE_HEADER_SCHEMA,
     "journal-record": JOURNAL_RECORD_SCHEMA,
     "span": SPAN_SCHEMA,

@@ -35,6 +35,13 @@ LEGACY_STREAM_DIR = Path(__file__).parent / "data" / "legacy_stream" / "stream"
 #: interrupted append leaves.  Nothing reads it now.
 LEGACY_ARCHIVE = Path(__file__).parent / "data" / "legacy_archive" / "perf-archive.jsonl"
 
+#: An ``events.jsonl`` as earlier versions wrote it beside the journal
+#: (``EVT1`` records): a ``--quick`` campaign of ``table1`` and
+#: ``table2`` whose first ``table2`` worker was killed at its hard
+#: deadline and retried, then the torn half-record an interrupted
+#: append leaves.  Nothing reads it now.
+LEGACY_EVENTS = Path(__file__).parent / "data" / "legacy_events" / "events.jsonl"
+
 
 def plant_legacy_stream(run_dir) -> Path:
     """Copy :data:`LEGACY_STREAM_DIR` to ``<run_dir>/stream``."""

@@ -187,7 +187,7 @@ class TestValidateFlag:
         capsys.readouterr()
 
     def test_validated_event_emitted(self, tmp_path, capsys):
-        from repro.runtime.events import read_events
+        from repro.runtime.journal import JOURNAL_FILENAME, read_journal
 
         run_dir = tmp_path / "run"
         main(
@@ -202,8 +202,8 @@ class TestValidateFlag:
             ]
         )
         capsys.readouterr()
-        events = read_events(run_dir / "events.jsonl")
-        validated = [e for e in events if e["event"] == "validated"]
+        records = read_journal(run_dir / JOURNAL_FILENAME).records
+        validated = [r for r in records if r["type"] == "validated"]
         assert validated and validated[0]["experiment_id"] == "table1"
         assert validated[0]["errors"] == 0
 
@@ -334,6 +334,48 @@ class TestArchiveIsGone:
         assert main([*args, "--resume", str(run_dir)]) == 0
         assert validate_run_dir(run_dir).findings == []
         assert archive.read_bytes() == before
+
+
+class TestEventLogIsGone:
+    """The journal is the one lifecycle log: a campaign writes no
+    ``events.jsonl``, and one that an earlier version left in a run
+    directory is inert."""
+
+    def test_campaign_writes_no_event_log(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["--quick", "--jobs", "0", "--run-dir", str(run_dir),
+                     "table1"]) == 0
+        assert not (run_dir / "events.jsonl").exists()
+        assert (run_dir / "journal.wal").is_file()
+
+    def test_legacy_events_in_run_dir_are_inert(self, tmp_path, capsys):
+        from tests.conftest import LEGACY_EVENTS
+        from repro.obs.report import render_report, report_to_json
+        from repro.obs.status import load_status
+        from repro.validate.artifacts import validate_run_dir
+
+        run_dir = tmp_path / "run"
+        args = ["--quick", "--jobs", "0", "table1", "table2"]
+        assert main([*args, "--run-dir", str(run_dir)]) == 0
+        views = (
+            lambda: load_status(run_dir).to_dict(),
+            lambda: render_report(run_dir, now=0.0),
+            lambda: report_to_json(run_dir),
+        )
+        without = [view() for view in views]
+        events = run_dir / "events.jsonl"
+        shutil.copyfile(LEGACY_EVENTS, events)
+        before = events.read_bytes()
+        # The legacy log records a worker kill and a retry of table2;
+        # neither reaches status or report.
+        assert [view() for view in views] == without
+        assert validate_run_dir(run_dir).findings == []
+        (run_dir / "results" / "table2.json").unlink()
+        assert main([*args, "--resume", str(run_dir)]) == 0
+        assert validate_run_dir(run_dir).findings == []
+        assert events.read_bytes() == before
+        table2 = load_status(run_dir).experiments["table2"]
+        assert (table2.worker_kills, table2.retries) == (0, 0)
 
 
 class TestResumeKeepsTheManifest:

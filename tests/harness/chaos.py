@@ -17,7 +17,7 @@ One chaos *cycle*:
    dies together);
 2. SIGKILL it at a seeded random delay — or, on io-fault cycles, plant
    ``REPRO_IOFAULT=<site>:write:kill:<n>`` so the process SIGKILLs
-   *itself* inside the Nth journal/checkpoint/events write, the
+   *itself* inside the Nth journal/checkpoint write, the
    nastiest possible crash point;
 3. relaunch with ``--resume``; repeat the kill up to the cycle's kill
    budget, then let the final launch run to completion;
@@ -30,9 +30,7 @@ One chaos *cycle*:
      run's (the summary payload is deterministic by construction),
    - the journal shows at most one ``attempt-end`` per ``attempt_uid``
      and at most one *committed* ``attempt-end`` per experiment
-     (no double-execution of a committed attempt),
-   - ``events.jsonl`` agrees (at most one ``attempt-end`` event per
-     ``attempt_uid``).
+     (no double-execution of a committed attempt).
 
 ENOSPC cycles swap the SIGKILL for a transient injected disk-full at a
 checkpoint write; the supervisor must retry, complete, and leave an
@@ -82,7 +80,6 @@ DEFAULT_EXPERIMENTS = ("table1", "cost", "fig2")
 IO_KILL_SITES = {
     "journal": (1, 10),
     "checkpoint": (1, 4),
-    "events": (1, 12),
 }
 
 #: Hard ceiling on restarts per cycle, over and above the kill budget
@@ -298,22 +295,6 @@ def audit_run_dir(
         if not (run_dir / "results" / f"{experiment_id}.json").is_file():
             problems.append(
                 f"lost committed attempt: no checkpoint for {experiment_id}"
-            )
-
-    # 4. The event log agrees with the journal.
-    from repro.runtime.events import read_events
-
-    event_ends: Dict[str, int] = {}
-    for event in read_events(run_dir / "events.jsonl"):
-        if event.get("event") != "attempt-end":
-            continue
-        uid = str(event.get("attempt_uid", ""))
-        event_ends[uid] = event_ends.get(uid, 0) + 1
-    for uid, count in sorted(event_ends.items()):
-        if count > 1:
-            problems.append(
-                f"events: attempt uid {uid} has {count} attempt-end "
-                "events (exactly-once violated)"
             )
     return problems
 

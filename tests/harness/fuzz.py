@@ -4,8 +4,8 @@ Every on-disk reader in this repository promises to fail *typed* — a
 damaged trace archive raises
 :class:`~repro.mem.tracefile.TraceFileCorruptError`, a damaged
 checkpoint raises
-:class:`~repro.runtime.errors.CheckpointCorruptError`, and the strict
-event-log validator reports findings instead of raising at all.  This
+:class:`~repro.runtime.errors.CheckpointCorruptError`, and the
+journal validator reports findings instead of raising at all.  This
 module tests that promise adversarially: it builds pristine artifacts
 once, then applies seeded random mutations (truncation, bit flips,
 byte substitution, zeroed spans, appended junk, emptying) and feeds
@@ -13,8 +13,8 @@ the mangled bytes back through the real readers.
 
 Each case is classified:
 
-- ``rejected`` — the reader raised its typed error (or, for the event
-  log, reported an error finding): the contract held.
+- ``rejected`` — the reader raised its typed error (or, for the
+  journal, reported an error finding): the contract held.
 - ``accepted-identical`` — the reader accepted the bytes and produced
   data equal to the pristine artifact (the mutation hit slack bytes:
   zip padding, JSON whitespace, a truncation past the payload).  Also
@@ -25,7 +25,7 @@ Each case is classified:
   (:mod:`repro.runtime.records`) tolerates as a crash signature.  Fine.
 - ``accepted-divergent`` — the reader accepted the bytes but produced
   any other data.  Every artifact is checksummed — traces, checkpoints
-  and the CRC-framed event log alike — so this is a silent-corruption
+  and the CRC-framed journal alike — so this is a silent-corruption
   bug and fails the fuzz run.
 - ``unexpected-error`` — the reader leaked an exception outside its
   typed contract (``KeyError``, ``TypeError``, a raw ``zlib.error``,
@@ -226,7 +226,7 @@ def _build_targets(work_dir: Path) -> Dict[str, Tuple[Path, Callable[[Path], obj
     """
     from repro.experiments.runner import ExperimentResult
     from repro.runtime.engine import ExperimentOutcome
-    from repro.runtime.events import EventLog
+    from repro.runtime.journal import Journal
     from repro.core.curves import MissRateCurve
 
     work_dir.mkdir(parents=True, exist_ok=True)
@@ -258,15 +258,12 @@ def _build_targets(work_dir: Path) -> Dict[str, Tuple[Path, Callable[[Path], obj
 
     # Deterministic clocks: the campaign must be a pure function of the
     # seed, so the pristine bytes cannot embed real timestamps.
-    ticks = iter(range(100))
-    events_path = work_dir / "events.jsonl"
-    with EventLog(
-        events_path,
-        clock=lambda: float(next(ticks)),
-        wall_clock=lambda: 1700000000.0,
-    ) as log:
+    journal_path = work_dir / "journal.wal"
+    with Journal(
+        journal_path, token=1, fsync=False, wall_clock=lambda: 1700000000.0
+    ) as journal:
         for i in range(6):
-            log.emit("fuzz-event", experiment_id="fuzz", attempt=i + 1)
+            journal.append("attempt-start", experiment_id="fuzz", attempt=i + 1)
 
     def load_trace_canonical(path: Path) -> object:
         loaded = load_trace(path)
@@ -281,22 +278,24 @@ def _build_targets(work_dir: Path) -> Dict[str, Tuple[Path, Callable[[Path], obj
         payload = store._read_envelope(path)
         return json.dumps(payload, sort_keys=True)
 
-    def load_events_canonical(path: Path) -> object:
-        from repro.validate.artifacts import validate_events_file
+    def load_journal_canonical(path: Path) -> object:
+        from repro.runtime.journal import read_journal
+        from repro.validate.artifacts import validate_journal_file
 
-        report = validate_events_file(path)
+        report = validate_journal_file(path)
         if not report.ok:
             raise ValidationError(
                 "; ".join(f.render() for f in report.errors[:3])
             )
-        from repro.runtime.events import read_events
-
-        return [json.dumps(event, sort_keys=True) for event in read_events(path)]
+        return [
+            json.dumps(record, sort_keys=True)
+            for record in read_journal(path).records
+        ]
 
     return {
         "trace": (trace_path, load_trace_canonical),
         "checkpoint": (checkpoint_path, load_checkpoint_canonical),
-        "events": (events_path, load_events_canonical),
+        "journal": (journal_path, load_journal_canonical),
     }
 
 

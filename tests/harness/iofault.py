@@ -1,8 +1,8 @@
 """The deterministic I/O fault injector.
 
 Every durability-relevant syscall in :mod:`repro.runtime.records`
-carries a site tag (``"journal"``, ``"checkpoint"``, ``"events"``,
-``"tracefile"``, ...) and first calls
+carries a site tag (``"journal"``, ``"checkpoint"``, ``"tracefile"``,
+...) and first calls
 :data:`repro.runtime.records.io_hook`.  An installed
 :class:`IOFaultInjector` counts the calls matching each of its faults
 and fires the fault at the Nth one: ``enospc`` and ``eio`` raise the

@@ -827,10 +827,9 @@ def test_hierarchy_design_vector_tier_equals_oracle(kernel_calls):
 
 
 class TestEngineIntegration:
-    def test_engine_fails_the_attempt_on_kernel_divergence(self, tmp_path, monkeypatch):
+    def test_engine_fails_the_attempt_on_kernel_divergence(self, monkeypatch):
         from repro.experiments.runner import ExperimentResult
         from repro.runtime.engine import CampaignEngine, EngineConfig
-        from repro.runtime.events import EventLog
 
         def broken(state, blocks, kinds):
             post = kernels.kernel_fullassoc(state, blocks, kinds)
@@ -847,7 +846,6 @@ class TestEngineIntegration:
         engine = CampaignEngine(
             {"guarded": (GuardedExperiment(), {})},
             config=EngineConfig(jobs=0, max_attempts=1, sleep=lambda s: None),
-            event_log=EventLog(tmp_path / "events.jsonl"),
         )
         report = engine.run()
         assert report.failed_ids == ["guarded"]

@@ -46,6 +46,15 @@ class TestRenderReport:
         assert "| failed attempts | 1 |" in text
         assert "| simulation | 1 |" in text
 
+    def test_validation_and_resume_counted_from_the_journal(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_campaign(run_dir, [FakeExperiment("a")], validate=True)
+        run_campaign(run_dir, [FakeExperiment("a")])  # resumes "a"
+        text = render_report(run_dir)
+        assert "| validated results | 1 |" in text
+        assert "| resumed experiments | 1 |" in text
+        assert "a | ok (resumed) |" in text
+
     def test_curve_and_comparison_tables(self, tmp_path):
         from repro.core.curves import MissRateCurve
         from repro.experiments.runner import SeriesComparison
@@ -135,13 +144,17 @@ class TestRenderReport:
         payload = json.loads(report_to_json(run_dir))
         assert payload["state"] == "complete"
         assert payload["experiments"]["a"]["state"] == "ok"
-        assert payload["event_tallies"]["finish"] == 1
+        assert "event_tallies" not in payload
+        tallies = payload["journal_tallies"]
+        assert tallies["attempt-start"] == tallies["attempt-end"] == 1
+        assert tallies["checkpoint-flushed"] == 1
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_mutated_events_never_break_the_report(self, tmp_path, mutation):
+        # The journal is the campaign's lifecycle event log.
         run_dir = tmp_path / "run"
         run_campaign(run_dir, [FakeExperiment("a")])
-        target = run_dir / "events.jsonl"
+        target = run_dir / "journal.wal"
         rng = np.random.default_rng(11)
         target.write_bytes(MUTATIONS[mutation](target.read_bytes(), rng))
         text = render_report(run_dir)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -26,10 +27,10 @@ from repro.obs.status import (
 from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import CampaignEngine, EngineConfig
-from repro.runtime.events import EventLog
-from repro.runtime.journal import Journal, lock_run_dir
+from repro.runtime.journal import Journal, lock_run_dir, read_journal
 from repro.runtime.records import frame
 
+from tests.conftest import LEGACY_EVENTS
 from tests.harness.fuzz import MUTATIONS
 from tests.runtime.conftest import FakeClock, FakeExperiment, SleepRecorder
 
@@ -45,13 +46,11 @@ def run_campaign(run_dir, experiments, journal=True, **config_kwargs):
     engine = CampaignEngine(registry, quick_overrides=overrides, config=config)
     store = CheckpointStore(run_dir)
     engine.store = store
-    engine.event_log = EventLog(store.events_path)
     if journal:
         engine.journal = Journal(run_dir / "journal.wal", fsync=False)
     try:
         engine.run()
     finally:
-        engine.event_log.close()
         if engine.journal is not None:
             engine.journal.close()
     return store
@@ -66,8 +65,8 @@ class TestCompletedCampaign:
         assert status.requested == ["a", "b"]
         assert {e.state for e in status.experiments.values()} == {STATE_OK}
         assert all(e.attempts == 1 for e in status.experiments.values())
-        assert status.events_seen > 0
         assert status.journal_records > 0
+        assert "events_seen" not in status.to_dict()
         assert status.eta_seconds is None  # nothing remaining, not running
 
     def test_render_mentions_verdict_and_experiments(self, tmp_path):
@@ -103,6 +102,26 @@ class TestFailuresAndRetries:
         assert doomed.state == STATE_FAILED
         assert doomed.failed_attempts == 2
         assert doomed.last_failure == "simulation"
+
+    def test_store_write_retries_are_not_attempts(self, tmp_path):
+        from tests.harness.iofault import IOFault, IOFaultInjector, install
+
+        run_dir = tmp_path / "run"
+        # The manifest is checkpoint write 1; "a"'s outcome is write 2,
+        # and it fails twice before the third flush try lands.
+        injector = IOFaultInjector(
+            [IOFault("checkpoint", "write", "enospc", nth=n) for n in (2, 3)]
+        )
+        with install(injector):
+            run_campaign(run_dir, [FakeExperiment("a")])
+        retries = [
+            r for r in read_journal(run_dir / "journal.wal").records
+            if r["type"] == "checkpoint-retry"
+        ]
+        assert [r["flush_try"] for r in retries] == [1, 2]
+        entry = load_status(run_dir).experiments["a"]
+        assert entry.state == STATE_OK
+        assert (entry.attempts, entry.retries) == (1, 0)
 
     def test_interrupted_campaign(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -250,23 +269,26 @@ class TestDamageTolerance:
                 },
             )
         )
+        # Earlier versions wrote a second lifecycle log, events.jsonl;
+        # one left in a run directory is inert even when damaged.
+        shutil.copyfile(LEGACY_EVENTS, run_dir / "events.jsonl")
         target = run_dir / victim
         rng = np.random.default_rng(7)
         target.write_bytes(MUTATIONS[mutation](target.read_bytes(), rng))
         status = load_status(run_dir)
         render_status(status)
         # The untouched artifacts still carry the story.
-        if victim != "events.jsonl" or mutation not in ("empty", "truncate"):
-            assert status.requested == ["a", "b"]
+        assert status.requested == ["a", "b"]
 
     def test_torn_event_tail_is_skipped(self, tmp_path):
         run_dir = tmp_path / "run"
         run_campaign(run_dir, [FakeExperiment("a")])
-        with open(run_dir / "events.jsonl", "a") as fh:
-            fh.write('{"seq": 999, "event": "torn')
+        with open(run_dir / "journal.wal", "a") as fh:
+            fh.write('WAL1 00000000 {"seq": 999, "type": "torn')
         status = load_status(run_dir)
         assert status.state == "complete"
         assert status.experiments["a"].state == STATE_OK
+        assert any("torn tail" in note for note in status.notes)
 
 
 class TestKernelTallies:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import ExperimentOutcome
-from repro.runtime.events import EventLog
 from repro.runtime.journal import JOURNAL_FILENAME, Journal
 
 from tests.harness.chaos import (
@@ -38,10 +37,6 @@ def build_run_dir(tmp_path, name="run"):
             "statuses": {"figA": "ok"},
         }
     )
-    with EventLog(store.events_path) as log:
-        log.emit("campaign-start")
-        log.emit("checkpointed", experiment_id="figA", status="ok")
-        log.emit("attempt-end", experiment_id="figA", attempt_uid="figA@1.1")
     with Journal(run_dir / JOURNAL_FILENAME, token=1) as journal:
         journal.append("campaign-start", experiments=["figA"])
         journal.append(

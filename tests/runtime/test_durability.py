@@ -1,7 +1,7 @@
 """Property-style crash/resume equivalence for the durability layer.
 
 Sweeps seeded crash points — a persistent injected I/O failure at the
-Nth write to the journal, the checkpoint store, or the event log —
+Nth write to the journal or the checkpoint store —
 through a real (in-process) campaign, then resumes with a fresh engine
 under a bumped fencing token and asserts the end state is
 indistinguishable from a campaign that never crashed:
@@ -26,7 +26,6 @@ import pytest
 
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import CampaignEngine, EngineConfig
-from repro.runtime.events import EventLog, read_events
 from repro.runtime.journal import (
     COMMITTED_STATUSES,
     JOURNAL_FILENAME,
@@ -44,7 +43,7 @@ EXPERIMENT_IDS = ("e0", "e1", "e2")
 #: Crash points: every site the engine writes through, at each of the
 #: first few writes (nth=1 hits the very first byte of campaign state).
 CRASH_POINTS = list(
-    itertools.product(("journal", "checkpoint", "events"), (1, 2, 3, 4))
+    itertools.product(("journal", "checkpoint"), (1, 2, 3, 4))
 )
 
 
@@ -56,13 +55,11 @@ def run_campaign(run_dir, token, recovery=None):
     experiments = [FakeExperiment(eid) for eid in EXPERIMENT_IDS]
     registry = {e.experiment_id: (e, {"n": 5}) for e in experiments}
     store = CheckpointStore(run_dir)
-    event_log = EventLog(store.events_path)
     journal = Journal(run_dir / JOURNAL_FILENAME, token=token)
     engine = CampaignEngine(
         registry,
         config=EngineConfig(sleep=SleepRecorder(), clock=FakeClock(), jobs=0),
         store=store,
-        event_log=event_log,
         journal=journal,
         recovery=recovery,
     )
@@ -72,7 +69,6 @@ def run_campaign(run_dir, token, recovery=None):
     except Exception as exc:  # noqa: BLE001 — the injected crash
         crash = exc
     finally:
-        event_log.close()
         journal.close()
     return report, crash, experiments
 
@@ -114,16 +110,9 @@ def assert_aftermath_clean(run_dir, reference_bytes, resumed_experiments, recove
                     "crash but executed again on resume"
                 )
 
-    # The event log kept its total order across generations.
-    events = read_events(CheckpointStore(run_dir).events_path)
-    seqs = [e["seq"] for e in events]
-    assert seqs == sorted(set(seqs)), "event seq not strictly increasing"
-    end_uids = [
-        e["attempt_uid"]
-        for e in events
-        if e.get("event") == "attempt-end" and "attempt_uid" in e
-    ]
-    assert len(end_uids) == len(set(end_uids))
+    # The journal kept its total order across generations.
+    seqs = [r["seq"] for r in replay.records]
+    assert seqs == sorted(set(seqs)), "journal seq not strictly increasing"
 
     # The full artifact audit agrees.
     report = validate_run_dir(run_dir)

@@ -308,7 +308,7 @@ class TestInterruption:
     def test_interrupt_flushes_partial_state_and_reraises(
         self, tmp_path, fake_clock, sleep_recorder
     ):
-        from repro.runtime.events import EventLog, read_events
+        from repro.runtime.journal import JOURNAL_FILENAME, Journal, read_journal
 
         finished = FakeExperiment("a")
         interrupter = FakeExperiment(
@@ -317,13 +317,13 @@ class TestInterruption:
         engine = make_engine([finished, interrupter], fake_clock, sleep_recorder)
         store = CheckpointStore(tmp_path / "run")
         engine.store = store
-        engine.event_log = EventLog(store.events_path)
+        engine.journal = Journal(store.run_dir / JOURNAL_FILENAME, fsync=False)
         seen = []
         engine.on_event = lambda event, payload: seen.append((event, payload))
 
         with pytest.raises(KeyboardInterrupt):
             engine.run()
-        engine.event_log.close()
+        engine.journal.close()
 
         # The completed outcome was checkpointed and the summary marks
         # the run interrupted — --resume has a valid store.
@@ -334,12 +334,16 @@ class TestInterruption:
         assert summary["completed"] == ["a"]
         assert summary["requested"] == ["a", "b"]
 
-        # A final event went out, both to the callback and the log.
+        # A final event went to the callback, and the journal records
+        # the interruption and the partial summary's flush.
         assert seen[-1][0] == "interrupted"
         partial = seen[-1][1]
         assert [o.experiment_id for o in partial.outcomes] == ["a"]
-        names = [e["event"] for e in read_events(store.events_path)]
-        assert names[-1] == "interrupted"
+        records = read_journal(store.run_dir / JOURNAL_FILENAME).records
+        assert [r["type"] for r in records[-2:]] == [
+            "interrupted", "summary-flushed"
+        ]
+        assert records[-1]["status"] == "interrupted"
 
     def test_interrupt_without_store_still_reraises(
         self, fake_clock, sleep_recorder

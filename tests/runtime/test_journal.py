@@ -4,13 +4,13 @@ and crash recovery classification."""
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import ExperimentOutcome
 from repro.runtime.errors import JournalCorruptError
-from repro.runtime.events import EventLog
 from repro.runtime.journal import (
     JOURNAL_FILENAME,
     JOURNAL_MAGIC,
@@ -87,6 +87,36 @@ class TestFraming:
 
     def test_attempt_uid_format(self):
         assert attempt_uid("fig2", 4, 2) == "fig2@4.2"
+
+    def test_concurrent_emitters_produce_a_total_order(self, tmp_path):
+        # Worker-pool supervisor threads journal worker kills while the
+        # engine journals its own transitions: every record stays whole
+        # and ``seq`` stays a total order.
+        path = tmp_path / JOURNAL_FILENAME
+        journal = Journal(path, token=1, fsync=False)
+
+        def spam(thread_index):
+            for i in range(50):
+                journal.append(
+                    "worker-killed", experiment_id=f"t{thread_index}",
+                    attempt=i + 1,
+                )
+
+        threads = [
+            threading.Thread(target=spam, args=(t,)) for t in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        journal.close()
+
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 400
+        replay = read_journal(path)  # every line intact
+        assert len(replay.records) == 400 and not replay.damaged
+        seqs = [r["seq"] for r in replay.records]
+        assert seqs == list(range(1, 401))
 
 
 class TestReplayDamage:
@@ -208,28 +238,50 @@ class TestRecover:
         assert report.committed == ["figA"] and not report.in_doubt
         assert any("promoted" in note for note in report.notes)
 
-    def test_in_doubt_promoted_by_checkpointed_event(self, tmp_path):
-        # Narrower window: crash between the rename and the
-        # checkpoint-flushed append; the event log corroborates.
-        store = CheckpointStore(tmp_path)
-        store.save_outcome(committed_outcome("figA"))
-        with EventLog(store.events_path) as log:
-            log.emit("checkpointed", experiment_id="figA", status="ok")
-        with Journal(tmp_path / JOURNAL_FILENAME, token=1) as journal:
-            journal.append("attempt-start", experiment_id="figA", attempt=1)
-        report = recover(tmp_path)
-        assert report.committed == ["figA"] and not report.in_doubt
-
     def test_in_doubt_without_checkpoint_stays_in_doubt(self, tmp_path):
-        # A corroborating event alone must not commit: the checkpoint
-        # itself has to verify.
-        store = CheckpointStore(tmp_path)
-        with EventLog(store.events_path) as log:
-            log.emit("checkpointed", experiment_id="figA", status="ok")
+        # A flush record alone must not commit: the checkpoint itself
+        # has to verify.
         with Journal(tmp_path / JOURNAL_FILENAME, token=1) as journal:
             journal.append("attempt-start", experiment_id="figA", attempt=1)
+            journal.append(
+                "checkpoint-flushed", experiment_id="figA", status="ok"
+            )
         report = recover(tmp_path)
         assert report.in_doubt == ["figA"]
+
+    def test_in_doubt_without_flush_record_stays_in_doubt(self, tmp_path):
+        # A valid checkpoint with no checkpoint-flushed record: the
+        # attempt never reached its first journaled commit step.
+        store = CheckpointStore(tmp_path)
+        store.save_outcome(committed_outcome("figA"))
+        with Journal(tmp_path / JOURNAL_FILENAME, token=1) as journal:
+            journal.append("attempt-start", experiment_id="figA", attempt=1)
+        report = recover(tmp_path)
+        assert report.in_doubt == ["figA"] and not report.committed
+
+    def test_lifecycle_records_do_not_change_the_verdict(self, tmp_path):
+        # Worker kills, oracle verdicts and store retries sit beside the
+        # state transitions; recovery reads only the transitions.
+        store = CheckpointStore(tmp_path)
+        store.save_outcome(committed_outcome("figA"))
+        with Journal(tmp_path / JOURNAL_FILENAME, token=1) as journal:
+            journal.append("attempt-start", experiment_id="figA", attempt=1)
+            journal.append(
+                "worker-killed", experiment_id="figA", attempt=1,
+                signal="SIGTERM",
+            )
+            journal.append("attempt-end", experiment_id="figA", status="failed")
+            journal.append("attempt-start", experiment_id="figA", attempt=2)
+            journal.append("validated", experiment_id="figA", attempt=2)
+            journal.append(
+                "checkpoint-retry", experiment_id="figA", flush_try=1
+            )
+            journal.append("checkpoint-flushed", experiment_id="figA", status="ok")
+            journal.append("attempt-end", experiment_id="figA", status="ok")
+        with Journal(tmp_path / JOURNAL_FILENAME, token=2) as journal:
+            journal.append("resumed", experiment_id="figA")
+        report = recover(tmp_path)
+        assert report.committed == ["figA"] and report.clean
 
     def test_restart_supersedes_earlier_attempt(self, tmp_path):
         store = CheckpointStore(tmp_path)

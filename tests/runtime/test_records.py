@@ -11,7 +11,6 @@ import pytest
 from repro.obs.timeline import TIMELINE_MAGIC, TimelineRecorder
 from repro.obs.tracing import SPANS_MAGIC, Span, SpanWriter
 from repro.runtime import records
-from repro.runtime.events import EVENTS_MAGIC, EventLog
 from repro.runtime.journal import JOURNAL_MAGIC, Journal
 from repro.validate import artifacts
 
@@ -21,12 +20,6 @@ def _append_journal(path, n):
     with Journal(path) as journal:
         for i in range(n):
             journal.append("attempt-start", experiment_id="x", attempt=i + 1)
-
-
-def _append_events(path, n):
-    with EventLog(path) as log:
-        for i in range(n):
-            log.emit("tick", i=i)
 
 
 def _append_spans(path, n):
@@ -43,22 +36,20 @@ def _append_timeline(path, n):
     recorder.close()
 
 
-#: magic -> (file name, appender): the four append-only logs, each
+#: magic -> (file name, appender): the three append-only logs, each
 #: with its real writer.
 APPENDERS = {
     JOURNAL_MAGIC: ("journal.wal", _append_journal),
-    EVENTS_MAGIC: ("events.jsonl", _append_events),
     SPANS_MAGIC: ("spans.jsonl", _append_spans),
     TIMELINE_MAGIC: ("timeline.jsonl", _append_timeline),
 }
 
-#: magic -> (validator, torn-tail code, damage code) for the four logs
+#: magic -> (validator, torn-tail code, damage code) for the three logs
 #: a run directory validates.
 VALIDATORS = {
     JOURNAL_MAGIC: (
         artifacts.validate_journal_file, "journal-torn", "journal-corrupt"
     ),
-    EVENTS_MAGIC: (artifacts.validate_events_file, "events-torn", "events-torn"),
     SPANS_MAGIC: (artifacts.validate_spans_file, "spans-torn", "spans-torn"),
     TIMELINE_MAGIC: (
         artifacts.validate_timeline_file, "timeline-torn", "timeline-torn"
@@ -201,12 +192,12 @@ class TestAppendersRepairTheTornTail:
         assert not found.damaged and not found.torn_tail
 
     def test_sequenced_logs_continue_after_the_torn_tail(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        _append_events(path, 2)
+        path = tmp_path / "journal.wal"
+        _append_journal(path, 2)
         with open(path, "ab") as handle:
-            handle.write(_fragment(EVENTS_MAGIC))
-        with EventLog(path) as log:
-            assert log.emit("resume")["seq"] == 3
+            handle.write(_fragment(JOURNAL_MAGIC))
+        with Journal(path, token=2) as journal:
+            assert journal.append("recovered")["seq"] == 3
 
     def test_append_after_a_failed_write_drops_its_torn_bytes(self, tmp_path):
         from tests.harness.iofault import IOFault, IOFaultInjector, install
@@ -265,12 +256,13 @@ class TestOneVerdictPerCrashSignature:
         assert len(records.scan(path, magic).damaged) == 1
 
     @pytest.mark.parametrize(
-        "magic, code", [(EVENTS_MAGIC, "events-torn"), (SPANS_MAGIC, "spans-torn")]
+        "magic, code",
+        [(SPANS_MAGIC, "spans-torn"), (TIMELINE_MAGIC, "timeline-torn")],
     )
     def test_plain_json_log_of_two_lines_is_kept_and_flagged(
         self, tmp_path, magic, code
     ):
-        """A pre-frame ``events.jsonl``/``spans.jsonl`` is not a torn
+        """A pre-frame ``spans.jsonl``/``timeline.jsonl`` is not a torn
         tail: the new writers append after it and never truncate it."""
         name, append = APPENDERS[magic]
         path = tmp_path / name

@@ -21,7 +21,7 @@ from repro.runtime.errors import (
     WorkerMemoryError,
     WorkerTimeoutError,
 )
-from repro.runtime.events import EventLog, read_events
+from repro.runtime.journal import JOURNAL_FILENAME, Journal, read_journal
 from repro.runtime.workers import (
     AttemptSpec,
     WorkerPool,
@@ -427,7 +427,7 @@ class TestWorkerPoolAcceptance:
     killed/contained and classified, the experiments retry-degrade, the
     healthy one finishes, and --resume skips everything checkpointed."""
 
-    def _engine(self, store, event_log=None, faults=None):
+    def _engine(self, store, journal=None, faults=None):
         registry = {
             "healthy": (worker_targets.run_ok, {"n": 1}),
             "hangy": (worker_targets.run_ok, {"n": 2}),
@@ -448,14 +448,15 @@ class TestWorkerPoolAcceptance:
                 backoff_base_seconds=0.0,
             ),
             store=store,
-            event_log=event_log,
+            journal=journal,
         )
 
     def test_parallel_containment_degrade_and_resume(self, tmp_path):
         store = CheckpointStore(tmp_path / "run")
         faults = {"hangy": fault("hang-hard"), "hoggy": fault("memhog")}
-        with EventLog(store.events_path) as event_log:
-            engine = self._engine(store, event_log=event_log, faults=faults)
+        journal_path = store.run_dir / JOURNAL_FILENAME
+        with Journal(journal_path, token=1, fsync=False) as journal:
+            engine = self._engine(store, journal=journal, faults=faults)
             report = engine.run()
 
         assert report.succeeded
@@ -476,13 +477,17 @@ class TestWorkerPoolAcceptance:
         assert store.verify_all() == {}
         assert store.read_summary()["status"] == "complete"
 
-        # The event log shows the kill and a total order.
-        events = read_events(store.events_path)
-        names = [e["event"] for e in events]
-        assert "worker-killed" in names
-        assert "degraded" in names
-        seqs = [e["seq"] for e in events]
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        # The journal shows the kill, the degraded commit, and a total
+        # order across the supervisor threads.
+        records = read_journal(journal_path).records
+        kills = [r for r in records if r["type"] == "worker-killed"]
+        assert {r["experiment_id"] for r in kills} >= {"hangy"}
+        assert any(
+            r["type"] == "attempt-end" and r.get("status") == "degraded"
+            for r in records
+        )
+        seqs = [r["seq"] for r in records]
+        assert seqs == list(range(1, len(records) + 1))
 
         # Resume: a fresh engine over the same store re-runs nothing.
         report2 = self._engine(store).run()
@@ -537,8 +542,10 @@ class TestGracefulInterruption:
         assert summary["status"] == "interrupted"
         assert "table1" in summary["completed"]
         assert "fig5" not in summary["completed"]
-        names = [e["event"] for e in read_events(store.events_path)]
-        assert "interrupted" in names
+        types = [
+            r["type"] for r in read_journal(run_dir / JOURNAL_FILENAME).records
+        ]
+        assert "interrupted" in types
 
         # Resume (no fault this time): fig5 completes, table1 skipped.
         resumed = subprocess.run(

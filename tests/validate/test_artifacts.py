@@ -13,13 +13,9 @@ from repro.mem.tracefile import save_trace, trace_header
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import ExperimentOutcome
 from repro.obs.tracing import SPANS_MAGIC
-from repro.runtime.events import EVENTS_MAGIC, EventLog
+from repro.runtime.journal import JOURNAL_FILENAME, Journal
 from repro.runtime.records import frame
-from repro.validate.artifacts import (
-    validate_events_file,
-    validate_run_dir,
-    validate_trace_file,
-)
+from repro.validate.artifacts import validate_run_dir, validate_trace_file
 from tests.harness.builder import ReferenceBuilder
 
 
@@ -66,10 +62,6 @@ def clean_run(tmp_path):
             "statuses": {"figA": "ok"},
         }
     )
-    with EventLog(store.events_path) as log:
-        log.emit("campaign-start")
-        log.emit("start", experiment_id="figA")
-        log.emit("checkpointed", experiment_id="figA")
     trace = make_trace()
     save_trace(run_dir / "figA.npz", trace, metadata=trace_header(trace))
     return run_dir
@@ -121,21 +113,29 @@ class TestCorruptionClasses:
         report = validate_run_dir(clean_run)
         assert "checkpoint-corrupt" in report.codes()
 
+    def _journal(self, run_dir):
+        """A three-record lifecycle journal for figA."""
+        with Journal(run_dir / JOURNAL_FILENAME, token=1) as journal:
+            journal.append("campaign-start", experiments=["figA"])
+            journal.append("attempt-start", experiment_id="figA", attempt=1)
+            journal.append("attempt-end", experiment_id="figA", status="ok")
+        return run_dir / JOURNAL_FILENAME
+
     def test_torn_event_line_mid_log(self, clean_run):
-        events = clean_run / "events.jsonl"
-        lines = events.read_text().splitlines()
+        journal = self._journal(clean_run)
+        lines = journal.read_text().splitlines()
         lines[1] = lines[1][: len(lines[1]) // 2]
-        events.write_text("\n".join(lines) + "\n")
+        journal.write_text("\n".join(lines) + "\n")
         report = validate_run_dir(clean_run)
-        assert "events-torn" in report.codes()
+        assert "journal-corrupt" in report.codes()
         assert not report.ok
 
     def test_torn_final_line_is_tolerated(self, clean_run):
-        events = clean_run / "events.jsonl"
-        text = events.read_text().rstrip("\n")
-        events.write_text(text[:-4])
+        journal = self._journal(clean_run)
+        text = journal.read_text().rstrip("\n")
+        journal.write_text(text[:-4])
         report = validate_run_dir(clean_run)
-        torn = report.by_code("events-torn")
+        torn = report.by_code("journal-torn")
         assert torn and torn[0].severity == "warning"
         assert report.ok
 
@@ -221,27 +221,6 @@ class TestFinerDiagnostics:
         store.write_manifest({"experiments": "figA"})
         report = validate_run_dir(clean_run)
         assert "manifest-schema" in report.codes()
-
-
-class TestEventsFile:
-    def test_missing_file_is_empty_pass(self, tmp_path):
-        assert validate_events_file(tmp_path / "none.jsonl").ok
-
-    def test_seq_regression_detected(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        records = [
-            {"seq": 1, "t_mono": 0.0, "t_wall": 1.0, "event": "a"},
-            {"seq": 1, "t_mono": 0.1, "t_wall": 1.1, "event": "b"},
-        ]
-        path.write_bytes(b"".join(frame(EVENTS_MAGIC, r) for r in records))
-        report = validate_events_file(path)
-        assert "events-seq" in report.codes()
-
-    def test_schema_violation_detected(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_bytes(frame(EVENTS_MAGIC, {"seq": 1, "event": "a"}))
-        report = validate_events_file(path)
-        assert "event-schema" in report.codes()
 
 
 class TestTraceFile:
@@ -470,8 +449,11 @@ class TestObservabilityArtifacts:
         assert "metrics-dangling-id" in report.codes()
 
     def test_known_attempt_uid_accepted(self, clean_run):
-        with EventLog(clean_run / "events.jsonl") as log:
-            log.emit("start", experiment_id="figA", attempt_uid="figA-1-1")
+        with Journal(clean_run / JOURNAL_FILENAME, token=1) as journal:
+            journal.append(
+                "attempt-start", experiment_id="figA", attempt=1,
+                attempt_uid="figA-1-1",
+            )
         self._metrics(
             clean_run,
             attempts={"figA-1-1": {"rss_peak_kb": 1, "spans": 0}},

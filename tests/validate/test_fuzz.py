@@ -40,7 +40,7 @@ class TestCampaign:
         assert {c.target for c in report.cases} == {
             "trace",
             "checkpoint",
-            "events",
+            "journal",
         }
         assert {c.mutation for c in report.cases} == set(MUTATIONS)
 
@@ -76,16 +76,16 @@ class TestReportSemantics:
             "fuzz-silent-corruption"
         ]
 
-    def test_only_a_record_prefix_is_tolerated_on_events(self):
+    def test_only_a_record_prefix_is_tolerated_on_the_journal(self):
         report = FuzzReport(
-            seed=0, cases=[self._case(ACCEPTED_PREFIX, target="events")]
+            seed=0, cases=[self._case(ACCEPTED_PREFIX, target="journal")]
         )
         assert report.ok
         assert report.to_validation_report().ok
-        # The event log is CRC-framed: any other divergence is silent
+        # The journal is CRC-framed: any other divergence is silent
         # corruption, as for every checksummed target.
         report = FuzzReport(
-            seed=0, cases=[self._case(ACCEPTED_DIVERGENT, target="events")]
+            seed=0, cases=[self._case(ACCEPTED_DIVERGENT, target="journal")]
         )
         assert not report.ok
         assert report.to_validation_report().codes() == [

@@ -102,11 +102,19 @@ class TestArtifactSchemas:
         assert check_schema(good, ENVELOPE_SCHEMA) == []
         assert check_schema({"format": 1}, ENVELOPE_SCHEMA)
 
-    def test_event_schema(self):
-        good = {"seq": 1, "t_mono": 0.0, "t_wall": 1.0, "event": "start"}
-        assert check_schema(good, schema_for("event")) == []
-        bad = dict(good, seq=0)
-        assert check_schema(bad, schema_for("event"))
+    @pytest.mark.parametrize(
+        "record_type",
+        ["worker-killed", "validated", "checkpoint-retry",
+         "obs-snapshot-failed", "resumed"],
+    )
+    def test_journal_schema_accepts_lifecycle_records(self, record_type):
+        good = {"seq": 1, "token": 1, "t_wall": 1.0, "type": record_type}
+        assert check_schema(good, schema_for("journal-record")) == []
+        assert check_schema(dict(good, seq=0), schema_for("journal-record"))
+
+    def test_event_log_has_no_schema(self):
+        with pytest.raises(KeyError):
+            schema_for("event")
 
     def test_outcome_schema_rejects_unknown_status(self):
         payload = {"experiment_id": "fig2", "status": "meh"}
