@@ -34,14 +34,13 @@ Usage::
     python -m repro.experiments report runs/full --html -o report.html
                                       # static post-hoc campaign report
 
-Campaigns are observable by default (``--no-obs`` or ``REPRO_OBS=0``
-opts out): counters/gauges/histograms roll up into
-``<run_dir>/metrics.json``, spans into ``<run_dir>/spans.jsonl``,
-per-chunk working-set telemetry into ``<run_dir>/timeline.jsonl``
-(phase segmentation + per-phase knees), and the ``status`` /
-``report`` subcommands reconstruct everything read-only from those
-artifacts plus the journal.  See
-``docs/OBSERVABILITY.md``.
+Campaigns are observable by default (``--no-obs`` opts out):
+counters/gauges/histograms roll up into
+``<run_dir>/metrics.json``, spans into ``<run_dir>/spans.jsonl`` and
+per-chunk working-set rows into ``<run_dir>/timeline.jsonl``.  The
+``status`` / ``report`` subcommands reconstruct everything read-only
+from those artifacts plus the journal, segmenting the timeline into
+phases with per-phase knees.  See ``docs/OBSERVABILITY.md``.
 
 Campaigns with a run directory are crash-consistent: every state
 transition is written ahead to ``<run_dir>/journal.wal`` (fsynced,
@@ -232,15 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quiet",
         action="store_true",
-        help="suppress progress output (warnings and errors still print; "
-        "equivalent to REPRO_LOG_LEVEL=warning)",
+        help="suppress progress output (warnings and errors still print)",
     )
     parser.add_argument(
         "--no-obs",
         action="store_true",
         dest="no_obs",
-        help="disable campaign telemetry (metrics.json, spans.jsonl); "
-        "REPRO_OBS=0/1 overrides in either direction",
+        help="disable campaign telemetry (metrics.json, spans.jsonl, "
+        "timeline.jsonl)",
     )
     return parser
 
@@ -529,10 +527,9 @@ def _run_campaign(
     store: Optional[CheckpointStore],
 ) -> int:
     """Run the campaign ``main`` parsed, holding the run-directory lock."""
-    # Campaign telemetry: on by default, off with --no-obs; the
-    # REPRO_OBS environment variable overrides in either direction.
-    obs_metrics.set_obs_enabled(not args.no_obs)
-    obs_on = obs_metrics.obs_enabled()
+    # Campaign telemetry: on by default, off with --no-obs.
+    obs_on = not args.no_obs
+    obs_metrics.set_obs_enabled(obs_on)
     if obs_on:
         obs_metrics.get_registry().reset()
     span_writer = None
@@ -548,7 +545,7 @@ def _run_campaign(
 
     # Temporal working-set telemetry: per-chunk rows land in
     # <run_dir>/timeline.jsonl (a framed record log, like journal.wal);
-    # workers inherit the file via REPRO_TIMELINE.
+    # each worker's attempt spec carries the file's path.
     from repro.obs import timeline as obs_timeline
 
     if store is not None and obs_on:

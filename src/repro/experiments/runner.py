@@ -214,19 +214,19 @@ def worker_main(spec_text: str, payload_fd: int) -> int:
                 root_parent=spec.parent_span_id,
                 buffered=True,
             )
-            # Adopt the supervisor's timeline file (REPRO_TIMELINE) and
-            # stamp this attempt's identity into every row we append.
+        if spec.timeline:
+            # Append to the supervisor's timeline file (set only when
+            # telemetry is on) and stamp this attempt's identity into
+            # every row.
             from repro.obs import timeline as obs_timeline
             from repro.runtime.journal import attempt_uid as _attempt_uid
 
-            recorder = obs_timeline.install_from_env()
-            if recorder is not None:
-                recorder.set_labels(
-                    experiment_id=spec.experiment_id,
-                    attempt_uid=_attempt_uid(
-                        spec.experiment_id, spec.generation, spec.attempt
-                    ),
-                )
+            obs_timeline.configure_timeline(spec.timeline).set_labels(
+                experiment_id=spec.experiment_id,
+                attempt_uid=_attempt_uid(
+                    spec.experiment_id, spec.generation, spec.attempt
+                ),
+            )
         apply_address_space_limit(spec.max_rss_mb)
         runner = resolve_runner_ref(spec.runner)
         budget = Budget(spec.budget_seconds)

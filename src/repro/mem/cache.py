@@ -163,13 +163,10 @@ class FullyAssociativeCache:
         sampler = hot_loop_sampler("mem.fullassoc")
         reads = writes = read_misses = write_misses = cold = 0
         for i, (block, kind) in enumerate(zip(blocks.tolist(), kinds.tolist())):
-            # One masked branch covers both cooperative budget polling
-            # and obs sampling; off the mask this costs one AND + test.
-            if not (i & CHECK_MASK):
-                if budget is not None:
-                    budget.check("fully associative cache simulation")
-                if sampler is not None:
-                    sampler.tick(i)
+            # Cooperative budget polling on a masked branch; off the
+            # mask this costs one AND + test.
+            if not (i & CHECK_MASK) and budget is not None:
+                budget.check("fully associative cache simulation")
             if kind == READ:
                 reads += 1
             else:

@@ -114,8 +114,6 @@ class CacheHierarchy:
         for start in range(0, len(blocks), CHECK_INTERVAL):
             if budget is not None:
                 budget.check("cache hierarchy simulation")
-            if sampler is not None:
-                sampler.tick(start)
             end = start + CHECK_INTERVAL
             for block, kind in zip(blocks[start:end], kinds[start:end]):
                 access(block * block_size, kind)

@@ -179,8 +179,6 @@ class SetAssociativeCache:
         for start in range(0, len(addrs), CHECK_INTERVAL):
             if budget is not None:
                 budget.check("set-associative cache simulation")
-            if sampler is not None:
-                sampler.tick(start)
             end = start + CHECK_INTERVAL
             for addr, kind in zip(addrs[start:end], kinds[start:end]):
                 access(addr, kind)

@@ -181,7 +181,7 @@ class StackDistanceProfiler:
             trace,
             budget=budget,
             row_refs=(
-                recorder.chunk_refs_for(len(trace)) if recorder is not None else None
+                obs_timeline.window_refs(len(trace)) if recorder is not None else None
             ),
         )
         return run.result()
@@ -359,9 +359,11 @@ class StackDistanceRun:
         hit_d = depth[hit]
         del window, hit
         # Hits within each capacity: bin every hit at the first capacity
-        # that holds its depth, then accumulate along the grid.
-        grid = default_capacity_grid()
-        caps = grid // self.block_size
+        # of the row ladder that holds its depth, then accumulate along
+        # the ladder.
+        from repro.obs.timeline import STACKDIST_LADDER
+
+        caps = np.asarray(STACKDIST_LADDER, dtype=np.int64) // self.block_size
         bins = len(caps) + 1
         per_bin = np.bincount(
             hit_w * bins + np.searchsorted(caps, hit_d), minlength=rows_n * bins
@@ -386,7 +388,6 @@ class StackDistanceRun:
                 percentiles[label] = (
                     keys[np.maximum(at, 0)] - base
                 ).tolist()
-        cache_sizes = grid.tolist()
         has_hits = (hits_w > 0).tolist()
         rows: List[Dict[str, object]] = []
         for w, (start, counted_n, cold, ws, footprint, misses) in enumerate(
@@ -406,7 +407,6 @@ class StackDistanceRun:
                 "block_size": self.block_size,
                 "ws_blocks": ws,
                 "footprint_blocks": footprint,
-                "cache_sizes": cache_sizes,
                 "misses": misses,
             }
             if has_hits[w]:
@@ -452,8 +452,6 @@ class StackDistanceRun:
         for start in range(0, n, CHECK_INTERVAL):
             if budget is not None:
                 budget.check("stack-distance profiling")
-            if sampler is not None:
-                sampler.tick(start)
             window = blocks[start : start + CHECK_INTERVAL]
             for t, block in enumerate(window, t0 + start):
                 j = t + 1  # tree node of slot t

@@ -69,7 +69,6 @@ class TraceBuilder:
 
     def build(self) -> "Trace":
         from repro.obs import metrics as obs_metrics
-        from repro.obs.console import debug
 
         if len(self._columns) == 1:
             addrs, kinds = self._columns[0]
@@ -80,7 +79,6 @@ class TraceBuilder:
             kinds = np.concatenate(
                 [k for _, k in self._columns] or [np.zeros(0, dtype=np.uint8)]
             )
-        debug(f"[trace] built {len(addrs):,} reference(s)")
         obs_metrics.inc("mem.trace.refs_built", len(addrs))
         return Trace(addrs, kinds)
 

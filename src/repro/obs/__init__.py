@@ -6,15 +6,15 @@ layers, all dependency-free and all cheap enough to stay on by default
 for campaigns:
 
 - :mod:`repro.obs.metrics` — a process-local registry of counters,
-  gauges and fixed-bucket histograms with an overhead-gated sampling
-  hook for the simulation hot loops (refs simulated, misses, refs/sec).
+  gauges and fixed-bucket histograms with a once-per-loop sampler for
+  the simulation hot loops (refs simulated, misses, refs/sec).
   Snapshotted to ``<run_dir>/metrics.json`` per attempt.
 - :mod:`repro.obs.tracing` — spans (trace/span/parent ids, monotonic
   durations) as context managers and decorators, written to
   ``<run_dir>/spans.jsonl``.
-- :mod:`repro.obs.console` — the leveled progress logger that replaced
-  bare ``print`` in the experiment drivers, honoring ``--quiet`` and
-  ``REPRO_LOG_LEVEL`` while keeping worker-mode stdout machine-clean.
+- :mod:`repro.obs.console` — the progress logger that replaced bare
+  ``print`` in the experiment drivers, honoring ``--quiet`` while
+  keeping worker-mode stdout machine-clean.
 
 The run-directory artifacts are reconstructed by ``python -m
 repro.experiments status <run-dir>`` (live view) and ``report

@@ -4,15 +4,14 @@ Design constraints, in order:
 
 1. **Hot-loop safety.**  The cache/setassoc/stack-distance inner loops
    execute one Python iteration per memory reference; anything we add
-   there is multiplied by hundreds of millions.  The only per-iteration
-   cost this module imposes is a single ``sampler is not None`` test
-   inside the *already existing* masked budget branch (taken once every
-   :data:`~repro.runtime.budget.CHECK_INTERVAL` references).  All real
-   accounting happens in :meth:`LoopSampler.finish`, once per loop.
+   there is multiplied by hundreds of millions.  This module adds
+   nothing per iteration: a loop takes a :class:`LoopSampler` before it
+   starts and all accounting happens in :meth:`LoopSampler.finish`,
+   once per loop.
 2. **Off by default.**  ``obs_enabled()`` is ``False`` until the
    campaign CLI (or a test) turns it on, so library users and the
-   uninstrumented benchmarks pay nothing.  ``REPRO_OBS=1`` force-enables
-   and ``REPRO_OBS=0`` force-disables, overriding the CLI either way.
+   uninstrumented benchmarks pay nothing.  ``--no-obs`` keeps it off;
+   a forked worker follows the ``obs`` flag of its attempt spec.
 3. **No dependencies.**  Snapshots are plain dicts.
 
 Metric names are dotted lowercase (``runtime.journal.fsync_seconds``).
@@ -23,20 +22,12 @@ supervisor rollups honest.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-OBS_ENV = "REPRO_OBS"
-SAMPLE_ENV = "REPRO_OBS_SAMPLE"
 METRICS_FILENAME = "metrics.json"
 METRICS_FORMAT = 1
-
-#: Default hot-loop sampling stride (references between sampler ticks).
-#: Must be a multiple of the budget CHECK_INTERVAL so ticks land on the
-#: masked branch; enforced by LoopSampler.
-DEFAULT_SAMPLE_INTERVAL = 8192
 
 #: Latency buckets (seconds) for fsync/checkpoint style
 #: metrics: 10us .. 10s, decade-ish spacing.
@@ -236,35 +227,13 @@ def get_registry() -> MetricsRegistry:
 
 
 def obs_enabled() -> bool:
-    """Is metrics collection on for this process?
-
-    The ``REPRO_OBS`` environment variable (when set to anything
-    truthy/falsy) overrides the programmatic switch in both directions,
-    so workers inherit the supervisor's decision and operators can kill
-    instrumentation without touching flags.
-    """
-    env = os.environ.get(OBS_ENV)
-    if env is not None and env != "":
-        return env not in ("0", "false", "no", "off")
+    """Is metrics collection on for this process?"""
     return _enabled
 
 
 def set_obs_enabled(enabled: bool) -> None:
     global _enabled
     _enabled = bool(enabled)
-
-
-def sample_interval() -> int:
-    """Hot-loop sampling stride, overridable via ``REPRO_OBS_SAMPLE``."""
-    raw = os.environ.get(SAMPLE_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = DEFAULT_SAMPLE_INTERVAL
-        if value > 0:
-            return value
-    return DEFAULT_SAMPLE_INTERVAL
 
 
 # -- cheap module-level recording helpers ------------------------------
@@ -316,39 +285,20 @@ class LoopSampler:
     """Per-loop accumulator flushed to the registry once, at the end.
 
     Created via :func:`hot_loop_sampler`, which returns ``None`` when
-    observability is off — the loop then pays only an ``is not None``
-    test on the masked branch.  :meth:`tick` is called every
-    CHECK_INTERVAL references and counts a *sample* every
-    ``sample_interval()`` references (a multiple of CHECK_INTERVAL, so
-    plain stride arithmetic suffices); :meth:`finish` records totals.
+    observability is off.  It starts the loop's clock; :meth:`finish`
+    records the loop's totals and throughput.
     """
 
-    __slots__ = ("name", "every", "samples", "last_i", "_t0", "_clock")
+    __slots__ = ("name", "_t0", "_clock")
 
     def __init__(
         self,
         name: str,
-        every: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.name = name
-        stride = every if every is not None else sample_interval()
-        # Round the stride up to a CHECK_INTERVAL multiple so ticks
-        # (which only happen on the masked branch) can honor it exactly.
-        from repro.runtime.budget import CHECK_INTERVAL
-
-        if stride % CHECK_INTERVAL:
-            stride = ((stride // CHECK_INTERVAL) + 1) * CHECK_INTERVAL
-        self.every = stride
-        self.samples = 0
-        self.last_i = 0
         self._clock = clock
         self._t0 = clock()
-
-    def tick(self, i: int) -> None:
-        self.last_i = i
-        if not i % self.every:
-            self.samples += 1
 
     def finish(self, refs: int, misses: int) -> None:
         elapsed = self._clock() - self._t0
@@ -356,7 +306,6 @@ class LoopSampler:
         registry.counter(f"{self.name}.refs").inc(refs)
         registry.counter(f"{self.name}.misses").inc(misses)
         registry.counter(f"{self.name}.loops").inc()
-        registry.counter(f"{self.name}.samples").inc(self.samples)
         if elapsed > 0 and refs:
             rps = refs / elapsed
             registry.gauge(f"{self.name}.last_refs_per_second").set(rps)
@@ -369,7 +318,8 @@ def hot_loop_sampler(name: str) -> Optional[LoopSampler]:
     """The only obs entry point the simulation hot loops call.
 
     Returns ``None`` when observability is disabled so the loops can
-    gate everything behind ``sampler is not None``.
+    gate their one :meth:`~LoopSampler.finish` behind
+    ``sampler is not None``.
     """
     if not obs_enabled():
         return None

@@ -11,21 +11,22 @@ active matrix).  This module adds the time axis:
   stack-depth percentiles, and a Denning working-set estimate (unique
   blocks touched in the window).  The explicit caches write one row
   per simulated chunk.  The stack-distance profiler feeds an in-memory
-  trace once and derives a row per window of :meth:`chunk_refs_for`
+  trace once and derives a row per window of :func:`window_refs`
   references from the per-reference depths, written as one
-  :meth:`~TimelineRecorder.record_many` batch.
-- :class:`PhaseDetector` segments the row stream into phases online
-  (robust median/MAD change-point test on ``log2(ws_blocks)`` with
-  two-row hysteresis) and re-estimates the knees *per phase* from the
-  accumulated per-phase miss vectors.
-- ``mem.ws.*`` gauges and ``obs.timeline.*`` counters surface the live
-  phase/knee state through the ordinary metrics registry.
+  :meth:`~TimelineRecorder.record_many` batch.  A ``stackdist`` row's
+  ``misses`` vector indexes :data:`STACKDIST_LADDER` slot for slot.
+  The recorder only appends: it derives nothing from its rows.
+- :class:`PhaseDetector` segments a row stream into phases (robust
+  median/MAD change-point test on ``log2(ws_blocks)`` with two-row
+  hysteresis) and re-estimates the knees *per phase* from the
+  accumulated per-phase miss vectors.  It runs where rows are read:
+  :func:`load_working_set` (``status``) and :func:`detect_phases`
+  (``report``).
 
 Recording is ambient, like the campaign budget:
-:func:`configure_timeline` installs a process-wide recorder and
-exports ``REPRO_TIMELINE`` so spawned workers inherit it via
-:func:`install_from_env`.  :func:`active_recorder` returns ``None``
-whenever observability is off.
+:func:`configure_timeline` installs a process-wide recorder; a forked
+worker installs its own on the path its attempt spec carries.
+:func:`active_recorder` returns ``None`` whenever observability is off.
 
 Everything here is observability: a write failure (fault site
 ``"timeline"``) increments ``obs.timeline.write_errors`` and is
@@ -55,17 +56,18 @@ TIMELINE_MAGIC = "TLN1"
 #: Canonical artifact name inside a run directory.
 TIMELINE_FILENAME = "timeline.jsonl"
 
-#: Row format version stamped into every row.
-TIMELINE_VERSION = 1
+#: Row format version stamped into every row.  Version 1 rows carried
+#: their capacity ladder as ``cache_sizes``; version 2 rows index
+#: :data:`STACKDIST_LADDER` instead.
+TIMELINE_VERSION = 2
 
-#: Environment handoff to spawned workers (path to the timeline file).
-TIMELINE_ENV = "REPRO_TIMELINE"
-
-#: Optional window override (refs per in-memory profile row).
-TIMELINE_CHUNK_ENV = "REPRO_TIMELINE_CHUNK"
-
-#: Row kinds emitted by the simulators.
-ROW_KINDS = ("stackdist", "fullassoc", "setassoc")
+#: The capacities (bytes) a version-2 ``stackdist`` row's ``misses``
+#: vector indexes, slot for slot: 64 B to 8 MiB at four points per
+#: octave, the paper's log-scale cache-size axis.  Changing it means
+#: bumping :data:`TIMELINE_VERSION`.
+STACKDIST_LADDER: Tuple[int, ...] = tuple(
+    round(64 * 2 ** (i / 4)) for i in range(69)
+)
 
 #: Row granularity of an in-memory profile: ~64 windows per trace,
 #: each at least ``CHUNK_MIN_REFS`` references (so a short trace is not
@@ -76,12 +78,36 @@ CHUNK_TARGET_WINDOWS = 64
 CHUNK_MIN_REFS = 4096
 CHUNK_MAX_REFS = 262144
 
+#: Phase detection: a row is an outlier beyond ``PHASE_K`` robust
+#: sigmas (floored at ``PHASE_ABS_FLOOR`` octaves) of the current
+#: phase's median, tested once the phase has ``PHASE_MIN_ROWS`` rows;
+#: ``PHASE_HYSTERESIS`` consecutive outliers open a new phase.
+PHASE_K = 3.5
+PHASE_ABS_FLOOR = 0.5
+PHASE_MIN_ROWS = 3
+PHASE_HYSTERESIS = 2
+
 _MAD_SCALE = 1.4826  # MAD -> sigma for normal data
 
 
 def read_timeline(path: Union[str, Path]) -> List[Dict[str, object]]:
     """All intact rows of a timeline file (damage is skipped)."""
     return records.scan(path, TIMELINE_MAGIC).records
+
+
+def row_ladder(row: Dict[str, object]) -> Optional[Sequence[object]]:
+    """The capacities a row's ``misses`` vector indexes: the row's own
+    ``cache_sizes`` (version 1) or :data:`STACKDIST_LADDER`; ``None``
+    when ``cache_sizes`` is not a list."""
+    sizes = row.get("cache_sizes", STACKDIST_LADDER)
+    return sizes if isinstance(sizes, (list, tuple)) else None
+
+
+def window_refs(total_refs: int) -> int:
+    """Refs per row (window) of an in-memory profile of ``total_refs``
+    references."""
+    target = total_refs // CHUNK_TARGET_WINDOWS
+    return max(CHUNK_MIN_REFS, min(CHUNK_MAX_REFS, target))
 
 
 # -- phase detection --------------------------------------------------------
@@ -166,14 +192,9 @@ class Phase:
             if self.start_wall is None:
                 self.start_wall = float(wall)
             self.end_wall = float(wall)
-        sizes = row.get("cache_sizes")
+        sizes = row_ladder(row)
         misses = row.get("misses")
-        if (
-            isinstance(sizes, list)
-            and isinstance(misses, list)
-            and len(sizes) == len(misses)
-            and sizes
-        ):
+        if sizes and isinstance(misses, list) and len(sizes) == len(misses):
             if self.cache_sizes is None:
                 self.cache_sizes = [int(c) for c in sizes]
                 self.misses = np.zeros(len(sizes), dtype=np.int64)
@@ -201,29 +222,18 @@ class Phase:
 
 
 class PhaseDetector:
-    """Online change-point detector over the working-set signal.
+    """Change-point detector over the working-set signal.
 
     The signal is ``log2(ws_blocks + 1)`` per chunk: working sets move
     in octaves, so a phase change is a sustained shift of the log
     signal.  A row is an outlier when it sits more than
-    ``k * 1.4826 * MAD`` (floored at ``abs_floor`` octaves) from the
-    current phase's median; ``hysteresis`` consecutive outliers open a
-    new phase seeded with those rows, a lone outlier is absorbed as a
-    blip.  Works online (one :meth:`update` per row) and offline
-    (:func:`detect_phases`).
+    ``PHASE_K * 1.4826 * MAD`` (floored at ``PHASE_ABS_FLOOR`` octaves)
+    from the current phase's median; ``PHASE_HYSTERESIS`` consecutive
+    outliers open a new phase seeded with those rows, a lone outlier is
+    absorbed as a blip.  Fed one :meth:`update` per row, in order.
     """
 
-    def __init__(
-        self,
-        k: float = 3.5,
-        abs_floor: float = 0.5,
-        min_rows: int = 3,
-        hysteresis: int = 2,
-    ) -> None:
-        self.k = k
-        self.abs_floor = abs_floor
-        self.min_rows = min_rows
-        self.hysteresis = hysteresis
+    def __init__(self) -> None:
         self.phases: List[Phase] = []
         self._pending: List[Dict[str, object]] = []
 
@@ -234,37 +244,36 @@ class PhaseDetector:
     def _outlier(self, phase: Phase, value: float) -> bool:
         med = _median(phase.signal)
         mad = _median([abs(s - med) for s in phase.signal])
-        threshold = max(self.k * _MAD_SCALE * mad, self.abs_floor)
+        threshold = max(PHASE_K * _MAD_SCALE * mad, PHASE_ABS_FLOOR)
         return abs(value - med) > threshold
 
-    def update(self, row: Dict[str, object]) -> bool:
-        """Feed one row; ``True`` when this row opened a new phase."""
+    def update(self, row: Dict[str, object]) -> None:
+        """Feed one row."""
         ws = row.get("ws_blocks")
         if not isinstance(ws, int) or ws < 0:
-            return False
+            return
         if not self.phases:
             phase = Phase(index=1)
             phase.absorb(row)
             self.phases.append(phase)
-            return True
+            return
         phase = self.phases[-1]
         value = math.log2(ws + 1)
-        if len(phase.signal) >= self.min_rows and self._outlier(phase, value):
+        if len(phase.signal) >= PHASE_MIN_ROWS and self._outlier(phase, value):
             self._pending.append(row)
-            if len(self._pending) < self.hysteresis:
-                return False
+            if len(self._pending) < PHASE_HYSTERESIS:
+                return
             fresh = Phase(index=len(self.phases) + 1)
             for pending in self._pending:
                 fresh.absorb(pending)
             self._pending = []
             self.phases.append(fresh)
-            return True
+            return
         # Not an outlier: the pending rows were a blip, fold them in.
         for pending in self._pending:
             phase.absorb(pending)
         self._pending = []
         phase.absorb(row)
-        return False
 
     def summary(self) -> Dict[str, object]:
         current = self.current
@@ -281,11 +290,9 @@ class PhaseDetector:
         }
 
 
-def detect_phases(
-    rows: Sequence[Dict[str, object]], **kwargs: float
-) -> List[Phase]:
-    """Offline phase segmentation of timeline rows (in given order)."""
-    detector = PhaseDetector(**kwargs)
+def detect_phases(rows: Sequence[Dict[str, object]]) -> List[Phase]:
+    """Phase segmentation of timeline rows (in given order)."""
+    detector = PhaseDetector()
     for row in rows:
         detector.update(row)
     return detector.phases
@@ -325,7 +332,7 @@ def latest_attempt_rows(
 
 
 class TimelineRecorder:
-    """Append-only timeline writer with live phase gauges.
+    """Append-only timeline writer.
 
     Rows go through a :class:`~repro.runtime.records.RecordLog`, opened
     at the first row, which keeps them whole across concurrently
@@ -333,18 +340,12 @@ class TimelineRecorder:
     increment ``obs.timeline.write_errors`` and drop the row.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        chunk_refs: Optional[int] = None,
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.chunk_refs = chunk_refs
         self._log: Optional[records.RecordLog] = None
         self._lock = threading.Lock()
         self._seq = 0
         self._labels: Dict[str, str] = {}
-        self._detector = PhaseDetector()
 
     # -- labels (campaign context) -------------------------------------
 
@@ -353,65 +354,38 @@ class TimelineRecorder:
         experiment_id: Optional[str] = None,
         attempt_uid: Optional[str] = None,
     ) -> None:
-        """Attach campaign context to subsequent rows; resets the
-        per-attempt phase detector."""
+        """Attach campaign context to subsequent rows."""
         with self._lock:
             self._labels = {}
             if experiment_id:
                 self._labels["experiment_id"] = experiment_id
             if attempt_uid:
                 self._labels["attempt_uid"] = attempt_uid
-            self._detector = PhaseDetector()
 
     def clear_labels(self) -> None:
         with self._lock:
             self._labels = {}
-            self._detector = PhaseDetector()
-
-    # -- chunking policy -----------------------------------------------
-
-    def chunk_refs_for(self, total_refs: int) -> int:
-        """Refs per row (window) of an in-memory profile of
-        ``total_refs`` references."""
-        if self.chunk_refs is not None and self.chunk_refs > 0:
-            return int(self.chunk_refs)
-        target = total_refs // CHUNK_TARGET_WINDOWS
-        return max(CHUNK_MIN_REFS, min(CHUNK_MAX_REFS, target))
 
     # -- recording ------------------------------------------------------
 
     def record(self, kind: str, **fields: object) -> Optional[Dict[str, object]]:
         """Append one row; returns the row, or ``None`` when dropped."""
         with self._lock:
-            row = self._append(kind, fields)
-            if row is None:
-                return None
-            summary = self._detector.summary()
-        self._publish(summary)
-        return row
+            return self._append(kind, fields)
 
     def record_many(
         self, kind: str, rows: Sequence[Dict[str, object]]
     ) -> int:
         """Append ``rows`` in order under one lock; returns how many
-        were written.
-
-        Each row passes the phase detector, but the knee search behind
-        the ``mem.ws.*`` gauges runs once for the batch.
-        """
+        were written."""
         with self._lock:
-            written = sum(self._append(kind, fields) is not None for fields in rows)
-            if not written:
-                return 0
-            summary = self._detector.summary()
-        self._publish(summary)
-        return written
+            return sum(self._append(kind, fields) is not None for fields in rows)
 
     def _append(
         self, kind: str, fields: Dict[str, object]
     ) -> Optional[Dict[str, object]]:
-        """Frame and append one row and feed the phase detector (the
-        caller holds the lock); ``None`` when the write failed."""
+        """Frame and append one row (the caller holds the lock);
+        ``None`` when the write failed."""
         row: Dict[str, object] = {
             "v": TIMELINE_VERSION,
             "kind": kind,
@@ -430,22 +404,7 @@ class TimelineRecorder:
             return None
         self._seq += 1
         obs_metrics.inc("obs.timeline.rows")
-        if self._detector.update(row):
-            obs_metrics.inc("obs.timeline.phase_starts")
         return row
-
-    @staticmethod
-    def _publish(summary: Dict[str, object]) -> None:
-        obs_metrics.set_gauge("mem.ws.phase", float(summary["phase"]))
-        obs_metrics.set_gauge("mem.ws.phases", float(summary["phases"]))
-        if summary["ws_bytes"] is not None:
-            obs_metrics.set_gauge(
-                "mem.ws.estimate_bytes", float(summary["ws_bytes"])
-            )
-        if summary["knee_bytes"] is not None:
-            obs_metrics.set_gauge(
-                "mem.ws.knee_bytes", float(summary["knee_bytes"])
-            )
 
     def close(self) -> None:
         with self._lock:
@@ -461,46 +420,12 @@ _recorder: Optional[TimelineRecorder] = None
 
 def configure_timeline(
     path: Optional[Union[str, Path]],
-    chunk_refs: Optional[int] = None,
 ) -> Optional[TimelineRecorder]:
-    """Install (or clear, with ``None``) the process-wide recorder.
-
-    Exports ``REPRO_TIMELINE`` / ``REPRO_TIMELINE_CHUNK`` so spawned
-    workers can pick the same file up via :func:`install_from_env`.
-    """
+    """Install (or clear, with ``None``) the process-wide recorder."""
     global _recorder
     if _recorder is not None:
         _recorder.close()
-    if path is None:
-        _recorder = None
-        os.environ.pop(TIMELINE_ENV, None)
-        os.environ.pop(TIMELINE_CHUNK_ENV, None)
-        return None
-    _recorder = TimelineRecorder(path, chunk_refs=chunk_refs)
-    os.environ[TIMELINE_ENV] = str(path)
-    if chunk_refs:
-        os.environ[TIMELINE_CHUNK_ENV] = str(int(chunk_refs))
-    else:
-        os.environ.pop(TIMELINE_CHUNK_ENV, None)
-    return _recorder
-
-
-def install_from_env() -> Optional[TimelineRecorder]:
-    """Worker-side: adopt the supervisor's timeline file, if any."""
-    global _recorder
-    path = os.environ.get(TIMELINE_ENV)
-    if not path:
-        return _recorder
-    chunk: Optional[int] = None
-    raw = os.environ.get(TIMELINE_CHUNK_ENV)
-    if raw:
-        try:
-            chunk = int(raw)
-        except ValueError:
-            chunk = None
-    if _recorder is not None:
-        _recorder.close()
-    _recorder = TimelineRecorder(path, chunk_refs=chunk)
+    _recorder = TimelineRecorder(path) if path is not None else None
     return _recorder
 
 

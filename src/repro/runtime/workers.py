@@ -73,6 +73,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentResult
 from repro.obs import metrics as obs_metrics
+from repro.obs import timeline as obs_timeline
 from repro.obs import tracing
 from repro.runtime.errors import (
     ExperimentFailure,
@@ -152,6 +153,7 @@ class AttemptSpec:
     obs: bool = False
     trace_id: Optional[str] = None
     parent_span_id: Optional[str] = None
+    timeline: Optional[str] = None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -167,6 +169,7 @@ class AttemptSpec:
                 "obs": self.obs,
                 "trace_id": self.trace_id,
                 "parent_span_id": self.parent_span_id,
+                "timeline": self.timeline,
             }
         )
 
@@ -185,6 +188,7 @@ class AttemptSpec:
             obs=bool(payload.get("obs", False)),
             trace_id=payload.get("trace_id"),
             parent_span_id=payload.get("parent_span_id"),
+            timeline=payload.get("timeline"),
         )
 
 
@@ -628,6 +632,7 @@ class WorkerPool:
         engine = self.engine
         runner, _ = engine.registry[experiment_id]
         tracer = tracing.get_tracer()
+        recorder = obs_timeline.active_recorder()
         spec = AttemptSpec(
             experiment_id=experiment_id,
             runner=runner_ref(runner),
@@ -642,6 +647,7 @@ class WorkerPool:
             parent_span_id=(
                 tracer.current_span_id() if tracer is not None else None
             ),
+            timeline=str(recorder.path) if recorder is not None else None,
         )
         return self.supervisor.run_attempt(spec)
 

@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.mem.tracefile import TraceFileCorruptError, load_metadata, load_trace
-from repro.obs.timeline import TIMELINE_MAGIC
+from repro.obs.timeline import TIMELINE_MAGIC, row_ladder
 from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.errors import CheckpointCorruptError
@@ -187,8 +187,8 @@ def _nan_duration(record: Dict[str, object]) -> List[str]:
 
 
 def _ladder_mismatch(record: Dict[str, object]) -> List[str]:
-    sizes, misses = record.get("cache_sizes"), record.get("misses")
-    if isinstance(sizes, list) and isinstance(misses, list):
+    sizes, misses = row_ladder(record), record.get("misses")
+    if sizes is not None and isinstance(misses, list):
         if len(sizes) != len(misses):
             return [
                 f"{len(misses)} miss slot(s) for {len(sizes)} capacity "
@@ -235,7 +235,8 @@ def validate_spans_file(path: Union[str, Path]) -> ValidationReport:
 def validate_timeline_file(path: Union[str, Path]) -> ValidationReport:
     """Audit a ``timeline.jsonl`` log (codes ``timeline-torn``,
     ``timeline-schema``, including a miss vector whose length differs
-    from its capacity ladder)."""
+    from its capacity ladder: the row's ``cache_sizes`` in version 1,
+    :data:`~repro.obs.timeline.STACKDIST_LADDER` from version 2 on)."""
     return _validate_log(path, _TIMELINE)
 
 

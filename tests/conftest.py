@@ -42,6 +42,13 @@ LEGACY_ARCHIVE = Path(__file__).parent / "data" / "legacy_archive" / "perf-archi
 #: append leaves.  Nothing reads it now.
 LEGACY_EVENTS = Path(__file__).parent / "data" / "legacy_events" / "events.jsonl"
 
+#: ``timeline.jsonl`` rows as earlier versions wrote them (row format
+#: version 1, every ``stackdist`` row repeating its capacity ladder as
+#: ``cache_sizes``): the fig2 and fig5 rows of a default ``--quick
+#: --run-dir`` campaign, one attempt each.  fig5's rows segment into
+#: three phases.
+LEGACY_TIMELINE = Path(__file__).parent / "data" / "legacy_timeline" / "timeline.jsonl"
+
 
 def plant_legacy_stream(run_dir) -> Path:
     """Copy :data:`LEGACY_STREAM_DIR` to ``<run_dir>/stream``."""

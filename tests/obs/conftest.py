@@ -2,9 +2,9 @@
 
 Metrics, tracing, and console all keep deliberate process-global state
 (one registry, one ambient tracer, one console).  Every test in this
-package starts and ends with that state reset and the controlling
-environment variables unset, so tests cannot leak samples, spans, or
-log levels into each other — or into the rest of the suite.
+package starts and ends with that state reset, so tests cannot leak
+samples, spans, or a quiet console into each other — or into the rest
+of the suite.
 """
 
 from __future__ import annotations
@@ -18,20 +18,15 @@ from repro.obs import tracing as obs_tracing
 
 
 @pytest.fixture(autouse=True)
-def _obs_isolation(monkeypatch):
-    monkeypatch.delenv(obs_metrics.OBS_ENV, raising=False)
-    monkeypatch.delenv(obs_metrics.SAMPLE_ENV, raising=False)
-    monkeypatch.delenv(console.LOG_LEVEL_ENV, raising=False)
-    monkeypatch.delenv(obs_timeline.TIMELINE_ENV, raising=False)
-    monkeypatch.delenv(obs_timeline.TIMELINE_CHUNK_ENV, raising=False)
+def _obs_isolation():
     obs_metrics.set_obs_enabled(False)
     obs_metrics.get_registry().reset()
     obs_tracing.shutdown()
     obs_timeline.configure_timeline(None)
-    console.set_level(console.DEFAULT_LEVEL)
+    console.set_quiet(False)
     yield
     obs_tracing.shutdown()
     obs_timeline.configure_timeline(None)
     obs_metrics.set_obs_enabled(False)
     obs_metrics.get_registry().reset()
-    console.set_level(console.DEFAULT_LEVEL)
+    console.set_quiet(False)

@@ -6,7 +6,8 @@ active, and reads each window's row off the change in the run's
 depth histogram and counters, exactly as the profiler did before it
 derived every row from a single pass over the whole trace.  The rows
 carry every content field; the timing fields (``elapsed_s``,
-``refs_per_second``) are left out.
+``refs_per_second``) are left out.  Each ``misses`` vector indexes
+:data:`repro.obs.timeline.STACKDIST_LADDER`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.mem.stack_distance import StackDistanceRun, default_capacity_grid
+from repro.mem.stack_distance import StackDistanceRun
 from repro.mem.trace import Trace
 from repro.obs import timeline
 
@@ -36,7 +37,7 @@ def window_row(
     d_hist[: len(pre_hist)] -= pre_hist
     cum = np.cumsum(d_hist)
     hits_total = int(cum[-1])
-    grid = default_capacity_grid()
+    grid = np.asarray(timeline.STACKDIST_LADDER, dtype=np.int64)
     cap_blocks = np.minimum(grid // run.block_size, size - 1)
     hits_within = np.where(cap_blocks >= 1, cum[cap_blocks], 0)
     misses = d_total - hits_within
@@ -47,7 +48,6 @@ def window_row(
         "block_size": run.block_size,
         "ws_blocks": int(window.footprint(run.block_size)),
         "footprint_blocks": len(run._last_time),
-        "cache_sizes": [int(c) for c in grid],
         "misses": [int(m) for m in misses],
     }
     if hits_total > 0:

@@ -1,4 +1,4 @@
-"""Tests for the leveled console logger."""
+"""Tests for the console logger."""
 
 from __future__ import annotations
 
@@ -20,15 +20,6 @@ class TestLevels:
         assert captured.out == ""
         assert captured.err == "careful\nbroken\n"
 
-    def test_debug_hidden_at_default_level(self, capsys):
-        console.debug("noise")
-        assert capsys.readouterr().out == ""
-
-    def test_debug_visible_at_debug_level(self, capsys):
-        console.set_level("debug")
-        console.debug("noise")
-        assert capsys.readouterr().out == "noise\n"
-
 
 class TestQuiet:
     def test_quiet_suppresses_progress_not_warnings(self, capsys):
@@ -39,22 +30,17 @@ class TestQuiet:
         assert captured.out == ""
         assert captured.err == "still visible\n"
 
-    def test_unquiet_restores_env_level(self, capsys, monkeypatch):
-        monkeypatch.setenv(console.LOG_LEVEL_ENV, "debug")
+    def test_unquiet_restores_progress(self, capsys):
         console.set_quiet(True)
         console.set_quiet(False)
-        console.debug("back on")
+        console.info("back on")
         assert capsys.readouterr().out == "back on\n"
 
 
 class TestEnvironment:
-    def test_env_level_honored_at_construction(self, monkeypatch):
-        monkeypatch.setenv(console.LOG_LEVEL_ENV, "warning")
-        fresh = Console()
-        assert not fresh.is_enabled("info")
-        assert fresh.is_enabled("warning")
-
-    def test_unknown_level_falls_back_to_info(self):
-        fresh = Console(level="noise-level")
-        assert fresh.is_enabled("info")
-        assert not fresh.is_enabled("debug")
+    def test_env_level_is_ignored(self, monkeypatch, capsys):
+        """``--quiet`` is the one verbosity switch: the retired
+        ``REPRO_LOG_LEVEL`` variable no longer silences progress."""
+        monkeypatch.setenv("REPRO_LOG_LEVEL", "warning")
+        Console().info("progress")
+        assert capsys.readouterr().out == "progress\n"

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import metrics
 from repro.obs.metrics import Counter, Histogram, LoopSampler, MetricsRegistry
-from repro.runtime.budget import CHECK_INTERVAL
 
 
 class TestInstruments:
@@ -89,43 +88,29 @@ class TestEnableGate:
         assert snap["gauges"]["g"] == 1.5
         assert snap["histograms"]["t"]["count"] == 1
 
-    def test_env_overrides_programmatic_switch_both_ways(self, monkeypatch):
-        metrics.set_obs_enabled(False)
-        monkeypatch.setenv(metrics.OBS_ENV, "1")
-        assert metrics.obs_enabled()
-        metrics.set_obs_enabled(True)
-        monkeypatch.setenv(metrics.OBS_ENV, "0")
+    def test_obs_env_variable_is_ignored(self, monkeypatch):
+        """``--no-obs`` and the attempt spec's ``obs`` flag are the only
+        switches: the retired ``REPRO_OBS`` variable overrides nothing."""
+        monkeypatch.setenv("REPRO_OBS", "1")
         assert not metrics.obs_enabled()
-
-    def test_sample_interval_env_override(self, monkeypatch):
-        monkeypatch.setenv(metrics.SAMPLE_ENV, "4096")
-        assert metrics.sample_interval() == 4096
-        monkeypatch.setenv(metrics.SAMPLE_ENV, "not-a-number")
-        assert metrics.sample_interval() == metrics.DEFAULT_SAMPLE_INTERVAL
+        metrics.set_obs_enabled(True)
+        monkeypatch.setenv("REPRO_OBS", "0")
+        assert metrics.obs_enabled()
 
 
 class TestLoopSampler:
     def test_hot_loop_sampler_none_when_disabled(self):
         assert metrics.hot_loop_sampler("mem.x") is None
 
-    def test_stride_rounds_up_to_check_interval_multiple(self):
-        metrics.set_obs_enabled(True)
-        sampler = LoopSampler("mem.x", every=CHECK_INTERVAL + 1)
-        assert sampler.every % CHECK_INTERVAL == 0
-        assert sampler.every >= CHECK_INTERVAL + 1
-
     def test_finish_records_totals_and_throughput(self):
         metrics.set_obs_enabled(True)
         ticks = iter([0.0, 2.0])
-        sampler = LoopSampler("mem.x", every=CHECK_INTERVAL, clock=lambda: next(ticks))
-        for i in range(0, 4 * CHECK_INTERVAL, CHECK_INTERVAL):
-            sampler.tick(i)
+        sampler = LoopSampler("mem.x", clock=lambda: next(ticks))
         sampler.finish(refs=1000, misses=10)
         snap = metrics.get_registry().snapshot()
         assert snap["counters"]["mem.x.refs"] == 1000
         assert snap["counters"]["mem.x.misses"] == 10
         assert snap["counters"]["mem.x.loops"] == 1
-        assert snap["counters"]["mem.x.samples"] == 4
         assert snap["gauges"]["mem.x.last_refs_per_second"] == pytest.approx(500.0)
 
     def test_cache_hot_loop_feeds_registry(self):

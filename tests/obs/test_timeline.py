@@ -131,7 +131,7 @@ class TestPhaseDetector:
 
     def test_rows_without_ws_are_ignored(self):
         detector = tl.PhaseDetector()
-        assert detector.update({"kind": "stackdist"}) is False
+        detector.update({"kind": "stackdist"})
         assert detector.phases == []
 
     def test_per_phase_knees_from_miss_vectors(self):
@@ -189,45 +189,52 @@ class TestRecorder:
         assert rows[0]["attempt_uid"] == "fig2@1.1"
         assert "none_field" not in rows[0]
 
-    def test_gauges_and_counters_published(self, tmp_path):
+    def test_counters_published_and_nothing_derived(self, tmp_path):
+        """The recorder only appends: it counts rows and publishes no
+        working-set gauges (phases are derived where rows are read)."""
         obs_metrics.set_obs_enabled(True)
         recorder = tl.configure_timeline(tmp_path / "timeline.jsonl")
         for i in range(4):
-            recorder.record("stackdist", refs=100, ws_blocks=64, block_size=8)
+            recorder.record("stackdist", refs=100, ws_blocks=64 * 4**i, block_size=8)
         snapshot = obs_metrics.get_registry().snapshot()
-        assert snapshot["counters"]["obs.timeline.rows"] == 4
-        assert snapshot["counters"]["obs.timeline.phase_starts"] == 1
-        assert snapshot["gauges"]["mem.ws.phase"] == 1.0
-        assert snapshot["gauges"]["mem.ws.phases"] == 1.0
-        assert snapshot["gauges"]["mem.ws.estimate_bytes"] == 64 * 8
+        assert snapshot["counters"] == {"obs.timeline.rows": 4}
+        assert snapshot["gauges"] == {}
 
     def test_inactive_when_obs_disabled(self, tmp_path):
         tl.configure_timeline(tmp_path / "timeline.jsonl")
         assert not obs_metrics.obs_enabled()
         assert tl.active_recorder() is None
 
-    def test_env_handoff_roundtrip(self, tmp_path, monkeypatch):
+    def test_forked_workers_label_their_rows(self, tmp_path):
+        """The default backend's workers append to the supervisor's
+        timeline at the path their attempt spec carries, each row
+        labelled with its attempt; the supervisor's environment is left
+        alone."""
         import os
 
-        tl.configure_timeline(tmp_path / "timeline.jsonl", chunk_refs=5000)
-        assert os.environ[tl.TIMELINE_ENV] == str(tmp_path / "timeline.jsonl")
-        assert os.environ[tl.TIMELINE_CHUNK_ENV] == "5000"
-        recorder = tl.install_from_env()
-        assert recorder.path == tmp_path / "timeline.jsonl"
-        assert recorder.chunk_refs == 5000
-        tl.configure_timeline(None)
-        assert tl.TIMELINE_ENV not in os.environ
-        assert tl.TIMELINE_CHUNK_ENV not in os.environ
+        from repro.experiments.__main__ import main
+        from repro.runtime.journal import JOURNAL_FILENAME, read_journal
 
-    def test_chunk_refs_policy(self, tmp_path):
-        recorder = tl.TimelineRecorder(tmp_path / "t.jsonl")
-        assert recorder.chunk_refs_for(100) == tl.CHUNK_MIN_REFS
-        assert recorder.chunk_refs_for(64 * 10_000) == 10_000
-        assert (
-            recorder.chunk_refs_for(10**9) == tl.CHUNK_MAX_REFS
-        )
-        fixed = tl.TimelineRecorder(tmp_path / "t.jsonl", chunk_refs=777)
-        assert fixed.chunk_refs_for(10**9) == 777
+        run_dir = tmp_path / "run"
+        argv = ["--quick", "--jobs", "1", "--quiet", "--run-dir", str(run_dir)]
+        assert main(argv + ["fig2", "fig4"]) == 0
+        starts = {
+            record["experiment_id"]: record["attempt_uid"]
+            for record in read_journal(run_dir / JOURNAL_FILENAME).records
+            if record.get("type") == "attempt-start"
+        }
+        assert sorted(starts) == ["fig2", "fig4"]
+        rows = tl.read_timeline(run_dir / tl.TIMELINE_FILENAME)
+        assert {row["experiment_id"] for row in rows} == {"fig2", "fig4"}
+        for row in rows:
+            assert row["attempt_uid"] == starts[row["experiment_id"]]
+            assert row["pid"] != os.getpid()
+        assert "REPRO_TIMELINE" not in os.environ
+
+    def test_chunk_refs_policy(self):
+        assert tl.window_refs(100) == tl.CHUNK_MIN_REFS
+        assert tl.window_refs(64 * 10_000) == 10_000
+        assert tl.window_refs(10**9) == tl.CHUNK_MAX_REFS
 
     def test_write_failure_swallowed(self, tmp_path):
         obs_metrics.set_obs_enabled(True)
@@ -237,19 +244,14 @@ class TestRecorder:
         snapshot = obs_metrics.get_registry().snapshot()
         assert snapshot["counters"]["obs.timeline.write_errors"] == 4
 
-    def test_record_many_equals_one_record_per_row(self, tmp_path, monkeypatch):
+    def test_record_many_equals_one_record_per_row(self, tmp_path):
         """A batch writes the rows ``record`` would, in order, and ends
-        with the same counters and gauges, but searches knees once."""
+        with the same counters."""
         rows = [
             {"refs": 100, "ws_blocks": ws, "block_size": 8, "counted": 100,
-             "cache_sizes": [64, 128, 256], "misses": [90, 40 + i, 10]}
+             "misses": [90, 40 + i, 10]}
             for i, ws in enumerate([64] * 4 + [4096] * 4)
         ]
-        searches = []
-        summary = tl.PhaseDetector.summary
-        monkeypatch.setattr(
-            tl.PhaseDetector, "summary", lambda d: searches.append(1) or summary(d)
-        )
         obs_metrics.set_obs_enabled(True)
 
         def written(name, write):
@@ -266,16 +268,12 @@ class TestRecorder:
         each, each_metrics = written(
             "each.jsonl", lambda r: [r.record("stackdist", **row) for row in rows]
         )
-        del searches[:]
         batch, batch_metrics = written(
             "batch.jsonl", lambda r: r.record_many("stackdist", rows)
         )
-        assert len(searches) == 1
         assert batch == each
         assert [row["seq"] for row in batch] == list(range(len(rows)))
-        assert batch_metrics["counters"] == each_metrics["counters"]
-        assert batch_metrics["gauges"] == each_metrics["gauges"]
-        assert batch_metrics["gauges"]["mem.ws.phases"] == 2.0
+        assert batch_metrics == each_metrics
 
 
 class TestFaultSite:
@@ -310,21 +308,25 @@ class TestSimulatorHooks:
         return Trace(addrs, kinds)
 
     def test_chunked_profile_is_bit_identical(self, tmp_path):
-        from repro.mem.stack_distance import profile_trace
+        from repro.mem.stack_distance import StackDistanceRun, profile_trace
 
         trace = self._trace()
         baseline = profile_trace(trace)
 
         obs_metrics.set_obs_enabled(True)
-        tl.configure_timeline(tmp_path / "timeline.jsonl", chunk_refs=4096)
-        chunked = profile_trace(trace)
+        tl.configure_timeline(tmp_path / "timeline.jsonl")
+        run = StackDistanceRun()
+        run.feed(trace, row_refs=4096)
+        chunked = run.result()
         tl.configure_timeline(None)
 
         assert chunked.total == baseline.total
         rows = tl.read_timeline(tmp_path / "timeline.jsonl")
         assert len(rows) == math.ceil(30_000 / 4096)
-        # Per-chunk miss vectors sum exactly to the full-run misses.
-        for i, capacity in enumerate(rows[0]["cache_sizes"]):
+        assert all(r["v"] == 2 and "cache_sizes" not in r for r in rows)
+        # Per-chunk miss vectors, slot for slot along the ladder, sum
+        # exactly to the full-run misses.
+        for i, capacity in enumerate(tl.STACKDIST_LADDER):
             summed = sum(r["misses"][i] for r in rows)
             assert summed == baseline.misses_at(capacity // baseline.block_size)
         assert sum(r["counted"] for r in rows) == baseline.total
@@ -333,15 +335,15 @@ class TestSimulatorHooks:
         """Rows from the per-reference loop equal the kernel's but for
         their timing and framing, and neither carries a ``tier`` label:
         the rows say what was simulated, not which path simulated it."""
-        from repro.mem.stack_distance import profile_trace
+        from repro.mem.stack_distance import StackDistanceRun
         from tests.harness.loops import loops_only
 
         obs_metrics.set_obs_enabled(True)
 
         def rows(name, loops):
-            tl.configure_timeline(tmp_path / name, chunk_refs=8192)
+            tl.configure_timeline(tmp_path / name)
             with loops_only(loops):
-                profile_trace(self._trace())
+                StackDistanceRun().feed(self._trace(), row_refs=8192)
             tl.configure_timeline(None)
             drop = {"seq", "pid", "t_wall", "elapsed_s", "refs_per_second"}
             return [
@@ -489,6 +491,55 @@ class TestLoadWorkingSet:
         render_status(status)  # must not raise
 
 
+class TestLegacyTimeline:
+    """Version 1 rows (with ``cache_sizes``) read the same as the same
+    rows rewritten in version 2 (without)."""
+
+    def _run_dirs(self, tmp_path):
+        from tests.conftest import LEGACY_TIMELINE
+
+        legacy = tl.read_timeline(LEGACY_TIMELINE)
+        assert legacy and all(row["v"] == 1 for row in legacy)
+        stackdist = [row for row in legacy if row["kind"] == "stackdist"]
+        assert all(
+            row["cache_sizes"] == list(tl.STACKDIST_LADDER) for row in stackdist
+        )
+        v1, v2 = tmp_path / "v1", tmp_path / "v2"
+        for run_dir in (v1, v2):
+            run_dir.mkdir()
+        (v1 / tl.TIMELINE_FILENAME).write_bytes(LEGACY_TIMELINE.read_bytes())
+        _write_rows(
+            v2 / tl.TIMELINE_FILENAME,
+            [
+                {**{k: v for k, v in row.items() if k != "cache_sizes"}, "v": 2}
+                for row in legacy
+            ],
+        )
+        return v1, v2
+
+    def test_load_working_set_reads_both_formats_alike(self, tmp_path):
+        v1, v2 = self._run_dirs(tmp_path)
+        summary = tl.load_working_set(v1)
+        assert summary is not None and summary["knee_bytes"] is not None
+        assert tl.load_working_set(v2) == summary
+
+    def test_report_phase_tables_read_both_formats_alike(self, tmp_path):
+        from repro.obs.report import render_report
+
+        v1, v2 = self._run_dirs(tmp_path)
+
+        def section(run_dir):
+            text = render_report(run_dir)
+            start = text.index("## Temporal working sets")
+            end = text.find("\n## ", start + 1)
+            return text[start:end if end >= 0 else None]
+
+        tables = section(v1)
+        assert "### fig5: 3 phase(s)" in tables
+        assert "End-of-run knee(s)" in tables
+        assert section(v2) == tables
+
+
 class TestValidateCodes:
     def test_clean_file_passes(self, tmp_path):
         from repro.validate.artifacts import validate_timeline_file
@@ -536,16 +587,26 @@ class TestValidateCodes:
         from repro.validate.artifacts import validate_timeline_file
 
         path = tmp_path / "timeline.jsonl"
+        ladder = len(tl.STACKDIST_LADDER)
         _write_rows(
-            path, [_row(0, cache_sizes=[64, 128], misses=[5])]
+            path,
+            [
+                # Version 1: the row's own ladder.
+                _row(0, cache_sizes=[64, 128], misses=[5]),
+                # Version 2: the module ladder, one slot short.
+                _row(1, v=2, misses=[5] * (ladder - 1)),
+                _row(2, v=2, misses=[5] * ladder),
+            ],
         )
         report = validate_timeline_file(path)
         assert not report.ok
-        assert any(
-            "miss slot" in f.message
+        flagged = [
+            f.message
             for f in report.findings
-            if f.code == "timeline-schema"
-        )
+            if f.code == "timeline-schema" and "miss slot" in f.message
+        ]
+        assert [m.split(":")[0] for m in flagged] == ["record 1", "record 2"]
+        assert f"for {ladder} capacity" in flagged[1]
 
     def test_run_dir_validation_includes_timeline(self, tmp_path):
         from repro.validate.artifacts import validate_run_dir

@@ -47,18 +47,21 @@ def _trace(seed: int, refs: int, words: int) -> Trace:
     return Trace(addrs, kinds)
 
 
-def _recorded(trace, tier: str, chunk_refs: int, **params):
-    """Profile ``trace`` with a recorder on; returns the profile and its
-    rows' content fields.  The kernel takes chunks of any size."""
+def _recorded(trace, tier: str, row_refs: int, **params):
+    """Feed ``trace`` in one pass with a recorder on, one row per
+    ``row_refs`` references; returns the profile and its rows' content
+    fields.  The kernel takes chunks of any size."""
     obs_metrics.set_obs_enabled(True)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / tl.TIMELINE_FILENAME
-        tl.configure_timeline(path, chunk_refs=chunk_refs)
+        tl.configure_timeline(path)
         try:
             with loops_only(tier == "oracle"), mock.patch.object(
                 kernels, "MIN_REFS", 0
             ):
-                profile = StackDistanceProfiler(**params).profile(trace)
+                run = StackDistanceRun(**params)
+                run.feed(trace, row_refs=row_refs)
+                profile = run.result()
         finally:
             tl.configure_timeline(None)
         rows = tl.read_timeline(path)

@@ -118,6 +118,7 @@ class TestAttemptSpec:
             max_rss_mb=512,
             generation=3,
             obs=True,
+            timeline="/runs/q/timeline.jsonl",
         )
         restored = AttemptSpec.from_json(spec.to_json())
         assert restored == spec

@@ -463,6 +463,23 @@ class TestObservabilityArtifacts:
         assert report.ok, report.render()
 
 
+class TestLegacyTimeline:
+    """Timeline rows in the earlier row format (version 1, with
+    ``cache_sizes``) still validate."""
+
+    def test_legacy_timeline_adds_no_finding(self, clean_run):
+        import shutil
+
+        from tests.conftest import LEGACY_TIMELINE
+
+        before = validate_run_dir(clean_run)
+        shutil.copyfile(LEGACY_TIMELINE, clean_run / "timeline.jsonl")
+        report = validate_run_dir(clean_run)
+        assert report.ok, report.render()
+        assert report.findings == before.findings
+        assert report.checks_run > before.checks_run
+
+
 class TestLegacyStreamDir:
     """The ``stream/`` subtree that earlier versions' out-of-core mode
     left in a run directory is inert: not audited, not read as traces."""
