@@ -1,6 +1,8 @@
 """Vectorized simulation kernels vs their pure-Python oracles.
 
-Two rows per kernel (``repro.mem.kernels``):
+Two rows per kernel (``repro.mem.kernels``; the fully associative
+cache runs on the ``stackdist`` kernel, so its rows are
+``bench_fully_associative_cache`` and the ``stackdist`` pair):
 
 - ``*_oracle``: the pure-Python reference hot loop, every chunk held
   to it by ``tests.harness.loops.loops_only``;
@@ -18,7 +20,6 @@ suite: a kernel row regressing more than 10% against
 
 import numpy as np
 
-from repro.mem.cache import FullyAssociativeCache
 from repro.mem.multiproc import MultiprocessorMemory
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import profile_trace
@@ -42,11 +43,6 @@ def _bench_tier(benchmark, fn, refs, tier):
         benchmark.extra_info["refs_per_second"] = (
             refs / benchmark.stats.stats.mean
         )
-
-
-def _fullassoc():
-    trace = _random_trace()
-    return lambda: FullyAssociativeCache(1024 * 8).run(trace), len(trace)
 
 
 def _setassoc4():
@@ -89,17 +85,6 @@ def _multiproc():
     """Four processors, infinite caches, one 50K-ref interleaving."""
     traces = [_random_trace(12_500, seed=pid) for pid in range(4)]
     return lambda: MultiprocessorMemory(4).run_traces(traces), 50_000
-
-
-def bench_kernel_fullassoc_oracle(benchmark):
-    fn, refs = _fullassoc()
-    _bench_tier(benchmark, fn, refs, "oracle")
-
-
-def bench_kernel_fullassoc_vector(benchmark):
-    fn, refs = _fullassoc()
-    _bench_tier(benchmark, fn, refs, "vector")
-
 
 
 def bench_kernel_setassoc4_oracle(benchmark):

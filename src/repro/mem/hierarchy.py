@@ -11,13 +11,14 @@ important working set in the second level, and the partition-sized set
 Because every level is fully associative LRU over the same block size,
 the hierarchy obeys inclusion automatically: a level-i hit implies the
 block would hit in any larger level.  Per-level miss counts therefore
-derive from one stack-distance profile; the explicit simulator here is
-the cross-check and also yields per-level *traffic*, which the profile
-alone does not.  On a chunk in the kernel's domain
-:meth:`CacheHierarchy.run` takes one fully associative depth step per
-level over the miss stream of the level above (the ``hierarchy``
-kernel); the per-reference ``access`` loop is the reference semantics,
-and the tests hold the kernel to it.
+derive from one stack-distance profile
+(:func:`hierarchy_miss_rates_from_profile`).  :class:`CacheHierarchy`
+is the explicit cascade that the profile is checked against, and it
+also yields per-level *traffic*, which the profile alone does not:
+level 1 sees the whole chunk, and each lower level sees only the
+references that missed the level above.  Every level is a
+:class:`~repro.mem.cache.FullyAssociativeCache`, so each pass runs on
+the one depth engine.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from typing import List, Optional, Sequence
 
 from repro.mem.cache import FullyAssociativeCache
 from repro.mem.stack_distance import StackDistanceProfile
-from repro.mem.trace import READ, Trace
-from repro.obs.metrics import hot_loop_sampler
-from repro.runtime.budget import CHECK_INTERVAL, Budget, active_budget
+from repro.mem.trace import Trace
+from repro.runtime.budget import Budget
 
 
 @dataclass
@@ -74,94 +74,25 @@ class CacheHierarchy:
         self.levels = [
             FullyAssociativeCache(int(c), block_size) for c in capacities
         ]
-        self.block_size = block_size
         self.stats = [LevelStats(int(c)) for c in capacities]
         self.memory_accesses = 0
-
-    def access(self, addr: int, kind: int = READ) -> int:
-        """Issue one reference; returns the level index that hit
-        (``len(levels)`` means main memory)."""
-        hit_level = len(self.levels)
-        for index, cache in enumerate(self.levels):
-            self.stats[index].accesses += 1
-            if cache.access(addr, kind):
-                hit_level = index
-                break
-            self.stats[index].misses += 1
-        else:
-            self.memory_accesses += 1
-        return hit_level
 
     def run(self, trace: Trace, budget: Optional[Budget] = None) -> List[LevelStats]:
         """Run a whole trace through the hierarchy; returns the
         cumulative per-level stats.
 
-        ``budget`` (default: the ambient campaign budget) is polled
-        every few thousand references.
+        Each level takes one pass over the references that missed every
+        level above it.  ``budget`` (default: the ambient campaign
+        budget) is polled as each level's pass runs.  An error in one
+        level's pass leaves the levels above it advanced.
         """
-        from repro.mem import kernels
-
-        if kernels.guard_run("hierarchy", self, trace, budget=budget):
-            return self.stats
-        if budget is None:
-            budget = active_budget()
-        sampler = hot_loop_sampler("mem.hierarchy")
-        memory_before = self.memory_accesses
-        access = self.access
-        block_size = self.block_size
-        blocks = trace.block_ids(block_size).tolist()
-        kinds = trace.kinds.tolist()
-        for start in range(0, len(blocks), CHECK_INTERVAL):
-            if budget is not None:
-                budget.check("cache hierarchy simulation")
-            end = start + CHECK_INTERVAL
-            for block, kind in zip(blocks[start:end], kinds[start:end]):
-                access(block * block_size, kind)
-        if sampler is not None:
-            sampler.finish(
-                refs=len(blocks), misses=self.memory_accesses - memory_before
-            )
+        for cache, level in zip(self.levels, self.stats):
+            miss = ~cache.hit_mask(trace, budget=budget)
+            level.accesses += len(trace)
+            trace = Trace(trace.addrs[miss], trace.kinds[miss])
+            level.misses += len(trace)
+        self.memory_accesses += len(trace)
         return self.stats
-
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot: every level's cache, the
-        per-level counters and the memory access count."""
-        return {
-            "block_size": self.block_size,
-            "levels": [cache.state_dict() for cache in self.levels],
-            "stats": [
-                {
-                    "capacity_bytes": level.capacity_bytes,
-                    "accesses": level.accesses,
-                    "misses": level.misses,
-                }
-                for level in self.stats
-            ],
-            "memory_accesses": self.memory_accesses,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (geometry must match)."""
-        capacities = [cache.capacity_bytes for cache in self.levels]
-        if state.get("block_size") != self.block_size:
-            raise ValueError(
-                f"checkpoint block_size={state.get('block_size')!r} does not "
-                f"match this hierarchy's block_size={self.block_size!r}"
-            )
-        for key in ("levels", "stats"):
-            found = [entry.get("capacity_bytes") for entry in state[key]]
-            if found != capacities:
-                raise ValueError(
-                    f"checkpoint {key} capacities {found} do not match this "
-                    f"hierarchy's {capacities}"
-                )
-        for cache, level in zip(self.levels, state["levels"]):
-            cache.load_state_dict(level)
-        self.stats = [
-            LevelStats(int(s["capacity_bytes"]), int(s["accesses"]), int(s["misses"]))
-            for s in state["stats"]
-        ]
-        self.memory_accesses = int(state["memory_accesses"])
 
     @property
     def global_miss_rate(self) -> float:

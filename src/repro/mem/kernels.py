@@ -1,14 +1,17 @@
 """Columnar batch-vectorized simulation kernels.
 
-The per-reference pure-Python hot loops in :mod:`repro.mem.cache`,
-:mod:`repro.mem.setassoc`, :mod:`repro.mem.stack_distance`,
-:mod:`repro.mem.hierarchy` and :mod:`repro.mem.multiproc` are the
-reference semantics.  This module provides numpy batch implementations
-of all five: pure functions from a simulator's ``state_dict()`` plus
-one columnar chunk to the successor snapshot.  :func:`guard_run`
-dispatches a chunk to them when the chunk is in the kernel's domain
-(long enough, block ids in range, infinite coherent caches), and
-otherwise leaves it to the loop.  No option chooses between the two.
+The per-reference pure-Python hot loops in
+:mod:`repro.mem.stack_distance`, :mod:`repro.mem.setassoc` and
+:mod:`repro.mem.multiproc` are the reference semantics.  This module
+provides numpy batch implementations of all three: pure functions from
+a simulator's ``state_dict()`` plus one columnar chunk to the successor
+snapshot.  The fully associative views (:mod:`repro.mem.cache`,
+:mod:`repro.mem.hierarchy`, :mod:`repro.mem.prefetch`) read their hits
+off the stack-distance engine, so they reach the ``stackdist`` kernel
+through it.  :func:`guard_run` dispatches a chunk to a kernel when the
+chunk is in the kernel's domain (long enough, block ids in range,
+infinite coherent caches), and otherwise leaves it to the loop.  No
+option chooses between the two.
 
 Trust lives in the tests and in CI, not in the runtime.  The test
 suite compares every kernel against its loop at every chunk boundary
@@ -49,8 +52,7 @@ no other depth, so it is dropped and added back afterwards.
 The set-associative kernel takes many caches ("views") at once and
 makes one pass per distinct set count over the chunk grouped by set: a
 reference hits an A-way view iff its per-set depth is at most A
-(Mattson inclusion, set by set).  The hierarchy kernel takes one fully
-associative step per level over the miss stream of the level above.
+(Mattson inclusion, set by set).
 
 One value sort of packed int64 ``(id, position)`` keys links the
 occurrences; everything after it is int32 cumsums, compressions and
@@ -77,7 +79,7 @@ import numpy as np
 
 from repro.mem.trace import READ
 
-KERNEL_KINDS = ("fullassoc", "setassoc", "stackdist", "multiproc", "hierarchy")
+KERNEL_KINDS = ("setassoc", "stackdist", "multiproc")
 
 # Refuse to pack block ids that could overflow int64 key space.
 _MAX_BLOCK_ID = 1 << 44
@@ -251,105 +253,6 @@ def _merge_sorted_unique(base: np.ndarray, extra: np.ndarray) -> Tuple[np.ndarra
     np.not_equal(merged[1:], merged[:-1], out=keep[1:])
     unique = merged[keep]
     return unique, int(extra.size - (merged.shape[0] - unique.shape[0]))
-
-
-def _cache_stats_delta(
-    kinds: np.ndarray, hit: np.ndarray
-) -> Tuple[int, int, int, int]:
-    is_read = kinds == READ
-    reads = int(np.count_nonzero(is_read))
-    writes = int(kinds.shape[0] - reads)
-    miss = ~hit
-    read_misses = int(np.count_nonzero(miss & is_read))
-    write_misses = int(np.count_nonzero(miss) - read_misses)
-    return reads, writes, read_misses, write_misses
-
-
-def _fullassoc_step(
-    state: dict, blocks: np.ndarray, kinds: np.ndarray
-) -> Tuple[dict, np.ndarray]:
-    """One fully associative LRU chunk step: the successor snapshot and
-    the chunk's hit mask (the miss stream feeds the next hierarchy
-    level)."""
-    capacity = int(state["capacity_bytes"]) // int(state["block_size"])
-    resident = state["lru_mru_to_lru"]
-    prefix = np.asarray(resident[::-1], dtype=np.int64)  # oldest -> newest
-    f = int(prefix.shape[0])
-    ext = np.concatenate([prefix, blocks]) if f else blocks
-    depth, prev, last_mask = _stack_depths(ext)
-    hit = (prev[f:] >= 0) & (depth[f:] <= capacity)
-    reads, writes, read_misses, write_misses = _cache_stats_delta(kinds, hit)
-    # Cold misses: first-in-ext blocks never seen before.  A first-ever
-    # reference always misses, so every such block scores one cold miss.
-    new_blocks = blocks[prev[f:] < 0]
-    ever = np.asarray(state["ever_seen"], dtype=np.int64)
-    ever_new, n_cold = _merge_sorted_unique(ever, new_blocks)
-    # Final LRU contents: the capacity most recently used distinct
-    # blocks; final occurrences in position order are exactly the
-    # blocks by last access (oldest -> newest).
-    by_last_access = ext[np.flatnonzero(last_mask)]
-    mru_to_lru = by_last_access[-capacity:][::-1].tolist()
-    old = state["stats"]
-    post = {
-        "capacity_bytes": state["capacity_bytes"],
-        "block_size": state["block_size"],
-        "lru_mru_to_lru": [int(b) for b in mru_to_lru],
-        "ever_seen": ever_new.tolist(),
-        "stats": {
-            "reads": int(old["reads"]) + reads,
-            "writes": int(old["writes"]) + writes,
-            "read_misses": int(old["read_misses"]) + read_misses,
-            "write_misses": int(old["write_misses"]) + write_misses,
-            "cold_misses": int(old["cold_misses"]) + n_cold,
-        },
-    }
-    return post, hit
-
-
-def kernel_fullassoc(
-    state: dict, blocks: np.ndarray, kinds: np.ndarray
-) -> dict:
-    """Vectorized fully-associative LRU chunk step.
-
-    Pure function from a :meth:`FullyAssociativeCache.state_dict`-shaped
-    snapshot plus one columnar chunk to the successor snapshot.
-    """
-    return _fullassoc_step(state, blocks, kinds)[0]
-
-
-def kernel_hierarchy(
-    state: dict, blocks: np.ndarray, kinds: np.ndarray, budget=None
-) -> dict:
-    """Vectorized multi-level hierarchy chunk step.
-
-    Pure function over :meth:`CacheHierarchy.state_dict` snapshots.
-    Level 1 takes one fully associative step over the chunk; each lower
-    level takes one over the references that missed every level above
-    it, which is exactly the stream the per-reference ``access`` loop
-    sends down.  The budget is polled once per level.
-    """
-    levels, stats = [], []
-    for level, old in zip(state["levels"], state["stats"]):
-        if budget is not None:
-            budget.check("hierarchy kernel level")
-        post, hit = _fullassoc_step(level, blocks, kinds)
-        miss = ~hit
-        levels.append(post)
-        stats.append(
-            {
-                "capacity_bytes": old["capacity_bytes"],
-                "accesses": int(old["accesses"]) + int(blocks.shape[0]),
-                "misses": int(old["misses"]) + int(np.count_nonzero(miss)),
-            }
-        )
-        blocks = blocks[miss]
-        kinds = kinds[miss]
-    return {
-        "block_size": state["block_size"],
-        "levels": levels,
-        "stats": stats,
-        "memory_accesses": int(state["memory_accesses"]) + int(blocks.shape[0]),
-    }
 
 
 def kernel_stackdist(
@@ -894,23 +797,13 @@ def kernel_multiproc(
 
 
 KERNELS = {
-    "fullassoc": kernel_fullassoc,
     "setassoc": kernel_setassoc,
     "stackdist": kernel_stackdist,
     "multiproc": kernel_multiproc,
-    "hierarchy": kernel_hierarchy,
-}
-
-_SAMPLER_NAMES = {
-    "fullassoc": "mem.fullassoc",
-    "setassoc": "mem.setassoc",
-    "stackdist": "mem.stackdist",
-    "multiproc": "mem.multiproc",
-    "hierarchy": "mem.hierarchy",
 }
 
 #: Kernels that poll the budget between their own passes or windows.
-_BUDGETED = ("setassoc", "multiproc", "hierarchy")
+_BUDGETED = ("setassoc", "multiproc")
 
 
 # ---------------------------------------------------------------------------
@@ -935,21 +828,17 @@ _STAT_KEYS = ("reads", "writes", "read_misses", "write_misses", "cold_misses")
 
 
 def _counter_violation(
-    old: dict, new: dict, keys, n: int, reads: Optional[int]
+    old: dict, new: dict, keys, n: int, reads: int
 ) -> Optional[str]:
     """Scalar checks on one counter block over ``n`` references, of
-    which ``reads`` are reads (``None``: not known here): reads and
-    writes match, every counter is monotone, misses <= refs, cold <=
-    misses.  Written so that a NaN fails every comparison."""
+    which ``reads`` are reads: reads and writes match, every counter is
+    monotone, misses <= refs, cold <= misses.  Written so that a NaN
+    fails every comparison."""
     delta = {key: new[key] - old[key] for key in keys}
     for key, value in delta.items():
         if not value >= 0:
             return f"{key} decreased or is not a number"
-    if reads is None:
-        matched = delta["reads"] + delta["writes"] == n
-    else:
-        matched = delta["reads"] == reads and delta["writes"] == n - reads
-    if not matched:
+    if not (delta["reads"] == reads and delta["writes"] == n - reads):
         return "reads/writes do not match the chunk"
     misses = delta["read_misses"] + delta["write_misses"]
     if not misses <= n:
@@ -968,39 +857,9 @@ def _reads(kinds: np.ndarray) -> int:
     return int(np.count_nonzero(kinds == READ))
 
 
-def _hierarchy_violation(pre: dict, post: dict, kinds: np.ndarray) -> Optional[str]:
-    """Each level's accesses are the misses of the level above (the
-    chunk for L1) and its cache counters pass the cache checks over
-    them; memory takes the last level's misses."""
-    levels = len(pre["levels"])
-    if not len(post["levels"]) == len(post["stats"]) == levels:
-        return "levels do not match the hierarchy"
-    upstream, reads = int(kinds.shape[0]), _reads(kinds)
-    for index, (old, new, old_cache, new_cache) in enumerate(
-        zip(pre["stats"], post["stats"], pre["levels"], post["levels"])
-    ):
-        accesses = new["accesses"] - old["accesses"]
-        misses = new["misses"] - old["misses"]
-        cache_misses = sum(
-            new_cache["stats"][key] - old_cache["stats"][key]
-            for key in ("read_misses", "write_misses")
-        )
-        if not (accesses == upstream and misses == cache_misses):
-            return f"L{index + 1} accesses or misses do not chain"
-        reason = _counter_violation(
-            old_cache["stats"], new_cache["stats"], _STAT_KEYS, upstream, reads
-        )
-        if reason is not None:
-            return f"L{index + 1} {reason}"
-        upstream, reads = misses, None
-    if not post["memory_accesses"] - pre["memory_accesses"] == upstream:
-        return "memory accesses do not match the last level's misses"
-    return None
-
-
 def _invariant_violation(kernel: str, pre: dict, post: dict, kinds) -> Optional[str]:
-    """O(1) checks on one chunk's scalar deltas (O(P) for multiproc,
-    O(levels) for hierarchy); ``None`` when every invariant holds."""
+    """O(1) checks on one chunk's scalar deltas (O(P) for multiproc);
+    ``None`` when every invariant holds."""
     if kernel == "stackdist":
         n = int(kinds.shape[0])
         d_pos = post["pos"] - pre["pos"]
@@ -1023,8 +882,6 @@ def _invariant_violation(kernel: str, pre: dict, post: dict, kinds) -> Optional[
             if reason is not None:
                 return f"p{pid} {reason}"
         return None
-    if kernel == "hierarchy":
-        return _hierarchy_violation(pre, post, kinds)
     return _counter_violation(
         pre["stats"], post["stats"], _STAT_KEYS, int(kinds.shape[0]), _reads(kinds)
     )
@@ -1039,8 +896,6 @@ def _miss_delta(kernel: str, pre: dict, post: dict) -> int:
             for old, new in zip(pre["stats"], post["stats"])
             for key in ("read_misses", "write_misses")
         )
-    if kernel == "hierarchy":
-        return int(post["memory_accesses"]) - int(pre["memory_accesses"])
     return (
         int(post["stats"]["read_misses"])
         - int(pre["stats"]["read_misses"])
@@ -1070,8 +925,6 @@ def _prefix_bound(kernel: str, sims: list) -> int:
     (for a sweep, the widest pass's)."""
     if kernel == "stackdist":
         return len(sims[0]._last_time)
-    if kernel == "hierarchy":
-        return max(level.num_blocks for level in sims[0].levels)
     return max(sim.capacity_bytes // sim.block_size for sim in sims)
 
 
@@ -1133,7 +986,7 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
         budget = active_budget()
     if budget is not None:
         budget.check(f"{kernel} kernel chunk")
-    sampler = hot_loop_sampler(_SAMPLER_NAMES[kernel])
+    sampler = hot_loop_sampler(f"mem.{kernel}")
     extra = {"budget": budget} if kernel in _BUDGETED else {}
     extra.update(options)
     if kernel == "setassoc":

@@ -1,9 +1,9 @@
 """An O(1) LRU ordering structure.
 
-Used by the explicit cache simulators.  Python's ``OrderedDict`` provides
-the same operations, but an explicit implementation keeps the eviction
-logic auditable and lets tests assert internal invariants (doubly-linked
-list consistency) with hypothesis.
+Used by the multiprocessor memory's finite caches.  Python's
+``OrderedDict`` provides the same operations, but an explicit
+implementation keeps the eviction logic auditable and lets tests assert
+internal invariants (doubly-linked list consistency) with hypothesis.
 """
 
 from __future__ import annotations

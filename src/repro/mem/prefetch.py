@@ -17,7 +17,7 @@ data-dependent ones (volume rendering) low.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.mem.cache import FullyAssociativeCache
 from repro.mem.trace import READ, Trace
@@ -136,15 +136,14 @@ def measure_prefetch_coverage(
     Returns:
         :class:`PrefetchStats` with miss coverage.
     """
-    cache = FullyAssociativeCache(cache_bytes, block_size)
+    hits = FullyAssociativeCache(cache_bytes, block_size).hit_mask(trace)
     prefetcher = StridePrefetcher(
         block_size=block_size, region_bits=region_bits, degree=degree
     )
     stats = PrefetchStats()
-    for block, kind in zip(
-        trace.block_ids(block_size).tolist(), trace.kinds.tolist()
+    for block, kind, hit in zip(
+        trace.block_ids(block_size).tolist(), trace.kinds.tolist(), hits.tolist()
     ):
-        hit = cache.access(block * block_size, kind)
         if not hit and (kind == READ or not reads_only):
             stats.misses += 1
             if prefetcher.was_predicted(block):

@@ -324,6 +324,21 @@ class StackDistanceRun:
         except Exception:
             inc("obs.timeline.write_errors")
 
+    def feed_depths(
+        self, trace: Trace, budget: Optional[Budget] = None
+    ) -> np.ndarray:
+        """Consume one chunk like :meth:`feed` and return each
+        reference's stack depth (int32, 0 for a first touch).
+
+        A fully associative LRU cache of ``C`` blocks hits exactly the
+        references with ``0 < depth <= C`` (Mattson inclusion), so this
+        is the one engine behind every fully associative view.  Writes
+        no timeline row.
+        """
+        if len(trace) == 0:
+            return np.zeros(0, dtype=np.int32)
+        return self._feed_impl(trace, budget=budget, links=True)[0]
+
     def _timeline_rows(
         self,
         trace: Trace,

@@ -214,18 +214,39 @@ def _whole_run_knee_line(phases: List[object]) -> Optional[str]:
 
 
 def _timeline_groups(rows: List[Dict[str, object]]):
-    """``(label, latest-attempt rows)`` per experiment found in rows."""
+    """``(label, latest-attempt rows)`` per experiment found in rows.
+
+    An attempt whose rows mix block sizes (``line-size`` profiles one
+    line size after another) is one time series per block size, each
+    labelled with its size; an attempt of one block size keeps the
+    experiment's own label.
+    """
     from repro.obs.timeline import latest_attempt_rows
 
     experiment_ids = sorted(
         {str(r["experiment_id"]) for r in rows if r.get("experiment_id")}
     )
     if experiment_ids:
-        return [
+        groups = [
             (eid, latest_attempt_rows(rows, experiment_id=eid))
             for eid in experiment_ids
         ]
-    return [(None, latest_attempt_rows(rows))]
+    else:
+        groups = [(None, latest_attempt_rows(rows))]
+    split = []
+    for label, group in groups:
+        sizes = list(dict.fromkeys(r.get("block_size") for r in group))
+        if len(sizes) < 2:
+            split.append((label, group))
+            continue
+        for size in sizes:
+            split.append(
+                (
+                    f"{label or '(unlabelled rows)'} ({size} B blocks)",
+                    [r for r in group if r.get("block_size") == size],
+                )
+            )
+    return split
 
 
 def _working_set_sections(run_dir: Path) -> List[str]:

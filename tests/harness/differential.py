@@ -1,14 +1,15 @@
 """Differential cross-checks between independent cache simulators.
 
-The repository has two ways of computing a fully associative LRU miss
-count: the single-pass Mattson stack-distance profiler
-(:mod:`repro.mem.stack_distance`, Fenwick-tree based) and the explicit
-cache simulator (:mod:`repro.mem.cache`, LRU-list based).  They share
-no code beyond the trace reader, so running both on the same trace and
-demanding *exact* agreement at every sampled capacity catches
-implementation drift in either — an off-by-one in eviction, a warmup
-accounting slip, a Fenwick indexing bug — that no single-simulator test
-can see.
+A fully associative LRU miss count can be computed two independent
+ways: the single-pass Mattson stack-distance profiler
+(:mod:`repro.mem.stack_distance`, Fenwick tree and depth kernel), which
+every fully associative view in the package reads its hits off, and an
+explicit cache simulator (:class:`tests.harness.lru_oracle.OracleCache`,
+an ``OrderedDict`` recency list).  They share no code beyond the trace
+reader, so running both on the same trace and demanding *exact*
+agreement at every sampled capacity catches implementation drift in
+either — an off-by-one in eviction, a warmup accounting slip, a Fenwick
+indexing bug — that no single-simulator test can see.
 
 Two further invariants tie in the limited-associativity simulator used
 for the paper's Section 6.4 study:
@@ -37,12 +38,12 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.mem.cache import FullyAssociativeCache
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import StackDistanceProfiler
 from repro.mem.trace import Trace
 from repro.validate.oracles import validate_profile
 from repro.validate.report import ValidationReport
+from tests.harness.lru_oracle import OracleCache
 
 #: Default associativities exercised by the lower-bound check.
 DEFAULT_ASSOCIATIVITIES = (1, 2, 4)
@@ -101,8 +102,7 @@ def cross_check_trace(
     for capacity in capacities_bytes:
         capacity = int(capacity)
         predicted = profile.misses_at(capacity // block_size)
-        cache = FullyAssociativeCache(capacity, block_size)
-        simulated = cache.run(trace).misses
+        simulated = OracleCache(capacity, block_size).run(trace).misses
         report.tick()
         if predicted != simulated:
             report.add(

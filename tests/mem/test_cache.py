@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.mem.cache import FullyAssociativeCache, sweep_cache_sizes
+from repro.mem.cache import FullyAssociativeCache
 from repro.mem.trace import READ, WRITE, Trace
+from tests.conftest import random_trace
 from tests.harness.builder import ReferenceBuilder
+from tests.harness.lru_oracle import OracleCache, sweep_cache_sizes
 
 
 class TestConstruction:
@@ -38,72 +40,81 @@ class TestConstruction:
         assert cache.num_blocks == 128
 
 
+class _Twin:
+    """A cache and an oracle fed the same chunks; :meth:`hits` returns
+    the cache's hit per reference after checking it against the
+    oracle's."""
+
+    def __init__(self, capacity_bytes, block_size=8):
+        self.cache = FullyAssociativeCache(capacity_bytes, block_size)
+        self.oracle = OracleCache(capacity_bytes, block_size)
+
+    def hits(self, addrs, kinds=None):
+        kinds = [READ] * len(addrs) if kinds is None else kinds
+        trace = Trace(
+            np.asarray(addrs, dtype=np.int64), np.asarray(kinds, dtype=np.uint8)
+        )
+        hits = self.cache.hit_mask(trace).tolist()
+        assert hits == self.oracle.hit_mask(trace).tolist()
+        assert vars(self.cache.stats) == vars(self.oracle.stats)
+        return hits
+
+
 class TestAccess:
     def test_first_access_misses(self):
-        cache = FullyAssociativeCache(64)
-        assert cache.access(0) is False
-        assert cache.stats.read_misses == 1
-        assert cache.stats.cold_misses == 1
+        twin = _Twin(64)
+        assert twin.hits([0]) == [False]
+        assert twin.cache.stats.read_misses == 1
+        assert twin.cache.stats.cold_misses == 1
 
     def test_second_access_hits(self):
-        cache = FullyAssociativeCache(64)
-        cache.access(0)
-        assert cache.access(0) is True
-        assert cache.stats.reads == 2
-        assert cache.stats.read_misses == 1
+        twin = _Twin(64)
+        assert twin.hits([0, 0]) == [False, True]
+        assert twin.cache.stats.reads == 2
+        assert twin.cache.stats.read_misses == 1
 
     def test_same_block_different_addr_hits(self):
-        cache = FullyAssociativeCache(64, block_size=8)
-        cache.access(0)
-        assert cache.access(7) is True  # same 8-byte block
+        assert _Twin(64, block_size=8).hits([0, 7]) == [False, True]  # same 8-byte block
 
     def test_write_miss_counted_separately(self):
-        cache = FullyAssociativeCache(64)
-        cache.access(0, WRITE)
-        assert cache.stats.write_misses == 1
-        assert cache.stats.read_misses == 0
+        twin = _Twin(64)
+        twin.hits([0], [WRITE])
+        assert twin.cache.stats.write_misses == 1
+        assert twin.cache.stats.read_misses == 0
 
     def test_lru_eviction(self):
-        cache = FullyAssociativeCache(16, block_size=8)  # two blocks
-        cache.access(0)
-        cache.access(8)
-        cache.access(16)  # evicts block 0
-        assert not cache.contains(0)
-        assert cache.contains(8)
-        assert cache.contains(16)
+        twin = _Twin(16, block_size=8)  # two blocks
+        # 16 evicts block 0; 8 and 16 stay resident.
+        assert twin.hits([0, 8, 16, 8, 16, 0]) == [False] * 3 + [True, True, False]
 
     def test_touch_refreshes_recency(self):
-        cache = FullyAssociativeCache(16, block_size=8)
-        cache.access(0)
-        cache.access(8)
-        cache.access(0)  # block 0 now MRU
-        cache.access(16)  # evicts block 8
-        assert cache.contains(0)
-        assert not cache.contains(8)
+        twin = _Twin(16, block_size=8)
+        # Block 0 is MRU when 16 arrives, so 16 evicts block 8.
+        assert twin.hits([0, 8, 0, 16, 0, 8]) == [
+            False, False, True, False, True, False
+        ]
 
     def test_capacity_miss_vs_cold(self):
-        cache = FullyAssociativeCache(8, block_size=8)  # one block
-        cache.access(0)
-        cache.access(8)
-        cache.access(0)  # re-miss: capacity, not cold
-        assert cache.stats.cold_misses == 2
-        assert cache.stats.capacity_misses == 1
+        twin = _Twin(8, block_size=8)  # one block
+        twin.hits([0, 8, 0])  # the re-miss is capacity, not cold
+        assert twin.cache.stats.cold_misses == 2
+        assert twin.cache.stats.capacity_misses == 1
 
     def test_resident_blocks_bounded(self):
-        cache = FullyAssociativeCache(32, block_size=8)
-        for addr in range(0, 800, 8):
-            cache.access(addr)
-        assert cache.resident_blocks() <= 4
+        twin = _Twin(32, block_size=8)
+        twin.hits(list(range(0, 800, 8)))
+        # Exactly the last four blocks are resident: they hit (in any
+        # order), the fifth-last does not.
+        assert twin.hits([792, 776, 784, 768, 760]) == [True] * 4 + [False]
 
 
 class TestRun:
-    def test_run_matches_access_loop(self, looping_trace):
-        by_run = FullyAssociativeCache(256)
-        by_loop = FullyAssociativeCache(256)
-        by_run.run(looping_trace)
-        for access in looping_trace:
-            by_loop.access(access.addr, access.kind)
-        assert by_run.stats == by_loop.stats
+    def test_run_matches_the_oracle(self, looping_trace):
+        """On the loop (a short trace) and on the kernel (a long one)."""
+        for trace in (looping_trace, random_trace(3000, 80, seed=5)):
+            for capacity in (8, 64, 256, 1024):
+                stats = FullyAssociativeCache(capacity).run(trace)
+                assert vars(stats) == vars(OracleCache(capacity).run(trace))
 
     def test_full_reuse_when_fits(self, looping_trace):
         cache = FullyAssociativeCache(64 * 8)
@@ -122,18 +133,12 @@ class TestRun:
         assert stats.miss_rate == 1.0
 
     def test_reset_stats_keeps_contents(self):
-        cache = FullyAssociativeCache(256)
-        cache.access(0)
-        cache.reset_stats()
-        assert cache.stats.accesses == 0
-        assert cache.access(0) is True  # still resident
-
-    def test_flush_empties(self):
-        cache = FullyAssociativeCache(256)
-        cache.access(0)
-        cache.flush()
-        assert cache.access(0) is False
-        assert cache.stats.cold_misses == 2  # cold history also reset
+        twin = _Twin(256)
+        twin.hits([0])
+        twin.cache.reset_stats()
+        twin.oracle.reset_stats()
+        assert twin.cache.stats.accesses == 0
+        assert twin.hits([0]) == [True]  # still resident
 
 
 class TestSweep:
@@ -152,8 +157,7 @@ class TestSweep:
         assert rates[0] == 0.0
 
     def test_read_miss_rate_property(self):
-        cache = FullyAssociativeCache(8, block_size=8)
-        cache.access(0, READ)
-        cache.access(8, WRITE)
-        assert cache.stats.read_miss_rate == 1.0
-        assert cache.stats.miss_rate == 1.0
+        twin = _Twin(8, block_size=8)
+        twin.hits([0, 8], [READ, WRITE])
+        assert twin.cache.stats.read_miss_rate == 1.0
+        assert twin.cache.stats.miss_rate == 1.0

@@ -8,8 +8,9 @@ from repro.mem.hierarchy import (
     hierarchy_miss_rates_from_profile,
 )
 from repro.mem.stack_distance import profile_trace
-from repro.mem.trace import Trace, TraceBuilder
+from repro.mem.trace import Trace
 from tests.conftest import random_trace
+from tests.harness.lru_oracle import OracleHierarchy
 
 
 class TestConstruction:
@@ -24,28 +25,41 @@ class TestConstruction:
             CacheHierarchy([2048, 1024])
 
 
+def _levels(capacities, addrs):
+    """Run ``addrs`` through a hierarchy and through the oracle cascade;
+    returns the hierarchy after checking that every level's counters
+    and the memory accesses agree."""
+    trace = Trace.from_addresses(addrs)
+    hierarchy = CacheHierarchy(capacities)
+    oracle = OracleHierarchy(capacities)
+    hierarchy.run(trace)
+    oracle.run(trace)
+    assert [vars(level) for level in hierarchy.stats] == [
+        vars(level) for level in oracle.stats
+    ]
+    assert hierarchy.memory_accesses == oracle.memory_accesses
+    return hierarchy
+
+
 class TestAccess:
     def test_l1_hit(self):
-        hierarchy = CacheHierarchy([64, 256])
-        hierarchy.access(0)
-        assert hierarchy.access(0) == 0
+        hierarchy = _levels([64, 256], [0, 0])
+        assert hierarchy.stats[0].hits == 1
+        assert hierarchy.stats[1].accesses == 1  # only the first reference
 
     def test_miss_goes_to_memory(self):
-        hierarchy = CacheHierarchy([64, 256])
-        assert hierarchy.access(0) == 2  # both levels miss
+        hierarchy = _levels([64, 256], [0])  # both levels miss
+        assert [level.misses for level in hierarchy.stats] == [1, 1]
         assert hierarchy.memory_accesses == 1
 
     def test_l2_hit_after_l1_eviction(self):
-        hierarchy = CacheHierarchy([16, 1024])  # 2-block L1
-        hierarchy.access(0)
-        hierarchy.access(8)
-        hierarchy.access(16)  # evicts 0 from L1, still in L2
-        assert hierarchy.access(0) == 1
+        # 2-block L1: 16 evicts 0 from L1, but L2 still holds it.
+        hierarchy = _levels([16, 1024], [0, 8, 16, 0])
+        assert hierarchy.stats[1].hits == 1
+        assert hierarchy.memory_accesses == 3
 
     def test_level_accesses_chain(self):
-        hierarchy = CacheHierarchy([16, 256])
-        trace = Trace.from_addresses(range(0, 400, 8))
-        hierarchy.run(trace)
+        hierarchy = _levels([16, 256], range(0, 400, 8))
         assert hierarchy.stats[1].accesses == hierarchy.stats[0].misses
 
     def test_global_miss_rate(self, looping_trace):
@@ -58,15 +72,17 @@ class TestProfileEquivalence:
     @pytest.mark.parametrize("seed", range(3))
     def test_local_rates_match_explicit_sim(self, seed):
         """Inclusion: per-level local miss rates from one profile equal
-        explicit two-level simulation."""
+        the oracle's explicit two-level simulation, and so does the
+        hierarchy's cascade."""
         trace = random_trace(3000, 100, seed=seed)
         levels = [128, 2048]
         profile = profile_trace(trace)
         predicted = hierarchy_miss_rates_from_profile(profile, levels)
-        hierarchy = CacheHierarchy(levels)
-        stats = hierarchy.run(trace)
-        assert stats[0].local_miss_rate == pytest.approx(predicted[0])
-        assert stats[1].local_miss_rate == pytest.approx(predicted[1])
+        oracle = OracleHierarchy(levels).run(trace)
+        simulated = CacheHierarchy(levels).run(trace)
+        for index, level in enumerate(oracle):
+            assert level.misses / level.accesses == pytest.approx(predicted[index])
+            assert vars(simulated[index]) == vars(level)
 
     def test_empty_profile(self):
         profile = profile_trace(Trace.from_addresses([]))

@@ -7,13 +7,16 @@ configuration as much as under opt-in settings.  These tests, together
 with CI's whole-campaign parity job, are what the kernels are trusted
 on; the runtime only checks each chunk's scalar deltas, and a
 kernel result that breaks one raises before the simulator is touched.
+The fully associative views (``FullyAssociativeCache``,
+``CacheHierarchy``) run on the ``stackdist`` kernel and its loop, and
+are held to the independent oracle of ``tests.harness.lru_oracle``.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.mem import kernels
@@ -26,6 +29,7 @@ from repro.mem.trace import Trace
 from repro.runtime.errors import KernelDivergenceError
 from tests.conftest import count_kernel_calls
 from tests.harness.loops import loops_only
+from tests.harness.lru_oracle import OracleCache, OracleHierarchy
 
 
 @pytest.fixture
@@ -61,14 +65,14 @@ class TestConfig:
         monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
         assert kernels.MIN_REFS == 2048
         FullyAssociativeCache(32 * 8).run(_mixed_trace(kernels.MIN_REFS, 64))
-        assert kernel_calls["fullassoc"] == 1
+        assert kernel_calls["stackdist"] == 1
 
     @pytest.mark.parametrize("value", ["oracle", "orcale"])
     def test_kernel_tier_variable_is_ignored(self, monkeypatch, kernel_calls, value):
         """The retired switch neither forces the loops nor fails a run."""
         monkeypatch.setenv("REPRO_KERNEL_TIER", value)
         FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
-        assert kernel_calls["fullassoc"] == 1
+        assert kernel_calls["stackdist"] == 1
 
 
 class TestLoopsSeam:
@@ -80,14 +84,14 @@ class TestLoopsSeam:
             assert kernels.guard_run is not guard
             FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
         assert kernels.guard_run is guard
-        assert kernel_calls["fullassoc"] == 0
+        assert kernel_calls["stackdist"] == 0
         FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
-        assert kernel_calls["fullassoc"] == 1
+        assert kernel_calls["stackdist"] == 1
 
     def test_loops_only_reaches_every_simulator(self, kernel_calls):
         trace = _mixed_trace(kernels.MIN_REFS * 3 // 2, 96, seed=4)
         with loops_only():
-            for kind in kernels.KERNEL_KINDS:
+            for kind in _VIEWS:
                 _run_sim(kind, trace)
         assert sum(kernel_calls.values()) == 0
 
@@ -99,14 +103,15 @@ class TestGuard:
     def test_vector_tier_engages_and_matches_oracle(self, kernel_calls):
         trace = _mixed_trace(4000, 64)
         stats = FullyAssociativeCache(32 * 8).run(trace)
-        assert kernel_calls["fullassoc"] == 1
+        assert kernel_calls["stackdist"] == 1
         with loops_only():
             expected = FullyAssociativeCache(32 * 8).run(trace)
         assert stats.__dict__ == expected.__dict__
+        assert stats.__dict__ == OracleCache(32 * 8).run(trace).__dict__
 
     def test_small_chunks_stay_on_the_oracle(self, kernel_calls):
         FullyAssociativeCache(32 * 8).run(_mixed_trace(kernels.MIN_REFS - 1, 16))
-        assert kernel_calls["fullassoc"] == 0
+        assert kernel_calls["stackdist"] == 0
 
     def test_oracle_tier_never_engages(self, tiny_chunks, kernel_calls):
         with loops_only():
@@ -116,7 +121,7 @@ class TestGuard:
     def test_out_of_domain_block_ids_fall_back(self, tiny_chunks, kernel_calls):
         trace = _trace([0, 1, 2, (1 << 45)] * 300)
         stats = FullyAssociativeCache(32 * 8).run(trace)
-        assert kernel_calls["fullassoc"] == 0
+        assert kernel_calls["stackdist"] == 0
         assert stats.accesses == len(trace)
 
     def test_resident_prefix_counts_toward_max_refs(self, monkeypatch, kernel_calls):
@@ -147,6 +152,15 @@ def _split(trace, parts=3):
     return [Trace(trace.addrs[p::parts], trace.kinds[p::parts]) for p in range(parts)]
 
 
+#: Every simulator: one per kernel, plus the fully associative views
+#: that run on the ``stackdist`` kernel.
+_VIEWS = kernels.KERNEL_KINDS + ("fullassoc", "hierarchy")
+
+
+def _kernel_of(kind):
+    return "stackdist" if kind in ("fullassoc", "hierarchy") else kind
+
+
 def _new_sim(kind):
     if kind == "multiproc":
         return MultiprocessorMemory(3)
@@ -173,11 +187,25 @@ def _feed(kind, sim, trace):
         sim.run(trace)
 
 
+def _state(sim):
+    """A simulator's whole state: its snapshot, or for a fully
+    associative view its counters and its depth engine's snapshot."""
+    if isinstance(sim, CacheHierarchy):
+        return {
+            "levels": [_state(cache) for cache in sim.levels],
+            "stats": [vars(level) for level in sim.stats],
+            "memory_accesses": sim.memory_accesses,
+        }
+    if isinstance(sim, FullyAssociativeCache):
+        return {"stats": vars(sim.stats), "depths": sim._depths.state_dict()}
+    return sim.state_dict()
+
+
 def _run_sim(kind, trace):
     """Run a fresh simulator over ``trace``; return its final state."""
     sim = _new_sim(kind)
     _feed(kind, sim, trace)
-    return sim.state_dict()
+    return _state(sim)
 
 
 class TestDefaultConfiguration:
@@ -208,12 +236,8 @@ def _corrupt(kind, fault, post, n):
     else:
         if kind == "multiproc":
             stats = post["stats"][0]
-        elif kind == "setassoc":
-            stats = post[0]["stats"]  # one snapshot per cache
-        elif kind == "hierarchy":
-            stats = post["levels"][0]["stats"]
         else:
-            stats = post["stats"]
+            stats = post[0]["stats"]  # setassoc: one snapshot per cache
         misses, count = "read_misses", "reads"
     if fault == "wrong-count":  # more misses than references
         stats[misses] += n + 1
@@ -229,12 +253,14 @@ class TestFaultMatrix:
     """A kernel result that breaks a scalar invariant (misses above
     references, a decreasing counter, NaN, a count off the chunk) or a
     kernel that crashes fails the chunk loudly, and the simulator is
-    left exactly as it was, still usable on its loop."""
+    left exactly as it was, still usable on its loop.  The fully
+    associative views take the fault through the ``stackdist`` kernel."""
 
-    @pytest.mark.parametrize("kernel", kernels.KERNEL_KINDS)
+    @pytest.mark.parametrize("view", _VIEWS)
     @pytest.mark.parametrize("fault", _FAULTS)
-    def test_every_fault_is_caught_and_survived(self, kernel, fault, monkeypatch):
+    def test_every_fault_is_caught_and_survived(self, view, fault, monkeypatch):
         trace = _mixed_trace(3000, 48, seed=11)
+        kernel = _kernel_of(view)
         real = kernels.KERNELS[kernel]
 
         def faulty(state, blocks, kinds, **extra):
@@ -243,17 +269,17 @@ class TestFaultMatrix:
             return post
 
         monkeypatch.setitem(kernels.KERNELS, kernel, faulty)
-        sim = _new_sim(kernel)
-        before = _canonical(sim.state_dict())
+        sim = _new_sim(view)
+        before = _canonical(_state(sim))
         expected_error = RuntimeError if fault == "crash" else KernelDivergenceError
         with pytest.raises(expected_error):
-            kernels.guard_run(kernel, sim, _chunk_for(kernel, trace))
-        assert _canonical(sim.state_dict()) == before
+            _feed(view, sim, trace)
+        assert _canonical(_state(sim)) == before
         # The untouched simulator finishes the chunk on its loop.
         with loops_only():
-            expected = _run_sim(kernel, trace)
-            _feed(kernel, sim, trace)
-        assert _canonical(sim.state_dict()) == _canonical(expected)
+            expected = _run_sim(view, trace)
+            _feed(view, sim, trace)
+        assert _canonical(_state(sim)) == _canonical(expected)
 
 
 # -- property: byte-identical state at every chunk boundary ----------------
@@ -271,7 +297,7 @@ def _twin_check(make_vector_sim, make_oracle_sim, chunks):
             step(chunk)
             with loops_only():
                 (getattr(ora, "run", None) or ora.feed)(chunk)
-            assert _canonical(vec.state_dict()) == _canonical(ora.state_dict())
+            assert _canonical(_state(vec)) == _canonical(_state(ora))
     return calls
 
 
@@ -301,11 +327,6 @@ class TestPropertyEquivalence:
             )
         )
         chunks = _chunked(blocks, kinds, cuts)
-        _twin_check(
-            lambda: FullyAssociativeCache(4 * 8),
-            lambda: FullyAssociativeCache(4 * 8),
-            chunks,
-        )
         for ways in (1, 2, 4):
             _twin_check(
                 lambda: SetAssociativeCache(8 * 8, associativity=ways),
@@ -333,11 +354,7 @@ class TestPropertyEquivalence:
         kinds = rng.integers(0, 2, size=len(blocks)).tolist()
         cuts = [7, len(blocks) // 3, len(blocks) // 2]
         chunks = _chunked(blocks, kinds, cuts)
-        _twin_check(
-            lambda: FullyAssociativeCache(32 * 8),
-            lambda: FullyAssociativeCache(32 * 8),
-            chunks,
-        )
+        _views_match_oracle(chunks, (32, 64))
         _twin_check(
             lambda: SetAssociativeCache(32 * 8, associativity=2),
             lambda: SetAssociativeCache(32 * 8, associativity=2),
@@ -509,7 +526,11 @@ class TestChunkBoundaryInsideRun:
         )
 
     def test_fullassoc(self, seed):
-        self._check(lambda: FullyAssociativeCache(32 * 8), "fullassoc", seed)
+        blocks, kinds = _run_heavy_trace(1500, 96, seed)
+        chunks = _chunked(blocks, kinds, [_cut_inside_run(blocks)])
+        with count_kernel_calls() as calls:
+            _views_match_oracle(chunks, (32,))
+        assert calls["stackdist"] == 2 * len(chunks)  # the cache and L1
 
     @pytest.mark.parametrize("reads_only", [False, True])
     def test_stackdist_with_warmup_ending_inside_a_run(self, seed, reads_only):
@@ -737,70 +758,73 @@ class TestSweep:
         assert sweep <= single + len(trace) // 16
 
 
-# -- the hierarchy kernel --------------------------------------------------
+# -- the fully associative views on the depth engine -----------------------
 
 
-def _hierarchy(levels, history=(), history_kinds=()):
-    """A hierarchy of ``levels`` blocks per level, fed ``history`` on
-    the loops."""
-    sim = CacheHierarchy([blocks * 8 for blocks in levels])
-    if len(history):
-        with loops_only():
-            sim.run(_trace(history, history_kinds))
-    return sim
+def _views_match_oracle(chunks, levels, resets=()):
+    """Feed ``chunks`` to a ``FullyAssociativeCache`` of ``levels[0]``
+    blocks, to a ``CacheHierarchy`` of ``levels`` blocks and to their
+    oracles; hit masks, counters and memory accesses must agree after
+    every chunk.  The cache's counters are reset after chunk ``i`` when
+    ``resets[i]`` is true (the contents stay)."""
+    cache = FullyAssociativeCache(levels[0] * 8)
+    oracle = OracleCache(levels[0] * 8)
+    hierarchy = CacheHierarchy([blocks * 8 for blocks in levels])
+    oracle_levels = OracleHierarchy([blocks * 8 for blocks in levels])
+    for index, chunk in enumerate(chunks):
+        assert cache.hit_mask(chunk).tolist() == oracle.hit_mask(chunk).tolist()
+        assert vars(cache.stats) == vars(oracle.stats)
+        hierarchy.run(chunk)
+        oracle_levels.run(chunk)
+        assert [vars(level) for level in hierarchy.stats] == [
+            vars(level) for level in oracle_levels.stats
+        ]
+        assert hierarchy.memory_accesses == oracle_levels.memory_accesses
+        if index < len(resets) and resets[index]:
+            cache.reset_stats()
+            oracle.reset_stats()
 
 
-@pytest.mark.usefixtures("tiny_chunks")
-class TestHierarchyKernel:
+#: Chunk lengths on both sides of the kernels' ``MIN_REFS``.
+_CHUNK_LENGTHS = (1, 5, 64, kernels.MIN_REFS - 1, kernels.MIN_REFS, kernels.MIN_REFS + 300)
+
+
+class TestFullyAssociativeViews:
     @given(
-        blocks=block_lists,
-        cuts=cut_lists,
-        levels=st.sampled_from([(1, 2), (2, 4), (1, 2, 4), (2, 8), (4, 5)]),
-        history=st.lists(st.integers(0, 9), max_size=16),
-        data=st.data(),
+        lengths=st.lists(st.sampled_from(_CHUNK_LENGTHS), min_size=1, max_size=4),
+        footprint=st.integers(1, 400),
+        write_share=st.sampled_from([0.0, 0.3, 1.0]),
+        levels=st.sampled_from([(1, 2), (2, 4), (1, 2, 4), (4, 5), (8, 64), (32, 256)]),
+        resets=st.lists(st.booleans(), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_access_loop_at_every_boundary(
-        self, blocks, cuts, levels, history, data
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_views_match_the_oracle_at_every_boundary(
+        self, lengths, footprint, write_share, levels, resets, seed
     ):
-        """Writes, pre-loaded state and every cut: the per-level states,
-        counters and memory accesses equal the ``access`` loop's."""
-
-        def draw_kinds(refs):
-            return data.draw(
-                st.lists(st.integers(0, 1), min_size=len(refs), max_size=len(refs))
+        """Default configuration: chunks below ``MIN_REFS`` take the
+        loop, the others the kernel, and a lower level's miss stream
+        lands on either side.  Writes, every cut, and counters reset
+        between chunks."""
+        rng = np.random.default_rng(seed)
+        chunks = [
+            _trace(
+                rng.integers(0, footprint, size=n),
+                (rng.random(n) < write_share).astype(np.uint8),
             )
+            for n in lengths
+        ]
+        _views_match_oracle(chunks, levels, resets)
 
-        kinds, history_kinds = draw_kinds(blocks), draw_kinds(history)
-        chunks = _chunked(blocks, kinds, cuts)
-        calls = _twin_check(
-            lambda: _hierarchy(levels, history, history_kinds),
-            lambda: _hierarchy(levels, history, history_kinds),
-            chunks,
-        )
-        assert calls["hierarchy"] == len(chunks)
-
-    def test_lower_levels_may_see_no_references(self):
+    def test_lower_levels_may_see_no_references(self, tiny_chunks):
         """An L1 that holds the whole footprint sends nothing down."""
         chunks = [_trace([0, 1, 0, 1]), _trace([1, 0] * 5, [1, 0] * 5)]
-        calls = _twin_check(
-            lambda: _hierarchy((2, 8, 16)), lambda: _hierarchy((2, 8, 16)), chunks
-        )
-        assert calls["hierarchy"] == 2
-
-    def test_state_round_trip_and_geometry_checks(self):
-        sim = _hierarchy((4, 16), list(range(30)), [b % 2 for b in range(30)])
-        state = json.loads(json.dumps(sim.state_dict()))
-        twin = CacheHierarchy([4 * 8, 16 * 8])
-        twin.load_state_dict(state)
-        assert _canonical(twin.state_dict()) == _canonical(state)
-        assert twin.stats == sim.stats
-        with pytest.raises(ValueError):
-            CacheHierarchy([4 * 8, 32 * 8]).load_state_dict(state)
-        with pytest.raises(ValueError):
-            CacheHierarchy([4 * 8]).load_state_dict(state)
-        with pytest.raises(ValueError):
-            CacheHierarchy([4 * 16, 16 * 16], block_size=16).load_state_dict(state)
+        with count_kernel_calls() as calls:
+            _views_match_oracle(chunks, (2, 8, 16))
+        # The cache and L1 take both chunks, L2 and L3 only the first.
+        assert calls["stackdist"] == 6
 
 
 def test_assoc_study_vector_tier_equals_oracle(kernel_calls):
@@ -817,7 +841,8 @@ def test_hierarchy_design_vector_tier_equals_oracle(kernel_calls):
     from repro.experiments import hierarchy_design
 
     vector = hierarchy_design.run()
-    assert kernel_calls["hierarchy"] == 2  # one call per traced application
+    # Per traced application: one profile call and one call per level.
+    assert kernel_calls["stackdist"] == 6
     with loops_only():
         oracle = hierarchy_design.run()
     assert _canonical(vector.to_dict()) == _canonical(oracle.to_dict())
@@ -831,12 +856,12 @@ class TestEngineIntegration:
         from repro.experiments.runner import ExperimentResult
         from repro.runtime.engine import CampaignEngine, EngineConfig
 
-        def broken(state, blocks, kinds):
-            post = kernels.kernel_fullassoc(state, blocks, kinds)
-            post["stats"]["read_misses"] += len(blocks) + 1
+        def broken(state, blocks, kinds, **extra):
+            post = kernels.kernel_stackdist(state, blocks, kinds, **extra)
+            post["cold"] += len(blocks) + 1
             return post
 
-        monkeypatch.setitem(kernels.KERNELS, "fullassoc", broken)
+        monkeypatch.setitem(kernels.KERNELS, "stackdist", broken)
 
         class GuardedExperiment:
             def run(self, **kwargs):
@@ -851,4 +876,4 @@ class TestEngineIntegration:
         assert report.failed_ids == ["guarded"]
         (failure,) = report.outcome("guarded").failures
         assert failure.category == KernelDivergenceError.category
-        assert "misses exceed references" in failure.message
+        assert "cold misses outside" in failure.message

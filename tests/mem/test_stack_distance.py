@@ -1,6 +1,7 @@
 """Tests for the Mattson stack-distance profiler — including the
-equivalence property against the explicit LRU cache simulator that
-justifies using the single-pass instrument everywhere."""
+equivalence property against an explicit LRU cache (the test oracle,
+``tests.harness.lru_oracle``) that justifies using the single-pass
+instrument everywhere."""
 
 import json
 
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem import kernels
-from repro.mem.cache import FullyAssociativeCache, sweep_cache_sizes
 from repro.mem.stack_distance import (
     StackDistanceProfiler,
     StackDistanceRun,
@@ -21,6 +21,7 @@ from repro.mem.trace import READ, WRITE, Trace
 from tests.conftest import random_trace
 from tests.harness.builder import ReferenceBuilder
 from tests.harness.loops import loops_only
+from tests.harness.lru_oracle import OracleCache, sweep_cache_sizes
 
 
 class TestBasics:
@@ -141,8 +142,7 @@ class TestEquivalenceWithExplicitCache:
                 builder.write(block * 8)
         trace = builder.build()
         profile = profile_trace(trace)
-        cache = FullyAssociativeCache(capacity_blocks * 8, block_size=8)
-        stats = cache.run(trace)
+        stats = OracleCache(capacity_blocks * 8, block_size=8).run(trace)
         assert profile.misses_at(capacity_blocks) == stats.misses
 
     @given(st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=400))

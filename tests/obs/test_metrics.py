@@ -124,5 +124,6 @@ class TestLoopSampler:
         trace = Trace(addrs, np.zeros(2048, dtype=np.uint8))
         FullyAssociativeCache(1024 * 8).run(trace)
         snap = metrics.get_registry().snapshot()
-        assert snap["counters"]["mem.fullassoc.refs"] == 2048
-        assert snap["counters"]["mem.fullassoc.loops"] == 1
+        # The cache runs on the stack-distance engine.
+        assert snap["counters"]["mem.stackdist.refs"] == 2048
+        assert snap["counters"]["mem.stackdist.loops"] == 1

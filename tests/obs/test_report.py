@@ -218,43 +218,65 @@ class TestCli:
 class TestTemporalWorkingSets:
     """The per-phase knee table and the HTML sparkline section."""
 
-    def _timeline(self, run_dir, experiment_id="fig6"):
+    def _timeline(self, run_dir, experiment_id="fig6", block_sizes=(8,)):
+        """Twelve rows in two phases per block size, one block size
+        after another (as ``line-size`` profiles them)."""
         from repro.obs import timeline as tl
 
         sizes = [1024, 2048, 4096, 8192]
         rows = []
-        for i in range(12):
-            small = i < 6
-            rows.append(
-                {
-                    "v": 1,
-                    "kind": "stackdist",
-                    "seq": i,
-                    "pid": 1,
-                    "t_wall": float(i),
-                    "refs": 4096,
-                    "counted": 4096,
-                    "block_size": 8,
-                    "ws_blocks": 120 if small else 5000,
-                    "cache_sizes": sizes,
-                    "misses": [400, 50, 40, 30] if small else [4000, 3900, 3800, 500],
-                }
-            )
-            rows[-1]["experiment_id"] = experiment_id
-            rows[-1]["attempt_uid"] = f"{experiment_id}@1.1"
+        for block_size in block_sizes:
+            for i in range(12):
+                small = i < 6
+                rows.append(
+                    {
+                        "v": 1,
+                        "kind": "stackdist",
+                        "seq": len(rows),
+                        "pid": 1,
+                        "t_wall": float(len(rows)),
+                        "refs": 4096,
+                        "counted": 4096,
+                        "block_size": block_size,
+                        "ws_blocks": 120 if small else 5000,
+                        "cache_sizes": sizes,
+                        "misses": (
+                            [400, 50, 40, 30] if small else [4000, 3900, 3800, 500]
+                        ),
+                    }
+                )
+                rows[-1]["experiment_id"] = experiment_id
+                rows[-1]["attempt_uid"] = f"{experiment_id}@1.1"
         run_dir.mkdir(exist_ok=True)
         with open(run_dir / tl.TIMELINE_FILENAME, "wb") as handle:
             for row in rows:
                 handle.write(frame(tl.TIMELINE_MAGIC, row))
 
-    def test_markdown_has_per_phase_knee_table(self, tmp_path):
+    @pytest.mark.parametrize(
+        "block_sizes, headings",
+        [
+            ((8,), ["### fig6: 2 phase(s) over 12 chunk(s)"]),
+            # One time series per block size, not one spanning all.
+            (
+                (8, 32),
+                [
+                    "### fig6 (8 B blocks): 2 phase(s) over 12 chunk(s)",
+                    "### fig6 (32 B blocks): 2 phase(s) over 12 chunk(s)",
+                ],
+            ),
+        ],
+        ids=["one-block-size", "mixed-block-sizes"],
+    )
+    def test_markdown_has_per_phase_knee_table(self, tmp_path, block_sizes, headings):
         run_dir = tmp_path / "run"
-        self._timeline(run_dir)
+        self._timeline(run_dir, block_sizes=block_sizes)
         text = render_report(run_dir)
         assert "## Temporal working sets" in text
-        assert "### fig6: 2 phase(s) over 12 chunk(s)" in text
+        assert [line for line in text.splitlines() if line.startswith("### fig6")] == (
+            headings
+        )
         assert "| phase | chunks | refs | ws estimate | knee(s) | miss rate |" in text
-        assert "End-of-run" in text
+        assert text.count("End-of-run") == len(headings)
 
     def test_per_phase_knees_differ_from_end_of_run(self, tmp_path):
         """The whole point: phase knees the aggregate curve cannot show."""

@@ -434,7 +434,7 @@ class TestSimulatorHooks:
         tl.configure_timeline(tmp_path / "timeline.jsonl")
         with count_kernel_calls() as calls:
             CacheHierarchy([64 * 8, 256 * 8]).run(self._trace(refs=10_000))
-        assert calls["hierarchy"] == 1
+        assert calls["stackdist"] == 2  # one depth pass per level
         assert tl.read_timeline(tmp_path / "timeline.jsonl") == []
 
     def test_no_rows_without_recorder(self, tmp_path):

@@ -50,20 +50,17 @@ class TestCrossCheckTrace:
 
     def test_mismatch_is_reported(self, monkeypatch):
         """Sabotage the explicit simulator and verify the harness sees it."""
-        from repro.mem import cache as cache_mod
-        from tests.harness import differential
+        from tests.harness import differential, lru_oracle
 
         class FakeStats:
             def __init__(self, misses):
                 self.misses = misses
 
-        class OffByOne(cache_mod.FullyAssociativeCache):
+        class OffByOne(lru_oracle.OracleCache):
             def run(self, trace):
                 return FakeStats(super().run(trace).misses + 1)
 
-        monkeypatch.setattr(
-            differential, "FullyAssociativeCache", OffByOne
-        )
+        monkeypatch.setattr(differential, "OracleCache", OffByOne)
         report = cross_check_trace(sweep_trace(), subject="sabotaged")
         assert "differential-mismatch" in report.codes()
 

@@ -1,10 +1,12 @@
 """Property-based tests backing the differential harness.
 
-The existing equivalence tests compare the Mattson profiler against
-:class:`~repro.mem.cache.FullyAssociativeCache` — but both of those
-lean on :class:`~repro.mem.lru.LRUList`, so a bug there could cancel
-out.  The reference model here is an intentionally naive plain-Python
-list: O(n) per access, shares nothing with the instruments under test.
+The equivalence tests compare the Mattson profiler against the
+``OrderedDict`` oracle of :mod:`tests.harness.lru_oracle`;
+:class:`~repro.mem.cache.FullyAssociativeCache` reads its hits off the
+profiler's own depth engine, so a bug there could cancel out between
+the two.  The reference model here is an intentionally naive
+plain-Python list: O(n) per access, shares nothing with the instruments
+under test.
 """
 
 from __future__ import annotations
