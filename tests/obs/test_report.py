@@ -252,31 +252,29 @@ class TestTemporalWorkingSets:
             for row in rows:
                 handle.write(frame(tl.TIMELINE_MAGIC, row))
 
-    @pytest.mark.parametrize(
-        "block_sizes, headings",
-        [
-            ((8,), ["### fig6: 2 phase(s) over 12 chunk(s)"]),
-            # One time series per block size, not one spanning all.
-            (
-                (8, 32),
-                [
-                    "### fig6 (8 B blocks): 2 phase(s) over 12 chunk(s)",
-                    "### fig6 (32 B blocks): 2 phase(s) over 12 chunk(s)",
-                ],
-            ),
-        ],
-        ids=["one-block-size", "mixed-block-sizes"],
-    )
-    def test_markdown_has_per_phase_knee_table(self, tmp_path, block_sizes, headings):
+    def _fig6_headings(self, text):
+        return [line for line in text.splitlines() if line.startswith("### fig6")]
+
+    def test_markdown_has_per_phase_knee_table(self, tmp_path):
         run_dir = tmp_path / "run"
-        self._timeline(run_dir, block_sizes=block_sizes)
+        self._timeline(run_dir)
         text = render_report(run_dir)
         assert "## Temporal working sets" in text
-        assert [line for line in text.splitlines() if line.startswith("### fig6")] == (
-            headings
-        )
+        assert self._fig6_headings(text) == ["### fig6: 2 phase(s) over 12 chunk(s)"]
         assert "| phase | chunks | refs | ws estimate | knee(s) | miss rate |" in text
-        assert text.count("End-of-run") == len(headings)
+        assert text.count("End-of-run") == 1
+
+    def test_markdown_splits_mixed_block_sizes(self, tmp_path):
+        """One time series per block size, not one spanning all."""
+        run_dir = tmp_path / "run"
+        self._timeline(run_dir, block_sizes=(8, 32))
+        text = render_report(run_dir)
+        assert self._fig6_headings(text) == [
+            "### fig6 (8 B blocks): 2 phase(s) over 12 chunk(s)",
+            "### fig6 (32 B blocks): 2 phase(s) over 12 chunk(s)",
+        ]
+        assert "| phase | chunks | refs | ws estimate | knee(s) | miss rate |" in text
+        assert text.count("End-of-run") == 2
 
     def test_per_phase_knees_differ_from_end_of_run(self, tmp_path):
         """The whole point: phase knees the aggregate curve cannot show."""
