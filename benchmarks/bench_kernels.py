@@ -1,12 +1,13 @@
-"""Vectorized simulation kernels vs their pure-Python oracles.
+"""The vectorized simulation kernels (``repro.mem.kernels``).
 
-Two rows per kernel (``repro.mem.kernels``; the fully associative
-cache runs on the ``stackdist`` kernel, so its rows are
-``bench_fully_associative_cache`` and the ``stackdist`` pair):
-
-- ``*_oracle``: the pure-Python reference hot loop, every chunk held
-  to it by ``tests.harness.loops.loops_only``;
-- ``*_vector``: the columnar numpy kernel, what campaigns actually run.
+One ``*_vector`` row per kernel: the columnar numpy kernel, what
+campaigns run (the fully associative cache runs on the ``stackdist``
+kernel; its own row is ``bench_fully_associative_cache``).  The
+coherence kernel also has ``bench_kernel_multiproc_oracle``, its
+pure-Python loop held by ``tests.harness.loops.loops_only``: that loop
+stays the engine for the machines the kernel does not take.  The
+``stackdist`` and ``setassoc`` loops are test references only and are
+not timed.
 
 The random traces have almost no per-set runs, so
 ``bench_kernel_setassoc4_bh_vector`` adds a Barnes-Hut trace (the
@@ -87,15 +88,9 @@ def _multiproc():
     return lambda: MultiprocessorMemory(4).run_traces(traces), 50_000
 
 
-def bench_kernel_setassoc4_oracle(benchmark):
-    fn, refs = _setassoc4()
-    _bench_tier(benchmark, fn, refs, "oracle")
-
-
 def bench_kernel_setassoc4_vector(benchmark):
     fn, refs = _setassoc4()
     _bench_tier(benchmark, fn, refs, "vector")
-
 
 
 def bench_kernel_setassoc4_bh_vector(benchmark):
@@ -103,26 +98,14 @@ def bench_kernel_setassoc4_bh_vector(benchmark):
     _bench_tier(benchmark, fn, refs, "vector")
 
 
-def bench_kernel_directmapped_oracle(benchmark):
-    fn, refs = _directmapped()
-    _bench_tier(benchmark, fn, refs, "oracle")
-
-
 def bench_kernel_directmapped_vector(benchmark):
     fn, refs = _directmapped()
     _bench_tier(benchmark, fn, refs, "vector")
 
 
-
-def bench_kernel_stackdist_oracle(benchmark):
-    fn, refs = _stackdist()
-    _bench_tier(benchmark, fn, refs, "oracle")
-
-
 def bench_kernel_stackdist_vector(benchmark):
     fn, refs = _stackdist()
     _bench_tier(benchmark, fn, refs, "vector")
-
 
 
 def bench_kernel_multiproc_oracle(benchmark):

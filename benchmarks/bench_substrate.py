@@ -80,6 +80,10 @@ def bench_multiprocessor_memory(benchmark):
     _note_throughput(benchmark, 40_000)
 
 
+#: Interleaved instrumented/uninstrumented pairs the overhead gate times.
+OBS_OVERHEAD_PAIRS = 31
+
+
 def bench_obs_overhead_fully_associative(benchmark, tmp_path):
     """Instrumented-vs-uninstrumented hot-loop throughput.
 
@@ -123,10 +127,12 @@ def bench_obs_overhead_fully_associative(benchmark, tmp_path):
 
         # Interleave instrumented/uninstrumented pairs so both sides see
         # the same cache/thermal conditions, and gate on best-of-each
-        # (min is the noise-robust statistic for a CPU-bound loop).
+        # (min is the noise-robust statistic for a CPU-bound loop).  A
+        # run takes ~15 ms, so it takes many pairs before each arm's
+        # minimum settles below the timer noise of a shared host.
         instrumented_times = []
         baseline_times = []
-        for _ in range(7):
+        for _ in range(OBS_OVERHEAD_PAIRS):
             obs_metrics.set_obs_enabled(True)
             instrumented_times.append(timed_run())
             obs_metrics.set_obs_enabled(False)

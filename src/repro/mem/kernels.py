@@ -1,27 +1,31 @@
 """Columnar batch-vectorized simulation kernels.
 
-The per-reference pure-Python hot loops in
-:mod:`repro.mem.stack_distance`, :mod:`repro.mem.setassoc` and
-:mod:`repro.mem.multiproc` are the reference semantics.  This module
-provides numpy batch implementations of all three: pure functions from
-a simulator's ``state_dict()`` plus one columnar chunk to the successor
-snapshot.  The fully associative views (:mod:`repro.mem.cache`,
-:mod:`repro.mem.hierarchy`, :mod:`repro.mem.prefetch`) read their hits
-off the stack-distance engine, so they reach the ``stackdist`` kernel
-through it.  :func:`guard_run` dispatches a chunk to a kernel when the
-chunk is in the kernel's domain (long enough, block ids in range,
-infinite coherent caches), and otherwise leaves it to the loop.  No
-option chooses between the two.
+The numpy engines behind every simulator: pure functions from a
+simulator's ``state_dict()`` plus one columnar chunk to the successor
+snapshot.  ``stackdist`` is the only engine of
+:class:`~repro.mem.stack_distance.StackDistanceRun`, and so of every
+fully associative view (:mod:`repro.mem.cache`,
+:mod:`repro.mem.hierarchy`, :mod:`repro.mem.prefetch`), which read
+their hits off it; ``setassoc`` is the only engine of
+:class:`~repro.mem.setassoc.SetAssociativeCache`.  ``multiproc`` covers
+the infinite-cache machines of :mod:`repro.mem.multiproc`, whose
+per-reference loop stays the engine for the rest (finite caches, more
+than :data:`MULTIPROC_MAX_PROCESSORS` processors, sparse block ids).
+:func:`guard_run` is the one dispatch point.  A uniprocessor chunk
+outside its kernel's domain (a negative block id, a block id too large
+for the packed keys, a prefixed chunk of :data:`MAX_REFS` references or
+more) is an input error: ``ValueError``, simulator untouched.
 
 Trust lives in the tests and in CI, not in the runtime.  The test
-suite compares every kernel against its loop at every chunk boundary
-(hypothesis differentials, adversarial and run-heavy traces, the
-default configuration), and CI runs the whole ``--quick`` campaign
-again with every simulator held to its loop (``tests/harness/loops.py``)
-and requires identical results.  At runtime each chunk pays
-only O(1) checks on its scalar deltas; a kernel result that breaks one
-raises :class:`~repro.runtime.errors.KernelDivergenceError` and leaves
-the simulator untouched.
+suite holds every kernel to a per-reference loop over the same
+snapshots at every chunk boundary (``tests/harness/loops.py``: hypothesis
+differentials, adversarial and run-heavy traces, the default
+configuration), and CI runs the whole ``--quick`` campaign again with
+every simulator held to those loops and requires identical results.
+At runtime each chunk pays only O(1) checks on its scalar deltas; a
+kernel result that breaks one raises
+:class:`~repro.runtime.errors.KernelDivergenceError` and leaves the
+simulator untouched.
 
 Algorithm
 ---------
@@ -43,7 +47,7 @@ element's segment is the aligned block of positions holding its rank
 prefix, so a level is two stable compressions and no segment bounds
 are carried.  Cross-chunk exactness uses a synthetic prefix: the
 simulator state is fully characterised by its blocks in last-access
-order (the same invariant ``StackDistanceRun._compact`` relies on), so
+order (the state ``StackDistanceRun`` keeps), so
 prepending those blocks as synthetic references makes chunk-local
 depths equal the global ones.  The engine runs on run heads only: a
 reference repeating the block just before it has depth 1 and changes
@@ -68,7 +72,7 @@ window of the round-robin interleaving, with per-block processor
 bitmasks carried between windows (see :class:`_CoherenceState`); only
 the final LRU order uses ``argsort``.  Blocks index through a dense
 table over their span, so :func:`guard_run` leaves sparse block ids to
-the per-reference loop.
+the per-reference loop of :class:`~repro.mem.multiproc.MultiprocessorMemory`.
 """
 
 from __future__ import annotations
@@ -810,12 +814,9 @@ _BUDGETED = ("setassoc", "multiproc")
 # Domain
 # ---------------------------------------------------------------------------
 
-#: Below this many references per chunk the kernels are not worth the
-#: numpy fixed costs; the pure loops run instead.
-MIN_REFS = 2048
-
 #: The depth engine indexes the chunk plus its synthetic prefix in
-#: int32; the guard declines a prefixed chunk this long.
+#: int32; a prefixed chunk this long is an input error (the coherence
+#: kernel leaves such a chunk to its loop).
 MAX_REFS = 1 << 28
 
 
@@ -924,24 +925,54 @@ def _prefix_bound(kernel: str, sims: list) -> int:
     """At most this many residents join a chunk as its synthetic prefix
     (for a sweep, the widest pass's)."""
     if kernel == "stackdist":
-        return len(sims[0]._last_time)
+        return len(sims[0]._blocks)
     return max(sim.capacity_bytes // sim.block_size for sim in sims)
 
 
-def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
-    """Try to advance ``sim`` over ``trace`` with a vectorized kernel.
+def _check_domain(kernel: str, blocks: np.ndarray, n: int, prefix_bound: int) -> None:
+    """Raise ``ValueError`` for a uniprocessor chunk the depth engine
+    cannot take: it packs ``(id, position)`` into int64 keys, so block
+    ids must be non-negative and leave room for the position bits of
+    the prefixed chunk, which :data:`MAX_REFS` bounds."""
+    m = n + prefix_bound
+    if m >= MAX_REFS:
+        raise ValueError(
+            f"{kernel} chunk of {n} references plus up to {prefix_bound} "
+            f"resident blocks reaches MAX_REFS ({MAX_REFS}); feed it in "
+            "smaller chunks"
+        )
+    lowest = int(blocks.min())
+    if lowest < 0:
+        raise ValueError(
+            f"{kernel} chunk has block id {lowest}; block ids must be >= 0"
+        )
+    limit = min(_MAX_BLOCK_ID, (1 << 62) // _pow2ceil(m + 1))
+    highest = int(blocks.max())
+    if highest >= limit:
+        raise ValueError(
+            f"{kernel} chunk has block id {highest}; the packed keys of a "
+            f"{m}-reference prefixed chunk take block ids below {limit} "
+            f"(_MAX_BLOCK_ID = 2**44)"
+        )
 
-    The dispatch point the simulators call at the top of their hot
-    loops.  Returns ``True`` when the kernel ran and the simulator state
-    was updated (the caller is done); ``False`` when the caller must run
-    its pure-Python loop: a chunk that is small or outside the kernel's
-    domain.  For ``"setassoc"``, ``sim`` may be a list of caches of one
-    block size, advanced together over ``trace`` (a sweep).  ``options``
-    go to the kernel as keyword arguments (``links=True`` for
-    ``"stackdist"``).  A kernel result that breaks
-    a scalar invariant raises
-    :class:`~repro.runtime.errors.KernelDivergenceError`.  In every case
-    but ``True`` every simulator is untouched.
+
+def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
+    """Advance ``sim`` over ``trace`` with its vectorized kernel.
+
+    The dispatch point every simulator calls; ``True`` means the kernel
+    ran and the simulator state was updated.  A ``"stackdist"`` or
+    ``"setassoc"`` chunk always returns ``True`` (an empty one is a
+    no-op) or, outside the kernel's domain, raises ``ValueError`` (see
+    :func:`_check_domain`).  A ``"multiproc"`` chunk returns ``False``
+    when the caller must run its per-reference loop: finite caches, too
+    many processors, an empty or over-long chunk, or block ids too
+    sparse for the kernel's dense table.  For ``"setassoc"``,
+    ``sim`` may be a list of caches of one block size, advanced together
+    over ``trace`` (a sweep).  ``options`` go to the kernel as keyword
+    arguments (``links=True`` for ``"stackdist"``).  A kernel result
+    that breaks a scalar invariant raises
+    :class:`~repro.runtime.errors.KernelDivergenceError`.  Whenever it
+    does not return ``True``, every simulator is untouched.
     """
     if kernel == "multiproc":
         # Infinite caches only.
@@ -951,21 +982,8 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
         ):
             return False
         n = sum(len(t) for t in trace)
-        prefix_bound = 0
-    else:
-        sims = list(sim) if isinstance(sim, (list, tuple)) else [sim]
-        if not sims or len({s.block_size for s in sims}) != 1:
+        if n == 0 or n >= MAX_REFS:
             return False
-        n = len(trace)
-        prefix_bound = _prefix_bound(kernel, sims)
-    if n == 0 or n < MIN_REFS or n + prefix_bound >= MAX_REFS:
-        return False
-    from repro.obs import metrics as obs_metrics
-    from repro.obs.metrics import hot_loop_sampler
-    from repro.runtime.budget import active_budget
-    from repro.runtime.errors import KernelDivergenceError
-
-    if kernel == "multiproc":
         # The kernel maps blocks through a dense table over their span;
         # sparser block ids stay with the per-reference loop.
         if _multiproc_block_span(sim, trace) > max(1 << 16, 8 * n):
@@ -973,15 +991,20 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
         blocks = [t.addrs for t in trace]  # divided per window
         kinds = [t.kinds for t in trace]
     else:
+        sims = list(sim) if isinstance(sim, (list, tuple)) else [sim]
+        if not sims or len({s.block_size for s in sims}) != 1:
+            raise ValueError(f"{kernel} needs simulators of one block size")
+        n = len(trace)
+        if n == 0:
+            return True
         blocks = trace.block_ids(sims[0].block_size)
         kinds = trace.kinds
-        bmin = int(blocks.min())
-        bmax = int(blocks.max())
-        # The depth engine packs (id, position) into int64 keys; the block
-        # ids must leave room for the position bits of the prefixed chunk.
-        k = _pow2ceil(n + prefix_bound + 1)
-        if bmin < 0 or bmax >= min(_MAX_BLOCK_ID, (1 << 62) // k):
-            return False
+        _check_domain(kernel, blocks, n, _prefix_bound(kernel, sims))
+    from repro.obs import metrics as obs_metrics
+    from repro.obs.metrics import hot_loop_sampler
+    from repro.runtime.budget import active_budget
+    from repro.runtime.errors import KernelDivergenceError
+
     if budget is None:
         budget = active_budget()
     if budget is not None:

@@ -6,6 +6,12 @@ the direct-mapped capacity required to hold the important working set is
 about three times the fully associative capacity.  This module provides
 the limited-associativity instrument used to reproduce that study
 (``experiments/assoc_study.py``).
+
+Every chunk runs on the numpy ``setassoc`` kernel
+(:func:`repro.mem.kernels.kernel_setassoc`), which scores a whole sweep
+of caches from one depth pass per set count.  A per-reference loop over
+the same snapshots is kept in the tests (``tests/harness/loops.py``) as
+the reference the kernel is held to.
 """
 
 from __future__ import annotations
@@ -16,9 +22,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.mem.cache import CacheStats
-from repro.mem.trace import READ, Trace
-from repro.obs.metrics import hot_loop_sampler
-from repro.runtime.budget import CHECK_INTERVAL, Budget, active_budget
+from repro.mem.trace import Trace
+from repro.runtime.budget import Budget
 
 
 class SetAssociativeCache:
@@ -26,8 +31,9 @@ class SetAssociativeCache:
 
     ``associativity=1`` gives a direct-mapped cache.  Indexing is the
     conventional modulo scheme: block address modulo number of sets.
-    Each set is a plain list of at most ``associativity`` blocks, most
-    recently used first.
+    The cache holds the columns of its snapshot: every set's blocks,
+    most recently used first, in one flat list, the per-set counts, and
+    the sorted blocks ever seen (which tell cold misses apart).
 
     Args:
         capacity_bytes: Total capacity in bytes.
@@ -66,47 +72,22 @@ class SetAssociativeCache:
         self.block_size = block_size
         self.associativity = associativity
         self.num_sets = num_blocks // associativity
-        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
-        self._ever_seen: set = set()
+        self._orders: List[int] = []
+        self._counts: List[int] = [0] * self.num_sets
+        self._ever_seen: List[int] = []
         self.stats = CacheStats()
 
     @property
     def is_direct_mapped(self) -> bool:
         return self.associativity == 1
 
-    def access(self, addr: int, kind: int = READ) -> bool:
-        """Issue one reference.  Returns True on hit, False on miss."""
-        block = addr // self.block_size
-        cache_set = self._sets[block % self.num_sets]
-        if kind == READ:
-            self.stats.reads += 1
-        else:
-            self.stats.writes += 1
-        if cache_set and cache_set[0] == block:
-            return True
-        hit = block in cache_set
-        if hit:
-            cache_set.remove(block)
-        else:
-            if kind == READ:
-                self.stats.read_misses += 1
-            else:
-                self.stats.write_misses += 1
-            if block not in self._ever_seen:
-                self.stats.cold_misses += 1
-                self._ever_seen.add(block)
-            if len(cache_set) == self.associativity:
-                cache_set.pop()
-        cache_set.insert(0, block)
-        return hit
-
     def run(self, trace: Trace, budget: Optional[Budget] = None) -> CacheStats:
         """Run a whole trace through the cache; returns cumulative stats.
 
         Args:
             trace: The reference stream.
-            budget: Optional wall-clock :class:`Budget` polled every
-                few thousand references (defaults to the ambient
+            budget: Optional wall-clock :class:`Budget` polled once
+                per chunk and depth pass (defaults to the ambient
                 campaign budget, if any).
         """
         return self.run_many([self], trace, budget=budget)[0]
@@ -122,10 +103,10 @@ class SetAssociativeCache:
 
         Equal to ``[cache.run(trace, budget) for cache in caches]``:
         the same stats, states and timeline rows (but for their
-        timings).  On a chunk in the kernel's domain the caches share
-        one kernel call, which makes one depth pass per distinct set
-        count (see ``docs/KERNELS.md``).  Otherwise each cache runs its
-        loop, and caches of different block sizes run one by one.
+        timings).  The caches share one kernel call, which makes one
+        depth pass per distinct set count (see ``docs/KERNELS.md``);
+        caches of different block sizes run one by one.  A chunk outside
+        the kernel's domain raises ``ValueError`` and changes no cache.
         """
         caches = list(caches)
         if len({cache.block_size for cache in caches}) != 1:
@@ -139,9 +120,7 @@ class SetAssociativeCache:
             for cache in caches
         ]
         t0 = time.perf_counter()
-        if not kernels.guard_run("setassoc", caches, trace, budget=budget):
-            for cache in caches:
-                cache._run_loop(trace, budget=budget)
+        kernels.guard_run("setassoc", caches, trace, budget=budget)
         if recorder is not None:
             # One footprint for the whole sweep; the rows share its time.
             elapsed = (time.perf_counter() - t0) / len(caches)
@@ -164,37 +143,8 @@ class SetAssociativeCache:
                 )
         return [cache.stats for cache in caches]
 
-    def _run_loop(
-        self, trace: Trace, budget: Optional[Budget] = None
-    ) -> CacheStats:
-        """The per-reference loop: the reference semantics."""
-        if budget is None:
-            budget = active_budget()
-        sampler = hot_loop_sampler("mem.setassoc")
-        misses_before = self.stats.misses
-        accesses_before = self.stats.accesses
-        access = self.access
-        addrs = trace.addrs.tolist()
-        kinds = trace.kinds.tolist()
-        for start in range(0, len(addrs), CHECK_INTERVAL):
-            if budget is not None:
-                budget.check("set-associative cache simulation")
-            end = start + CHECK_INTERVAL
-            for addr, kind in zip(addrs[start:end], kinds[start:end]):
-                access(addr, kind)
-        if sampler is not None:
-            sampler.finish(
-                refs=self.stats.accesses - accesses_before,
-                misses=self.stats.misses - misses_before,
-            )
-        return self.stats
-
     def reset_stats(self) -> None:
         self.stats = CacheStats()
-
-    def flush(self) -> None:
-        self._sets = [[] for _ in range(self.num_sets)]
-        self._ever_seen = set()
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of every set, history and stats.
@@ -202,16 +152,13 @@ class SetAssociativeCache:
         Per-set recency orders are flattened into one list plus a
         per-set length vector to keep the JSON shallow.
         """
-        orders = []
-        for cache_set in self._sets:
-            orders.extend(cache_set)
         return {
             "capacity_bytes": self.capacity_bytes,
             "block_size": self.block_size,
             "associativity": self.associativity,
-            "set_orders_mru_to_lru": orders,
-            "set_counts": [len(cache_set) for cache_set in self._sets],
-            "ever_seen": sorted(self._ever_seen),
+            "set_orders_mru_to_lru": list(self._orders),
+            "set_counts": list(self._counts),
+            "ever_seen": list(self._ever_seen),
             "stats": {
                 "reads": self.stats.reads,
                 "writes": self.stats.writes,
@@ -267,9 +214,9 @@ class SetAssociativeCache:
                     "another set"
                 )
             raise ValueError(f"checkpoint set {index} holds a block twice")
-        flat = orders.tolist()
-        ends = np.cumsum(counts).tolist()
-        sets = [flat[end - count : end] for end, count in zip(ends, counts.tolist())]
-        self._sets = sets
-        self._ever_seen = {int(b) for b in state["ever_seen"]}
+        self._orders = orders.tolist()
+        self._counts = counts.tolist()
+        self._ever_seen = np.unique(
+            np.asarray(state["ever_seen"], dtype=np.int64)
+        ).tolist()
         self.stats = CacheStats(**{k: int(v) for k, v in state["stats"].items()})

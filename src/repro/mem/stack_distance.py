@@ -13,49 +13,23 @@ The paper sweeps cache sizes and looks for knees in the resulting curve
 (Section 2.2); this profiler is how we make that sweep tractable in
 Python.
 
-Implementation: a Fenwick (binary-indexed) tree over reference
-timestamps holds a one at every block's most recent access time.  Every
-live timestamp precedes the current time ``t``, so the blocks touched
-strictly after ``prev`` are ``live - prefix(prev)``, and the depth is
-that plus one: a single prefix walk per reference.  The tree is built
-lazily, only when the pure-Python loop actually runs, so chunks that
-the vectorized kernels handle (``repro.mem.kernels``) never pay
-for it.
+Implementation: the numpy ``stackdist`` kernel
+(:func:`repro.mem.kernels.kernel_stackdist`) advances the profile over
+each chunk in a few whole-array passes.  A per-reference Fenwick-tree
+loop over the same snapshots is kept in the tests
+(``tests/harness/loops.py``) as the reference the kernel is held to.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mem.trace import READ, Trace
-from repro.obs.metrics import hot_loop_sampler
-from repro.runtime.budget import CHECK_INTERVAL, Budget, active_budget
-
-
-def _fenwick_of_ones(count: int, capacity: int) -> List[int]:
-    """Fenwick tree over ``capacity`` slots with ones in ``[0, count)``.
-
-    Returned as a plain list, 1-based (element 0 unused), because scalar
-    indexing of a list is several times cheaper than of a numpy array.
-    Node ``i`` sums slots ``(i - lowbit(i), i]``: every node up to
-    ``count`` covers only ones, and the nodes above it that still
-    overlap the prefix are exactly the update path of slot ``count``.
-    """
-    if count > capacity:
-        raise ValueError("count cannot exceed capacity")
-    nodes = np.arange(count + 1, dtype=np.int64)
-    tree = (nodes & -nodes).tolist()
-    tree += [0] * (capacity - count)
-    i = count + (count & -count)
-    while 0 < i <= capacity:
-        tree[i] = count - (i - (i & -i))
-        i += i & -i
-    return tree
+from repro.runtime.budget import Budget
 
 
 @dataclass
@@ -163,8 +137,8 @@ class StackDistanceProfiler:
         Args:
             trace: The reference stream.
             budget: Optional wall-clock :class:`Budget` polled
-                cooperatively every few thousand references (defaults
-                to the ambient campaign budget, if any); raises
+                cooperatively once per chunk (defaults to the ambient
+                campaign budget, if any); raises
                 :class:`~repro.runtime.errors.BudgetExceeded` when the
                 deadline passes.
         """
@@ -174,7 +148,6 @@ class StackDistanceProfiler:
             block_size=self.block_size,
             count_reads_only=self.count_reads_only,
             warmup=self.warmup,
-            capacity_hint=len(trace),
         )
         recorder = obs_timeline.active_recorder()
         run.feed(
@@ -190,23 +163,13 @@ class StackDistanceProfiler:
 class StackDistanceRun:
     """Incremental stack-distance engine with bounded, serializable state.
 
-    The classic single-pass algorithm indexes its Fenwick tree by raw
-    reference timestamp, so the tree grows with the *trace*.  The saving
-    observation: the tree slot for time ``i`` holds 1 exactly when ``i``
-    is some block's most recent access time, so the entire tree is a
-    function of the ``last_time`` map alone.  Depths depend only on the *relative order* of last
-    accesses, which lets us compact: renumber the live timestamps to
-    ``0..F-1`` (order preserved), rebuild the tree linearly, and keep
-    going — results are bit-identical while memory stays
-    ``O(footprint + chunk)`` instead of ``O(trace)``.
-
-    The same property makes checkpoints small: :meth:`state_dict`
-    renumbers first, so a snapshot is just the blocks in last-access
-    order plus the histogram — no tree, no raw timestamps.  It also
-    makes the tree disposable: renumbering drops it, and :meth:`feed`
-    rebuilds it (in linear time) only when the pure-Python loop runs.
-    A kernel chunk goes snapshot → kernel → restore without
-    ever touching a tree.
+    Depths depend only on the *relative order* of the blocks' last
+    accesses, so the whole state is the blocks in last-access order plus
+    the histogram and counters: ``O(footprint)``, never ``O(trace)``.
+    :meth:`state_dict` hands that state out as is, and every chunk goes
+    snapshot -> ``stackdist`` kernel -> :meth:`load_state_dict`, which
+    prepends the resident blocks to the chunk as synthetic references
+    (see ``docs/KERNELS.md``).
 
     Feed chunks with :meth:`feed`; finish with :meth:`result`.
     """
@@ -216,7 +179,6 @@ class StackDistanceRun:
         block_size: int = 8,
         count_reads_only: bool = False,
         warmup: int = 0,
-        capacity_hint: int = 0,
     ) -> None:
         if block_size <= 0 or (block_size & (block_size - 1)) != 0:
             raise ValueError("block_size must be a positive power of two")
@@ -225,13 +187,9 @@ class StackDistanceRun:
         self.block_size = block_size
         self.count_reads_only = count_reads_only
         self.warmup = warmup
-        # Fenwick tree over timestamps, built on demand by _compact();
-        # None whenever _last_time has been renumbered without one.
-        self._tree: Optional[List[int]] = None
-        self._last_time: Dict[int, int] = {}
-        self._clock = 0  # next free tree timestamp (resets on compaction)
+        self._blocks: List[int] = []  # resident blocks, least recent first
         self._pos = 0  # total references fed (never resets; drives warmup)
-        self._hist = np.zeros(max(int(capacity_hint) + 2, 1024), dtype=np.int64)
+        self._hist = np.zeros(1, dtype=np.int64)
         self._cold = 0
         self._total = 0
         # The last kernel chunk's (depth, prev), when it was asked for.
@@ -240,46 +198,6 @@ class StackDistanceRun:
     @property
     def refs_fed(self) -> int:
         return self._pos
-
-    def _grow_hist(self, size: int) -> None:
-        if len(self._hist) < size:
-            grown = np.zeros(size, dtype=np.int64)
-            grown[: len(self._hist)] = self._hist
-            self._hist = grown
-
-    def _renumber(self) -> List[int]:
-        """Renumber live timestamps to ``0..F-1``; returns the blocks in
-        last-access order.
-
-        Order-preserving, so every subsequent depth is unchanged.  A
-        tree indexed by the old timestamps is dropped.
-        """
-        last_time = self._last_time
-        footprint = len(last_time)
-        if self._clock == footprint:
-            # Already dense: no block was re-accessed since the last
-            # renumbering, so insertion order is last-access order.
-            return list(last_time)
-        blocks = np.fromiter(last_time, dtype=np.int64, count=footprint)
-        stamps = np.fromiter(last_time.values(), dtype=np.int64, count=footprint)
-        ordered = blocks[np.argsort(stamps)].tolist()
-        self._last_time = dict(zip(ordered, range(footprint)))
-        self._clock = footprint
-        self._tree = None
-        return ordered
-
-    def _compact(self, incoming: int) -> None:
-        """Renumber live timestamps and build a tree with room for
-        ``incoming`` more references plus at least ``footprint`` slack,
-        so compactions stay rare.
-
-        The size is a power of two, so any two update paths merge at or
-        below the root, which the loop's paired update walk relies on.
-        """
-        self._renumber()
-        footprint = len(self._last_time)
-        need = max(2 * footprint + incoming, 4096)
-        self._tree = _fenwick_of_ones(footprint, 1 << (need - 1).bit_length())
 
     def feed(
         self,
@@ -292,7 +210,7 @@ class StackDistanceRun:
         When a timeline recorder is active (``repro.obs.timeline``),
         the chunk also lands one row per window of ``row_refs``
         references (default: the whole chunk is one window).  The chunk
-        is still fed in one pass: kernel and loop both hand back every
+        is still fed in one pass: the kernel hands back every
         reference's depth and in-chunk previous reference, and by
         Mattson inclusion those give each window's counts, per-capacity
         misses, depth percentiles and working set exactly as feeding
@@ -307,7 +225,7 @@ class StackDistanceRun:
             self._feed_impl(trace, budget=budget)
             return
         pos0 = self._pos
-        footprint0 = len(self._last_time)
+        footprint0 = len(self._blocks)
         t0 = time.perf_counter()
         depth, prev = self._feed_impl(trace, budget=budget, links=True)
         elapsed = time.perf_counter() - t0
@@ -433,85 +351,15 @@ class StackDistanceRun:
     def _feed_impl(
         self, trace: Trace, budget: Optional[Budget] = None, links: bool = False
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Advance over one chunk (kernel or loop).  With ``links``
-        returns the chunk's int32 ``(depth, prev)`` (see
-        :meth:`_timeline_rows`); otherwise ``None``."""
+        """Advance over one chunk on the ``stackdist`` kernel.  With
+        ``links`` returns the chunk's int32 ``(depth, prev)`` (see
+        :meth:`_timeline_rows`); otherwise ``None``.  A chunk outside
+        the kernel's domain raises ``ValueError`` and changes nothing."""
         from repro.mem import kernels
 
-        if kernels.guard_run("stackdist", self, trace, budget=budget, links=links):
-            chunk_links, self._links = self._links, None
-            return chunk_links
-        if budget is None:
-            budget = active_budget()
-        n = len(trace)
-        if n == 0:
-            return None
-        blocks = trace.block_ids(self.block_size).tolist()
-        if self._tree is None or self._clock + n > len(self._tree) - 1:
-            self._compact(n)
-        tree = self._tree
-        size = len(tree) - 1
-        last_time = self._last_time
-        get = last_time.get
-        live = len(last_time)
-        t0 = self._clock
-        # One depth per reference (0 marks a cold miss); the counted
-        # subset is histogrammed with a single bincount afterwards.
-        # The previous reference's timestamp (-1: none) rides along for
-        # timeline rows.
-        depths = array("q")
-        push = depths.append
-        prevs = array("q")
-        push_prev = prevs.append
-        sampler = hot_loop_sampler("mem.stackdist")
-        for start in range(0, n, CHECK_INTERVAL):
-            if budget is not None:
-                budget.check("stack-distance profiling")
-            window = blocks[start : start + CHECK_INTERVAL]
-            for t, block in enumerate(window, t0 + start):
-                j = t + 1  # tree node of slot t
-                prev = get(block)
-                if prev is None:
-                    live += 1
-                    push(0)
-                    push_prev(-1)
-                    while j <= size:
-                        tree[j] += 1
-                        j += j & -j
-                else:
-                    # Live slots are all < t, so the blocks touched
-                    # strictly after prev number live - prefix(prev).
-                    i = prev + 1
-                    below = 0
-                    while i:
-                        below += tree[i]
-                        i &= i - 1
-                    push(live - below + 1)
-                    push_prev(prev)
-                    # Move prev's one to t.  With a power-of-two size
-                    # both update paths merge below the root, and above
-                    # the merge the -1 and +1 cancel.
-                    i = prev + 1
-                    while i != j:
-                        if i < j:
-                            tree[i] -= 1
-                            i += i & -i
-                        else:
-                            tree[j] += 1
-                            j += j & -j
-                last_time[block] = t
-        self._clock = t0 + n
-        depth = np.frombuffer(depths, dtype=np.int64)
-        cold = self._tally(trace, depth)
-        self._pos += n
-        if sampler is not None:
-            sampler.finish(refs=n, misses=cold)
-        if not links:
-            return None
-        # Timestamps t0.. are this chunk's references, in order.
-        prev = np.frombuffer(prevs, dtype=np.int64) - t0
-        np.maximum(prev, -1, out=prev)
-        return depth.astype(np.int32), prev.astype(np.int32)
+        kernels.guard_run("stackdist", self, trace, budget=budget, links=links)
+        chunk_links, self._links = self._links, None
+        return chunk_links
 
     def _counted(self, trace: Trace, pos: int) -> np.ndarray:
         """Mask of a chunk's references that enter the histogram, for a
@@ -523,18 +371,6 @@ class StackDistanceRun:
         if self.count_reads_only:
             counted &= trace.kinds == READ
         return counted
-
-    def _tally(self, trace: Trace, depths: np.ndarray) -> int:
-        """Fold one chunk's per-reference depths into the histogram;
-        returns the chunk's counted cold misses."""
-        kept = depths[self._counted(trace, self._pos)]
-        counts = np.bincount(kept)
-        cold = int(counts[0]) if counts.size else 0
-        self._grow_hist(counts.size)
-        self._hist[1 : counts.size] += counts[1:]
-        self._cold += cold
-        self._total += int(kept.size)
-        return cold
 
     def result(self) -> StackDistanceProfile:
         """The profile over everything fed so far (histogram trimmed)."""
@@ -548,14 +384,9 @@ class StackDistanceRun:
         )
 
     def state_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot; renumbers first so it is small.
-
-        The ``last_time`` map serializes as just the blocks in
-        last-access order — after renumbering their timestamps are
-        exactly ``0..F-1``, so order alone reconstructs the map *and*
-        the tree.
-        """
-        ordered = self._renumber()
+        """JSON-serializable snapshot: the parameters, the counters, the
+        blocks in last-access order (least recent first) and the
+        trimmed histogram."""
         nonzero = np.nonzero(self._hist)[0]
         top = int(nonzero[-1]) if nonzero.size else 0
         return {
@@ -565,7 +396,7 @@ class StackDistanceRun:
             "pos": self._pos,
             "cold": self._cold,
             "total": self._total,
-            "blocks_by_last_access": ordered,
+            "blocks_by_last_access": list(self._blocks),
             "hist": self._hist[: top + 1].tolist(),
         }
 
@@ -579,18 +410,12 @@ class StackDistanceRun:
                 )
         # Every producer (state_dict, the kernel, the JSON snapshot
         # decoder) hands over Python ints: no per-block conversion.
-        blocks = state["blocks_by_last_access"]
-        self._last_time = dict(zip(blocks, range(len(blocks))))
-        self._tree = None
-        self._clock = len(blocks)
+        self._blocks = list(state["blocks_by_last_access"])
         self._pos = int(state["pos"])
         self._cold = int(state["cold"])
         self._total = int(state["total"])
-        hist = np.asarray(state["hist"], dtype=np.int64)
-        self._hist = np.zeros(max(len(hist), 1024), dtype=np.int64)
-        self._hist[: len(hist)] = hist
+        self._hist = np.asarray(state["hist"], dtype=np.int64)
         self._links = state.get("links")
-
 
 def profile_trace(
     trace: Trace,

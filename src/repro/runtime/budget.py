@@ -1,10 +1,10 @@
 """Cooperative wall-clock budgets for trace-driven experiments.
 
-A :class:`Budget` bounds how long one experiment may run.  Because the
-simulation loops are pure Python (no signals, no threads), enforcement
-is *cooperative*: the engine installs the budget as the ambient budget
-(:func:`activate`), and the hot loops in :mod:`repro.mem` poll it every
-few thousand iterations via :func:`check_active_budget`, raising
+A :class:`Budget` bounds how long one experiment may run.  Enforcement
+is *cooperative* (no signals, no threads): the engine installs the
+budget as the ambient budget (:func:`activate`), and the simulators in
+:mod:`repro.mem` poll it between units of work (every kernel chunk,
+depth pass, coherence window or interleaving round), raising
 :class:`~repro.runtime.errors.BudgetExceeded` once the deadline passes.
 A hang (or a full-size experiment that is simply too large for its
 budget) therefore surfaces as an ordinary, catchable exception, which
@@ -21,13 +21,6 @@ import time
 from typing import Callable, Iterator, Optional
 
 from repro.runtime.errors import BudgetExceeded
-
-#: How many loop iterations the simulation loops run between deadline
-#: polls.  Must be a power of two (the loops test ``i & MASK == 0``).
-CHECK_INTERVAL = 8192
-
-#: Bitmask form of :data:`CHECK_INTERVAL` for the hot loops.
-CHECK_MASK = CHECK_INTERVAL - 1
 
 
 class Budget:
@@ -89,9 +82,9 @@ class Budget:
         return f"Budget({limit}, elapsed={self.elapsed():.3g}s)"
 
 
-#: The ambient budget consulted by the simulation loops.  A plain
+#: The ambient budget consulted by the simulators.  A plain
 #: module-level slot (not a contextvar): the campaign engine is
-#: single-threaded by design, and the loops must read it cheaply.
+#: single-threaded by design, and the simulators read it cheaply.
 _active: Optional[Budget] = None
 
 

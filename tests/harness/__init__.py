@@ -8,6 +8,8 @@
 - :mod:`tests.harness.chaos` — the SIGKILL/resume and disk-fault chaos
   gate over real CLI processes;
 - :mod:`tests.harness.fuzz` — seeded fuzzing of the artifact readers;
+- :mod:`tests.harness.loops` — the per-reference loops the kernels
+  are held to, and ``loops_only`` to run every simulator on them;
 - :mod:`tests.harness.corpus` and :mod:`tests.harness.differential` —
   the pinned trace corpus and the simulator cross-checks run over it;
 - :mod:`tests.harness.cli` — ``python -m tests.harness.cli``, the real

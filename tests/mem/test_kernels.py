@@ -2,14 +2,15 @@
 
 The contract under test (see ``docs/KERNELS.md``): the columnar numpy
 kernels in :mod:`repro.mem.kernels` must be *byte-identical* to the
-pure-Python hot loops at every chunk boundary, in the default
-configuration as much as under opt-in settings.  These tests, together
-with CI's whole-campaign parity job, are what the kernels are trusted
-on; the runtime only checks each chunk's scalar deltas, and a
-kernel result that breaks one raises before the simulator is touched.
-The fully associative views (``FullyAssociativeCache``,
-``CacheHierarchy``) run on the ``stackdist`` kernel and its loop, and
-are held to the independent oracle of ``tests.harness.lru_oracle``.
+per-reference loops of ``tests.harness.loops`` (and, for ``multiproc``,
+to ``MultiprocessorMemory``'s own loop) at every chunk boundary.  These
+tests, together with CI's whole-campaign parity job, are what the
+kernels are trusted on; the runtime only checks each chunk's scalar
+deltas, and a kernel result that breaks one raises before the
+simulator is touched.  A chunk outside a kernel's domain is an input
+error.  The fully associative views (``FullyAssociativeCache``,
+``CacheHierarchy``) run on the ``stackdist`` kernel, and are held to
+the independent oracle of ``tests.harness.lru_oracle``.
 """
 
 import json
@@ -30,12 +31,6 @@ from repro.runtime.errors import KernelDivergenceError
 from tests.conftest import count_kernel_calls
 from tests.harness.loops import loops_only
 from tests.harness.lru_oracle import OracleCache, OracleHierarchy
-
-
-@pytest.fixture
-def tiny_chunks(monkeypatch):
-    """Let the kernels take chunks of any size."""
-    monkeypatch.setattr(kernels, "MIN_REFS", 0)
 
 
 def _trace(blocks, kinds=None):
@@ -63,8 +58,7 @@ def _canonical(state):
 class TestConfig:
     def test_defaults_from_empty_environment(self, monkeypatch, kernel_calls):
         monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
-        assert kernels.MIN_REFS == 2048
-        FullyAssociativeCache(32 * 8).run(_mixed_trace(kernels.MIN_REFS, 64))
+        FullyAssociativeCache(32 * 8).run(_mixed_trace(2048, 64))
         assert kernel_calls["stackdist"] == 1
 
     @pytest.mark.parametrize("value", ["oracle", "orcale"])
@@ -89,11 +83,35 @@ class TestLoopsSeam:
         assert kernel_calls["stackdist"] == 1
 
     def test_loops_only_reaches_every_simulator(self, kernel_calls):
-        trace = _mixed_trace(kernels.MIN_REFS * 3 // 2, 96, seed=4)
+        trace = _mixed_trace(3072, 96, seed=4)
         with loops_only():
             for kind in _VIEWS:
                 _run_sim(kind, trace)
         assert sum(kernel_calls.values()) == 0
+
+    def test_loops_only_writes_no_kernel_chunk_counter(self):
+        """``status`` reports a kernel from ``mem.kernel.<kind>.chunks``;
+        on the loops no kernel runs, so none is written."""
+        from repro.obs import metrics as obs_metrics
+
+        trace = _mixed_trace(3072, 96, seed=4)
+        obs_metrics.set_obs_enabled(True)
+        registry = obs_metrics.get_registry()
+        registry.reset()
+        try:
+            with loops_only():
+                for kind in _VIEWS:
+                    _run_sim(kind, trace)
+            loops = registry.snapshot()["counters"]
+            for kind in _VIEWS:
+                _run_sim(kind, trace)
+            kernel = registry.snapshot()["counters"]
+        finally:
+            registry.reset()
+        assert not [name for name in loops if name.startswith("mem.kernel.")]
+        assert {
+            name for name in kernel if name.startswith("mem.kernel.")
+        } == {f"mem.kernel.{kind}.chunks" for kind in kernels.KERNEL_KINDS}
 
 
 # -- guard engagement ------------------------------------------------------
@@ -109,24 +127,31 @@ class TestGuard:
         assert stats.__dict__ == expected.__dict__
         assert stats.__dict__ == OracleCache(32 * 8).run(trace).__dict__
 
-    def test_small_chunks_stay_on_the_oracle(self, kernel_calls):
-        FullyAssociativeCache(32 * 8).run(_mixed_trace(kernels.MIN_REFS - 1, 16))
-        assert kernel_calls["stackdist"] == 0
+    @pytest.mark.parametrize("length", [1, 5, 64, 2047])
+    def test_small_chunks_take_the_kernel(self, kernel_calls, length):
+        trace = _mixed_trace(length, 16)
+        stats = FullyAssociativeCache(32 * 8).run(trace)
+        assert kernel_calls["stackdist"] == 1
+        assert stats.__dict__ == OracleCache(32 * 8).run(trace).__dict__
 
-    def test_oracle_tier_never_engages(self, tiny_chunks, kernel_calls):
+    def test_oracle_tier_never_engages(self, kernel_calls):
         with loops_only():
             profile_trace(_mixed_trace(4000, 64))
         assert kernel_calls["stackdist"] == 0
 
-    def test_out_of_domain_block_ids_fall_back(self, tiny_chunks, kernel_calls):
-        trace = _trace([0, 1, 2, (1 << 45)] * 300)
-        stats = FullyAssociativeCache(32 * 8).run(trace)
-        assert kernel_calls["stackdist"] == 0
-        assert stats.accesses == len(trace)
+    @pytest.mark.parametrize("block", [-1, 1 << 45], ids=["negative", "too-large"])
+    def test_out_of_domain_block_ids_are_rejected(self, kernel_calls, block):
+        sim = StackDistanceRun()
+        sim.feed(_trace([0, 1, 2] * 10))
+        before = _canonical(sim.state_dict())
+        with pytest.raises(ValueError, match="block id"):
+            kernels.guard_run("stackdist", sim, _trace([0, 1, 2, block] * 300))
+        assert _canonical(sim.state_dict()) == before
+        assert kernel_calls["stackdist"] == 1
 
     def test_resident_prefix_counts_toward_max_refs(self, monkeypatch, kernel_calls):
         """The engine runs on the chunk plus its synthetic prefix, so a
-        chunk below ``MAX_REFS`` is declined once the blocks already seen
+        chunk below ``MAX_REFS`` is rejected once the blocks already seen
         push the prefixed length over it."""
         rng = np.random.default_rng(9)
         first = _trace(rng.permutation(3000))  # 3000 distinct blocks
@@ -136,15 +161,61 @@ class TestGuard:
         sim = StackDistanceRun()
         sim.feed(first)
         before = _canonical(sim.state_dict())
-        assert kernels.guard_run("stackdist", sim, second) is False
+        with pytest.raises(ValueError, match="MAX_REFS"):
+            kernels.guard_run("stackdist", sim, second)
         assert _canonical(sim.state_dict()) == before
-        sim.feed(second)  # declined again: the per-reference loop runs
         assert kernel_calls["stackdist"] == 2
-        with loops_only():
-            oracle = StackDistanceRun()
-            oracle.feed(first)
-            oracle.feed(second)
-        assert _canonical(sim.state_dict()) == _canonical(oracle.state_dict())
+
+
+def _domain_entry(entry):
+    """``(feed, state)`` for a warmed simulator behind one uniprocessor
+    entry point, 40 blocks resident: ``StackDistanceRun.feed``,
+    ``FullyAssociativeCache.run`` (32 blocks) or
+    ``SetAssociativeCache.run_many`` over a sweep whose widest cache
+    holds 32 blocks."""
+    warm = _trace(list(range(40)) * 3)
+    if entry == "stackdist":
+        sim = StackDistanceRun()
+        sim.feed(warm)
+        return sim.feed, lambda: _canonical(sim.state_dict())
+    if entry == "fullassoc":
+        cache = FullyAssociativeCache(32 * 8)
+        cache.run(warm)
+        return cache.run, lambda: _canonical(_state(cache))
+    caches = _geometry_caches([(8, 1), (8, 4), (16, 2)])
+    SetAssociativeCache.run_many(caches, warm)
+    return (
+        lambda chunk: SetAssociativeCache.run_many(caches, chunk),
+        lambda: _states(caches),
+    )
+
+
+@pytest.mark.parametrize("entry", ["stackdist", "fullassoc", "setassoc"])
+class TestDomainErrors:
+    """A chunk outside the kernels' domain is an input error at every
+    uniprocessor entry point: ``ValueError`` naming the limit, no
+    kernel call, and the simulator left as it was."""
+
+    def _rejects(self, entry, chunk, match, kernel_calls):
+        feed, state = _domain_entry(entry)
+        before, calls = state(), sum(kernel_calls.values())
+        with pytest.raises(ValueError, match=match):
+            feed(chunk)
+        assert state() == before
+        assert sum(kernel_calls.values()) == calls
+
+    def test_negative_block_id(self, entry, kernel_calls):
+        self._rejects(entry, _trace([3, 1, -2, 5]), "must be >= 0", kernel_calls)
+
+    def test_block_id_beyond_the_packed_keys(self, entry, kernel_calls):
+        chunk = _trace([3, kernels._MAX_BLOCK_ID, 5])
+        self._rejects(entry, chunk, "_MAX_BLOCK_ID", kernel_calls)
+
+    def test_prefixed_chunk_reaching_max_refs(self, entry, kernel_calls, monkeypatch):
+        """980 references alone fit under a ``MAX_REFS`` of 1000; with
+        the 32 or 40 resident blocks of the prefix they do not."""
+        monkeypatch.setattr(kernels, "MAX_REFS", 1000)
+        self._rejects(entry, _trace(list(range(980))), "MAX_REFS", kernel_calls)
 
 
 def _split(trace, parts=3):
@@ -213,7 +284,7 @@ class TestDefaultConfiguration:
 
     @pytest.mark.parametrize("kind", kernels.KERNEL_KINDS)
     def test_min_refs_chunk_takes_the_vector_tier_and_matches_oracle(self, kind):
-        trace = _mixed_trace(kernels.MIN_REFS * 3 // 2, 96, seed=4)
+        trace = _mixed_trace(3072, 96, seed=4)
         sim = _new_sim(kind)
         assert kernels.guard_run(kind, sim, _chunk_for(kind, trace)) is True
         with loops_only():
@@ -314,7 +385,6 @@ block_lists = st.lists(st.integers(0, 7), min_size=1, max_size=60)
 cut_lists = st.lists(st.integers(0, 60), max_size=4)
 
 
-@pytest.mark.usefixtures("tiny_chunks")
 class TestPropertyEquivalence:
     @given(blocks=block_lists, cuts=cut_lists, data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -507,7 +577,6 @@ class TestStackDepthEngine:
         assert np.array_equal(depth[prev >= 0], full_depth[prev >= 0])
 
 
-@pytest.mark.usefixtures("tiny_chunks")
 @pytest.mark.parametrize("seed", [0, 1, 2])
 class TestChunkBoundaryInsideRun:
     """Run-heavy traces cut inside a run: the second chunk's first block
@@ -588,7 +657,6 @@ geometry_lists = st.lists(
 history_lists = st.lists(st.lists(st.integers(0, 11), max_size=12), max_size=6)
 
 
-@pytest.mark.usefixtures("tiny_chunks")
 class TestSweep:
     """``SetAssociativeCache.run_many``: one kernel call for many caches,
     one depth pass per set count, exact for any loaded states."""
@@ -785,8 +853,8 @@ def _views_match_oracle(chunks, levels, resets=()):
             oracle.reset_stats()
 
 
-#: Chunk lengths on both sides of the kernels' ``MIN_REFS``.
-_CHUNK_LENGTHS = (1, 5, 64, kernels.MIN_REFS - 1, kernels.MIN_REFS, kernels.MIN_REFS + 300)
+#: Chunk lengths from one reference to a few thousand.
+_CHUNK_LENGTHS = (1, 5, 64, 2047, 2048, 2348)
 
 
 class TestFullyAssociativeViews:
@@ -804,10 +872,9 @@ class TestFullyAssociativeViews:
     def test_views_match_the_oracle_at_every_boundary(
         self, lengths, footprint, write_share, levels, resets, seed
     ):
-        """Default configuration: chunks below ``MIN_REFS`` take the
-        loop, the others the kernel, and a lower level's miss stream
-        lands on either side.  Writes, every cut, and counters reset
-        between chunks."""
+        """Default configuration: every chunk takes the kernel, whatever
+        its length, and so does a lower level's miss stream.  Writes,
+        every cut, and counters reset between chunks."""
         rng = np.random.default_rng(seed)
         chunks = [
             _trace(
@@ -818,7 +885,7 @@ class TestFullyAssociativeViews:
         ]
         _views_match_oracle(chunks, levels, resets)
 
-    def test_lower_levels_may_see_no_references(self, tiny_chunks):
+    def test_lower_levels_may_see_no_references(self):
         """An L1 that holds the whole footprint sends nothing down."""
         chunks = [_trace([0, 1, 0, 1]), _trace([1, 0] * 5, [1, 0] * 5)]
         with count_kernel_calls() as calls:

@@ -159,13 +159,6 @@ class TestEvictionDirectoryConsistency:
 # -- snapshots and the columnar coherence kernel ---------------------------
 
 
-@pytest.fixture
-def vector_tier(monkeypatch, kernel_calls):
-    """The kernels on every chunk size; yields the kernel calls."""
-    monkeypatch.setattr(kernels, "MIN_REFS", 0)
-    return kernel_calls
-
-
 def _state(mem):
     return json.dumps(mem.state_dict(), sort_keys=True)
 
@@ -225,7 +218,7 @@ class TestCoherenceKernel:
         touched = set()
         with mock.patch.object(
             kernels, "MULTIPROC_WINDOW_REFS", window
-        ), mock.patch.object(kernels, "MIN_REFS", 0), count_kernel_calls() as runs:
+        ), count_kernel_calls() as runs:
             for call in calls:
                 traces = [_trace(refs, spread) for refs in call]
                 touched.update(b for refs in call for b, _ in refs)
@@ -244,11 +237,11 @@ class TestCoherenceKernel:
                 ]
                 assert _state(vec) == _state(ora)
 
-    def test_kernel_engages_once_per_call(self, vector_tier):
+    def test_kernel_engages_once_per_call(self, kernel_calls):
         mem = MultiprocessorMemory(2)
         mem.run_traces([_trace([(0, WRITE)] * 5), _trace([(0, READ)] * 3)])
         mem.run_traces([_trace([(1, READ)]), _trace([])])
-        assert vector_tier["multiproc"] == 2
+        assert kernel_calls["multiproc"] == 2
 
     @pytest.mark.parametrize(
         "make",
@@ -258,14 +251,14 @@ class TestCoherenceKernel:
         ],
         ids=["finite-caches", "too-many-processors"],
     )
-    def test_out_of_domain_machines_use_the_loop(self, vector_tier, make):
+    def test_out_of_domain_machines_use_the_loop(self, kernel_calls, make):
         mem, procs = make()
         traces = [_trace([(p, WRITE), (0, READ)]) for p in range(procs)]
         mem.run_traces(traces)
-        assert vector_tier["multiproc"] == 0
+        assert kernel_calls["multiproc"] == 0
         assert mem.aggregate().accesses == 2 * procs
 
-    def test_sparse_block_ids_use_the_loop(self, vector_tier):
+    def test_sparse_block_ids_use_the_loop(self, kernel_calls):
         """The span counts blocks already held in the machine's state."""
         mem = MultiprocessorMemory(2)
         with loops_only():
@@ -275,7 +268,7 @@ class TestCoherenceKernel:
             mem.run_traces(traces)
             with loops_only():
                 ora.run_traces(traces)
-        assert vector_tier["multiproc"] == 1
+        assert kernel_calls["multiproc"] == 1
         assert _state(mem) == _state(ora)
 
 
@@ -284,7 +277,7 @@ class TestBarnesHutPhases:
     the end-to-end benchmark draws from."""
 
     @pytest.mark.parametrize("seed", [5, 15, 35, 37])
-    def test_phase_states_match_oracle(self, seed, vector_tier):
+    def test_phase_states_match_oracle(self, seed, kernel_calls):
         from repro.apps.barnes_hut.trace import BarnesHutTraceGenerator
 
         gen = BarnesHutTraceGenerator.from_plummer(256, seed=seed, num_processors=4)
@@ -303,10 +296,10 @@ class TestBarnesHutPhases:
                 ora.reset_stats()
                 ora.run_traces(traces)
             assert _state(vec) == _state(ora)
-        assert vector_tier["multiproc"] == 3
+        assert kernel_calls["multiproc"] == 3
 
 
-def test_budget_expiring_inside_the_kernel_propagates(vector_tier):
+def test_budget_expiring_inside_the_kernel_propagates(kernel_calls):
     """The kernel polls the budget once per window; a deadline there is
     the campaign's, not a kernel divergence."""
     import itertools

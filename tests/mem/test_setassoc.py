@@ -1,5 +1,11 @@
-"""Tests for set-associative and direct-mapped caches."""
+"""Tests for set-associative and direct-mapped caches.
 
+Tiny traces go through ``run`` (the ``setassoc`` kernel), and every
+cache's counters and state are held to the per-reference loop of
+``tests.harness.loops`` started from the same snapshot.
+"""
+
+import numpy as np
 import pytest
 
 from repro.mem.cache import FullyAssociativeCache
@@ -7,6 +13,20 @@ from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.trace import Trace
 from tests.conftest import random_trace
 from tests.harness.builder import ReferenceBuilder
+from tests.harness.loops import setassoc_loop
+
+
+def _run(cache, blocks):
+    """Read ``blocks`` (8-byte block ids) through ``cache``; its state
+    and counters must equal the loop's.  Returns the chunk's misses."""
+    trace = Trace(
+        np.asarray(blocks, dtype=np.int64) * 8, np.zeros(len(blocks), dtype=np.uint8)
+    )
+    (expected,) = setassoc_loop([cache.state_dict()], trace.block_ids(8), trace.kinds)
+    misses = cache.stats.misses
+    cache.run(trace)
+    assert cache.state_dict() == expected
+    return cache.stats.misses - misses
 
 
 class TestConstruction:
@@ -48,17 +68,12 @@ class TestConflicts:
         cache even though it has free space elsewhere."""
         cache = SetAssociativeCache(64, block_size=8, associativity=1)
         # Blocks 0 and 8 both map to set 0 of 8 sets.
-        for _ in range(4):
-            cache.access(0 * 8)
-            cache.access(8 * 8)
-        assert cache.stats.misses == 8  # every access misses
+        assert _run(cache, [0, 8] * 4) == 8  # every access misses
 
     def test_two_way_absorbs_that_conflict(self):
         cache = SetAssociativeCache(64, block_size=8, associativity=2)
-        for _ in range(4):
-            cache.access(0 * 8)
-            cache.access(4 * 8)  # same set in a 4-set cache
-        assert cache.stats.misses == 2  # cold only
+        # Blocks 0 and 4 share a set in a 4-set cache.
+        assert _run(cache, [0, 4] * 4) == 2  # cold only
 
     def test_full_associativity_equals_fa_cache(self):
         trace = random_trace(3000, 50, seed=11)
@@ -83,26 +98,19 @@ class TestConflicts:
 
     def test_cold_miss_classification(self):
         cache = SetAssociativeCache(64, block_size=8, associativity=1)
-        cache.access(0)
-        cache.access(64)  # conflicts with block 0
-        cache.access(0)  # conflict miss, not cold
+        # Block 8 conflicts with block 0; the second 0 is a conflict
+        # miss, not a cold one.
+        assert _run(cache, [0, 8, 0]) == 3
         assert cache.stats.cold_misses == 2
-        assert cache.stats.misses == 3
 
 
 class TestLifecycle:
     def test_reset_stats(self):
         cache = SetAssociativeCache(64, block_size=8)
-        cache.access(0)
+        _run(cache, [0])
         cache.reset_stats()
         assert cache.stats.accesses == 0
-        assert cache.access(0) is True
-
-    def test_flush(self):
-        cache = SetAssociativeCache(64, block_size=8)
-        cache.access(0)
-        cache.flush()
-        assert cache.access(0) is False
+        assert _run(cache, [0]) == 0  # the contents stay: a hit
 
     def test_run_returns_stats(self):
         builder = ReferenceBuilder()

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem import kernels
 from repro.mem.stack_distance import (
     StackDistanceProfiler,
     StackDistanceRun,
@@ -197,8 +196,9 @@ def _brute_force(trace, warmup, count_reads_only):
 
 
 class TestOracleAgainstBruteForce:
-    """The Fenwick oracle against an independent list-based Mattson
-    stack, fed in chunks that force tree rebuilds and growth."""
+    """The Fenwick-tree loop of ``tests.harness.loops`` against an
+    independent list-based Mattson stack, fed in chunks of 1 to 2,500
+    references on resident prefixes of every size."""
 
     @pytest.mark.parametrize(
         "seed, warmup, count_reads_only",
@@ -222,9 +222,10 @@ class TestOracleAgainstBruteForce:
 
 
 class TestLazyTreeTransitions:
-    """Chunks alternating between the vector kernel and the oracle loop,
-    with snapshots in between: the tree is dropped, rebuilt and grown,
-    and the run stays byte-identical to an all-oracle run."""
+    """Chunks alternating between the kernel and the Fenwick-tree loop,
+    with snapshots in between: the loop builds its tree from each
+    snapshot it is handed, and the run stays byte-identical to an
+    all-loop run."""
 
     CHUNKS = [3000, 2000, 50, 4200, 1, 9000, 7, 6000, 6000, 300]
     TIERS = ["oracle", "oracle", "vector", "oracle", "vector",
@@ -240,48 +241,19 @@ class TestLazyTreeTransitions:
                 run.state_dict()
             start += size
 
-    def test_mixed_tiers_match_all_oracle(
-        self, kernel_calls, monkeypatch
-    ):
+    def test_mixed_tiers_match_all_oracle(self, kernel_calls):
         trace = _local_trace(sum(self.CHUNKS), 3000, seed=7)
-        monkeypatch.setattr(kernels, "MIN_REFS", 0)
         oracle = StackDistanceRun(count_reads_only=True, warmup=2600)
         self._feed_all(oracle, trace, ["oracle"] * len(self.CHUNKS))
 
         mixed = StackDistanceRun(count_reads_only=True, warmup=2600)
-        rebuilds = []
-        compact = mixed._compact
-
-        def spy(incoming):
-            before = None if mixed._tree is None else len(mixed._tree)
-            compact(incoming)
-            rebuilds.append((before, len(mixed._tree)))
-
-        mixed._compact = spy
         self._feed_all(mixed, trace, self.TIERS, self.SNAPSHOT_AFTER)
 
         assert kernel_calls["stackdist"] == self.TIERS.count("vector")
-        # Some rebuilds start from scratch, others grow a live tree.
-        assert any(before is None for before, _ in rebuilds)
-        assert any(
-            before is not None and after > before for before, after in rebuilds
-        )
         assert _canonical(mixed) == _canonical(oracle)
         np.testing.assert_array_equal(
             mixed.result().depth_histogram, oracle.result().depth_histogram
         )
-
-    def test_snapshot_leaves_a_valid_tree_alone(self):
-        """Snapshots of a dense state (no re-access since the last
-        renumbering) keep the tree; sparse ones drop it."""
-        run = StackDistanceRun()
-        with loops_only():
-            run.feed(Trace.from_addresses([0, 8, 16]))
-            assert run.state_dict()["blocks_by_last_access"] == [0, 1, 2]
-            assert run._tree is not None
-            run.feed(Trace.from_addresses([0]))
-        assert run.state_dict()["blocks_by_last_access"] == [1, 2, 0]
-        assert run._tree is None
 
 
 class TestCapacityGrid:

@@ -4,7 +4,8 @@ one-pass row derivation in :meth:`repro.mem.stack_distance.StackDistanceRun.feed
 Feeds a profile's windows one at a time, with no timeline recorder
 active, and reads each window's row off the change in the run's
 depth histogram and counters, exactly as the profiler did before it
-derived every row from a single pass over the whole trace.  The rows
+derived every row from a single pass over the whole trace; the
+footprint is the oracle's own count of the distinct blocks fed.  The rows
 carry every content field; the timing fields (``elapsed_s``,
 ``refs_per_second``) are left out.  Each ``misses`` vector indexes
 :data:`repro.obs.timeline.STACKDIST_LADDER`.
@@ -27,8 +28,10 @@ def window_row(
     pre_hist: np.ndarray,
     pre_cold: int,
     pre_total: int,
+    footprint: int,
 ) -> Dict[str, object]:
-    """The row for ``window``, just fed to ``run`` from the given state."""
+    """The row for ``window``, just fed to ``run`` from the given state;
+    ``footprint`` counts the distinct blocks fed through ``window``."""
     d_cold = run._cold - pre_cold
     d_total = run._total - pre_total
     size = max(len(run._hist), len(pre_hist))
@@ -47,7 +50,7 @@ def window_row(
         "cold": int(d_cold),
         "block_size": run.block_size,
         "ws_blocks": int(window.footprint(run.block_size)),
-        "footprint_blocks": len(run._last_time),
+        "footprint_blocks": footprint,
         "misses": [int(m) for m in misses],
     }
     if hits_total > 0:
@@ -70,11 +73,13 @@ def windowed_rows(
         block_size=block_size, count_reads_only=count_reads_only, warmup=warmup
     )
     rows = []
+    seen = set()
     for start in range(0, len(trace), step):
         window = Trace(
             trace.addrs[start : start + step], trace.kinds[start : start + step]
         )
         pre = (run._hist.copy(), run._cold, run._total)
         run.feed(window)
-        rows.append(window_row(run, window, *pre))
+        seen.update(window.block_ids(block_size).tolist())
+        rows.append(window_row(run, window, *pre, len(seen)))
     return rows

@@ -50,15 +50,13 @@ def _trace(seed: int, refs: int, words: int) -> Trace:
 def _recorded(trace, tier: str, row_refs: int, **params):
     """Feed ``trace`` in one pass with a recorder on, one row per
     ``row_refs`` references; returns the profile and its rows' content
-    fields.  The kernel takes chunks of any size."""
+    fields."""
     obs_metrics.set_obs_enabled(True)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / tl.TIMELINE_FILENAME
         tl.configure_timeline(path)
         try:
-            with loops_only(tier == "oracle"), mock.patch.object(
-                kernels, "MIN_REFS", 0
-            ):
+            with loops_only(tier == "oracle"):
                 run = StackDistanceRun(**params)
                 run.feed(trace, row_refs=row_refs)
                 profile = run.result()

@@ -104,12 +104,6 @@ class TestKernelTier:
     """The checks pass on the kernels and, inside ``loops_only``, on the
     per-reference loops."""
 
-    @pytest.fixture(autouse=True)
-    def _tiny_chunks(self, monkeypatch):
-        from repro.mem import kernels
-
-        monkeypatch.setattr(kernels, "MIN_REFS", 0)
-
     def test_vector_tier_engages_and_passes(self, kernel_calls):
         from tests.conftest import random_trace
 
