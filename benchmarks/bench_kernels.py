@@ -2,12 +2,9 @@
 
 One ``*_vector`` row per kernel: the columnar numpy kernel, what
 campaigns run (the fully associative cache runs on the ``stackdist``
-kernel; its own row is ``bench_fully_associative_cache``).  The
-coherence kernel also has ``bench_kernel_multiproc_oracle``, its
-pure-Python loop held by ``tests.harness.loops.loops_only``: that loop
-stays the engine for the machines the kernel does not take.  The
-``stackdist`` and ``setassoc`` loops are test references only and are
-not timed.
+kernel; its own row is ``bench_fully_associative_cache``).  Each kernel
+is the only engine of its simulators; the per-reference loops of
+``tests.harness.loops`` are test references only and are not timed.
 
 The random traces have almost no per-set runs, so
 ``bench_kernel_setassoc4_bh_vector`` adds a Barnes-Hut trace (the
@@ -25,7 +22,6 @@ from repro.mem.multiproc import MultiprocessorMemory
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import profile_trace
 from repro.mem.trace import Trace
-from tests.harness.loops import loops_only
 
 def _random_trace(num_refs=50_000, num_blocks=4096, seed=0):
     rng = np.random.default_rng(seed)
@@ -34,12 +30,10 @@ def _random_trace(num_refs=50_000, num_blocks=4096, seed=0):
     return Trace(addrs, kinds)
 
 
-def _bench_tier(benchmark, fn, refs, tier):
-    with loops_only(tier == "oracle"):
-        fn()  # warmup
-        benchmark(fn)
+def _bench(benchmark, fn, refs):
+    fn()  # warmup
+    benchmark(fn)
     benchmark.extra_info["refs"] = refs
-    benchmark.extra_info["kernel_tier"] = tier
     if benchmark.stats and benchmark.stats.stats.mean:
         benchmark.extra_info["refs_per_second"] = (
             refs / benchmark.stats.stats.mean
@@ -90,30 +84,25 @@ def _multiproc():
 
 def bench_kernel_setassoc4_vector(benchmark):
     fn, refs = _setassoc4()
-    _bench_tier(benchmark, fn, refs, "vector")
+    _bench(benchmark, fn, refs)
 
 
 def bench_kernel_setassoc4_bh_vector(benchmark):
     fn, refs = _setassoc4_barnes_hut()
-    _bench_tier(benchmark, fn, refs, "vector")
+    _bench(benchmark, fn, refs)
 
 
 def bench_kernel_directmapped_vector(benchmark):
     fn, refs = _directmapped()
-    _bench_tier(benchmark, fn, refs, "vector")
+    _bench(benchmark, fn, refs)
 
 
 def bench_kernel_stackdist_vector(benchmark):
     fn, refs = _stackdist()
-    _bench_tier(benchmark, fn, refs, "vector")
-
-
-def bench_kernel_multiproc_oracle(benchmark):
-    fn, refs = _multiproc()
-    _bench_tier(benchmark, fn, refs, "oracle")
+    _bench(benchmark, fn, refs)
 
 
 def bench_kernel_multiproc_vector(benchmark):
     fn, refs = _multiproc()
-    _bench_tier(benchmark, fn, refs, "vector")
+    _bench(benchmark, fn, refs)
 

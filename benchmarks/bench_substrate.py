@@ -17,7 +17,6 @@ from repro.apps.lu.factor import blocked_lu, random_diagonally_dominant
 from repro.apps.volrend.render import render_frame
 from repro.apps.volrend.volume import synthetic_head
 from repro.mem.cache import FullyAssociativeCache
-from repro.mem.multiproc import MultiprocessorMemory
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import profile_trace
 from repro.mem.trace import Trace
@@ -66,18 +65,6 @@ def bench_direct_mapped_cache(benchmark):
     stats = benchmark(run)
     assert stats.accesses == len(trace)
     _note_throughput(benchmark, len(trace))
-
-
-def bench_multiprocessor_memory(benchmark):
-    traces = [_random_trace(10_000, 1024, seed=s) for s in range(4)]
-
-    def run():
-        mem = MultiprocessorMemory(4, capacity_bytes=256 * 8)
-        return mem.run_traces(traces)
-
-    stats = benchmark(run)
-    assert sum(s.accesses for s in stats) == 40_000
-    _note_throughput(benchmark, 40_000)
 
 
 #: Interleaved instrumented/uninstrumented pairs the overhead gate times.

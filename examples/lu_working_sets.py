@@ -62,7 +62,7 @@ def communication_floor() -> None:
     print("\n== communication misses with infinite caches (n=48, P=4) ==")
     generator = LUTraceGenerator(n=48, block_size=8, num_processors=4)
     traces = generator.traces_for_all()
-    memory = MultiprocessorMemory(4, capacity_bytes=None)
+    memory = MultiprocessorMemory(4)
     memory.run_traces(traces)
     total = memory.aggregate()
     print(f"  accesses: {total.accesses:,}")

@@ -74,7 +74,7 @@ def run(
             [gen.trace_for_processor(pid) for pid in range(num_processors)],
         ),
     ]
-    memory = MultiprocessorMemory(num_processors, capacity_bytes=None)
+    memory = MultiprocessorMemory(num_processors)
     rows = []
     rates = {}
     for name, traces in phases:

@@ -18,9 +18,9 @@ curve (Section 2.2).  We provide:
   fully associative engine: every fully associative view above reads
   its hits off the per-reference depths.
 - :class:`~repro.mem.multiproc.MultiprocessorMemory` — per-processor
-  private caches over a shared address space with write-invalidate
-  sharing, used to separate communication (coherence) misses from
-  capacity misses.
+  private infinite caches over a shared address space with
+  write-invalidate sharing, which isolate the communication (coherence)
+  misses.
 """
 
 from repro.mem.address import AddressSpace, Region

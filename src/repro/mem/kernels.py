@@ -7,14 +7,13 @@ snapshot.  ``stackdist`` is the only engine of
 fully associative view (:mod:`repro.mem.cache`,
 :mod:`repro.mem.hierarchy`, :mod:`repro.mem.prefetch`), which read
 their hits off it; ``setassoc`` is the only engine of
-:class:`~repro.mem.setassoc.SetAssociativeCache`.  ``multiproc`` covers
-the infinite-cache machines of :mod:`repro.mem.multiproc`, whose
-per-reference loop stays the engine for the rest (finite caches, more
-than :data:`MULTIPROC_MAX_PROCESSORS` processors, sparse block ids).
-:func:`guard_run` is the one dispatch point.  A uniprocessor chunk
-outside its kernel's domain (a negative block id, a block id too large
-for the packed keys, a prefixed chunk of :data:`MAX_REFS` references or
-more) is an input error: ``ValueError``, simulator untouched.
+:class:`~repro.mem.setassoc.SetAssociativeCache`; ``multiproc`` is the
+only engine of :class:`~repro.mem.multiproc.MultiprocessorMemory`, for
+any number of processors.  :func:`guard_run` is the one dispatch point.
+A chunk outside its kernel's domain (a negative block id, a block id
+too large for the packed keys, a uniprocessor prefixed chunk of
+:data:`MAX_REFS` references or more) is an input error: ``ValueError``,
+simulator untouched.
 
 Trust lives in the tests and in CI, not in the runtime.  The test
 suite holds every kernel to a per-reference loop over the same
@@ -69,10 +68,11 @@ access to the block comes at or after the block's last write before
 ``t``, and a write invalidates every processor that touched the block
 since the previous write.  Both fall out of two packed-key sorts per
 window of the round-robin interleaving, with per-block processor
-bitmasks carried between windows (see :class:`_CoherenceState`); only
-the final LRU order uses ``argsort``.  Blocks index through a dense
-table over their span, so :func:`guard_run` leaves sparse block ids to
-the per-reference loop of :class:`~repro.mem.multiproc.MultiprocessorMemory`.
+bitmasks (``ceil(P / 64)`` uint64 words) carried between windows (see
+:class:`_CoherenceState`).  Blocks take state slots in order of first
+appearance, so ids may be sparse: each window ``searchsorted``s only
+its distinct blocks into the sorted ids seen so far, the one
+``searchsorted`` of the kernels.
 """
 
 from __future__ import annotations
@@ -530,12 +530,9 @@ def kernel_setassoc(
     return posts
 
 
-#: Processors the coherence kernel handles: one bit each in an int64.
-MULTIPROC_MAX_PROCESSORS = 62
-
 #: References per interleaving window of the coherence kernel.  State
 #: is carried between windows as columns, so memory stays bounded by
-#: the window, never by the interleaved stream.
+#: the window and the blocks seen, never by the interleaved stream.
 MULTIPROC_WINDOW_REFS = 1 << 14
 
 _MP_STAT_KEYS = (
@@ -545,212 +542,202 @@ _MP_STAT_KEYS = (
     "write_misses",
     "cold_misses",
     "coherence_misses",
-    "capacity_misses",
     "invalidations_received",
     "remote_reads",
 )
 
 
-class _CoherenceState:
-    """Columnar write-invalidate machine state over a block universe.
+def _members(masks: np.ndarray, nprocs: int) -> np.ndarray:
+    """Bool matrix of ``(words, n)`` mask columns: ``[i, q]`` iff
+    column ``i`` holds processor ``q``."""
+    as_bytes = np.ascontiguousarray(masks.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=nprocs, bitorder="little").view(bool)
 
-    ``universe`` is the sorted array of every block the call can touch;
-    per block, ``resident``/``invalidated``/``seen`` hold one bit per
-    processor, ``writer`` the last writer (-1 none), and ``last_t[p]``
-    the time of processor ``p``'s last access (the LRU order of its
-    residents; snapshot residents get negative times, MRU highest).
+
+class _CoherenceState:
+    """Columnar write-invalidate machine state over the blocks seen so far.
+
+    Blocks take slots in order of first appearance; ``keys`` holds the
+    sorted block ids and ``slots`` their slots, and each window looks up
+    only its distinct blocks.  Every column has one entry per slot in
+    its last axis: ``resident`` and ``invalidated`` are ``(words,
+    slots)`` uint64 masks (bit ``q % 64`` of word ``q // 64`` for
+    processor ``q``), and ``writer`` is the last writer (-1 none).
     """
 
-    def __init__(self, state: dict, universe: np.ndarray) -> None:
+    def __init__(self, state: dict) -> None:
         nprocs = int(state["num_processors"])
-        size = int(universe.shape[0])
-        self.universe = universe
         self.nprocs = nprocs
-        # Blocks index through a dense table over the universe's span.
-        self.lo = int(universe[0]) if size else 0
-        span = int(universe[-1]) - self.lo + 1 if size else 0
-        self.table = np.zeros(span, dtype=np.int64)
-        self.table[universe - self.lo] = np.arange(size)
-        self.resident = np.zeros(size, dtype=np.int64)
-        self.invalidated = np.zeros(size, dtype=np.int64)
-        self.seen = np.zeros(size, dtype=np.int64)
-        self.writer = np.full(size, -1, dtype=np.int64)
-        self.last_t = np.full((nprocs, size), -1, dtype=np.int64)
-        for pid in range(nprocs):
-            bit = np.int64(1) << pid
-            order = self.index(state["caches_mru_to_lru"][pid])
-            self.resident[order] |= bit
-            self.last_t[pid, order] = -1 - np.arange(order.shape[0])
-            self.seen[self.index(state["ever_seen"][pid])] |= bit
-            self.invalidated[self.index(state["invalidated"][pid])] |= bit
-        if state["last_writer"]:
-            pairs = np.asarray(state["last_writer"], dtype=np.int64)
-            self.writer[self.index(pairs[:, 0])] = pairs[:, 1]
+        self.words = (nprocs + 63) // 64
+        lists = {
+            key: [np.asarray(blocks, dtype=np.int64) for blocks in state[key]]
+            for key in ("resident", "invalidated")
+        }
+        writers = np.asarray(state["last_writer"], dtype=np.int64).reshape(-1, 2)
+        self.keys = np.unique(
+            np.concatenate(lists["resident"] + lists["invalidated"] + [writers[:, 0]])
+        )
+        self.slots = np.arange(self.keys.shape[0], dtype=np.int64)
+        self.resident, self.invalidated, self.writer = self._columns(
+            max(self.keys.shape[0], 1024)
+        )
+        for key, masks in (("resident", self.resident), ("invalidated", self.invalidated)):
+            for pid, blocks in enumerate(lists[key]):
+                bit = np.uint64(1) << np.uint64(pid & 63)
+                masks[pid >> 6, np.searchsorted(self.keys, blocks)] |= bit
+        self.writer[np.searchsorted(self.keys, writers[:, 0])] = writers[:, 1]
         self.counts = {key: np.zeros(nprocs, dtype=np.int64) for key in _MP_STAT_KEYS}
 
-    def index(self, blocks) -> np.ndarray:
-        return self.table[np.asarray(blocks, dtype=np.int64) - self.lo]
+    def _columns(self, capacity: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fresh ``(resident, invalidated, writer)`` for ``capacity`` slots."""
+        return (
+            np.zeros((self.words, capacity), dtype=np.uint64),
+            np.zeros((self.words, capacity), dtype=np.uint64),
+            np.full(capacity, -1, dtype=np.int64),
+        )
 
-    def step(self, pid: np.ndarray, blocks: np.ndarray, write: np.ndarray, t0: int) -> None:
-        """Advance over one interleaved window (``t0`` = its start time)."""
+    def _slots_of(self, blocks: np.ndarray) -> np.ndarray:
+        """Slots of sorted distinct ``blocks``; unseen ones get new slots."""
+        size = self.keys.shape[0]
+        at = np.searchsorted(self.keys, blocks)
+        known = np.zeros(blocks.shape[0], dtype=bool)
+        inside = at < size
+        known[inside] = self.keys[at[inside]] == blocks[inside]
+        slots = np.empty(blocks.shape[0], dtype=np.int64)
+        slots[known] = self.slots[at[known]]
+        fresh = ~known
+        added = int(np.count_nonzero(fresh))
+        if added:
+            capacity = self.writer.shape[0]
+            if size + added > capacity:  # grow every column, at least doubling
+                columns = self._columns(max(size + added, 2 * capacity))
+                for grown, column in zip(columns, (self.resident, self.invalidated, self.writer)):
+                    grown[..., :size] = column[..., :size]
+                self.resident, self.invalidated, self.writer = columns
+            new_slots = np.arange(size, size + added, dtype=np.int64)
+            slots[fresh] = new_slots
+            # Only the sorted index moves; the state columns never do.
+            self.keys = np.insert(self.keys, at[fresh], blocks[fresh])
+            self.slots = np.insert(self.slots, at[fresh], new_slots)
+        return slots
+
+    def step(self, pid: np.ndarray, blocks: np.ndarray, write: np.ndarray) -> None:
+        """Advance over one interleaved window."""
         m = int(pid.shape[0])
         nprocs = self.nprocs
-        bidx = self.index(blocks)
         k = _pow2ceil(m)
-        local = np.arange(m, dtype=np.int64)
-        # Order A: by block, then time.  Order B: by block, processor, time.
-        key_a = np.sort(bidx * k + local)
+        shift = k.bit_length() - 1
+        # Order A: by block, then time.
+        key_a = np.multiply(blocks, k, dtype=np.int64)
+        key_a += np.arange(m, dtype=np.int64)
+        key_a.sort()
         pos = key_a & (k - 1)
-        b = key_a // k
-        p = pid[pos]
-        w = write[pos]
-        key_b = np.sort((bidx * nprocs + pid) * k + local)
-        pos_b = key_b & (k - 1)
-        same_b = (key_b[1:] // k) == (key_b[:-1] // k)
-        prev_own = np.full(m, -1, dtype=np.int64)  # by local position
-        prev_own[pos_b[1:][same_b]] = pos_b[:-1][same_b]
-        prev_own = prev_own[pos]
-
+        key_a >>= shift
         group_start = np.empty(m, dtype=bool)
         group_start[0] = True
-        np.not_equal(b[1:], b[:-1], out=group_start[1:])
-        first_of_group = np.maximum.accumulate(np.where(group_start, local, 0))
+        np.not_equal(key_a[1:], key_a[:-1], out=group_start[1:])
+        starts = np.flatnonzero(group_start)
+        group = np.cumsum(group_start) - 1
+        group_slot = self._slots_of(key_a[starts])
+        del key_a
+        s = group_slot[group]
+        p = pid[pos]
+        w = write[pos]
+        # Order B: by block, processor, then time; in order-A indices.
+        local = np.arange(m, dtype=np.int64)
+        key_b = (group * nprocs + p) * k + local
+        key_b.sort()
+        idx_b = key_b & (k - 1)
+        key_b >>= shift
+        same_b = key_b[1:] == key_b[:-1]
+        del key_b
+        prev_own = np.full(m, -1, dtype=np.int64)
+        prev_own[idx_b[1:][same_b]] = idx_b[:-1][same_b]
+
         write_upto = np.maximum.accumulate(np.where(w, local, -1))
-        last_write = np.empty(m, dtype=np.int64)  # strictly before, sorted idx
+        last_write = np.empty(m, dtype=np.int64)  # strictly before
         last_write[0] = -1
         last_write[1:] = write_upto[:-1]
-        has_write = last_write >= first_of_group
-        last_write = np.maximum(last_write, 0)  # valid where has_write
-        last_write_pos = np.where(has_write, pos[last_write], -1)
+        has_write = last_write >= starts[group]
 
-        bit = np.int64(1) << p
-        res0 = (self.resident[b] & bit) != 0
+        word = p >> 6
+        bit = np.left_shift(np.uint64(1), (p & 63).astype(np.uint64))
+        cell = word * self.resident.shape[1] + s  # in the flattened masks
+        res0 = (self.resident.reshape(-1)[cell] & bit) != 0
+        inv0 = (self.invalidated.reshape(-1)[cell] & bit) != 0
         # Hit iff p's previous access comes at or after the block's last
         # write before this reference.
-        hit = np.where(prev_own >= 0, prev_own >= last_write_pos, res0 & ~has_write)
+        hit = np.where(prev_own >= 0, prev_own >= last_write, res0 & ~has_write)
         miss = ~hit
-        inv0 = (self.invalidated[b] & bit) != 0
-        seen0 = (self.seen[b] & bit) != 0
         coherence = miss & ((prev_own >= 0) | inv0 | res0)
-        cold = miss & ~coherence & ~seen0
-        capacity = miss & ~coherence & seen0
-        writer = np.where(has_write, p[last_write], self.writer[b])
+        writer = np.where(has_write, p[np.maximum(last_write, 0)], self.writer[s])
         read = ~w
         remote = miss & read & (writer >= 0) & (writer != p)
-
-        # Each write invalidates the sharers accumulated since the
-        # previous write to its block (the previous writer included).
-        seg_start = group_start | w
-        seg_idx = np.flatnonzero(seg_start)
-        seg_or = np.bitwise_or.reduceat(bit, seg_idx)
-        # Sharers carried in from before the window join the group's
-        # first segment, unless that segment opens with a write.
-        carried = group_start[seg_idx] & ~w[seg_idx]
-        seg_or[carried] |= self.resident[b[seg_idx[carried]]]
-        seg_id = np.cumsum(seg_start) - 1
-        writes = np.flatnonzero(w)
-        before = np.where(
-            group_start[writes],
-            self.resident[b[writes]],
-            seg_or[np.maximum(seg_id[writes] - 1, 0)],
-        )
-        lost = before & ~bit[writes]
-        self.counts["invalidations_received"] += [
-            np.count_nonzero(lost & (np.int64(1) << q)) for q in range(nprocs)
-        ]
         per_ref = {
             "reads": read,
             "writes": w,
             "read_misses": miss & read,
             "write_misses": miss & w,
-            "cold_misses": cold,
+            "cold_misses": miss & ~coherence,
             "coherence_misses": coherence,
-            "capacity_misses": capacity,
             "remote_reads": remote,
         }
         for key, mask in per_ref.items():
             self.counts[key] += np.bincount(p[mask], minlength=nprocs)
 
-        # Carry the window's end state for every block it touched.
-        starts = np.flatnonzero(group_start)
+        # Each write invalidates the sharers accumulated since the
+        # previous write to its block (the previous writer included);
+        # one mask word at a time.
+        seg_start = group_start | w
+        seg_idx = np.flatnonzero(seg_start)
+        seg_id = np.cumsum(seg_start) - 1
+        # Sharers carried in from before the window join the group's
+        # first segment, unless that segment opens with a write.
+        carried = group_start[seg_idx] & ~w[seg_idx]
+        writes = np.flatnonzero(w)
         ends = np.append(starts[1:], m) - 1
-        gb = b[starts]
-        accessed = np.bitwise_or.reduceat(bit, starts)
-        res_end = seg_or[seg_id[ends]]
-        touched_or_held = accessed | self.resident[gb]
-        self.invalidated[gb] = (self.invalidated[gb] & ~accessed) | (
-            touched_or_held & ~res_end
-        )
-        self.seen[gb] |= accessed
-        self.resident[gb] = res_end
+        lost = np.empty((self.words, writes.shape[0]), dtype=np.uint64)
+        for index in range(self.words):
+            word_bit = np.where(word == index, bit, np.uint64(0))
+            resident = self.resident[index]
+            seg_or = np.bitwise_or.reduceat(word_bit, seg_idx)
+            seg_or[carried] |= resident[s[seg_idx[carried]]]
+            before = np.where(
+                group_start[writes],
+                resident[s[writes]],
+                seg_or[np.maximum(seg_id[writes] - 1, 0)],
+            )
+            lost[index] = before & ~word_bit[writes]
+            # Carry the window's end state for every block it touched.
+            accessed = np.bitwise_or.reduceat(word_bit, starts)
+            res_end = seg_or[seg_id[ends]]
+            invalidated = self.invalidated[index]
+            invalidated[group_slot] = (invalidated[group_slot] & ~accessed) | (
+                (accessed | resident[group_slot]) & ~res_end
+            )
+            resident[group_slot] = res_end
+        self.counts["invalidations_received"] += _members(lost, nprocs).sum(axis=0)
         wrote = write_upto[ends] >= starts
-        self.writer[gb[wrote]] = p[write_upto[ends][wrote]]
-        last_b = np.empty(m, dtype=bool)
-        last_b[-1] = True
-        last_b[:-1] = ~same_b
-        ends_b = pos_b[last_b]
-        self.last_t[pid[ends_b], bidx[ends_b]] = t0 + ends_b
+        self.writer[group_slot[wrote]] = p[write_upto[ends][wrote]]
 
     def state_dict(self, pre: dict) -> dict:
-        universe = self.universe
-        caches, ever, invalid = [], [], []
-        for pid in range(self.nprocs):
-            bit = np.int64(1) << pid
-            held = np.flatnonzero(self.resident & bit)
-            order = held[np.argsort(-self.last_t[pid, held], kind="stable")]
-            caches.append(universe[order].tolist())
-            ever.append(universe[(self.seen & bit) != 0].tolist())
-            invalid.append(universe[(self.invalidated & bit) != 0].tolist())
-        shared = np.flatnonzero(self.resident)
-        bits = (
-            (self.resident[shared, None] >> np.arange(self.nprocs)) & 1
-        ).astype(bool)
-        pids = np.arange(self.nprocs)
-        sharers = [
-            [block, pids[row].tolist()]
-            for block, row in zip(universe[shared].tolist(), bits)
-        ]
-        written = np.flatnonzero(self.writer >= 0)
-        last_writer = np.stack(
-            [universe[written], self.writer[written]], axis=1
-        ).tolist()
+        keys, slots = self.keys, self.slots
+        resident = _members(self.resident[:, slots], self.nprocs)
+        invalid = _members(self.invalidated[:, slots], self.nprocs)
+        writer = self.writer[slots]
+        written = np.flatnonzero(writer >= 0)
         stats = [
             {key: int(old[key]) + int(self.counts[key][pid]) for key in _MP_STAT_KEYS}
             for pid, old in enumerate(pre["stats"])
         ]
         return {
             "num_processors": pre["num_processors"],
-            "capacity_bytes": pre["capacity_bytes"],
             "block_size": pre["block_size"],
-            "caches_mru_to_lru": caches,
-            "ever_seen": ever,
-            "invalidated": invalid,
-            "sharers": sharers,
-            "last_writer": last_writer,
+            "resident": [keys[resident[:, pid]].tolist() for pid in range(self.nprocs)],
+            "invalidated": [keys[invalid[:, pid]].tolist() for pid in range(self.nprocs)],
+            "last_writer": np.stack([keys[written], writer[written]], axis=1).tolist(),
             "stats": stats,
         }
-
-
-def _block_universe(
-    addrs: List[np.ndarray], block_size: int, known: np.ndarray
-) -> np.ndarray:
-    """Sorted distinct blocks of every trace plus ``known``, scattered
-    one window at a time into a table over their span (no whole-trace
-    temporaries; :func:`guard_run` declines spans too sparse for it)."""
-    window = MULTIPROC_WINDOW_REFS
-    bounds = [known] + [
-        np.array([col.min(), col.max()]) // block_size for col in addrs if col.size
-    ]
-    flat = np.concatenate(bounds)
-    if flat.size == 0:
-        return flat
-    lo = int(flat.min())
-    seen = np.zeros(int(flat.max()) - lo + 1, dtype=bool)
-    seen[known - lo] = True
-    for col in addrs:
-        for s in range(0, col.size, window):
-            seen[col[s : s + window] // block_size - lo] = True
-    return np.flatnonzero(seen) + lo
 
 
 def kernel_multiproc(
@@ -762,24 +749,15 @@ def kernel_multiproc(
     snapshot plus one address/kind column pair per processor to the
     snapshot after their round-robin interleaving.  The interleaved
     stream is built and simulated in windows of at most
-    :data:`MULTIPROC_WINDOW_REFS` references, with the budget polled
-    once per window.
+    :data:`MULTIPROC_WINDOW_REFS` references (one round when there are
+    more processors), with the budget polled once per window.
     """
     nprocs = int(state["num_processors"])
     block_size = int(state["block_size"])
-    known = [
-        block
-        for key in ("caches_mru_to_lru", "ever_seen", "invalidated")
-        for block_list in state[key]
-        for block in block_list
-    ]
-    known.extend(block for block, _ in state["last_writer"])
-    universe = _block_universe(addrs, block_size, np.asarray(known, dtype=np.int64))
-    sim = _CoherenceState(state, universe)
+    sim = _CoherenceState(state)
     lengths = np.array([col.shape[0] for col in addrs], dtype=np.int64)
     rounds = int(lengths.max())
     step = max(MULTIPROC_WINDOW_REFS // nprocs, 1)
-    t0 = 0
     for r0 in range(0, rounds, step):
         if budget is not None:
             budget.check("multiproc kernel window")
@@ -795,8 +773,7 @@ def kernel_multiproc(
         pid_col = np.broadcast_to(
             np.arange(nprocs, dtype=np.int64), valid.shape
         )[valid]
-        sim.step(pid_col, grid_blocks[valid], grid_writes[valid], t0)
-        t0 += int(pid_col.shape[0])
+        sim.step(pid_col, grid_blocks[valid], grid_writes[valid])
     return sim.state_dict(state)
 
 
@@ -815,8 +792,8 @@ _BUDGETED = ("setassoc", "multiproc")
 # ---------------------------------------------------------------------------
 
 #: The depth engine indexes the chunk plus its synthetic prefix in
-#: int32; a prefixed chunk this long is an input error (the coherence
-#: kernel leaves such a chunk to its loop).
+#: int32; a prefixed chunk this long is an input error.  The coherence
+#: kernel works in windows and takes a chunk of any length.
 MAX_REFS = 1 << 28
 
 
@@ -847,10 +824,9 @@ def _counter_violation(
     if not delta["cold_misses"] <= misses:
         return "cold misses exceed misses"
     if "coherence_misses" in delta and not (
-        delta["cold_misses"] + delta["coherence_misses"] + delta["capacity_misses"]
-        == misses
+        delta["cold_misses"] + delta["coherence_misses"] == misses
     ):
-        return "cold + coherence + capacity != misses"
+        return "cold + coherence != misses"
     return None
 
 
@@ -905,22 +881,6 @@ def _miss_delta(kernel: str, pre: dict, post: dict) -> int:
     )
 
 
-def _multiproc_block_span(sim, traces) -> int:
-    """Blocks from the lowest to the highest id the coherence kernel
-    would map: the traces' and every block held in ``sim``'s state."""
-    size = sim.block_size
-    ends = []
-    for t in traces:
-        if len(t):
-            ends += [int(t.addrs.min()) // size, int(t.addrs.max()) // size]
-    held = [*sim._ever_seen, *sim._invalidated, sim._last_writer.keys()]
-    held += [list(cache.keys_mru_to_lru()) for cache in sim._caches]
-    for blocks in held:
-        if blocks:
-            ends += [min(blocks), max(blocks)]
-    return max(ends) - min(ends) + 1 if ends else 0
-
-
 def _prefix_bound(kernel: str, sims: list) -> int:
     """At most this many residents join a chunk as its synthetic prefix
     (for a sweep, the widest pass's)."""
@@ -929,11 +889,28 @@ def _prefix_bound(kernel: str, sims: list) -> int:
     return max(sim.capacity_bytes // sim.block_size for sim in sims)
 
 
+def _check_block_ids(kernel: str, lowest: int, highest: int, m: int) -> None:
+    """Raise ``ValueError`` for block ids that the packed int64
+    ``(id, position)`` keys of an ``m``-reference sort cannot hold:
+    negative ids, and ids too large to leave room for the position
+    bits."""
+    if lowest < 0:
+        raise ValueError(
+            f"{kernel} chunk has block id {lowest}; block ids must be >= 0"
+        )
+    limit = min(_MAX_BLOCK_ID, (1 << 62) // _pow2ceil(m + 1))
+    if highest >= limit:
+        raise ValueError(
+            f"{kernel} chunk has block id {highest}; the packed keys of a "
+            f"{m}-reference sort take block ids below {limit} "
+            f"(_MAX_BLOCK_ID = 2**44)"
+        )
+
+
 def _check_domain(kernel: str, blocks: np.ndarray, n: int, prefix_bound: int) -> None:
     """Raise ``ValueError`` for a uniprocessor chunk the depth engine
-    cannot take: it packs ``(id, position)`` into int64 keys, so block
-    ids must be non-negative and leave room for the position bits of
-    the prefixed chunk, which :data:`MAX_REFS` bounds."""
+    cannot take: the prefixed chunk, which :data:`MAX_REFS` bounds, is
+    one packed-key sort (see :func:`_check_block_ids`)."""
     m = n + prefix_bound
     if m >= MAX_REFS:
         raise ValueError(
@@ -941,53 +918,36 @@ def _check_domain(kernel: str, blocks: np.ndarray, n: int, prefix_bound: int) ->
             f"resident blocks reaches MAX_REFS ({MAX_REFS}); feed it in "
             "smaller chunks"
         )
-    lowest = int(blocks.min())
-    if lowest < 0:
-        raise ValueError(
-            f"{kernel} chunk has block id {lowest}; block ids must be >= 0"
-        )
-    limit = min(_MAX_BLOCK_ID, (1 << 62) // _pow2ceil(m + 1))
-    highest = int(blocks.max())
-    if highest >= limit:
-        raise ValueError(
-            f"{kernel} chunk has block id {highest}; the packed keys of a "
-            f"{m}-reference prefixed chunk take block ids below {limit} "
-            f"(_MAX_BLOCK_ID = 2**44)"
-        )
+    _check_block_ids(kernel, int(blocks.min()), int(blocks.max()), m)
 
 
 def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
     """Advance ``sim`` over ``trace`` with its vectorized kernel.
 
-    The dispatch point every simulator calls; ``True`` means the kernel
-    ran and the simulator state was updated.  A ``"stackdist"`` or
-    ``"setassoc"`` chunk always returns ``True`` (an empty one is a
-    no-op) or, outside the kernel's domain, raises ``ValueError`` (see
-    :func:`_check_domain`).  A ``"multiproc"`` chunk returns ``False``
-    when the caller must run its per-reference loop: finite caches, too
-    many processors, an empty or over-long chunk, or block ids too
-    sparse for the kernel's dense table.  For ``"setassoc"``,
+    The dispatch point every simulator calls.  It returns ``True`` once
+    the kernel has run and the simulator state is updated (an empty
+    chunk is a no-op), or raises ``ValueError`` for a chunk outside the
+    kernel's domain (see :func:`_check_domain`; a ``"multiproc"`` chunk,
+    one trace per processor, only needs block ids that
+    :func:`_check_block_ids` admits for a window).  For ``"setassoc"``,
     ``sim`` may be a list of caches of one block size, advanced together
     over ``trace`` (a sweep).  ``options`` go to the kernel as keyword
     arguments (``links=True`` for ``"stackdist"``).  A kernel result
     that breaks a scalar invariant raises
     :class:`~repro.runtime.errors.KernelDivergenceError`.  Whenever it
-    does not return ``True``, every simulator is untouched.
+    raises, every simulator is untouched.
     """
     if kernel == "multiproc":
-        # Infinite caches only.
-        if (
-            sim.capacity_blocks is not None
-            or sim.num_processors > MULTIPROC_MAX_PROCESSORS
-        ):
-            return False
         n = sum(len(t) for t in trace)
-        if n == 0 or n >= MAX_REFS:
-            return False
-        # The kernel maps blocks through a dense table over their span;
-        # sparser block ids stay with the per-reference loop.
-        if _multiproc_block_span(sim, trace) > max(1 << 16, 8 * n):
-            return False
+        if n == 0:
+            return True
+        live = [t.addrs for t in trace if len(t)]
+        _check_block_ids(
+            kernel,
+            min(int(col.min()) for col in live) // sim.block_size,
+            max(int(col.max()) for col in live) // sim.block_size,
+            max(MULTIPROC_WINDOW_REFS, sim.num_processors),
+        )
         blocks = [t.addrs for t in trace]  # divided per window
         kinds = [t.kinds for t in trace]
     else:

@@ -13,11 +13,10 @@ record type used at the edges of the API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.runtime.budget import Budget, active_budget
 
 #: Access kinds.  Stored in a uint8 column of the trace.
 READ = 0
@@ -166,37 +165,3 @@ class Trace:
             np.concatenate([self.addrs, other.addrs]),
             np.concatenate([self.kinds, other.kinds]),
         )
-
-
-def iter_interleave_round_robin(
-    traces: Sequence["Trace"], budget: Optional[Budget] = None
-) -> Iterator[Tuple[int, Access]]:
-    """Lazy round-robin interleaving of per-processor traces.
-
-    Yields ``(processor_id, access)`` pairs one at a time; the merged
-    stream is never materialized.  Round-robin interleaving models
-    processors proceeding in lock-step, a reasonable approximation for
-    the regular SPMD computations studied in the paper.  Each round
-    visits processors in pid order, skipping exhausted ones.
-
-    Args:
-        traces: One trace per processor.
-        budget: Optional wall-clock :class:`Budget` polled once per
-            interleaving round (defaults to the ambient campaign
-            budget, if any).
-    """
-    if budget is None:
-        budget = active_budget()
-    iterators = [iter(trace) for trace in traces]
-    live = list(range(len(iterators)))
-    while live:
-        if budget is not None:
-            budget.check("trace interleaving")
-        exhausted = []
-        for pid in live:
-            try:
-                yield pid, next(iterators[pid])
-            except StopIteration:
-                exhausted.append(pid)
-        if exhausted:
-            live = [pid for pid in live if pid not in exhausted]

@@ -9,6 +9,8 @@ from repro.apps.barnes_hut.octree import Octree
 from repro.apps.barnes_hut.trace import BarnesHutTraceGenerator
 from repro.experiments import bh_phases
 from repro.mem.multiproc import MultiprocessorMemory
+from repro.mem.trace import READ, WRITE
+from tests.harness.builder import access
 
 
 @pytest.fixture(scope="module")
@@ -85,25 +87,23 @@ class TestPhaseTraces:
 class TestRemoteReads:
     def test_producer_consumer_counted(self):
         mem = MultiprocessorMemory(2)
-        from repro.mem.trace import WRITE, READ
-
-        mem.access(0, 0, WRITE)
-        mem.access(1, 0, READ)
+        access(mem, 0, 0, WRITE)
+        access(mem, 1, 0, READ)
         assert mem.stats[1].remote_reads == 1
 
     def test_own_data_not_remote(self):
-        mem = MultiprocessorMemory(2, capacity_bytes=8)
-        from repro.mem.trace import WRITE, READ
-
-        mem.access(0, 0, WRITE)
-        mem.access(0, 8, READ)  # evicts block 0
-        mem.access(0, 0, READ)  # re-read own write: not remote
+        """After another processor reads your write, your own re-read
+        hits and adds no remote read."""
+        mem = MultiprocessorMemory(2)
+        access(mem, 0, 0, WRITE)
+        access(mem, 1, 0, READ)
+        assert access(mem, 0, 0, READ) is True
         assert mem.stats[0].remote_reads == 0
 
     def test_unwritten_data_not_remote(self):
         mem = MultiprocessorMemory(2)
-        mem.access(0, 0)
-        mem.access(1, 0)
+        access(mem, 0, 0)
+        access(mem, 1, 0)
         assert mem.stats[1].remote_reads == 0
 
 

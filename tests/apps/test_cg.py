@@ -200,7 +200,7 @@ class TestMultiprocessorCommunication:
         invalidations should land on partition-boundary data only."""
         gen = CGTraceGenerator(n=16, num_processors=4)
         traces = [gen.trace_for_processor(pid, iterations=2) for pid in range(4)]
-        mem = MultiprocessorMemory(4, capacity_bytes=None)
+        mem = MultiprocessorMemory(4)
         stats = mem.run_traces(traces)
         total_coherence = sum(s.coherence_misses for s in stats)
         assert total_coherence > 0
@@ -211,7 +211,7 @@ class TestMultiprocessorCommunication:
     def test_communication_rate_near_model(self):
         gen = CGTraceGenerator(n=16, num_processors=4)
         traces = [gen.trace_for_processor(pid, iterations=3) for pid in range(4)]
-        mem = MultiprocessorMemory(4, capacity_bytes=None)
+        mem = MultiprocessorMemory(4)
         mem.run_traces(traces)
         model = CGModel(n=16, num_processors=4)
         measured = mem.aggregate().coherence_misses / (gen.flops * 4 / 4) / 3

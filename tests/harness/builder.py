@@ -71,3 +71,17 @@ class ReferenceBuilder:
         for addrs, kinds in self._columns:
             builder.extend_arrays(addrs, kinds)
         return builder.build()
+
+
+def access(memory, pid: int, addr: int, kind: int = READ) -> bool:
+    """Run one reference from processor ``pid`` through
+    ``memory.run_traces`` (a ``MultiprocessorMemory``; every other
+    processor's trace is empty).  True on hit."""
+    empty = Trace(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8))
+    traces = [empty] * memory.num_processors
+    traces[pid] = Trace(
+        np.array([addr], dtype=np.int64), np.array([kind], dtype=np.uint8)
+    )
+    misses = memory.stats[pid].misses
+    memory.run_traces(traces)
+    return memory.stats[pid].misses == misses

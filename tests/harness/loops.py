@@ -4,15 +4,16 @@ Every simulator reaches the numpy kernels through one call, looked up
 on the module when it runs: ``kernels.guard_run(kind, sim, trace, ...)``,
 which takes the simulator's snapshot, hands it with the chunk to
 ``kernels.KERNELS[kind]`` and loads the successor snapshot back.
-:func:`stackdist_loop` and :func:`setassoc_loop` are pure functions over
-those same snapshots, one reference at a time: a Fenwick tree over
-last-access times for the stack depths, and most-recent-first Python
-lists per cache set.  They share no code with the numpy engine, so a
-comparison between the two is a real differential.
+:func:`stackdist_loop`, :func:`setassoc_loop` and :func:`multiproc_loop`
+are pure functions over those same snapshots, one reference at a time:
+a Fenwick tree over last-access times for the stack depths,
+most-recent-first Python lists per cache set, and Python sets for the
+caches and sharer directory of a write-invalidate machine over the
+round-robin interleaving.  They share no code with the numpy engines,
+so a comparison between the two is a real differential.
 
-:func:`loops_only` swaps the two loops into ``kernels.KERNELS`` and
-declines every ``multiproc`` chunk, so ``MultiprocessorMemory`` runs its
-own per-reference loop.  The kernels and the real guard are untouched.
+:func:`loops_only` swaps the loops into ``kernels.KERNELS``.  The
+kernels and the real guard are untouched.
 
 :func:`arm` wraps every runner of a registry in :func:`run`, which holds
 the real runner to the loops.  Runners ship to forked workers by
@@ -24,16 +25,16 @@ from __future__ import annotations
 
 from array import array
 from contextlib import contextmanager
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
 
 from repro.experiments.runner import ExperimentResult
 from repro.mem import kernels
-from repro.mem.trace import READ
+from repro.mem.trace import Access, READ, Trace
 from repro.obs import metrics as obs_metrics
-from repro.runtime.budget import active_budget
+from repro.runtime.budget import Budget, active_budget
 from repro.runtime.workers import resolve_runner_ref, runner_ref
 
 #: The reserved kwarg carrying the real runner into :func:`run`.
@@ -209,8 +210,102 @@ def setassoc_loop(
     return [_setassoc_one(state, ids, classes, budget) for state in states]
 
 
+def iter_interleave_round_robin(
+    traces: Sequence[Trace], budget: Optional[Budget] = None
+) -> Iterator[Tuple[int, Access]]:
+    """Lazy round-robin interleaving of per-processor traces.
+
+    Yields ``(processor_id, access)`` pairs one at a time; the merged
+    stream is never materialized.  Round-robin interleaving models
+    processors proceeding in lock-step, a reasonable approximation for
+    the regular SPMD computations studied in the paper.  Each round
+    visits processors in pid order, skipping exhausted ones.
+
+    Args:
+        traces: One trace per processor.
+        budget: Optional wall-clock :class:`Budget` polled once per
+            interleaving round (defaults to the ambient campaign
+            budget, if any).
+    """
+    if budget is None:
+        budget = active_budget()
+    iterators = [iter(trace) for trace in traces]
+    live = list(range(len(iterators)))
+    while live:
+        if budget is not None:
+            budget.check("trace interleaving")
+        exhausted = []
+        for pid in live:
+            try:
+                yield pid, next(iterators[pid])
+            except StopIteration:
+                exhausted.append(pid)
+        if exhausted:
+            live = [pid for pid in live if pid not in exhausted]
+
+
+def multiproc_loop(
+    state: dict, addrs: List[np.ndarray], kinds: List[np.ndarray], budget=None
+) -> dict:
+    """:func:`repro.mem.kernels.kernel_multiproc`, one reference at a time.
+
+    Walks the round-robin interleaving of the per-processor columns
+    over infinite private caches (one set of blocks each), a directory
+    of sharer sets and the last writer of every block.  A write
+    invalidates every other sharer's copy; a miss on an invalidated
+    block is a coherence miss, any other miss a cold one.  ``budget`` is
+    polled once per interleaving round.
+    """
+    block_size = int(state["block_size"])
+    caches = [set(blocks) for blocks in state["resident"]]
+    invalidated = [set(blocks) for blocks in state["invalidated"]]
+    sharers: Dict[int, set] = {}
+    for pid, cache in enumerate(caches):
+        for block in cache:
+            sharers.setdefault(block, set()).add(pid)
+    last_writer = dict(state["last_writer"])
+    stats = [dict(counts) for counts in state["stats"]]
+    traces = [Trace(col, kind) for col, kind in zip(addrs, kinds)]
+    for pid, access in iter_interleave_round_robin(traces, budget):
+        block = access.addr // block_size
+        counts = stats[pid]
+        read = access.kind == READ
+        counts["reads" if read else "writes"] += 1
+        if block not in caches[pid]:
+            caches[pid].add(block)
+            sharers.setdefault(block, set()).add(pid)
+            counts["read_misses" if read else "write_misses"] += 1
+            writer = last_writer.get(block)
+            if read and writer is not None and writer != pid:
+                counts["remote_reads"] += 1
+            if block in invalidated[pid]:
+                counts["coherence_misses"] += 1
+                invalidated[pid].discard(block)
+            else:
+                counts["cold_misses"] += 1
+        if not read:
+            for other in sharers[block] - {pid}:
+                caches[other].discard(block)
+                invalidated[other].add(block)
+                stats[other]["invalidations_received"] += 1
+            sharers[block] = {pid}
+            last_writer[block] = pid
+    return {
+        "num_processors": state["num_processors"],
+        "block_size": state["block_size"],
+        "resident": [sorted(cache) for cache in caches],
+        "invalidated": [sorted(blocks) for blocks in invalidated],
+        "last_writer": [[block, pid] for block, pid in sorted(last_writer.items())],
+        "stats": stats,
+    }
+
+
 #: The loops that stand in for the kernels under :func:`loops_only`.
-LOOPS = {"stackdist": stackdist_loop, "setassoc": setassoc_loop}
+LOOPS = {
+    "stackdist": stackdist_loop,
+    "setassoc": setassoc_loop,
+    "multiproc": multiproc_loop,
+}
 
 
 @contextmanager
@@ -218,30 +313,23 @@ def loops_only(held: bool = True):
     """Run every simulator chunk on its per-reference loop while active;
     ``held=False`` changes nothing (for tests run both ways).
 
-    The real guard still takes and checks every ``stackdist`` and
-    ``setassoc`` chunk, but runs it on the loops of :data:`LOOPS`, and
-    the kernel chunk counters (``mem.kernel.<kind>.chunks``, which
-    ``status`` reports) are not written, since no kernel ran.
-    ``multiproc`` chunks are declined, so its own loop runs.
+    The real guard still takes and checks every chunk, but runs it on
+    the loops of :data:`LOOPS`, and the kernel chunk counters
+    (``mem.kernel.<kind>.chunks``, which ``status`` reports) are not
+    written, since no kernel ran.
     """
     if not held:
         yield
         return
-    guard = kernels.guard_run
     count = obs_metrics.inc
-
-    def loops_guard(kernel, sim, trace, budget=None, **options) -> bool:
-        if kernel == "multiproc":
-            return False
-        return guard(kernel, sim, trace, budget=budget, **options)
 
     def inc(name: str, amount: float = 1) -> None:
         if not name.startswith("mem.kernel."):
             count(name, amount)
 
-    with mock.patch.object(kernels, "guard_run", loops_guard), mock.patch.dict(
-        kernels.KERNELS, LOOPS
-    ), mock.patch.object(obs_metrics, "inc", inc):
+    with mock.patch.dict(kernels.KERNELS, LOOPS), mock.patch.object(
+        obs_metrics, "inc", inc
+    ):
         yield
 
 

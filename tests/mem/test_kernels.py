@@ -2,8 +2,7 @@
 
 The contract under test (see ``docs/KERNELS.md``): the columnar numpy
 kernels in :mod:`repro.mem.kernels` must be *byte-identical* to the
-per-reference loops of ``tests.harness.loops`` (and, for ``multiproc``,
-to ``MultiprocessorMemory``'s own loop) at every chunk boundary.  These
+per-reference loops of ``tests.harness.loops`` at every chunk boundary.  These
 tests, together with CI's whole-campaign parity job, are what the
 kernels are trusted on; the runtime only checks each chunk's scalar
 deltas, and a kernel result that breaks one raises before the
@@ -29,7 +28,7 @@ from repro.mem.stack_distance import StackDistanceRun, profile_trace
 from repro.mem.trace import Trace
 from repro.runtime.errors import KernelDivergenceError
 from tests.conftest import count_kernel_calls
-from tests.harness.loops import loops_only
+from tests.harness.loops import LOOPS, loops_only
 from tests.harness.lru_oracle import OracleCache, OracleHierarchy
 
 
@@ -73,11 +72,11 @@ class TestLoopsSeam:
     """``tests.harness.loops``: the seam every loop comparison runs on."""
 
     def test_loops_only_restores(self, kernel_calls):
-        guard = kernels.guard_run
+        engines = dict(kernels.KERNELS)
         with loops_only():
-            assert kernels.guard_run is not guard
+            assert kernels.KERNELS == LOOPS
             FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
-        assert kernels.guard_run is guard
+        assert kernels.KERNELS == engines
         assert kernel_calls["stackdist"] == 0
         FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
         assert kernel_calls["stackdist"] == 1

@@ -1,6 +1,8 @@
 """Tests for the shared-address-space multiprocessor memory model —
-especially the miss classification (cold vs capacity vs coherence) the
-paper's methodology depends on."""
+especially the miss classification (cold vs coherence) the paper's
+methodology depends on.  Every case runs on the coherence kernel, the
+one engine of ``MultiprocessorMemory``; the differentials hold it to
+the per-reference loop of ``tests.harness.loops``."""
 
 import json
 from unittest import mock
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 from repro.mem import kernels
 from repro.mem.multiproc import MultiprocessorMemory
-from repro.mem.trace import Access, READ, Trace, WRITE
+from repro.mem.trace import READ, Trace, WRITE
 from tests.conftest import count_kernel_calls
-from tests.harness.builder import ReferenceBuilder
+from tests.harness.builder import ReferenceBuilder, access
 from tests.harness.loops import loops_only
 
 
@@ -23,10 +25,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MultiprocessorMemory(0)
 
-    def test_rejects_tiny_capacity(self):
-        with pytest.raises(ValueError):
-            MultiprocessorMemory(2, capacity_bytes=4)
-
     def test_rejects_bad_block(self):
         with pytest.raises(ValueError):
             MultiprocessorMemory(2, block_size=12)
@@ -34,73 +32,65 @@ class TestConstruction:
 
 class TestPrivateCaching:
     def test_independent_caches(self):
-        mem = MultiprocessorMemory(2, capacity_bytes=None)
-        mem.access(0, 0)
+        mem = MultiprocessorMemory(2)
+        access(mem, 0, 0)
         # Processor 1 still cold-misses the block processor 0 loaded.
-        assert mem.access(1, 0) is False
+        assert access(mem, 1, 0) is False
         assert mem.stats[1].cold_misses == 1
 
     def test_hit_after_load(self):
         mem = MultiprocessorMemory(2)
-        mem.access(0, 0)
-        assert mem.access(0, 0) is True
-
-    def test_capacity_eviction(self):
-        mem = MultiprocessorMemory(1, capacity_bytes=16)  # two blocks
-        mem.access(0, 0)
-        mem.access(0, 8)
-        mem.access(0, 16)
-        mem.access(0, 0)  # evicted earlier -> capacity miss
-        assert mem.stats[0].capacity_misses == 1
+        access(mem, 0, 0)
+        assert access(mem, 0, 0) is True
 
 
 class TestCoherence:
     def test_write_invalidates_other_copies(self):
         mem = MultiprocessorMemory(2)
-        mem.access(0, 0, READ)
-        mem.access(1, 0, READ)
-        mem.access(1, 0, WRITE)
+        access(mem, 0, 0, READ)
+        access(mem, 1, 0, READ)
+        access(mem, 1, 0, WRITE)
         # Processor 0's copy is gone; its re-read is a coherence miss.
-        assert mem.access(0, 0, READ) is False
+        assert access(mem, 0, 0, READ) is False
         assert mem.stats[0].coherence_misses == 1
         assert mem.stats[0].invalidations_received == 1
 
     def test_writer_keeps_its_copy(self):
         mem = MultiprocessorMemory(2)
-        mem.access(0, 0, WRITE)
-        assert mem.access(0, 0, READ) is True
+        access(mem, 0, 0, WRITE)
+        assert access(mem, 0, 0, READ) is True
 
     def test_no_self_invalidation(self):
         mem = MultiprocessorMemory(2)
-        mem.access(0, 0, READ)
-        mem.access(0, 0, WRITE)
+        access(mem, 0, 0, READ)
+        access(mem, 0, 0, WRITE)
         assert mem.stats[0].invalidations_received == 0
 
     def test_coherence_miss_with_infinite_cache(self):
         """Communication misses persist even with infinite caches — the
         paper's definition of inherent communication."""
-        mem = MultiprocessorMemory(2, capacity_bytes=None)
+        mem = MultiprocessorMemory(2)
         for _ in range(4):
-            mem.access(0, 0, WRITE)
-            mem.access(1, 0, READ)
+            access(mem, 0, 0, WRITE)
+            access(mem, 1, 0, READ)
         assert mem.stats[1].coherence_misses == 3
         assert mem.stats[1].communication_miss_rate > 0
 
     def test_ping_pong_classification(self):
         mem = MultiprocessorMemory(2)
-        mem.access(0, 0, WRITE)
-        mem.access(1, 0, WRITE)
-        mem.access(0, 0, WRITE)
-        mem.access(1, 0, WRITE)
+        access(mem, 0, 0, WRITE)
+        access(mem, 1, 0, WRITE)
+        access(mem, 0, 0, WRITE)
+        access(mem, 1, 0, WRITE)
         assert mem.stats[0].coherence_misses == 1
         assert mem.stats[1].coherence_misses == 1
 
     def test_read_sharing_no_invalidation(self):
         mem = MultiprocessorMemory(4)
         for pid in range(4):
-            mem.access(pid, 0, READ)
+            access(mem, pid, 0, READ)
         for pid in range(4):
-            assert mem.access(pid, 0, READ) is True
+            assert access(mem, pid, 0, READ) is True
         assert all(s.coherence_misses == 0 for s in mem.stats)
 
 
@@ -123,40 +113,28 @@ class TestRun:
 
     def test_aggregate_sums(self):
         mem = MultiprocessorMemory(2)
-        mem.access(0, 0)
-        mem.access(1, 8)
+        access(mem, 0, 0)
+        access(mem, 1, 8)
         total = mem.aggregate()
         assert total.reads == 2
         assert total.misses == 2
 
     def test_reset_stats_preserves_state(self):
         mem = MultiprocessorMemory(1)
-        mem.access(0, 0)
+        access(mem, 0, 0)
         mem.reset_stats()
         assert mem.stats[0].accesses == 0
-        assert mem.access(0, 0) is True
+        assert access(mem, 0, 0) is True
 
     def test_interleaved_input(self):
+        """Round robin runs P0's write, P1's read, then P0's read."""
         mem = MultiprocessorMemory(2)
-        mem.run([(0, Access(0, WRITE)), (1, Access(0, READ)), (0, Access(0, READ))])
+        mem.run_traces([_trace([(0, WRITE), (0, READ)]), _trace([(0, READ)])])
         assert mem.stats[0].misses == 1  # write cold; read hits
         assert mem.stats[1].misses == 1
 
 
-class TestEvictionDirectoryConsistency:
-    def test_evicted_block_not_invalidated_later(self):
-        mem = MultiprocessorMemory(2, capacity_bytes=8)  # one block each
-        mem.access(0, 0, READ)
-        mem.access(0, 8, READ)  # evicts block 0 from P0
-        mem.access(1, 0, WRITE)  # must not count an invalidation at P0
-        assert mem.stats[0].invalidations_received == 0
-        # P0's re-read of block 0 is a capacity miss, not coherence.
-        mem.access(0, 0, READ)
-        assert mem.stats[0].coherence_misses == 0
-        assert mem.stats[0].capacity_misses >= 1
-
-
-# -- snapshots and the columnar coherence kernel ---------------------------
+# -- snapshots and the coherence kernel ------------------------------------
 
 
 def _state(mem):
@@ -174,13 +152,13 @@ class TestStateDict:
     def test_round_trip(self):
         mem = MultiprocessorMemory(3)
         for pid, addr, kind in [(0, 0, WRITE), (1, 0, READ), (2, 8, READ), (1, 8, WRITE)]:
-            mem.access(pid, addr, kind)
+            access(mem, pid, addr, kind)
         state = mem.state_dict()
         twin = MultiprocessorMemory(3)
         twin.load_state_dict(json.loads(json.dumps(state)))
         assert _state(twin) == _state(mem)
         # The restored machine behaves identically from here on.
-        assert twin.access(2, 8, READ) == mem.access(2, 8, READ)
+        assert access(twin, 2, 8, READ) == access(mem, 2, 8, READ)
         assert _state(twin) == _state(mem)
 
     def test_geometry_mismatch_rejected(self):
@@ -188,47 +166,59 @@ class TestStateDict:
         with pytest.raises(ValueError):
             MultiprocessorMemory(3).load_state_dict(state)
         with pytest.raises(ValueError):
-            MultiprocessorMemory(2, capacity_bytes=64).load_state_dict(state)
+            MultiprocessorMemory(2, block_size=64).load_state_dict(state)
 
 
-def _traces_strategy(max_procs=6, max_len=40, max_block=12):
-    ref = st.tuples(st.integers(0, max_block), st.integers(READ, WRITE))
-    return st.integers(1, max_procs).flatmap(
-        lambda p: st.lists(
-            st.lists(st.lists(ref, max_size=max_len), min_size=p, max_size=p),
-            min_size=1,
-            max_size=3,
-        )
-    )
+#: Machine widths around the one-word processor masks (64 processors).
+_WIDTHS = (1, 2, 62, 63, 64, 130)
+
+
+def _random_calls(seed, procs, calls, max_len, max_block, spread):
+    """``calls`` lists of per-processor traces from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [
+        [
+            _trace(
+                list(
+                    zip(
+                        rng.integers(0, max_block + 1, size=length).tolist(),
+                        rng.integers(READ, WRITE + 1, size=length).tolist(),
+                    )
+                ),
+                spread,
+            )
+            for length in rng.integers(0, max_len + 1, size=procs)
+        ]
+        for _ in range(calls)
+    ]
 
 
 class TestCoherenceKernel:
     @given(
-        calls=_traces_strategy(),
+        procs=st.sampled_from(_WIDTHS),
+        seed=st.integers(0, 2**32 - 1),
+        calls=st.integers(1, 3),
+        max_len=st.integers(0, 12),
+        max_block=st.integers(0, 12),
         window=st.integers(1, 24),
-        # Dense block ids run the kernel; sparse ones fall back to the loop.
+        # Dense and sparse block ids both take the kernel.
         spread=st.sampled_from([1, 1 << 20]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_oracle_across_windows_and_resets(self, calls, window, spread):
-        procs = len(calls[0])
+    def test_matches_oracle_across_windows_and_resets(
+        self, procs, seed, calls, max_len, max_block, window, spread
+    ):
         vec = MultiprocessorMemory(procs)
-        with loops_only():
-            ora = MultiprocessorMemory(procs)
-        touched = set()
+        ora = MultiprocessorMemory(procs)
         with mock.patch.object(
             kernels, "MULTIPROC_WINDOW_REFS", window
         ), count_kernel_calls() as runs:
-            for call in calls:
-                traces = [_trace(refs, spread) for refs in call]
-                touched.update(b for refs in call for b, _ in refs)
+            for traces in _random_calls(seed, procs, calls, max_len, max_block, spread):
                 refs = sum(len(t) for t in traces)
-                dense = spread == 1 or len(touched) <= 1
                 before = runs["multiproc"]
                 vec.reset_stats()
                 vec.run_traces(traces)
-                engaged = runs["multiproc"] - before
-                assert engaged == int(refs > 0 and dense)
+                assert runs["multiproc"] - before == int(refs > 0)
                 with loops_only():
                     ora.reset_stats()
                     ora.run_traces(traces)
@@ -243,33 +233,42 @@ class TestCoherenceKernel:
         mem.run_traces([_trace([(1, READ)]), _trace([])])
         assert kernel_calls["multiproc"] == 2
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: (MultiprocessorMemory(2, capacity_bytes=64), 2),
-            lambda: (MultiprocessorMemory(63), 63),
-        ],
-        ids=["finite-caches", "too-many-processors"],
-    )
-    def test_out_of_domain_machines_use_the_loop(self, kernel_calls, make):
-        mem, procs = make()
-        traces = [_trace([(p, WRITE), (0, READ)]) for p in range(procs)]
+    def test_wide_machine_takes_the_kernel(self, kernel_calls):
+        """63 processors: past one signed 64-bit mask word."""
+        traces = [_trace([(p, WRITE), (0, READ), (p + 1, READ)]) for p in range(63)]
+        mem = MultiprocessorMemory(63)
         mem.run_traces(traces)
-        assert kernel_calls["multiproc"] == 0
-        assert mem.aggregate().accesses == 2 * procs
-
-    def test_sparse_block_ids_use_the_loop(self, kernel_calls):
-        """The span counts blocks already held in the machine's state."""
-        mem = MultiprocessorMemory(2)
+        assert kernel_calls["multiproc"] == 1
         with loops_only():
-            ora = MultiprocessorMemory(2)
-        for blocks in ([0, 1], [1 << 20, 1]):
-            traces = [_trace([(b, WRITE)]) for b in blocks]
+            ora = MultiprocessorMemory(63)
+            ora.run_traces(traces)
+        assert kernel_calls["multiproc"] == 1
+        assert _state(mem) == _state(ora)
+        assert mem.aggregate().accesses == 3 * 63
+
+    def test_sparse_block_ids_take_the_kernel(self, kernel_calls):
+        """Blocks far apart, in the traces and in the machine's state."""
+        mem = MultiprocessorMemory(2)
+        ora = MultiprocessorMemory(2)
+        for blocks in ([0, 1], [1 << 40, 1], [3, 1 << 20]):
+            traces = [_trace([(b, WRITE), (b, READ)]) for b in blocks]
             mem.run_traces(traces)
             with loops_only():
                 ora.run_traces(traces)
-        assert kernel_calls["multiproc"] == 1
+        assert kernel_calls["multiproc"] == 3
         assert _state(mem) == _state(ora)
+
+    @pytest.mark.parametrize(
+        "block", [-1, kernels._MAX_BLOCK_ID], ids=["negative", "too-large"]
+    )
+    def test_block_id_outside_the_packed_keys_is_rejected(self, kernel_calls, block):
+        mem = MultiprocessorMemory(2)
+        mem.run_traces([_trace([(0, WRITE)]), _trace([(1, READ)])])
+        before = _state(mem)
+        with pytest.raises(ValueError, match="block id"):
+            mem.run_traces([_trace([(2, READ)]), _trace([(block, WRITE)])])
+        assert _state(mem) == before
+        assert kernel_calls["multiproc"] == 1
 
 
 class TestBarnesHutPhases:
@@ -287,8 +286,7 @@ class TestBarnesHutPhases:
             [gen.trace_for_processor(p) for p in range(4)],
         ]
         vec = MultiprocessorMemory(4)
-        with loops_only():
-            ora = MultiprocessorMemory(4)
+        ora = MultiprocessorMemory(4)
         for traces in phases:
             vec.reset_stats()
             vec.run_traces(traces)

@@ -9,9 +9,9 @@ from repro.mem.trace import (
     Trace,
     TraceBuilder,
     WRITE,
-    iter_interleave_round_robin,
 )
 from tests.harness.builder import ReferenceBuilder
+from tests.harness.loops import iter_interleave_round_robin
 
 
 class TestAccess:

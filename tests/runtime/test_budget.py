@@ -7,7 +7,7 @@ import pytest
 from repro.mem.cache import FullyAssociativeCache
 from repro.mem.setassoc import SetAssociativeCache
 from repro.mem.stack_distance import profile_trace
-from repro.mem.trace import Trace, iter_interleave_round_robin
+from repro.mem.trace import Trace
 from repro.runtime.budget import (
     Budget,
     activate,
@@ -17,6 +17,7 @@ from repro.runtime.budget import (
 from repro.runtime.errors import BudgetExceeded
 
 from tests.harness.builder import ReferenceBuilder
+from tests.harness.loops import iter_interleave_round_robin
 from tests.runtime.conftest import FakeClock
 
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.cache import FullyAssociativeCache
-from repro.mem.lru import LRUList
 from repro.mem.stack_distance import profile_trace
 from repro.mem.trace import Trace
 
@@ -72,45 +71,3 @@ class TestProfilerAgainstNaiveModel:
                 assert misses <= previous
             previous = misses
         assert profile.misses_at(footprint) == footprint or not addrs
-
-
-class TestLRUListInvariants:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        ops=st.lists(
-            st.tuples(
-                st.sampled_from(["touch", "evict", "remove"]),
-                st.integers(min_value=0, max_value=12),
-            ),
-            max_size=200,
-        )
-    )
-    def test_structural_invariants_under_churn(self, ops):
-        lru = LRUList()
-        model = []  # front = MRU; the same naive shadow model
-        for op, key in ops:
-            if op == "touch":
-                hit = lru.touch(key)
-                assert hit == (key in model)
-                if key in model:
-                    model.remove(key)
-                model.insert(0, key)
-            elif op == "evict":
-                if model:
-                    assert lru.evict_lru() == model.pop()
-                else:
-                    try:
-                        lru.evict_lru()
-                        raise AssertionError("evict on empty must raise")
-                    except KeyError:
-                        pass
-            elif op == "remove":
-                if key in model:
-                    lru.remove(key)
-                    model.remove(key)
-            lru.check_invariants()
-            assert list(lru.keys_mru_to_lru()) == model
-            assert len(lru) == len(model)
-        if model:
-            assert lru.mru_key() == model[0]
-            assert lru.lru_key() == model[-1]
