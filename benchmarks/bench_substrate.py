@@ -10,6 +10,7 @@ import pytest
 
 from repro.apps.barnes_hut.bodies import plummer_model
 from repro.apps.barnes_hut.force import compute_accelerations
+from repro.apps.barnes_hut.trace import BarnesHutTraceGenerator
 from repro.apps.cg.grid import Grid2D
 from repro.apps.cg.solver import conjugate_gradient
 from repro.apps.fft.transform import fft
@@ -163,6 +164,19 @@ def bench_barnes_hut_force_phase(benchmark, run_once):
     bodies = plummer_model(512, seed=1)
     acc = run_once(benchmark, compute_accelerations, bodies, 1.0)
     assert acc.shape == (512, 3)
+
+
+def bench_barnes_hut_force_trace(benchmark):
+    """The force-phase traces of bh-phases' four processors at n=512
+    (the decision walk and its reference expansion, not the physics)."""
+    gen = BarnesHutTraceGenerator(plummer_model(512, seed=5), num_processors=4)
+
+    def run():
+        return sum(len(gen.trace_for_processor(pid)) for pid in range(4))
+
+    refs = benchmark(run)
+    assert refs > 0
+    _note_throughput(benchmark, refs)
 
 
 def bench_volume_renderer(benchmark, run_once):

@@ -10,7 +10,7 @@ otherwise it is opened.  Quadrupole corrections follow Hernquist (1987).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -66,7 +66,6 @@ def accelerate_body(
     gravitational_constant: float = 1.0,
     quadrupole: bool = True,
     stats: Optional[WalkStats] = None,
-    visit: Optional[Callable[[Cell, str], None]] = None,
 ) -> np.ndarray:
     """Acceleration on one body via the Barnes-Hut walk.
 
@@ -78,8 +77,6 @@ def accelerate_body(
         gravitational_constant: G.
         quadrupole: Apply quadrupole corrections for accepted cells.
         stats: Optional interaction counters to update.
-        visit: Optional callback ``(cell, event)`` with event in
-            {"open", "accept", "body"}; the trace generator hooks this.
 
     Returns:
         The (3,) acceleration vector.
@@ -103,8 +100,6 @@ def accelerate_body(
             )
             if stats is not None:
                 stats.body_body_interactions += 1
-            if visit is not None:
-                visit(cell, "body")
             continue
         delta = cell.com - position
         distance = float(np.sqrt(delta @ delta)) + 1e-300
@@ -118,13 +113,9 @@ def accelerate_body(
                 )
             if stats is not None:
                 stats.body_cell_interactions += 1
-            if visit is not None:
-                visit(cell, "accept")
         else:
             if stats is not None:
                 stats.cells_opened += 1
-            if visit is not None:
-                visit(cell, "open")
             for child in cell.children:
                 if child is not None:
                     stack.append(child)

@@ -14,16 +14,23 @@ structures:
   interaction ... about 0.7 Kbytes"); caching it takes the read miss
   rate from ~100% to ~20%, with the remaining misses going to tree
   data that only the lev2WS captures.
+
+The force trace depends only on the walk's open/accept/body decisions
+and their depth-first order, not on the forces, so it is generated by a
+decision-only walk batched over the whole partition one tree level at a
+time (:meth:`BarnesHutTraceGenerator._force_events`); the physics walk
+(:func:`~repro.apps.barnes_hut.force.accelerate_body`) is not run.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps.barnes_hut.bodies import BodySet
-from repro.apps.barnes_hut.force import WalkStats, accelerate_body
+from repro.apps.barnes_hut.force import WalkStats
 from repro.apps.barnes_hut.octree import Cell, Octree
 from repro.apps.barnes_hut.partition import morton_partition
 from repro.mem.address import AddressSpace
@@ -58,6 +65,39 @@ class _Templates(NamedTuple):
     kind: np.ndarray
     first: np.ndarray
     lengths: np.ndarray
+
+
+class _FlatTree(NamedTuple):
+    """The octree as arrays for the batched force walk, one row per cell
+    (by :attr:`Cell.index`)."""
+
+    com: np.ndarray  # (C, 3) center of mass
+    side: np.ndarray  # (C,) side length
+    live: np.ndarray  # (C,) count > 0 and mass != 0.0
+    is_leaf: np.ndarray  # (C,)
+    body_index: np.ndarray  # (C,) resident body of a leaf, else -1
+    children: np.ndarray  # (C, 8) child cell per octant, -1 where empty
+    rank: np.ndarray  # (C,) pre-order rank in Octree.walk()
+
+
+def _flatten(tree: Octree) -> _FlatTree:
+    cells = tree.cells
+    children = np.full((len(cells), 8), -1, dtype=np.int64)
+    for cell in cells:
+        for octant, child in enumerate(cell.children):
+            if child is not None:
+                children[cell.index, octant] = child.index
+    rank = np.empty(len(cells), dtype=np.int64)
+    rank[[cell.index for cell in tree.walk()]] = np.arange(len(cells))
+    return _FlatTree(
+        com=np.array([cell.com for cell in cells], dtype=np.float64),
+        side=np.array([cell.side for cell in cells], dtype=np.float64),
+        live=np.array([cell.count > 0 and cell.mass != 0.0 for cell in cells]),
+        is_leaf=np.array([cell.is_leaf for cell in cells]),
+        body_index=np.array([cell.body_index for cell in cells], dtype=np.int64),
+        children=children,
+        rank=rank,
+    )
 
 
 class BarnesHutTraceGenerator:
@@ -149,7 +189,8 @@ class BarnesHutTraceGenerator:
     # walk step, one tree update -- and each event emits a fixed run of
     # references: a template of (base, stride, kind) per reference, whose
     # address is ``base + id * stride`` for the event's body or cell id.
-    # The walks record (event, id) codes; numpy expands them.
+    # The walks record (event, id) codes -- the force walk as arrays, the
+    # build and moments walks as lists; numpy expands them.
 
     def _templates(
         self, events: Sequence[Sequence[Tuple[str, int, int]]], pid: int = 0
@@ -178,9 +219,9 @@ class BarnesHutTraceGenerator:
         return _Templates(base, stride, kind, np.cumsum(lengths) - lengths, lengths)
 
     @staticmethod
-    def _emit(tb, templates: _Templates, codes: List[int], ids: List[int]) -> Trace:
-        """Expand a phase's recorded ``(code, id)`` events into ``tb`` and
-        build it.
+    def _emit(tb, templates: _Templates, codes, ids) -> Trace:
+        """Expand a phase's recorded ``(code, id)`` events (lists or int64
+        arrays) into ``tb`` and build it.
 
         Events are recorded for the whole phase first, so the expanded
         columns are allocated after the walk rather than interleaved
@@ -220,7 +261,6 @@ class BarnesHutTraceGenerator:
         if not 0 <= pid < self.num_processors:
             raise IndexError("processor id out of range")
         tb = TraceBuilder()
-        self.stats = WalkStats()
         scratch = [("scratch", i, READ) for i in range(SCRATCH_DOUBLEWORDS)] + [
             ("scratch", i, WRITE) for i in range(0, SCRATCH_DOUBLEWORDS, 2)
         ]
@@ -236,32 +276,88 @@ class BarnesHutTraceGenerator:
             ],
             pid,
         )
-        codes: List[int] = []
-        ids: List[int] = []
-
-        def visit(cell: Cell, event: str) -> None:
-            if event == "body":
-                codes.append(_BODY)
-                ids.append(cell.body_index)
-            else:
-                codes.append(_OPEN if event == "open" else _ACCEPT)
-                ids.append(cell.index)
-
-        for body in self.partitions[pid]:
-            body = int(body)
-            codes.append(_START)
-            ids.append(body)
-            accelerate_body(
-                self.tree,
-                body,
-                self.theta,
-                quadrupole=self.quadrupole,
-                stats=self.stats,
-                visit=visit,
-            )
-            codes.append(_END)
-            ids.append(body)
+        codes, ids = self._force_events(self.partitions[pid])
+        counts = np.bincount(codes, minlength=len(templates.lengths))
+        self.stats = WalkStats(
+            body_cell_interactions=int(counts[_ACCEPT]),
+            body_body_interactions=int(counts[_BODY]),
+            cells_opened=int(counts[_OPEN]),
+        )
         return self._emit(tb, templates, codes, ids)
+
+    @cached_property
+    def _flat_tree(self) -> _FlatTree:
+        return _flatten(self.tree)
+
+    def _force_events(self, bodies: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The force walk's ``(code, id)`` events for ``bodies``, in order.
+
+        One decision-only walk covers every body at once: a frontier of
+        (body slot, cell) pairs descends the tree a level at a time, and
+        each pair makes the decision :func:`accelerate_body` makes when
+        it pops that cell.  The cells one body visits form a subtree
+        holding the root, whose depth-first order is the whole tree's
+        pre-order restricted to it, so sorting the events by (slot,
+        pre-order rank) replays each body's walk in its stack order.
+        """
+        flat = self._flat_tree
+        positions = self.bodies.positions
+        theta = self.theta
+        bodies = np.asarray(bodies, dtype=np.int64)
+        first = np.arange(bodies.shape[0])
+        # _START and _END bracket each body's walk with sentinel ranks.
+        slot_parts = [first, first]
+        rank_parts = [np.full_like(first, -1), np.full_like(first, len(flat.rank))]
+        code_parts = [np.full_like(first, _START), np.full_like(first, _END)]
+        id_parts = [bodies, bodies]
+
+        def record(slots, cells, code, ids) -> None:
+            slot_parts.append(slots)
+            rank_parts.append(flat.rank[cells])
+            code_parts.append(np.full_like(slots, code))
+            id_parts.append(ids)
+
+        slots = first
+        cells = np.full_like(first, self.tree.root.index)
+        while slots.shape[0]:
+            live = flat.live[cells]
+            slots, cells = slots[live], cells[live]
+            leaf = flat.is_leaf[cells]
+            leaf_slots, leaf_cells = slots[leaf], cells[leaf]
+            others = flat.body_index[leaf_cells]
+            other = others != bodies[leaf_slots]
+            record(leaf_slots[other], leaf_cells[other], _BODY, others[other])
+
+            slots, cells = slots[~leaf], cells[~leaf]
+            delta = flat.com[cells] - positions[bodies[slots]]
+            ratio = flat.side[cells] / (
+                np.sqrt(
+                    delta[:, 0] * delta[:, 0]
+                    + delta[:, 1] * delta[:, 1]
+                    + delta[:, 2] * delta[:, 2]
+                )
+                + 1e-300
+            )
+            accept = ratio < theta
+            # The scalar walk's dot product may round differently from the
+            # sum above: re-decide every near tie exactly as it does.
+            for i in np.flatnonzero(np.abs(ratio - theta) <= 1e-12 * theta):
+                scalar = flat.com[cells[i]] - positions[bodies[slots[i]]]
+                distance = float(np.sqrt(scalar @ scalar)) + 1e-300
+                accept[i] = flat.side[cells[i]] / distance < theta
+            record(slots[accept], cells[accept], _ACCEPT, cells[accept])
+            slots, cells = slots[~accept], cells[~accept]
+            record(slots, cells, _OPEN, cells)
+
+            children = flat.children[cells].ravel()
+            present = children >= 0
+            slots = np.repeat(slots, 8)[present]
+            cells = children[present]
+
+        order = np.lexsort(
+            (np.concatenate(rank_parts), np.concatenate(slot_parts))
+        )
+        return np.concatenate(code_parts)[order], np.concatenate(id_parts)[order]
 
     # -- other phases (Section 6.4) ---------------------------------------
 

@@ -4,12 +4,20 @@ columnar generator in :mod:`repro.apps.barnes_hut.trace`.
 Each function emits one processor's phase trace one reference at a
 time through ``ReferenceBuilder.read``/``write`` and bounds-checked
 ``Region.element`` addressing, exactly as the generator did before it
-expanded per-event address templates with numpy.
+expanded per-event address templates with numpy.  The force trace
+walks each body's tree with :func:`decisions`, the scalar stack walk
+of :func:`~repro.apps.barnes_hut.force.accelerate_body` without its
+force arithmetic, one body at a time.
 """
 
 from __future__ import annotations
 
-from repro.apps.barnes_hut.force import WalkStats, accelerate_body
+from typing import Iterator, Tuple
+
+import numpy as np
+
+from repro.apps.barnes_hut.force import WalkStats
+from repro.apps.barnes_hut.octree import Cell, Octree
 from repro.apps.barnes_hut.trace import (
     BODY_DOUBLEWORDS,
     CELL_DOUBLEWORDS,
@@ -44,37 +52,62 @@ def _interaction_scratch(tb, scratch) -> None:
         tb.write(scratch.element(i))
 
 
+def decisions(tree: Octree, body: int, theta: float) -> Iterator[Tuple[Cell, str]]:
+    """``(cell, event)`` for each step of ``body``'s walk, in the order
+    ``accelerate_body`` takes them; event is "open", "accept" or "body"."""
+    position = tree.bodies.positions[body]
+    stack = [tree.root]
+    while stack:
+        cell = stack.pop()
+        if cell.count == 0 or cell.mass == 0.0:
+            continue
+        if cell.is_leaf:
+            if cell.body_index != body:
+                yield cell, "body"
+            continue
+        delta = cell.com - position
+        distance = float(np.sqrt(delta @ delta)) + 1e-300
+        if cell.side / distance < theta:
+            yield cell, "accept"
+        else:
+            yield cell, "open"
+            stack.extend(child for child in cell.children if child is not None)
+
+
+def walk_stats(tree: Octree, bodies, theta: float) -> WalkStats:
+    """The open/accept/body counts of :func:`decisions` over ``bodies``."""
+    stats = WalkStats()
+    for body in bodies:
+        for _, event in decisions(tree, int(body), theta):
+            if event == "open":
+                stats.cells_opened += 1
+            elif event == "accept":
+                stats.body_cell_interactions += 1
+            else:
+                stats.body_body_interactions += 1
+    return stats
+
+
 def force_trace(gen: BarnesHutTraceGenerator, pid: int):
     """Processor ``pid`` computing forces on its partition."""
     tb = ReferenceBuilder()
-    stats = WalkStats()
     scratch = gen.scratch_regions[pid]
-
-    def visit(cell, event: str) -> None:
-        if event == "open":
-            _read_cell(gen, tb, cell, range(4))
-            _read_cell(gen, tb, cell, range(10, 14))
-        elif event == "accept":
-            _read_cell(gen, tb, cell, range(4))
-            if gen.quadrupole:
-                _read_cell(gen, tb, cell, range(4, 10))
-            _interaction_scratch(tb, scratch)
-        else:  # body-body
-            _read_body_position(gen, tb, cell.body_index)
-            tb.read(_body_addr(gen, cell.body_index, 6))  # mass
-            _interaction_scratch(tb, scratch)
-
     for body in gen.partitions[pid]:
         body = int(body)
         _read_body_position(gen, tb, body)
-        accelerate_body(
-            gen.tree,
-            body,
-            gen.theta,
-            quadrupole=gen.quadrupole,
-            stats=stats,
-            visit=visit,
-        )
+        for cell, event in decisions(gen.tree, body, gen.theta):
+            if event == "open":
+                _read_cell(gen, tb, cell, range(4))
+                _read_cell(gen, tb, cell, range(10, 14))
+            elif event == "accept":
+                _read_cell(gen, tb, cell, range(4))
+                if gen.quadrupole:
+                    _read_cell(gen, tb, cell, range(4, 10))
+                _interaction_scratch(tb, scratch)
+            else:  # body-body
+                _read_body_position(gen, tb, cell.body_index)
+                tb.read(_body_addr(gen, cell.body_index, 6))  # mass
+                _interaction_scratch(tb, scratch)
         for offset in range(7, 10):  # acceleration write-back
             tb.write(_body_addr(gen, body, offset))
     return tb.build()
