@@ -49,7 +49,8 @@ def bench_fully_associative_cache(benchmark):
 
     def run():
         cache = FullyAssociativeCache(1024 * 8)
-        return cache.run(trace)
+        cache.hit_mask(trace)
+        return cache.stats
 
     stats = benchmark(run)
     assert stats.accesses == len(trace)
@@ -68,20 +69,19 @@ def bench_direct_mapped_cache(benchmark):
     _note_throughput(benchmark, len(trace))
 
 
-#: Interleaved instrumented/uninstrumented pairs the overhead gate times.
+#: Interleaved instrumented/uninstrumented pairs the overhead row times.
 OBS_OVERHEAD_PAIRS = 31
 
 
-def bench_obs_overhead_fully_associative(benchmark, tmp_path):
-    """Instrumented-vs-uninstrumented hot-loop throughput.
+def bench_obs_overhead_stackdist(benchmark, tmp_path):
+    """Instrumented-vs-uninstrumented stack-distance profile.
 
-    Times the fully-associative simulation with observability sampling
-    *and* timeline recording enabled, then times the identical run with
-    both disabled, and records both rates (plus the overhead
-    percentage) into ``extra_info`` so CI can gate on the documented
-    <5% budget without scraping terminals.  The timeline recorder is
-    part of the instrumented arm on purpose: the budget covers the full
-    telemetry stack, not just the counters.
+    Times ``profile_trace`` with metrics sampling *and* timeline rows
+    on (the ``stackdist`` rows every campaign writes), then the same
+    profile with both off, and records both rates plus the overhead
+    percentage into ``extra_info``.  Report-only: the telemetry budget
+    is held at the campaign level (``benchmarks/obs_budget.py``), not
+    on this one loop.
     """
     import time
 
@@ -90,13 +90,9 @@ def bench_obs_overhead_fully_associative(benchmark, tmp_path):
 
     trace = _random_trace()
 
-    def run():
-        cache = FullyAssociativeCache(1024 * 8)
-        return cache.run(trace)
-
     def timed_run():
         t0 = time.perf_counter()
-        run()
+        profile_trace(trace)
         return time.perf_counter() - t0
 
     was_enabled = obs_metrics.obs_enabled()
@@ -107,17 +103,15 @@ def bench_obs_overhead_fully_associative(benchmark, tmp_path):
     # automatically runs without timeline rows.
     obs_timeline.configure_timeline(timeline_path)
     try:
-        stats = benchmark(run)
-        assert stats.accesses == len(trace)
-        # The registry actually saw the loop (sampling was really on).
+        profile = benchmark(profile_trace, trace)
+        assert profile.total == len(trace)
+        # The registry actually saw the kernel (sampling was really on).
         snapshot = obs_metrics.get_registry().snapshot()
         assert any(name.endswith(".refs") for name in snapshot["counters"])
 
         # Interleave instrumented/uninstrumented pairs so both sides see
-        # the same cache/thermal conditions, and gate on best-of-each
-        # (min is the noise-robust statistic for a CPU-bound loop).  A
-        # run takes ~15 ms, so it takes many pairs before each arm's
-        # minimum settles below the timer noise of a shared host.
+        # the same cache/thermal conditions, and report best-of-each
+        # (min is the noise-robust statistic for a CPU-bound loop).
         instrumented_times = []
         baseline_times = []
         for _ in range(OBS_OVERHEAD_PAIRS):

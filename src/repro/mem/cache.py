@@ -110,41 +110,6 @@ class FullyAssociativeCache:
         stats.cold_misses += len(trace) - int(np.count_nonzero(depth))
         return hit
 
-    def run(self, trace: Trace, budget: Optional[Budget] = None) -> CacheStats:
-        """Run a whole trace through the cache; returns cumulative stats.
-
-        Args:
-            trace: The reference stream.
-            budget: Optional wall-clock :class:`Budget` polled every
-                few thousand references (defaults to the ambient
-                campaign budget, if any).
-        """
-        from repro.obs import timeline as obs_timeline
-
-        recorder = obs_timeline.active_recorder()
-        if recorder is None:
-            self.hit_mask(trace, budget=budget)
-            return self.stats
-        import time as _time
-
-        stats = self.stats
-        pre_misses, pre_cold = stats.misses, stats.cold_misses
-        t0 = _time.perf_counter()
-        self.hit_mask(trace, budget=budget)
-        obs_timeline.record_cache_chunk(
-            recorder,
-            "fullassoc",
-            trace,
-            block_size=self.block_size,
-            capacity_bytes=self.capacity_bytes,
-            refs=len(trace),
-            counted=len(trace),
-            cold=stats.cold_misses - pre_cold,
-            misses_total=stats.misses - pre_misses,
-            elapsed=_time.perf_counter() - t0,
-        )
-        return stats
-
     def reset_stats(self) -> None:
         """Zero the counters without flushing cache contents.
 

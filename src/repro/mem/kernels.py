@@ -921,12 +921,12 @@ def _check_domain(kernel: str, blocks: np.ndarray, n: int, prefix_bound: int) ->
     _check_block_ids(kernel, int(blocks.min()), int(blocks.max()), m)
 
 
-def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
+def guard_run(kernel: str, sim, trace, budget=None, **options) -> None:
     """Advance ``sim`` over ``trace`` with its vectorized kernel.
 
-    The dispatch point every simulator calls.  It returns ``True`` once
-    the kernel has run and the simulator state is updated (an empty
-    chunk is a no-op), or raises ``ValueError`` for a chunk outside the
+    The dispatch point every simulator calls.  It returns once the
+    kernel has run and the simulator state is updated (an empty chunk
+    is a no-op), or raises ``ValueError`` for a chunk outside the
     kernel's domain (see :func:`_check_domain`; a ``"multiproc"`` chunk,
     one trace per processor, only needs block ids that
     :func:`_check_block_ids` admits for a window).  For ``"setassoc"``,
@@ -940,7 +940,7 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
     if kernel == "multiproc":
         n = sum(len(t) for t in trace)
         if n == 0:
-            return True
+            return
         live = [t.addrs for t in trace if len(t)]
         _check_block_ids(
             kernel,
@@ -956,7 +956,7 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
             raise ValueError(f"{kernel} needs simulators of one block size")
         n = len(trace)
         if n == 0:
-            return True
+            return
         blocks = trace.block_ids(sims[0].block_size)
         kinds = trace.kinds
         _check_domain(kernel, blocks, n, _prefix_bound(kernel, sims))
@@ -998,4 +998,3 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
             misses=sum(_miss_delta(kernel, old, new) for _, old, new in pairs),
         )
     obs_metrics.inc(f"mem.kernel.{kernel}.chunks")
-    return True

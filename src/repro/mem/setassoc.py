@@ -16,7 +16,6 @@ the reference the kernel is held to.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -102,11 +101,11 @@ class SetAssociativeCache:
         associativity sweep); returns each cache's cumulative stats.
 
         Equal to ``[cache.run(trace, budget) for cache in caches]``:
-        the same stats, states and timeline rows (but for their
-        timings).  The caches share one kernel call, which makes one
-        depth pass per distinct set count (see ``docs/KERNELS.md``);
-        caches of different block sizes run one by one.  A chunk outside
-        the kernel's domain raises ``ValueError`` and changes no cache.
+        the same stats, states and timeline rows.  The caches share one
+        kernel call, which makes one depth pass per distinct set count
+        (see ``docs/KERNELS.md``); caches of different block sizes run
+        one by one.  A chunk outside the kernel's domain raises
+        ``ValueError`` and changes no cache.
         """
         caches = list(caches)
         if len({cache.block_size for cache in caches}) != 1:
@@ -119,28 +118,26 @@ class SetAssociativeCache:
             (cache.stats.accesses, cache.stats.misses, cache.stats.cold_misses)
             for cache in caches
         ]
-        t0 = time.perf_counter()
         kernels.guard_run("setassoc", caches, trace, budget=budget)
-        if recorder is not None:
-            # One footprint for the whole sweep; the rows share its time.
-            elapsed = (time.perf_counter() - t0) / len(caches)
-            block_size = caches[0].block_size
-            ws_blocks = trace.footprint(block_size)
-            for cache, (accesses, misses, cold) in zip(caches, before):
-                stats = cache.stats
-                obs_timeline.record_cache_chunk(
-                    recorder,
-                    "setassoc",
-                    trace,
-                    block_size=block_size,
-                    capacity_bytes=cache.capacity_bytes,
-                    refs=len(trace),
-                    counted=stats.accesses - accesses,
-                    cold=stats.cold_misses - cold,
-                    misses_total=stats.misses - misses,
-                    elapsed=elapsed,
-                    ws_blocks=ws_blocks,
-                )
+        if recorder is not None and len(trace):
+            # One footprint for the whole sweep.
+            block_size = int(caches[0].block_size)
+            ws_blocks = int(trace.footprint(block_size))
+            recorder.record_many(
+                "setassoc",
+                [
+                    {
+                        "refs": len(trace),
+                        "counted": cache.stats.accesses - accesses,
+                        "cold": cache.stats.cold_misses - cold,
+                        "block_size": block_size,
+                        "capacity_bytes": int(cache.capacity_bytes),
+                        "ws_blocks": ws_blocks,
+                        "misses_total": cache.stats.misses - misses,
+                    }
+                    for cache, (accesses, misses, cold) in zip(caches, before)
+                ],
+            )
         return [cache.stats for cache in caches]
 
     def reset_stats(self) -> None:

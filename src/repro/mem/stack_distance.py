@@ -22,7 +22,6 @@ loop over the same snapshots is kept in the tests
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -213,9 +212,9 @@ class StackDistanceRun:
         is still fed in one pass: the kernel hands back every
         reference's depth and in-chunk previous reference, and by
         Mattson inclusion those give each window's counts, per-capacity
-        misses, depth percentiles and working set exactly as feeding
-        the window alone would.  The arrays are dropped as soon as the
-        rows are built, and without a recorder they are never made.
+        misses and working set exactly as feeding the window alone
+        would.  The arrays are dropped as soon as the rows are built,
+        and without a recorder they are never made.
         """
         from repro.obs import timeline as obs_timeline
         from repro.obs.metrics import inc
@@ -225,19 +224,12 @@ class StackDistanceRun:
             self._feed_impl(trace, budget=budget)
             return
         pos0 = self._pos
-        footprint0 = len(self._blocks)
-        t0 = time.perf_counter()
         depth, prev = self._feed_impl(trace, budget=budget, links=True)
-        elapsed = time.perf_counter() - t0
         try:  # telemetry never fails the feed
             rows = self._timeline_rows(
-                trace, depth, prev, pos0, footprint0, row_refs or len(trace)
+                trace, depth, prev, pos0, row_refs or len(trace)
             )
             del depth, prev
-            share = elapsed / len(rows)
-            for row in rows:
-                row["elapsed_s"] = round(share, 9)
-                row["refs_per_second"] = row["refs"] / share if share > 0 else None
             recorder.record_many("stackdist", rows)
         except Exception:
             inc("obs.timeline.write_errors")
@@ -263,11 +255,10 @@ class StackDistanceRun:
         depth: np.ndarray,
         prev: np.ndarray,
         pos0: int,
-        footprint0: int,
         step: int,
     ) -> List[Dict[str, object]]:
         """One row per ``step``-reference window of a chunk fed from
-        reference ``pos0`` on, with ``footprint0`` blocks resident.
+        reference ``pos0`` on.
 
         ``depth`` is each reference's stack depth (0 for a first touch)
         and ``prev`` the in-chunk index of the previous reference to its
@@ -282,9 +273,6 @@ class StackDistanceRun:
         first = depth == 0
         counted_w = np.add.reduceat(counted, starts, dtype=np.int64)
         cold_w = np.add.reduceat(first & counted, starts, dtype=np.int64)
-        footprint_w = footprint0 + np.cumsum(
-            np.add.reduceat(first, starts, dtype=np.int64)
-        )
         ws_w = np.add.reduceat(prev // step != window, starts, dtype=np.int64)
         hit = counted & ~first
         del counted, first
@@ -302,51 +290,23 @@ class StackDistanceRun:
             hit_w * bins + np.searchsorted(caps, hit_d), minlength=rows_n * bins
         ).reshape(rows_n, bins)
         misses_w = counted_w[:, None] - np.cumsum(per_bin[:, :-1], axis=1)
-        # Depth percentiles: the ceil(q * H)-th smallest of a window's
-        # H hit depths, read off one sort of (window, depth) keys.
-        hits_w = np.bincount(hit_w, minlength=rows_n)
-        percentiles: Dict[str, List[int]] = {}
-        if hit_d.size:
-            span = int(hit_d.max()) + 1
-            keys = hit_w * span + hit_d
-            keys.sort()
-            offsets = np.cumsum(hits_w) - hits_w - 1
-            base = np.arange(rows_n, dtype=np.int64) * span
-            for label, q in (
-                ("depth_p50", 0.50),
-                ("depth_p90", 0.90),
-                ("depth_p99", 0.99),
-            ):
-                at = offsets + np.ceil(q * hits_w).astype(np.int64)
-                percentiles[label] = (
-                    keys[np.maximum(at, 0)] - base
-                ).tolist()
-        has_hits = (hits_w > 0).tolist()
-        rows: List[Dict[str, object]] = []
-        for w, (start, counted_n, cold, ws, footprint, misses) in enumerate(
-            zip(
-                starts.tolist(),
-                counted_w.tolist(),
-                cold_w.tolist(),
-                ws_w.tolist(),
-                footprint_w.tolist(),
-                misses_w.tolist(),
-            )
-        ):
-            row: Dict[str, object] = {
+        return [
+            {
                 "refs": min(step, n - start),
                 "counted": counted_n,
                 "cold": cold,
                 "block_size": self.block_size,
                 "ws_blocks": ws,
-                "footprint_blocks": footprint,
                 "misses": misses,
             }
-            if has_hits[w]:
-                for label, values in percentiles.items():
-                    row[label] = values[w]
-            rows.append(row)
-        return rows
+            for start, counted_n, cold, ws, misses in zip(
+                starts.tolist(),
+                counted_w.tolist(),
+                cold_w.tolist(),
+                ws_w.tolist(),
+                misses_w.tolist(),
+            )
+        ]
 
     def _feed_impl(
         self, trace: Trace, budget: Optional[Budget] = None, links: bool = False

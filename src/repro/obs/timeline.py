@@ -7,15 +7,17 @@ active matrix).  This module adds the time axis:
 
 - :class:`TimelineRecorder` appends ``TLN1`` rows to
   ``timeline.jsonl`` (the shared CRC frame and damage rule of
-  :mod:`repro.runtime.records`): refs/s, per-capacity miss deltas,
-  stack-depth percentiles, and a Denning working-set estimate (unique
-  blocks touched in the window).  The explicit caches write one row
-  per simulated chunk.  The stack-distance profiler feeds an in-memory
-  trace once and derives a row per window of :func:`window_refs`
-  references from the per-reference depths, written as one
-  :meth:`~TimelineRecorder.record_many` batch.  A ``stackdist`` row's
-  ``misses`` vector indexes :data:`STACKDIST_LADDER` slot for slot.
-  The recorder only appends: it derives nothing from its rows.
+  :mod:`repro.runtime.records`) with what ``status`` and ``report``
+  read: counted and cold references, miss deltas, and a Denning
+  working-set estimate (unique blocks touched in the window).  The
+  stack-distance profiler feeds an in-memory trace once and derives a
+  row per window of :func:`window_refs` references from the
+  per-reference depths; a ``stackdist`` row's ``misses`` vector indexes
+  :data:`STACKDIST_LADDER` slot for slot.  A set-associative sweep
+  writes one ``setassoc`` row per cache and chunk, with the scalar
+  ``misses_total``.  Both go out as one
+  :meth:`~TimelineRecorder.record_many` batch.  The recorder only
+  appends: it derives nothing from its rows.
 - :class:`PhaseDetector` segments a row stream into phases (robust
   median/MAD change-point test on ``log2(ws_blocks)`` with two-row
   hysteresis) and re-estimates the knees *per phase* from the
@@ -449,49 +451,6 @@ def set_labels(
 def clear_labels() -> None:
     if _recorder is not None:
         _recorder.clear_labels()
-
-
-def record_cache_chunk(
-    recorder: TimelineRecorder,
-    kind: str,
-    trace,
-    *,
-    block_size: int,
-    capacity_bytes: int,
-    refs: int,
-    counted: int,
-    cold: int,
-    misses_total: int,
-    elapsed: float,
-    ws_blocks: Optional[int] = None,
-) -> None:
-    """One timeline row for an explicit-cache chunk (never raises).
-
-    Shared by the fully associative and set-associative simulators:
-    they simulate a single capacity, so the row carries the scalar
-    miss delta plus the Denning working-set estimate of the window
-    (``ws_blocks``, the trace footprint, computed here unless a sweep
-    passes the one it already has).
-    """
-    try:
-        if refs <= 0:
-            return
-        if ws_blocks is None:
-            ws_blocks = trace.footprint(block_size)
-        recorder.record(
-            kind,
-            refs=int(refs),
-            counted=int(counted),
-            cold=int(cold),
-            misses_total=int(misses_total),
-            elapsed_s=round(elapsed, 9),
-            refs_per_second=(refs / elapsed) if elapsed > 0 else None,
-            block_size=int(block_size),
-            capacity_bytes=int(capacity_bytes),
-            ws_blocks=int(ws_blocks),
-        )
-    except Exception:
-        obs_metrics.inc("obs.timeline.write_errors")
 
 
 # -- status/report helpers --------------------------------------------------

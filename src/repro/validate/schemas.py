@@ -323,31 +323,32 @@ TIMELINE_ROW_SCHEMA: Dict[str, object] = {
         "v": {"type": "integer", "minimum": 1},
         "kind": {
             "type": "string",
-            "enum": ["stackdist", "fullassoc", "setassoc"],
+            # Earlier versions also wrote "fullassoc" rows.
+            "enum": ["stackdist", "setassoc", "fullassoc"],
         },
         "seq": {"type": "integer", "minimum": 0},
         "pid": {"type": "integer", "minimum": 1},
         "t_wall": {"type": "number"},
+        "experiment_id": {"type": "string"},
+        "attempt_uid": {"type": "string"},
         "refs": {"type": "integer", "minimum": 1},
         "counted": {"type": "integer", "minimum": 0},
         "cold": {"type": "integer", "minimum": 0},
-        "elapsed_s": {"type": "number", "minimum": 0},
-        "refs_per_second": {"type": "number", "minimum": 0},
         "block_size": {"type": "integer", "minimum": 1},
         "ws_blocks": {"type": "integer", "minimum": 0},
-        "footprint_blocks": {"type": "integer", "minimum": 0},
         "capacity_bytes": {"type": "integer", "minimum": 1},
         "misses_total": {"type": "integer", "minimum": 0},
-        "cache_sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
         "misses": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        # Written by earlier versions only; kept so their run
+        # directories still validate.
+        "cache_sizes": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "elapsed_s": {"type": "number", "minimum": 0},
+        "refs_per_second": {"type": "number", "minimum": 0},
+        "footprint_blocks": {"type": "integer", "minimum": 0},
         "depth_p50": {"type": "integer", "minimum": 0},
         "depth_p90": {"type": "integer", "minimum": 0},
         "depth_p99": {"type": "integer", "minimum": 0},
-        # Written by earlier versions only; kept so their run
-        # directories still validate.
         "tier": {"type": "string", "enum": ["vector", "oracle"]},
-        "experiment_id": {"type": "string"},
-        "attempt_uid": {"type": "string"},
     },
 }
 

@@ -49,6 +49,16 @@ LEGACY_EVENTS = Path(__file__).parent / "data" / "legacy_events" / "events.jsonl
 #: three phases.
 LEGACY_TIMELINE = Path(__file__).parent / "data" / "legacy_timeline" / "timeline.jsonl"
 
+#: Version 2 rows as earlier versions wrote them, with fields no reader
+#: reads: the fig5 ``stackdist`` rows of a default ``--quick --run-dir``
+#: campaign (with ``depth_p50``/``p90``/``p99``, ``footprint_blocks``,
+#: ``elapsed_s`` and ``refs_per_second``; three phases), after one
+#: ``fullassoc`` row of ``FullyAssociativeCache.run`` labelled
+#: ``fullassoc-demo``.
+LEGACY_TIMELINE_V2 = (
+    Path(__file__).parent / "data" / "legacy_timeline_v2" / "timeline.jsonl"
+)
+
 
 def plant_legacy_stream(run_dir) -> Path:
     """Copy :data:`LEGACY_STREAM_DIR` to ``<run_dir>/stream``."""

@@ -113,24 +113,27 @@ class TestRun:
         """On the loop (a short trace) and on the kernel (a long one)."""
         for trace in (looping_trace, random_trace(3000, 80, seed=5)):
             for capacity in (8, 64, 256, 1024):
-                stats = FullyAssociativeCache(capacity).run(trace)
-                assert vars(stats) == vars(OracleCache(capacity).run(trace))
+                cache = FullyAssociativeCache(capacity)
+                cache.hit_mask(trace)
+                assert vars(cache.stats) == vars(OracleCache(capacity).run(trace))
 
     def test_full_reuse_when_fits(self, looping_trace):
         cache = FullyAssociativeCache(64 * 8)
-        stats = cache.run(looping_trace)
+        cache.hit_mask(looping_trace)
+        stats = cache.stats
         assert stats.misses == 64  # cold only
         assert stats.cold_misses == 64
 
     def test_no_reuse_when_too_small(self, looping_trace):
         cache = FullyAssociativeCache(8 * 8)  # 8 of 64 blocks
-        stats = cache.run(looping_trace)
+        cache.hit_mask(looping_trace)
+        stats = cache.stats
         assert stats.misses == 4 * 64  # every sweep misses everything
 
     def test_miss_rate_metric(self, sequential_trace):
         cache = FullyAssociativeCache(64)
-        stats = cache.run(sequential_trace)
-        assert stats.miss_rate == 1.0
+        cache.hit_mask(sequential_trace)
+        assert cache.stats.miss_rate == 1.0
 
     def test_reset_stats_keeps_contents(self):
         twin = _Twin(256)

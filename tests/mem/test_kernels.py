@@ -51,20 +51,27 @@ def _canonical(state):
     return json.dumps(state, sort_keys=True)
 
 
+def _fa_stats(trace):
+    """A fresh 32-block fully associative cache's stats over ``trace``."""
+    cache = FullyAssociativeCache(32 * 8)
+    cache.hit_mask(trace)
+    return cache.stats
+
+
 # -- configuration ---------------------------------------------------------
 
 
 class TestConfig:
     def test_defaults_from_empty_environment(self, monkeypatch, kernel_calls):
         monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
-        FullyAssociativeCache(32 * 8).run(_mixed_trace(2048, 64))
+        FullyAssociativeCache(32 * 8).hit_mask(_mixed_trace(2048, 64))
         assert kernel_calls["stackdist"] == 1
 
     @pytest.mark.parametrize("value", ["oracle", "orcale"])
     def test_kernel_tier_variable_is_ignored(self, monkeypatch, kernel_calls, value):
         """The retired switch neither forces the loops nor fails a run."""
         monkeypatch.setenv("REPRO_KERNEL_TIER", value)
-        FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
+        FullyAssociativeCache(32 * 8).hit_mask(_mixed_trace(4000, 64))
         assert kernel_calls["stackdist"] == 1
 
 
@@ -75,10 +82,10 @@ class TestLoopsSeam:
         engines = dict(kernels.KERNELS)
         with loops_only():
             assert kernels.KERNELS == LOOPS
-            FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
+            FullyAssociativeCache(32 * 8).hit_mask(_mixed_trace(4000, 64))
         assert kernels.KERNELS == engines
         assert kernel_calls["stackdist"] == 0
-        FullyAssociativeCache(32 * 8).run(_mixed_trace(4000, 64))
+        FullyAssociativeCache(32 * 8).hit_mask(_mixed_trace(4000, 64))
         assert kernel_calls["stackdist"] == 1
 
     def test_loops_only_reaches_every_simulator(self, kernel_calls):
@@ -119,17 +126,17 @@ class TestLoopsSeam:
 class TestGuard:
     def test_vector_tier_engages_and_matches_oracle(self, kernel_calls):
         trace = _mixed_trace(4000, 64)
-        stats = FullyAssociativeCache(32 * 8).run(trace)
+        stats = _fa_stats(trace)
         assert kernel_calls["stackdist"] == 1
         with loops_only():
-            expected = FullyAssociativeCache(32 * 8).run(trace)
+            expected = _fa_stats(trace)
         assert stats.__dict__ == expected.__dict__
         assert stats.__dict__ == OracleCache(32 * 8).run(trace).__dict__
 
     @pytest.mark.parametrize("length", [1, 5, 64, 2047])
     def test_small_chunks_take_the_kernel(self, kernel_calls, length):
         trace = _mixed_trace(length, 16)
-        stats = FullyAssociativeCache(32 * 8).run(trace)
+        stats = _fa_stats(trace)
         assert kernel_calls["stackdist"] == 1
         assert stats.__dict__ == OracleCache(32 * 8).run(trace).__dict__
 
@@ -156,7 +163,7 @@ class TestGuard:
         first = _trace(rng.permutation(3000))  # 3000 distinct blocks
         second = _trace(rng.integers(0, 6000, size=2500))
         monkeypatch.setattr(kernels, "MAX_REFS", 4000)
-        assert kernels.guard_run("stackdist", StackDistanceRun(), second) is True
+        kernels.guard_run("stackdist", StackDistanceRun(), second)
         sim = StackDistanceRun()
         sim.feed(first)
         before = _canonical(sim.state_dict())
@@ -169,7 +176,7 @@ class TestGuard:
 def _domain_entry(entry):
     """``(feed, state)`` for a warmed simulator behind one uniprocessor
     entry point, 40 blocks resident: ``StackDistanceRun.feed``,
-    ``FullyAssociativeCache.run`` (32 blocks) or
+    ``FullyAssociativeCache.hit_mask`` (32 blocks) or
     ``SetAssociativeCache.run_many`` over a sweep whose widest cache
     holds 32 blocks."""
     warm = _trace(list(range(40)) * 3)
@@ -179,8 +186,8 @@ def _domain_entry(entry):
         return sim.feed, lambda: _canonical(sim.state_dict())
     if entry == "fullassoc":
         cache = FullyAssociativeCache(32 * 8)
-        cache.run(warm)
-        return cache.run, lambda: _canonical(_state(cache))
+        cache.hit_mask(warm)
+        return cache.hit_mask, lambda: _canonical(_state(cache))
     caches = _geometry_caches([(8, 1), (8, 4), (16, 2)])
     SetAssociativeCache.run_many(caches, warm)
     return (
@@ -253,6 +260,8 @@ def _feed(kind, sim, trace):
         sim.run_traces(_split(trace))
     elif kind == "stackdist":
         sim.feed(trace)
+    elif kind == "fullassoc":
+        sim.hit_mask(trace)
     else:
         sim.run(trace)
 
@@ -285,7 +294,7 @@ class TestDefaultConfiguration:
     def test_min_refs_chunk_takes_the_vector_tier_and_matches_oracle(self, kind):
         trace = _mixed_trace(3072, 96, seed=4)
         sim = _new_sim(kind)
-        assert kernels.guard_run(kind, sim, _chunk_for(kind, trace)) is True
+        kernels.guard_run(kind, sim, _chunk_for(kind, trace))
         with loops_only():
             expected = _run_sim(kind, trace)
         assert _canonical(sim.state_dict()) == _canonical(expected)
@@ -931,7 +940,7 @@ class TestEngineIntegration:
 
         class GuardedExperiment:
             def run(self, **kwargs):
-                FullyAssociativeCache(32 * 8).run(_mixed_trace(3000, 48))
+                FullyAssociativeCache(32 * 8).hit_mask(_mixed_trace(3000, 48))
                 return ExperimentResult("guarded", "guarded experiment")
 
         engine = CampaignEngine(

@@ -83,7 +83,7 @@ class TestConflicts:
         )
         fa = FullyAssociativeCache(num_blocks * 8, block_size=8)
         setassoc.run(trace)
-        fa.run(trace)
+        fa.hit_mask(trace)
         assert setassoc.stats.misses == fa.stats.misses
         assert setassoc.stats.read_misses == fa.stats.read_misses
 
@@ -92,7 +92,7 @@ class TestConflicts:
         dm = SetAssociativeCache(32 * 8, block_size=8, associativity=1)
         fa = FullyAssociativeCache(32 * 8, block_size=8)
         dm.run(trace)
-        fa.run(trace)
+        fa.hit_mask(trace)
         # On uniform random traffic LRU's recency is optimal on average.
         assert dm.stats.misses >= fa.stats.misses * 0.95
 

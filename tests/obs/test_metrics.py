@@ -122,7 +122,7 @@ class TestLoopSampler:
         metrics.set_obs_enabled(True)
         addrs = np.arange(2048, dtype=np.int64) * 8
         trace = Trace(addrs, np.zeros(2048, dtype=np.uint8))
-        FullyAssociativeCache(1024 * 8).run(trace)
+        FullyAssociativeCache(1024 * 8).hit_mask(trace)
         snap = metrics.get_registry().snapshot()
         # The cache runs on the stack-distance engine.
         assert snap["counters"]["mem.stackdist.refs"] == 2048

@@ -14,6 +14,12 @@ from repro.runtime import records
 
 from tests.harness.fuzz import MUTATIONS
 
+#: Fields every row carries whatever its kind: framing and labels.
+ENVELOPE = {"v", "kind", "seq", "pid", "t_wall", "experiment_id", "attempt_uid"}
+
+#: Fields that differ between two runs of the same simulation.
+NOT_CONTENT = ("t_wall", "pid", "seq", "attempt_uid")
+
 
 def _row(seq=0, ws_blocks=100, **extra):
     row = {
@@ -333,8 +339,8 @@ class TestSimulatorHooks:
 
     def test_profile_rows_under_oracle_tier(self, tmp_path):
         """Rows from the per-reference loop equal the kernel's but for
-        their timing and framing, and neither carries a ``tier`` label:
-        the rows say what was simulated, not which path simulated it."""
+        their framing, and neither carries a ``tier`` label: the rows
+        say what was simulated, not which path simulated it."""
         from repro.mem.stack_distance import StackDistanceRun
         from tests.harness.loops import loops_only
 
@@ -345,9 +351,8 @@ class TestSimulatorHooks:
             with loops_only(loops):
                 StackDistanceRun().feed(self._trace(), row_refs=8192)
             tl.configure_timeline(None)
-            drop = {"seq", "pid", "t_wall", "elapsed_s", "refs_per_second"}
             return [
-                {k: v for k, v in row.items() if k not in drop}
+                {k: v for k, v in row.items() if k not in NOT_CONTENT}
                 for row in tl.read_timeline(tmp_path / name)
             ]
 
@@ -355,22 +360,43 @@ class TestSimulatorHooks:
         assert loops and loops == vector
         assert all("tier" not in row for row in loops)
 
-    def test_fullassoc_run_records_one_row(self, tmp_path):
-        from repro.mem.cache import FullyAssociativeCache
-
+    def _labelled_rows(self, tmp_path, simulate):
+        """The rows ``simulate()`` writes under a labelled recorder."""
         obs_metrics.set_obs_enabled(True)
         tl.configure_timeline(tmp_path / "timeline.jsonl")
+        tl.set_labels(experiment_id="fig6", attempt_uid="fig6@1.1")
+        simulate()
+        tl.configure_timeline(None)
+        return tl.read_timeline(tmp_path / "timeline.jsonl")
+
+    def test_stackdist_rows_carry_exactly_what_readers_read(self, tmp_path):
+        from repro.mem.stack_distance import StackDistanceRun
+
+        rows = self._labelled_rows(
+            tmp_path, lambda: StackDistanceRun().feed(self._trace(), row_refs=8192)
+        )
+        assert len(rows) == 4
+        for row in rows:
+            assert set(row) == ENVELOPE | {
+                "refs", "counted", "cold", "block_size", "ws_blocks", "misses",
+            }
+
+    def test_setassoc_rows_carry_exactly_what_readers_read(self, tmp_path):
+        from repro.mem.setassoc import SetAssociativeCache
+
+        caches = [SetAssociativeCache(blocks * 8) for blocks in (64, 256)]
         trace = self._trace(refs=10_000)
-        cache = FullyAssociativeCache(128 * 8)
-        stats = cache.run(trace)
-        rows = tl.read_timeline(tmp_path / "timeline.jsonl")
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["kind"] == "fullassoc"
-        assert row["refs"] == 10_000
-        assert row["misses_total"] == stats.misses
-        assert row["capacity_bytes"] == 128 * 8
-        assert row["ws_blocks"] == len(np.unique(trace.block_ids(8)))
+        rows = self._labelled_rows(
+            tmp_path, lambda: SetAssociativeCache.run_many(caches, trace)
+        )
+        assert [row["capacity_bytes"] for row in rows] == [64 * 8, 256 * 8]
+        for row, cache in zip(rows, caches):
+            assert set(row) == ENVELOPE | {
+                "refs", "counted", "cold", "block_size", "capacity_bytes",
+                "ws_blocks", "misses_total",
+            }
+            assert row["misses_total"] == cache.stats.misses
+            assert row["ws_blocks"] == len(np.unique(trace.block_ids(8)))
 
     def test_setassoc_run_records_one_row(self, tmp_path):
         from repro.mem.setassoc import SetAssociativeCache
@@ -386,8 +412,8 @@ class TestSimulatorHooks:
 
     def test_sweep_rows_equal_per_cache_rows(self, tmp_path, monkeypatch):
         """``run_many`` writes one ``setassoc`` row per cache, equal field
-        for field to what each cache's ``run`` writes but for the timing
-        fields, and computes the trace footprint once per sweep."""
+        for field to what each cache's ``run`` writes but for their
+        framing, and computes the trace footprint once per sweep."""
         from repro.mem.setassoc import SetAssociativeCache
         from repro.mem.trace import Trace
 
@@ -413,11 +439,10 @@ class TestSimulatorHooks:
             cache.run(trace)
         assert len(footprints) == 5
         tl.configure_timeline(None)
-        timing = ("elapsed_s", "refs_per_second", "t_wall")
 
         def rows(name):
             return [
-                {k: v for k, v in row.items() if k not in timing}
+                {k: v for k, v in row.items() if k not in NOT_CONTENT}
                 for row in tl.read_timeline(tmp_path / name)
             ]
 
@@ -438,13 +463,13 @@ class TestSimulatorHooks:
         assert tl.read_timeline(tmp_path / "timeline.jsonl") == []
 
     def test_no_rows_without_recorder(self, tmp_path):
-        from repro.mem.cache import FullyAssociativeCache
+        from repro.mem.setassoc import SetAssociativeCache
         from repro.mem.stack_distance import profile_trace
 
         obs_metrics.set_obs_enabled(True)
         trace = self._trace(refs=5_000)
         profile_trace(trace)
-        FullyAssociativeCache(1024).run(trace)
+        SetAssociativeCache(1024).run(trace)
         assert not (tmp_path / "timeline.jsonl").exists()
 
 
@@ -491,9 +516,20 @@ class TestLoadWorkingSet:
         render_status(status)  # must not raise
 
 
+def _report_section(run_dir):
+    from repro.obs.report import render_report
+
+    text = render_report(run_dir)
+    start = text.index("## Temporal working sets")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else None]
+
+
 class TestLegacyTimeline:
     """Version 1 rows (with ``cache_sizes``) read the same as the same
-    rows rewritten in version 2 (without)."""
+    rows rewritten in version 2 (without); version 2 rows of earlier
+    versions, with fields no reader reads and a ``fullassoc`` row, read
+    the same as those rows without the fields."""
 
     def _run_dirs(self, tmp_path):
         from tests.conftest import LEGACY_TIMELINE
@@ -524,20 +560,53 @@ class TestLegacyTimeline:
         assert tl.load_working_set(v2) == summary
 
     def test_report_phase_tables_read_both_formats_alike(self, tmp_path):
-        from repro.obs.report import render_report
-
         v1, v2 = self._run_dirs(tmp_path)
-
-        def section(run_dir):
-            text = render_report(run_dir)
-            start = text.index("## Temporal working sets")
-            end = text.find("\n## ", start + 1)
-            return text[start:end if end >= 0 else None]
-
-        tables = section(v1)
+        tables = _report_section(v1)
         assert "### fig5: 3 phase(s)" in tables
         assert "End-of-run knee(s)" in tables
-        assert section(v2) == tables
+        assert _report_section(v2) == tables
+
+    #: Fields earlier version 2 writers added that no reader reads.
+    DROPPED = (
+        "depth_p50", "depth_p90", "depth_p99", "footprint_blocks",
+        "elapsed_s", "refs_per_second",
+    )
+
+    def _v2_run_dirs(self, tmp_path):
+        from tests.conftest import LEGACY_TIMELINE_V2
+
+        legacy = tl.read_timeline(LEGACY_TIMELINE_V2)
+        assert legacy and all(row["v"] == 2 for row in legacy)
+        assert [row["kind"] for row in legacy] == ["fullassoc"] + ["stackdist"] * 17
+        assert all(
+            {"depth_p50", "footprint_blocks", "elapsed_s"} <= set(row)
+            for row in legacy[1:]
+        )
+        old, trimmed = tmp_path / "old", tmp_path / "trimmed"
+        for run_dir in (old, trimmed):
+            run_dir.mkdir()
+        (old / tl.TIMELINE_FILENAME).write_bytes(LEGACY_TIMELINE_V2.read_bytes())
+        _write_rows(
+            trimmed / tl.TIMELINE_FILENAME,
+            [
+                {k: v for k, v in row.items() if k not in self.DROPPED}
+                for row in legacy
+            ],
+        )
+        return old, trimmed
+
+    def test_load_working_set_ignores_the_dropped_fields(self, tmp_path):
+        old, trimmed = self._v2_run_dirs(tmp_path)
+        summary = tl.load_working_set(old)
+        assert summary["experiment_id"] == "fig5" and summary["phases"] == 3
+        assert tl.load_working_set(trimmed) == summary
+
+    def test_report_phase_tables_ignore_the_dropped_fields(self, tmp_path):
+        old, trimmed = self._v2_run_dirs(tmp_path)
+        tables = _report_section(old)
+        assert "### fig5: 3 phase(s)" in tables
+        assert "### fullassoc-demo: 1 phase(s)" in tables
+        assert _report_section(trimmed) == tables
 
 
 class TestValidateCodes:

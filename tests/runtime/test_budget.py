@@ -113,7 +113,7 @@ class TestCooperativeChecks:
     def test_fully_associative_run_aborts(self):
         cache = FullyAssociativeCache(1024)
         with pytest.raises(BudgetExceeded):
-            cache.run(big_trace(), budget=expired_budget())
+            cache.hit_mask(big_trace(), budget=expired_budget())
 
     def test_set_associative_run_aborts(self):
         cache = SetAssociativeCache(1024, associativity=2)

@@ -464,20 +464,29 @@ class TestObservabilityArtifacts:
 
 
 class TestLegacyTimeline:
-    """Timeline rows in the earlier row format (version 1, with
-    ``cache_sizes``) still validate."""
+    """Timeline rows as earlier versions wrote them still validate: the
+    version 1 row format (with ``cache_sizes``), and version 2 rows with
+    fields no reader reads and a ``fullassoc`` row."""
 
-    def test_legacy_timeline_adds_no_finding(self, clean_run):
+    def _adds_no_finding(self, clean_run, legacy):
         import shutil
 
-        from tests.conftest import LEGACY_TIMELINE
-
         before = validate_run_dir(clean_run)
-        shutil.copyfile(LEGACY_TIMELINE, clean_run / "timeline.jsonl")
+        shutil.copyfile(legacy, clean_run / "timeline.jsonl")
         report = validate_run_dir(clean_run)
         assert report.ok, report.render()
         assert report.findings == before.findings
         assert report.checks_run > before.checks_run
+
+    def test_legacy_timeline_adds_no_finding(self, clean_run):
+        from tests.conftest import LEGACY_TIMELINE
+
+        self._adds_no_finding(clean_run, LEGACY_TIMELINE)
+
+    def test_legacy_v2_timeline_adds_no_finding(self, clean_run):
+        from tests.conftest import LEGACY_TIMELINE_V2
+
+        self._adds_no_finding(clean_run, LEGACY_TIMELINE_V2)
 
 
 class TestLegacyStreamDir:

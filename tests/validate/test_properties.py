@@ -56,7 +56,8 @@ class TestProfilerAgainstNaiveModel:
         trace = Trace.from_addresses(addrs)
         cache = FullyAssociativeCache(capacity * 8, block_size=8)
         blocks = [a // 8 for a in addrs]
-        assert cache.run(trace).misses == naive_lru_misses(blocks, capacity)
+        cache.hit_mask(trace)
+        assert cache.stats.misses == naive_lru_misses(blocks, capacity)
 
     @settings(max_examples=40, deadline=None)
     @given(addrs=addresses)
