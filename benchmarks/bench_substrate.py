@@ -76,7 +76,7 @@ OBS_OVERHEAD_PAIRS = 31
 def bench_obs_overhead_stackdist(benchmark, tmp_path):
     """Instrumented-vs-uninstrumented stack-distance profile.
 
-    Times ``profile_trace`` with metrics sampling *and* timeline rows
+    Times ``profile_trace`` with metrics counting *and* timeline rows
     on (the ``stackdist`` rows every campaign writes), then the same
     profile with both off, and records both rates plus the overhead
     percentage into ``extra_info``.  Report-only: the telemetry budget
@@ -105,7 +105,7 @@ def bench_obs_overhead_stackdist(benchmark, tmp_path):
     try:
         profile = benchmark(profile_trace, trace)
         assert profile.total == len(trace)
-        # The registry actually saw the kernel (sampling was really on).
+        # The registry actually saw the kernel (counting was really on).
         snapshot = obs_metrics.get_registry().snapshot()
         assert any(name.endswith(".refs") for name in snapshot["counters"])
 

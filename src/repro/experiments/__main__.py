@@ -35,9 +35,9 @@ Usage::
                                       # static post-hoc campaign report
 
 Campaigns are observable by default (``--no-obs`` opts out):
-counters/gauges/histograms roll up into
-``<run_dir>/metrics.json``, spans into ``<run_dir>/spans.jsonl`` and
-per-chunk working-set rows into ``<run_dir>/timeline.jsonl``.  The
+counters roll up into ``<run_dir>/metrics.json``, spans (every
+duration) into ``<run_dir>/spans.jsonl`` and per-chunk working-set
+rows into ``<run_dir>/timeline.jsonl``.  The
 ``status`` / ``report`` subcommands reconstruct everything read-only
 from those artifacts plus the journal, segmenting the timeline into
 phases with per-phase knees.  See ``docs/OBSERVABILITY.md``.

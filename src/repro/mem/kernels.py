@@ -864,23 +864,6 @@ def _invariant_violation(kernel: str, pre: dict, post: dict, kinds) -> Optional[
     )
 
 
-def _miss_delta(kernel: str, pre: dict, post: dict) -> int:
-    if kernel == "stackdist":
-        return int(post["cold"]) - int(pre["cold"])
-    if kernel == "multiproc":
-        return sum(
-            int(new[key]) - int(old[key])
-            for old, new in zip(pre["stats"], post["stats"])
-            for key in ("read_misses", "write_misses")
-        )
-    return (
-        int(post["stats"]["read_misses"])
-        - int(pre["stats"]["read_misses"])
-        + int(post["stats"]["write_misses"])
-        - int(pre["stats"]["write_misses"])
-    )
-
-
 def _prefix_bound(kernel: str, sims: list) -> int:
     """At most this many residents join a chunk as its synthetic prefix
     (for a sweep, the widest pass's)."""
@@ -935,7 +918,9 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> None:
     arguments (``links=True`` for ``"stackdist"``).  A kernel result
     that breaks a scalar invariant raises
     :class:`~repro.runtime.errors.KernelDivergenceError`.  Whenever it
-    raises, every simulator is untouched.
+    raises, every simulator is untouched.  A chunk that runs is timed
+    by one ``mem.<kind>`` span and counted in the ``mem.<kind>.refs``
+    and ``mem.kernel.<kind>.chunks`` counters.
     """
     if kernel == "multiproc":
         n = sum(len(t) for t in trace)
@@ -961,7 +946,7 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> None:
         kinds = trace.kinds
         _check_domain(kernel, blocks, n, _prefix_bound(kernel, sims))
     from repro.obs import metrics as obs_metrics
-    from repro.obs.metrics import hot_loop_sampler
+    from repro.obs import tracing
     from repro.runtime.budget import active_budget
     from repro.runtime.errors import KernelDivergenceError
 
@@ -969,21 +954,23 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> None:
         budget = active_budget()
     if budget is not None:
         budget.check(f"{kernel} kernel chunk")
-    sampler = hot_loop_sampler(f"mem.{kernel}")
     extra = {"budget": budget} if kernel in _BUDGETED else {}
     extra.update(options)
-    if kernel == "setassoc":
-        # The kernel takes and returns one snapshot per cache.
-        pre = [cache.state_dict() for cache in sims]
-        post = KERNELS[kernel](pre, blocks, kinds, **extra)
-        if len(post) != len(pre):
-            raise KernelDivergenceError(
-                f"setassoc kernel returned {len(post)} states for {len(pre)} caches"
-            )
-        pairs = list(zip(sims, pre, post))
-    else:
-        pre = sim.state_dict()
-        pairs = [(sim, pre, KERNELS[kernel](pre, blocks, kinds, **extra))]
+    # One chunk simulates every reference once per simulator.
+    refs = n * (len(sims) if kernel == "setassoc" else 1)
+    with tracing.span(f"mem.{kernel}", refs=refs):
+        if kernel == "setassoc":
+            # The kernel takes and returns one snapshot per cache.
+            pre = [cache.state_dict() for cache in sims]
+            post = KERNELS[kernel](pre, blocks, kinds, **extra)
+            if len(post) != len(pre):
+                raise KernelDivergenceError(
+                    f"setassoc kernel returned {len(post)} states for {len(pre)} caches"
+                )
+            pairs = list(zip(sims, pre, post))
+        else:
+            pre = sim.state_dict()
+            pairs = [(sim, pre, KERNELS[kernel](pre, blocks, kinds, **extra))]
     for _, old, new in pairs:
         reason = _invariant_violation(kernel, old, new, kinds)
         if reason is not None:
@@ -992,9 +979,5 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> None:
             )
     for target, _, new in pairs:
         target.load_state_dict(new)
-    if sampler is not None:
-        sampler.finish(
-            refs=n * len(pairs),
-            misses=sum(_miss_delta(kernel, old, new) for _, old, new in pairs),
-        )
+    obs_metrics.inc(f"mem.{kernel}.refs", refs)
     obs_metrics.inc(f"mem.kernel.{kernel}.chunks")

@@ -194,10 +194,6 @@ class StackDistanceRun:
         # The last kernel chunk's (depth, prev), when it was asked for.
         self._links: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    @property
-    def refs_fed(self) -> int:
-        return self._pos
-
     def feed(
         self,
         trace: Trace,

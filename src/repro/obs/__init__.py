@@ -5,13 +5,14 @@ turns the same discipline on the runtime itself.  Three cooperating
 layers, all dependency-free and all cheap enough to stay on by default
 for campaigns:
 
-- :mod:`repro.obs.metrics` — a process-local registry of counters,
-  gauges and fixed-bucket histograms with a once-per-loop sampler for
-  the simulation hot loops (refs simulated, misses, refs/sec).
-  Snapshotted to ``<run_dir>/metrics.json`` per attempt.
+- :mod:`repro.obs.metrics` — a process-local registry of counters
+  (references simulated, kernel chunks, journal appends, attempts),
+  rolled up from every worker and snapshotted to
+  ``<run_dir>/metrics.json`` after each attempt.
 - :mod:`repro.obs.tracing` — spans (trace/span/parent ids, monotonic
   durations) as context managers and decorators, written to
-  ``<run_dir>/spans.jsonl``.
+  ``<run_dir>/spans.jsonl``.  Spans are the only record of time: an
+  attempt, a checkpoint write, a queue wait, a kernel chunk.
 - :mod:`repro.obs.console` — the progress logger that replaced bare
   ``print`` in the experiment drivers, honoring ``--quiet`` while
   keeping worker-mode stdout machine-clean.
@@ -25,7 +26,6 @@ killed supervisor leaves behind.  See ``docs/OBSERVABILITY.md``.
 from repro.obs.metrics import (  # noqa: F401
     MetricsRegistry,
     get_registry,
-    hot_loop_sampler,
     obs_enabled,
     set_obs_enabled,
 )

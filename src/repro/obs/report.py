@@ -124,36 +124,6 @@ def _metrics_sections(run_dir: Path) -> List[str]:
                 )
             )
             lines.append("")
-        gauges = campaign.get("gauges")
-        if isinstance(gauges, dict) and gauges:
-            lines.append("#### Gauges")
-            lines.append("")
-            lines.extend(
-                _md_table(
-                    ["gauge", "value"],
-                    [[name, gauges[name]] for name in sorted(gauges)],
-                )
-            )
-            lines.append("")
-        histograms = campaign.get("histograms")
-        if isinstance(histograms, dict) and histograms:
-            rows = []
-            for name in sorted(histograms):
-                hist = histograms[name]
-                if not isinstance(hist, dict):
-                    continue
-                count = hist.get("count", 0)
-                total = hist.get("sum", 0.0)
-                mean = (
-                    f"{float(total) / float(count):.4g}"
-                    if isinstance(count, (int, float)) and count
-                    else "-"
-                )
-                rows.append([name, count, f"{float(total):.4g}", mean])
-            lines.append("#### Histograms")
-            lines.append("")
-            lines.extend(_md_table(["histogram", "count", "sum", "mean"], rows))
-            lines.append("")
     attempts = snapshot.get("attempts")
     if isinstance(attempts, dict) and attempts:
         rows = []
@@ -381,13 +351,8 @@ def render_report(
         )
     )
     lines.append("")
-    if status.refs_simulated is not None or status.refs_per_second is not None:
-        bits = []
-        if status.refs_simulated is not None:
-            bits.append(f"{status.refs_simulated:,} references simulated")
-        if status.refs_per_second is not None:
-            bits.append(f"last hot-loop rate {status.refs_per_second:,.0f} refs/s")
-        lines.append("Throughput: " + ", ".join(bits) + ".")
+    if status.refs_simulated is not None:
+        lines.append(f"{status.refs_simulated:,} references simulated.")
         lines.append("")
     if status.kernels:
         for kind in sorted(status.kernels):

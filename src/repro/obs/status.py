@@ -13,7 +13,7 @@ already writes —
   terminal verdicts;
 - ``supervisor.lock`` tells live from dead (a supervisor holds its
   ``flock`` until it exits; the kernel drops it when it dies);
-- ``metrics.json`` supplies throughput (refs simulated, refs/sec).
+- ``metrics.json`` supplies the references simulated and the kernel chunks.
 
 :func:`load_status` builds a :class:`CampaignStatus`;
 :func:`render_status` formats it for a terminal (the ``--follow`` mode
@@ -104,7 +104,6 @@ class CampaignStatus:
     supervisor: Optional[Dict[str, object]] = None
     journal_records: int = 0
     refs_simulated: Optional[int] = None
-    refs_per_second: Optional[float] = None
     trace_id: Optional[str] = None
     updated_wall: Optional[float] = None
     eta_seconds: Optional[float] = None
@@ -138,7 +137,6 @@ class CampaignStatus:
             "supervisor": self.supervisor,
             "journal_records": self.journal_records,
             "refs_simulated": self.refs_simulated,
-            "refs_per_second": self.refs_per_second,
             "trace_id": self.trace_id,
             "updated_wall": self.updated_wall,
             "eta_seconds": self.eta_seconds,
@@ -179,37 +177,22 @@ def load_metrics_snapshot(
     return payload
 
 
-def _throughput_from_metrics(
-    snapshot: Optional[Dict[str, object]]
-) -> tuple:
-    """(total refs simulated, last refs/sec) from a metrics snapshot."""
+def _refs_from_metrics(snapshot: Optional[Dict[str, object]]) -> Optional[int]:
+    """Total references simulated (the ``mem.<kind>.refs`` counters)."""
     if snapshot is None:
-        return None, None
+        return None
     campaign = snapshot.get("campaign")
     if not isinstance(campaign, dict):
-        return None, None
-    refs: Optional[int] = None
+        return None
     counters = campaign.get("counters")
-    if isinstance(counters, dict):
-        total = 0
-        seen = False
-        for name, value in counters.items():
-            if name.endswith(".refs") and isinstance(value, (int, float)):
-                total += int(value)
-                seen = True
-        refs = total if seen else None
-    rate: Optional[float] = None
-    gauges = campaign.get("gauges")
-    if isinstance(gauges, dict):
-        rates = [
-            float(value)
-            for name, value in gauges.items()
-            if name.endswith(".last_refs_per_second")
-            and isinstance(value, (int, float))
-        ]
-        if rates:
-            rate = max(rates)
-    return refs, rate
+    if not isinstance(counters, dict):
+        return None
+    refs = [
+        int(value)
+        for name, value in counters.items()
+        if name.endswith(".refs") and isinstance(value, (int, float))
+    ]
+    return sum(refs) if refs else None
 
 
 def _kernel_tallies_from_metrics(
@@ -383,10 +366,8 @@ def load_status(run_dir: Union[str, Path]) -> CampaignStatus:
             if entry.state == STATE_RUNNING:
                 entry.state = STATE_IN_DOUBT
 
-    # -- throughput and ETA --------------------------------------------
-    status.refs_simulated, status.refs_per_second = _throughput_from_metrics(
-        metrics
-    )
+    # -- references simulated and kernel chunks --------------------------
+    status.refs_simulated = _refs_from_metrics(metrics)
     if metrics is not None and isinstance(metrics.get("trace_id"), str):
         status.trace_id = metrics["trace_id"]
 
@@ -448,13 +429,8 @@ def render_status(status: CampaignStatus) -> str:
         f"{counts[STATE_FAILED]} failed | {counts[STATE_RUNNING]} running | "
         f"{counts[STATE_IN_DOUBT]} in-doubt | {counts[STATE_PENDING]} pending"
     )
-    throughput = []
     if status.refs_simulated is not None:
-        throughput.append(f"{status.refs_simulated:,} refs simulated")
-    if status.refs_per_second is not None:
-        throughput.append(f"last {status.refs_per_second:,.0f} refs/s")
-    if throughput:
-        lines.append("throughput: " + ", ".join(throughput))
+        lines.append(f"{status.refs_simulated:,} refs simulated")
     if status.kernels:
         for kind in sorted(status.kernels):
             chunks = status.kernels[kind]["chunks"]

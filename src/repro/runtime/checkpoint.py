@@ -140,10 +140,9 @@ class CheckpointStore:
         # every envelope flush touching this run directory.
         with tracing.span("checkpoint.write", file=path.name):
             with file_lock(self.lock_path):
-                with obs_metrics.timed("runtime.checkpoint.write_seconds"):
-                    atomic_write_text(
-                        path, json.dumps(envelope, indent=1, sort_keys=True)
-                    )
+                atomic_write_text(
+                    path, json.dumps(envelope, indent=1, sort_keys=True)
+                )
         obs_metrics.inc("runtime.checkpoint.writes")
 
     def _read_envelope(self, path: Path) -> Dict[str, object]:

@@ -548,11 +548,6 @@ class CampaignEngine:
                 status=outcome.status,
             )
         obs_metrics.inc(f"engine.outcomes.{outcome.status}")
-        obs_metrics.observe(
-            "engine.experiment_seconds",
-            outcome.elapsed_seconds,
-            buckets=obs_metrics.LATENCY_BUCKETS_S,
-        )
         self._write_obs_snapshot()
         self._emit("finish", outcome)
         return outcome
@@ -690,10 +685,6 @@ class CampaignEngine:
         """Ask every in-flight supervisor thread to stand down."""
         self._abort.set()
 
-    @property
-    def aborted(self) -> bool:
-        return self._abort.is_set()
-
     def _check_abort(self) -> None:
         if self._abort.is_set():
             raise CampaignAborted()
@@ -811,7 +802,6 @@ class CampaignEngine:
         rss = obs.get("rss_peak_kb")
         if isinstance(rss, (int, float)):
             entry["rss_peak_kb"] = int(rss)
-            obs_metrics.set_gauge("worker.last_rss_peak_kb", int(rss))
         metrics_snap = obs.get("metrics")
         if isinstance(metrics_snap, dict) and obs_metrics.obs_enabled():
             try:
@@ -830,13 +820,18 @@ class CampaignEngine:
             self._obs_attempts.setdefault(uid, {}).update(entry)
 
     def _note_attempt_obs(self, uid: str) -> None:
-        """Ensure every attempt has a metrics.json entry (in-process
-        attempts have no worker to ship one)."""
+        """Ensure every attempt has a metrics.json entry.
+
+        An in-process (``jobs == 0``) attempt has no worker to ship its
+        RSS peak, so it gets this process's.  A worker attempt that
+        died before shipping telemetry keeps no RSS: the supervisor's
+        own peak says nothing about the worker's.
+        """
         if not obs_metrics.obs_enabled():
             return
         with self._obs_lock:
             entry = self._obs_attempts.setdefault(uid, {})
-            if "rss_peak_kb" not in entry:
+            if self.config.jobs == 0:
                 try:
                     import resource
 

@@ -302,9 +302,7 @@ class RecordLog:
     Args:
         path: The log file.
         magic: Frame magic of this log type.
-        site: Site tag of its writes (see :data:`io_hook`); fsyncs
-            are timed as
-            ``runtime.<site>.fsync_seconds``.
+        site: Site tag of its writes (see :data:`io_hook`).
         fsync: fsync after every record, and the directory entry of a
             newly created file.
 
@@ -359,11 +357,7 @@ class RecordLog:
                     self._torn = False
                 io_write(self._fd, line, self.site)
                 if self.fsync:
-                    # Imported here: repro.obs imports this module.
-                    from repro.obs import metrics as obs_metrics
-
-                    with obs_metrics.timed(f"runtime.{self.site}.fsync_seconds"):
-                        io_fsync(self._fd, self.site)
+                    io_fsync(self._fd, self.site)
             except OSError:
                 self._torn = True
                 raise

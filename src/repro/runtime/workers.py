@@ -726,7 +726,6 @@ class WorkerPool:
         submitted = self._submitted.get(experiment_id)
         if submitted is not None:
             wait_s = max(0.0, _monotonic() - submitted)
-            obs_metrics.observe("worker.queue_wait_seconds", wait_s)
             tracer = tracing.get_tracer()
             if tracer is not None:
                 import time as _time

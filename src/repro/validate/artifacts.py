@@ -302,12 +302,10 @@ def validate_metrics_file(
 
     The snapshot is written atomically (tmp + rename) so partial JSON
     indicts the storage and is an error (``metrics-schema``), as is any
-    schema violation or a histogram whose ``counts`` length is not
-    ``len(buckets) + 1`` (the +Inf overflow slot).  When ``known_uids``
-    is given, every per-attempt telemetry key must be an attempt uid
-    the journal actually issued (``metrics-dangling-id``)
-    — telemetry for an attempt nobody started means the snapshot and
-    the run directory disagree about history.
+    schema violation.  When ``known_uids`` is given, every per-attempt
+    telemetry key must be an attempt uid the journal actually issued
+    (``metrics-dangling-id``) — telemetry for an attempt nobody started
+    means the snapshot and the run directory disagree about history.
     """
     path = Path(path)
     report = ValidationReport(subject=f"metrics {path.name}")
@@ -323,41 +321,6 @@ def validate_metrics_file(
         return report
     for problem in check_schema(snapshot, schema_for("metrics")):
         report.add("metrics-schema", problem, path=path.name)
-    campaign = snapshot.get("campaign")
-    histograms = (
-        campaign.get("histograms") if isinstance(campaign, dict) else None
-    )
-    if isinstance(histograms, dict):
-        for name, hist in sorted(histograms.items()):
-            if not isinstance(hist, dict):
-                continue
-            buckets = hist.get("buckets")
-            counts = hist.get("counts")
-            report.tick()
-            if (
-                isinstance(buckets, list)
-                and isinstance(counts, list)
-                and len(counts) != len(buckets) + 1
-            ):
-                report.add(
-                    "metrics-schema",
-                    f"histogram {name!r} has {len(counts)} count slot(s) "
-                    f"for {len(buckets)} bucket bound(s); expected "
-                    f"{len(buckets) + 1} (+Inf overflow)",
-                    path=path.name,
-                )
-            elif (
-                isinstance(counts, list)
-                and isinstance(hist.get("count"), int)
-                and all(isinstance(c, int) for c in counts)
-                and sum(counts) != hist["count"]
-            ):
-                report.add(
-                    "metrics-schema",
-                    f"histogram {name!r} bucket counts sum to "
-                    f"{sum(counts)} but count says {hist['count']}",
-                    path=path.name,
-                )
     attempts = snapshot.get("attempts")
     if known_uids is not None and isinstance(attempts, dict):
         known = set(known_uids)

@@ -59,6 +59,14 @@ LEGACY_TIMELINE_V2 = (
     Path(__file__).parent / "data" / "legacy_timeline_v2" / "timeline.jsonl"
 )
 
+#: A ``metrics.json`` as earlier versions wrote it (format 1, with
+#: ``gauges`` and ``histograms`` beside the counters, and the
+#: ``mem.<kind>.loops`` / ``.misses`` counters): the snapshot of a
+#: default ``--quick --run-dir`` campaign, 19 attempts.
+LEGACY_METRICS = (
+    Path(__file__).parent / "data" / "legacy_metrics_v1" / "metrics.json"
+)
+
 
 def plant_legacy_stream(run_dir) -> Path:
     """Copy :data:`LEGACY_STREAM_DIR` to ``<run_dir>/stream``."""

@@ -1,11 +1,11 @@
-"""Tests for the process-local metrics registry."""
+"""Tests for the process-local counter registry."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.obs import metrics
-from repro.obs.metrics import Counter, Histogram, LoopSampler, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
 
 class TestInstruments:
@@ -19,74 +19,35 @@ class TestInstruments:
         with pytest.raises(ValueError):
             Counter("x").inc(-1)
 
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("g")
-        g.set(3.0)
-        g.set(7.0)
-        g.add(1.0)
-        assert reg.snapshot()["gauges"]["g"] == 8.0
-
-    def test_histogram_bucket_placement(self):
-        h = Histogram("h", buckets=(1.0, 10.0))
-        for value in (0.5, 1.0, 5.0, 100.0):
-            h.observe(value)
-        # <=1.0 twice (0.5 and the boundary value), <=10.0 once, +Inf once.
-        assert h.counts == [2, 1, 1]
-        assert h.count == 4
-        assert h.total == pytest.approx(106.5)
-
-    def test_histogram_rejects_unsorted_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=(2.0, 1.0))
-
-    def test_histogram_merge_rejects_different_boundaries(self):
-        h = Histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            h.merge({"buckets": [1.0, 3.0], "counts": [0, 0, 0], "sum": 0, "count": 0})
-
 
 class TestRegistry:
     def test_snapshot_merge_roundtrip(self):
         a = MetricsRegistry()
         a.counter("c").inc(5)
-        a.gauge("g").set(2.5)
-        a.histogram("h", (1.0,)).observe(0.5)
+        a.counter("d").inc(2)
 
         b = MetricsRegistry()
         b.counter("c").inc(1)
         b.merge_snapshot(a.snapshot())
-        snap = b.snapshot()
-        assert snap["counters"]["c"] == 6
-        assert snap["gauges"]["g"] == 2.5
-        assert snap["histograms"]["h"]["counts"] == [1, 0]
-        assert snap["histograms"]["h"]["count"] == 1
+        assert b.snapshot() == {"counters": {"c": 6, "d": 2}}
 
     def test_reset_clears_everything(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
         reg.reset()
-        assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert reg.snapshot() == {"counters": {}}
 
 
 class TestEnableGate:
     def test_disabled_helpers_are_noops(self):
         metrics.inc("c")
-        metrics.set_gauge("g", 1.0)
-        metrics.observe("h", 0.5)
-        snap = metrics.get_registry().snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert metrics.get_registry().snapshot() == {"counters": {}}
 
     def test_enabled_helpers_record(self):
         metrics.set_obs_enabled(True)
         metrics.inc("c", 3)
-        metrics.set_gauge("g", 1.5)
-        with metrics.timed("t"):
-            pass
-        snap = metrics.get_registry().snapshot()
-        assert snap["counters"]["c"] == 3
-        assert snap["gauges"]["g"] == 1.5
-        assert snap["histograms"]["t"]["count"] == 1
+        metrics.inc("c")
+        assert metrics.get_registry().snapshot() == {"counters": {"c": 4}}
 
     def test_obs_env_variable_is_ignored(self, monkeypatch):
         """``--no-obs`` and the attempt spec's ``obs`` flag are the only
@@ -98,32 +59,52 @@ class TestEnableGate:
         assert metrics.obs_enabled()
 
 
-class TestLoopSampler:
-    def test_hot_loop_sampler_none_when_disabled(self):
-        assert metrics.hot_loop_sampler("mem.x") is None
+class TestKernelChunkAccounting:
+    """Every kernel chunk is counted once and timed by one span."""
 
-    def test_finish_records_totals_and_throughput(self):
-        metrics.set_obs_enabled(True)
-        ticks = iter([0.0, 2.0])
-        sampler = LoopSampler("mem.x", clock=lambda: next(ticks))
-        sampler.finish(refs=1000, misses=10)
-        snap = metrics.get_registry().snapshot()
-        assert snap["counters"]["mem.x.refs"] == 1000
-        assert snap["counters"]["mem.x.misses"] == 10
-        assert snap["counters"]["mem.x.loops"] == 1
-        assert snap["gauges"]["mem.x.last_refs_per_second"] == pytest.approx(500.0)
-
-    def test_cache_hot_loop_feeds_registry(self):
+    @staticmethod
+    def _trace(refs: int = 2048):
         import numpy as np
 
-        from repro.mem.cache import FullyAssociativeCache
         from repro.mem.trace import Trace
 
+        addrs = np.arange(refs, dtype=np.int64) * 8
+        return Trace(addrs, np.zeros(refs, dtype=np.uint8))
+
+    def _run_cache(self) -> None:
+        from repro.mem.cache import FullyAssociativeCache
+
+        FullyAssociativeCache(1024 * 8).hit_mask(self._trace())
+
+    def test_disabled_chunk_records_nothing(self):
+        self._run_cache()
+        assert metrics.get_registry().snapshot() == {"counters": {}}
+
+    def test_cache_chunk_feeds_registry_and_span(self):
+        from repro.obs import tracing
+
         metrics.set_obs_enabled(True)
-        addrs = np.arange(2048, dtype=np.int64) * 8
-        trace = Trace(addrs, np.zeros(2048, dtype=np.uint8))
-        FullyAssociativeCache(1024 * 8).hit_mask(trace)
-        snap = metrics.get_registry().snapshot()
+        tracer = tracing.configure(buffered=True)
+        self._run_cache()
         # The cache runs on the stack-distance engine.
-        assert snap["counters"]["mem.stackdist.refs"] == 2048
-        assert snap["counters"]["mem.stackdist.loops"] == 1
+        assert metrics.get_registry().snapshot() == {
+            "counters": {"mem.stackdist.refs": 2048, "mem.kernel.stackdist.chunks": 1}
+        }
+        (span,) = tracer.drain()
+        assert span.name == "mem.stackdist"
+        assert span.attrs == {"refs": 2048}
+        assert span.dur_s >= 0
+
+    def test_sweep_chunk_counts_every_cache(self):
+        from repro.mem.setassoc import SetAssociativeCache
+        from repro.obs import tracing
+
+        metrics.set_obs_enabled(True)
+        tracer = tracing.configure(buffered=True)
+        caches = [SetAssociativeCache(64 * ways, associativity=ways) for ways in (1, 2, 4)]
+        SetAssociativeCache.run_many(caches, self._trace(1000))
+        counters = metrics.get_registry().snapshot()["counters"]
+        assert counters["mem.setassoc.refs"] == 3000
+        assert counters["mem.kernel.setassoc.chunks"] == 1
+        (span,) = [s for s in tracer.drain() if s.name.startswith("mem.")]
+        assert (span.name, span.attrs) == ("mem.setassoc", {"refs": 3000})

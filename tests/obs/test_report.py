@@ -114,13 +114,10 @@ class TestRenderReport:
                     "format": METRICS_FORMAT,
                     "written_wall": 1.0,
                     "trace_id": "t",
-                    "campaign": {
-                        "counters": {"engine.attempts": 1},
-                        "gauges": {},
-                        "histograms": {},
-                    },
+                    "campaign": {"counters": {"engine.attempts": 1}},
                     "attempts": {
                         "a-1-2": {"rss_peak_kb": 2048, "spans": 3},
+                        "a-1-3": {},
                     },
                 }
             )
@@ -128,7 +125,32 @@ class TestRenderReport:
         text = render_report(run_dir)
         assert "| engine.attempts | 1 |" in text
         assert "| a-1-2 | 2,048 | 3 |" in text
+        # A worker that died before shipping telemetry has no RSS.
+        assert "| a-1-3 | - | - |" in text
         assert "campaign.run" in text
+
+    def test_legacy_metrics_snapshot_renders(self, tmp_path):
+        """A snapshot with gauges and histograms (earlier versions)
+        renders its counters in every format and nothing else."""
+        import shutil
+
+        from tests.conftest import LEGACY_METRICS
+
+        run_dir = tmp_path / "run"
+        run_campaign(run_dir, [FakeExperiment("a")])
+        shutil.copyfile(LEGACY_METRICS, run_dir / "metrics.json")
+        text = render_report(run_dir)
+        assert "| mem.kernel.stackdist.chunks | 51 |" in text
+        assert "9,049,246 references simulated." in text
+        assert "| fig2@1.1 |" in text
+        assert "Gauges" not in text and "Histograms" not in text
+        assert "refs/s" not in text
+        html = render_report_html(run_dir)
+        assert "mem.kernel.stackdist.chunks" in html
+        assert "Histograms" not in html
+        payload = json.loads(report_to_json(run_dir))
+        assert payload["refs_simulated"] == 9049246
+        assert "refs_per_second" not in payload
 
     def test_html_wraps_and_escapes(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -322,3 +344,31 @@ class TestTemporalWorkingSets:
         assert "polyline" in svg
         # Flat series must not divide by zero.
         assert _sparkline_svg([3.0, 3.0, 3.0]).startswith("<svg")
+
+
+class TestAttemptRss:
+    """An attempt's RSS peak is its own process's, or absent."""
+
+    @staticmethod
+    def _attempts(run_dir):
+        return json.loads((run_dir / "metrics.json").read_text())["attempts"]
+
+    def test_dead_worker_attempt_has_no_rss(self, tmp_path, capsys):
+        from tests.harness import cli as harness_cli
+
+        run_dir = tmp_path / "run"
+        argv = ["--inject-fault", "table1=die:1", "--quick", "--run-dir", str(run_dir)]
+        assert harness_cli.main(argv + ["table1"]) == 0
+        attempts = self._attempts(run_dir)
+        # The first worker died before shipping telemetry: the
+        # supervisor's own peak must not stand in for it.
+        assert "rss_peak_kb" not in attempts["table1@1.1"]
+        assert attempts["table1@1.2"]["rss_peak_kb"] > 0
+        assert "| table1@1.1 | - | - |" in render_report(run_dir)
+
+    def test_in_process_attempt_has_the_process_rss(self, tmp_path, capsys):
+        from repro.experiments.__main__ import main
+
+        run_dir = tmp_path / "run"
+        assert main(["--quick", "--jobs", "0", "--run-dir", str(run_dir), "table1"]) == 0
+        assert self._attempts(run_dir)["table1@1.1"]["rss_peak_kb"] > 0

@@ -30,7 +30,7 @@ from repro.runtime.engine import CampaignEngine, EngineConfig
 from repro.runtime.journal import Journal, lock_run_dir, read_journal
 from repro.runtime.records import frame
 
-from tests.conftest import LEGACY_EVENTS
+from tests.conftest import LEGACY_EVENTS, LEGACY_METRICS
 from tests.harness.fuzz import MUTATIONS
 from tests.runtime.conftest import FakeClock, FakeExperiment, SleepRecorder
 
@@ -200,7 +200,7 @@ class TestLiveness:
 
 
 class TestThroughput:
-    def test_metrics_snapshot_feeds_refs_and_rate(self, tmp_path):
+    def test_metrics_snapshot_feeds_refs(self, tmp_path):
         run_dir = tmp_path / "run"
         run_campaign(run_dir, [FakeExperiment("a")])
         (run_dir / "metrics.json").write_text(
@@ -211,11 +211,11 @@ class TestThroughput:
                     "trace_id": "cafe0123",
                     "campaign": {
                         "counters": {
-                            "mem.fullassoc.refs": 4000,
+                            "mem.stackdist.refs": 4000,
                             "mem.setassoc.refs": 1000,
+                            "mem.kernel.stackdist.chunks": 3,
+                            "mem.trace.refs_built": 777,
                         },
-                        "gauges": {"mem.fullassoc.last_refs_per_second": 2e6},
-                        "histograms": {},
                     },
                     "attempts": {},
                 }
@@ -223,11 +223,30 @@ class TestThroughput:
         )
         status = load_status(run_dir)
         assert status.refs_simulated == 5000
-        assert status.refs_per_second == 2e6
         assert status.trace_id == "cafe0123"
         text = render_status(status)
         assert "5,000 refs simulated" in text
+        assert "refs/s" not in text
         assert "trace: cafe0123" in text
+        assert "refs_per_second" not in status.to_dict()
+
+    def test_legacy_metrics_snapshot_loads(self, tmp_path):
+        """A snapshot with gauges and histograms (earlier versions) still
+        feeds refs and kernel lines; its rate gauges are not shown."""
+        run_dir = tmp_path / "run"
+        run_campaign(run_dir, [FakeExperiment("a")])
+        shutil.copyfile(LEGACY_METRICS, run_dir / "metrics.json")
+        status = load_status(run_dir)
+        assert status.refs_simulated == 1486894 + 1781344 + 5781008
+        assert status.kernels == {
+            "multiproc": {"chunks": 3},
+            "setassoc": {"chunks": 1},
+            "stackdist": {"chunks": 51},
+        }
+        text = render_status(status)
+        assert "9,049,246 refs simulated" in text
+        assert "refs/s" not in text
+        json.dumps(status.to_dict())
 
     def test_damaged_metrics_degrades_to_none(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -235,7 +254,7 @@ class TestThroughput:
         (run_dir / "metrics.json").write_text('{"format": ')
         status = load_status(run_dir)
         assert status.refs_simulated is None
-        assert status.refs_per_second is None
+        assert status.kernels is None
 
 
 class TestDamageTolerance:
@@ -292,16 +311,12 @@ class TestDamageTolerance:
 
 
 class TestKernelTallies:
-    def metrics_payload(self, counters, gauges):
+    def metrics_payload(self, counters):
         return json.dumps(
             {
                 "format": METRICS_FORMAT,
                 "written_wall": 1.0,
-                "campaign": {
-                    "counters": counters,
-                    "gauges": gauges,
-                    "histograms": {},
-                },
+                "campaign": {"counters": counters},
                 "attempts": {},
             }
         )
@@ -313,21 +328,20 @@ class TestKernelTallies:
             self.metrics_payload(
                 {
                     "mem.kernel.stackdist.chunks": 12,
-                    "mem.kernel.fullassoc.chunks": 4,
-                    "mem.fullassoc.refs": 9000,
+                    "mem.kernel.multiproc.chunks": 4,
+                    "mem.multiproc.refs": 9000,
                 },
-                {},
             )
         )
         status = load_status(run_dir)
         assert status.kernels == {
-            "fullassoc": {"chunks": 4},
+            "multiproc": {"chunks": 4},
             "stackdist": {"chunks": 12},
         }
         text = render_status(status)
         assert "kernel stackdist: vector (12 chunk(s))" in text
-        assert "kernel fullassoc: vector (4 chunk(s))" in text
-        assert status.to_dict()["kernels"]["fullassoc"]["chunks"] == 4
+        assert "kernel multiproc: vector (4 chunk(s))" in text
+        assert status.to_dict()["kernels"]["multiproc"]["chunks"] == 4
 
     def test_pre_kernel_run_dir_has_no_kernel_lines(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -342,10 +356,7 @@ class TestKernelTallies:
         run_dir = tmp_path / "run"
         run_campaign(run_dir, [FakeExperiment("a")])
         (run_dir / "metrics.json").write_text(
-            self.metrics_payload(
-                {"mem.kernel.stackdist.chunks": 2},
-                {},
-            )
+            self.metrics_payload({"mem.kernel.stackdist.chunks": 2})
         )
         text = render_report(run_dir)
         assert "Kernel `stackdist`: **vector** tier — 2 chunk(s)." in text

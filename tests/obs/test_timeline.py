@@ -196,15 +196,14 @@ class TestRecorder:
         assert "none_field" not in rows[0]
 
     def test_counters_published_and_nothing_derived(self, tmp_path):
-        """The recorder only appends: it counts rows and publishes no
-        working-set gauges (phases are derived where rows are read)."""
+        """The recorder only appends: it counts rows and derives nothing
+        (phases are derived where rows are read)."""
         obs_metrics.set_obs_enabled(True)
         recorder = tl.configure_timeline(tmp_path / "timeline.jsonl")
         for i in range(4):
             recorder.record("stackdist", refs=100, ws_blocks=64 * 4**i, block_size=8)
         snapshot = obs_metrics.get_registry().snapshot()
-        assert snapshot["counters"] == {"obs.timeline.rows": 4}
-        assert snapshot["gauges"] == {}
+        assert snapshot == {"counters": {"obs.timeline.rows": 4}}
 
     def test_inactive_when_obs_disabled(self, tmp_path):
         tl.configure_timeline(tmp_path / "timeline.jsonl")

@@ -15,7 +15,12 @@ from repro.runtime.engine import ExperimentOutcome
 from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.journal import JOURNAL_FILENAME, Journal
 from repro.runtime.records import frame
-from repro.validate.artifacts import validate_run_dir, validate_trace_file
+from repro.validate.artifacts import (
+    validate_metrics_file,
+    validate_run_dir,
+    validate_trace_file,
+)
+from tests.conftest import LEGACY_METRICS
 from tests.harness.builder import ReferenceBuilder
 
 
@@ -374,7 +379,7 @@ class TestObservabilityArtifacts:
             "format": 1,
             "written_wall": 1.0,
             "trace_id": "t0",
-            "campaign": {"counters": {}, "gauges": {}, "histograms": {}},
+            "campaign": {"counters": {}},
             "attempts": {},
         }
         payload.update(overrides)
@@ -421,22 +426,15 @@ class TestObservabilityArtifacts:
         report = validate_run_dir(clean_run)
         assert "metrics-schema" in report.codes()
 
-    def test_histogram_count_arity_checked(self, clean_run):
-        self._metrics(
-            clean_run,
-            campaign={
-                "counters": {},
-                "gauges": {},
-                "histograms": {
-                    "h": {
-                        "buckets": [1.0, 2.0],
-                        "counts": [1, 2],
-                        "sum": 3.0,
-                        "count": 3,
-                    }
-                },
-            },
-        )
+    def test_legacy_metrics_snapshot_validates(self):
+        """Earlier versions wrote gauges and histograms beside the
+        counters; their snapshots still validate."""
+        report = validate_metrics_file(LEGACY_METRICS)
+        assert report.ok, report.render()
+        assert report.checks_run == 1
+
+    def test_metrics_without_counters_rejected(self, clean_run):
+        self._metrics(clean_run, campaign={"gauges": {}})
         report = validate_run_dir(clean_run)
         assert "metrics-schema" in report.codes()
 
