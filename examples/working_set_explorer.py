@@ -11,7 +11,7 @@ Examples::
     python examples/working_set_explorer.py cg --size 64 -p 4
     python examples/working_set_explorer.py fft --size 4096 --radix 8
     python examples/working_set_explorer.py barnes-hut --size 512
-    python examples/working_set_explorer.py volrend --size 32 --save trace.npz
+    python examples/working_set_explorer.py volrend --size 32
 """
 
 import argparse
@@ -19,7 +19,6 @@ import sys
 
 from repro import MissRateCurve, default_capacity_grid, format_size
 from repro.mem.stack_distance import StackDistanceProfiler
-from repro.mem.tracefile import save_trace
 
 
 def build_trace(args):
@@ -94,16 +93,11 @@ def main() -> int:
     parser.add_argument("--theta", type=float, default=1.0, help="Barnes-Hut theta")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-cache", type=str, default="512KB")
-    parser.add_argument("--save", type=str, default="",
-                        help="also save the trace to this .npz file")
     args = parser.parse_args()
 
     trace, metric, flops, model = build_trace(args)
     print(f"traced {len(trace):,} references"
           f" (footprint {format_size(trace.footprint_bytes())})")
-    if args.save:
-        save_trace(args.save, trace, metadata=vars(args))
-        print(f"saved to {args.save}")
 
     from repro.units import parse_size
 

@@ -21,6 +21,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.obs.tracing import traced
+
 
 @dataclass
 class UnstructuredMesh:
@@ -71,6 +73,7 @@ def _triangulate(points: np.ndarray) -> UnstructuredMesh:
     )
 
 
+@traced("apps.cg.mesh")
 def delaunay_mesh(num_points: int, seed: int = 0) -> UnstructuredMesh:
     """Delaunay triangulation of uniform random points in the unit
     square."""
@@ -80,6 +83,7 @@ def delaunay_mesh(num_points: int, seed: int = 0) -> UnstructuredMesh:
     return _triangulate(rng.uniform(0.0, 1.0, size=(num_points, 2)))
 
 
+@traced("apps.cg.mesh")
 def clustered_mesh(
     num_points: int, seed: int = 0, cluster_fraction: float = 0.7
 ) -> UnstructuredMesh:
@@ -99,6 +103,7 @@ def clustered_mesh(
     return _triangulate(points)
 
 
+@traced("apps.cg.mesh")
 def regular_mesh(side: int) -> UnstructuredMesh:
     """A regular 2-D grid expressed in the same mesh format (the
     baseline the paper compares against)."""
@@ -122,6 +127,7 @@ def regular_mesh(side: int) -> UnstructuredMesh:
     return UnstructuredMesh(points=coords, neighbors=neighbors)
 
 
+@traced("apps.cg.partition")
 def recursive_coordinate_bisection(
     points: np.ndarray, num_parts: int
 ) -> np.ndarray:
@@ -150,6 +156,7 @@ def recursive_coordinate_bisection(
     return assignment
 
 
+@traced("apps.cg.partition")
 def random_partition(
     num_points: int, num_parts: int, seed: int = 0
 ) -> np.ndarray:

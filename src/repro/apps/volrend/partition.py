@@ -16,6 +16,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs.tracing import traced
+
 
 @dataclass(frozen=True)
 class ImagePartition:
@@ -86,6 +88,7 @@ class StealingOutcome:
         return float(self.finish_times.mean()) / peak
 
 
+@traced("apps.volrend.ray_stealing")
 def simulate_ray_stealing(
     ray_costs: Sequence[np.ndarray],
     steal_overhead: float = 0.0,

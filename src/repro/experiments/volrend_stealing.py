@@ -24,8 +24,10 @@ from repro.apps.volrend.render import Camera, RayCaster
 from repro.apps.volrend.volume import synthetic_head
 from repro.core.report import format_table
 from repro.experiments.runner import ExperimentResult, SeriesComparison
+from repro.obs.tracing import traced
 
 
+@traced("apps.volrend.ray_costs")
 def measure_ray_costs(n: int, angle: float = 0.4) -> np.ndarray:
     """Render one frame; returns per-ray sample counts (the real cost
     distribution, shaped by early termination and octree skipping)."""

@@ -904,7 +904,7 @@ def _check_domain(kernel: str, blocks: np.ndarray, n: int, prefix_bound: int) ->
     _check_block_ids(kernel, int(blocks.min()), int(blocks.max()), m)
 
 
-def guard_run(kernel: str, sim, trace, budget=None, **options) -> None:
+def guard_run(kernel: str, sim, trace, budget=None, **options) -> bool:
     """Advance ``sim`` over ``trace`` with its vectorized kernel.
 
     The dispatch point every simulator calls.  It returns once the
@@ -920,12 +920,14 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> None:
     :class:`~repro.runtime.errors.KernelDivergenceError`.  Whenever it
     raises, every simulator is untouched.  A chunk that runs is timed
     by one ``mem.<kind>`` span and counted in the ``mem.<kind>.refs``
-    and ``mem.kernel.<kind>.chunks`` counters.
+    and ``mem.kernel.<kind>.chunks`` counters.  The return value is
+    always ``True``; the e2e tracer (``benchmarks/e2e/site``) books a
+    call that returns ``True`` as a vector call.
     """
     if kernel == "multiproc":
         n = sum(len(t) for t in trace)
         if n == 0:
-            return
+            return True
         live = [t.addrs for t in trace if len(t)]
         _check_block_ids(
             kernel,
@@ -941,7 +943,7 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> None:
             raise ValueError(f"{kernel} needs simulators of one block size")
         n = len(trace)
         if n == 0:
-            return
+            return True
         blocks = trace.block_ids(sims[0].block_size)
         kinds = trace.kinds
         _check_domain(kernel, blocks, n, _prefix_bound(kernel, sims))
@@ -981,3 +983,4 @@ def guard_run(kernel: str, sim, trace, budget=None, **options) -> None:
         target.load_state_dict(new)
     obs_metrics.inc(f"mem.{kernel}.refs", refs)
     obs_metrics.inc(f"mem.kernel.{kernel}.chunks")
+    return True

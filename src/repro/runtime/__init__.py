@@ -60,7 +60,6 @@ from repro.runtime.errors import (
     JournalCorruptError,
     JournalError,
     SimulationError,
-    TraceFileWriteError,
     TraceGenerationError,
     WorkerCrashError,
     WorkerError,
@@ -113,7 +112,6 @@ __all__ = [
     "JournalReplay",
     "RecoveryReport",
     "SimulationError",
-    "TraceFileWriteError",
     "TraceGenerationError",
     "WorkerCrashError",
     "WorkerError",

@@ -148,7 +148,7 @@ class CheckpointStore:
     def _read_envelope(self, path: Path) -> Dict[str, object]:
         try:
             raw = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CheckpointCorruptError(f"cannot read checkpoint {path}: {exc}")
         try:
             envelope = json.loads(raw)

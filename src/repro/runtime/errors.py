@@ -89,14 +89,6 @@ class CheckpointWriteError(ExperimentError):
     category = "checkpoint-write"
 
 
-class TraceFileWriteError(ExperimentError):
-    """Saving a trace archive failed at the I/O layer (ENOSPC, EIO).
-    The partial temporary file has been unlinked; the destination holds
-    either its previous contents or nothing."""
-
-    category = "trace-write"
-
-
 class JournalError(ExperimentError):
     """Base class of the write-ahead-journal branch."""
 

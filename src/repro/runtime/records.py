@@ -28,12 +28,11 @@ a file so the change survives a crash: write a temporary file in the
 destination directory, ``fsync`` it, ``os.replace`` it into place, then
 ``fsync`` the *directory*, without which a rename can be undone by
 power loss.  Every durability-relevant syscall (``io_write``,
-``io_fsync``, ``io_replace``, ``fsync_directory``, ``check_io``)
-carries a *site* tag (``"journal"``, ``"checkpoint"``,
-``"tracefile"``, ...) and first calls :data:`io_hook`,
-which is ``None`` in the product: the one seam through which the
-tests' fault injector (``tests/harness/iofault.py``) plants ``ENOSPC``,
-``EIO``, torn writes and in-write SIGKILLs.
+``io_fsync``, ``io_replace``, ``fsync_directory``) carries a *site*
+tag (``"journal"``, ``"checkpoint"``, ...) and first calls
+:data:`io_hook`, which is ``None`` in the product: the one seam
+through which the tests' fault injector (``tests/harness/iofault.py``)
+plants ``ENOSPC``, ``EIO``, torn writes and in-write SIGKILLs.
 """
 
 from __future__ import annotations
@@ -61,13 +60,6 @@ io_hook: Optional[
 
 
 # -- tagged syscalls and the atomic write -----------------------------------
-
-
-def check_io(site: str, op: str) -> None:
-    """The seam for writes handed to a third-party writer (numpy's
-    ``savez``): called where such a write begins."""
-    if io_hook is not None:
-        io_hook(site, op, None, None)
 
 
 def io_write(fd: int, data: bytes, site: str) -> int:

@@ -23,10 +23,7 @@ that proves every reader fails typed on corrupt input.  See
 ``docs/VALIDATION.md`` for the operator's view.
 """
 
-from repro.validate.artifacts import (
-    validate_run_dir,
-    validate_trace_file,
-)
+from repro.validate.artifacts import validate_run_dir
 from repro.validate.oracles import (
     RESULT_ORACLES,
     assert_valid_result,
@@ -60,5 +57,4 @@ __all__ = [
     "validate_profile",
     "validate_result",
     "validate_run_dir",
-    "validate_trace_file",
 ]

@@ -4,10 +4,10 @@ A campaign run directory is the repository's unit of reproducibility:
 ``manifest.json`` records what was asked for, ``results/`` and
 ``failures/`` hold checksummed outcome envelopes, ``summary.json``
 records how the run ended, ``journal.wal`` is the lifecycle log, and
-any ``.npz`` files are saved traces.  :func:`validate_run_dir` walks
-all of it and returns a :class:`~repro.validate.report.ValidationReport`
-with one typed finding per defect, each corruption class under its own
-code:
+``spans.jsonl``, ``timeline.jsonl`` and ``metrics.json`` hold the
+telemetry.  :func:`validate_run_dir` walks all of it and returns a
+:class:`~repro.validate.report.ValidationReport` with one typed finding
+per defect, each corruption class under its own code:
 
 ==========================  =============================================
 finding code                defect class
@@ -22,9 +22,6 @@ finding code                defect class
 ``summary-status-mismatch`` summary's per-experiment status disagrees
                             with the checkpoint on disk
 ``summary-dangling-id``     summary lists a completion with no checkpoint
-``trace-unreadable``        trace archive truncated / not a zip at all
-``trace-corrupt``           trace decodes but fails checksum or fields
-``trace-header-mismatch``   metadata header counts disagree with arrays
 ``journal-torn``            torn record at the journal's tail
                             (warning: the expected crash signature)
 ``journal-corrupt``         damaged record other than the torn tail, or
@@ -64,7 +61,6 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.mem.tracefile import TraceFileCorruptError, load_metadata, load_trace
 from repro.obs.timeline import TIMELINE_MAGIC, row_ladder
 from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.checkpoint import CheckpointStore
@@ -238,60 +234,6 @@ def validate_timeline_file(path: Union[str, Path]) -> ValidationReport:
     from its capacity ladder: the row's ``cache_sizes`` in version 1,
     :data:`~repro.obs.timeline.STACKDIST_LADDER` from version 2 on)."""
     return _validate_log(path, _TIMELINE)
-
-
-def validate_trace_file(path: Union[str, Path]) -> ValidationReport:
-    """Validate one saved ``.npz`` trace archive.
-
-    Distinguishes structural unreadability (truncation — the archive is
-    not even a zip) from decodable-but-corrupt contents (checksum or
-    field failures), and cross-checks the metadata header's reference
-    counts against the arrays actually stored.
-    """
-    path = Path(path)
-    report = ValidationReport(subject=f"trace {path.name}")
-    name = path.name
-    try:
-        trace = load_trace(path)
-    except TraceFileCorruptError as exc:
-        code = (
-            "trace-unreadable"
-            if "not a readable archive" in str(exc)
-            else "trace-corrupt"
-        )
-        report.add(code, str(exc), path=name)
-        return report
-    except ValueError as exc:  # unsupported (but intact) format version
-        report.add("trace-version", str(exc), path=name)
-        return report
-    finally:
-        report.tick()
-    try:
-        metadata = load_metadata(path)
-    except TraceFileCorruptError as exc:
-        report.add("trace-corrupt", str(exc), path=name)
-        return report
-    finally:
-        report.tick()
-    header = {
-        k: metadata[k] for k in ("refs", "reads", "writes") if k in metadata
-    }
-    if header:
-        for problem in check_schema(metadata, schema_for("trace-header")):
-            report.add("trace-header-schema", problem, path=name)
-        reads = int((trace.kinds == 0).sum())
-        writes = len(trace) - reads
-        actual = {"refs": len(trace), "reads": reads, "writes": writes}
-        report.tick()
-        for key, value in header.items():
-            if int(value) != actual[key]:
-                report.add(
-                    "trace-header-mismatch",
-                    f"metadata claims {key}={int(value)} but the arrays "
-                    f"hold {actual[key]}",
-                    path=name,
-                )
-    return report
 
 
 def validate_metrics_file(
@@ -488,19 +430,4 @@ def validate_run_dir(
     report.extend(
         validate_metrics_file(run_dir / "metrics.json", known_uids=known_uids)
     )
-
-    # -- traces --------------------------------------------------------
-    # ``stream/`` holds the trace shards and simulator snapshots of
-    # earlier versions' out-of-core mode.  Nothing reads them now, so
-    # they are neither audited nor taken for saved traces.
-    stream_root = run_dir / "stream"
-    for path in sorted(run_dir.rglob("*.npz")):
-        if stream_root in path.parents:
-            continue
-        trace_report = validate_trace_file(path)
-        report.tick(trace_report.checks_run)
-        rel = str(path.relative_to(run_dir))
-        for finding in trace_report.findings:
-            report.findings.append(dataclasses.replace(finding, path=rel))
-
     return report

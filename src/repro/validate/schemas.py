@@ -225,19 +225,6 @@ JOURNAL_RECORD_SCHEMA: Dict[str, object] = {
     },
 }
 
-#: The reference-count header (:func:`repro.mem.tracefile.trace_header`)
-#: that savers may embed in an archive's metadata.
-TRACE_HEADER_SCHEMA: Dict[str, object] = {
-    "type": "object",
-    "properties": {
-        "refs": {"type": "integer", "minimum": 0},
-        "reads": {"type": "integer", "minimum": 0},
-        "writes": {"type": "integer", "minimum": 0},
-        "processor": {"type": ["integer", "null"]},
-        "seed": {"type": ["integer", "null"]},
-    },
-}
-
 #: One line of ``spans.jsonl`` (:mod:`repro.obs.tracing`).  ``attrs``
 #: stays open: every span name carries its own detail attributes.
 SPAN_SCHEMA: Dict[str, object] = {
@@ -346,7 +333,6 @@ PAYLOAD_SCHEMAS: Dict[str, Dict[str, object]] = {
     "outcome": OUTCOME_SCHEMA,
     "result": RESULT_SCHEMA,
     "failure": FAILURE_SCHEMA,
-    "trace-header": TRACE_HEADER_SCHEMA,
     "journal-record": JOURNAL_RECORD_SCHEMA,
     "span": SPAN_SCHEMA,
     "metrics": METRICS_SNAPSHOT_SCHEMA,

@@ -1,5 +1,5 @@
 """Determinism audit: every app trace generator is a pure function of
-its seed, down to the serialized bytes.
+its seed, down to the bytes of its address and kind arrays.
 
 The result-integrity layer leans on this everywhere — the fuzzer's
 baseline, the differential corpus, and checkpoint resume all assume a
@@ -11,23 +11,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mem.tracefile import save_trace
-
 from tests.harness.corpus import CORPUS
 
 
-def trace_bytes(trace, tmp_path, name):
-    """Canonical serialized form (checksummed .npz) of a trace."""
-    path = tmp_path / name
-    save_trace(path, trace, metadata={"seed": 0})
-    return path.read_bytes()
+def trace_bytes(trace):
+    """A trace's canonical bytes: both columns with their dtypes."""
+    return (
+        trace.addrs.dtype.str,
+        trace.kinds.dtype.str,
+        trace.addrs.tobytes() + trace.kinds.tobytes(),
+    )
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
-def test_same_seed_regenerates_identical_bytes(entry, tmp_path):
-    first = trace_bytes(entry.build(), tmp_path, "first.npz")
-    second = trace_bytes(entry.build(), tmp_path, "second.npz")
-    assert first == second
+def test_same_seed_regenerates_identical_bytes(entry):
+    assert trace_bytes(entry.build()) == trace_bytes(entry.build())
 
 
 class TestSeedSensitivity:

@@ -3,8 +3,8 @@
 - :mod:`tests.harness.iofault` — the deterministic I/O fault injector,
   armed through :data:`repro.runtime.records.io_hook`;
 - :mod:`tests.harness.faulty` — failing experiment runners (crash,
-  hang, hang-hard, memhog, die, corrupt-trace) registered in place of
-  real experiments;
+  hang, hang-hard, memhog, die) registered in place of real
+  experiments;
 - :mod:`tests.harness.chaos` — the SIGKILL/resume and disk-fault chaos
   gate over real CLI processes;
 - :mod:`tests.harness.fuzz` — seeded fuzzing of the artifact readers;

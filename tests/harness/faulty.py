@@ -14,9 +14,7 @@ classifies whatever the runner raises, how it hangs, or how it dies.
   worker supervisor's SIGTERM/SIGKILL ends it;
 - ``memhog`` — allocate without bound until the worker's rlimit fires;
 - ``die`` — ``os._exit`` (status ``exit_code``, default 1) without a
-  payload, like a segfault;
-- ``corrupt-trace`` — save a real trace archive, flip a byte in it
-  and load it back, raising ``TraceFileCorruptError``.
+  payload, like a segfault.
 
 ``hang-hard``, ``memhog`` and ``die`` take down whatever process runs
 them, so arm them only for the worker backend (``jobs >= 1``).
@@ -37,7 +35,7 @@ from repro.runtime import errors
 from repro.runtime.budget import active_budget
 from repro.runtime.workers import resolve_runner_ref, runner_ref
 
-KINDS = ("crash", "hang", "hang-hard", "memhog", "die", "corrupt-trace")
+KINDS = ("crash", "hang", "hang-hard", "memhog", "die")
 
 #: The reserved kwarg carrying the fault into :func:`run`.
 FAULT_KWARG = "fault"
@@ -159,25 +157,10 @@ def _die(fault, experiment_id: str, attempt: int) -> None:
     os._exit(int(fault.get("exit_code", 1)))
 
 
-def _corrupt_trace(fault, experiment_id: str, attempt: int) -> None:
-    import numpy as np
-
-    from repro.mem.trace import Trace
-    from repro.mem.tracefile import load_trace, save_trace
-
-    path = Path(str(fault["dir"])) / f"{experiment_id}-injected.npz"
-    trace = Trace(np.arange(0, 256 * 8, 8, dtype=np.int64), np.zeros(256, dtype=np.uint8))
-    save_trace(path, trace)
-    # Mid-archive: inside the compressed arrays, so the checksum fails.
-    corrupt_file(path, offset=path.stat().st_size // 2)
-    load_trace(path)  # raises TraceFileCorruptError
-
-
 FIRE = {
     "crash": _crash,
     "hang": _hang,
     "hang-hard": _hang_hard,
     "memhog": _memhog,
     "die": _die,
-    "corrupt-trace": _corrupt_trace,
 }

@@ -1,9 +1,7 @@
 """Deterministic fuzzing of the artifact readers.
 
 Every on-disk reader in this repository promises to fail *typed* — a
-damaged trace archive raises
-:class:`~repro.mem.tracefile.TraceFileCorruptError`, a damaged
-checkpoint raises
+damaged checkpoint raises
 :class:`~repro.runtime.errors.CheckpointCorruptError`, and the
 journal validator reports findings instead of raising at all.  This
 module tests that promise adversarially: it builds pristine artifacts
@@ -17,19 +15,19 @@ Each case is classified:
   journal, reported an error finding): the contract held.
 - ``accepted-identical`` — the reader accepted the bytes and produced
   data equal to the pristine artifact (the mutation hit slack bytes:
-  zip padding, JSON whitespace, a truncation past the payload).  Also
+  JSON whitespace, a truncation past the payload).  Also
   fine.
 - ``accepted-prefix`` — a log reader accepted the bytes and produced a
   strict prefix of the pristine records: the mutation truncated the log
   or tore its last record, which the records module's damage rule
   (:mod:`repro.runtime.records`) tolerates as a crash signature.  Fine.
 - ``accepted-divergent`` — the reader accepted the bytes but produced
-  any other data.  Every artifact is checksummed — traces, checkpoints
-  and the CRC-framed journal alike — so this is a silent-corruption
-  bug and fails the fuzz run.
+  any other data.  Every artifact is checksummed — checkpoints and the
+  CRC-framed journal alike — so this is a silent-corruption bug and
+  fails the fuzz run.
 - ``unexpected-error`` — the reader leaked an exception outside its
-  typed contract (``KeyError``, ``TypeError``, a raw ``zlib.error``,
-  ...).  Always a bug; always fails the run.
+  typed contract (``KeyError``, ``TypeError``, ...).  Always a bug;
+  always fails the run.
 
 The whole campaign is a pure function of ``seed``, so a failure
 reproduces with the case index alone::
@@ -48,28 +46,12 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.mem.trace import Trace
-from repro.mem.tracefile import (
-    TraceFileCorruptError,
-    load_metadata,
-    load_trace,
-    save_trace,
-    trace_header,
-)
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.errors import CheckpointCorruptError, ValidationError
 from repro.validate.report import ValidationReport
-from tests.harness.builder import ReferenceBuilder
 
 #: Exceptions a reader is *allowed* to raise on corrupt input.
-#: ``TraceFileCorruptError`` subclasses ``ValueError``; the bare
-#: ``ValueError`` admits the documented version-mismatch rejection.
-TYPED_REJECTIONS = (
-    TraceFileCorruptError,
-    CheckpointCorruptError,
-    ValidationError,
-    ValueError,
-)
+TYPED_REJECTIONS = (CheckpointCorruptError, ValidationError)
 
 #: Case classifications.
 REJECTED = "rejected"
@@ -207,16 +189,6 @@ class FuzzReport:
 # -- pristine artifacts ----------------------------------------------------
 
 
-def _pristine_trace() -> Trace:
-    tb = ReferenceBuilder()
-    for sweep in range(3):
-        for i in range(128):
-            tb.read(8 * i)
-            if i % 4 == 0:
-                tb.write(8 * (i % 32))
-    return tb.build()
-
-
 def _build_targets(work_dir: Path) -> Dict[str, Tuple[Path, Callable[[Path], object]]]:
     """Create pristine artifacts; returns target -> (path, loader).
 
@@ -230,14 +202,6 @@ def _build_targets(work_dir: Path) -> Dict[str, Tuple[Path, Callable[[Path], obj
     from repro.core.curves import MissRateCurve
 
     work_dir.mkdir(parents=True, exist_ok=True)
-
-    trace = _pristine_trace()
-    trace_path = work_dir / "pristine.npz"
-    save_trace(
-        trace_path,
-        trace,
-        metadata={**trace_header(trace), "processor": 0, "seed": 0},
-    )
 
     store = CheckpointStore(work_dir / "store")
     result = ExperimentResult(
@@ -265,15 +229,6 @@ def _build_targets(work_dir: Path) -> Dict[str, Tuple[Path, Callable[[Path], obj
         for i in range(6):
             journal.append("attempt-start", experiment_id="fuzz", attempt=i + 1)
 
-    def load_trace_canonical(path: Path) -> object:
-        loaded = load_trace(path)
-        meta = load_metadata(path)
-        return (
-            loaded.addrs.tobytes(),
-            loaded.kinds.tobytes(),
-            json.dumps(meta, sort_keys=True),
-        )
-
     def load_checkpoint_canonical(path: Path) -> object:
         payload = store._read_envelope(path)
         return json.dumps(payload, sort_keys=True)
@@ -293,7 +248,6 @@ def _build_targets(work_dir: Path) -> Dict[str, Tuple[Path, Callable[[Path], obj
         ]
 
     return {
-        "trace": (trace_path, load_trace_canonical),
         "checkpoint": (checkpoint_path, load_checkpoint_canonical),
         "journal": (journal_path, load_journal_canonical),
     }

@@ -1,9 +1,8 @@
 """The deterministic I/O fault injector.
 
 Every durability-relevant syscall in :mod:`repro.runtime.records`
-carries a site tag (``"journal"``, ``"checkpoint"``, ``"tracefile"``,
-...) and first calls
-:data:`repro.runtime.records.io_hook`.  An installed
+carries a site tag (``"journal"``, ``"checkpoint"``, ...) and first
+calls :data:`repro.runtime.records.io_hook`.  An installed
 :class:`IOFaultInjector` counts the calls matching each of its faults
 and fires the fault at the Nth one: ``enospc`` and ``eio`` raise the
 real ``OSError``; ``short-write`` writes a torn prefix of the data and

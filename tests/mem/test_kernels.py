@@ -299,6 +299,14 @@ class TestDefaultConfiguration:
             expected = _run_sim(kind, trace)
         assert _canonical(sim.state_dict()) == _canonical(expected)
 
+    @pytest.mark.parametrize("length", [0, 300], ids=["empty", "non-empty"])
+    @pytest.mark.parametrize("kind", kernels.KERNEL_KINDS)
+    def test_guard_returns_true(self, kind, length):
+        # The e2e tracer books a guard call that returns True as a
+        # vector call.
+        chunk = _chunk_for(kind, _mixed_trace(length, 16))
+        assert kernels.guard_run(kind, _new_sim(kind), chunk) is True
+
 
 # -- the runtime invariant check -------------------------------------------
 

@@ -157,3 +157,27 @@ class TestFiles:
 
     def test_read_spans_missing_file(self, tmp_path):
         assert read_spans(tmp_path / "nope.jsonl") == []
+
+
+class TestPhaseSpans:
+    """Attempts that spend their time outside the kernels name it with
+    one span per phase, never one per ray or mesh element."""
+
+    @pytest.mark.parametrize(
+        "experiment_id, expected",
+        [
+            ("cg-unstructured", {"apps.cg.mesh": 3, "apps.cg.partition": 4}),
+            (
+                "volrend-stealing",
+                {"apps.volrend.ray_costs": 1, "apps.volrend.ray_stealing": 3},
+            ),
+        ],
+    )
+    def test_quick_run_writes_phase_spans(self, experiment_id, expected):
+        from repro.experiments.__main__ import EXPERIMENTS, QUICK_OVERRIDES
+
+        module, _ = EXPERIMENTS[experiment_id]
+        tracer = tracing.configure(buffered=True)
+        module.run(**QUICK_OVERRIDES[experiment_id])
+        names = [span.name for span in tracer.finished]
+        assert {name: names.count(name) for name in expected} == expected

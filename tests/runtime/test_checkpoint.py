@@ -11,6 +11,7 @@ from repro.experiments.runner import ExperimentResult, SeriesComparison
 from repro.runtime.checkpoint import CheckpointStore, atomic_write_text
 from repro.runtime.engine import ExperimentOutcome
 from repro.runtime.errors import CheckpointCorruptError, ExperimentFailure
+from tests.harness.faulty import corrupt_file
 
 
 def rich_result() -> ExperimentResult:
@@ -152,6 +153,16 @@ class TestCheckpointStore:
         path.write_text("not json at all")
         with pytest.raises(CheckpointCorruptError):
             store.load_outcome("fig2")
+
+    def test_non_utf8_byte_detected(self, tmp_path):
+        # A byte that is not UTF-8 must read as damage, so resume
+        # re-runs the experiment instead of crashing on the decode.
+        store = CheckpointStore(tmp_path / "run")
+        path = store.save_outcome(ok_outcome())
+        corrupt_file(path, offset=path.stat().st_size // 2)
+        with pytest.raises(CheckpointCorruptError, match="cannot read"):
+            store.load_outcome("fig2")
+        assert store.completed_ids() == []
 
     def test_failure_records_are_not_checkpoints(self, tmp_path):
         store = CheckpointStore(tmp_path / "run")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.mem.tracefile import TraceFileCorruptError
 from repro.runtime.budget import Budget, activate
 from repro.runtime.errors import (
     BudgetExceeded,
@@ -86,14 +85,3 @@ class TestFaultInjector:
         registry = armed(tmp_path, "fig6", kind="hang")
         with pytest.raises(ExperimentError, match="finite budget"):
             attempt(registry, "fig6")
-
-    def test_corrupt_trace_travels_real_path(self, tmp_path):
-        registry = armed(tmp_path, "fig5", kind="corrupt-trace")
-        with pytest.raises(TraceFileCorruptError):
-            attempt(registry, "fig5")
-        assert (tmp_path / "fig5-injected.npz").is_file()
-
-    def test_corrupt_trace_requires_workspace(self, tmp_path):
-        registry = armed(tmp_path / "missing", "fig5", kind="corrupt-trace")
-        with pytest.raises(OSError):
-            attempt(registry, "fig5")

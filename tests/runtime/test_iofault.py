@@ -12,7 +12,6 @@ from repro.runtime import records
 from repro.runtime.records import (
     atomic_write_bytes,
     atomic_write_text,
-    check_io,
     io_write,
 )
 
@@ -118,12 +117,17 @@ class TestFaultKinds:
         torn = (tmp_path / "f").read_bytes()
         assert 0 < len(torn) < 10  # a real torn prefix, not all-or-nothing
 
-    def test_check_io_degrades_short_write_to_enospc(self):
-        injector = IOFaultInjector([IOFault("tracefile", "write", "short-write")])
-        with install(injector):
-            with pytest.raises(OSError) as caught:
-                check_io("tracefile", "write")
+    def test_short_write_with_nothing_to_tear_is_enospc(self, tmp_path):
+        injector = IOFaultInjector([IOFault("journal", "write", "short-write")])
+        fd = os.open(tmp_path / "f", os.O_WRONLY | os.O_CREAT)
+        try:
+            with install(injector):
+                with pytest.raises(OSError) as caught:
+                    io_write(fd, b"", "journal")
+        finally:
+            os.close(fd)
         assert caught.value.errno == errno.ENOSPC
+        assert (tmp_path / "f").read_bytes() == b""
 
     def test_injected_errors_name_the_site(self):
         injector = IOFaultInjector([IOFault("lease", "fsync", "fsync-fail")])

@@ -9,19 +9,13 @@ import pytest
 
 from repro.core.curves import MissRateCurve
 from repro.experiments.runner import ExperimentResult
-from repro.mem.tracefile import save_trace, trace_header
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import ExperimentOutcome
 from repro.obs.tracing import SPANS_MAGIC
 from repro.runtime.journal import JOURNAL_FILENAME, Journal
 from repro.runtime.records import frame
-from repro.validate.artifacts import (
-    validate_metrics_file,
-    validate_run_dir,
-    validate_trace_file,
-)
+from repro.validate.artifacts import validate_metrics_file, validate_run_dir
 from tests.conftest import LEGACY_METRICS
-from tests.harness.builder import ReferenceBuilder
 
 
 def make_result(experiment_id: str = "figA") -> ExperimentResult:
@@ -35,14 +29,6 @@ def make_result(experiment_id: str = "figA") -> ExperimentResult:
             )
         ],
     )
-
-
-def make_trace():
-    tb = ReferenceBuilder()
-    for block in range(32):
-        tb.read(8 * block)
-        tb.write(8 * block)
-    return tb.build()
 
 
 @pytest.fixture
@@ -67,8 +53,6 @@ def clean_run(tmp_path):
             "statuses": {"figA": "ok"},
         }
     )
-    trace = make_trace()
-    save_trace(run_dir / "figA.npz", trace, metadata=trace_header(trace))
     return run_dir
 
 
@@ -89,27 +73,19 @@ class TestCleanRun:
         assert "manifest-missing" in codes
         assert "summary-missing" in codes
 
+    def test_stray_npz_adds_no_finding(self, clean_run):
+        # A run directory holds no numpy archives; one left there is
+        # not an artifact and is not read.
+        before = validate_run_dir(clean_run)
+        np.savez(clean_run / "stray.npz", addrs=np.arange(8))
+        (clean_run / "results" / "damaged.npz").write_bytes(b"garbage")
+        report = validate_run_dir(clean_run)
+        assert report.findings == before.findings
+        assert report.checks_run == before.checks_run
+
 
 class TestCorruptionClasses:
     """Each ISSUE-mandated corruption class yields its distinct code."""
-
-    def test_truncated_trace(self, clean_run):
-        path = clean_run / "figA.npz"
-        path.write_bytes(path.read_bytes()[:40])
-        report = validate_run_dir(clean_run)
-        assert "trace-unreadable" in report.codes()
-
-    def test_bit_flipped_trace(self, clean_run):
-        path = clean_run / "figA.npz"
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        report = validate_run_dir(clean_run)
-        assert not report.ok
-        codes = set(report.codes())
-        # A mid-file flip can land in the zip directory (unreadable) or
-        # in a member (decodes but fails checksum); both are detected.
-        assert codes & {"trace-corrupt", "trace-unreadable"}
 
     def test_bit_flipped_checkpoint(self, clean_run):
         path = clean_run / "results" / "figA.json"
@@ -155,13 +131,6 @@ class TestCorruptionClasses:
         )
         report = validate_run_dir(clean_run)
         assert "checkpoint-stale" in report.codes()
-
-    def test_header_mismatch(self, clean_run):
-        save_trace(
-            clean_run / "bad-header.npz", make_trace(), metadata={"refs": 1}
-        )
-        report = validate_run_dir(clean_run)
-        assert "trace-header-mismatch" in report.codes()
 
     def test_dangling_summary_id(self, clean_run):
         store = CheckpointStore(clean_run)
@@ -226,20 +195,6 @@ class TestFinerDiagnostics:
         store.write_manifest({"experiments": "figA"})
         report = validate_run_dir(clean_run)
         assert "manifest-schema" in report.codes()
-
-
-class TestTraceFile:
-    def test_clean_trace_passes(self, tmp_path):
-        path = tmp_path / "t.npz"
-        save_trace(path, make_trace(), metadata={"processor": 0, "seed": 0})
-        report = validate_trace_file(path)
-        assert report.ok, report.render()
-
-    def test_not_a_zip_at_all(self, tmp_path):
-        path = tmp_path / "t.npz"
-        path.write_bytes(b"definitely not a zip archive")
-        report = validate_trace_file(path)
-        assert report.codes() == ["trace-unreadable"]
 
 
 class TestJournalAndLease:
@@ -489,7 +444,7 @@ class TestLegacyTimeline:
 
 class TestLegacyStreamDir:
     """The ``stream/`` subtree that earlier versions' out-of-core mode
-    left in a run directory is inert: not audited, not read as traces."""
+    left in a run directory is inert: nothing in it is read."""
 
     def test_legacy_stream_subtree_adds_no_finding(self, clean_run):
         from tests.conftest import plant_legacy_stream

@@ -37,11 +37,7 @@ class TestCampaign:
 
     def test_all_targets_exercised(self):
         report = run_fuzz(cases=120, seed=0)
-        assert {c.target for c in report.cases} == {
-            "trace",
-            "checkpoint",
-            "journal",
-        }
+        assert {c.target for c in report.cases} == {"checkpoint", "journal"}
         assert {c.mutation for c in report.cases} == set(MUTATIONS)
 
     def test_explicit_work_dir_is_not_deleted(self, tmp_path):
@@ -52,7 +48,7 @@ class TestCampaign:
 
 
 class TestReportSemantics:
-    def _case(self, classification, target="trace", index=0):
+    def _case(self, classification, target="checkpoint", index=0):
         return FuzzCase(
             index=index,
             target=target,
@@ -69,7 +65,7 @@ class TestReportSemantics:
 
     def test_divergence_on_checksummed_target_is_a_problem(self):
         report = FuzzReport(
-            seed=0, cases=[self._case(ACCEPTED_DIVERGENT, target="trace")]
+            seed=0, cases=[self._case(ACCEPTED_DIVERGENT, target="checkpoint")]
         )
         assert not report.ok
         assert report.to_validation_report().codes() == [

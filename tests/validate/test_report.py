@@ -15,10 +15,12 @@ from repro.validate.report import (
 
 class TestFinding:
     def test_render_includes_code_and_path(self):
-        finding = Finding(code="trace-corrupt", message="boom", path="a.npz")
+        finding = Finding(
+            code="checkpoint-corrupt", message="boom", path="results/a.json"
+        )
         text = finding.render()
-        assert "trace-corrupt" in text
-        assert "a.npz" in text
+        assert "checkpoint-corrupt" in text
+        assert "results/a.json" in text
         assert text.startswith("ERROR")
 
     def test_render_without_path(self):
